@@ -1477,6 +1477,127 @@ mod tests {
         );
     }
 
+    /// Pins the open loop bit-for-bit, one cell per load source: Poisson
+    /// fixed-rate, `maxtp:8` on a serverless profile with a replica, and a
+    /// snapshot-isolation hot-key cell whose primary restarts mid-run.
+    /// Values captured before the open-loop scheduler was folded into this
+    /// module; they must never drift.
+    #[test]
+    fn open_loop_results_are_pinned() {
+        use crate::openloop::{run_open_loop, OpenLoopResult, OpenLoopSpec};
+        use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
+
+        let pin = |r: &OpenLoopResult, dep: &Deployment| {
+            (
+                r.arrivals,
+                r.completed,
+                r.measured,
+                r.blocked_retries,
+                r.response_sum.as_nanos(),
+                r.queue_depth_max,
+                r.peak_tracked_ops,
+                r.response_percentile_ms(99.0).to_bits(),
+                dep.db.log().head().0,
+            )
+        };
+        let phases = |measure_secs| {
+            PhasePlan::new(
+                SimDuration::from_millis(500),
+                SimDuration::from_millis(500),
+                SimDuration::from_secs(measure_secs),
+            )
+        };
+
+        let mut dep = Deployment::new(SutProfile::aws_rds(), 1, 3000, 0, 7);
+        let spec = OpenLoopSpec {
+            plan: ArrivalPlan::fixed_rate(ArrivalProcess::poisson(4000.0), phases(2), 1000),
+            mix: TxnMix::read_write(),
+            dist: AccessDistribution::Latest(64),
+            partition: whole(&dep),
+        };
+        let r = run_open_loop(&mut dep, &spec, &RunOptions::default());
+        assert_eq!(
+            pin(&r, &dep),
+            (
+                9300,
+                9294,
+                8011,
+                6,
+                12790307252,
+                18,
+                2,
+                4616943339362495219,
+                5785
+            ),
+            "poisson fixed-rate"
+        );
+
+        let mut dep = Deployment::new(SutProfile::cdb3(), 1, 3000, 1, 3);
+        let spec = OpenLoopSpec {
+            plan: ArrivalPlan::max_throughput(
+                8,
+                PhasePlan::measure_only(SimDuration::from_secs(3)),
+            ),
+            mix: TxnMix::read_write(),
+            dist: AccessDistribution::Uniform,
+            partition: whole(&dep),
+        };
+        let opts = RunOptions {
+            seed: 2025,
+            ..RunOptions::default()
+        };
+        let r = run_open_loop(&mut dep, &spec, &opts);
+        assert_eq!(
+            pin(&r, &dep),
+            (
+                6559,
+                6551,
+                6551,
+                5,
+                23984350108,
+                8,
+                8,
+                4621668300481700183,
+                4104
+            ),
+            "maxtp:8"
+        );
+
+        let mut dep = Deployment::new(SutProfile::cdb4(), 1, 3000, 1, 11);
+        let spec = OpenLoopSpec {
+            plan: ArrivalPlan::fixed_rate(ArrivalProcess::poisson(600.0), phases(7), 5000),
+            mix: TxnMix::iud(60.0, 30.0, 10.0),
+            dist: AccessDistribution::Latest(10),
+            partition: whole(&dep),
+        };
+        let opts = RunOptions {
+            seed: 11,
+            isolation: Some(IsolationLevel::Snapshot),
+            failure: Some(FailurePlan {
+                at: SimTime::from_secs(2),
+                target_ro: false,
+            }),
+            ..RunOptions::default()
+        };
+        let r = run_open_loop(&mut dep, &spec, &opts);
+        assert!(r.run.si_aborts > 0 && r.run.failover.is_some());
+        assert_eq!(
+            pin(&r, &dep),
+            (
+                4427,
+                4424,
+                4206,
+                3584,
+                5472708151522,
+                2136,
+                2134,
+                4661324477346383886,
+                13718
+            ),
+            "snapshot isolation, latest-10, primary restart"
+        );
+    }
+
     /// PR 8 determinism pin: explicitly selecting READ COMMITTED (rather
     /// than deferring to the profile default) takes the exact pre-MVCC code
     /// path — single-client results must stay bit-identical forever.
