@@ -17,10 +17,18 @@ use cb_sut::{ScalingKind, SutProfile};
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::{fmoney, fnum, Table};
+use cloudybench::RunOptions;
 use cloudybench::{AccessDistribution, Deployment, TxnMix};
 
 const MB: u64 = 1024 * 1024;
 const GB: u64 = 1024 * 1024 * 1024;
+
+fn opts() -> RunOptions {
+    RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    }
+}
 
 fn main() {
     println!("=== Ablations: the paper's takeaway what-ifs ===\n");
@@ -48,7 +56,7 @@ fn ablation_cdb1_scale_down() {
             TxnMix::read_write(),
             110,
             SIM_SCALE,
-            SEED,
+            &opts(),
         );
         t.row(&[
             label.into(),
@@ -104,7 +112,7 @@ fn ablation_cdb4_autoscaling() {
             TxnMix::read_write(),
             110,
             SIM_SCALE,
-            SEED,
+            &opts(),
         );
         t.row(&[
             label.into(),
@@ -146,7 +154,7 @@ fn ablation_cdb4_remote_pool() {
             100,
             AccessDistribution::Uniform,
         );
-        let fo = evaluate_failover(&profile, 100, SIM_SCALE, SEED);
+        let fo = evaluate_failover(&profile, 100, SIM_SCALE, &opts());
         t.row(&[
             label.into(),
             fnum(cell.avg_tps),

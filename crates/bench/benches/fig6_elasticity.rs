@@ -10,11 +10,16 @@ use cb_bench::{SEED, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::report::{fmoney, fnum, Table};
+use cloudybench::RunOptions;
 use cloudybench::TxnMix;
 
 const TAU: u32 = 110;
 
 fn main() {
+    let base = RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    };
     println!("=== Figure 6: elasticity evaluation (tau = {TAU}) ===");
     println!("(sim_scale {SIM_SCALE}, one-minute slots, ten-minute billing window)\n");
     let mixes = [
@@ -31,7 +36,7 @@ fn main() {
         for profile in SutProfile::all() {
             let mut sum = 0.0;
             for pattern in ElasticPattern::all() {
-                let r = evaluate_elasticity(&profile, pattern, mix, TAU, SIM_SCALE, SEED);
+                let r = evaluate_elasticity(&profile, pattern, mix, TAU, SIM_SCALE, &base);
                 table.row(&[
                     profile.display.to_string(),
                     pattern.label().to_string(),

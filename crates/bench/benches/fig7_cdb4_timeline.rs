@@ -9,10 +9,15 @@ use cb_bench::{SEED, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::Table;
+use cloudybench::RunOptions;
 
 fn main() {
+    let base = RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    };
     println!("=== Figure 7: CDB4 fail-over timeline ===\n");
-    let r = evaluate_failover(&SutProfile::cdb4(), 150, SIM_SCALE, SEED);
+    let r = evaluate_failover(&SutProfile::cdb4(), 150, SIM_SCALE, &base);
     let mut table = Table::new(
         "Figure 7 — phases of the RW fail-over",
         &["Phase", "Start (s)", "End (s)", "Duration (s)"],

@@ -11,8 +11,13 @@ use cb_bench::{SEED, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::lagtime::evaluate_lagtime;
 use cloudybench::report::{fnum, Table};
+use cloudybench::RunOptions;
 
 fn main() {
+    let base = RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    };
     println!("=== Section III-F: replication lag time (1 RO replica) ===\n");
     let mut table = Table::new(
         "Replication lag (ms) by IUD ratio",
@@ -20,7 +25,7 @@ fn main() {
     );
     let mut scores = Table::new("C-Score (ms)", &["System", "C-Score"]);
     for profile in SutProfile::all() {
-        let r = evaluate_lagtime(&profile, 50, SIM_SCALE, SEED);
+        let r = evaluate_lagtime(&profile, 50, 1, SIM_SCALE, &base);
         for row in &r.rows {
             table.row(&[
                 profile.display.to_string(),

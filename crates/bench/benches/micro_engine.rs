@@ -259,7 +259,12 @@ fn bench_replay(c: &mut Criterion) {
         b.iter_batched(
             base,
             |mut fresh| {
-                black_box(redo_committed_parallel(&mut fresh, &records, jobs));
+                black_box(redo_committed_parallel(
+                    &mut fresh,
+                    &records,
+                    &std::collections::HashSet::new(),
+                    jobs,
+                ));
                 fresh
             },
             BatchSize::LargeInput,

@@ -12,9 +12,17 @@ use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern, BILLING_WINDOW};
 use cloudybench::report::{fmoney, Table};
+use cloudybench::RunOptions;
 use cloudybench::TxnMix;
 
 const TAU: u32 = 110;
+
+fn base() -> RunOptions {
+    RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    }
+}
 
 fn main() {
     println!("=== Table VI: scaling time and cost during autoscaling ===\n");
@@ -31,8 +39,14 @@ fn main() {
             ],
         );
         for profile in &suts {
-            let r =
-                evaluate_elasticity(profile, pattern, TxnMix::read_write(), TAU, SIM_SCALE, SEED);
+            let r = evaluate_elasticity(
+                profile,
+                pattern,
+                TxnMix::read_write(),
+                TAU,
+                SIM_SCALE,
+                &base(),
+            );
             for s in r.scalings.iter().take(4) {
                 table.row(&[
                     profile.display.to_string(),
@@ -71,7 +85,7 @@ fn drain_table(suts: &[SutProfile; 3]) {
             TxnMix::read_write(),
             TAU,
             SIM_SCALE,
-            SEED,
+            &base(),
         );
         let peak_end = SimTime::from_secs(120);
         let after_1m = r.vcores.value_at(peak_end + SimDuration::from_secs(60));

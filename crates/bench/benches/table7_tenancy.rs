@@ -11,11 +11,16 @@ use cb_bench::{SEED, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::report::{fmoney, fnum, Table};
 use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
+use cloudybench::RunOptions;
 
 /// The paper's tuples reach concurrency 429; scale to keep sim time sane.
 const SCALE: f64 = 0.5;
 
 fn main() {
+    let base = RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    };
     println!("=== Table VII: multi-tenancy evaluation (3 tenants, scale {SCALE}) ===\n");
     let mut table = Table::new(
         "Table VII — TPS and T-Score by pattern",
@@ -40,7 +45,7 @@ fn main() {
         let mut resources = String::new();
         let mut cost = 0.0;
         for pattern in TenancyPattern::all() {
-            let r = evaluate_tenancy(&profile, pattern, SCALE, SIM_SCALE, SEED);
+            let r = evaluate_tenancy(&profile, pattern, SCALE, SIM_SCALE, &base);
             tps.push(r.total_tps);
             ts.push(r.t_score);
             let minutes = r.usage.window.as_secs_f64() / 60.0;

@@ -11,8 +11,13 @@ use cb_bench::{SEED, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::{fsecs, Table};
+use cloudybench::RunOptions;
 
 fn main() {
+    let base = RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    };
     println!("=== Table VIII: fail-over evaluation (con = 150) ===\n");
     let mut table = Table::new(
         "Table VIII — F-Score and R-Score",
@@ -21,7 +26,7 @@ fn main() {
         ],
     );
     for profile in SutProfile::all() {
-        let r = evaluate_failover(&profile, 150, SIM_SCALE, SEED);
+        let r = evaluate_failover(&profile, 150, SIM_SCALE, &base);
         table.row(&[
             profile.display.to_string(),
             fsecs(r.rw.f_secs),

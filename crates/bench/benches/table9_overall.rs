@@ -44,6 +44,10 @@ fn tps_with_ro(profile: &SutProfile, ro: usize) -> f64 {
 }
 
 fn main() {
+    let base = RunOptions {
+        seed: SEED,
+        ..RunOptions::default()
+    };
     println!("=== Table IX: overall performance (PERFECT framework) ===\n");
     let mut table = Table::new(
         "Table IX — PERFECT scores and O-Score",
@@ -80,7 +84,7 @@ fn main() {
                 TxnMix::read_write(),
                 TAU,
                 SIM_SCALE,
-                SEED,
+                &base,
             );
             e1_sum += r.e1;
             // Starred: reprice the same ten-minute window with actual rates.
@@ -101,7 +105,7 @@ fn main() {
         let e1_star = e1_star_sum / 4.0;
 
         // F / R: fail-over evaluation.
-        let fo = evaluate_failover(&profile, 150, SIM_SCALE, SEED);
+        let fo = evaluate_failover(&profile, 150, SIM_SCALE, &base);
         let f = fo.f_avg();
         let r = fo.r_avg().max(0.5);
 
@@ -114,14 +118,14 @@ fn main() {
         let e2 = e2_score(&tps_series, 1.0).max(1.0);
 
         // C: replication lag.
-        let lag = evaluate_lagtime(&profile, 50, SIM_SCALE, SEED);
+        let lag = evaluate_lagtime(&profile, 50, 1, SIM_SCALE, &base);
         let c = lag.c_score_ms.max(0.01);
 
         // T / T*: averaged over the four tenancy patterns.
         let mut t_sum = 0.0;
         let mut t_star_sum = 0.0;
         for pattern in TenancyPattern::all() {
-            let tr = evaluate_tenancy(&profile, pattern, 0.5, SIM_SCALE, SEED);
+            let tr = evaluate_tenancy(&profile, pattern, 0.5, SIM_SCALE, &base);
             t_sum += tr.t_score;
             t_star_sum += tr.t_score_actual;
         }

@@ -12,7 +12,7 @@
 //! * **replay-from-storage**: `base_database()` + checkpoint-partitioned
 //!   parallel redo over the archive ([`cloudybench::replay`]), the CDB1–3
 //!   route (also "restore backup and roll forward"), and
-//! * **in-place ARIES undo**: `undo_losers_durable` over the crash epoch's
+//! * **in-place ARIES undo**: `undo_losers` over the crash epoch's
 //!   log tail applied to the crashed image, the RDS/CDB4 route.
 //!
 //! Commit acknowledgements are *deferred*: a write commit enqueues into the
@@ -27,9 +27,11 @@
 //! Determinism — same seed, byte-identical cb-obs artifacts — is checked one
 //! level up by the campaign runner, which runs every seed twice.
 
+use std::collections::HashSet;
+
 use cb_cluster::{plan_failover_with_detection, HeartbeatMonitor, NodeHealth};
 use cb_engine::exec::RemoteTier;
-use cb_engine::recovery::{analyze, undo_losers_durable};
+use cb_engine::recovery::{analyze, undo_losers};
 use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
 use cb_obs::{
     ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, Category, ObsSink,
@@ -875,14 +877,16 @@ impl Harness {
         // Checkpoint-partitioned parallel redo with its fixed partition
         // count; one worker here, but the merged plan is identical for any
         // worker count, so campaign output cannot depend on `--jobs`.
-        let redone = cloudybench::replay::redo_committed_parallel(&mut replayed, &redo_src, 1);
+        let no_2pc = HashSet::new();
+        let redone =
+            cloudybench::replay::redo_committed_parallel(&mut replayed, &redo_src, &no_2pc, 1);
         self.check_state(&replayed, "replay")?;
         // 6. In-place ARIES oracle: undo losers on the crashed image using
         //    the full pre-crash tail, honouring the durability horizon — a
         //    commit record beyond it never flushed, so its transaction rolls
         //    back. The database continues from this repaired image (its log
         //    is consistent, unlike the replay's).
-        let undone = undo_losers_durable(&mut self.dep.db, &tail, survivors);
+        let undone = undo_losers(&mut self.dep.db, &tail, survivors, &no_2pc);
         self.check_state(&self.dep.db, "in-place-undo")?;
         debug_assert!(undone as usize <= tail.len());
         // 7. Reconcile the continuing log with what durable storage kept,
@@ -926,7 +930,6 @@ impl Harness {
         let Some(n) = self.opts.bug_skip_redo else {
             return self.archive.iter().collect();
         };
-        use std::collections::HashSet;
         let committed: HashSet<TxnId> = self
             .archive
             .iter()

@@ -20,8 +20,8 @@
 //!
 //! Recovery then runs **both** real paths on every shard — rebuild from the
 //! base snapshot through the net-effect planner
-//! ([`redo_committed_parallel_resolved`]) and in-place ARIES undo
-//! ([`undo_losers_durable_resolved`]) — joining each shard's in-doubt votes
+//! ([`redo_committed_parallel`]) and in-place ARIES undo
+//! ([`undo_losers`]) — joining each shard's in-doubt votes
 //! ([`in_doubt_txns`]) against the surviving decision log, and checks four
 //! oracles:
 //!
@@ -41,13 +41,13 @@ use std::collections::{BTreeSet, HashSet};
 use cb_cluster::ShardMap;
 use cb_engine::bufferpool::BufferPool;
 use cb_engine::exec::{CostModel, ExecCtx};
-use cb_engine::recovery::{in_doubt_txns, undo_losers_durable_resolved};
+use cb_engine::recovery::{in_doubt_txns, undo_losers};
 use cb_engine::value::{ColumnDef, DataType, Row, Schema, Value};
 use cb_engine::Database;
 use cb_sim::{DetRng, Device, DeviceKind, SimDuration, SimTime};
 use cb_store::{Lsn, StorageArch, StorageService, TxnId, WalRecord};
 use cloudybench::parallel::par_map;
-use cloudybench::replay::redo_committed_parallel_resolved;
+use cloudybench::replay::redo_committed_parallel;
 
 /// Initial balance of every account row.
 const OPENING_BALANCE: i64 = 1_000;
@@ -378,11 +378,11 @@ fn run_layout(
         // Path A: restore the base snapshot, roll forward through the
         // net-effect planner with the resolved commits joined in.
         let mut rebuilt = shard_base(map, opts.accounts, s);
-        redo_committed_parallel_resolved(&mut rebuilt, &refs, &resolved, 1);
+        redo_committed_parallel(&mut rebuilt, &refs, &resolved, 1);
 
         // Path B: in-place ARIES undo of every unresolved loser.
         db.simulate_crash();
-        undo_losers_durable_resolved(db, &tail, tail.len(), &resolved);
+        undo_losers(db, &tail, tail.len(), &resolved);
 
         let t = db.table_id("account").expect("account table");
         let in_place = db.dump_table(t);

@@ -16,13 +16,12 @@ use cb_sut::SutProfile;
 use cloudybench::config::{ConfigError, ElasticScheduleConfig, Props};
 use cloudybench::cost::{ruc_cost, RucRates};
 use cloudybench::driver::VcoreControl;
-use cloudybench::elasticity::{evaluate_elasticity_with_obs, ElasticPattern};
-use cloudybench::failover_eval::evaluate_failover_with_obs;
-use cloudybench::lagtime::evaluate_lagtime_with_replicas_obs;
-
+use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
+use cloudybench::failover_eval::evaluate_failover;
+use cloudybench::lagtime::evaluate_lagtime;
 use cloudybench::report::{fmoney, fnum, fsecs, Table};
 use cloudybench::sharded::ShardMap;
-use cloudybench::tenancy::{evaluate_tenancy_with_obs, TenancyPattern};
+use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
 use cloudybench::{
     run, run_fleet, AccessDistribution, Deployment, FleetSpec, KeyPartition, RunOptions,
     ShiftEvent, TenantSpec, TxnMix,
@@ -42,6 +41,13 @@ pub enum CliError {
         /// Accepted values.
         expected: &'static str,
     },
+    /// A valid key the selected mode has no way to honour.
+    Unsupported {
+        /// Key name.
+        key: &'static str,
+        /// The mode that cannot carry it.
+        mode: &'static str,
+    },
 }
 
 impl std::fmt::Display for CliError {
@@ -57,6 +63,9 @@ impl std::fmt::Display for CliError {
                     f,
                     "key {key}: unknown value {value:?} (expected one of: {expected})"
                 )
+            }
+            CliError::Unsupported { key, mode } => {
+                write!(f, "key {key}: not supported in mode {mode}")
             }
         }
     }
@@ -190,14 +199,10 @@ fn parse_tenancy_pattern(props: &Props) -> Result<TenancyPattern, CliError> {
 }
 
 /// Run the evaluation described by `props` and return the printed report.
-pub fn run_from_props(props: &Props) -> Result<String, CliError> {
-    run_from_props_with_obs(props, &ObsSink::disabled())
-}
-
-/// [`run_from_props`] with an observability sink: the run journals spans,
-/// histograms and counters into `obs` for artifact export (the binary's
-/// `--trace-out` / `--metrics-out` flags).
-pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, CliError> {
+/// The run journals spans, histograms and counters into `obs` for artifact
+/// export (the binary's `--trace-out` / `--metrics-out` flags); pass
+/// [`ObsSink::disabled`] for a plain run.
+pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> {
     let profile = parse_sut(props)?;
     let sim_scale = props.get_u64("sim_scale", 200)?;
     let seed = props.get_u64("seed", 7)?;
@@ -209,6 +214,13 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
     let mix = parse_mix(props)?;
     let dist = parse_distribution(props)?;
     let eviction = parse_eviction(props)?;
+    // What every run of every mode inherits; the evaluators add the rest.
+    let base = RunOptions {
+        seed,
+        obs: obs.clone(),
+        eviction,
+        ..RunOptions::default()
+    };
     let mut out = String::new();
     match mode.as_str() {
         "oltp" => {
@@ -226,11 +238,8 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
                 KeyPartition::whole(dep.shape.orders, dep.shape.customers),
             );
             let opts = RunOptions {
-                seed,
                 vcores: VcoreControl::Fixed,
-                obs: obs.clone(),
-                eviction,
-                ..RunOptions::default()
+                ..base
             };
             let result = run(&mut dep, &[spec], &opts);
             let end = SimTime::ZERO + duration;
@@ -275,13 +284,7 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
                     dist: AccessDistribution::Uniform,
                     partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
                 };
-                let opts = RunOptions {
-                    seed,
-                    obs: obs.clone(),
-                    eviction,
-                    ..RunOptions::default()
-                };
-                let result = run(&mut dep, &[spec], &opts);
+                let result = run(&mut dep, &[spec], &base);
                 let mut t = Table::new(
                     &format!("Elasticity (custom schedule) — {}", profile.display),
                     &["Metric", "Value"],
@@ -291,8 +294,7 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
                 out.push_str(&t.to_string());
             } else {
                 let pattern = parse_elastic_pattern(props)?;
-                let r =
-                    evaluate_elasticity_with_obs(&profile, pattern, mix, tau, sim_scale, seed, obs);
+                let r = evaluate_elasticity(&profile, pattern, mix, tau, sim_scale, &base);
                 let mut t = Table::new(
                     &format!("Elasticity — {} / {}", profile.display, pattern.label()),
                     &["Metric", "Value"],
@@ -306,7 +308,7 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
         "tenancy" => {
             let pattern = parse_tenancy_pattern(props)?;
             let scale = props.get_f64("tenancy_scale", 0.5)?;
-            let r = evaluate_tenancy_with_obs(&profile, pattern, scale, sim_scale, seed, obs);
+            let r = evaluate_tenancy(&profile, pattern, scale, sim_scale, &base);
             let mut t = Table::new(
                 &format!("Multi-tenancy — {} / {}", profile.display, pattern.label()),
                 &["Metric", "Value"],
@@ -321,7 +323,7 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
         }
         "failover" => {
             let con = props.get_u64("concurrency", 100)? as u32;
-            let r = evaluate_failover_with_obs(&profile, con, sim_scale, seed, obs);
+            let r = evaluate_failover(&profile, con, sim_scale, &base);
             let mut t = Table::new(
                 &format!("Fail-over — {}", profile.display),
                 &["Target", "F", "R"],
@@ -333,14 +335,7 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
         "lagtime" => {
             let con = props.get_u64("concurrency", 30)? as u32;
             let replicas = props.get_u64("replicas", 1)? as usize;
-            let r = evaluate_lagtime_with_replicas_obs(
-                &profile,
-                con,
-                replicas.max(1),
-                sim_scale,
-                seed,
-                obs,
-            );
+            let r = evaluate_lagtime(&profile, con, replicas.max(1), sim_scale, &base);
             let mut t = Table::new(
                 &format!("Replication lag — {}", profile.display),
                 &["Mix", "Insert ms", "Update ms", "Delete ms"],
@@ -362,6 +357,14 @@ pub fn run_from_props_with_obs(props: &Props, obs: &ObsSink) -> Result<String, C
             out.push_str(&t.to_string());
         }
         "sharded" => {
+            // `run_fleet` builds each shard's options itself and runs the
+            // shards on worker threads; it has no slot for a policy override.
+            if eviction.is_some() {
+                return Err(CliError::Unsupported {
+                    key: "eviction",
+                    mode: "sharded",
+                });
+            }
             let shards = (props.get_u64("shards", 2)? as usize).max(1);
             let jobs = (props.get_u64("jobs", 1)? as usize).max(1);
             let mut spec = FleetSpec {
@@ -452,7 +455,14 @@ mod tests {
 
     fn go(text: &str) -> String {
         let props = Props::parse(text).expect("props parse");
-        run_from_props(&props).expect("run succeeds")
+        run_from_props(&props, &ObsSink::disabled()).expect("run succeeds")
+    }
+
+    fn fail(text: &str) -> String {
+        let props = Props::parse(text).expect("props parse");
+        run_from_props(&props, &ObsSink::disabled())
+            .expect_err("run is rejected")
+            .to_string()
     }
 
     #[test]
@@ -505,7 +515,7 @@ mod tests {
         )
         .expect("props parse");
         let obs = ObsSink::enabled();
-        run_from_props_with_obs(&props, &obs).expect("run succeeds");
+        run_from_props(&props, &obs).expect("run succeeds");
         obs.with(|t| {
             assert!(t
                 .histogram("txn.latency_ns")
@@ -526,12 +536,42 @@ mod tests {
         assert!(report.contains("avg TPS"), "{report}");
         assert!(report.contains("0:0:90:0:10"), "{report}");
 
-        let props = Props::parse("eviction = mru").unwrap();
-        let e = run_from_props(&props).unwrap_err();
-        assert!(e.to_string().contains("sieve"), "{e}");
-        let props = Props::parse("distribution = zipfian-1.5\nsim_scale = 2000").unwrap();
-        let e = run_from_props(&props).unwrap_err();
-        assert!(e.to_string().contains("THETA"), "{e}");
+        let e = fail("eviction = mru");
+        assert!(e.contains("sieve"), "{e}");
+        let e = fail("distribution = zipfian-1.5\nsim_scale = 2000");
+        assert!(e.contains("THETA"), "{e}");
+    }
+
+    /// `eviction=` used to be validated in every mode and then dropped by
+    /// the four evaluator modes. The per-policy buffer-pool counters witness
+    /// which policy actually ran; unlike the time-zero `policy:<label>`
+    /// instant they cannot be evicted from the span ring by a long run.
+    #[test]
+    fn eviction_key_reaches_every_evaluator_mode() {
+        for mode in [
+            "mode = elasticity\ntau = 4",
+            "mode = tenancy\ntenancy_pattern = d\ntenancy_scale = 0.1",
+            "mode = failover\nconcurrency = 2",
+            "mode = lagtime\nconcurrency = 2",
+        ] {
+            let hits = |eviction: &str| {
+                let text = format!("sut = cdb2\nsim_scale = 2000\n{mode}\n{eviction}");
+                let obs = ObsSink::enabled();
+                run_from_props(&Props::parse(&text).unwrap(), &obs).expect("run succeeds");
+                obs.with(|t| (t.counter("bufpool.hit.sieve"), t.counter("bufpool.hit.lru")))
+                    .expect("sink enabled")
+            };
+            let (sieve, lru) = hits("eviction = sieve");
+            assert!(sieve > 0 && lru == 0, "{mode}: sieve {sieve}, lru {lru}");
+            let (sieve, lru) = hits("");
+            assert!(sieve == 0 && lru > 0, "{mode}: sieve {sieve}, lru {lru}");
+        }
+    }
+
+    #[test]
+    fn sharded_mode_rejects_an_eviction_override_it_cannot_carry() {
+        let e = fail("mode = sharded\nsim_scale = 2000\neviction = sieve");
+        assert!(e.contains("not supported in mode sharded"), "{e}");
     }
 
     #[test]
@@ -551,29 +591,19 @@ mod tests {
         // `distribution`, or `eviction` silently ran with the defaults; a
         // typo'd key must fail whatever mode is selected.
         for mode in ["tenancy", "failover", "lagtime", "sharded", "elasticity"] {
-            let props = Props::parse(&format!("mode = {mode}\neviction = mru")).unwrap();
-            let e = run_from_props(&props).unwrap_err();
-            assert!(e.to_string().contains("mru"), "{mode}: {e}");
-            let props =
-                Props::parse(&format!("mode = {mode}\ndistribution = zipfian-1.5")).unwrap();
-            let e = run_from_props(&props).unwrap_err();
-            assert!(e.to_string().contains("THETA"), "{mode}: {e}");
-            let props = Props::parse(&format!("mode = {mode}\nmix = 1:2")).unwrap();
-            let e = run_from_props(&props).unwrap_err();
-            assert!(e.to_string().contains("mix"), "{mode}: {e}");
+            let e = fail(&format!("mode = {mode}\neviction = mru"));
+            assert!(e.contains("mru"), "{mode}: {e}");
+            let e = fail(&format!("mode = {mode}\ndistribution = zipfian-1.5"));
+            assert!(e.contains("THETA"), "{mode}: {e}");
+            let e = fail(&format!("mode = {mode}\nmix = 1:2"));
+            assert!(e.contains("mix"), "{mode}: {e}");
         }
     }
 
     #[test]
     fn errors_are_descriptive() {
-        let props = Props::parse("sut = oracle").unwrap();
-        let e = run_from_props(&props).unwrap_err();
-        assert!(e.to_string().contains("oracle"));
-        let props = Props::parse("mode = nonsense").unwrap();
-        let e = run_from_props(&props).unwrap_err();
-        assert!(e.to_string().contains("nonsense"));
-        let props = Props::parse("mix = 1:2").unwrap();
-        let e = run_from_props(&props).unwrap_err();
-        assert!(e.to_string().contains("mix"));
+        assert!(fail("sut = oracle").contains("oracle"));
+        assert!(fail("mode = nonsense").contains("nonsense"));
+        assert!(fail("mix = 1:2").contains("mix"));
     }
 }

@@ -13,7 +13,7 @@ use std::io::Read;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cb_cli::run_from_props_with_obs;
+use cb_cli::run_from_props;
 use cb_obs::{write_run_artifacts, ObsSink};
 use cloudybench::config::Props;
 
@@ -22,16 +22,22 @@ fn usage() -> ExitCode {
     eprintln!("       cloudybench chaos [--seeds N] [--profile NAME] [--replay SEED] ...");
     eprintln!("       cloudybench load --arrival SPEC [--runs N] [--jobs N] ...");
     eprintln!();
+    eprintln!("keys, every mode: sut (aws-rds|cdb1..cdb4), sim_scale, seed,");
+    eprintln!("      mode (oltp|elasticity|tenancy|failover|lagtime|sharded),");
+    eprintln!("      mix (ro|rw|wo|scan-resistant|t1:t2:t3:t4[:t5]),");
+    eprintln!("      distribution (uniform|latest-N|zipfian-THETA),");
+    eprintln!("      eviction (lru|sieve|clock|lru-k; not in mode sharded)");
+    eprintln!("  oltp: scale_factor, concurrency, duration_secs, ro_nodes,");
+    eprintln!("      ruc_{{cpu_vcore,mem_gb,storage_gb,iops_100,tcp_gbps,rdma_gbps}}_hour");
+    eprintln!("  elasticity: pattern (single-peak|large-spike|single-valley|zero-valley), tau,");
+    eprintln!("      or elastic_testTime + first_con, second_con.. + slot_seconds");
+    eprintln!("  tenancy: tenancy_pattern (a|b|c|d), tenancy_scale");
+    eprintln!("  failover: concurrency");
+    eprintln!("  lagtime: concurrency, replicas");
+    eprintln!("  sharded: shards, strategy (hash|range|both), jobs, tenants_per_shard,");
     eprintln!(
-        "keys: sut (aws-rds|cdb1..cdb4), mode (oltp|elasticity|tenancy|failover|lagtime|sharded),"
+        "      clients_per_tenant, hot_clients, slot_secs, transfers, shift_secs, shift_pace"
     );
-    eprintln!("      scale_factor, sim_scale, seed, concurrency, duration_secs,");
-    eprintln!("      mix (ro|rw|wo|t1:t2:t3:t4), distribution (uniform|latest-N),");
-    eprintln!(
-        "      pattern, tau, elastic_testTime + first_con.., tenancy_pattern, tenancy_scale,"
-    );
-    eprintln!("      shards, strategy (hash|range|both), tenants_per_shard, hot_clients,");
-    eprintln!("      transfers, shift_secs, shift_pace");
     eprintln!();
     eprintln!("flags: --trace-out DIR    write trace.json, histograms.json/.csv, timeline.txt");
     eprintln!("       --metrics-out DIR  write histograms.json and histograms.csv only");
@@ -97,7 +103,7 @@ fn main() -> ExitCode {
     } else {
         ObsSink::disabled()
     };
-    match run_from_props_with_obs(&props, &obs) {
+    match run_from_props(&props, &obs) {
         Ok(report) => {
             println!("{report}");
             if let Some(dir) = &trace_out {

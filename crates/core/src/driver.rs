@@ -1,13 +1,14 @@
 //! The virtual-time workload driver.
 //!
-//! A closed-loop client population executes the CloudyBench transactions
-//! against a [`Deployment`] on the virtual clock: every transaction runs
-//! *logically for real* in the engine while its simulated duration comes
-//! from CPU reservation on the executing node, accumulated I/O waits, lock
-//! waits (virtual-time 2PL), node availability (restarts, pause/resume) and
-//! a fixed client round trip. Controllers — autoscaler sampling, elastic
-//! pool rebalancing, checkpoints, failure injection, GC — run as events on
-//! the same clock.
+//! One event loop ([`run`] for a closed-loop client population,
+//! [`crate::openloop::run_open_loop`] for an arrival plan) executes the
+//! CloudyBench transactions against a [`Deployment`] on the virtual clock:
+//! every transaction runs *logically for real* in the engine while its
+//! simulated duration comes from CPU reservation on the executing node,
+//! accumulated I/O waits, lock waits (virtual-time 2PL), node availability
+//! (restarts, pause/resume) and a fixed client round trip. Controllers —
+//! autoscaler sampling, elastic pool rebalancing, checkpoints, failure
+//! injection, GC — run as events on the same clock.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,6 +23,7 @@ use cb_sim::{DetRng, EventQueue, SimDuration, SimTime, TpsRecorder};
 use cb_store::Lsn;
 
 use crate::deploy::Deployment;
+use crate::openloop::ArrivalSource;
 use crate::workload::{AccessDistribution, KeyPartition, TxnKind, TxnMix};
 
 /// Client-to-server round trip inside one VPC, paid once per *statement* —
@@ -305,12 +307,37 @@ impl Default for RunOptions {
     }
 }
 
+impl RunOptions {
+    /// What an evaluator's runs inherit from the caller's base options:
+    /// `seed`, `obs`, `isolation` and `eviction`. `mapping`, `vcores`,
+    /// `failure`, `collect_lag` and `shifts` define the experiment itself,
+    /// so they start from the default and the evaluator sets them.
+    pub(crate) fn inherit(&self) -> RunOptions {
+        RunOptions {
+            seed: self.seed,
+            isolation: self.isolation,
+            eviction: self.eviction,
+            obs: self.obs.clone(),
+            ..RunOptions::default()
+        }
+    }
+
+    /// Default options with `seed`: the base most evaluator tests pass.
+    #[cfg(test)]
+    pub(crate) fn seeded(seed: u64) -> RunOptions {
+        RunOptions {
+            seed,
+            ..RunOptions::default()
+        }
+    }
+}
+
 /// Resolve and install the run's eviction policy on every pool of the
 /// deployment, and tag the trace with the policy that ran (one instant on
 /// the buffer-pool track — the per-policy `bufpool.*` counters then make
 /// the hit/miss attribution unambiguous). Installing the already-active
 /// policy leaves each pool untouched.
-pub(crate) fn apply_eviction(dep: &mut Deployment, opts: &RunOptions) {
+fn apply_eviction(dep: &mut Deployment, opts: &RunOptions) {
     let kind = opts.eviction.unwrap_or(dep.profile.default_eviction);
     for node in &mut dep.nodes {
         node.pool.set_policy(kind);
@@ -464,7 +491,7 @@ enum Event {
 }
 
 /// What one transaction attempt produced.
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// The attempt could not start (inactive node, pause/resume wait, lock
     /// conflict); retry at `resume_at`. The RNG has advanced — a retried
     /// attempt re-picks its transaction, exactly as the closed loop always
@@ -482,21 +509,11 @@ pub(crate) enum StepOutcome {
     },
 }
 
-/// Where a transaction attempt draws its work from: the workload shape plus
-/// the tenant index used for node mapping and observability lanes. Shared by
-/// the closed-loop driver and `openloop`.
-pub(crate) struct TxnSite<'a> {
-    pub mix: &'a TxnMix,
-    pub dist: &'a AccessDistribution,
-    pub partition: KeyPartition,
-    pub tenant: usize,
-}
-
 /// The controller half of a run — autoscaler sampling, elastic-pool
-/// rebalancing, checkpoints, failure injection, GC — shared by the
-/// closed-loop and open-loop drivers. Event scheduling order is part of the
-/// determinism contract: sequence numbers break same-instant ties FIFO.
-pub(crate) struct Controllers {
+/// rebalancing, checkpoints, failure injection, GC. Event scheduling order
+/// is part of the determinism contract: sequence numbers break same-instant
+/// ties FIFO.
+struct Controllers {
     events: EventQueue<Event>,
     policies: Vec<Option<Box<dyn ScalingPolicy>>>,
     busy_snap: Vec<f64>,
@@ -506,7 +523,7 @@ pub(crate) struct Controllers {
 }
 
 impl Controllers {
-    pub(crate) fn new(dep: &mut Deployment, tenants: &[TenantSpec], opts: &RunOptions) -> Self {
+    fn new(dep: &mut Deployment, tenants: &[TenantSpec], opts: &RunOptions) -> Self {
         let mut events: EventQueue<Event> = EventQueue::new();
         let mut policies: Vec<Option<Box<dyn ScalingPolicy>>> =
             (0..dep.nodes.len()).map(|_| None).collect();
@@ -555,706 +572,782 @@ impl Controllers {
             prev_checkpoint: Lsn::ZERO,
         }
     }
+}
 
-    /// The instant of the next controller event strictly before `horizon`.
-    pub(crate) fn peek_time(&mut self, horizon: SimTime) -> Option<SimTime> {
-        self.events.peek_time().filter(|t| *t < horizon)
+/// What one operation tracks while pending or in flight: a closed-loop
+/// client for the whole run, or one open-loop arrival until it completes.
+pub(crate) struct Op {
+    /// Tenant whose workload shape and result lane the op uses.
+    pub(crate) tenant: usize,
+    /// Client index inside the tenant's population (selects its activation
+    /// windows); arrival sources leave it 0.
+    pub(crate) idx: u32,
+    /// Scheduled instant — latency is measured from here. An arrival carries
+    /// it from admission; a re-arming client takes the instant of its first
+    /// attempt inside an active window.
+    pub(crate) sched: Option<SimTime>,
+    /// The op's RNG stream.
+    pub(crate) rng: DetRng,
+}
+
+/// The one op table of a run: a slab with a free list, so memory is bounded
+/// by the ops alive at once, plus the heap of ops ready to (re)attempt.
+#[derive(Default)]
+pub(crate) struct OpTable {
+    slab: Vec<Option<Op>>,
+    free: Vec<usize>,
+    ready: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Ops alive right now.
+    pub(crate) live: usize,
+    /// Most ops alive at once.
+    pub(crate) peak: usize,
+}
+
+impl OpTable {
+    /// Track `op` and schedule its first attempt at `at`.
+    pub(crate) fn admit(&mut self, op: Op, at: SimTime) {
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i] = Some(op);
+                i
+            }
+            None => {
+                self.slab.push(Some(op));
+                self.slab.len() - 1
+            }
+        };
+        self.ready.push(Reverse((at, i)));
     }
 
-    /// Pop and handle the next controller event (must exist — peek first).
-    pub(crate) fn dispatch_next(
-        &mut self,
-        dep: &mut Deployment,
-        tenants: &[TenantSpec],
-        opts: &RunOptions,
-        result: &mut RunResult,
-        horizon: SimTime,
-    ) {
-        let (now, ev) = self.events.pop().expect("an event was peeked");
-        handle_event(
-            dep,
-            tenants,
-            opts,
-            &mut self.events,
-            &mut self.policies,
-            &mut self.busy_snap,
-            &mut self.snap_time,
-            &mut self.rebalance_busy,
-            &mut self.prev_checkpoint,
-            result,
-            now,
-            ev,
-            horizon,
-        )
+    fn retire(&mut self, i: usize) {
+        self.slab[i] = None;
+        self.free.push(i);
+        self.live -= 1;
     }
 }
 
-struct Client {
-    tenant: usize,
-    idx: u32,
-    ready: SimTime,
-    /// When the current transaction attempt began (for latency accounting).
-    pending_since: Option<SimTime>,
-    rng: DetRng,
+/// Everything one run holds, so the event loop, the transaction attempt and
+/// the controller events are methods instead of functions over a dozen
+/// positional borrows.
+pub(crate) struct RunCtx<'a> {
+    dep: &'a mut Deployment,
+    opts: &'a RunOptions,
+    tenants: &'a [TenantSpec],
+    ctl: Controllers,
+    result: RunResult,
+    ro_rr: usize,
+    horizon: SimTime,
 }
 
 /// Drive `tenants` against `dep`. The run ends when every tenant's schedule
 /// is exhausted.
 pub fn run(dep: &mut Deployment, tenants: &[TenantSpec], opts: &RunOptions) -> RunResult {
-    assert!(!tenants.is_empty(), "at least one tenant required");
-    apply_eviction(dep, opts);
-    let horizon_d: SimDuration = tenants
-        .iter()
-        .map(TenantSpec::duration)
-        .max()
-        .expect("non-empty");
-    let horizon = SimTime::ZERO + horizon_d;
-    if opts.mapping == NodeMapping::PerTenant {
-        assert!(
-            dep.nodes.len() >= tenants.len(),
-            "PerTenant mapping needs one node per tenant"
-        );
-    }
-
+    // The closed-loop load source: one op per client, admitted up front.
     let mut root_rng = DetRng::seeded(opts.seed);
-    let mut clients: Vec<Client> = Vec::new();
+    let clients = tenants.iter().map(|s| s.max_concurrency() as usize).sum();
+    let mut ops = OpTable {
+        slab: Vec::with_capacity(clients),
+        free: Vec::with_capacity(clients),
+        ready: BinaryHeap::with_capacity(clients),
+        ..OpTable::default()
+    };
     for (t, spec) in tenants.iter().enumerate() {
         for idx in 0..spec.max_concurrency() {
-            let ready = spec.next_activation(SimTime::ZERO, idx);
-            clients.push(Client {
+            let op = Op {
                 tenant: t,
                 idx,
-                ready: ready.unwrap_or(SimTime::MAX),
-                pending_since: None,
+                sched: None,
                 rng: root_rng.fork((t as u64) << 32 | u64::from(idx)),
-            });
+            };
+            if let Some(at) = spec.next_activation(SimTime::ZERO, idx) {
+                ops.admit(op, at);
+            }
         }
     }
-    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = clients
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.ready < SimTime::MAX)
-        .map(|(i, c)| Reverse((c.ready, i)))
-        .collect();
+    RunCtx::new(dep, tenants, opts).drive(&mut ops, None)
+}
 
-    // Controllers.
-    let mut ctl = Controllers::new(dep, tenants, opts);
-
-    // Measurement state.
-    let mut result = RunResult {
-        horizon,
-        tenants: tenants
+impl<'a> RunCtx<'a> {
+    /// Install the eviction policy, start the controllers and open the
+    /// result over the longest tenant schedule.
+    pub(crate) fn new(
+        dep: &'a mut Deployment,
+        tenants: &'a [TenantSpec],
+        opts: &'a RunOptions,
+    ) -> Self {
+        assert!(!tenants.is_empty(), "at least one tenant required");
+        apply_eviction(dep, opts);
+        let horizon_d: SimDuration = tenants
             .iter()
-            .map(|_| TenantResult::new(horizon_d))
-            .collect(),
-        total: TpsRecorder::with_horizon(SimDuration::from_secs(1), horizon_d),
-        lag: LagSamples::default(),
-        failover: None,
-        lock_conflicts: 0,
-        si_aborts: 0,
-    };
-    let mut ro_rr: usize = 0;
-
-    loop {
-        let t_event = ctl.peek_time(horizon);
-        let t_client = heap
-            .peek()
-            .map(|Reverse((t, _))| *t)
-            .filter(|t| *t < horizon);
-        match (t_event, t_client) {
-            (None, None) => break,
-            (Some(te), tc) if tc.is_none_or(|tc| te <= tc) => {
-                ctl.dispatch_next(dep, tenants, opts, &mut result, horizon);
-            }
-            _ => {
-                let Reverse((t, ci)) = heap.pop().expect("client time was peeked");
-                if clients[ci].ready != t {
-                    continue; // stale heap entry
-                }
-                step_client(
-                    dep,
-                    tenants,
-                    opts,
-                    &mut clients[ci],
-                    &mut result,
-                    &mut ro_rr,
-                    horizon,
-                );
-                let ready = clients[ci].ready;
-                if ready < SimTime::MAX && ready < horizon {
-                    heap.push(Reverse((ready, ci)));
-                }
-            }
+            .map(TenantSpec::duration)
+            .max()
+            .expect("non-empty");
+        let horizon = SimTime::ZERO + horizon_d;
+        if opts.mapping == NodeMapping::PerTenant {
+            assert!(
+                dep.nodes.len() >= tenants.len(),
+                "PerTenant mapping needs one node per tenant"
+            );
+        }
+        let ctl = Controllers::new(dep, tenants, opts);
+        let result = RunResult {
+            horizon,
+            tenants: tenants
+                .iter()
+                .map(|_| TenantResult::new(horizon_d))
+                .collect(),
+            total: TpsRecorder::with_horizon(SimDuration::from_secs(1), horizon_d),
+            lag: LagSamples::default(),
+            failover: None,
+            lock_conflicts: 0,
+            si_aborts: 0,
+        };
+        RunCtx {
+            dep,
+            opts,
+            tenants,
+            ctl,
+            result,
+            ro_rr: 0,
+            horizon,
         }
     }
-    result
-}
 
-/// Execute one client step: either advance its ready time (inactive slot,
-/// node wait, lock wait) or run a full transaction.
-fn step_client(
-    dep: &mut Deployment,
-    tenants: &[TenantSpec],
-    opts: &RunOptions,
-    c: &mut Client,
-    result: &mut RunResult,
-    ro_rr: &mut usize,
-    horizon: SimTime,
-) {
-    let t = c.ready;
-    let spec = &tenants[c.tenant];
-    // Active in this slot?
-    match spec.next_activation(t, c.idx) {
-        None => {
-            c.ready = SimTime::MAX;
-            c.pending_since = None;
-            return;
-        }
-        Some(at) if at > t => {
-            c.ready = at;
-            c.pending_since = None;
-            return;
-        }
-        Some(_) => {}
-    }
-    let arrival = *c.pending_since.get_or_insert(t);
-
-    let (mix, dist, pace) = effective_shape(spec, &opts.shifts, c.tenant, t);
-    let site = TxnSite {
-        mix,
-        dist,
-        partition: spec.partition,
-        tenant: c.tenant,
-    };
-    match attempt_txn(dep, opts, &site, &mut c.rng, t, ro_rr, result) {
-        StepOutcome::Blocked { resume_at } => {
-            c.ready = resume_at;
-        }
-        StepOutcome::Executed { end, kind } => {
-            // Record.
-            if end <= horizon {
-                result.tenants[c.tenant].tps.record(end);
-                result.total.record(end);
-                let tr = &mut result.tenants[c.tenant];
-                tr.committed += 1;
-                let lat = end.saturating_since(arrival);
-                tr.latency_sum += lat;
-                tr.latency_max = tr.latency_max.max(lat);
-                tr.latency_hist.record(lat.as_nanos());
-                opts.obs
-                    .span(Category::Txn, kind.label(), c.tenant as u64, arrival, end);
-                opts.obs.record("txn.latency_ns", lat.as_nanos());
-            }
-            c.pending_since = None;
-            c.ready = end;
-            if pace < 1.0 {
-                // Closed-loop rate throttle: idle long enough that this
-                // client's completion rate is `pace` times its unthrottled
-                // rate. Exactly zero extra wait at pace 1.0.
-                let lat = end.saturating_since(arrival);
-                let idle = lat.as_nanos() as f64 * (1.0 / pace - 1.0);
-                c.ready = end + SimDuration::from_secs_f64(idle / 1e9);
-            }
-        }
-    }
-}
-
-/// One transaction attempt at instant `t`: pick the transaction and its
-/// node, pass the availability and lock gates, then execute it logically
-/// while accumulating simulated cost. Shared by the closed-loop client walk
-/// and the open-loop arrival driver; the caller owns latency recording,
-/// because only it knows the operation's intended start time.
-pub(crate) fn attempt_txn(
-    dep: &mut Deployment,
-    opts: &RunOptions,
-    site: &TxnSite<'_>,
-    rng: &mut DetRng,
-    t: SimTime,
-    ro_rr: &mut usize,
-    result: &mut RunResult,
-) -> StepOutcome {
-    // Pick the transaction and its node.
-    let kind = site.mix.pick(rng);
-    let node_idx = match opts.mapping {
-        NodeMapping::PerTenant => site.tenant,
-        NodeMapping::RwWithRo => {
-            if kind.is_read_only() && dep.ro_count() > 0 {
-                // Read-only transactions balance across *all* available
-                // nodes — the primary serves reads too (otherwise adding
-                // the first replica would not change throughput at all).
-                let n = dep.nodes.len();
-                let mut chosen = None;
-                for k in 0..n {
-                    let cand = (*ro_rr + k) % n;
-                    if dep.nodes[cand].is_available(t) {
-                        chosen = Some(cand);
-                        *ro_rr = (cand + 1) % n;
-                        break;
-                    }
-                }
-                chosen.unwrap_or(0)
+    /// The single event loop. Work at one instant runs in a fixed order:
+    /// controller events, then tracked ops by `(time, slot)`, then the
+    /// admission of a fresh arrival.
+    ///
+    /// The load source only decides where ops come from and what happens to
+    /// an op's slot when its transaction completes. Without `arrivals` the
+    /// ops already in `ops` are closed-loop clients: a completed op
+    /// **re-arms** in its slot — same RNG stream, next attempt once the pace
+    /// idle has passed, and only inside the client's activation windows.
+    /// With an [`ArrivalSource`] ops are admitted lazily at their scheduled
+    /// instants and a completed op **retires**; in max-throughput mode the
+    /// source **replaces** it with a fresh op scheduled at the completion
+    /// instant.
+    pub(crate) fn drive(
+        mut self,
+        ops: &mut OpTable,
+        mut arrivals: Option<&mut ArrivalSource>,
+    ) -> RunResult {
+        let horizon = self.horizon;
+        let first =
+            |a: Option<SimTime>, b: Option<SimTime>| a.is_some_and(|a| b.is_none_or(|b| a <= b));
+        loop {
+            let t_ctl = self.ctl.events.peek_time().filter(|t| *t < horizon);
+            let t_op = ops
+                .ready
+                .peek()
+                .map(|Reverse((t, _))| *t)
+                .filter(|t| *t < horizon);
+            let t_fresh = arrivals
+                .as_ref()
+                .and_then(|a| a.next_fresh)
+                .filter(|t| *t < horizon);
+            if first(t_ctl, t_op) && first(t_ctl, t_fresh) {
+                self.handle_event();
+            } else if first(t_op, t_fresh) {
+                self.step_op(ops, arrivals.as_deref_mut());
+            } else if let (Some(a), Some(_)) = (arrivals.as_deref_mut(), t_fresh) {
+                a.admit_fresh(ops, &self.opts.obs);
             } else {
-                0
+                break;
             }
         }
-    };
+        self.result
+    }
 
-    // Node availability gates.
-    match dep.nodes[node_idx].available_at(t) {
-        Some(at) if at > t => {
-            return StepOutcome::Blocked { resume_at: at };
+    /// Pop the next ready op and attempt its transaction: reschedule it if
+    /// the attempt blocked, otherwise record the completion and re-arm,
+    /// retire or replace the op's slot.
+    fn step_op(&mut self, ops: &mut OpTable, mut arrivals: Option<&mut ArrivalSource>) {
+        let (tenants, opts, horizon) = (self.tenants, self.opts, self.horizon);
+        let Reverse((t, i)) = ops.ready.pop().expect("op time was peeked");
+        let op = ops.slab[i].as_mut().expect("a ready op has a live slot");
+        let spec = &tenants[op.tenant];
+        if arrivals.is_none() {
+            // A client only attempts inside its activation windows; a wait
+            // that outlives the window abandons the transaction.
+            match spec.next_activation(t, op.idx) {
+                Some(at) if at == t => {}
+                Some(at) => {
+                    op.sched = None;
+                    ops.ready.push(Reverse((at, i)));
+                    return;
+                }
+                None => return ops.retire(i),
+            }
         }
-        Some(_) => {
-            dep.nodes[node_idx].refresh_status(t);
+        let sched = *op.sched.get_or_insert(t);
+        let (end, kind) = match self.attempt_txn(op.tenant, &mut op.rng, t) {
+            StepOutcome::Blocked { resume_at } => {
+                if let Some(a) = arrivals {
+                    a.count_blocked(&opts.obs);
+                }
+                if resume_at < horizon {
+                    ops.ready.push(Reverse((resume_at, i)));
+                } else {
+                    // Abandoned at the horizon; drop the slot.
+                    ops.retire(i);
+                }
+                return;
+            }
+            StepOutcome::Executed { end, kind } => (end, kind),
+        };
+        if end <= horizon {
+            self.record_completion(arrivals.as_deref_mut(), op.tenant, kind, sched, t, end);
         }
-        None => {
-            // Paused: demand arrival triggers resume.
+        match arrivals {
+            None => {
+                // Re-arm. Pace is a closed-loop rate throttle: idle long
+                // enough that this client's completion rate is `pace` times
+                // its unthrottled rate. Exactly zero extra wait at pace 1.0.
+                let (_, _, pace) = effective_shape(spec, &opts.shifts, op.tenant, t);
+                let mut ready = end;
+                if pace < 1.0 {
+                    let lat = end.saturating_since(sched);
+                    let idle = lat.as_nanos() as f64 * (1.0 / pace - 1.0);
+                    ready = end + SimDuration::from_secs_f64(idle / 1e9);
+                }
+                op.sched = None;
+                if ready < horizon {
+                    ops.ready.push(Reverse((ready, i)));
+                } else {
+                    ops.retire(i);
+                }
+            }
+            Some(a) => {
+                // Retire before any replacement is drawn so the tracked-op
+                // peak never exceeds the in-flight population.
+                ops.retire(i);
+                if end < horizon {
+                    a.replace(ops, end);
+                }
+            }
+        }
+    }
+
+    /// Record one completed transaction: throughput at `end`, latency from
+    /// the op's scheduled instant, and the `Txn` span. An arrival source
+    /// keeps latency to the ops scheduled inside its measurement window.
+    fn record_completion(
+        &mut self,
+        arrivals: Option<&mut ArrivalSource>,
+        tenant: usize,
+        kind: TxnKind,
+        sched: SimTime,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        let obs = &self.opts.obs;
+        let tr = &mut self.result.tenants[tenant];
+        tr.tps.record(end);
+        self.result.total.record(end);
+        tr.committed += 1;
+        if arrivals.is_some_and(|a| !a.count_completion(sched, start, end, obs)) {
+            return;
+        }
+        let lat = end.saturating_since(sched);
+        tr.latency_sum += lat;
+        tr.latency_max = tr.latency_max.max(lat);
+        tr.latency_hist.record(lat.as_nanos());
+        obs.span(Category::Txn, kind.label(), tenant as u64, sched, end);
+        obs.record("txn.latency_ns", lat.as_nanos());
+    }
+
+    /// One transaction attempt at instant `t`: pick the transaction and its
+    /// node, pass the availability and lock gates, then execute it logically
+    /// while accumulating simulated cost. The caller owns latency recording,
+    /// because only it knows the operation's scheduled instant.
+    fn attempt_txn(&mut self, tenant: usize, rng: &mut DetRng, t: SimTime) -> StepOutcome {
+        let (dep, opts) = (&mut *self.dep, self.opts);
+        let spec = &self.tenants[tenant];
+        let (mix, dist, _) = effective_shape(spec, &opts.shifts, tenant, t);
+        // Pick the transaction and its node.
+        let kind = mix.pick(rng);
+        let node_idx = match opts.mapping {
+            NodeMapping::PerTenant => tenant,
+            NodeMapping::RwWithRo => {
+                if kind.is_read_only() && dep.ro_count() > 0 {
+                    // Read-only transactions balance across *all* available
+                    // nodes — the primary serves reads too (otherwise adding
+                    // the first replica would not change throughput at all).
+                    let n = dep.nodes.len();
+                    let mut chosen = None;
+                    for k in 0..n {
+                        let cand = (self.ro_rr + k) % n;
+                        if dep.nodes[cand].is_available(t) {
+                            chosen = Some(cand);
+                            self.ro_rr = (cand + 1) % n;
+                            break;
+                        }
+                    }
+                    chosen.unwrap_or(0)
+                } else {
+                    0
+                }
+            }
+        };
+
+        // Node availability gates.
+        match dep.nodes[node_idx].available_at(t) {
+            Some(at) if at > t => {
+                return StepOutcome::Blocked { resume_at: at };
+            }
+            Some(_) => {
+                dep.nodes[node_idx].refresh_status(t);
+            }
+            None => {
+                // Paused: demand arrival triggers resume.
+                let delay = dep.profile.scaling_policy().resume_delay();
+                dep.nodes[node_idx].resume(t, dep.profile.min_vcores.max(0.25), delay);
+                return StepOutcome::Blocked {
+                    resume_at: t + delay,
+                };
+            }
+        }
+        // A restart can race with a pause (failure injected on a paused node):
+        // the node reports available but its CPU is still at zero. Resume it.
+        if dep.nodes[node_idx].cpu.is_paused() {
             let delay = dep.profile.scaling_policy().resume_delay();
             dep.nodes[node_idx].resume(t, dep.profile.min_vcores.max(0.25), delay);
             return StepOutcome::Blocked {
                 resume_at: t + delay,
             };
         }
-    }
-    // A restart can race with a pause (failure injected on a paused node):
-    // the node reports available but its CPU is still at zero. Resume it.
-    if dep.nodes[node_idx].cpu.is_paused() {
-        let delay = dep.profile.scaling_policy().resume_delay();
-        dep.nodes[node_idx].resume(t, dep.profile.min_vcores.max(0.25), delay);
-        return StepOutcome::Blocked {
-            resume_at: t + delay,
-        };
-    }
 
-    // Generate parameters.
-    let p = site.partition;
-    let now_ts = t.as_nanos() as i64 / 1_000;
-    let orderline_hwm = dep.db.table(dep.tables.orderline).next_auto_key() - 1;
-    let (wait_keys, o_id, ol_id): (Vec<(cb_store::TableId, i64)>, i64, i64) = match kind {
-        TxnKind::NewOrderline => {
-            let o = site.dist.pick_order(rng, p.orders_lo, p.orders_hi);
-            (vec![], o, 0)
-        }
-        TxnKind::OrderPayment => {
-            let o = site.dist.pick_order(rng, p.orders_lo, p.orders_hi);
-            (vec![(dep.tables.orders, o)], o, 0)
-        }
-        TxnKind::OrderStatus => {
-            let o = site.dist.pick_order(rng, p.orders_lo, p.orders_hi);
-            (vec![], o, 0)
-        }
-        TxnKind::OrderlineDeletion => {
-            let ol = rng.range_inclusive(1, orderline_hwm.max(1));
-            (vec![(dep.tables.orderline, ol)], 0, ol)
-        }
-        TxnKind::OrderRangeScan => {
-            // Uniform start within the partition: the sweep deliberately
-            // ignores the tenant's access distribution so it drags cold
-            // pages through the pool. One RNG draw, like the other kinds.
-            let o = rng.range_inclusive(p.orders_lo, p.orders_hi);
-            (vec![], o, 0)
-        }
-    };
-
-    let iso = opts.isolation.unwrap_or(dep.profile.default_isolation);
-    if iso.is_versioned() {
-        // First-committer-wins: a write key held by a concurrent writer
-        // (its lock release time *is* its commit instant) aborts this
-        // attempt, to be retried once the winner has committed. Under the
-        // serializable approximation the T3 status check also validates
-        // its read key; snapshot reads themselves never consult or
-        // register locks.
-        let probed = dep.db.locks_mut().conflict_probe(&wait_keys, t);
-        let read_probe = if iso == IsolationLevel::Serializable && kind == TxnKind::OrderStatus {
-            dep.db
-                .locks_mut()
-                .conflict_probe(&[(dep.tables.orders, o_id)], t)
-        } else {
-            None
-        };
-        if let Some(until) = probed.max(read_probe) {
-            result.si_aborts += 1;
-            opts.obs
-                .span(Category::Mvcc, "abort-retry", site.tenant as u64, t, until);
-            opts.obs.add("mvcc.aborts", 1);
-            opts.obs.record(
-                "mvcc.retry_backoff_ns",
-                until.saturating_since(t).as_nanos(),
-            );
-            return StepOutcome::Blocked { resume_at: until };
-        }
-    } else if !wait_keys.is_empty() {
-        // Virtual-time 2PL: wait for conflicting writers.
-        if let Some(until) = dep.db.locks_mut().conflict_until(&wait_keys, t) {
-            result.lock_conflicts += 1;
-            opts.obs
-                .span(Category::Lock, "wait", site.tenant as u64, t, until);
-            opts.obs.add("lock.conflicts", 1);
-            opts.obs
-                .record("lock.wait_ns", until.saturating_since(t).as_nanos());
-            return StepOutcome::Blocked { resume_at: until };
-        }
-    }
-
-    // Execute logically, accumulating simulated cost.
-    let Deployment {
-        profile,
-        db,
-        storage,
-        group_commit,
-        nodes,
-        streams,
-        remote_pool,
-        registry,
-        tables,
-        ..
-    } = dep;
-    let node = &mut nodes[node_idx];
-    let remote = remote_pool.as_mut().map(|pool| RemoteTier { pool });
-    let mut ctx = ExecCtx::new(t, &mut node.pool, remote, storage, &profile.cost_model)
-        .with_obs(&opts.obs, node_idx as u64)
-        .with_group_commit(group_commit)
-        .with_isolation(iso);
-    let mut txn = db.begin();
-    let stmt = |name: &str| -> &BoundStmt { registry.get(name).expect("registered") };
-    match kind {
-        TxnKind::NewOrderline => {
-            let params = [
-                Value::Int(o_id),
-                Value::Int(rng.range_inclusive(1, 100_000)),
-                Value::Int(rng.range_inclusive(1, 10)),
-                Value::Int(rng.range_inclusive(100, 50_000)),
-            ];
-            execute(db, &mut ctx, &mut txn, stmt("t1_new_orderline"), &params)
-                .expect("t1 must execute");
-        }
-        TxnKind::OrderPayment => {
-            let out = execute(
-                db,
-                &mut ctx,
-                &mut txn,
-                stmt("t2_select_order"),
-                &[Value::Int(o_id)],
-            )
-            .expect("t2 select must execute");
-            if let Some(row) = out.rows.first() {
-                let c_id = row[1].expect_int();
-                execute(
-                    db,
-                    &mut ctx,
-                    &mut txn,
-                    stmt("t2_pay_order"),
-                    &[Value::Timestamp(now_ts), Value::Int(o_id)],
-                )
-                .expect("t2 pay must execute");
-                execute(
-                    db,
-                    &mut ctx,
-                    &mut txn,
-                    stmt("t2_credit_customer"),
-                    &[
-                        Value::Int(rng.range_inclusive(1, 10_000)),
-                        Value::Timestamp(now_ts),
-                        Value::Int(c_id),
-                    ],
-                )
-                .expect("t2 credit must execute");
+        // Generate parameters.
+        let p = spec.partition;
+        // Divide before narrowing: microseconds fit an i64 for every `t`.
+        let now_ts = (t.as_nanos() / 1_000) as i64;
+        let orderline_hwm = dep.db.table(dep.tables.orderline).next_auto_key() - 1;
+        let (wait_keys, o_id, ol_id): (Vec<(cb_store::TableId, i64)>, i64, i64) = match kind {
+            TxnKind::NewOrderline => {
+                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
+                (vec![], o, 0)
             }
-        }
-        TxnKind::OrderStatus => {
-            execute(
-                db,
-                &mut ctx,
-                &mut txn,
-                stmt("t3_order_status"),
-                &[Value::Int(o_id)],
-            )
-            .expect("t3 must execute");
-        }
-        TxnKind::OrderlineDeletion => {
-            execute(
-                db,
-                &mut ctx,
-                &mut txn,
-                stmt("t4_delete_orderline"),
-                &[Value::Int(ol_id)],
-            )
-            .expect("t4 must execute");
-        }
-        TxnKind::OrderRangeScan => {
-            // T5 bypasses the statement registry (whose shape is pinned by
-            // the deploy tests) and drives the clustered tree directly; the
-            // same page/row cost accounting applies via ExecCtx.
-            let hi = o_id.saturating_add(SCAN_SPAN - 1).min(p.orders_hi);
-            db.scan_range(&mut ctx, tables.orders, o_id, hi, |_, _| true);
-        }
-    }
-    let committed = db.commit(&mut ctx, txn);
-    let cpu_demand = ctx.cpu;
-    let io_wait = ctx.io;
-    let stmt_count = ctx.stats.statements;
+            TxnKind::OrderPayment => {
+                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
+                (vec![(dep.tables.orders, o)], o, 0)
+            }
+            TxnKind::OrderStatus => {
+                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
+                (vec![], o, 0)
+            }
+            TxnKind::OrderlineDeletion => {
+                let ol = rng.range_inclusive(1, orderline_hwm.max(1));
+                (vec![(dep.tables.orderline, ol)], 0, ol)
+            }
+            TxnKind::OrderRangeScan => {
+                // Uniform start within the partition: the sweep deliberately
+                // ignores the tenant's access distribution so it drags cold
+                // pages through the pool. One RNG draw, like the other kinds.
+                let o = rng.range_inclusive(p.orders_lo, p.orders_hi);
+                (vec![], o, 0)
+            }
+        };
 
-    // Timing: CPU reservation (including post-restart warm-up work: cache
-    // re-population, connection re-establishment — which is what actually
-    // suppresses throughput during the R-Score window), then I/O, then the
-    // client round trip.
-    let warmup = node.warmup_penalty(t, profile.failover.warmup_peak);
-    let slot = node.cpu.reserve(t, cpu_demand + warmup);
-    let end = slot.end + io_wait + CLIENT_RTT * stmt_count.max(1);
-
-    // Register write locks until the commit instant.
-    if !committed.writes.is_empty() {
-        db.locks_mut().register(&committed.writes, end);
-        // Publish version-chain pre-images, visible from the commit
-        // instant: snapshot readers inside (t, end) resolve to the rows as
-        // they stood before this transaction. Atomic with the logical
-        // execution, so the overlay never lags the tree.
+        let iso = opts.isolation.unwrap_or(dep.profile.default_isolation);
         if iso.is_versioned() {
-            db.publish_versions(&committed, end);
-            opts.obs
-                .add("mvcc.published", committed.writes.len() as u64);
-        }
-        // Ship to replicas.
-        let dml = committed.writes.len() as u64;
-        for (ri, stream) in streams.iter_mut().enumerate() {
-            let applied = stream.on_commit(committed.lsn, end, dml);
-            opts.obs.span(
-                Category::Replication,
-                "ship+replay",
-                ri as u64 + 1,
-                end,
-                applied,
-            );
-            opts.obs.record(
-                "replication.lag_ns",
-                applied.saturating_since(end).as_nanos(),
-            );
-            if opts.collect_lag && ri == 0 {
-                result.lag.push(kind, applied.saturating_since(end));
-            }
-        }
-    }
-    StepOutcome::Executed { end, kind }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_event(
-    dep: &mut Deployment,
-    tenants: &[TenantSpec],
-    opts: &RunOptions,
-    events: &mut EventQueue<Event>,
-    policies: &mut [Option<Box<dyn ScalingPolicy>>],
-    busy_snap: &mut [f64],
-    snap_time: &mut [SimTime],
-    rebalance_busy: &mut [f64],
-    prev_checkpoint: &mut Lsn,
-    result: &mut RunResult,
-    now: SimTime,
-    ev: Event,
-    horizon: SimTime,
-) {
-    match ev {
-        Event::Sample { node } => {
-            let Some(policy) = policies[node].as_mut() else {
-                return;
-            };
-            let n = &dep.nodes[node];
-            let busy = n.cpu.busy_core_secs();
-            let vcore_secs = n.vcore_gauge.integral(snap_time[node], now);
-            let util = if vcore_secs > 1e-9 {
-                ((busy - busy_snap[node]) / vcore_secs).clamp(0.0, 1.0)
+            // First-committer-wins: a write key held by a concurrent writer
+            // (its lock release time *is* its commit instant) aborts this
+            // attempt, to be retried once the winner has committed. Under the
+            // serializable approximation the T3 status check also validates
+            // its read key; snapshot reads themselves never consult or
+            // register locks.
+            let probed = dep.db.locks_mut().conflict_probe(&wait_keys, t);
+            let read_probe = if iso == IsolationLevel::Serializable && kind == TxnKind::OrderStatus
+            {
+                dep.db
+                    .locks_mut()
+                    .conflict_probe(&[(dep.tables.orders, o_id)], t)
             } else {
-                0.0
+                None
             };
-            busy_snap[node] = busy;
-            snap_time[node] = now;
-            let offered = match opts.mapping {
-                NodeMapping::RwWithRo => tenants.iter().any(|s| s.concurrency_at(now) > 0),
-                NodeMapping::PerTenant => {
-                    tenants.get(node).is_some_and(|s| s.concurrency_at(now) > 0)
-                }
-            };
-            let sample = ScaleSample {
-                now,
-                util,
-                current: n.cpu.vcores(),
-                offered_load: offered,
-            };
-            if let Some(decision) = policy.decide(sample) {
+            if let Some(until) = probed.max(read_probe) {
+                self.result.si_aborts += 1;
                 opts.obs
-                    .instant(Category::Autoscale, "decide", node as u64, now);
-                opts.obs.add("autoscale.decisions", 1);
-                if decision.effective_at < horizon {
-                    events.schedule(
-                        decision.effective_at,
-                        Event::Apply {
-                            node,
-                            target: decision.target_vcores,
-                        },
-                    );
+                    .span(Category::Mvcc, "abort-retry", tenant as u64, t, until);
+                opts.obs.add("mvcc.aborts", 1);
+                opts.obs.record(
+                    "mvcc.retry_backoff_ns",
+                    until.saturating_since(t).as_nanos(),
+                );
+                return StepOutcome::Blocked { resume_at: until };
+            }
+        } else if !wait_keys.is_empty() {
+            // Virtual-time 2PL: wait for conflicting writers.
+            if let Some(until) = dep.db.locks_mut().conflict_until(&wait_keys, t) {
+                self.result.lock_conflicts += 1;
+                opts.obs
+                    .span(Category::Lock, "wait", tenant as u64, t, until);
+                opts.obs.add("lock.conflicts", 1);
+                opts.obs
+                    .record("lock.wait_ns", until.saturating_since(t).as_nanos());
+                return StepOutcome::Blocked { resume_at: until };
+            }
+        }
+
+        // Execute logically, accumulating simulated cost.
+        let Deployment {
+            profile,
+            db,
+            storage,
+            group_commit,
+            nodes,
+            streams,
+            remote_pool,
+            registry,
+            tables,
+            ..
+        } = dep;
+        let node = &mut nodes[node_idx];
+        let remote = remote_pool.as_mut().map(|pool| RemoteTier { pool });
+        let mut ctx = ExecCtx::new(t, &mut node.pool, remote, storage, &profile.cost_model)
+            .with_obs(&opts.obs, node_idx as u64)
+            .with_group_commit(group_commit)
+            .with_isolation(iso);
+        let mut txn = db.begin();
+        let stmt = |name: &str| -> &BoundStmt { registry.get(name).expect("registered") };
+        match kind {
+            TxnKind::NewOrderline => {
+                let params = [
+                    Value::Int(o_id),
+                    Value::Int(rng.range_inclusive(1, 100_000)),
+                    Value::Int(rng.range_inclusive(1, 10)),
+                    Value::Int(rng.range_inclusive(100, 50_000)),
+                ];
+                execute(db, &mut ctx, &mut txn, stmt("t1_new_orderline"), &params)
+                    .expect("t1 must execute");
+            }
+            TxnKind::OrderPayment => {
+                let out = execute(
+                    db,
+                    &mut ctx,
+                    &mut txn,
+                    stmt("t2_select_order"),
+                    &[Value::Int(o_id)],
+                )
+                .expect("t2 select must execute");
+                if let Some(row) = out.rows.first() {
+                    let c_id = row[1].expect_int();
+                    execute(
+                        db,
+                        &mut ctx,
+                        &mut txn,
+                        stmt("t2_pay_order"),
+                        &[Value::Timestamp(now_ts), Value::Int(o_id)],
+                    )
+                    .expect("t2 pay must execute");
+                    execute(
+                        db,
+                        &mut ctx,
+                        &mut txn,
+                        stmt("t2_credit_customer"),
+                        &[
+                            Value::Int(rng.range_inclusive(1, 10_000)),
+                            Value::Timestamp(now_ts),
+                            Value::Int(c_id),
+                        ],
+                    )
+                    .expect("t2 credit must execute");
                 }
             }
-            let next = now + policy.sample_interval();
-            if next < horizon {
-                events.schedule(next, Event::Sample { node });
+            TxnKind::OrderStatus => {
+                execute(
+                    db,
+                    &mut ctx,
+                    &mut txn,
+                    stmt("t3_order_status"),
+                    &[Value::Int(o_id)],
+                )
+                .expect("t3 must execute");
+            }
+            TxnKind::OrderlineDeletion => {
+                execute(
+                    db,
+                    &mut ctx,
+                    &mut txn,
+                    stmt("t4_delete_orderline"),
+                    &[Value::Int(ol_id)],
+                )
+                .expect("t4 must execute");
+            }
+            TxnKind::OrderRangeScan => {
+                // T5 bypasses the statement registry (whose shape is pinned by
+                // the deploy tests) and drives the clustered tree directly; the
+                // same page/row cost accounting applies via ExecCtx.
+                let hi = o_id.saturating_add(SCAN_SPAN - 1).min(p.orders_hi);
+                db.scan_range(&mut ctx, tables.orders, o_id, hi, |_, _| true);
             }
         }
-        Event::Apply { node, target } => {
-            let n = &mut dep.nodes[node];
-            let scaled_up = target > n.cpu.vcores() + 1e-9;
-            opts.obs.instant(
-                Category::Autoscale,
-                if scaled_up { "scale-up" } else { "scale-down" },
-                node as u64,
-                now,
-            );
-            n.set_vcores(now, target);
-            // Scaling-point disruption: the tier briefly refuses requests
-            // while it applies a *larger* allocation (the paper's CDB1
-            // pain; its gradual downward steps are transparent).
-            let disruption = dep.profile.scale_disruption;
-            if scaled_up && !disruption.is_zero() {
-                dep.nodes[node].restart(now, disruption, SimDuration::ZERO);
+        let committed = db.commit(&mut ctx, txn);
+        let cpu_demand = ctx.cpu;
+        let io_wait = ctx.io;
+        let stmt_count = ctx.stats.statements;
+
+        // Timing: CPU reservation (including post-restart warm-up work: cache
+        // re-population, connection re-establishment — which is what actually
+        // suppresses throughput during the R-Score window), then I/O, then the
+        // client round trip.
+        let warmup = node.warmup_penalty(t, profile.failover.warmup_peak);
+        let slot = node.cpu.reserve(t, cpu_demand + warmup);
+        let end = slot.end + io_wait + CLIENT_RTT * stmt_count.max(1);
+
+        // Register write locks until the commit instant.
+        if !committed.writes.is_empty() {
+            db.locks_mut().register(&committed.writes, end);
+            // Publish version-chain pre-images, visible from the commit
+            // instant: snapshot readers inside (t, end) resolve to the rows as
+            // they stood before this transaction. Atomic with the logical
+            // execution, so the overlay never lags the tree.
+            if iso.is_versioned() {
+                db.publish_versions(&committed, end);
+                opts.obs
+                    .add("mvcc.published", committed.writes.len() as u64);
             }
-        }
-        Event::Checkpoint => {
-            let Deployment {
-                db, nodes, storage, ..
-            } = dep;
-            let keep_from = *prev_checkpoint;
-            let (lsn, flushed, io) = db.checkpoint(&mut nodes[0].pool, storage, now);
-            opts.obs
-                .span(Category::Checkpoint, "checkpoint", 0, now, now + io);
-            opts.obs.add("checkpoint.count", 1);
-            opts.obs.add("checkpoint.flushed_pages", flushed);
-            // Retain one full checkpoint interval of log for recovery.
-            db.log_mut().truncate_through(keep_from);
-            *prev_checkpoint = lsn;
-            if let Some(interval) = dep.profile.checkpoint_interval {
-                let next = now + interval;
-                if next < horizon {
-                    events.schedule(next, Event::Checkpoint);
+            // Ship to replicas.
+            let dml = committed.writes.len() as u64;
+            for (ri, stream) in streams.iter_mut().enumerate() {
+                let applied = stream.on_commit(committed.lsn, end, dml);
+                opts.obs.span(
+                    Category::Replication,
+                    "ship+replay",
+                    ri as u64 + 1,
+                    end,
+                    applied,
+                );
+                opts.obs.record(
+                    "replication.lag_ns",
+                    applied.saturating_since(end).as_nanos(),
+                );
+                if opts.collect_lag && ri == 0 {
+                    self.result.lag.push(kind, applied.saturating_since(end));
                 }
             }
         }
-        Event::Rebalance => {
-            let VcoreControl::ElasticPool {
-                total,
-                min_share,
-                interval,
-            } = &opts.vcores
-            else {
-                return;
-            };
-            let secs = interval.as_secs_f64();
-            let mut demands = Vec::with_capacity(tenants.len());
-            for (i, spec) in tenants.iter().enumerate() {
-                let busy = dep.nodes[i].cpu.busy_core_secs();
-                let used = (busy - rebalance_busy[i]) / secs;
-                rebalance_busy[i] = busy;
-                let con = spec.concurrency_at(now);
-                let demand = if con > 0 {
-                    // Ask for observed usage plus headroom, with a
-                    // concurrency-based floor: the pool hands the only busy
-                    // tenant generous capacity (the paper's staggered-
-                    // pattern behaviour), never below a quarter core.
-                    (used / 0.7).max(0.08 * f64::from(con)).max(0.25)
+        StepOutcome::Executed { end, kind }
+    }
+
+    /// Pop and handle the next controller event (must exist — peek first).
+    fn handle_event(&mut self) {
+        let RunCtx {
+            dep,
+            opts,
+            tenants,
+            ctl,
+            result,
+            horizon,
+            ..
+        } = self;
+        let (dep, horizon) = (&mut **dep, *horizon);
+        let (now, ev) = ctl.events.pop().expect("an event was peeked");
+        match ev {
+            Event::Sample { node } => {
+                let Some(policy) = ctl.policies[node].as_mut() else {
+                    return;
+                };
+                let n = &dep.nodes[node];
+                let busy = n.cpu.busy_core_secs();
+                let vcore_secs = n.vcore_gauge.integral(ctl.snap_time[node], now);
+                let util = if vcore_secs > 1e-9 {
+                    ((busy - ctl.busy_snap[node]) / vcore_secs).clamp(0.0, 1.0)
                 } else {
                     0.0
                 };
-                demands.push(demand);
-            }
-            let alloc = cb_cluster::elastic_pool_allocate(&demands, *total, *min_share);
-            for (i, v) in alloc.iter().enumerate() {
-                let node = &mut dep.nodes[i];
-                if *v <= 0.0 {
-                    if !node.cpu.is_paused() {
-                        node.pause(now);
+                ctl.busy_snap[node] = busy;
+                ctl.snap_time[node] = now;
+                let offered = match opts.mapping {
+                    NodeMapping::RwWithRo => tenants.iter().any(|s| s.concurrency_at(now) > 0),
+                    NodeMapping::PerTenant => {
+                        tenants.get(node).is_some_and(|s| s.concurrency_at(now) > 0)
                     }
-                } else if node.cpu.is_paused() {
-                    node.resume(now, *v, SimDuration::from_millis(500));
-                } else {
-                    node.set_vcores(now, *v);
+                };
+                let sample = ScaleSample {
+                    now,
+                    util,
+                    current: n.cpu.vcores(),
+                    offered_load: offered,
+                };
+                if let Some(decision) = policy.decide(sample) {
+                    opts.obs
+                        .instant(Category::Autoscale, "decide", node as u64, now);
+                    opts.obs.add("autoscale.decisions", 1);
+                    if decision.effective_at < horizon {
+                        ctl.events.schedule(
+                            decision.effective_at,
+                            Event::Apply {
+                                node,
+                                target: decision.target_vcores,
+                            },
+                        );
+                    }
+                }
+                let next = now + policy.sample_interval();
+                if next < horizon {
+                    ctl.events.schedule(next, Event::Sample { node });
                 }
             }
-            let next = now + *interval;
-            if next < horizon {
-                events.schedule(next, Event::Rebalance);
-            }
-        }
-        Event::Inject => {
-            let plan = opts.failure.expect("Inject implies a plan");
-            let target = if plan.target_ro {
-                if dep.ro_count() == 0 {
-                    return;
-                }
-                1
-            } else {
-                0
-            };
-            // RO recovery does not redo/undo the primary's log tail.
-            let timeline = if plan.target_ro {
-                plan_ro_failover(&dep.profile.failover, now)
-            } else {
-                // The log may have been truncated past the last checkpoint
-                // on architectures that never checkpoint; analyze whatever
-                // tail is retained.
-                let from = dep
-                    .db
-                    .log()
-                    .oldest_retained()
-                    .map_or(dep.db.log().head(), |l| Lsn(l.0 - 1))
-                    .max(dep.db.last_checkpoint());
-                let analysis = analyze(dep.db.log(), from);
-                opts.obs
-                    .instant(Category::Recovery, "analyze", target as u64, now);
-                opts.obs.add("recovery.scanned_records", analysis.scanned);
-                plan_failover(&dep.profile.failover, now, &analysis)
-            };
-            opts.obs
-                .instant(Category::Failover, "inject", target as u64, now);
-            for phase in &timeline.phases {
-                opts.obs.span(
-                    Category::Failover,
-                    phase.name,
-                    target as u64,
-                    phase.start,
-                    phase.end,
+            Event::Apply { node, target } => {
+                let n = &mut dep.nodes[node];
+                let scaled_up = target > n.cpu.vcores() + 1e-9;
+                opts.obs.instant(
+                    Category::Autoscale,
+                    if scaled_up { "scale-up" } else { "scale-down" },
+                    node as u64,
+                    now,
                 );
-            }
-            let downtime = timeline.downtime();
-            dep.nodes[target].restart(now, downtime, dep.profile.failover.warmup);
-            if plan.target_ro {
-                if let Some(stream) = dep.streams.get_mut(target - 1) {
-                    stream.reset(now + downtime);
+                n.set_vcores(now, target);
+                // Scaling-point disruption: the tier briefly refuses requests
+                // while it applies a *larger* allocation (the paper's CDB1
+                // pain; its gradual downward steps are transparent).
+                let disruption = dep.profile.scale_disruption;
+                if scaled_up && !disruption.is_zero() {
+                    dep.nodes[node].restart(now, disruption, SimDuration::ZERO);
                 }
             }
-            result.failover = Some(timeline);
-        }
-        Event::Gc => {
-            dep.db.locks_mut().gc(now);
-            // MVCC watermark GC: transactions are atomic within one
-            // attempt on the virtual clock — no snapshot taken before
-            // `now` can still be live, so `now` is the watermark. No-op
-            // at READ COMMITTED (nothing was published).
-            let pruned = dep.db.versions_mut().gc(now);
-            if pruned > 0 {
-                opts.obs.instant(Category::Mvcc, "gc", 0, now);
-                opts.obs.add("mvcc.gc.pruned", pruned);
+            Event::Checkpoint => {
+                let Deployment {
+                    db, nodes, storage, ..
+                } = dep;
+                let keep_from = ctl.prev_checkpoint;
+                let (lsn, flushed, io) = db.checkpoint(&mut nodes[0].pool, storage, now);
                 opts.obs
-                    .record("mvcc.chain_max", dep.db.versions().max_chain() as u64);
-            }
-            // Bound log memory on architectures without checkpoints: keep a
-            // generous tail for fail-over analysis.
-            if dep.profile.checkpoint_interval.is_none() {
-                let head = dep.db.log().head();
-                if dep.db.log().retained() > 400_000 {
-                    dep.db.log_mut().truncate_through(Lsn(head.0 - 200_000));
+                    .span(Category::Checkpoint, "checkpoint", 0, now, now + io);
+                opts.obs.add("checkpoint.count", 1);
+                opts.obs.add("checkpoint.flushed_pages", flushed);
+                // Retain one full checkpoint interval of log for recovery.
+                db.log_mut().truncate_through(keep_from);
+                ctl.prev_checkpoint = lsn;
+                if let Some(interval) = dep.profile.checkpoint_interval {
+                    let next = now + interval;
+                    if next < horizon {
+                        ctl.events.schedule(next, Event::Checkpoint);
+                    }
                 }
             }
-            let next = now + SimDuration::from_secs(10);
-            if next < horizon {
-                events.schedule(next, Event::Gc);
+            Event::Rebalance => {
+                let VcoreControl::ElasticPool {
+                    total,
+                    min_share,
+                    interval,
+                } = &opts.vcores
+                else {
+                    return;
+                };
+                let secs = interval.as_secs_f64();
+                let mut demands = Vec::with_capacity(tenants.len());
+                for (i, spec) in tenants.iter().enumerate() {
+                    let busy = dep.nodes[i].cpu.busy_core_secs();
+                    let used = (busy - ctl.rebalance_busy[i]) / secs;
+                    ctl.rebalance_busy[i] = busy;
+                    let con = spec.concurrency_at(now);
+                    let demand = if con > 0 {
+                        // Ask for observed usage plus headroom, with a
+                        // concurrency-based floor: the pool hands the only busy
+                        // tenant generous capacity (the paper's staggered-
+                        // pattern behaviour), never below a quarter core.
+                        (used / 0.7).max(0.08 * f64::from(con)).max(0.25)
+                    } else {
+                        0.0
+                    };
+                    demands.push(demand);
+                }
+                let alloc = cb_cluster::elastic_pool_allocate(&demands, *total, *min_share);
+                for (i, v) in alloc.iter().enumerate() {
+                    let node = &mut dep.nodes[i];
+                    if *v <= 0.0 {
+                        if !node.cpu.is_paused() {
+                            node.pause(now);
+                        }
+                    } else if node.cpu.is_paused() {
+                        node.resume(now, *v, SimDuration::from_millis(500));
+                    } else {
+                        node.set_vcores(now, *v);
+                    }
+                }
+                let next = now + *interval;
+                if next < horizon {
+                    ctl.events.schedule(next, Event::Rebalance);
+                }
+            }
+            Event::Inject => {
+                let plan = opts.failure.expect("Inject implies a plan");
+                let target = if plan.target_ro {
+                    if dep.ro_count() == 0 {
+                        return;
+                    }
+                    1
+                } else {
+                    0
+                };
+                // RO recovery does not redo/undo the primary's log tail.
+                let timeline = if plan.target_ro {
+                    plan_ro_failover(&dep.profile.failover, now)
+                } else {
+                    // The log may have been truncated past the last checkpoint
+                    // on architectures that never checkpoint; analyze whatever
+                    // tail is retained.
+                    let from = dep
+                        .db
+                        .log()
+                        .oldest_retained()
+                        .map_or(dep.db.log().head(), |l| Lsn(l.0 - 1))
+                        .max(dep.db.last_checkpoint());
+                    let analysis = analyze(dep.db.log(), from);
+                    opts.obs
+                        .instant(Category::Recovery, "analyze", target as u64, now);
+                    opts.obs.add("recovery.scanned_records", analysis.scanned);
+                    plan_failover(&dep.profile.failover, now, &analysis)
+                };
+                opts.obs
+                    .instant(Category::Failover, "inject", target as u64, now);
+                for phase in &timeline.phases {
+                    opts.obs.span(
+                        Category::Failover,
+                        phase.name,
+                        target as u64,
+                        phase.start,
+                        phase.end,
+                    );
+                }
+                let downtime = timeline.downtime();
+                dep.nodes[target].restart(now, downtime, dep.profile.failover.warmup);
+                if plan.target_ro {
+                    if let Some(stream) = dep.streams.get_mut(target - 1) {
+                        stream.reset(now + downtime);
+                    }
+                }
+                result.failover = Some(timeline);
+            }
+            Event::Gc => {
+                dep.db.locks_mut().gc(now);
+                // MVCC watermark GC: transactions are atomic within one
+                // attempt on the virtual clock — no snapshot taken before
+                // `now` can still be live, so `now` is the watermark. No-op
+                // at READ COMMITTED (nothing was published).
+                let pruned = dep.db.versions_mut().gc(now);
+                if pruned > 0 {
+                    opts.obs.instant(Category::Mvcc, "gc", 0, now);
+                    opts.obs.add("mvcc.gc.pruned", pruned);
+                    opts.obs
+                        .record("mvcc.chain_max", dep.db.versions().max_chain() as u64);
+                }
+                // Bound log memory on architectures without checkpoints: keep a
+                // generous tail for fail-over analysis.
+                if dep.profile.checkpoint_interval.is_none() {
+                    let head = dep.db.log().head();
+                    if dep.db.log().retained() > 400_000 {
+                        dep.db.log_mut().truncate_through(Lsn(head.0 - 200_000));
+                    }
+                }
+                let next = now + SimDuration::from_secs(10);
+                if next < horizon {
+                    ctl.events.schedule(next, Event::Gc);
+                }
             }
         }
     }

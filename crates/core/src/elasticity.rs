@@ -15,12 +15,11 @@
 //! E1-Score, and per-transition scaling behaviour (paper Table VI).
 
 use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
-use cb_obs::ObsSink;
 use cb_sim::{DetRng, GaugeSeries, SimDuration, SimTime};
 
 use crate::cost::{ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
-use crate::driver::{run, RunOptions, TenantSpec};
+use crate::driver::{run, RunOptions, RunResult, TenantSpec};
 use crate::metrics::e1_score;
 use crate::openloop::{run_open_loop, OpenLoopSpec};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
@@ -133,67 +132,34 @@ pub struct ElasticityReport {
 /// the start of the pattern).
 pub const BILLING_WINDOW: SimDuration = SimDuration::from_secs(600);
 
-/// Evaluate one elasticity pattern on one SUT.
+/// Evaluate one elasticity pattern on one SUT. `base` supplies what the
+/// caller chooses per run — `seed`, `obs`, `isolation` and `eviction`; the
+/// schedule and the SUT's own scaling policy are the experiment.
 pub fn evaluate_elasticity(
     profile: &SutProfile,
     pattern: ElasticPattern,
     mix: TxnMix,
     tau: u32,
     sim_scale: u64,
-    seed: u64,
+    base: &RunOptions,
 ) -> ElasticityReport {
-    evaluate_elasticity_with_obs(
-        profile,
-        pattern,
-        mix,
-        tau,
-        sim_scale,
-        seed,
-        &ObsSink::disabled(),
-    )
-}
-
-/// [`evaluate_elasticity`] with an observability sink: the driven run emits
-/// transaction spans, autoscaler decisions and cache/WAL events into `obs`.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_elasticity_with_obs(
-    profile: &SutProfile,
-    pattern: ElasticPattern,
-    mix: TxnMix,
-    tau: u32,
-    sim_scale: u64,
-    seed: u64,
-    obs: &ObsSink,
-) -> ElasticityReport {
-    let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 0, seed);
+    let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 0, base.seed);
     let mut slots = pattern.concurrency(tau);
-    let active = slots.len();
     // Pad the schedule with idle slots out to the billing window so slow
     // scale-down keeps accruing cost, exactly as it would on a real bill.
     let total_slots = (BILLING_WINDOW.as_secs() / 60) as usize;
     slots.resize(total_slots, 0);
     let spec = TenantSpec {
         slots: slots.clone(),
-        slot_len: SimDuration::from_secs(60),
+        slot_len: SLOT,
         mix,
         dist: AccessDistribution::Uniform,
         partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
     };
-    let opts = RunOptions {
-        seed,
-        obs: obs.clone(),
-        ..RunOptions::default()
-    };
-    let result = run(&mut dep, &[spec], &opts);
+    let result = run(&mut dep, &[spec], &base.inherit());
 
-    let active_end = SimTime::ZERO + SimDuration::from_secs(60) * active as u64;
-    let avg_tps = result.avg_tps(SimTime::ZERO, active_end);
-    let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + BILLING_WINDOW);
     let rates = RucRates::default();
-    let cost = ruc_cost(&usage, &rates);
-    let cost_per_min = cost.scaled(1.0 / (BILLING_WINDOW.as_secs_f64() / 60.0));
-    let e1 = e1_score(avg_tps, &cost_per_min);
-
+    let (avg_tps, cost, e1) = score(&dep, &result, pattern, &rates);
     let gauge = dep.nodes[0].vcore_gauge.clone();
     let scalings = slot_scalings(&gauge, &slots, profile, &rates);
     ElasticityReport {
@@ -204,6 +170,26 @@ pub fn evaluate_elasticity_with_obs(
         scalings,
         vcores: gauge,
     }
+}
+
+/// One-minute slots, as in the paper.
+const SLOT: SimDuration = SimDuration::from_secs(60);
+
+/// Score a finished pattern run, closed or open loop alike: average TPS
+/// over the pattern's active slots, RUC cost over the billing window, and
+/// the E1-Score of the two.
+fn score(
+    dep: &Deployment,
+    run: &RunResult,
+    pattern: ElasticPattern,
+    rates: &RucRates,
+) -> (f64, CostBreakdown, f64) {
+    let active_end = SimTime::ZERO + SLOT * pattern.proportions().len() as u64;
+    let avg_tps = run.avg_tps(SimTime::ZERO, active_end);
+    let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + BILLING_WINDOW);
+    let cost = ruc_cost(&usage, rates);
+    let cost_per_min = cost.scaled(1.0 / (BILLING_WINDOW.as_secs_f64() / 60.0));
+    (avg_tps, cost, e1_score(avg_tps, &cost_per_min))
 }
 
 /// The outcome of one open-loop elasticity evaluation.
@@ -265,11 +251,10 @@ pub fn evaluate_elasticity_open(
     mix: TxnMix,
     peak_rate: f64,
     sim_scale: u64,
-    seed: u64,
+    base: &RunOptions,
 ) -> OpenElasticityReport {
-    let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 0, seed);
-    let slot_len = SimDuration::from_secs(60);
-    let process = pattern_arrivals(pattern, peak_rate, slot_len, seed);
+    let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 0, base.seed);
+    let process = pattern_arrivals(pattern, peak_rate, SLOT, base.seed);
     let spec = OpenLoopSpec {
         // The whole billing window is the measurement phase: arrivals stop
         // after the pattern's active slots, but slow scale-down keeps
@@ -283,20 +268,9 @@ pub fn evaluate_elasticity_open(
         dist: AccessDistribution::Uniform,
         partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
     };
-    let opts = RunOptions {
-        seed,
-        ..RunOptions::default()
-    };
-    let r = run_open_loop(&mut dep, &spec, &opts);
+    let r = run_open_loop(&mut dep, &spec, &base.inherit());
 
-    let active = pattern.proportions().len() as u64;
-    let active_end = SimTime::ZERO + slot_len * active;
-    let avg_tps = r.run.avg_tps(SimTime::ZERO, active_end);
-    let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + BILLING_WINDOW);
-    let rates = RucRates::default();
-    let cost = ruc_cost(&usage, &rates);
-    let cost_per_min = cost.scaled(1.0 / (BILLING_WINDOW.as_secs_f64() / 60.0));
-    let e1 = e1_score(avg_tps, &cost_per_min);
+    let (avg_tps, cost, e1) = score(&dep, &r.run, pattern, &RucRates::default());
     OpenElasticityReport {
         pattern,
         avg_tps,
@@ -315,11 +289,10 @@ fn slot_scalings(
     profile: &SutProfile,
     rates: &RucRates,
 ) -> Vec<SlotScaling> {
-    let slot_len = SimDuration::from_secs(60);
     let mut out = Vec::new();
     for i in 0..slots.len() {
-        let start = SimTime::ZERO + slot_len * i as u64;
-        let end = start + slot_len;
+        let start = SimTime::ZERO + SLOT * i as u64;
+        let end = start + SLOT;
         // Last allocation change inside the slot = when scaling settled.
         let settle = gauge
             .points()
@@ -395,7 +368,7 @@ mod tests {
             TxnMix::read_only(),
             tau,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         let rds = evaluate_elasticity(
             &SutProfile::aws_rds(),
@@ -403,7 +376,7 @@ mod tests {
             TxnMix::read_only(),
             tau,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         assert!(cdb3.avg_tps > 0.0 && rds.avg_tps > 0.0);
         assert!(
@@ -457,7 +430,7 @@ mod tests {
             TxnMix::read_only(),
             30.0,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         assert!(r.avg_tps > 0.0);
         assert!(r.arrivals > 0);
@@ -474,7 +447,7 @@ mod tests {
             TxnMix::read_only(),
             20,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         assert!(r.scalings.iter().all(|s| s.settle.is_none()));
         assert!(r.vcores.points().len() <= 1, "allocation never moves");
@@ -488,7 +461,7 @@ mod tests {
             TxnMix::read_only(),
             40,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         // Allocation moved at least once somewhere in the schedule.
         assert!(

@@ -6,7 +6,6 @@
 //! resumption until throughput returns to its pre-failure level.
 
 use cb_cluster::FailoverTimeline;
-use cb_obs::ObsSink;
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 
@@ -88,30 +87,20 @@ fn measure(result: &RunResult, inject: SimTime) -> FailoverOutcome {
 
 /// Run the fail-over evaluation on one SUT: a constant read-write workload
 /// at `concurrency` (the paper uses 150), failure injected mid-run, for
-/// both the RW primary and an RO replica.
+/// both the RW primary and an RO replica. `base` supplies both runs' `seed`,
+/// `obs`, `isolation` and `eviction`; the failure plan and the fixed vCore
+/// allocation are the experiment.
 pub fn evaluate_failover(
     profile: &SutProfile,
     concurrency: u32,
     sim_scale: u64,
-    seed: u64,
-) -> FailoverReport {
-    evaluate_failover_with_obs(profile, concurrency, sim_scale, seed, &ObsSink::disabled())
-}
-
-/// [`evaluate_failover`] with an observability sink: both runs (RW and RO
-/// targets) emit fail-over phase spans and recovery events into `obs`.
-pub fn evaluate_failover_with_obs(
-    profile: &SutProfile,
-    concurrency: u32,
-    sim_scale: u64,
-    seed: u64,
-    obs: &ObsSink,
+    base: &RunOptions,
 ) -> FailoverReport {
     let inject = SimTime::from_secs(45);
     let horizon = SimDuration::from_secs(150);
     let mut outcomes = Vec::with_capacity(2);
     for target_ro in [false, true] {
-        let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 1, seed);
+        let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 1, base.seed);
         let spec = TenantSpec::constant(
             concurrency,
             horizon,
@@ -120,14 +109,12 @@ pub fn evaluate_failover_with_obs(
             KeyPartition::whole(dep.shape.orders, dep.shape.customers),
         );
         let opts = RunOptions {
-            seed,
             failure: Some(FailurePlan {
                 at: inject,
                 target_ro,
             }),
             vcores: crate::driver::VcoreControl::Fixed,
-            obs: obs.clone(),
-            ..RunOptions::default()
+            ..base.inherit()
         };
         let result = run(&mut dep, &[spec], &opts);
         outcomes.push(measure(&result, inject));
@@ -143,8 +130,8 @@ mod tests {
 
     #[test]
     fn cdb4_failover_beats_rds() {
-        let cdb4 = evaluate_failover(&SutProfile::cdb4(), 40, 2000, 7);
-        let rds = evaluate_failover(&SutProfile::aws_rds(), 40, 2000, 7);
+        let cdb4 = evaluate_failover(&SutProfile::cdb4(), 40, 2000, &RunOptions::seeded(7));
+        let rds = evaluate_failover(&SutProfile::aws_rds(), 40, 2000, &RunOptions::seeded(7));
         assert!(
             cdb4.rw.f_secs < rds.rw.f_secs,
             "cdb4 {} vs rds {}",
@@ -159,7 +146,7 @@ mod tests {
 
     #[test]
     fn ro_failure_is_milder_than_rw() {
-        let r = evaluate_failover(&SutProfile::cdb1(), 40, 2000, 7);
+        let r = evaluate_failover(&SutProfile::cdb1(), 40, 2000, &RunOptions::seeded(7));
         assert!(r.ro.f_secs <= r.rw.f_secs + 0.001);
         // Pre-failure throughput was healthy in both runs.
         assert!(r.rw.pre_tps > 100.0);
@@ -168,7 +155,7 @@ mod tests {
 
     #[test]
     fn timeline_phases_cover_downtime() {
-        let r = evaluate_failover(&SutProfile::cdb4(), 30, 2000, 7);
+        let r = evaluate_failover(&SutProfile::cdb4(), 30, 2000, &RunOptions::seeded(7));
         let t = &r.rw.timeline;
         assert_eq!(t.phases.first().unwrap().name, "detect");
         assert!(t.phases.iter().any(|p| p.name == "switchover"));

@@ -6,7 +6,6 @@
 //! until the data is consistent" probe, computed from the replication
 //! stream's replay schedule.
 
-use cb_obs::ObsSink;
 use cb_sim::SimDuration;
 use cb_sut::SutProfile;
 
@@ -63,64 +62,22 @@ pub struct LagReport {
     pub c_score_ms: f64,
 }
 
-fn mean_ms(samples: &[SimDuration]) -> f64 {
-    LagSamples::mean_ms(samples)
-}
-
-/// Evaluate replication lag on one SUT with one RO replica.
+/// Evaluate replication lag on one SUT with `replicas` RO nodes (the paper
+/// uses one); the C-Score divides by the replica count per the paper's
+/// Eq. 6. `base` supplies each run's `seed`, `obs`, `isolation` and
+/// `eviction`; lag collection and the fixed vCore allocation are the
+/// experiment.
 pub fn evaluate_lagtime(
     profile: &SutProfile,
     concurrency: u32,
-    sim_scale: u64,
-    seed: u64,
-) -> LagReport {
-    evaluate_lagtime_with_replicas(profile, concurrency, 1, sim_scale, seed)
-}
-
-/// [`evaluate_lagtime`] with an observability sink: the IUD runs emit
-/// replication ship/replay spans and lag histograms into `obs`.
-pub fn evaluate_lagtime_with_obs(
-    profile: &SutProfile,
-    concurrency: u32,
-    sim_scale: u64,
-    seed: u64,
-    obs: &ObsSink,
-) -> LagReport {
-    evaluate_lagtime_with_replicas_obs(profile, concurrency, 1, sim_scale, seed, obs)
-}
-
-/// Evaluate replication lag with `replicas` RO nodes; the C-Score divides
-/// by the replica count per the paper's Eq. 6.
-pub fn evaluate_lagtime_with_replicas(
-    profile: &SutProfile,
-    concurrency: u32,
     replicas: usize,
     sim_scale: u64,
-    seed: u64,
-) -> LagReport {
-    evaluate_lagtime_with_replicas_obs(
-        profile,
-        concurrency,
-        replicas,
-        sim_scale,
-        seed,
-        &ObsSink::disabled(),
-    )
-}
-
-/// [`evaluate_lagtime_with_replicas`] with an observability sink.
-pub fn evaluate_lagtime_with_replicas_obs(
-    profile: &SutProfile,
-    concurrency: u32,
-    replicas: usize,
-    sim_scale: u64,
-    seed: u64,
-    obs: &ObsSink,
+    base: &RunOptions,
 ) -> LagReport {
     assert!(replicas >= 1, "lag needs at least one replica");
     let mut rows = Vec::with_capacity(IUD_MIXES.len());
     for (label, i, u, d) in IUD_MIXES {
-        let mut dep = Deployment::new(profile.clone(), 1, sim_scale, replicas, seed);
+        let mut dep = Deployment::new(profile.clone(), 1, sim_scale, replicas, base.seed);
         let spec = TenantSpec::constant(
             concurrency,
             SimDuration::from_secs(20),
@@ -129,18 +86,16 @@ pub fn evaluate_lagtime_with_replicas_obs(
             KeyPartition::whole(dep.shape.orders, dep.shape.customers),
         );
         let opts = RunOptions {
-            seed,
             collect_lag: true,
             vcores: VcoreControl::Fixed,
-            obs: obs.clone(),
-            ..RunOptions::default()
+            ..base.inherit()
         };
         let result = run(&mut dep, &[spec], &opts);
         rows.push(LagRow {
             label,
-            insert_ms: mean_ms(&result.lag.insert),
-            update_ms: mean_ms(&result.lag.update),
-            delete_ms: mean_ms(&result.lag.delete),
+            insert_ms: LagSamples::mean_ms(&result.lag.insert),
+            update_ms: LagSamples::mean_ms(&result.lag.update),
+            delete_ms: LagSamples::mean_ms(&result.lag.delete),
             samples: result.lag.insert.len() + result.lag.update.len() + result.lag.delete.len(),
         });
     }
@@ -166,7 +121,8 @@ mod tests {
     fn lag_order_matches_paper_architectures() {
         // CDB4 (memory disaggregation, on-demand replay) << CDB3 (parallel
         // replay) << CDB1 (sequential) << CDB2 (log/page split).
-        let lag = |p: &SutProfile| evaluate_lagtime(p, 20, 2000, 7).c_score_ms;
+        let lag =
+            |p: &SutProfile| evaluate_lagtime(p, 20, 1, 2000, &RunOptions::seeded(7)).c_score_ms;
         let c4 = lag(&SutProfile::cdb4());
         let c3 = lag(&SutProfile::cdb3());
         let c1 = lag(&SutProfile::cdb1());
@@ -180,7 +136,7 @@ mod tests {
 
     #[test]
     fn pure_mixes_only_sample_their_class() {
-        let r = evaluate_lagtime(&SutProfile::cdb1(), 10, 2000, 7);
+        let r = evaluate_lagtime(&SutProfile::cdb1(), 10, 1, 2000, &RunOptions::seeded(7));
         let insert_row = &r.rows[1];
         assert!(insert_row.insert_ms > 0.0);
         assert_eq!(insert_row.update_ms, 0.0);
@@ -193,8 +149,8 @@ mod tests {
 
     #[test]
     fn more_replicas_divide_the_c_score() {
-        let one = evaluate_lagtime_with_replicas(&SutProfile::cdb3(), 10, 1, 2000, 7);
-        let two = evaluate_lagtime_with_replicas(&SutProfile::cdb3(), 10, 2, 2000, 7);
+        let one = evaluate_lagtime(&SutProfile::cdb3(), 10, 1, 2000, &RunOptions::seeded(7));
+        let two = evaluate_lagtime(&SutProfile::cdb3(), 10, 2, 2000, &RunOptions::seeded(7));
         // Per-class lags are similar; the score halves by definition.
         assert!(
             two.c_score_ms < one.c_score_ms * 0.75,
@@ -206,7 +162,7 @@ mod tests {
 
     #[test]
     fn mixed_run_samples_all_classes() {
-        let r = evaluate_lagtime(&SutProfile::cdb3(), 10, 2000, 7);
+        let r = evaluate_lagtime(&SutProfile::cdb3(), 10, 1, 2000, &RunOptions::seeded(7));
         let mixed = &r.rows[0];
         assert!(mixed.insert_ms > 0.0);
         assert!(mixed.update_ms > 0.0);

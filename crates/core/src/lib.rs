@@ -8,7 +8,9 @@
 //! * [`workload`] — transactions T1–T4, mixes, uniform/latest distributions.
 //! * [`deploy`] — assemble a SUT profile into a running cluster.
 //! * [`testbed`] — the one-stop [`testbed::Testbed`] facade (paper Fig 1).
-//! * [`driver`] — the virtual-time closed-loop workload driver.
+//! * [`driver`] — the virtual-time workload driver: the single run loop and
+//!   its closed-loop client source.
+//! * [`openloop`] — the arrival-driven (open-loop) source for that loop.
 //! * [`elasticity`] — peak/valley patterns and the elasticity evaluator.
 //! * [`tenancy`] — contention patterns and the multi-tenancy evaluator.
 //! * [`failover_eval`] — failure injection, F-Score and R-Score.
@@ -56,8 +58,8 @@ pub use driver::{
     TenantSpec, VcoreControl, CLIENT_RTT,
 };
 pub use openloop::{
-    aggregate, run_load, run_open_loop, run_open_loop_seeds, LoadSpec, OpenLoopAggregate,
-    OpenLoopConfig, OpenLoopResult, OpenLoopSpec, SeedOutcome,
+    aggregate, run_open_loop, run_open_loop_seeds, OpenLoopAggregate, OpenLoopConfig,
+    OpenLoopResult, OpenLoopSpec, SeedOutcome,
 };
 pub use replay::{rebuild_parallel, redo_committed_parallel, REDO_PARTITIONS};
 pub use schema::{create_tables, load_dataset, DatasetShape, SalesTables};

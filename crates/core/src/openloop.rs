@@ -1,10 +1,10 @@
-//! The open-loop arrival-driven workload driver.
+//! The open-loop, arrival-driven load source.
 //!
-//! Where [`crate::driver::run`] walks a closed population of client state
-//! machines (each issues its next transaction the instant the previous one
-//! returns), this driver generates transaction **arrivals** as an event
-//! stream from a [`cb_load`] plan, independent of how fast the system under
-//! test drains them. Each operation carries a *scheduled* arrival instant;
+//! Where [`crate::driver::run`] feeds the driver's event loop a closed
+//! population of clients (each issues its next transaction the instant the
+//! previous one returns), [`run_open_loop`] feeds the same loop transaction
+//! **arrivals** generated as an event stream from a [`cb_load`] plan,
+//! independent of how fast the system under test drains them. Each operation carries a *scheduled* arrival instant;
 //! its latency is measured from that instant to completion, so queueing
 //! delay behind a stall is charged to the operation — the
 //! coordinated-omission-correct response time — while the service time
@@ -20,15 +20,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cb_load::{ArrivalGen, ArrivalPlan, PhasedArrivals, TestMode};
-use cb_obs::{Category, LogHistogram};
-use cb_sim::{DetRng, SimDuration, SimTime, TpsRecorder};
+use cb_load::{ArrivalGen, ArrivalPlan, PhasePlan, PhasedArrivals, TestMode};
+use cb_obs::{LogHistogram, ObsSink};
+use cb_sim::{DetRng, SimDuration, SimTime};
 
 use crate::deploy::Deployment;
-use crate::driver::{
-    attempt_txn, Controllers, LagSamples, RunOptions, RunResult, StepOutcome, TenantResult,
-    TenantSpec, TxnSite,
-};
+use crate::driver::{Op, OpTable, RunCtx, RunOptions, RunResult, TenantSpec};
 use crate::parallel::par_map;
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
@@ -44,14 +41,6 @@ pub struct OpenLoopSpec {
     pub dist: AccessDistribution,
     /// Key-space slice the load works on.
     pub partition: KeyPartition,
-}
-
-/// What one operation tracks while pending or in flight.
-struct OpSlot {
-    /// Scheduled arrival instant (latency is measured from here).
-    sched: SimTime,
-    /// Per-operation RNG stream (attributed to a logical client).
-    rng: DetRng,
 }
 
 /// The result of one open-loop run.
@@ -122,11 +111,155 @@ impl OpenLoopResult {
     }
 }
 
-/// Where the next unit of work comes from in the main loop.
-enum NextWork {
-    Controller,
-    Op,
-    Fresh,
+/// The arrival-driven load source of the driver's event loop
+/// ([`RunCtx::drive`]): it says when the next fresh op is due and which
+/// logical client it belongs to, and keeps the accounting only arrival runs
+/// have — the measurement-window filter, the service / scheduler-lag split,
+/// queue depth and the `load.*` counters.
+pub(crate) struct ArrivalSource {
+    phases: PhasePlan,
+    logical_clients: u64,
+    /// Fixed-rate arrival stream; `None` in max-throughput mode, where a
+    /// completed op is replaced back-to-back instead.
+    stream: Option<PhasedArrivals>,
+    /// Scheduled instant of the next fresh arrival, if any is left.
+    pub(crate) next_fresh: Option<SimTime>,
+    /// Attributes each op to a logical client and seeds its RNG stream.
+    root_rng: DetRng,
+    /// Completion instants of executed ops, drained lazily for queue depth.
+    completions: BinaryHeap<Reverse<SimTime>>,
+    arrivals: u64,
+    completed: u64,
+    measured: u64,
+    blocked_retries: u64,
+    response_sum: SimDuration,
+    service_hist: LogHistogram,
+    sched_lag_hist: LogHistogram,
+    queue_depth_max: u64,
+}
+
+impl ArrivalSource {
+    /// Open `plan`'s source. Fixed-rate mode pulls scheduled arrivals lazily
+    /// from the plan's process (thinned through the phase windows);
+    /// max-throughput mode admits its whole population into `ops` up front.
+    fn new(plan: &ArrivalPlan, seed: u64, ops: &mut OpTable) -> Self {
+        // The arrival stream and the per-op attribution streams fork from
+        // distinct seeds so adding phases or changing the client count never
+        // perturbs the base process.
+        let mut stream = match &plan.mode {
+            TestMode::FixedRate(process) => Some(PhasedArrivals::new(
+                ArrivalGen::new(process.clone(), seed ^ 0xA5A5_5A5A_C3C3_3C3C),
+                plan.phases.clone(),
+                seed,
+            )),
+            TestMode::MaxThroughput { .. } => None,
+        };
+        let mut source = ArrivalSource {
+            phases: plan.phases.clone(),
+            logical_clients: plan.logical_clients.max(1),
+            next_fresh: stream.as_mut().and_then(PhasedArrivals::next_arrival),
+            stream,
+            root_rng: DetRng::seeded(seed),
+            completions: BinaryHeap::new(),
+            arrivals: 0,
+            completed: 0,
+            measured: 0,
+            blocked_retries: 0,
+            response_sum: SimDuration::ZERO,
+            service_hist: LogHistogram::new(),
+            sched_lag_hist: LogHistogram::new(),
+            queue_depth_max: 0,
+        };
+        if let TestMode::MaxThroughput { clients } = plan.mode {
+            for _ in 0..clients {
+                source.replace(ops, SimTime::ZERO);
+            }
+            // Depth is sampled at fresh arrivals, which this mode has none
+            // of; in-flight population is pinned at `clients` by design.
+            source.queue_depth_max = u64::from(clients);
+        }
+        source
+    }
+
+    /// A new op scheduled at `sched`, attributed to a logical client; the
+    /// client id seeds the op's RNG stream without any per-client state
+    /// existing anywhere.
+    fn new_op(&mut self, sched: SimTime) -> Op {
+        let client = self.root_rng.below(self.logical_clients);
+        self.arrivals += 1;
+        Op {
+            tenant: 0,
+            idx: 0,
+            sched: Some(sched),
+            rng: self.root_rng.fork(client),
+        }
+    }
+
+    /// Admit the peeked fresh arrival into `ops`, sample queue depth at its
+    /// instant and pull the next arrival from the stream.
+    pub(crate) fn admit_fresh(&mut self, ops: &mut OpTable, obs: &ObsSink) {
+        let sched = self.next_fresh.take().expect("fresh arrival was peeked");
+        let op = self.new_op(sched);
+        ops.admit(op, sched);
+        obs.add("load.arrivals", 1);
+        // Queue depth at this arrival: outstanding ops are the live slots
+        // plus executed ops whose completion lies in the future.
+        while self
+            .completions
+            .peek()
+            .is_some_and(|Reverse(e)| *e <= sched)
+        {
+            self.completions.pop();
+        }
+        let depth = ops.live as u64 + self.completions.len() as u64;
+        self.queue_depth_max = self.queue_depth_max.max(depth);
+        obs.record("load.queue_depth", depth);
+        self.next_fresh = self.stream.as_mut().and_then(PhasedArrivals::next_arrival);
+    }
+
+    /// Max-throughput only: issue the op that replaces one completed at `at`.
+    pub(crate) fn replace(&mut self, ops: &mut OpTable, at: SimTime) {
+        if self.stream.is_none() {
+            let op = self.new_op(at);
+            ops.admit(op, at);
+        }
+    }
+
+    /// Count one blocked attempt.
+    pub(crate) fn count_blocked(&mut self, obs: &ObsSink) {
+        self.blocked_retries += 1;
+        obs.add("load.blocked", 1);
+    }
+
+    /// Count one completion inside the horizon. Returns whether the op was
+    /// scheduled inside the measurement window, i.e. whether its latency is
+    /// recorded at all.
+    pub(crate) fn count_completion(
+        &mut self,
+        sched: SimTime,
+        start: SimTime,
+        end: SimTime,
+        obs: &ObsSink,
+    ) -> bool {
+        self.completed += 1;
+        if self.stream.is_some() {
+            self.completions.push(Reverse(end));
+        }
+        if !self.phases.in_measurement(sched) {
+            return false;
+        }
+        self.measured += 1;
+        // Coordinated-omission-correct response time: from the scheduled
+        // arrival, not the start.
+        self.response_sum += end.saturating_since(sched);
+        let service = end.saturating_since(start);
+        let lag = start.saturating_since(sched);
+        self.service_hist.record(service.as_nanos());
+        self.sched_lag_hist.record(lag.as_nanos());
+        obs.record("load.service_ns", service.as_nanos());
+        obs.record("load.sched_lag_ns", lag.as_nanos());
+        true
+    }
 }
 
 /// Drive `spec` against `dep` on the virtual clock.
@@ -140,277 +273,33 @@ pub fn run_open_loop(
     spec: &OpenLoopSpec,
     opts: &RunOptions,
 ) -> OpenLoopResult {
-    crate::driver::apply_eviction(dep, opts);
-    let horizon_d = spec.plan.phases.total();
-    let horizon = SimTime::ZERO + horizon_d;
-    let (measure_from, measure_to) = spec.plan.phases.measure_window();
-
-    // Controllers run exactly as in the closed loop; they only need a tenant
-    // spec for node mapping and policy scheduling, so a synthetic
-    // single-tenant schedule spanning the horizon stands in.
-    let ctl_specs = vec![TenantSpec::constant(
+    // Controllers, node mapping and the (shiftable) transaction shape all
+    // hang off a tenant spec, so the arrival plan runs as a single tenant
+    // whose schedule spans the horizon.
+    let tenant = [TenantSpec::constant(
         1,
-        horizon_d,
+        spec.plan.phases.total(),
         spec.mix,
         spec.dist,
         spec.partition,
     )];
-    let mut ctl = Controllers::new(dep, &ctl_specs, opts);
-
-    let mut result = RunResult {
-        horizon,
-        tenants: vec![TenantResult::new(horizon_d)],
-        total: TpsRecorder::with_horizon(SimDuration::from_secs(1), horizon_d),
-        lag: LagSamples::default(),
-        failover: None,
-        lock_conflicts: 0,
-        si_aborts: 0,
-    };
-
-    // Arrival source. The arrival stream and the per-op attribution streams
-    // fork from distinct seeds so adding phases or changing the client count
-    // never perturbs the base process.
-    let mut root_rng = DetRng::seeded(opts.seed);
-    let logical_clients = spec.plan.logical_clients.max(1);
-    let mut source: Option<PhasedArrivals> = match &spec.plan.mode {
-        TestMode::FixedRate(process) => Some(PhasedArrivals::new(
-            ArrivalGen::new(process.clone(), opts.seed ^ 0xA5A5_5A5A_C3C3_3C3C),
-            spec.plan.phases.clone(),
-            opts.seed,
-        )),
-        TestMode::MaxThroughput { .. } => None,
-    };
-
-    // Op tracking: a slab with a free list bounds allocation by the number of
-    // ops alive at once.
-    let mut slab: Vec<Option<OpSlot>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live: usize = 0;
-    let mut peak_tracked_ops: usize = 0;
-    // Ops ready to (re)attempt, keyed by attempt instant.
-    let mut pending: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-    // Completion instants of executed ops, drained lazily for queue depth.
-    let mut completions: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
-
-    let mut arrivals: u64 = 0;
-    let mut completed: u64 = 0;
-    let mut measured: u64 = 0;
-    let mut blocked_retries: u64 = 0;
-    let mut response_sum = SimDuration::ZERO;
-    let mut service_hist = LogHistogram::new();
-    let mut sched_lag_hist = LogHistogram::new();
-    let mut queue_depth_max: u64 = 0;
-    let mut ro_rr: usize = 0;
-
-    let alloc_op = |slab: &mut Vec<Option<OpSlot>>,
-                    free: &mut Vec<usize>,
-                    live: &mut usize,
-                    peak: &mut usize,
-                    root_rng: &mut DetRng,
-                    sched: SimTime|
-     -> usize {
-        // Attribute the arrival to a logical client; the client id seeds the
-        // op's RNG stream without any per-client state existing anywhere.
-        let client = root_rng.below(logical_clients);
-        let rng = root_rng.fork(client);
-        let slot = OpSlot { sched, rng };
-        *live += 1;
-        *peak = (*peak).max(*live);
-        match free.pop() {
-            Some(i) => {
-                slab[i] = Some(slot);
-                i
-            }
-            None => {
-                slab.push(Some(slot));
-                slab.len() - 1
-            }
-        }
-    };
-
-    // Seed the initial population.
-    let mut next_fresh: Option<SimTime> = match &spec.plan.mode {
-        TestMode::FixedRate(_) => source.as_mut().and_then(PhasedArrivals::next_arrival),
-        TestMode::MaxThroughput { clients } => {
-            for _ in 0..*clients {
-                let i = alloc_op(
-                    &mut slab,
-                    &mut free,
-                    &mut live,
-                    &mut peak_tracked_ops,
-                    &mut root_rng,
-                    SimTime::ZERO,
-                );
-                arrivals += 1;
-                pending.push(Reverse((SimTime::ZERO, i)));
-            }
-            // Depth is sampled at fresh arrivals, which this mode has none
-            // of; in-flight population is pinned at `clients` by design.
-            queue_depth_max = *clients as u64;
-            None
-        }
-    };
-
-    loop {
-        let t_ctl = ctl.peek_time(horizon);
-        let t_op = pending
-            .peek()
-            .map(|Reverse((t, _))| *t)
-            .filter(|t| *t < horizon);
-        let t_fresh = next_fresh.filter(|t| *t < horizon);
-
-        // Same-instant priority: controllers first (matching the closed
-        // loop), then already-scheduled ops, then admitting fresh arrivals.
-        let mut best: Option<(SimTime, NextWork)> = None;
-        for (t, kind) in [
-            (t_fresh, NextWork::Fresh),
-            (t_op, NextWork::Op),
-            (t_ctl, NextWork::Controller),
-        ] {
-            if let Some(t) = t {
-                if best.as_ref().is_none_or(|(bt, _)| t <= *bt) {
-                    best = Some((t, kind));
-                }
-            }
-        }
-        let Some((_, kind)) = best else { break };
-
-        match kind {
-            NextWork::Controller => {
-                ctl.dispatch_next(dep, &ctl_specs, opts, &mut result, horizon);
-            }
-            NextWork::Fresh => {
-                let sched = next_fresh.take().expect("fresh arrival was peeked");
-                let i = alloc_op(
-                    &mut slab,
-                    &mut free,
-                    &mut live,
-                    &mut peak_tracked_ops,
-                    &mut root_rng,
-                    sched,
-                );
-                arrivals += 1;
-                opts.obs.add("load.arrivals", 1);
-                pending.push(Reverse((sched, i)));
-                // Queue depth at this arrival: outstanding ops are the live
-                // slots plus executed ops whose completion lies in the future.
-                while completions.peek().is_some_and(|Reverse(e)| *e <= sched) {
-                    completions.pop();
-                }
-                let depth = live as u64 + completions.len() as u64;
-                queue_depth_max = queue_depth_max.max(depth);
-                opts.obs.record("load.queue_depth", depth);
-                next_fresh = source.as_mut().and_then(PhasedArrivals::next_arrival);
-            }
-            NextWork::Op => {
-                let Reverse((t, i)) = pending.pop().expect("op was peeked");
-                let slot = slab[i].as_mut().expect("pending op has a live slot");
-                let sched = slot.sched;
-                let site = TxnSite {
-                    mix: &spec.mix,
-                    dist: &spec.dist,
-                    partition: spec.partition,
-                    tenant: 0,
-                };
-                match attempt_txn(dep, opts, &site, &mut slot.rng, t, &mut ro_rr, &mut result) {
-                    StepOutcome::Blocked { resume_at } => {
-                        blocked_retries += 1;
-                        opts.obs.add("load.blocked", 1);
-                        if resume_at < horizon {
-                            pending.push(Reverse((resume_at, i)));
-                        } else {
-                            // Abandoned at the horizon; drop the slot.
-                            slab[i] = None;
-                            free.push(i);
-                            live -= 1;
-                        }
-                    }
-                    StepOutcome::Executed { end, kind } => {
-                        // Retire the slot before any replacement is drawn so
-                        // the tracked-op peak never exceeds the in-flight
-                        // population.
-                        slab[i] = None;
-                        free.push(i);
-                        live -= 1;
-                        if end <= horizon {
-                            completed += 1;
-                            result.tenants[0].tps.record(end);
-                            result.total.record(end);
-                            result.tenants[0].committed += 1;
-                            if spec.plan.phases.in_measurement(sched) {
-                                measured += 1;
-                                // Coordinated-omission-correct response time:
-                                // from the scheduled arrival, not the start.
-                                let response = end.saturating_since(sched);
-                                let service = end.saturating_since(t);
-                                let lag = t.saturating_since(sched);
-                                response_sum += response;
-                                let tr = &mut result.tenants[0];
-                                tr.latency_sum += response;
-                                tr.latency_max = tr.latency_max.max(response);
-                                tr.latency_hist.record(response.as_nanos());
-                                service_hist.record(service.as_nanos());
-                                sched_lag_hist.record(lag.as_nanos());
-                                opts.obs.span(Category::Txn, kind.label(), 0, sched, end);
-                                opts.obs.record("txn.latency_ns", response.as_nanos());
-                                opts.obs.record("load.service_ns", service.as_nanos());
-                                opts.obs.record("load.sched_lag_ns", lag.as_nanos());
-                            }
-                            completions.push(Reverse(end));
-                            // Max-throughput: replace the op back-to-back.
-                            if matches!(spec.plan.mode, TestMode::MaxThroughput { .. })
-                                && end < horizon
-                            {
-                                let j = alloc_op(
-                                    &mut slab,
-                                    &mut free,
-                                    &mut live,
-                                    &mut peak_tracked_ops,
-                                    &mut root_rng,
-                                    end,
-                                );
-                                arrivals += 1;
-                                pending.push(Reverse((end, j)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+    let mut ops = OpTable::default();
+    let mut source = ArrivalSource::new(&spec.plan, opts.seed, &mut ops);
+    let run = RunCtx::new(dep, &tenant, opts).drive(&mut ops, Some(&mut source));
+    let (measure_from, measure_to) = spec.plan.phases.measure_window();
     OpenLoopResult {
-        run: result,
-        arrivals,
-        completed,
-        measured,
-        blocked_retries,
-        response_sum,
-        service_hist,
-        sched_lag_hist,
-        queue_depth_max,
-        peak_tracked_ops,
+        run,
+        arrivals: source.arrivals,
+        completed: source.completed,
+        measured: source.measured,
+        blocked_retries: source.blocked_retries,
+        response_sum: source.response_sum,
+        service_hist: source.service_hist,
+        sched_lag_hist: source.sched_lag_hist,
+        queue_depth_max: source.queue_depth_max,
+        peak_tracked_ops: ops.peak,
         measure_from,
         measure_to,
-    }
-}
-
-/// Either load shape, so experiment code can switch between the legacy
-/// closed loop and an open-loop arrival plan with one dispatch point.
-pub enum LoadSpec<'a> {
-    /// The legacy closed-loop client population.
-    Closed(&'a [TenantSpec]),
-    /// An open-loop arrival plan.
-    Open(&'a OpenLoopSpec),
-}
-
-/// Run either load shape; the closed loop reports a plain [`RunResult`]
-/// (boxed in an [`OpenLoopResult`]-free variant is avoided by returning the
-/// richer type only for open plans).
-pub fn run_load(dep: &mut Deployment, load: &LoadSpec<'_>, opts: &RunOptions) -> RunResult {
-    match load {
-        LoadSpec::Closed(tenants) => crate::driver::run(dep, tenants, opts),
-        LoadSpec::Open(spec) => run_open_loop(dep, spec, opts).run,
     }
 }
 
@@ -638,25 +527,40 @@ mod tests {
     }
 
     #[test]
-    fn run_load_dispatches_both_shapes() {
-        let mut dep = small_dep(9);
-        let tenants = vec![TenantSpec::constant(
-            4,
-            SimDuration::from_secs(1),
-            TxnMix::read_only(),
-            AccessDistribution::Uniform,
-            part(),
-        )];
-        let closed = run_load(
-            &mut dep,
-            &LoadSpec::Closed(&tenants),
-            &RunOptions::default(),
+    fn mix_shift_reaches_the_open_loop() {
+        // Insert-only arrivals whose mix shifts to read-only at half-time:
+        // arrivals keep coming (and completing) but the log must stop
+        // exactly where a run that *ends* at the shift instant stops.
+        let spec = |secs| OpenLoopSpec {
+            plan: ArrivalPlan::fixed_rate(
+                ArrivalProcess::poisson(300.0),
+                PhasePlan::measure_only(SimDuration::from_secs(secs)),
+                500,
+            ),
+            mix: TxnMix::write_only(),
+            dist: AccessDistribution::Uniform,
+            partition: part(),
+        };
+        let run = |secs, shifts| {
+            let mut dep = small_dep(7);
+            let opts = RunOptions {
+                shifts,
+                ..RunOptions::default()
+            };
+            let r = run_open_loop(&mut dep, &spec(secs), &opts);
+            (r.completed, dep.db.log().head())
+        };
+        let to_read_only =
+            crate::driver::ShiftEvent::at(SimTime::from_secs(2)).mix(TxnMix::read_only());
+        let (shifted_done, shifted_head) = run(4, vec![to_read_only]);
+        let (half_done, half_head) = run(2, vec![]);
+        let (_, full_head) = run(4, vec![]);
+        assert_eq!(shifted_head, half_head, "no WAL after the shift");
+        assert!(shifted_head < full_head, "the unshifted run keeps writing");
+        assert!(
+            shifted_done > half_done + half_done / 2,
+            "reads keep completing after the shift: {shifted_done} vs {half_done}"
         );
-        assert!(closed.overall_tps() > 0.0);
-        let spec = small_spec(100.0, 10);
-        let mut dep2 = small_dep(9);
-        let open = run_load(&mut dep2, &LoadSpec::Open(&spec), &RunOptions::default());
-        assert!(open.overall_tps() > 0.0);
     }
 
     #[test]

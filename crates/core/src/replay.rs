@@ -26,11 +26,13 @@
 //! order, `--jobs 1` and `--jobs N` produce byte-identical databases; the
 //! chaos harness leans on that for its recovery-equivalence oracle.
 
+use std::collections::HashSet;
+
 use cb_engine::db::Database;
 use cb_engine::recovery::{
     apply_redo_plan, committed_txns, merge_net_effects, partition_net_effects,
 };
-use cb_store::{LogStore, Lsn, WalRecord};
+use cb_store::{LogStore, Lsn, TxnId, WalRecord};
 
 use crate::parallel::par_map;
 
@@ -45,30 +47,26 @@ pub const REDO_PARTITIONS: usize = 16;
 /// worker threads for the log scan. Returns the committed-DML record count
 /// (the same number the sequential pass reports).
 ///
-/// With `jobs <= 1` the scan runs inline on the calling thread through the
-/// exact same per-partition code, so the sequential and parallel paths
-/// cannot diverge.
-pub fn redo_committed_parallel(db: &mut Database, records: &[&WalRecord], jobs: usize) -> u64 {
-    redo_committed_parallel_resolved(db, records, &std::collections::HashSet::new(), jobs)
-}
-
-/// [`redo_committed_parallel`] with two-phase-commit decision resolution:
-/// `resolved_commits` are in-doubt participant transactions (a durable
-/// `Prepare`, no durable decision record — see
-/// [`cb_engine::recovery::in_doubt_txns`]) whose coordinator decided
+/// `resolved` carries two-phase-commit decision resolution: in-doubt
+/// participant transactions (a durable `Prepare`, no durable decision record
+/// — see [`cb_engine::recovery::in_doubt_txns`]) whose coordinator decided
 /// commit. They join the committed set before the partition scan, so the
 /// net-effect planner folds their DML exactly as if their own `Commit`
 /// record had survived; undecided prepared transactions stay excluded —
-/// presumed-abort. The plan remains a pure function of `(records,
-/// resolved_commits)`, byte-identical across lane and worker counts.
-pub fn redo_committed_parallel_resolved(
+/// presumed-abort. Empty outside sharded recovery.
+///
+/// With `jobs <= 1` the scan runs inline on the calling thread through the
+/// exact same per-partition code, so the sequential and parallel paths
+/// cannot diverge; the plan is a pure function of `(records, resolved)`,
+/// byte-identical across lane and worker counts.
+pub fn redo_committed_parallel(
     db: &mut Database,
     records: &[&WalRecord],
-    resolved_commits: &std::collections::HashSet<cb_store::TxnId>,
+    resolved: &HashSet<TxnId>,
     jobs: usize,
 ) -> u64 {
     let mut committed = committed_txns(records.iter().copied());
-    committed.extend(resolved_commits.iter().copied());
+    committed.extend(resolved.iter().copied());
     let lane_count = jobs.clamp(1, REDO_PARTITIONS);
     let lanes: Vec<usize> = (0..lane_count).collect();
     let effects = par_map(&lanes, jobs, |_, &lane| {
@@ -83,7 +81,7 @@ pub fn redo_committed_parallel_resolved(
 pub fn rebuild_parallel(base: impl FnOnce() -> Database, log: &LogStore, jobs: usize) -> Database {
     let mut db = base();
     let records: Vec<&WalRecord> = log.records_after(Lsn::ZERO).collect();
-    redo_committed_parallel(&mut db, &records, jobs);
+    redo_committed_parallel(&mut db, &records, &HashSet::new(), jobs);
     db
 }
 
@@ -169,7 +167,7 @@ mod tests {
         let records: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
         for jobs in [1usize, 2, 4, 8] {
             let mut par = base();
-            let applied = redo_committed_parallel(&mut par, &records, jobs);
+            let applied = redo_committed_parallel(&mut par, &records, &HashSet::new(), jobs);
             assert_eq!(applied, seq_applied, "jobs={jobs}");
             assert_eq!(par.dump_table(t), seq.dump_table(t), "jobs={jobs}");
         }

@@ -13,7 +13,7 @@
 //! coordinator's decision log, and recovery joins a participant's in-doubt
 //! transactions ([`cb_engine::recovery::in_doubt_txns`]) against that log —
 //! resolved commits replay through the net-effect planner
-//! ([`crate::replay::redo_committed_parallel_resolved`]), everything else
+//! ([`crate::replay::redo_committed_parallel`]), everything else
 //! is presumed aborted.
 //!
 //! [`run_fleet`] drives the whole scenario: hundreds of Zipfian-skewed
@@ -295,8 +295,8 @@ impl TwoPhaseCoordinator {
     /// The recovery-time join: given one participant's in-doubt
     /// transactions (from [`cb_engine::recovery::in_doubt_txns`]), the
     /// subset whose global transaction the log decided to commit. Feed the
-    /// result to [`crate::replay::redo_committed_parallel_resolved`] /
-    /// [`cb_engine::recovery::undo_losers_durable_resolved`]; in-doubt
+    /// result to [`crate::replay::redo_committed_parallel`] /
+    /// [`cb_engine::recovery::undo_losers`]; in-doubt
     /// transactions outside the set stay presumed-abort.
     pub fn resolve(&self, in_doubt: &[(TxnId, u64)]) -> HashSet<TxnId> {
         in_doubt

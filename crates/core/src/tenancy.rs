@@ -9,7 +9,6 @@
 //! contention patterns reward strict isolation (fixed instances).
 
 use cb_cluster::ResourceUsage;
-use cb_obs::ObsSink;
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::{ScalingKind, SutProfile};
 
@@ -195,33 +194,17 @@ const SLOT: SimDuration = SimDuration::from_secs(60);
 /// pool; CDB3 creates three branches (fixed compute each, shared storage);
 /// RDS/CDB1/CDB4 get one isolated instance per tenant (which triples their
 /// network and IOPS bill).
+///
+/// `base` supplies each run's `seed`, `obs`, `isolation` and `eviction`;
+/// node mapping and vCore control are the experiment.
 pub fn evaluate_tenancy(
     profile: &SutProfile,
     pattern: TenancyPattern,
     scale: f64,
     sim_scale: u64,
-    seed: u64,
+    base: &RunOptions,
 ) -> TenancyReport {
-    evaluate_tenancy_with_obs(
-        profile,
-        pattern,
-        scale,
-        sim_scale,
-        seed,
-        &ObsSink::disabled(),
-    )
-}
-
-/// [`evaluate_tenancy`] with an observability sink: every tenant run emits
-/// transaction spans (tracked per tenant) and rebalance events into `obs`.
-pub fn evaluate_tenancy_with_obs(
-    profile: &SutProfile,
-    pattern: TenancyPattern,
-    scale: f64,
-    sim_scale: u64,
-    seed: u64,
-    obs: &ObsSink,
-) -> TenancyReport {
+    let seed = base.seed;
     let slots = pattern.tenant_slots(scale);
     let n_tenants = slots.len();
     let window = SLOT * slots[0].len() as u64;
@@ -262,11 +245,9 @@ pub fn evaluate_tenancy_with_obs(
             _ => VcoreControl::PolicyPerNode,
         };
         let opts = RunOptions {
-            seed,
             mapping: NodeMapping::PerTenant,
             vcores,
-            obs: obs.clone(),
-            ..RunOptions::default()
+            ..base.inherit()
         };
         let result = run(&mut dep, &specs, &opts);
         let tps: Vec<f64> = result
@@ -290,12 +271,7 @@ pub fn evaluate_tenancy_with_obs(
                 dist: AccessDistribution::Uniform,
                 partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
             };
-            let opts = RunOptions {
-                seed,
-                obs: obs.clone(),
-                ..RunOptions::default()
-            };
-            let result = run(&mut dep, &[spec], &opts);
+            let result = run(&mut dep, &[spec], &base.inherit());
             tps.push(result.avg_tps(SimTime::ZERO, SimTime::ZERO + window));
             usages.push(dep.data_gb_paper());
         }
@@ -368,14 +344,14 @@ mod tests {
             TenancyPattern::StaggeredLow,
             1.0,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         let cdb3 = evaluate_tenancy(
             &SutProfile::cdb3(),
             TenancyPattern::StaggeredLow,
             1.0,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         assert!(cdb2.total_tps > 0.0 && cdb3.total_tps > 0.0);
         assert!(
@@ -393,7 +369,7 @@ mod tests {
             TenancyPattern::LowContention,
             0.2,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         assert_eq!(r.usage.iops, 3 * SutProfile::aws_rds().billed_iops);
         assert!((r.usage.network_gbps - 30.0).abs() < 1e-9);
@@ -410,14 +386,14 @@ mod tests {
             TenancyPattern::HighContention,
             0.3,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         let cdb2 = evaluate_tenancy(
             &SutProfile::cdb2(),
             TenancyPattern::HighContention,
             0.3,
             2000,
-            7,
+            &RunOptions::seeded(7),
         );
         assert!(
             rds.total_tps > cdb2.total_tps,

@@ -14,11 +14,11 @@ use cb_sut::SutProfile;
 use crate::cost::{ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
 use crate::driver::{run, RunOptions, TenantSpec, VcoreControl};
-use crate::elasticity::{evaluate_elasticity_with_obs, ElasticPattern, ElasticityReport};
-use crate::failover_eval::{evaluate_failover_with_obs, FailoverReport};
-use crate::lagtime::{evaluate_lagtime_with_obs, LagReport};
+use crate::elasticity::{evaluate_elasticity, ElasticPattern, ElasticityReport};
+use crate::failover_eval::{evaluate_failover, FailoverReport};
+use crate::lagtime::{evaluate_lagtime, LagReport};
 use crate::metrics::{e1_score, e2_score, o_score, p_score, Perfect};
-use crate::tenancy::{evaluate_tenancy_with_obs, TenancyPattern, TenancyReport};
+use crate::tenancy::{evaluate_tenancy, TenancyPattern, TenancyReport};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
 /// Result of a plain OLTP measurement through the testbed.
@@ -39,14 +39,14 @@ pub struct OltpReport {
 pub struct Testbed {
     profile: SutProfile,
     sim_scale: u64,
-    seed: u64,
+    /// What every evaluator run inherits: the seed and the attached sink.
+    base: RunOptions,
     /// Concurrency used by throughput-style runs.
     pub concurrency: u32,
     /// τ for elasticity patterns.
     pub tau: u32,
     /// Scale for tenancy patterns (1.0 = the paper's tuples).
     pub tenancy_scale: f64,
-    obs: ObsSink,
 }
 
 impl Testbed {
@@ -55,11 +55,13 @@ impl Testbed {
         Testbed {
             profile,
             sim_scale,
-            seed,
+            base: RunOptions {
+                seed,
+                ..RunOptions::default()
+            },
             concurrency: 100,
             tau: 110,
             tenancy_scale: 0.5,
-            obs: ObsSink::disabled(),
         }
     }
 
@@ -69,13 +71,13 @@ impl Testbed {
     /// aggregates exact latency histograms into it. Export the collected
     /// artifacts with [`cb_obs::write_run_artifacts`].
     pub fn with_obs(mut self, obs: ObsSink) -> Self {
-        self.obs = obs;
+        self.base.obs = obs;
         self
     }
 
     /// The attached observability sink (disabled unless set).
     pub fn obs(&self) -> &ObsSink {
-        &self.obs
+        &self.base.obs
     }
 
     /// The profile under test.
@@ -91,7 +93,7 @@ impl Testbed {
             scale_factor,
             self.sim_scale,
             1,
-            self.seed,
+            self.base.seed,
         );
         let duration = SimDuration::from_secs(secs);
         let spec = TenantSpec::constant(
@@ -102,10 +104,8 @@ impl Testbed {
             KeyPartition::whole(dep.shape.orders, dep.shape.customers),
         );
         let opts = RunOptions {
-            seed: self.seed,
             vcores: VcoreControl::Fixed,
-            obs: self.obs.clone(),
-            ..RunOptions::default()
+            ..self.base.inherit()
         };
         let result = run(&mut dep, &[spec], &opts);
         let end = SimTime::ZERO + duration;
@@ -124,54 +124,46 @@ impl Testbed {
 
     /// Run one elasticity pattern.
     pub fn elasticity(&self, pattern: ElasticPattern, mix: TxnMix) -> ElasticityReport {
-        evaluate_elasticity_with_obs(
+        evaluate_elasticity(
             &self.profile,
             pattern,
             mix,
             self.tau,
             self.sim_scale,
-            self.seed,
-            &self.obs,
+            &self.base,
         )
     }
 
     /// Run one multi-tenancy pattern.
     pub fn tenancy(&self, pattern: TenancyPattern) -> TenancyReport {
-        evaluate_tenancy_with_obs(
+        evaluate_tenancy(
             &self.profile,
             pattern,
             self.tenancy_scale,
             self.sim_scale,
-            self.seed,
-            &self.obs,
+            &self.base,
         )
     }
 
     /// Run the fail-over evaluation.
     pub fn failover(&self) -> FailoverReport {
-        evaluate_failover_with_obs(
-            &self.profile,
-            self.concurrency,
-            self.sim_scale,
-            self.seed,
-            &self.obs,
-        )
+        evaluate_failover(&self.profile, self.concurrency, self.sim_scale, &self.base)
     }
 
     /// Run the replication-lag evaluation.
     pub fn lagtime(&self) -> LagReport {
-        evaluate_lagtime_with_obs(
+        evaluate_lagtime(
             &self.profile,
             self.concurrency.min(50),
+            1,
             self.sim_scale,
-            self.seed,
-            &self.obs,
+            &self.base,
         )
     }
 
     /// Read-only TPS with `ro` replicas (the E2 probe).
     pub fn read_tps_with_replicas(&self, ro: usize) -> f64 {
-        let mut dep = Deployment::new(self.profile.clone(), 1, self.sim_scale, ro, self.seed);
+        let mut dep = Deployment::new(self.profile.clone(), 1, self.sim_scale, ro, self.base.seed);
         let duration = SimDuration::from_secs(10);
         let spec = TenantSpec::constant(
             self.concurrency.max(120),
@@ -181,10 +173,8 @@ impl Testbed {
             KeyPartition::whole(dep.shape.orders, dep.shape.customers),
         );
         let opts = RunOptions {
-            seed: self.seed,
             vcores: VcoreControl::Fixed,
-            obs: self.obs.clone(),
-            ..RunOptions::default()
+            ..self.base.inherit()
         };
         run(&mut dep, &[spec], &opts).avg_tps(SimTime::ZERO, SimTime::ZERO + duration)
     }

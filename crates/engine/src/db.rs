@@ -892,7 +892,12 @@ impl Database {
         alog: &mut AccessLog,
     ) {
         let t = &mut self.tables[table.0 as usize];
-        Self::insert_raw_inner(&mut self.pages, t, key, image, alog);
+        t.tree
+            .insert(&mut self.pages, key, image, alog)
+            .expect("redo insert must not collide");
+        Self::index_add(&mut self.pages, t, &Row::decode(image), key, alog);
+        t.rows += 1;
+        t.auto_key = t.auto_key.max(key + 1);
     }
 
     /// [`apply_insert_raw`](Self::apply_insert_raw) through a [`BatchIngest`]
@@ -916,21 +921,6 @@ impl Database {
         t.auto_key = t.auto_key.max(key + 1);
     }
 
-    fn insert_raw_inner(
-        pages: &mut PageStore,
-        t: &mut TableMeta,
-        key: i64,
-        image: &[u8],
-        alog: &mut AccessLog,
-    ) {
-        t.tree
-            .insert(pages, key, image, alog)
-            .expect("redo insert must not collide");
-        Self::index_add(pages, t, &Row::decode(image), key, alog);
-        t.rows += 1;
-        t.auto_key = t.auto_key.max(key + 1);
-    }
-
     /// Recovery/replication internal: apply an update image directly.
     pub fn apply_update_raw(
         &mut self,
@@ -939,17 +929,7 @@ impl Database {
         image: &[u8],
         alog: &mut AccessLog,
     ) {
-        let t = &mut self.tables[table.0 as usize];
-        Self::update_raw_inner(&mut self.pages, t, key, image, alog);
-    }
-
-    fn update_raw_inner(
-        pages: &mut PageStore,
-        t: &mut TableMeta,
-        key: i64,
-        image: &[u8],
-        alog: &mut AccessLog,
-    ) {
+        let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
         // Decode the before-row up front: the borrowed image must be
         // released before the tree mutates the page it lives in.
         let before_row = Row::decode(
@@ -964,11 +944,7 @@ impl Database {
 
     /// Recovery/replication internal: apply a delete directly.
     pub fn apply_delete_raw(&mut self, table: TableId, key: i64, alog: &mut AccessLog) {
-        let t = &mut self.tables[table.0 as usize];
-        Self::delete_raw_inner(&mut self.pages, t, key, alog);
-    }
-
-    fn delete_raw_inner(pages: &mut PageStore, t: &mut TableMeta, key: i64, alog: &mut AccessLog) {
+        let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
         let removed = t.tree.delete(pages, key, alog);
         let Some(before) = removed else {
             panic!("redo delete of missing key {key}");
@@ -984,115 +960,6 @@ impl Database {
     pub fn bump_auto_key(&mut self, table: TableId, key: i64) {
         let t = &mut self.tables[table.0 as usize];
         t.auto_key = t.auto_key.max(key + 1);
-    }
-
-    /// ARIES undo pass over this database's *own* log tail, in place and
-    /// clone-free: the walk borrows records straight out of the segmented
-    /// log (disjoint from the page/catalog state being repaired) instead of
-    /// copying the WAL first. Semantics match
-    /// [`undo_losers_durable`](crate::recovery::undo_losers_durable) with
-    /// `records = log.records_after(after)`: the first `durable_len` of
-    /// those records reached stable storage; later `Commit` records never
-    /// became durable, so their transactions roll back. Returns the number
-    /// of records undone.
-    pub fn undo_losers_in_place(&mut self, after: Lsn, durable_len: usize) -> u64 {
-        let Database {
-            pages, log, tables, ..
-        } = self;
-        let records: Vec<&WalRecord> = log.records_after(after).collect();
-        Self::undo_over(
-            pages,
-            tables,
-            &records,
-            durable_len,
-            &std::collections::HashSet::new(),
-        )
-    }
-
-    /// Shared undo-walk implementation over borrowed records (also the
-    /// backing for `recovery::undo_losers_durable`, which undoes an
-    /// externally captured crash tail into a database).
-    pub(crate) fn undo_refs(&mut self, records: &[&WalRecord], durable_len: usize) -> u64 {
-        Self::undo_over(
-            &mut self.pages,
-            &mut self.tables,
-            records,
-            durable_len,
-            &std::collections::HashSet::new(),
-        )
-    }
-
-    /// [`undo_refs`](Self::undo_refs) with a set of externally-resolved
-    /// commits: in-doubt (prepared) transactions whose coordinator decided
-    /// commit keep their effects even though their own `Commit` record is
-    /// not durable (backing for
-    /// `recovery::undo_losers_durable_resolved`).
-    pub(crate) fn undo_refs_resolved(
-        &mut self,
-        records: &[&WalRecord],
-        durable_len: usize,
-        resolved_commits: &std::collections::HashSet<TxnId>,
-    ) -> u64 {
-        Self::undo_over(
-            &mut self.pages,
-            &mut self.tables,
-            records,
-            durable_len,
-            resolved_commits,
-        )
-    }
-
-    fn undo_over(
-        pages: &mut PageStore,
-        tables: &mut [TableMeta],
-        records: &[&WalRecord],
-        durable_len: usize,
-        resolved_commits: &std::collections::HashSet<TxnId>,
-    ) -> u64 {
-        use std::collections::HashSet;
-        let durable_len = durable_len.min(records.len());
-        let finished: HashSet<TxnId> = records[..durable_len]
-            .iter()
-            .filter(|r| matches!(r.op, WalOp::Commit))
-            .chain(records.iter().filter(|r| matches!(r.op, WalOp::Abort)))
-            .map(|r| r.txn)
-            .chain(resolved_commits.iter().copied())
-            .collect();
-        let mut alog = AccessLog::new();
-        let mut undone = 0u64;
-        for r in records.iter().rev() {
-            if !r.op.is_dml() || finished.contains(&r.txn) {
-                continue;
-            }
-            match &r.op {
-                WalOp::Insert { table, key, .. } => {
-                    Self::delete_raw_inner(pages, &mut tables[table.0 as usize], *key, &mut alog);
-                }
-                WalOp::Update {
-                    table, key, before, ..
-                } => {
-                    Self::update_raw_inner(
-                        pages,
-                        &mut tables[table.0 as usize],
-                        *key,
-                        before,
-                        &mut alog,
-                    );
-                }
-                WalOp::Delete { table, key, before } => {
-                    Self::insert_raw_inner(
-                        pages,
-                        &mut tables[table.0 as usize],
-                        *key,
-                        before,
-                        &mut alog,
-                    );
-                }
-                _ => unreachable!("is_dml filtered"),
-            }
-            undone += 1;
-        }
-        undone
     }
 
     /// Total data size in bytes (for storage cost accounting).

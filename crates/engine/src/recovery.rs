@@ -33,7 +33,7 @@ pub struct AriesAnalysis {
     /// `Commit`/`Abort` decision record. Counted inside `loser_txns` too —
     /// with no surviving coordinator decision they roll back
     /// (presumed-abort) — but callers holding a decision log resolve them
-    /// through [`undo_losers_durable_resolved`] /
+    /// through [`undo_losers`]'s `resolved` set /
     /// [`partition_net_effects`]'s committed-set union instead.
     pub in_doubt_txns: u64,
 }
@@ -144,11 +144,7 @@ where
     I::IntoIter: Clone,
 {
     let records = records.into_iter();
-    let committed: HashSet<TxnId> = records
-        .clone()
-        .filter(|r| matches!(r.op, WalOp::Commit))
-        .map(|r| r.txn)
-        .collect();
+    let committed = committed_txns(records.clone());
     let mut applied = 0u64;
     for r in records {
         if r.op.is_dml() && committed.contains(&r.txn) {
@@ -354,47 +350,63 @@ pub fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
 /// effects of transactions in flight at a crash (this engine applies DML
 /// eagerly, so a crashed image contains loser effects). Walks `records` in
 /// reverse LSN order and applies the before-image of every DML record whose
-/// transaction has neither a `Commit` nor an `Abort` record in the slice —
-/// the same loser definition [`analyze`] uses (cleanly aborted transactions
-/// already applied their undo images before the crash). Returns the number
-/// of records undone.
+/// transaction is a loser — the same definition [`analyze`] uses, refined by
+/// the two inputs a crash site can supply. Returns the number of records
+/// undone.
+///
+/// * `durable_len` — only the first `durable_len` records reached stable
+///   storage (pass `records.len()` or more when the whole tail did). A
+///   `Commit` record *beyond* that horizon never became durable, so its
+///   transaction is a loser: it was acked to nobody (group commit holds the
+///   ack until the batch flush lands). `Abort` records count wherever they
+///   appear: an aborting transaction applied its undo images eagerly before
+///   the crash, so it needs no further undo even if the abort record itself
+///   was torn away.
+/// * `resolved` — in-doubt two-phase-commit participants whose coordinator
+///   decided commit, joined via [`in_doubt_txns`] against the surviving
+///   decision log. They keep their effects even though their own `Commit`
+///   record never became durable; every other undecided prepared transaction
+///   rolls back (presumed-abort). Empty outside sharded recovery.
 ///
 /// The caller must pass the complete log tail of the crash epoch (every
 /// record since the last consistent state): losers are by construction the
 /// last writers of their rows, so reverse application of before-images is
 /// exact. If part of a loser's tail was torn away, in-place undo is not
 /// possible and recovery must replay from a base instead ([`rebuild`]).
-pub fn undo_losers(db: &mut Database, records: &[WalRecord]) -> u64 {
-    undo_losers_durable(db, records, records.len())
-}
-
-/// [`undo_losers`] with a durability horizon: only the first `durable_len`
-/// records of `records` reached stable storage before the crash. A `Commit`
-/// record *beyond* the horizon never became durable, so its transaction is a
-/// loser — it was acked to nobody (group commit holds the ack until the batch
-/// flush lands) and its effects must be rolled back. `Abort` records count
-/// wherever they appear: an aborting transaction applied its undo images
-/// eagerly before the crash, so it needs no further undo even if the abort
-/// record itself was torn away.
-pub fn undo_losers_durable(db: &mut Database, records: &[WalRecord], durable_len: usize) -> u64 {
-    let refs: Vec<&WalRecord> = records.iter().collect();
-    db.undo_refs(&refs, durable_len)
-}
-
-/// [`undo_losers_durable`] with two-phase-commit decision resolution:
-/// transactions in `resolved_commits` — in-doubt participants whose
-/// coordinator decided commit, joined via [`in_doubt_txns`] against the
-/// surviving decision log — are treated as committed and *not* rolled back
-/// even though their own `Commit` record never became durable. Every other
-/// undecided prepared transaction rolls back: presumed-abort.
-pub fn undo_losers_durable_resolved(
+pub fn undo_losers(
     db: &mut Database,
     records: &[WalRecord],
     durable_len: usize,
-    resolved_commits: &HashSet<TxnId>,
+    resolved: &HashSet<TxnId>,
 ) -> u64 {
-    let refs: Vec<&WalRecord> = records.iter().collect();
-    db.undo_refs_resolved(&refs, durable_len, resolved_commits)
+    use crate::btree::AccessLog;
+    let durable_len = durable_len.min(records.len());
+    let finished: HashSet<TxnId> = records[..durable_len]
+        .iter()
+        .filter(|r| matches!(r.op, WalOp::Commit))
+        .chain(records.iter().filter(|r| matches!(r.op, WalOp::Abort)))
+        .map(|r| r.txn)
+        .chain(resolved.iter().copied())
+        .collect();
+    let mut alog = AccessLog::new();
+    let mut undone = 0u64;
+    for r in records.iter().rev() {
+        if finished.contains(&r.txn) {
+            continue;
+        }
+        match &r.op {
+            WalOp::Insert { table, key, .. } => db.apply_delete_raw(*table, *key, &mut alog),
+            WalOp::Update {
+                table, key, before, ..
+            } => db.apply_update_raw(*table, *key, before, &mut alog),
+            WalOp::Delete { table, key, before } => {
+                db.apply_insert_raw(*table, *key, before, &mut alog)
+            }
+            _ => continue,
+        }
+        undone += 1;
+    }
+    undone
 }
 
 /// Rebuild a database from a base snapshot constructor plus the full WAL —
@@ -443,6 +455,13 @@ mod tests {
         let t = db.create_table("t", schema());
         db.load_bulk(t, (1..=10).map(|i| row(i, i * 10)));
         db
+    }
+
+    /// Undo `db`'s losers over its own log tail after `after`, of which the
+    /// first `durable_len` records are durable.
+    fn undo_own_tail(db: &mut Database, after: Lsn, durable_len: usize) -> u64 {
+        let tail: Vec<WalRecord> = db.log().records_after(after).cloned().collect();
+        undo_losers(db, &tail, durable_len, &HashSet::new())
     }
 
     #[test]
@@ -534,8 +553,7 @@ mod tests {
             db.delete(&mut ctx, &mut loser, t, 4);
             std::mem::forget(loser);
         }
-        // In-place undo over the db's own segmented log — no tail copy.
-        let undone = db.undo_losers_in_place(Lsn::ZERO, usize::MAX);
+        let undone = undo_own_tail(&mut db, Lsn::ZERO, usize::MAX);
         assert_eq!(undone, 3);
         // The repaired image equals base + committed work only.
         let expected = rebuild(base, db.log());
@@ -567,11 +585,11 @@ mod tests {
         ));
         // Full-tail undo sees the commit and keeps the changes...
         let committed_image = db.dump_table(t);
-        assert_eq!(db.undo_losers_in_place(Lsn::ZERO, n), 0);
+        assert_eq!(undo_own_tail(&mut db, Lsn::ZERO, n), 0);
         assert_eq!(db.dump_table(t), committed_image);
         // ...but with the commit record past the durable horizon, both DML
         // records roll back and the image returns to base.
-        let undone = db.undo_losers_in_place(Lsn::ZERO, n - 1);
+        let undone = undo_own_tail(&mut db, Lsn::ZERO, n - 1);
         assert_eq!(undone, 2);
         assert_eq!(db.dump_table(t), base().dump_table(t));
     }
@@ -588,7 +606,7 @@ mod tests {
         db.insert(&mut ctx, &mut txn, t, row(30, 300)).unwrap();
         db.abort(&mut ctx, txn);
         let before = db.dump_table(t);
-        assert_eq!(db.undo_losers_in_place(Lsn::ZERO, usize::MAX), 0);
+        assert_eq!(undo_own_tail(&mut db, Lsn::ZERO, usize::MAX), 0);
         assert_eq!(db.dump_table(t), before);
     }
 
@@ -645,11 +663,12 @@ mod tests {
         assert_eq!(a.loser_txns, 0);
         assert!(a.scanned >= 4, "begin + 2 DML + abort are still scanned");
         // In-place undo finds nothing either, and replay matches the live db.
-        // Cross-db undo borrows records out of `db`'s log while repairing
-        // `crashed` — disjoint databases, so no copy is needed.
-        let records: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
+        let records: Vec<WalRecord> = db.log().records_after(Lsn::ZERO).cloned().collect();
         let mut crashed = base();
-        assert_eq!(crashed.undo_refs(&records, records.len()), 0);
+        assert_eq!(
+            undo_losers(&mut crashed, &records, records.len(), &HashSet::new()),
+            0
+        );
         let rebuilt = rebuild(base, db.log());
         assert_eq!(rebuilt.dump_table(t), db.dump_table(t));
     }
@@ -674,7 +693,7 @@ mod tests {
         assert_eq!(a.undo_records, 0);
         assert_eq!(a.loser_txns, 0);
         assert_eq!(
-            db.undo_losers_in_place(Lsn::ZERO, usize::MAX),
+            undo_own_tail(&mut db, Lsn::ZERO, usize::MAX),
             0,
             "nothing to undo"
         );
@@ -942,7 +961,7 @@ mod tests {
 
         // In-place path: the crashed image already holds all five updates;
         // undoing losers against the durable horizon rolls back the fifth.
-        undo_losers_durable(&mut db, &tail, 12);
+        undo_losers(&mut db, &tail, 12, &HashSet::new());
         assert_eq!(db.dump_table(t), rebuilt.dump_table(t));
         assert_eq!(db.get_at(t, 1, SimTime::ZERO).unwrap(), latest);
     }
@@ -997,7 +1016,7 @@ mod tests {
         // Primary-side recovery: drop the torn record, then undo the loser
         // in place against the durable horizon.
         db.log_mut().discard_after(Lsn(14));
-        db.undo_losers_in_place(Lsn(9), usize::MAX);
+        undo_own_tail(&mut db, Lsn(9), usize::MAX);
 
         assert_eq!(db.dump_table(t), replica.dump_table(t));
         let keys: Vec<Value> = db
@@ -1062,7 +1081,7 @@ mod tests {
         // converge on the same state.
         let mut replica = replica_base;
         redo_committed(&mut replica, db.log().records_after(ckpt));
-        db.undo_losers_in_place(ckpt, usize::MAX);
+        undo_own_tail(&mut db, ckpt, usize::MAX);
         assert_eq!(db.dump_table(t), replica.dump_table(t));
         let keys: Vec<Value> = db
             .dump_table(t)
@@ -1103,7 +1122,7 @@ mod tests {
         // No surviving decision log: both recovery paths must roll the
         // prepared transaction back.
         let replayed = rebuild(base, db.log());
-        undo_losers_durable_resolved(&mut db, &tail, tail.len(), &HashSet::new());
+        undo_losers(&mut db, &tail, tail.len(), &HashSet::new());
         assert_eq!(db.dump_table(db.table_id("t").unwrap()), {
             let t = replayed.table_id("t").unwrap();
             replayed.dump_table(t)
@@ -1139,7 +1158,7 @@ mod tests {
         apply_redo_plan(&mut replayed, &plan);
 
         // In-place path: the resolved transaction is not a loser.
-        undo_losers_durable_resolved(&mut db, &tail, tail.len(), &resolved);
+        undo_losers(&mut db, &tail, tail.len(), &resolved);
 
         let t = db.table_id("t").unwrap();
         assert_eq!(db.dump_table(t)[0].values[1], Value::Int(777));
@@ -1194,7 +1213,7 @@ mod tests {
         let refs: Vec<&WalRecord> = survivors.iter().collect();
         assert!(in_doubt_txns(refs.iter().copied()).is_empty());
         redo_committed(&mut replica, &survivors);
-        undo_losers_durable_resolved(&mut db, &survivors, survivors.len(), &HashSet::new());
+        undo_losers(&mut db, &survivors, survivors.len(), &HashSet::new());
         assert_eq!(db.dump_table(t), {
             let rt = replica.table_id("t").unwrap();
             replica.dump_table(rt)

@@ -217,69 +217,6 @@ impl GaugeSeries {
     }
 }
 
-/// A fixed-size uniform reservoir sampler (Vitter's algorithm R) for
-/// percentile estimation over unbounded streams.
-///
-/// **Approximate by construction**: once the stream exceeds the capacity,
-/// quantiles are computed from a uniform subsample and carry sampling
-/// error that grows in the tail (p99.9 over a 4096-sample reservoir rests
-/// on ~4 observations). Use it for cheap mid-stream gauges; anything
-/// reported as a result should use the exact log-bucketed
-/// `cb_obs::LogHistogram`, which bounds relative error at ~0.8%
-/// regardless of stream length.
-#[derive(Clone, Debug)]
-pub struct Reservoir {
-    cap: usize,
-    seen: u64,
-    samples: Vec<f64>,
-    state: u64,
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `cap` samples (min 1).
-    pub fn new(cap: usize) -> Self {
-        Reservoir {
-            cap: cap.max(1),
-            seen: 0,
-            samples: Vec::new(),
-            state: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // SplitMix64: deterministic, cheap, good enough for sampling.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Offer one observation.
-    pub fn offer(&mut self, v: f64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(v);
-        } else {
-            let j = self.next_u64() % self.seen;
-            if (j as usize) < self.cap {
-                self.samples[j as usize] = v;
-            }
-        }
-    }
-
-    /// Observations offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Estimated `p`-th percentile (0..=100) of the stream, via the shared
-    /// [`percentile`] helper over the retained sample.
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile(&self.samples, p)
-    }
-}
-
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -311,9 +248,9 @@ pub fn geomean(xs: &[f64]) -> f64 {
 
 /// The `p`-th percentile (0..=100) of `xs`, linearly interpolated between
 /// closest ranks (the "C = 1" / numpy `linear` convention). This is the
-/// single percentile definition shared by every sample-based consumer —
-/// [`Reservoir`] and the evaluators — so figures agree on interpolation.
-/// Exact streaming quantiles live in `cb_obs::LogHistogram`.
+/// single percentile definition shared by every sample-based consumer, so
+/// figures agree on interpolation. Exact streaming quantiles live in
+/// `cb_obs::LogHistogram`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     // NaN observations (a latency that never resolved) carry no rank
     // information: skip them instead of panicking mid-report.
@@ -426,29 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_small_stream_is_exact() {
-        let mut r = Reservoir::new(100);
-        for i in 1..=50 {
-            r.offer(i as f64);
-        }
-        assert_eq!(r.seen(), 50);
-        assert_eq!(r.percentile(100.0), 50.0);
-        assert_eq!(r.percentile(0.0), 1.0);
-    }
-
-    #[test]
-    fn reservoir_large_stream_estimates() {
-        let mut r = Reservoir::new(500);
-        for i in 0..100_000 {
-            r.offer((i % 1000) as f64);
-        }
-        let p50 = r.percentile(50.0);
-        assert!((300.0..700.0).contains(&p50), "p50 = {p50}");
-        let p99 = r.percentile(99.0);
-        assert!(p99 > 900.0, "p99 = {p99}");
-    }
-
-    #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
@@ -473,12 +387,8 @@ mod tests {
         // Out-of-range p clamps instead of panicking.
         assert_eq!(percentile(&[1.0, 2.0], 150.0), 2.0);
         assert_eq!(percentile(&[1.0, 2.0], -5.0), 1.0);
-        // Reservoir agrees with the helper on its retained sample.
-        let mut r = Reservoir::new(10);
-        for v in [4.0, 1.0, 3.0, 2.0] {
-            r.offer(v);
-        }
-        assert_eq!(r.percentile(50.0), 2.5);
+        // Input order does not matter.
+        assert_eq!(percentile(&[4.0, 1.0, 3.0, 2.0], 50.0), 2.5);
     }
 
     /// Pin: every percentile of a single-sample series is the sample itself.
@@ -490,8 +400,5 @@ mod tests {
         for &p in &[0.0, 25.0, 50.0, 90.0, 99.9, 100.0] {
             assert_eq!(percentile(&[42.5], p), 42.5, "p{p}");
         }
-        let mut r = Reservoir::new(4);
-        r.offer(7.0);
-        assert_eq!(r.percentile(50.0), 7.0);
     }
 }

@@ -9,8 +9,13 @@
 use cb_sut::SutProfile;
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::{fsecs, Table};
+use cloudybench::RunOptions;
 
 fn main() {
+    let base = RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    };
     println!("injecting an RW-node failure into all five systems (con = 100)\n");
     let mut t = Table::new(
         "Chaos fail-over drill",
@@ -23,7 +28,7 @@ fn main() {
         ],
     );
     for profile in SutProfile::all() {
-        let r = evaluate_failover(&profile, 100, 200, 7);
+        let r = evaluate_failover(&profile, 100, 200, &base);
         let phases: Vec<String> =
             r.rw.timeline
                 .phases

@@ -16,6 +16,7 @@ use cb_cluster::ReplayPolicy;
 use cb_sut::SutProfile;
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::{fsecs, Table};
+use cloudybench::RunOptions;
 
 /// The same profile with replay collapsed to one lane (costs unchanged).
 fn single_lane(profile: &SutProfile) -> SutProfile {
@@ -35,6 +36,10 @@ fn single_lane(profile: &SutProfile) -> SutProfile {
 }
 
 fn main() {
+    let base = RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    };
     println!("RW-node failure, con = 100: sequential vs stock replay lanes\n");
     let mut t = Table::new(
         "Recovery time by replay parallelism",
@@ -50,8 +55,8 @@ fn main() {
     );
     for profile in SutProfile::all() {
         let lanes = profile.failover.replay.lanes();
-        let stock = evaluate_failover(&profile, 100, 200, 7);
-        let seq = evaluate_failover(&single_lane(&profile), 100, 200, 7);
+        let stock = evaluate_failover(&profile, 100, 200, &base);
+        let seq = evaluate_failover(&single_lane(&profile), 100, 200, &base);
         t.row(&[
             profile.display.to_string(),
             lanes.to_string(),

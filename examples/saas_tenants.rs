@@ -9,8 +9,13 @@
 use cb_sut::SutProfile;
 use cloudybench::report::{fmoney, fnum, Table};
 use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
+use cloudybench::RunOptions;
 
 fn main() {
+    let base = RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    };
     println!("three SaaS tenants, staggered busy hours (paper pattern (d))\n");
     let mut t = Table::new(
         "Multi-tenancy deployment models",
@@ -21,7 +26,7 @@ fn main() {
         (SutProfile::cdb2(), "elastic pool"),
         (SutProfile::cdb3(), "copy-on-write branches"),
     ] {
-        let r = evaluate_tenancy(&profile, TenancyPattern::StaggeredLow, 1.0, 200, 7);
+        let r = evaluate_tenancy(&profile, TenancyPattern::StaggeredLow, 1.0, 200, &base);
         let minutes = r.usage.window.as_secs_f64() / 60.0;
         t.row(&[
             profile.display.to_string(),

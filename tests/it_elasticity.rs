@@ -5,7 +5,16 @@
 use cb_sim::SimTime;
 use cb_sut::SutProfile;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
+use cloudybench::RunOptions;
 use cloudybench::TxnMix;
+
+/// The base options of every evaluation here: seed 7, everything else default.
+fn seed7() -> RunOptions {
+    RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    }
+}
 
 const SIM_SCALE: u64 = 2000;
 const TAU: u32 = 40;
@@ -19,7 +28,7 @@ fn serverless_tiers_scale_with_the_single_peak() {
             TxnMix::read_only(),
             TAU,
             SIM_SCALE,
-            7,
+            &seed7(),
         );
         let peak = r
             .vcores
@@ -41,7 +50,7 @@ fn fixed_tiers_cost_more_than_pause_resume_on_zero_valley() {
         TxnMix::read_write(),
         TAU,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let cdb3 = evaluate_elasticity(
         &SutProfile::cdb3(),
@@ -49,7 +58,7 @@ fn fixed_tiers_cost_more_than_pause_resume_on_zero_valley() {
         TxnMix::read_write(),
         TAU,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     assert!(cdb3.cost.cpu < rds.cost.cpu);
     assert!(cdb3.e1 > rds.e1, "cdb3 {} vs rds {}", cdb3.e1, rds.e1);
@@ -65,7 +74,7 @@ fn gradual_scale_down_keeps_costing_after_the_peak() {
         TxnMix::read_only(),
         TAU,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let after_peak = SimTime::from_secs(240); // one minute past the workload
     let cdb2 = evaluate_elasticity(
@@ -74,7 +83,7 @@ fn gradual_scale_down_keeps_costing_after_the_peak() {
         TxnMix::read_only(),
         TAU,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let c1 = cdb1.vcores.value_at(after_peak);
     let c2 = cdb2.vcores.value_at(after_peak);

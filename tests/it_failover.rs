@@ -3,12 +3,21 @@
 
 use cb_sut::SutProfile;
 use cloudybench::failover_eval::evaluate_failover;
+use cloudybench::RunOptions;
+
+/// The base options of every evaluation here: seed 7, everything else default.
+fn seed7() -> RunOptions {
+    RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    }
+}
 
 const SIM_SCALE: u64 = 2000;
 
 #[test]
 fn paper_ranking_cdb4_fastest_rds_slowest() {
-    let f = |p: &SutProfile| evaluate_failover(p, 50, SIM_SCALE, 7);
+    let f = |p: &SutProfile| evaluate_failover(p, 50, SIM_SCALE, &seed7());
     let rds = f(&SutProfile::aws_rds());
     let cdb1 = f(&SutProfile::cdb1());
     let cdb4 = f(&SutProfile::cdb4());
@@ -19,7 +28,7 @@ fn paper_ranking_cdb4_fastest_rds_slowest() {
 
 #[test]
 fn throughput_dips_to_zero_then_recovers() {
-    let r = evaluate_failover(&SutProfile::cdb3(), 50, SIM_SCALE, 7);
+    let r = evaluate_failover(&SutProfile::cdb3(), 50, SIM_SCALE, &seed7());
     let rates = &r.rw.tps_series;
     // Injection at t=45: some second in the downtime window is dead.
     let down_window = &rates[46..46 + r.rw.f_secs.ceil() as usize];
@@ -41,7 +50,7 @@ fn throughput_dips_to_zero_then_recovers() {
 fn ro_failure_redirects_reads_to_primary() {
     // With the single RO down, reads fall back to the RW node, so the
     // service never fully stops.
-    let r = evaluate_failover(&SutProfile::cdb1(), 50, SIM_SCALE, 7);
+    let r = evaluate_failover(&SutProfile::cdb1(), 50, SIM_SCALE, &seed7());
     let rates = &r.ro.tps_series;
     let during = &rates[46..50];
     assert!(
@@ -53,8 +62,8 @@ fn ro_failure_redirects_reads_to_primary() {
 #[test]
 fn aries_recovery_time_scales_with_dirty_work() {
     // More write traffic before the crash -> longer ARIES recovery for RDS.
-    let light = evaluate_failover(&SutProfile::aws_rds(), 10, SIM_SCALE, 7);
-    let heavy = evaluate_failover(&SutProfile::aws_rds(), 150, SIM_SCALE, 7);
+    let light = evaluate_failover(&SutProfile::aws_rds(), 10, SIM_SCALE, &seed7());
+    let heavy = evaluate_failover(&SutProfile::aws_rds(), 150, SIM_SCALE, &seed7());
     assert!(
         heavy.rw.f_secs >= light.rw.f_secs,
         "heavy {} vs light {}",

@@ -3,6 +3,8 @@
 //! collapse-to-latest on every SUT profile, and the virtual-time read-p99
 //! win of snapshot reads over a blocking single-version baseline.
 
+use std::collections::HashSet;
+
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::undo_losers;
 use cb_engine::{
@@ -95,7 +97,7 @@ fn crash_mid_txn_collapses(profile: SutProfile) {
     // committed, so the replayed image is exactly the pre-crash snapshot.
     let mut replayed = dep.base_database();
     let refs: Vec<&WalRecord> = full_tail.iter().collect();
-    cloudybench::replay::redo_committed_parallel(&mut replayed, &refs, 2);
+    cloudybench::replay::redo_committed_parallel(&mut replayed, &refs, &HashSet::new(), 2);
     for (i, &t) in tables.iter().enumerate() {
         assert_eq!(
             replayed.dump_table(t),
@@ -108,7 +110,7 @@ fn crash_mid_txn_collapses(profile: SutProfile) {
     // ARIES undo rolls the loser back.
     dep.db.simulate_crash();
     assert_eq!(dep.db.versions().tracked_rows(), 0, "{name}: chains died");
-    undo_losers(&mut dep.db, &full_tail);
+    undo_losers(&mut dep.db, &full_tail, full_tail.len(), &HashSet::new());
     for (i, &t) in tables.iter().enumerate() {
         assert_eq!(
             dep.db.dump_table(t),

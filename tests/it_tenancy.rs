@@ -2,6 +2,15 @@
 
 use cb_sut::SutProfile;
 use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
+use cloudybench::RunOptions;
+
+/// The base options of every evaluation here: seed 7, everything else default.
+fn seed7() -> RunOptions {
+    RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    }
+}
 
 const SIM_SCALE: u64 = 2000;
 
@@ -13,14 +22,14 @@ fn table7_shape_isolation_wins_contention_pool_wins_staggered() {
         TenancyPattern::HighContention,
         scale,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let cdb2_a = evaluate_tenancy(
         &SutProfile::cdb2(),
         TenancyPattern::HighContention,
         scale,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     assert!(
         rds_a.total_tps > cdb2_a.total_tps,
@@ -34,14 +43,14 @@ fn table7_shape_isolation_wins_contention_pool_wins_staggered() {
         TenancyPattern::StaggeredLow,
         1.0,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let cdb3_d = evaluate_tenancy(
         &SutProfile::cdb3(),
         TenancyPattern::StaggeredLow,
         1.0,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     assert!(
         cdb2_d.t_score > cdb3_d.t_score,
@@ -55,7 +64,7 @@ fn table7_shape_isolation_wins_contention_pool_wins_staggered() {
 fn every_sut_completes_every_pattern() {
     for profile in SutProfile::all() {
         for pattern in TenancyPattern::all() {
-            let r = evaluate_tenancy(&profile, pattern, 0.1, SIM_SCALE, 7);
+            let r = evaluate_tenancy(&profile, pattern, 0.1, SIM_SCALE, &seed7());
             assert_eq!(r.tenant_tps.len(), 3);
             assert!(
                 r.total_tps > 0.0,
@@ -76,14 +85,14 @@ fn isolated_deployments_bill_triple_network() {
         TenancyPattern::LowContention,
         0.1,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let pool = evaluate_tenancy(
         &SutProfile::cdb2(),
         TenancyPattern::LowContention,
         0.1,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     assert!((iso.usage.network_gbps - 30.0).abs() < 1e-9);
     assert!((pool.usage.network_gbps - 10.0).abs() < 1e-9);
@@ -97,14 +106,14 @@ fn branches_share_the_storage_bill() {
         TenancyPattern::LowContention,
         0.1,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     let isolated = evaluate_tenancy(
         &SutProfile::cdb1(),
         TenancyPattern::LowContention,
         0.1,
         SIM_SCALE,
-        7,
+        &seed7(),
     );
     // CDB1: 3 instances x 6-way replication (18x data); CDB3: one shared
     // copy-on-write store at 3x. The nominal ratio is 6x, but the shared
