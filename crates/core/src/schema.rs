@@ -215,6 +215,57 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    /// Values captured at `266d397`, before the loader streamed its rows:
+    /// unlike `generation_is_deterministic`, this fails if a single draw
+    /// moves.
+    #[test]
+    fn generated_dataset_is_pinned() {
+        let mut db = Database::new();
+        let tables = create_tables(&mut db);
+        load_dataset(&mut db, tables, DatasetShape::new(1, 3000), 7);
+        let orders = db.dump_table(tables.orders);
+        let lines = db.dump_table(tables.orderline);
+        let sum = |rows: &[Row], col: usize| -> i64 {
+            rows.iter().map(|r| r.values[col].expect_int()).sum()
+        };
+        assert_eq!(db.table(tables.customer).rows(), 100);
+        assert_eq!((orders.len(), lines.len()), (100, 1000));
+        assert_eq!(sum(&orders, 1), 4_755, "sum of O_C_ID");
+        assert_eq!(sum(&orders, 3), 5_162_222, "sum of O_TOTALAMOUNT");
+        let per_status = STATUSES.map(|s| {
+            orders
+                .iter()
+                .filter(|r| r.values[2].expect_text() == s)
+                .count()
+        });
+        assert_eq!(per_status, [39, 28, 33], "NEW / PAID / SHIPPED");
+        assert_eq!(sum(&lines, 1), 48_229, "sum of OL_O_ID");
+        assert_eq!(sum(&lines, 2), 50_004_304, "sum of OL_PRODUCT");
+        assert_eq!(sum(&lines, 3), 5_545, "sum of OL_QTY");
+        assert_eq!(sum(&lines, 4), 24_495_834, "sum of OL_AMOUNT");
+        assert_eq!(
+            orders[0],
+            Row::new(vec![
+                Value::Int(1),
+                Value::Int(6),
+                Value::Text("NEW".into()),
+                Value::Int(71_786),
+                Value::Timestamp(1_000),
+                Value::Timestamp(1_000),
+            ])
+        );
+        assert_eq!(
+            lines.last(),
+            Some(&Row::new(vec![
+                Value::Int(1_000),
+                Value::Int(78),
+                Value::Int(66_902),
+                Value::Int(9),
+                Value::Int(11_797),
+            ]))
+        );
+    }
+
     #[test]
     fn different_seeds_differ() {
         let build = |seed| {
