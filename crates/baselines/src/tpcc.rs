@@ -192,7 +192,7 @@ impl TpccLite {
         {
             let tmp_txn = db.begin();
             db.scan_range(ctx, orders, base, base + 999_999, |k, row| {
-                if row.values[3].expect_timestamp() == 0 {
+                if row.timestamp(3) == 0 {
                     first = Some(k);
                     false
                 } else {
@@ -223,7 +223,7 @@ impl TpccLite {
         for _ in 0..20 {
             let i = rng.range_inclusive(1, self.items);
             if let Some(row) = db.get(ctx, stock, stock_key(w, i)) {
-                if row.values[1].expect_int() < 15 {
+                if row.int(1) < 15 {
                     low += 1;
                 }
             }

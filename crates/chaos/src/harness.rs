@@ -492,7 +492,7 @@ impl Harness {
                 // T2: pay an order — status flip plus customer credit.
                 let o_id = self.wl_rng.range_inclusive(1, orders_hi);
                 if let Some(order) = db.get(&mut ctx, t_orders, o_id) {
-                    let c_id = order.values[1].expect_int();
+                    let c_id = order.int(1);
                     let amount = self.wl_rng.range_inclusive(100, 10_000);
                     let ts = (now.as_nanos() / 1_000) as i64;
                     db.update(&mut ctx, &mut txn, t_orders, o_id, |r| {
@@ -503,7 +503,9 @@ impl Harness {
                     staged.push(ShadowOp::Put(
                         t_orders,
                         o_id,
-                        db.get(&mut ctx, t_orders, o_id).expect("just updated"),
+                        db.get(&mut ctx, t_orders, o_id)
+                            .expect("just updated")
+                            .to_row(),
                     ));
                     if db
                         .update(&mut ctx, &mut txn, t_customer, c_id, |r| {
@@ -516,7 +518,9 @@ impl Harness {
                         staged.push(ShadowOp::Put(
                             t_customer,
                             c_id,
-                            db.get(&mut ctx, t_customer, c_id).expect("just updated"),
+                            db.get(&mut ctx, t_customer, c_id)
+                                .expect("just updated")
+                                .to_row(),
                         ));
                     }
                 }
@@ -663,7 +667,7 @@ impl Harness {
                 let (lo, hi) = (k.saturating_sub(8), k.saturating_add(8));
                 let mut got: Vec<(i64, Row)> = Vec::new();
                 self.dep.db.scan_range_at(t, lo, hi, scan_ts, |sk, row| {
-                    got.push((sk, row.clone()));
+                    got.push((sk, row.to_row()));
                     true
                 });
                 let want = self.shadow.range(t, lo, hi);

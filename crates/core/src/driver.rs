@@ -924,29 +924,30 @@ impl<'a> RunCtx<'a> {
         // Divide before narrowing: microseconds fit an i64 for every `t`.
         let now_ts = (t.as_nanos() / 1_000) as i64;
         let orderline_hwm = dep.db.table(dep.tables.orderline).next_auto_key() - 1;
-        let (wait_keys, o_id, ol_id): (Vec<(cb_store::TableId, i64)>, i64, i64) = match kind {
+        // No kind writes more than one predictable key.
+        let (wait_key, o_id, ol_id): (Option<(cb_store::TableId, i64)>, i64, i64) = match kind {
             TxnKind::NewOrderline => {
                 let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
-                (vec![], o, 0)
+                (None, o, 0)
             }
             TxnKind::OrderPayment => {
                 let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
-                (vec![(dep.tables.orders, o)], o, 0)
+                (Some((dep.tables.orders, o)), o, 0)
             }
             TxnKind::OrderStatus => {
                 let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
-                (vec![], o, 0)
+                (None, o, 0)
             }
             TxnKind::OrderlineDeletion => {
                 let ol = rng.range_inclusive(1, orderline_hwm.max(1));
-                (vec![(dep.tables.orderline, ol)], 0, ol)
+                (Some((dep.tables.orderline, ol)), 0, ol)
             }
             TxnKind::OrderRangeScan => {
                 // Uniform start within the partition: the sweep deliberately
                 // ignores the tenant's access distribution so it drags cold
                 // pages through the pool. One RNG draw, like the other kinds.
                 let o = rng.range_inclusive(p.orders_lo, p.orders_hi);
-                (vec![], o, 0)
+                (None, o, 0)
             }
         };
 
@@ -958,7 +959,7 @@ impl<'a> RunCtx<'a> {
             // serializable approximation the T3 status check also validates
             // its read key; snapshot reads themselves never consult or
             // register locks.
-            let probed = dep.db.locks_mut().conflict_probe(&wait_keys, t);
+            let probed = dep.db.locks_mut().conflict_probe(wait_key.as_slice(), t);
             let read_probe = if iso == IsolationLevel::Serializable && kind == TxnKind::OrderStatus
             {
                 dep.db
@@ -978,9 +979,9 @@ impl<'a> RunCtx<'a> {
                 );
                 return StepOutcome::Blocked { resume_at: until };
             }
-        } else if !wait_keys.is_empty() {
+        } else if wait_key.is_some() {
             // Virtual-time 2PL: wait for conflicting writers.
-            if let Some(until) = dep.db.locks_mut().conflict_until(&wait_keys, t) {
+            if let Some(until) = dep.db.locks_mut().conflict_until(wait_key.as_slice(), t) {
                 self.result.lock_conflicts += 1;
                 opts.obs
                     .span(Category::Lock, "wait", tenant as u64, t, until);

@@ -217,8 +217,8 @@ pub fn run_ext_txn(
                 let mut target: Option<(i64, i64)> = None;
                 // Point-read the work order via a scan of exactly one key.
                 db.scan_range(ctx, tables.workorder, w_id, w_id, |_, row| {
-                    if row.values[3].expect_text() == "OPEN" {
-                        target = Some((row.values[1].expect_int(), row.values[2].expect_int()));
+                    if row.text(3) == "OPEN" {
+                        target = Some((row.int(1), row.int(2)));
                     }
                     false
                 });

@@ -124,36 +124,37 @@ pub fn load_dataset(
             ])
         }),
     );
-    let statuses: Vec<Value> = STATUSES
-        .iter()
-        .map(|s| Value::Text((*s).to_string()))
-        .collect();
-    let mut order_rows = Vec::with_capacity(shape.orders as usize);
-    for o_id in 1..=shape.orders as i64 {
-        let c_id = rng.range_inclusive(1, shape.customers as i64);
-        let status = statuses[rng.below(statuses.len() as u64) as usize].clone();
-        order_rows.push(Row::new(vec![
-            Value::Int(o_id),
-            Value::Int(c_id),
-            status,
-            Value::Int(rng.range_inclusive(100, 100_000)),
-            Value::Timestamp(o_id * 1_000),
-            Value::Timestamp(o_id * 1_000),
-        ]));
-    }
-    db.load_bulk(tables.orders, order_rows);
-    let mut ol_rows = Vec::with_capacity(shape.orderlines as usize);
-    for ol_id in 1..=shape.orderlines as i64 {
-        let o_id = rng.range_inclusive(1, shape.orders as i64);
-        ol_rows.push(Row::new(vec![
-            Value::Int(ol_id),
-            Value::Int(o_id),
-            Value::Int(rng.range_inclusive(1, 100_000)),
-            Value::Int(rng.range_inclusive(1, 10)),
-            Value::Int(rng.range_inclusive(100, 50_000)),
-        ]));
-    }
-    db.load_bulk(tables.orderline, ol_rows);
+    // Orders and orderlines stream into the loader too: each generator
+    // borrows `rng` in turn, so every order is drawn before the first
+    // orderline.
+    db.load_bulk(
+        tables.orders,
+        (1..=shape.orders as i64).map(|o_id| {
+            let c_id = rng.range_inclusive(1, shape.customers as i64);
+            let status = STATUSES[rng.below(STATUSES.len() as u64) as usize];
+            Row::new(vec![
+                Value::Int(o_id),
+                Value::Int(c_id),
+                Value::Text(status.to_string()),
+                Value::Int(rng.range_inclusive(100, 100_000)),
+                Value::Timestamp(o_id * 1_000),
+                Value::Timestamp(o_id * 1_000),
+            ])
+        }),
+    );
+    db.load_bulk(
+        tables.orderline,
+        (1..=shape.orderlines as i64).map(|ol_id| {
+            let o_id = rng.range_inclusive(1, shape.orders as i64);
+            Row::new(vec![
+                Value::Int(ol_id),
+                Value::Int(o_id),
+                Value::Int(rng.range_inclusive(1, 100_000)),
+                Value::Int(rng.range_inclusive(1, 10)),
+                Value::Int(rng.range_inclusive(100, 50_000)),
+            ])
+        }),
+    );
     shape
 }
 

@@ -185,38 +185,53 @@ impl BTree {
         self.root
     }
 
-    fn descend(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> Descent {
-        let mut path = Vec::new();
+    /// Walk from the root to the leaf that holds (or would hold) `key`,
+    /// logging every page read. `step` sees each internal page and the child
+    /// index taken in it; readers pass a no-op and so allocate nothing.
+    fn walk(
+        &self,
+        store: &PageStore,
+        key: i64,
+        log: &mut AccessLog,
+        mut step: impl FnMut(PageId, &PageBuf, usize),
+    ) -> PageId {
         let mut page_id = self.root;
         loop {
             let page = store.read(page_id);
             log.push((page_id, false));
             if is_leaf(page) {
-                return Descent {
-                    path,
-                    leaf: page_id,
-                };
+                return page_id;
             }
             let idx = internal_find_child(page, key);
-            let child = internal_child(page, idx);
-            path.push((page_id, idx));
-            page_id = child;
+            step(page_id, page, idx);
+            page_id = internal_child(page, idx);
         }
+    }
+
+    fn find_leaf(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> PageId {
+        self.walk(store, key, log, |_, _, _| {})
+    }
+
+    /// The leaf plus the path to it, for an insert that may have to split.
+    fn descend(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> Descent {
+        let mut path = Vec::new();
+        let leaf = self.walk(store, key, log, |id, _, idx| path.push((id, idx)));
+        Descent { path, leaf }
     }
 
     /// Look up `key`, returning its payload borrowed straight from the
     /// store's page — no page clone, no payload copy. Callers that need
     /// owned bytes (WAL images, caches) copy at their own boundary.
     pub fn get<'s>(&self, store: &'s PageStore, key: i64, log: &mut AccessLog) -> Option<&'s [u8]> {
-        let d = self.descend(store, key, log);
-        let s = SlottedRef::new(store.read(d.leaf), ENTRIES_BASE);
+        let leaf = self.find_leaf(store, key, log);
+        let s = SlottedRef::new(store.read(leaf), ENTRIES_BASE);
         s.find(key).ok().map(|i| s.payload_at(i))
     }
 
     /// True if `key` exists (no payload access at all).
     pub fn contains(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> bool {
-        let d = self.descend(store, key, log);
-        SlottedRef::new(store.read(d.leaf), ENTRIES_BASE)
+        let leaf = self.find_leaf(store, key, log);
+        SlottedRef::new(store.read(leaf), ENTRIES_BASE)
             .find(key)
             .is_ok()
     }
@@ -266,29 +281,15 @@ impl BTree {
     ) -> (Descent, Option<i64>) {
         let mut path = Vec::new();
         let mut upper = None;
-        let mut page_id = self.root;
-        loop {
-            let page = store.read(page_id);
-            log.push((page_id, false));
-            if is_leaf(page) {
-                return (
-                    Descent {
-                        path,
-                        leaf: page_id,
-                    },
-                    upper,
-                );
-            }
-            let idx = internal_find_child(page, key);
+        let leaf = self.walk(store, key, log, |id, page, idx| {
             // Child `idx` holds keys strictly below separator `idx`; the
             // rightmost child inherits the bound from above.
             if idx < internal_nkeys(page) {
                 upper = Some(internal_key(page, idx));
             }
-            let child = internal_child(page, idx);
-            path.push((page_id, idx));
-            page_id = child;
-        }
+            path.push((id, idx));
+        });
+        (Descent { path, leaf }, upper)
     }
 
     /// Insert `key -> payload` through a [`BatchIngest`] cursor.
@@ -372,15 +373,15 @@ impl BTree {
         payload: &[u8],
         log: &mut AccessLog,
     ) -> bool {
-        let d = self.descend(store, key, log);
+        let leaf = self.find_leaf(store, key, log);
         {
-            let page = store.write(d.leaf);
+            let page = store.write(leaf);
             let mut s = Slotted::new(page, ENTRIES_BASE);
             match s.find(key) {
                 Err(_) => return false,
                 Ok(idx) => {
                     if s.update(idx, payload).is_ok() {
-                        log.push((d.leaf, true));
+                        log.push((leaf, true));
                         return true;
                     }
                 }
@@ -401,15 +402,15 @@ impl BTree {
         key: i64,
         log: &mut AccessLog,
     ) -> Option<Vec<u8>> {
-        let d = self.descend(store, key, log);
-        let page = store.write(d.leaf);
+        let leaf = self.find_leaf(store, key, log);
+        let page = store.write(leaf);
         let mut s = Slotted::new(page, ENTRIES_BASE);
         match s.find(key) {
             Err(_) => None,
             Ok(idx) => {
                 let old = s.payload_at(idx).to_vec();
                 s.remove(idx);
-                log.push((d.leaf, true));
+                log.push((leaf, true));
                 Some(old)
             }
         }
@@ -428,8 +429,7 @@ impl BTree {
         if lo > hi {
             return;
         }
-        let d = self.descend(store, lo, log);
-        let mut leaf_id = d.leaf;
+        let mut leaf_id = self.find_leaf(store, lo, log);
         let mut first = true;
         while leaf_id.is_valid() {
             let page = store.read(leaf_id);

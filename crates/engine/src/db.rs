@@ -16,7 +16,7 @@ use crate::exec::ExecCtx;
 use crate::locks::{LockTable, RowKey};
 use crate::mvcc::{VersionStore, Visibility};
 use crate::secondary::SecondaryIndex;
-use crate::value::{Row, Schema, SchemaError, Value};
+use crate::value::{Row, RowRef, Schema, SchemaError, Value};
 
 /// Engine-level errors surfaced to the benchmark driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -268,8 +268,7 @@ impl Database {
         let mut entries = Vec::new();
         t.tree
             .scan_range(&self.pages, i64::MIN, i64::MAX, &mut alog, |pk, img| {
-                let row = Row::decode(img);
-                entries.push((row.values[col].expect_int(), pk));
+                entries.push((RowRef::new(img).int(col), pk));
                 true
             });
         for (value, pk) in entries {
@@ -281,39 +280,39 @@ impl Database {
     fn index_add(
         pages: &mut PageStore,
         t: &mut TableMeta,
-        row: &Row,
+        row: RowRef<'_>,
         pk: i64,
         alog: &mut AccessLog,
     ) {
         for idx in &mut t.secondaries {
-            idx.add(pages, row.values[idx.column()].expect_int(), pk, alog);
+            idx.add(pages, row.int(idx.column()), pk, alog);
         }
     }
 
     fn index_remove(
         pages: &mut PageStore,
         t: &mut TableMeta,
-        row: &Row,
+        row: RowRef<'_>,
         pk: i64,
         alog: &mut AccessLog,
     ) {
         for idx in &mut t.secondaries {
-            idx.remove(pages, row.values[idx.column()].expect_int(), pk, alog);
+            idx.remove(pages, row.int(idx.column()), pk, alog);
         }
     }
 
     fn index_transition(
         pages: &mut PageStore,
         t: &mut TableMeta,
-        before: &Row,
-        after: &Row,
+        before: RowRef<'_>,
+        after: RowRef<'_>,
         pk: i64,
         alog: &mut AccessLog,
     ) {
         for idx in &mut t.secondaries {
             let col = idx.column();
-            let old = before.values[col].expect_int();
-            let new = after.values[col].expect_int();
+            let old = before.int(col);
+            let new = after.int(col);
             if old != new {
                 idx.remove(pages, old, pk, alog);
                 idx.add(pages, new, pk, alog);
@@ -394,7 +393,7 @@ impl Database {
             t.tree
                 .insert_sorted(&mut self.pages, &mut cur, key, &image, &mut log)
                 .expect("bulk load keys must be unique");
-            Self::index_add(&mut self.pages, t, &row, key, &mut log);
+            Self::index_add(&mut self.pages, t, RowRef::new(&image), key, &mut log);
             t.rows += 1;
             t.auto_key = t.auto_key.max(key + 1);
             n += 1;
@@ -432,7 +431,7 @@ impl Database {
                 return Err(EngineError::Duplicate { table, key });
             }
         }
-        Self::index_add(&mut self.pages, t, &row, key, &mut alog);
+        Self::index_add(&mut self.pages, t, RowRef::new(&image), key, &mut alog);
         t.rows += 1;
         t.auto_key = t.auto_key.max(key + 1);
         Self::charge_access_log(ctx, &alog);
@@ -473,15 +472,17 @@ impl Database {
     /// version chain serves the historical image directly — no page
     /// traffic, no lock-table contact, never blocking. READ COMMITTED
     /// bypasses the overlay entirely and is bit-identical to the
-    /// single-version engine.
-    pub fn get(&self, ctx: &mut ExecCtx<'_>, table: TableId, key: i64) -> Option<Row> {
+    /// single-version engine. Either way the row comes back as a view
+    /// borrowed from the page or the chain; callers that keep it call
+    /// [`RowRef::to_row`].
+    pub fn get(&self, ctx: &mut ExecCtx<'_>, table: TableId, key: i64) -> Option<RowRef<'_>> {
         if ctx.isolation.is_versioned() {
             match self.versions.visible((table, key), ctx.now) {
                 Visibility::Latest => {}
                 Visibility::Image(img) => {
                     ctx.charge_stmt();
                     ctx.charge_rows(1);
-                    return Some(Row::decode(img));
+                    return Some(RowRef::new(img));
                 }
                 Visibility::Absent => {
                     ctx.charge_stmt();
@@ -496,7 +497,7 @@ impl Database {
         Self::charge_access_log(ctx, &alog);
         image.map(|img| {
             ctx.charge_rows(1);
-            Row::decode(img)
+            RowRef::new(img)
         })
     }
 
@@ -536,15 +537,21 @@ impl Database {
             Self::charge_access_log(ctx, &alog);
             return Ok(false);
         };
-        let before_row = Row::decode(&before_img);
-        let mut row = before_row.clone();
+        let mut row = Row::decode(&before_img);
         f(&mut row);
         t.schema.validate(&row)?;
         assert_eq!(row.key(), key, "updates must not change the primary key");
         let after_img = row.encode();
         let updated = t.tree.update(&mut self.pages, key, &after_img, &mut alog);
         debug_assert!(updated, "row existed moments ago");
-        Self::index_transition(&mut self.pages, t, &before_row, &row, key, &mut alog);
+        Self::index_transition(
+            &mut self.pages,
+            t,
+            RowRef::new(&before_img),
+            RowRef::new(&after_img),
+            key,
+            &mut alog,
+        );
         Self::charge_access_log(ctx, &alog);
         ctx.charge_rows(1);
         let op = WalOp::Update {
@@ -579,7 +586,7 @@ impl Database {
         let Some(before) = removed else {
             return false;
         };
-        Self::index_remove(&mut self.pages, t, &Row::decode(&before), key, &mut alog);
+        Self::index_remove(&mut self.pages, t, RowRef::new(&before), key, &mut alog);
         t.rows -= 1;
         ctx.charge_rows(1);
         let op = WalOp::Delete { table, key, before };
@@ -604,7 +611,7 @@ impl Database {
         table: TableId,
         lo: i64,
         hi: i64,
-        mut f: impl FnMut(i64, &Row) -> bool,
+        mut f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) {
         let mut alog = AccessLog::new();
         ctx.charge_stmt();
@@ -615,7 +622,7 @@ impl Database {
             let mut rows = 0u64;
             t.tree.scan_range(&self.pages, lo, hi, &mut alog, |k, img| {
                 rows += 1;
-                f(k, &Row::decode(img))
+                f(k, RowRef::new(img))
             });
             rows
         };
@@ -632,7 +639,7 @@ impl Database {
         lo: i64,
         hi: i64,
         ts: SimTime,
-        f: impl FnMut(i64, &Row) -> bool,
+        f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) {
         let mut alog = AccessLog::new();
         self.scan_range_versioned(table, lo, hi, ts, &mut alog, f);
@@ -650,7 +657,7 @@ impl Database {
         hi: i64,
         ts: SimTime,
         alog: &mut AccessLog,
-        mut f: impl FnMut(i64, &Row) -> bool,
+        mut f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) -> u64 {
         let t = &self.tables[table.0 as usize];
         let mut overlay = self.versions.overlay_keys(table, lo, hi).peekable();
@@ -666,7 +673,7 @@ impl Database {
                 overlay.next();
                 if let Visibility::Image(older) = self.versions.visible((table, ok), ts) {
                     rows += 1;
-                    if !f(ok, &Row::decode(older)) {
+                    if !f(ok, RowRef::new(older)) {
                         stop = true;
                         return false;
                     }
@@ -678,14 +685,14 @@ impl Database {
             match self.versions.visible((table, k), ts) {
                 Visibility::Latest => {
                     rows += 1;
-                    if !f(k, &Row::decode(img)) {
+                    if !f(k, RowRef::new(img)) {
                         stop = true;
                         return false;
                     }
                 }
                 Visibility::Image(older) => {
                     rows += 1;
-                    if !f(k, &Row::decode(older)) {
+                    if !f(k, RowRef::new(older)) {
                         stop = true;
                         return false;
                     }
@@ -700,7 +707,7 @@ impl Database {
             for (_, ok) in overlay {
                 if let Visibility::Image(older) = self.versions.visible((table, ok), ts) {
                     rows += 1;
-                    if !f(ok, &Row::decode(older)) {
+                    if !f(ok, RowRef::new(older)) {
                         break;
                     }
                 }
@@ -793,7 +800,7 @@ impl Database {
                     let t = &mut self.tables[table.0 as usize];
                     let removed = t.tree.delete(&mut self.pages, *key, &mut alog);
                     debug_assert!(removed.is_some(), "undo of insert: row must exist");
-                    Self::index_remove(&mut self.pages, t, &Row::decode(row), *key, &mut alog);
+                    Self::index_remove(&mut self.pages, t, RowRef::new(row), *key, &mut alog);
                     t.rows -= 1;
                 }
                 WalOp::Update {
@@ -808,8 +815,8 @@ impl Database {
                     Self::index_transition(
                         &mut self.pages,
                         t,
-                        &Row::decode(after),
-                        &Row::decode(before),
+                        RowRef::new(after),
+                        RowRef::new(before),
                         *key,
                         &mut alog,
                     );
@@ -819,7 +826,7 @@ impl Database {
                     t.tree
                         .insert(&mut self.pages, *key, before, &mut alog)
                         .expect("undo of delete: key must be free");
-                    Self::index_add(&mut self.pages, t, &Row::decode(before), *key, &mut alog);
+                    Self::index_add(&mut self.pages, t, RowRef::new(before), *key, &mut alog);
                     t.rows += 1;
                 }
                 other => unreachable!("non-DML in undo chain: {other:?}"),
@@ -895,7 +902,7 @@ impl Database {
         t.tree
             .insert(&mut self.pages, key, image, alog)
             .expect("redo insert must not collide");
-        Self::index_add(&mut self.pages, t, &Row::decode(image), key, alog);
+        Self::index_add(&mut self.pages, t, RowRef::new(image), key, alog);
         t.rows += 1;
         t.auto_key = t.auto_key.max(key + 1);
     }
@@ -916,7 +923,7 @@ impl Database {
         t.tree
             .insert_sorted(&mut self.pages, cur, key, image, alog)
             .expect("redo insert must not collide");
-        Self::index_add(&mut self.pages, t, &Row::decode(image), key, alog);
+        Self::index_add(&mut self.pages, t, RowRef::new(image), key, alog);
         t.rows += 1;
         t.auto_key = t.auto_key.max(key + 1);
     }
@@ -930,16 +937,26 @@ impl Database {
         alog: &mut AccessLog,
     ) {
         let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
-        // Decode the before-row up front: the borrowed image must be
-        // released before the tree mutates the page it lives in.
-        let before_row = Row::decode(
+        // The before-image lives in the page the update rewrites, so it is
+        // copied out first — and only when an index is there to read it.
+        let before = (!t.secondaries.is_empty()).then(|| {
             t.tree
                 .get(pages, key, alog)
-                .unwrap_or_else(|| panic!("redo update of missing key {key}")),
-        );
+                .unwrap_or_else(|| panic!("redo update of missing key {key}"))
+                .to_vec()
+        });
         let ok = t.tree.update(pages, key, image, alog);
         assert!(ok, "redo update of missing key {key}");
-        Self::index_transition(pages, t, &before_row, &Row::decode(image), key, alog);
+        if let Some(before) = before {
+            Self::index_transition(
+                pages,
+                t,
+                RowRef::new(&before),
+                RowRef::new(image),
+                key,
+                alog,
+            );
+        }
     }
 
     /// Recovery/replication internal: apply a delete directly.
@@ -949,7 +966,7 @@ impl Database {
         let Some(before) = removed else {
             panic!("redo delete of missing key {key}");
         };
-        Self::index_remove(pages, t, &Row::decode(&before), key, alog);
+        Self::index_remove(pages, t, RowRef::new(&before), key, alog);
         t.rows -= 1;
     }
 
@@ -1056,7 +1073,7 @@ mod tests {
         assert!(ctx.cpu > SimDuration::ZERO);
         assert!(ctx.io > SimDuration::ZERO, "commit pays a durable append");
         let got = db.get(&mut ctx, orders, 1).unwrap();
-        assert_eq!(got, order_row(1, "NEW", 100));
+        assert_eq!(got.to_row(), order_row(1, "NEW", 100));
         assert_eq!(db.table(orders).rows(), 1);
     }
 
@@ -1121,7 +1138,7 @@ mod tests {
         assert!(!miss);
         db.commit(&mut ctx, txn);
         assert_eq!(
-            db.get(&mut ctx, orders, 5).unwrap(),
+            db.get(&mut ctx, orders, 5).unwrap().to_row(),
             order_row(5, "PAID", 150)
         );
     }
@@ -1208,7 +1225,7 @@ mod tests {
         let collect_at = |db: &Database, ts: SimTime| {
             let mut got = Vec::new();
             db.scan_range_at(orders, 1, 10, ts, |k, row| {
-                got.push((k, row.values[1].clone()));
+                got.push((k, row.value(1)));
                 true
             });
             got

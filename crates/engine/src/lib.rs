@@ -38,4 +38,4 @@ pub use db::{Committed, Database, EngineError, TxnHandle};
 pub use exec::{CostModel, ExecCtx, ExecStats, RemoteTier};
 pub use locks::{LockTable, RowKey};
 pub use mvcc::{IsolationLevel, Version, VersionStore, Visibility};
-pub use value::{ColumnDef, DataType, Row, Schema, SchemaError, Value};
+pub use value::{ColumnDef, DataType, Row, RowRef, Schema, SchemaError, Value};

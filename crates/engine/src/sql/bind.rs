@@ -124,8 +124,8 @@ pub enum BoundStmt {
     Update {
         /// Target table.
         table: TableId,
-        /// `(column index, value expression)` assignments.
-        sets: Vec<(usize, BoundExpr)>,
+        /// `(column index, column type, value expression)` assignments.
+        sets: Vec<(usize, DataType, BoundExpr)>,
         /// Key expression.
         key: BoundExpr,
     },
@@ -283,7 +283,8 @@ pub fn bind(ast: &Ast, db: &Database) -> Result<BoundStmt, BindError> {
                         table: table.clone(),
                         column: column.clone(),
                     })?;
-                bound_sets.push((idx, bind_expr(value, db, tid, table)?));
+                let ty = schema.columns()[idx].ty;
+                bound_sets.push((idx, ty, bind_expr(value, db, tid, table)?));
             }
             Ok(BoundStmt::Update {
                 table: tid,
@@ -395,18 +396,10 @@ pub fn execute(
             auto_key,
             values,
         } => {
-            let schema_types: Vec<DataType> = db
-                .table(*table)
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.ty)
-                .collect();
-            let offset = usize::from(*auto_key);
+            let columns = &db.table(*table).schema().columns()[usize::from(*auto_key)..];
             let mut vals = Vec::with_capacity(values.len());
-            for (i, e) in values.iter().enumerate() {
-                let v = eval(e, params, None)?;
-                vals.push(coerce(v, schema_types[i + offset]));
+            for (e, c) in values.iter().zip(columns) {
+                vals.push(coerce(eval(e, params, None)?, c.ty));
             }
             if *auto_key {
                 db.insert_auto(ctx, txn, *table, vals)?;
@@ -425,38 +418,38 @@ pub fn execute(
             via,
         } => {
             let k = eval_key(key, params)?;
-            let rows = match via {
-                Access::PrimaryKey => db.get(ctx, *table, k).into_iter().collect::<Vec<_>>(),
-                Access::SecondaryIndex(col) => db.index_lookup(ctx, *table, *col, k),
+            let rows: Vec<Vec<Value>> = match via {
+                // Project straight off the borrowed image: only the named
+                // columns are ever decoded.
+                Access::PrimaryKey => db
+                    .get(ctx, *table, k)
+                    .map(|row| match columns {
+                        None => row.to_row().values,
+                        Some(idxs) => idxs.iter().map(|&i| row.value(i)).collect(),
+                    })
+                    .into_iter()
+                    .collect(),
+                Access::SecondaryIndex(col) => db
+                    .index_lookup(ctx, *table, *col, k)
+                    .into_iter()
+                    .map(|row| match columns {
+                        None => row.values,
+                        Some(idxs) => idxs.iter().map(|&i| row.values[i].clone()).collect(),
+                    })
+                    .collect(),
             };
-            let mut out = StmtOutput {
+            Ok(StmtOutput {
                 affected: rows.len() as u64,
-                ..StmtOutput::default()
-            };
-            for row in rows {
-                let projected = match columns {
-                    None => row.values,
-                    Some(idxs) => idxs.iter().map(|i| row.values[*i].clone()).collect(),
-                };
-                out.rows.push(projected);
-            }
-            Ok(out)
+                rows,
+            })
         }
         BoundStmt::Update { table, sets, key } => {
             let k = eval_key(key, params)?;
-            let schema_types: Vec<DataType> = db
-                .table(*table)
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.ty)
-                .collect();
-            // Pre-evaluate row-independent expressions once.
             let mut result: Result<(), ExecError> = Ok(());
             let hit = db.update(ctx, txn, *table, k, |row| {
-                for (idx, e) in sets {
+                for (idx, ty, e) in sets {
                     match eval(e, params, Some(row)) {
-                        Ok(v) => row.values[*idx] = coerce(v, schema_types[*idx]),
+                        Ok(v) => row.values[*idx] = coerce(v, *ty),
                         Err(e) => {
                             result = Err(e);
                             return;
@@ -646,10 +639,10 @@ mod tests {
         let orders = db.table_id("orders").unwrap();
         let customer = db.table_id("customer").unwrap();
         let o = db.get(&mut ctx, orders, 2).unwrap();
-        assert_eq!(o.values[2], Value::Text("PAID".into()));
-        assert_eq!(o.values[4], Value::Timestamp(777));
+        assert_eq!(o.text(2), "PAID");
+        assert_eq!(o.timestamp(4), 777);
         let c = db.get(&mut ctx, customer, 2).unwrap();
-        assert_eq!(c.values[1], Value::Int(1050));
+        assert_eq!(c.int(1), 1050);
     }
 
     #[test]
@@ -671,9 +664,9 @@ mod tests {
         assert_eq!(out.affected, 1);
         db.commit(&mut ctx, txn);
         let row = db.get(&mut ctx, orders, 11).expect("auto key = 11");
-        assert_eq!(row.values[3], Value::Int(500));
+        assert_eq!(row.value(3), Value::Int(500));
         assert_eq!(
-            row.values[4],
+            row.value(4),
             Value::Timestamp(123),
             "Int coerced to Timestamp column"
         );

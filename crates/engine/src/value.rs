@@ -129,9 +129,15 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Build a schema; panics unless column 0 is an `Int` (the clustered key).
+    /// Build a schema; panics unless column 0 is an `Int` (the clustered
+    /// key) and the column count fits the row image's one-byte count.
     pub fn new(columns: Vec<ColumnDef>) -> Self {
         assert!(!columns.is_empty(), "schema needs at least the key column");
+        assert!(
+            columns.len() <= u8::MAX as usize,
+            "a schema holds at most 255 columns (the row image counts them in one byte), got {}",
+            columns.len()
+        );
         assert_eq!(
             columns[0].ty,
             DataType::Int,
@@ -259,41 +265,177 @@ impl Row {
         }
     }
 
-    /// Decode an image produced by [`Row::encode`]. Panics on corruption —
-    /// an image in the engine is always trusted.
+    /// Decode an image produced by [`Row::encode`] into an owned row: the
+    /// full walk of [`RowRef::to_row`], with its panics on corruption.
     pub fn decode(bytes: &[u8]) -> Row {
-        let n = bytes[0] as usize;
-        let mut values = Vec::with_capacity(n);
-        let mut i = 1usize;
-        for _ in 0..n {
-            let tag = bytes[i];
-            i += 1;
-            match tag {
-                TAG_INT => {
-                    values.push(Value::Int(i64::from_le_bytes(
-                        bytes[i..i + 8].try_into().unwrap(),
-                    )));
-                    i += 8;
-                }
-                TAG_TEXT => {
-                    let len = u16::from_le_bytes(bytes[i..i + 2].try_into().unwrap()) as usize;
-                    i += 2;
-                    let s = std::str::from_utf8(&bytes[i..i + len])
-                        .expect("corrupt text value")
-                        .to_string();
-                    values.push(Value::Text(s));
-                    i += len;
-                }
-                TAG_TS => {
-                    values.push(Value::Timestamp(i64::from_le_bytes(
-                        bytes[i..i + 8].try_into().unwrap(),
-                    )));
-                    i += 8;
-                }
-                other => panic!("corrupt row image: unknown tag {other}"),
-            }
+        RowRef::new(bytes).to_row()
+    }
+}
+
+/// A borrowed view over an encoded row image: fields are read from the
+/// bytes on demand, so a reader that wants one column (or none — a scan
+/// visitor that only counts) never materialises a `Vec<Value>` or a
+/// `String`. The page, WAL record or version chain that owns the image
+/// outlives the view.
+///
+/// **Images are trusted.** This is the one place the engine says so: a row
+/// image only ever comes from [`Row::encode_into`] after
+/// [`Schema::validate`] (pages, version chains) or from a WAL record that
+/// passed the CRC codec (redo, undo), so a malformed image is an engine bug
+/// and not input to validate. The view is lazy about it: an unknown tag, a
+/// short image, bad UTF-8 or a column of another type panics in the
+/// accessor that reads those bytes, and columns before the damage still
+/// read. [`RowRef::new`] walks tags and bounds up front under
+/// `debug_assert!`, so test builds still fail where the image enters.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    image: &'a [u8],
+}
+
+/// One field as the walker finds it; text stays bytes until an accessor
+/// asks for the string.
+enum Field<'a> {
+    Int(i64),
+    Text(&'a [u8]),
+    Timestamp(i64),
+}
+
+impl<'a> Field<'a> {
+    fn text(bytes: &'a [u8]) -> &'a str {
+        std::str::from_utf8(bytes).expect("corrupt text value")
+    }
+
+    #[inline(always)]
+    fn to_value(&self) -> Value {
+        match *self {
+            Field::Int(x) => Value::Int(x),
+            Field::Text(b) => Value::Text(Self::text(b).to_string()),
+            Field::Timestamp(x) => Value::Timestamp(x),
         }
-        Row { values }
+    }
+}
+
+/// The walker's one step, and the only code that reads the tag layout
+/// [`Value::encode_into`] writes: the field at the head of `bytes` and the
+/// bytes after it.
+///
+/// `inline(always)` here and on [`Field::to_value`] is measured, not habit:
+/// left to the inliner both stay out of line and hand every field back
+/// through memory, which makes `to_row` 2–3× slower than the hand-rolled
+/// decoder it replaced (6-column row: 48 ns vs 95–140 ns; 48 ns with them).
+#[inline(always)]
+fn read_field(bytes: &[u8]) -> (Field<'_>, &[u8]) {
+    const SHORT: &str = "corrupt row image: short";
+    let (tag, body) = bytes.split_first().expect(SHORT);
+    match *tag {
+        TAG_INT => {
+            let (x, rest) = body.split_first_chunk::<8>().expect(SHORT);
+            (Field::Int(i64::from_le_bytes(*x)), rest)
+        }
+        TAG_TEXT => {
+            let (len, rest) = body.split_first_chunk::<2>().expect(SHORT);
+            let (text, rest) = rest
+                .split_at_checked(u16::from_le_bytes(*len) as usize)
+                .expect(SHORT);
+            (Field::Text(text), rest)
+        }
+        TAG_TS => {
+            let (x, rest) = body.split_first_chunk::<8>().expect(SHORT);
+            (Field::Timestamp(i64::from_le_bytes(*x)), rest)
+        }
+        other => panic!("corrupt row image: unknown tag {other}"),
+    }
+}
+
+/// The fields of an image in column order.
+struct Fields<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = Field<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Field<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let field;
+        (field, self.rest) = read_field(self.rest);
+        Some(field)
+    }
+}
+
+impl<'a> RowRef<'a> {
+    /// View `image`, which must have been produced by [`Row::encode`].
+    pub fn new(image: &'a [u8]) -> Self {
+        let view = RowRef { image };
+        debug_assert_eq!(view.fields().count(), view.len(), "corrupt row image");
+        view
+    }
+
+    fn fields(self) -> Fields<'a> {
+        Fields {
+            rest: &self.image[1..],
+            left: self.len(),
+        }
+    }
+
+    fn field(self, col: usize) -> Field<'a> {
+        self.fields()
+            .nth(col)
+            .unwrap_or_else(|| panic!("column {col} of a {}-column row", self.len()))
+    }
+
+    /// Number of columns.
+    pub fn len(self) -> usize {
+        self.image[0] as usize
+    }
+
+    /// True for a row of no columns (never the case under a [`Schema`]).
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The integer in column `col`; panics on any other type.
+    pub fn int(self, col: usize) -> i64 {
+        match self.field(col) {
+            Field::Int(x) => x,
+            _ => panic!("column {col} is not an Int"),
+        }
+    }
+
+    /// The timestamp in column `col`; panics on any other type.
+    pub fn timestamp(self, col: usize) -> i64 {
+        match self.field(col) {
+            Field::Timestamp(x) => x,
+            _ => panic!("column {col} is not a Timestamp"),
+        }
+    }
+
+    /// The string in column `col`, borrowed from the image; panics on any
+    /// other type.
+    pub fn text(self, col: usize) -> &'a str {
+        match self.field(col) {
+            Field::Text(b) => Field::text(b),
+            _ => panic!("column {col} is not a Text"),
+        }
+    }
+
+    /// Column `col` as an owned value.
+    pub fn value(self, col: usize) -> Value {
+        self.field(col).to_value()
+    }
+
+    /// Decode every column into an owned row.
+    pub fn to_row(self) -> Row {
+        let mut values = Vec::with_capacity(self.len());
+        for field in self.fields() {
+            values.push(field.to_value());
+        }
+        Row::new(values)
     }
 }
 
@@ -380,6 +522,76 @@ mod tests {
     #[should_panic(expected = "column 0 must be the Int primary key")]
     fn schema_requires_int_key() {
         let _ = Schema::new(vec![ColumnDef::new("NAME", DataType::Text)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 columns")]
+    fn schema_rejects_more_columns_than_the_image_can_count() {
+        let _ = Schema::new(
+            (0..256)
+                .map(|i| ColumnDef::new(&format!("C{i}"), DataType::Int))
+                .collect(),
+        );
+    }
+
+    #[test]
+    fn view_reads_single_columns_without_decoding_the_row() {
+        let image = sample_row().encode();
+        let view = RowRef::new(&image);
+        assert_eq!(view.len(), 4);
+        assert!(!view.is_empty());
+        assert_eq!(view.int(0), 42);
+        assert_eq!(view.text(1), "PAID");
+        assert_eq!(view.timestamp(2), 1_700_000_000_000_000);
+        assert_eq!(view.int(3), -5);
+        assert_eq!(view.value(1), Value::Text("PAID".into()));
+        assert_eq!(view.to_row(), sample_row());
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1 is not an Int")]
+    fn view_accessor_of_another_type_panics() {
+        let image = sample_row().encode();
+        RowRef::new(&image).int(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 4 of a 4-column row")]
+    fn view_column_out_of_range_panics() {
+        let image = sample_row().encode();
+        RowRef::new(&image).value(4);
+    }
+
+    /// Release semantics of the lazy view, reached by building it without
+    /// `new`'s debug walk: columns before the damage still read, the damaged
+    /// one panics where its bytes are read.
+    #[test]
+    fn damaged_image_panics_at_the_accessor_that_reads_it() {
+        let image = sample_row().encode();
+        // Cut inside column 2: count byte, 9-byte Int, 7-byte Text, then 4
+        // of the Timestamp's 9 bytes.
+        let cut = RowRef {
+            image: &image[..1 + 9 + 7 + 4],
+        };
+        assert_eq!(cut.int(0), 42);
+        assert_eq!(cut.text(1), "PAID");
+        assert!(std::panic::catch_unwind(|| cut.timestamp(2)).is_err());
+        assert!(std::panic::catch_unwind(|| cut.to_row()).is_err());
+        if cfg!(debug_assertions) {
+            assert!(std::panic::catch_unwind(|| RowRef::new(cut.image)).is_err());
+        }
+
+        let mut bad_tag = image.clone();
+        bad_tag[1 + 9] = 9;
+        let view = RowRef { image: &bad_tag };
+        assert_eq!(view.int(0), 42);
+        assert!(std::panic::catch_unwind(|| view.value(1)).is_err());
+
+        let mut bad_utf8 = image.clone();
+        bad_utf8[1 + 9 + 3] = 0xFF;
+        let view = RowRef { image: &bad_utf8 };
+        assert_eq!(view.timestamp(2), 1_700_000_000_000_000, "walked, not read");
+        assert!(std::panic::catch_unwind(|| view.text(1)).is_err());
     }
 
     #[test]

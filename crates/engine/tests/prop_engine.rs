@@ -3,11 +3,12 @@
 //! total behaviour.
 
 use std::collections::BTreeMap;
+use std::panic::catch_unwind;
 
 use cb_engine::btree::{AccessLog, BTree};
 use cb_engine::slotted::Slotted;
 use cb_engine::sql::parse;
-use cb_engine::{Row, Value};
+use cb_engine::{Row, RowRef, Value};
 use cb_store::{PageBuf, PageStore};
 use proptest::prelude::*;
 
@@ -406,18 +407,72 @@ proptest! {
         }
     }
 
-    /// Row images round-trip for arbitrary value mixes.
+    /// Row images round-trip for arbitrary value mixes, and the borrowed
+    /// view reads every column exactly as the decoder does.
     #[test]
     fn row_codec_round_trip(
         key in any::<i64>(),
         texts in prop::collection::vec("[a-zA-Z0-9 ]{0,40}", 0..5),
         ints in prop::collection::vec(any::<i64>(), 0..5),
+        cut in any::<u16>(),
     ) {
         let mut values = vec![Value::Int(key)];
         for t in texts { values.push(Value::Text(t)); }
         for i in ints { values.push(Value::Timestamp(i)); }
         let row = Row::new(values);
-        prop_assert_eq!(Row::decode(&row.encode()), row);
+        let img = row.encode();
+        prop_assert_eq!(&Row::decode(&img), &row);
+
+        let view = RowRef::new(&img);
+        prop_assert_eq!(view.len(), row.values.len());
+        prop_assert_eq!(&view.to_row(), &row);
+        for (i, v) in row.values.iter().enumerate() {
+            prop_assert_eq!(&view.value(i), v);
+            // The accessor of the column's own type agrees; another type's
+            // accessor panics.
+            let (int, text, ts) = (
+                catch_unwind(|| view.int(i)),
+                catch_unwind(|| view.text(i)),
+                catch_unwind(|| view.timestamp(i)),
+            );
+            match v {
+                Value::Int(x) => {
+                    prop_assert_eq!(int.ok(), Some(*x));
+                    prop_assert!(text.is_err() && ts.is_err());
+                }
+                Value::Text(s) => {
+                    prop_assert_eq!(text.ok(), Some(s.as_str()));
+                    prop_assert!(int.is_err() && ts.is_err());
+                }
+                Value::Timestamp(x) => {
+                    prop_assert_eq!(ts.ok(), Some(*x));
+                    prop_assert!(int.is_err() && text.is_err());
+                }
+            }
+        }
+
+        // Truncate inside column `j`. A test build's `RowRef::new` walks the
+        // image under `debug_assert!` and rejects it on entry; a release
+        // build serves the columns before the cut and panics on `j` (the
+        // walker's own unit test reaches that path in every build).
+        let cut = 1 + cut as usize % (img.len() - 1);
+        let mut ends = row.values.iter().scan(1usize, |end, v| {
+            let mut one = Vec::new();
+            v.encode_into(&mut one);
+            *end += one.len();
+            Some(*end)
+        });
+        let j = ends.position(|end| cut < end).expect("cut < img.len()");
+        if cfg!(debug_assertions) {
+            prop_assert!(catch_unwind(|| RowRef::new(&img[..cut])).is_err());
+        } else {
+            let short = RowRef::new(&img[..cut]);
+            for (i, v) in row.values[..j].iter().enumerate() {
+                prop_assert_eq!(&short.value(i), v);
+            }
+            prop_assert!(catch_unwind(|| short.value(j)).is_err());
+            prop_assert!(catch_unwind(|| short.to_row()).is_err());
+        }
     }
 
     /// The SQL parser is total: arbitrary input never panics, and either
