@@ -338,10 +338,9 @@ fn bench_mvcc(c: &mut Criterion) {
 }
 
 fn bench_shard(c: &mut Criterion) {
-    use cb_cluster::ShardMap;
-    use cb_engine::{ColumnDef, CostModel, DataType, Database, ExecCtx, Schema};
-    use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
-    use cb_store::{StorageArch, StorageService};
+    use cb_sim::SimTime;
+    use cb_sut::SutProfile;
+    use cloudybench::sharded::{ShardMap, ShardedDeployment, TwoPhaseCoordinator};
 
     // Routing: pure arithmetic per key — the per-statement overhead a
     // sharded deployment adds to every primary-key access.
@@ -362,58 +361,25 @@ fn bench_shard(c: &mut Criterion) {
         })
     });
 
-    // A full cross-shard transfer: update + prepare on both participants,
-    // then the commit fan-out — the engine-side cost of one distributed
-    // transaction (coordinator bookkeeping excluded).
-    fn mini_shard() -> Database {
-        let mut db = Database::new();
-        let t = db.create_table(
-            "account",
-            Schema::new(vec![
-                ColumnDef::new("A_ID", DataType::Int),
-                ColumnDef::new("A_BALANCE", DataType::Int),
-            ]),
-        );
-        db.load_bulk(
-            t,
-            (0..64i64).map(|k| Row::new(vec![Value::Int(k), Value::Int(1_000)])),
-        );
-        db
-    }
-    let mut st = StorageService::new(
-        StorageArch::Coupled,
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-        None,
-        1,
-        SimDuration::ZERO,
-    );
-    let mut pool = BufferPool::new(256);
-    let model = CostModel::default();
+    // 16 cross-shard transfers through the production coordinator on a
+    // two-shard fleet (100 orders / 100 customers per engine, split at 50):
+    // SQL execute + prepare on both participants, the decision log entry,
+    // then the commit fan-out.
     c.bench_function("sharded_2pc_commit", |b| {
         b.iter_batched(
-            || (mini_shard(), mini_shard()),
-            |(mut a, mut bdb)| {
-                let t = a.table_id("account").expect("account");
-                let mut ctx = ExecCtx::new(SimTime::ZERO, &mut pool, None, &mut st, &model);
-                for gid in 1..=16u64 {
-                    let key = (gid as i64 * 7) & 63;
-                    let mut ta = a.begin();
-                    a.update(&mut ctx, &mut ta, t, key, |r| {
-                        r.values[1] = Value::Int(900);
-                    })
-                    .expect("row exists");
-                    a.prepare(&mut ctx, &mut ta, gid);
-                    let mut tb = bdb.begin();
-                    bdb.update(&mut ctx, &mut tb, t, key, |r| {
-                        r.values[1] = Value::Int(1_100);
-                    })
-                    .expect("row exists");
-                    bdb.prepare(&mut ctx, &mut tb, gid);
-                    black_box(a.commit(&mut ctx, ta));
-                    black_box(bdb.commit(&mut ctx, tb));
+            || {
+                let map = ShardMap::range_even(100, 2);
+                ShardedDeployment::new(SutProfile::aws_rds(), 1, 3000, map, 1)
+            },
+            |mut sd| {
+                let mut coord = TwoPhaseCoordinator::new();
+                for i in 1..=16i64 {
+                    let p = coord
+                        .begin_transfer(&mut sd, i, 100 - i, 100, SimTime::ZERO)
+                        .expect("keys straddle the split");
+                    coord.decide(&mut sd, p, true, SimTime::ZERO);
                 }
-                (a, bdb)
+                (sd, coord.stats)
             },
             BatchSize::SmallInput,
         )

@@ -22,9 +22,12 @@
 //! reproducer and printed with its seed, so
 //! `cloudybench chaos --replay <seed>` replays the exact failure.
 //!
-//! The [`shard2pc`] module extends the harness to sharded deployments:
-//! cross-shard transfers crash between prepare and decision, and a 2PC
-//! atomicity oracle checks that recovery leaves no shard half-committed.
+//! The [`shard2pc`] module extends the harness to sharded deployments: it
+//! drives the production `cloudybench::sharded::TwoPhaseCoordinator` over
+//! real per-shard `Deployment`s, stops stepping it after prepare, after the
+//! decision is logged, or after the first participant is told, and checks
+//! with the same [`ShadowModel`] that recovery leaves no shard
+//! half-committed.
 
 #![warn(missing_docs)]
 

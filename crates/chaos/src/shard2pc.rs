@@ -1,70 +1,72 @@
-//! Sharded two-phase-commit chaos: crash between prepare and decision.
+//! Sharded two-phase-commit chaos: crash the production coordinator between
+//! the steps of the protocol.
 //!
-//! A self-contained mini-model of the sharded deployment's cross-shard
-//! transfer path (`cloudybench::sharded`): every shard is a raw
-//! [`cb_engine::Database`] holding the slice of a global account table that
-//! a [`ShardMap`] routes to it, and a seeded stream of balance transfers
-//! runs against the fleet — single-shard transfers commit locally,
-//! cross-shard transfers two-phase commit (prepare on both participants,
-//! decision logged at the coordinator, then commit/abort fan-out).
+//! The campaign drives [`cloudybench::sharded::TwoPhaseCoordinator`] — the
+//! coordinator `mode = sharded` and `run_fleet` ship — over a
+//! [`ShardedDeployment`] of real [`cloudybench::Deployment`]s, under a hash
+//! and a `range_even` map over the dataset keyspace (the maps the CLI's
+//! sharded mode builds). A seeded stream of order→customer transfers goes
+//! through `begin_transfer` / `decide`; nothing here knows how a vote, a
+//! decision or a delivery is made.
 //!
-//! One transfer per seed crashes mid-protocol at a seeded crash point:
+//! One transfer per seed crashes mid-protocol: the harness stops stepping
+//! the coordinator's public step API and drops the `PreparedGlobal`
 //!
-//! * **after prepares** — votes are durable on both shards, the coordinator
-//!   never decided: presumed-abort must roll both back;
-//! * **after decision** — the coordinator logged commit but told no one:
+//! * **after prepare** — votes are durable on both shards, no decision was
+//!   taken: presumed abort must roll both back;
+//! * **after `record_decision`** — commit is logged but nobody was told:
 //!   resolution must roll both *forward*;
-//! * **after first commit** — one participant applied the decision, the
-//!   other is still in doubt: resolution must complete the half-finished
-//!   global transaction, never undo it.
+//! * **after the first `deliver_next`** — one participant applied the
+//!   decision, the other is still in doubt: resolution must complete the
+//!   half-finished global transaction, never undo it.
 //!
-//! Recovery then runs **both** real paths on every shard — rebuild from the
-//! base snapshot through the net-effect planner
-//! ([`redo_committed_parallel`]) and in-place ARIES undo
-//! ([`undo_losers`]) — joining each shard's in-doubt votes
-//! ([`in_doubt_txns`]) against the surviving decision log, and checks four
-//! oracles:
+//! Recovery then runs per shard as production would: `in_doubt_txns` over
+//! the shard's WAL, `coord.resolve` against the surviving decision log, and
+//! **both** real paths — rebuild from `base_database()` through the
+//! net-effect planner ([`redo_committed_parallel`]) and in-place ARIES undo
+//! ([`undo_losers`]). Four oracles:
 //!
 //! 1. **Path equivalence** — both recovery paths produce identical tables.
-//! 2. **2PC atomicity** — the recovered fleet equals a shadow that applied
-//!    exactly the decided-commit transfers: no shard half-committed.
-//! 3. **Conservation** — transfers move balance, never mint it: the global
-//!    sum is unchanged.
+//! 2. **2PC atomicity** — every shard equals its [`ShadowModel`], which
+//!    holds the rows of exactly the decided-commit transfers (read back
+//!    once the decision is recorded): no shard half-committed.
+//! 3. **Conservation** — independent of read-back rows: Σ `C_CREDIT` over
+//!    the recovered fleet = Σ over the base + Σ amounts of decided-commit
+//!    transfers.
 //! 4. **Determinism** — the same seed re-runs to a byte-identical digest.
 //!
-//! [`Shard2pcOptions::bug_forget_decision`] plants the classic coordinator
-//! bug — the decision is acked but never made durable — as a self-test that
-//! the atomicity oracle actually fires.
+//! [`Shard2pcOptions::bug_forget_decision`] is the self-test that the
+//! atomicity oracle fires: recovery resolves against
+//! `TwoPhaseCoordinator::new()` — a coordinator that lost its decision log
+//! — so production carries no test hook.
 
-use std::collections::{BTreeSet, HashSet};
-
-use cb_cluster::ShardMap;
-use cb_engine::bufferpool::BufferPool;
-use cb_engine::exec::{CostModel, ExecCtx};
 use cb_engine::recovery::{in_doubt_txns, undo_losers};
-use cb_engine::value::{ColumnDef, DataType, Row, Schema, Value};
 use cb_engine::Database;
-use cb_sim::{DetRng, Device, DeviceKind, SimDuration, SimTime};
-use cb_store::{Lsn, StorageArch, StorageService, TxnId, WalRecord};
+use cb_sim::{DetRng, SimDuration, SimTime};
+use cb_store::{Lsn, TableId, WalRecord};
+use cb_sut::SutProfile;
 use cloudybench::parallel::par_map;
 use cloudybench::replay::redo_committed_parallel;
+use cloudybench::sharded::{ShardMap, ShardedDeployment, TwoPhaseCoordinator, TwoPhaseStats};
+use cloudybench::DatasetShape;
 
-/// Initial balance of every account row.
-const OPENING_BALANCE: i64 = 1_000;
+use crate::shadow::{ShadowModel, ShadowOp};
+
+/// Simulation scale of every shard: 100 customers, 100 orders and 1000
+/// orderlines per engine — enough keys for both layouts to straddle, small
+/// enough that a seed (two layouts, each run twice) costs milliseconds.
+const SIM_SCALE: u64 = 3000;
 
 /// Knobs for a sharded-2PC campaign.
 #[derive(Clone, Debug)]
 pub struct Shard2pcOptions {
-    /// Number of engine instances in the fleet.
+    /// Number of deployments in the fleet (at least 2).
     pub shards: usize,
-    /// Global account keys (`1..=accounts`), routed to shards by the map.
-    pub accounts: i64,
     /// Transfers per seed (one of them crashes mid-protocol).
     pub transfers: u64,
-    /// Planted bug: the coordinator acks the commit decision without making
-    /// it durable, so recovery resolves the in-doubt votes to abort while a
-    /// participant may already hold the commit — the atomicity oracle's
-    /// self-test.
+    /// Self-test: recovery resolves in-doubt votes against a coordinator
+    /// that lost its decision log, so a decided commit rolls back on the
+    /// participants still in doubt — the atomicity oracle must fire.
     pub bug_forget_decision: bool,
 }
 
@@ -72,16 +74,18 @@ impl Default for Shard2pcOptions {
     fn default() -> Self {
         Shard2pcOptions {
             shards: 3,
-            accounts: 96,
             transfers: 40,
             bug_forget_decision: false,
         }
     }
 }
 
-/// A 2PC-oracle violation: which seed, which oracle, what diverged.
+/// A 2PC-oracle violation: which profile and seed, which oracle, what
+/// diverged.
 #[derive(Clone, Debug)]
 pub struct ShardViolation {
+    /// The SUT profile under test.
+    pub profile: &'static str,
     /// The campaign seed that produced the violation.
     pub seed: u64,
     /// Shard layout under test (`hash3`, `range3`).
@@ -96,23 +100,29 @@ impl std::fmt::Display for ShardViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "seed {} [{}] {} oracle: {}",
-            self.seed, self.map, self.oracle, self.detail
+            "{} seed {} [{}] {} oracle: {}",
+            self.profile, self.seed, self.map, self.oracle, self.detail
         )
     }
 }
 
-/// Results of a sharded-2PC campaign.
+/// Results of a sharded-2PC campaign against one profile.
 #[derive(Debug, Default)]
 pub struct Shard2pcReport {
     /// Seeds that passed every oracle (under both shard layouts).
     pub clean_seeds: Vec<u64>,
     /// Oracle violations.
     pub violations: Vec<ShardViolation>,
-    /// Cross-shard transfers two-phase committed across all clean seeds.
+    /// The production coordinator's own counters, summed over clean seeds.
+    pub two_phase: TwoPhaseStats,
+    /// Cross-shard transfers whose commit decision was logged, from the
+    /// coordinator's counters (`committed - single_shard`).
     pub committed_2pc: u64,
-    /// In-doubt votes resolved during recovery across all clean seeds.
+    /// In-doubt votes resolved to commit during recovery.
     pub resolved_in_doubt: u64,
+    /// Crashes per crash point: after prepare, after the decision, after
+    /// the first delivery.
+    pub crash_points: [u64; 3],
 }
 
 impl Shard2pcReport {
@@ -122,43 +132,50 @@ impl Shard2pcReport {
     }
 }
 
-/// Run `seeds` through the sharded-2PC crash model on `jobs` threads. Each
-/// seed runs under both a hash and a range layout, and each run executes
-/// twice for the determinism oracle. Seeds are independent; results merge
-/// in canonical seed order, so the report is identical for any `jobs`.
+/// Run `seeds` through the sharded-2PC crash campaign against `profile` on
+/// `jobs` threads. Each seed runs under both a hash and a range layout, and
+/// each run executes twice for the determinism oracle. Seeds are
+/// independent; results merge in canonical seed order, so the report is
+/// identical for any `jobs`.
 pub fn run_shard2pc_campaign_jobs(
+    profile: &SutProfile,
     seeds: &[u64],
     opts: &Shard2pcOptions,
     jobs: usize,
 ) -> Shard2pcReport {
-    let outcomes = par_map(seeds, jobs, |_, &seed| run_one(seed, opts));
+    let outcomes = par_map(seeds, jobs, |_, &seed| run_one(profile, seed, opts));
     let mut report = Shard2pcReport::default();
     for (seed, outcome) in seeds.iter().zip(outcomes) {
         match outcome {
-            Ok((committed, resolved)) => {
+            Ok(runs) => {
                 report.clean_seeds.push(*seed);
-                report.committed_2pc += committed;
-                report.resolved_in_doubt += resolved;
+                for run in runs {
+                    report.two_phase += run.stats;
+                    report.resolved_in_doubt += run.resolved_in_doubt;
+                    report.crash_points[run.crash_point as usize] += 1;
+                }
             }
             Err(v) => report.violations.push(v),
         }
     }
+    report.committed_2pc = report.two_phase.committed - report.two_phase.single_shard;
     report
 }
 
 /// One seed under both layouts, each twice (determinism oracle).
-fn run_one(seed: u64, opts: &Shard2pcOptions) -> Result<(u64, u64), ShardViolation> {
-    let maps = [
-        ShardMap::hash(opts.shards),
-        ShardMap::range_even(opts.accounts, opts.shards),
-    ];
-    let mut committed = 0;
-    let mut resolved = 0;
-    for map in maps {
-        let first = run_layout(seed, &map, opts)?;
-        let second = run_layout(seed, &map, opts)?;
+fn run_one(
+    profile: &SutProfile,
+    seed: u64,
+    opts: &Shard2pcOptions,
+) -> Result<[LayoutRun; 2], ShardViolation> {
+    let shape = DatasetShape::new(1, SIM_SCALE);
+    let keyspace = shape.orders.min(shape.customers) as i64;
+    let layout = |map: ShardMap| {
+        let first = run_layout(profile, seed, &map, opts)?;
+        let second = run_layout(profile, seed, &map, opts)?;
         if first.digest != second.digest {
             return Err(ShardViolation {
+                profile: profile.name,
                 seed,
                 map: map.label(),
                 oracle: "determinism",
@@ -168,10 +185,12 @@ fn run_one(seed: u64, opts: &Shard2pcOptions) -> Result<(u64, u64), ShardViolati
                 ),
             });
         }
-        committed += first.committed_2pc;
-        resolved += first.resolved_in_doubt;
-    }
-    Ok((committed, resolved))
+        Ok(first)
+    };
+    Ok([
+        layout(ShardMap::hash(opts.shards))?,
+        layout(ShardMap::range_even(keyspace, opts.shards))?,
+    ])
 }
 
 /// Where the crashing transfer dies.
@@ -181,90 +200,81 @@ enum CrashPoint {
     Prepared,
     /// Decision logged commit, no participant told.
     Decided,
-    /// Decision logged commit, first participant committed.
+    /// Decision logged commit, first participant told.
     FirstCommitted,
 }
 
 /// One clean run's observable outcome.
 struct LayoutRun {
     digest: String,
-    committed_2pc: u64,
+    stats: TwoPhaseStats,
     resolved_in_doubt: u64,
+    crash_point: CrashPoint,
 }
 
-fn storage() -> StorageService {
-    StorageService::new(
-        StorageArch::Coupled,
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-        None,
-        1,
-        SimDuration::ZERO,
-    )
-}
-
-fn account_schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("A_ID", DataType::Int),
-        ColumnDef::new("A_BALANCE", DataType::Int),
-    ])
-}
-
-/// A shard's base image: the account rows the map routes to `shard`.
-fn shard_base(map: &ShardMap, accounts: i64, shard: usize) -> Database {
-    let mut db = Database::new();
-    let t = db.create_table("account", account_schema());
-    db.load_bulk(
-        t,
-        (1..=accounts)
-            .filter(|&k| map.shard_of(k) == shard)
-            .map(|k| Row::new(vec![Value::Int(k), Value::Int(OPENING_BALANCE)])),
-    );
-    db
-}
-
-fn add_balance(
-    db: &mut Database,
-    ctx: &mut ExecCtx<'_>,
-    txn: &mut cb_engine::TxnHandle,
-    key: i64,
-    delta: i64,
-) {
-    let t = db.table_id("account").expect("account table");
-    db.update(ctx, txn, t, key, |r| {
-        let old = match r.values[1] {
-            Value::Int(v) => v,
-            _ => unreachable!("A_BALANCE is Int"),
-        };
-        r.values[1] = Value::Int(old + delta);
-    })
-    .expect("account row exists on its home shard");
+/// Σ `C_CREDIT` over one engine's CUSTOMER table.
+fn credit_sum(db: &Database, customer: TableId) -> i64 {
+    let col = db
+        .table(customer)
+        .schema()
+        .column_index("C_CREDIT")
+        .expect("CUSTOMER has C_CREDIT");
+    db.dump_table(customer)
+        .iter()
+        .map(|row| row.values[col].expect_int())
+        .sum()
 }
 
 /// Run the transfer stream + crash + recovery once and check the state
 /// oracles. Returns the run's digest for the determinism oracle.
 fn run_layout(
+    profile: &SutProfile,
     seed: u64,
     map: &ShardMap,
     opts: &Shard2pcOptions,
 ) -> Result<LayoutRun, ShardViolation> {
     let fail = |oracle: &'static str, detail: String| ShardViolation {
+        profile: profile.name,
         seed,
         map: map.label(),
         oracle,
         detail,
     };
-    let mut shards: Vec<Database> = (0..opts.shards)
-        .map(|s| shard_base(map, opts.accounts, s))
-        .collect();
-    let mut pool = BufferPool::new(256);
-    let mut st = storage();
-    let model = CostModel::default();
+    let mut sd = ShardedDeployment::new(profile.clone(), 1, SIM_SCALE, map.clone(), seed);
+    let mut coord = TwoPhaseCoordinator::new();
+    let tables = sd.shards[0].tables;
+    let (orders, customers) = (
+        sd.shards[0].shape.orders as i64,
+        sd.shards[0].shape.customers as i64,
+    );
 
-    // The shadow fleet: balances as they must read after recovery — only
-    // decided-commit transfers applied.
-    let mut shadow: Vec<i64> = vec![OPENING_BALANCE; opts.accounts as usize + 1];
-    let mut decision_log: BTreeSet<u64> = BTreeSet::new();
+    // The expected fleet: per shard, the rows as they must read after
+    // recovery — only decided-commit transfers mirrored in.
+    let mut shadows: Vec<ShadowModel> = sd
+        .shards
+        .iter()
+        .map(|dep| ShadowModel::from_db(&dep.db))
+        .collect();
+    let base_credit: i64 = sd
+        .shards
+        .iter()
+        .map(|dep| credit_sum(&dep.db, tables.customer))
+        .sum();
+    let mut decided_credit = 0i64;
+    // A decision is on record for this transfer: copy the two rows it
+    // wrote (the engines hold the post-images from execute on) into the
+    // shadows, and count its amount.
+    let mut mirror = |sd: &ShardedDeployment, from_order: i64, to_customer: i64, amount: i64| {
+        for (table, key) in [(tables.orders, from_order), (tables.customer, to_customer)] {
+            let s = sd.shard_of(key);
+            let row = sd.shards[s]
+                .db
+                .get_at(table, key, SimTime::ZERO)
+                .expect("transfer rows exist on their home shard");
+            shadows[s].apply(ShadowOp::Put(table, key, row));
+        }
+        decided_credit += amount;
+    };
 
     let mut rng = DetRng::seeded(seed ^ 0x5348_4152_4432_5043); // "SHARD2PC"
     let crash_at = rng.below(opts.transfers);
@@ -273,173 +283,125 @@ fn run_layout(
         1 => CrashPoint::Decided,
         _ => CrashPoint::FirstCommitted,
     };
-    let mut committed_2pc = 0u64;
-    let mut crashed = false;
 
-    for i in 0..opts.transfers {
-        let gid = i + 1;
-        let from = rng.range_inclusive(1, opts.accounts);
-        let mut to = rng.range_inclusive(1, opts.accounts);
-        if to == from {
-            to = from % opts.accounts + 1;
-        }
-        let amount = rng.range_inclusive(1, 100);
-        let commit = rng.chance(0.85);
-        if i == crash_at && map.shard_of(to) == map.shard_of(from) {
-            // The crashing transfer must straddle shards — pick the first
-            // key owned elsewhere (deterministic, no extra RNG draws).
-            to = (1..=opts.accounts)
-                .find(|&k| map.shard_of(k) != map.shard_of(from))
-                .expect("more than one shard owns keys");
-        }
-        let (sa, sb) = (map.shard_of(from), map.shard_of(to));
-        let mut ctx = ExecCtx::new(SimTime::ZERO, &mut pool, None, &mut st, &model);
-
-        if sa == sb {
-            // Single-shard: an ordinary local transaction, no 2PC.
-            let db = &mut shards[sa];
-            let mut txn = db.begin();
-            add_balance(db, &mut ctx, &mut txn, from, -amount);
-            add_balance(db, &mut ctx, &mut txn, to, amount);
-            if commit {
-                db.commit(&mut ctx, txn);
-                shadow[from as usize] -= amount;
-                shadow[to as usize] += amount;
-            } else {
-                db.abort(&mut ctx, txn);
+    let mut draw = |i: u64| {
+        (
+            SimTime::ZERO + SimDuration::from_millis(5 * (i + 1)),
+            rng.range_inclusive(1, orders),
+            rng.range_inclusive(1, customers),
+            rng.range_inclusive(1, 10_000),
+            rng.chance(0.85),
+        )
+    };
+    for i in 0..crash_at {
+        let (at, from_order, to_customer, amount, commit) = draw(i);
+        let committed = match coord.begin_transfer(&mut sd, from_order, to_customer, amount, at) {
+            Some(p) => {
+                coord.decide(&mut sd, p, commit, at);
+                commit
             }
-            continue;
-        }
-
-        // Cross-shard: prepare a vote on each participant.
-        let mut txn_a = shards[sa].begin();
-        add_balance(&mut shards[sa], &mut ctx, &mut txn_a, from, -amount);
-        shards[sa].prepare(&mut ctx, &mut txn_a, gid);
-        let mut txn_b = shards[sb].begin();
-        add_balance(&mut shards[sb], &mut ctx, &mut txn_b, to, amount);
-        shards[sb].prepare(&mut ctx, &mut txn_b, gid);
-
-        if i == crash_at {
-            // The crashing transfer always decides commit (when it gets
-            // that far) — abort-then-crash is indistinguishable from
-            // presumed abort and tests nothing.
-            match crash_point {
-                CrashPoint::Prepared => {}
-                CrashPoint::Decided | CrashPoint::FirstCommitted => {
-                    if !opts.bug_forget_decision {
-                        decision_log.insert(gid);
-                    }
-                    // Decision durable (acked): the shadow reflects it.
-                    shadow[from as usize] -= amount;
-                    shadow[to as usize] += amount;
-                    if crash_point == CrashPoint::FirstCommitted {
-                        shards[sa].commit(&mut ctx, txn_a);
-                        std::mem::forget(txn_b);
-                        crashed = true;
-                        break;
-                    }
-                }
-            }
-            std::mem::forget(txn_a);
-            std::mem::forget(txn_b);
-            crashed = true;
-            break;
-        }
-
-        // Normal completion: log the decision, then tell the participants.
-        if commit {
-            decision_log.insert(gid);
-            shards[sa].commit(&mut ctx, txn_a);
-            shards[sb].commit(&mut ctx, txn_b);
-            shadow[from as usize] -= amount;
-            shadow[to as usize] += amount;
-            committed_2pc += 1;
-        } else {
-            shards[sa].abort(&mut ctx, txn_a);
-            shards[sb].abort(&mut ctx, txn_b);
+            // Both keys on one shard: committed on the spot, no votes.
+            None => true,
+        };
+        if committed {
+            mirror(&sd, from_order, to_customer, amount);
         }
     }
-    debug_assert!(crashed, "crash_at < transfers");
+    // The crashing transfer. It must straddle shards — pick the first
+    // customer owned elsewhere (deterministic, no extra RNG draws) — and it
+    // always decides commit when it gets that far: abort-then-crash is
+    // indistinguishable from presumed abort and tests nothing.
+    let (at, from_order, mut to_customer, amount, _) = draw(crash_at);
+    if sd.shard_of(to_customer) == sd.shard_of(from_order) {
+        to_customer = (1..=customers)
+            .find(|&k| sd.shard_of(k) != sd.shard_of(from_order))
+            .expect("more than one shard owns keys");
+    }
+    let mut p = coord
+        .begin_transfer(&mut sd, from_order, to_customer, amount, at)
+        .expect("the crashing transfer is cross-shard");
+    if crash_point != CrashPoint::Prepared {
+        coord.record_decision(&mut p, true);
+        mirror(&sd, from_order, to_customer, amount);
+    }
+    if crash_point == CrashPoint::FirstCommitted {
+        coord.deliver_next(&mut sd, &mut p, at);
+    }
+    // The coordinator process dies here: whoever was not told keeps a
+    // durable vote and no decision record.
+    drop(p);
 
     // --- Recovery: both paths per shard, joined with the decision log ----
+    let stats = coord.stats;
+    if opts.bug_forget_decision {
+        coord = TwoPhaseCoordinator::new();
+    }
     let mut resolved_in_doubt = 0u64;
-    let mut recovered: Vec<Vec<Row>> = Vec::with_capacity(opts.shards);
-    for (s, db) in shards.iter_mut().enumerate() {
-        let tail: Vec<WalRecord> = db.log().records_after(Lsn::ZERO).cloned().collect();
+    let mut credit = 0i64;
+    for (s, dep) in sd.shards.iter_mut().enumerate() {
+        let tail: Vec<WalRecord> = dep.db.log().records_after(Lsn::ZERO).cloned().collect();
         let refs: Vec<&WalRecord> = tail.iter().collect();
-        let in_doubt = in_doubt_txns(refs.iter().copied());
-        let resolved: HashSet<TxnId> = in_doubt
-            .iter()
-            .filter(|(_, gid)| decision_log.contains(gid))
-            .map(|&(txn, _)| txn)
-            .collect();
+        let resolved = coord.resolve(&in_doubt_txns(&tail));
         resolved_in_doubt += resolved.len() as u64;
 
         // Path A: restore the base snapshot, roll forward through the
         // net-effect planner with the resolved commits joined in.
-        let mut rebuilt = shard_base(map, opts.accounts, s);
+        let mut rebuilt = dep.base_database();
         redo_committed_parallel(&mut rebuilt, &refs, &resolved, 1);
 
         // Path B: in-place ARIES undo of every unresolved loser.
-        db.simulate_crash();
-        undo_losers(db, &tail, tail.len(), &resolved);
+        dep.db.simulate_crash();
+        undo_losers(&mut dep.db, &tail, tail.len(), &resolved);
 
-        let t = db.table_id("account").expect("account table");
-        let in_place = db.dump_table(t);
-        let replayed = rebuilt.dump_table(rebuilt.table_id("account").unwrap());
-        if in_place != replayed {
-            return Err(fail(
-                "path-equivalence",
-                format!("shard {s}: in-place undo and rebuild disagree"),
-            ));
-        }
-        recovered.push(replayed);
-    }
-
-    // --- 2PC atomicity: recovered fleet == shadow, no half-commits -------
-    let mut total = 0i64;
-    for (s, rows) in recovered.iter().enumerate() {
-        for row in rows {
-            let (key, bal) = match (&row.values[0], &row.values[1]) {
-                (Value::Int(k), Value::Int(b)) => (*k, *b),
-                _ => unreachable!("account rows are (Int, Int)"),
-            };
-            total += bal;
-            let want = shadow[key as usize];
-            if bal != want {
+        for t in rebuilt.tables() {
+            if dep.db.dump_table(t.id()) != rebuilt.dump_table(t.id()) {
                 return Err(fail(
-                    "2pc-atomicity",
+                    "path-equivalence",
                     format!(
-                        "shard {s} account {key}: balance {bal}, decided state says {want} \
-                         (crash point {crash_point:?})"
+                        "shard {s}: in-place undo and rebuild disagree on {}",
+                        t.name()
                     ),
                 ));
             }
         }
+        // 2PC atomicity: recovered shard == shadow, no half-commits.
+        let diff = shadows[s].diff(&rebuilt);
+        if !diff.is_empty() {
+            return Err(fail(
+                "2pc-atomicity",
+                format!(
+                    "shard {s} diverged from the decided state: {} (crash point {crash_point:?})",
+                    diff.summary()
+                ),
+            ));
+        }
+        credit += credit_sum(&rebuilt, tables.customer);
     }
-    let opening_total = opts.accounts * OPENING_BALANCE;
-    if total != opening_total {
+    if credit != base_credit + decided_credit {
         return Err(fail(
             "conservation",
-            format!("global balance {total} != opening {opening_total}"),
+            format!(
+                "fleet C_CREDIT {credit} != base {base_credit} + decided transfers {decided_credit}"
+            ),
         ));
     }
 
     // Digest: stable textual fingerprint of everything observable.
     let digest = format!(
-        "seed={} map={} crash_at={} point={:?} committed_2pc={} resolved={} total={}",
+        "seed={} map={} crash_at={} point={:?} stats={:?} resolved={} credit={}",
         seed,
         map.label(),
         crash_at,
         crash_point,
-        committed_2pc,
+        stats,
         resolved_in_doubt,
-        total
+        credit
     );
     Ok(LayoutRun {
         digest,
-        committed_2pc,
+        stats,
         resolved_in_doubt,
+        crash_point,
     })
 }
 
@@ -451,7 +413,7 @@ mod tests {
     fn campaign_is_clean_and_exercises_every_crash_point() {
         let opts = Shard2pcOptions::default();
         let seeds: Vec<u64> = (1..=24).collect();
-        let report = run_shard2pc_campaign_jobs(&seeds, &opts, 1);
+        let report = run_shard2pc_campaign_jobs(&SutProfile::aws_rds(), &seeds, &opts, 1);
         for v in &report.violations {
             eprintln!("{v}");
         }
@@ -462,6 +424,15 @@ mod tests {
             report.resolved_in_doubt > 0,
             "no crash landed after a commit decision"
         );
+        // The campaign reaches production code: these are the shipped
+        // coordinator's own counters.
+        assert!(report.two_phase.prepares > 0, "{:?}", report.two_phase);
+        assert!(
+            report.crash_points.iter().all(|&n| n > 0),
+            "crash points hit: {:?}",
+            report.crash_points
+        );
+        assert_eq!(report.crash_points.iter().sum::<u64>(), 2 * 24);
     }
 
     #[test]
@@ -471,11 +442,12 @@ mod tests {
             ..Shard2pcOptions::default()
         };
         let seeds: Vec<u64> = (100..108).collect();
-        let a = run_shard2pc_campaign_jobs(&seeds, &opts, 1);
-        let b = run_shard2pc_campaign_jobs(&seeds, &opts, 3);
+        let a = run_shard2pc_campaign_jobs(&SutProfile::cdb3(), &seeds, &opts, 1);
+        let b = run_shard2pc_campaign_jobs(&SutProfile::cdb3(), &seeds, &opts, 3);
         assert_eq!(a.clean_seeds, b.clean_seeds);
         assert_eq!(a.committed_2pc, b.committed_2pc);
         assert_eq!(a.resolved_in_doubt, b.resolved_in_doubt);
+        assert_eq!(a.two_phase, b.two_phase);
     }
 
     #[test]
@@ -485,7 +457,7 @@ mod tests {
             ..Shard2pcOptions::default()
         };
         let seeds: Vec<u64> = (1..=24).collect();
-        let report = run_shard2pc_campaign_jobs(&seeds, &opts, 1);
+        let report = run_shard2pc_campaign_jobs(&SutProfile::cdb1(), &seeds, &opts, 1);
         assert!(
             !report.violations.is_empty(),
             "acked-but-volatile decisions must violate 2PC atomicity"

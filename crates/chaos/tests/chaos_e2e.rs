@@ -441,9 +441,12 @@ fn poisson_paced_campaign_stays_clean_on_rds() {
 #[test]
 fn sharded_2pc_campaign_is_clean_over_100_seeds() {
     use cb_chaos::{run_shard2pc_campaign_jobs, Shard2pcOptions};
+    // One profile keeps tier-1 growing by seconds; the CLI campaign and the
+    // CI matrix cover all five.
+    let profile = SutProfile::cdb2();
     let opts = Shard2pcOptions::default();
     let seeds: Vec<u64> = (1..=100).collect();
-    let report = run_shard2pc_campaign_jobs(&seeds, &opts, 2);
+    let report = run_shard2pc_campaign_jobs(&profile, &seeds, &opts, 2);
     assert!(
         report.clean(),
         "sharded 2PC violations: {}",
@@ -460,9 +463,12 @@ fn sharded_2pc_campaign_is_clean_over_100_seeds() {
         report.resolved_in_doubt > 0,
         "some crash must land after a commit decision"
     );
+    // The votes were written by the production coordinator.
+    assert!(report.two_phase.prepares > 0, "{:?}", report.two_phase);
     // The whole campaign report is --jobs invariant.
-    let sequential = run_shard2pc_campaign_jobs(&seeds, &opts, 1);
+    let sequential = run_shard2pc_campaign_jobs(&profile, &seeds, &opts, 1);
     assert_eq!(sequential.clean_seeds, report.clean_seeds);
     assert_eq!(sequential.committed_2pc, report.committed_2pc);
     assert_eq!(sequential.resolved_in_doubt, report.resolved_in_doubt);
+    assert_eq!(sequential.two_phase, report.two_phase);
 }

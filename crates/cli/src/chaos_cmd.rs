@@ -5,6 +5,7 @@
 //! cloudybench chaos --seeds 50 --profile cdb3   # one profile
 //! cloudybench chaos --replay 42 --profile cdb1  # reproduce one seed
 //! cloudybench chaos --out failures/             # write reproducers there
+//! cloudybench chaos --sharded --profile cdb2    # 2PC crash-point campaign
 //! ```
 
 use std::path::PathBuf;
@@ -32,6 +33,17 @@ struct ChaosArgs {
     out: Option<PathBuf>,
 }
 
+/// Flags the `--sharded` campaign cannot carry: its one fault is the
+/// coordinator crash, its fleet runs at the engine defaults, and it has no
+/// fault schedule to replay or artifacts to write.
+const NOT_SHARDED: [&str; 5] = [
+    "--isolation",
+    "--eviction",
+    "--replay",
+    "--bug-skip-redo",
+    "--out",
+];
+
 fn chaos_usage() -> String {
     let names: Vec<&str> = SutProfile::all().iter().map(|p| p.name).collect();
     format!(
@@ -52,12 +64,17 @@ fn chaos_usage() -> String {
          --jobs N           worker threads per campaign (default: available\n\
          \x20                  parallelism; reports are byte-identical to --jobs 1)\n\
          --bug-skip-redo N  self-test: skip the N-th committed redo record\n\
-         --sharded          run the sharded 2PC crash campaign instead: cross-\n\
-         \x20                  shard transfers crash between prepare and decision,\n\
-         \x20                  recovery must leave no shard half-committed\n\
-         --shards N         fleet size for --sharded (default 3)\n\
-         --bug-forget-decision  self-test: ack commit decisions without making\n\
-         \x20                  them durable (the 2PC atomicity oracle must fire)\n\
+         --sharded          run the sharded 2PC crash campaign instead: the\n\
+         \x20                  production coordinator dies after prepare, after\n\
+         \x20                  the decision or after the first delivery, and\n\
+         \x20                  recovery must leave no shard half-committed.\n\
+         \x20                  Takes --seeds, --profile, --txns (transfers per\n\
+         \x20                  seed), --jobs, --shards, --bug-forget-decision;\n\
+         \x20                  any other flag is an error\n\
+         --shards N         fleet size for --sharded (default 3, at least 2)\n\
+         --bug-forget-decision  self-test: recover against a coordinator that\n\
+         \x20                  lost its decision log (the 2PC atomicity oracle\n\
+         \x20                  must fire)\n\
          --out DIR          write failure reproducers (and replay artifacts) to DIR",
         names.join("|")
     )
@@ -78,6 +95,7 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ChaosArgs, String> {
         bug_forget_decision: false,
         out: None,
     };
+    let mut given: Vec<String> = Vec::new();
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -142,6 +160,15 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ChaosArgs, String> {
             "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
             "--help" | "-h" => return Err(chaos_usage()),
             other => return Err(format!("unknown argument {other:?}\n{}", chaos_usage())),
+        }
+        given.push(arg);
+    }
+    if parsed.sharded {
+        if let Some(flag) = given.iter().find(|g| NOT_SHARDED.contains(&g.as_str())) {
+            return Err(format!("{flag} is not supported with --sharded"));
+        }
+        if parsed.shards < 2 {
+            return Err("--sharded needs --shards of at least 2".to_string());
         }
     }
     Ok(parsed)
@@ -219,32 +246,38 @@ pub fn chaos_main(args: impl Iterator<Item = String>) -> u8 {
     u8::from(total_bad > 0)
 }
 
-/// The `--sharded` campaign: cross-shard 2PC transfers crashing between
-/// prepare and decision, recovered through both real paths and checked by
-/// the atomicity/conservation oracles. Profile-independent (the mini-model
-/// runs raw engines), so it prints a single summary line.
+/// The `--sharded` campaign: the production 2PC coordinator crashing after
+/// prepare, after the decision, or after the first delivery, every shard
+/// recovered through both real paths and checked by the atomicity and
+/// conservation oracles. One summary line per profile.
 fn sharded_campaign(parsed: &ChaosArgs) -> u8 {
     let opts = Shard2pcOptions {
         shards: parsed.shards,
         transfers: parsed.txns.max(2),
         bug_forget_decision: parsed.bug_forget_decision,
-        ..Shard2pcOptions::default()
     };
     let seeds: Vec<u64> = (0..parsed.seeds).collect();
-    let report = run_shard2pc_campaign_jobs(&seeds, &opts, parsed.jobs);
-    println!(
-        "shard2pc  seeds={}  clean={}  violations={}  shards={}  committed-2pc={}  resolved-in-doubt={}",
-        seeds.len(),
-        report.clean_seeds.len(),
-        report.violations.len(),
-        opts.shards,
-        report.committed_2pc,
-        report.resolved_in_doubt,
-    );
-    for v in &report.violations {
-        eprintln!("{v}");
+    let mut failed = false;
+    for profile in &parsed.profiles {
+        let report = run_shard2pc_campaign_jobs(profile, &seeds, &opts, parsed.jobs);
+        let [prepared, decided, first_committed] = report.crash_points;
+        println!(
+            "{:8}  seeds={}  clean={}  violations={}  shards={}  prepares={}  committed-2pc={}  resolved-in-doubt={}  crashes={prepared}/{decided}/{first_committed}",
+            profile.name,
+            seeds.len(),
+            report.clean_seeds.len(),
+            report.violations.len(),
+            opts.shards,
+            report.two_phase.prepares,
+            report.committed_2pc,
+            report.resolved_in_doubt,
+        );
+        for v in &report.violations {
+            eprintln!("{v}");
+        }
+        failed |= !report.clean();
     }
-    u8::from(!report.clean())
+    u8::from(failed)
 }
 
 fn replay(seed: u64, parsed: &ChaosArgs, opts: &ChaosOptions) -> u8 {

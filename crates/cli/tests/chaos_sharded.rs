@@ -1,0 +1,48 @@
+//! `cloudybench chaos --sharded` through the real binary: flags the 2PC
+//! campaign cannot carry are refused instead of dropped, `--profile` is
+//! honoured.
+
+use std::process::{Command, Output};
+
+fn chaos_sharded(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cloudybench"))
+        .args(["chaos", "--sharded"])
+        .args(args)
+        .output()
+        .expect("the cloudybench binary runs")
+}
+
+#[test]
+fn flags_the_sharded_campaign_cannot_carry_exit_2() {
+    for flag in [
+        ["--eviction", "sieve"],
+        ["--isolation", "si"],
+        ["--replay", "7"],
+        ["--bug-skip-redo", "3"],
+        ["--out", "chaos-failures"],
+    ] {
+        let out = chaos_sharded(&flag);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        assert!(out.stdout.is_empty(), "{flag:?} ran a campaign anyway");
+        let msg = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            msg.trim_end(),
+            format!("{} is not supported with --sharded", flag[0])
+        );
+    }
+    let out = chaos_sharded(&["--shards", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn profile_selects_the_one_summary_line() {
+    let out = chaos_sharded(&["--profile", "cdb2", "--seeds", "3", "--jobs", "1"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "{stdout}");
+    assert!(
+        lines[0].starts_with("cdb2 ") && lines[0].contains("seeds=3  clean=3  violations=0"),
+        "{stdout}"
+    );
+}

@@ -23,11 +23,11 @@
 //! [`crate::parallel::par_map`]; results merge in canonical shard order, so
 //! reports are byte-identical for every `jobs` count.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 pub use cb_cluster::{shard_of_hash, ShardMap, ShardStrategy};
-use cb_engine::sql::{execute, BoundStmt};
-use cb_engine::{ExecCtx, TxnHandle, Value};
+use cb_engine::sql::{execute, StmtRegistry};
+use cb_engine::{Database, ExecCtx, TxnHandle, Value};
 use cb_sim::{DetRng, SimDuration, SimTime};
 use cb_store::TxnId;
 use cb_sut::SutProfile;
@@ -100,18 +100,35 @@ pub struct TwoPhaseStats {
     pub prepares: u64,
 }
 
-/// A cross-shard transaction that has voted but not yet heard a decision:
-/// every participant holds a durable `Prepare` record and its write locks.
-/// Dropping this without [`TwoPhaseCoordinator::decide`] models a
-/// coordinator crash — each participant is left in doubt.
+impl std::ops::AddAssign for TwoPhaseStats {
+    fn add_assign(&mut self, o: Self) {
+        self.committed += o.committed;
+        self.aborted += o.aborted;
+        self.single_shard += o.single_shard;
+        self.prepares += o.prepares;
+    }
+}
+
+/// A cross-shard transaction whose participants have all voted: each holds
+/// a durable `Prepare` record and its write locks until the coordinator's
+/// decision reaches it. The decision travels inside this value —
+/// [`TwoPhaseCoordinator::record_decision`] sets it,
+/// [`TwoPhaseCoordinator::deliver_next`] hands it to one participant at a
+/// time — so no participant can hear an outcome the decision log does not
+/// hold. Dropping it at any step models a coordinator crash: every
+/// participant not yet told is left in doubt.
 pub struct PreparedGlobal {
     /// The global transaction id shared by every participant's vote.
     pub gid: u64,
-    parts: Vec<(usize, TxnHandle)>,
+    /// Participants still waiting for the decision, in prepare order.
+    parts: VecDeque<(usize, TxnHandle)>,
+    /// The logged decision (`true` = commit), once taken.
+    decision: Option<bool>,
 }
 
 impl PreparedGlobal {
-    /// Participant shard ids, in prepare order.
+    /// Shard ids of the participants not yet told the decision, in
+    /// prepare order.
     pub fn participants(&self) -> Vec<usize> {
         self.parts.iter().map(|(s, _)| *s).collect()
     }
@@ -122,8 +139,9 @@ impl PreparedGlobal {
 /// Presumed abort: only *commit* decisions enter the decision log — a
 /// recovering participant whose vote finds no logged decision rolls back.
 /// The log is the piece that must survive a coordinator crash, which is why
-/// [`TwoPhaseCoordinator::decide`] records the decision *before* telling
-/// any participant.
+/// the decision is recorded ([`TwoPhaseCoordinator::record_decision`])
+/// *before* any participant is told ([`TwoPhaseCoordinator::deliver_next`]);
+/// [`TwoPhaseCoordinator::decide`] runs the two steps back to back.
 pub struct TwoPhaseCoordinator {
     next_gid: u64,
     committed_gids: BTreeSet<u64>,
@@ -137,12 +155,12 @@ impl Default for TwoPhaseCoordinator {
     }
 }
 
-/// Run `f` against one shard's engine with a fresh execution context on the
-/// shard's primary node at instant `at`.
+/// Run `f` against one shard's engine and statement registry with a fresh
+/// execution context on the shard's primary node at instant `at`.
 fn with_shard_ctx<R>(
     dep: &mut Deployment,
     at: SimTime,
-    f: impl FnOnce(&mut cb_engine::Database, &mut ExecCtx<'_>) -> R,
+    f: impl FnOnce(&mut Database, &mut ExecCtx<'_>, &StmtRegistry) -> R,
 ) -> R {
     let Deployment {
         profile,
@@ -150,12 +168,46 @@ fn with_shard_ctx<R>(
         storage,
         group_commit,
         nodes,
+        registry,
         ..
     } = dep;
     let node = &mut nodes[0];
     let mut ctx = ExecCtx::new(at, &mut node.pool, None, storage, &profile.cost_model)
         .with_group_commit(group_commit);
-    f(db, &mut ctx)
+    f(db, &mut ctx, registry)
+}
+
+/// The paying half of a transfer: `t2_pay_order` marks `order` paid.
+fn pay_order(
+    db: &mut Database,
+    ctx: &mut ExecCtx<'_>,
+    registry: &StmtRegistry,
+    txn: &mut TxnHandle,
+    now_ts: i64,
+    order: i64,
+) {
+    let stmt = registry.get("t2_pay_order").expect("registered");
+    let params = [Value::Timestamp(now_ts), Value::Int(order)];
+    execute(db, ctx, txn, stmt, &params).expect("pay executes");
+}
+
+/// The receiving half: `t2_credit_customer` adds `amount` to `customer`.
+fn credit_customer(
+    db: &mut Database,
+    ctx: &mut ExecCtx<'_>,
+    registry: &StmtRegistry,
+    txn: &mut TxnHandle,
+    now_ts: i64,
+    customer: i64,
+    amount: i64,
+) {
+    let stmt = registry.get("t2_credit_customer").expect("registered");
+    let params = [
+        Value::Int(amount),
+        Value::Timestamp(now_ts),
+        Value::Int(customer),
+    ];
+    execute(db, ctx, txn, stmt, &params).expect("credit executes");
 }
 
 impl TwoPhaseCoordinator {
@@ -184,107 +236,95 @@ impl TwoPhaseCoordinator {
     ) -> Option<PreparedGlobal> {
         let gid = self.next_gid;
         self.next_gid += 1;
-        let now_ts = at.as_nanos() as i64 / 1_000;
+        let now_ts = (at.as_nanos() / 1_000) as i64;
         let pay_shard = sd.map.shard_of(from_order);
         let credit_shard = sd.map.shard_of(to_customer);
-        let stmt = |dep: &Deployment, name: &str| -> BoundStmt {
-            dep.registry.get(name).expect("registered").clone()
-        };
         if pay_shard == credit_shard {
-            let pay = stmt(&sd.shards[pay_shard], "t2_pay_order");
-            let credit = stmt(&sd.shards[pay_shard], "t2_credit_customer");
-            with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx| {
+            with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx, reg| {
                 let mut txn = db.begin();
-                execute(
-                    db,
-                    ctx,
-                    &mut txn,
-                    &pay,
-                    &[Value::Timestamp(now_ts), Value::Int(from_order)],
-                )
-                .expect("pay executes");
-                execute(
-                    db,
-                    ctx,
-                    &mut txn,
-                    &credit,
-                    &[
-                        Value::Int(amount),
-                        Value::Timestamp(now_ts),
-                        Value::Int(to_customer),
-                    ],
-                )
-                .expect("credit executes");
+                pay_order(db, ctx, reg, &mut txn, now_ts, from_order);
+                credit_customer(db, ctx, reg, &mut txn, now_ts, to_customer, amount);
                 db.commit(ctx, txn);
             });
             self.stats.single_shard += 1;
             self.stats.committed += 1;
             return None;
         }
-        let mut parts = Vec::with_capacity(2);
-        let pay = stmt(&sd.shards[pay_shard], "t2_pay_order");
-        let pay_txn = with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx| {
+        let pay_txn = with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx, reg| {
             let mut txn = db.begin();
-            execute(
-                db,
-                ctx,
-                &mut txn,
-                &pay,
-                &[Value::Timestamp(now_ts), Value::Int(from_order)],
-            )
-            .expect("pay executes");
+            pay_order(db, ctx, reg, &mut txn, now_ts, from_order);
             db.prepare(ctx, &mut txn, gid);
             txn
         });
-        parts.push((pay_shard, pay_txn));
-        let credit = stmt(&sd.shards[credit_shard], "t2_credit_customer");
-        let credit_txn = with_shard_ctx(&mut sd.shards[credit_shard], at, |db, ctx| {
+        let credit_txn = with_shard_ctx(&mut sd.shards[credit_shard], at, |db, ctx, reg| {
             let mut txn = db.begin();
-            execute(
-                db,
-                ctx,
-                &mut txn,
-                &credit,
-                &[
-                    Value::Int(amount),
-                    Value::Timestamp(now_ts),
-                    Value::Int(to_customer),
-                ],
-            )
-            .expect("credit executes");
+            credit_customer(db, ctx, reg, &mut txn, now_ts, to_customer, amount);
             db.prepare(ctx, &mut txn, gid);
             txn
         });
-        parts.push((credit_shard, credit_txn));
         self.stats.prepares += 2;
-        Some(PreparedGlobal { gid, parts })
+        Some(PreparedGlobal {
+            gid,
+            parts: VecDeque::from([(pay_shard, pay_txn), (credit_shard, credit_txn)]),
+            decision: None,
+        })
     }
 
-    /// Phase two: record the decision, then apply it on every participant.
-    /// The decision log entry is written *before* any participant learns
-    /// the outcome — the order that makes crash recovery deterministic.
-    pub fn decide(
-        &mut self,
-        sd: &mut ShardedDeployment,
-        prepared: PreparedGlobal,
-        commit: bool,
-        at: SimTime,
-    ) {
+    /// Phase two, first step: write the decision to the decision log
+    /// (presumed abort — only commits enter it) and into `prepared`. No
+    /// participant has heard anything yet; a crash here leaves every vote
+    /// in doubt with a logged outcome for [`TwoPhaseCoordinator::resolve`]
+    /// to find.
+    pub fn record_decision(&mut self, prepared: &mut PreparedGlobal, commit: bool) {
+        debug_assert!(prepared.decision.is_none(), "a decision is taken once");
         if commit {
             self.committed_gids.insert(prepared.gid);
             self.stats.committed += 1;
         } else {
             self.stats.aborted += 1;
         }
-        for (shard, txn) in prepared.parts {
-            with_shard_ctx(&mut sd.shards[shard], at, |db, ctx| {
-                if commit {
-                    db.commit(ctx, txn);
-                } else {
-                    db.abort(ctx, txn);
-                }
-            });
-        }
+        prepared.decision = Some(commit);
+    }
+
+    /// Phase two, second step: tell the next waiting participant (prepare
+    /// order) the recorded decision. Returns `false` once every participant
+    /// has been told. Panics if no decision was recorded — the write-ahead
+    /// rule the decision log exists for.
+    pub fn deliver_next(
+        &self,
+        sd: &mut ShardedDeployment,
+        prepared: &mut PreparedGlobal,
+        at: SimTime,
+    ) -> bool {
+        let commit = prepared
+            .decision
+            .expect("record_decision comes before deliver_next");
+        let Some((shard, txn)) = prepared.parts.pop_front() else {
+            return false;
+        };
+        with_shard_ctx(&mut sd.shards[shard], at, |db, ctx, _| {
+            if commit {
+                db.commit(ctx, txn);
+            } else {
+                db.abort(ctx, txn);
+            }
+        });
+        true
+    }
+
+    /// Phase two in one call: record the decision, then deliver it to every
+    /// participant. The decision log entry is written *before* any
+    /// participant learns the outcome — the order that makes crash recovery
+    /// deterministic.
+    pub fn decide(
+        &mut self,
+        sd: &mut ShardedDeployment,
+        mut prepared: PreparedGlobal,
+        commit: bool,
+        at: SimTime,
+    ) {
+        self.record_decision(&mut prepared, commit);
+        while self.deliver_next(sd, &mut prepared, at) {}
     }
 
     /// Whether the decision log records a commit for `gid`.
@@ -656,36 +696,76 @@ mod tests {
 
     #[test]
     fn coordinator_crash_resolution_joins_votes_with_the_decision_log() {
-        let map = range_map_for(1, 2000, 2);
-        let mut sd = ShardedDeployment::new(SutProfile::aws_rds(), 1, 2000, map, 5);
-        let hi = sd.shards[0].shape.orders as i64;
-        let at = SimTime::ZERO + SimDuration::from_secs(1);
-        let mut coord = TwoPhaseCoordinator::new();
+        use crate::replay::redo_committed_parallel;
+        use cb_engine::recovery::undo_losers;
+        // The coordinator dies after `steps` of phase two — 0: votes only,
+        // 1: decision logged, 2: first participant told — and recovery must
+        // roll `resolved` in-doubt votes forward across the fleet.
+        for (steps, resolved_votes) in [(0, 0), (1, 2), (2, 1)] {
+            let map = range_map_for(1, 2000, 2);
+            let mut sd = ShardedDeployment::new(SutProfile::aws_rds(), 1, 2000, map, 5);
+            let hi = sd.shards[0].shape.orders as i64;
+            let at = SimTime::ZERO + SimDuration::from_secs(1);
+            let mut coord = TwoPhaseCoordinator::new();
 
-        // One transfer decided commit; one crashed in doubt (vote written,
-        // decision never taken): std::mem::forget models the crash without
-        // running abort.
-        let p1 = coord.begin_transfer(&mut sd, 1, hi, 100, at).unwrap();
-        let committed_gid = p1.gid;
-        coord.decide(&mut sd, p1, true, at);
-        let p2 = coord.begin_transfer(&mut sd, 2, hi - 1, 100, at).unwrap();
-        let in_doubt_gid = p2.gid;
-        for (_, txn) in p2.parts {
-            std::mem::forget(txn);
-        }
+            let p1 = coord.begin_transfer(&mut sd, 1, hi, 100, at).unwrap();
+            let committed_gid = p1.gid;
+            coord.decide(&mut sd, p1, true, at);
+            let touched = [sd.shards[0].tables.orders, sd.shards[1].tables.customer];
+            let before_crash = [
+                sd.shards[0].db.dump_table(touched[0]),
+                sd.shards[1].db.dump_table(touched[1]),
+            ];
 
-        for shard in &sd.shards {
-            let records: Vec<&WalRecord> = shard.db.log().records_after(Lsn::ZERO).collect();
-            let in_doubt = in_doubt_txns(records.iter().copied());
-            assert_eq!(in_doubt.len(), 1, "only the undecided vote is in doubt");
-            assert_eq!(in_doubt[0].1, in_doubt_gid);
-            let resolved = coord.resolve(&in_doubt);
-            assert!(
-                resolved.is_empty(),
-                "presumed abort: no logged decision for gid {in_doubt_gid}"
-            );
+            let mut p2 = coord.begin_transfer(&mut sd, 2, hi - 1, 100, at).unwrap();
+            let crashed_gid = p2.gid;
+            if steps >= 1 {
+                coord.record_decision(&mut p2, true);
+            }
+            if steps >= 2 {
+                assert!(coord.deliver_next(&mut sd, &mut p2, at));
+                assert_eq!(p2.participants(), vec![1], "the payer heard first");
+            }
+            drop(p2);
+
+            let mut resolved_total = 0;
+            for (s, shard) in sd.shards.iter_mut().enumerate() {
+                let tail: Vec<WalRecord> =
+                    shard.db.log().records_after(Lsn::ZERO).cloned().collect();
+                let refs: Vec<&WalRecord> = tail.iter().collect();
+                let in_doubt = in_doubt_txns(&tail);
+                assert!(
+                    in_doubt.iter().all(|&(_, gid)| gid == crashed_gid),
+                    "only the undelivered vote is in doubt"
+                );
+                // The payer (shard 0) is out of doubt once it was told.
+                assert_eq!(in_doubt.len(), usize::from(steps < 2 || s == 1));
+                let resolved = coord.resolve(&in_doubt);
+                resolved_total += resolved.len();
+
+                let mut rebuilt = shard.base_database();
+                redo_committed_parallel(&mut rebuilt, &refs, &resolved, 1);
+                shard.db.simulate_crash();
+                undo_losers(&mut shard.db, &tail, tail.len(), &resolved);
+                for t in shard.db.tables() {
+                    assert_eq!(
+                        shard.db.dump_table(t.id()),
+                        rebuilt.dump_table(t.id()),
+                        "steps {steps} shard {s}: rebuild-from-base vs in-place undo on {}",
+                        t.name()
+                    );
+                }
+                // No logged decision: presumed abort on both shards. A
+                // logged one: rolled forward on both, never on one.
+                assert_eq!(
+                    rebuilt.dump_table(touched[s]) != before_crash[s],
+                    steps >= 1,
+                    "steps {steps} shard {s}"
+                );
+            }
+            assert_eq!(resolved_total, resolved_votes, "steps {steps}");
+            assert!(coord.decided_commit(committed_gid));
+            assert_eq!(coord.decided_commit(crashed_gid), steps >= 1);
         }
-        assert!(coord.decided_commit(committed_gid));
-        assert!(!coord.decided_commit(in_doubt_gid));
     }
 }

@@ -195,12 +195,12 @@ impl std::fmt::Debug for LogHistogram {
 mod tests {
     use super::*;
 
-    /// Pin: for a single-sample series both quantile implementations in the
-    /// workspace — `cb_sim::percentile` (sorted-sample interpolation) and
-    /// `LogHistogram` (bucket midpoint clamped to `[min, max]`) — must
-    /// return exactly the sample, at p50 and every other percentile. The
-    /// `[min, max]` clamp is what guarantees this for values ≥ 128 whose
-    /// bucket midpoint is not the value itself.
+    /// Pin: every percentile of a single-sample series is exactly the
+    /// sample. `LogHistogram` is the workspace's one quantile routine
+    /// (the test name predates the removal of `cb_sim::percentile`, which
+    /// pinned the same contract from the sorted-sample side); the
+    /// `[min, max]` clamp is what guarantees exactness for values ≥ 128
+    /// whose bucket midpoint is not the value itself.
     #[test]
     fn single_sample_p50_matches_cb_sim_percentile() {
         for &v in &[0u64, 1, 7, 127, 128, 129, 200, 12_345, 1_000_000, 1 << 40] {
@@ -208,28 +208,20 @@ mod tests {
             h.record(v);
             for &p in &[0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
                 assert_eq!(h.percentile(p), v, "hist p{p} of single sample {v}");
-                assert_eq!(
-                    cb_sim::percentile(&[v as f64], p),
-                    v as f64,
-                    "sim p{p} of single sample {v}"
-                );
             }
             assert_eq!(h.value_at_quantile(0.5), v);
         }
     }
 
-    /// Pin: an all-equal series also agrees exactly between the two
-    /// implementations (interpolation between equal ranks is a no-op; the
-    /// histogram clamp collapses the bucket to the one recorded value).
+    /// Pin: an all-equal series reports the one recorded value (the clamp
+    /// collapses the bucket to it).
     #[test]
     fn constant_series_p50_matches_cb_sim_percentile() {
         let mut h = LogHistogram::new();
-        let samples = vec![777.0f64; 9];
         for _ in 0..9 {
             h.record(777);
         }
         assert_eq!(h.percentile(50.0), 777);
-        assert_eq!(cb_sim::percentile(&samples, 50.0), 777.0);
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub use cpu::{CpuResource, CpuSlot};
 pub use device::{Device, DeviceKind, NetworkLink};
 pub use events::{EventId, EventQueue};
 pub use rng::DetRng;
-pub use series::{geomean, mean, percentile, GaugeSeries, TpsRecorder};
+pub use series::{geomean, mean, GaugeSeries, TpsRecorder};
 pub use time::{SimDuration, SimTime};

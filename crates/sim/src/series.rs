@@ -246,26 +246,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (kept.iter().map(|x| x.ln()).sum::<f64>() / kept.len() as f64).exp()
 }
 
-/// The `p`-th percentile (0..=100) of `xs`, linearly interpolated between
-/// closest ranks (the "C = 1" / numpy `linear` convention). This is the
-/// single percentile definition shared by every sample-based consumer, so
-/// figures agree on interpolation. Exact streaming quantiles live in
-/// `cb_obs::LogHistogram`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    // NaN observations (a latency that never resolved) carry no rank
-    // information: skip them instead of panicking mid-report.
-    let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted.sort_by(f64::total_cmp);
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (sorted.len() as f64 - 1.0);
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi.min(sorted.len() - 1)] - sorted[lo]) * frac
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_skips_nan_observations() {
-        // NaN must neither panic the sort nor poison the result.
-        assert_eq!(percentile(&[3.0, f64::NAN, 1.0, 2.0], 50.0), 2.0);
-        assert_eq!(percentile(&[f64::NAN, f64::NAN], 50.0), 0.0);
-        assert_eq!(percentile(&[f64::NAN, 7.0], 99.0), 7.0);
-    }
-
-    #[test]
     fn gauge_value_and_integral() {
         let mut g = GaugeSeries::starting_at(4.0);
         g.set(SimTime::from_secs(10), 2.0);
@@ -373,32 +345,5 @@ mod tests {
         assert_eq!(geomean(&[4.0, -1.0, 9.0]), 6.0);
         assert_eq!(geomean(&[0.0, -3.0]), 0.0);
         assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0, 5.0], 50.0), 3.0);
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0, 5.0], 100.0), 5.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates_between_ranks() {
-        // Even-length slice: the median falls between ranks.
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 2.5);
-        // Quarter-way between 1.0 and 2.0.
-        assert!((percentile(&[1.0, 2.0], 25.0) - 1.25).abs() < 1e-12);
-        // Out-of-range p clamps instead of panicking.
-        assert_eq!(percentile(&[1.0, 2.0], 150.0), 2.0);
-        assert_eq!(percentile(&[1.0, 2.0], -5.0), 1.0);
-        // Input order does not matter.
-        assert_eq!(percentile(&[4.0, 1.0, 3.0, 2.0], 50.0), 2.5);
-    }
-
-    /// Pin: every percentile of a single-sample series is the sample itself.
-    /// `cb_obs::LogHistogram` pins the same contract on its side (see
-    /// `single_sample_p50_matches_cb_sim_percentile` there), keeping the two
-    /// quantile implementations consistent where exactness is possible.
-    #[test]
-    fn single_sample_percentile_is_the_sample() {
-        for &p in &[0.0, 25.0, 50.0, 90.0, 99.9, 100.0] {
-            assert_eq!(percentile(&[42.5], p), 42.5, "p{p}");
-        }
     }
 }
