@@ -556,7 +556,6 @@ impl Harness {
             committed_rec = Some(c);
         }
         let latency = ctx.cpu + ctx.io;
-        drop(ctx);
         // A durable (write) commit enqueued into the group-commit pipeline;
         // its ack — and its client-visible effects — arrive only when the
         // batch flushes. Read-only commits never enqueue and carry no ops.

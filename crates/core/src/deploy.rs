@@ -9,7 +9,9 @@ use cb_sim::SimTime;
 use cb_store::{GroupCommit, StorageService};
 use cb_sut::SutProfile;
 
-use crate::schema::{create_tables, load_dataset, DatasetShape, SalesTables, STMT_DB_TOML};
+use crate::schema::{
+    create_tables, load_dataset, DatasetShape, SalesStmts, SalesTables, STMT_DB_TOML,
+};
 
 /// A fully assembled system under test, ready to drive.
 pub struct Deployment {
@@ -37,6 +39,8 @@ pub struct Deployment {
     pub remote_pool: Option<BufferPool>,
     /// Prepared statements (the `stmt_db.toml` registry).
     pub registry: StmtRegistry,
+    /// Handles to the six sales statements in `registry`.
+    pub stmts: SalesStmts,
     /// Seed the initial dataset was generated from — kept so recovery tests
     /// can reconstruct the exact pre-WAL base snapshot.
     pub dataset_seed: u64,
@@ -60,6 +64,7 @@ impl Deployment {
         registry
             .load(STMT_DB_TOML, &db)
             .expect("built-in statements must load");
+        let stmts = SalesStmts::resolve(&registry);
         let storage = profile.storage_service();
         let pool_pages = profile.buffer_pages(sim_scale);
         let mut nodes = vec![Node::new(
@@ -93,6 +98,7 @@ impl Deployment {
             streams,
             remote_pool,
             registry,
+            stmts,
             dataset_seed: seed,
         }
     }

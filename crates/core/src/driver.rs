@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 use cb_cluster::{plan_failover, plan_ro_failover, FailoverTimeline, ScaleSample, ScalingPolicy};
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::analyze;
-use cb_engine::sql::{execute, BoundStmt};
+use cb_engine::sql::execute;
 use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Value};
 use cb_obs::{Category, LogHistogram, ObsSink};
 use cb_sim::{DetRng, EventQueue, SimDuration, SimTime, TpsRecorder};
@@ -1002,6 +1002,7 @@ impl<'a> RunCtx<'a> {
             streams,
             remote_pool,
             registry,
+            stmts,
             tables,
             ..
         } = dep;
@@ -1012,7 +1013,6 @@ impl<'a> RunCtx<'a> {
             .with_group_commit(group_commit)
             .with_isolation(iso);
         let mut txn = db.begin();
-        let stmt = |name: &str| -> &BoundStmt { registry.get(name).expect("registered") };
         match kind {
             TxnKind::NewOrderline => {
                 let params = [
@@ -1021,25 +1021,31 @@ impl<'a> RunCtx<'a> {
                     Value::Int(rng.range_inclusive(1, 10)),
                     Value::Int(rng.range_inclusive(100, 50_000)),
                 ];
-                execute(db, &mut ctx, &mut txn, stmt("t1_new_orderline"), &params)
-                    .expect("t1 must execute");
+                execute(
+                    db,
+                    &mut ctx,
+                    &mut txn,
+                    &registry[stmts.t1_new_orderline],
+                    &params,
+                )
+                .expect("t1 must execute");
             }
             TxnKind::OrderPayment => {
                 let out = execute(
                     db,
                     &mut ctx,
                     &mut txn,
-                    stmt("t2_select_order"),
+                    &registry[stmts.t2_select_order],
                     &[Value::Int(o_id)],
                 )
                 .expect("t2 select must execute");
-                if let Some(row) = out.rows.first() {
-                    let c_id = row[1].expect_int();
+                if let Some(row) = out.row {
+                    let c_id = row.int(1);
                     execute(
                         db,
                         &mut ctx,
                         &mut txn,
-                        stmt("t2_pay_order"),
+                        &registry[stmts.t2_pay_order],
                         &[Value::Timestamp(now_ts), Value::Int(o_id)],
                     )
                     .expect("t2 pay must execute");
@@ -1047,7 +1053,7 @@ impl<'a> RunCtx<'a> {
                         db,
                         &mut ctx,
                         &mut txn,
-                        stmt("t2_credit_customer"),
+                        &registry[stmts.t2_credit_customer],
                         &[
                             Value::Int(rng.range_inclusive(1, 10_000)),
                             Value::Timestamp(now_ts),
@@ -1062,7 +1068,7 @@ impl<'a> RunCtx<'a> {
                     db,
                     &mut ctx,
                     &mut txn,
-                    stmt("t3_order_status"),
+                    &registry[stmts.t3_order_status],
                     &[Value::Int(o_id)],
                 )
                 .expect("t3 must execute");
@@ -1072,7 +1078,7 @@ impl<'a> RunCtx<'a> {
                     db,
                     &mut ctx,
                     &mut txn,
-                    stmt("t4_delete_orderline"),
+                    &registry[stmts.t4_delete_orderline],
                     &[Value::Int(ol_id)],
                 )
                 .expect("t4 must execute");

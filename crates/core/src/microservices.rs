@@ -13,7 +13,7 @@
 //! Manufacturing service: `WORKORDER` — open a work order when stock runs
 //! low, complete it (which restocks).
 
-use cb_engine::sql::{execute, ExecError, StmtRegistry};
+use cb_engine::sql::{execute, ExecError, StmtId, StmtRegistry};
 use cb_engine::{ColumnDef, DataType, Database, ExecCtx, Row, Schema, Value};
 use cb_sim::DetRng;
 use cb_store::TableId;
@@ -27,6 +27,34 @@ pub struct ExtensionTables {
     pub stockitem: TableId,
     /// WORKORDER (manufacturing).
     pub workorder: TableId,
+}
+
+/// Handles to the six [`EXT_STMT_TOML`] statements, resolved by
+/// [`install`] so a transaction indexes the registry instead of looking
+/// names up.
+#[derive(Clone, Copy, Debug)]
+pub struct ExtensionStmts {
+    /// `SELECT … FROM stockitem`.
+    pub inv_check_stock: StmtId,
+    /// `UPDATE stockitem SET S_RESERVED = …`.
+    pub inv_reserve: StmtId,
+    /// `UPDATE stockitem SET S_QTY = …`.
+    pub inv_restock: StmtId,
+    /// `SELECT … FROM product`.
+    pub inv_product: StmtId,
+    /// `INSERT INTO workorder`.
+    pub mfg_open_workorder: StmtId,
+    /// `UPDATE workorder SET W_STATUS = 'DONE'`.
+    pub mfg_complete: StmtId,
+}
+
+/// What [`install`] added to a database and its registry.
+#[derive(Clone, Copy, Debug)]
+pub struct Extension {
+    /// The three new tables.
+    pub tables: ExtensionTables,
+    /// The six new statements.
+    pub stmts: ExtensionStmts,
 }
 
 /// PRODUCT schema: P_ID, P_NAME, P_PRICE.
@@ -73,7 +101,7 @@ mfg_complete = "UPDATE workorder SET W_STATUS = 'DONE' WHERE W_ID = ?"
 "#;
 
 /// Create the extension tables and register their statements.
-pub fn install(db: &mut Database, registry: &mut StmtRegistry) -> ExtensionTables {
+pub fn install(db: &mut Database, registry: &mut StmtRegistry) -> Extension {
     let tables = ExtensionTables {
         product: db.create_table("product", product_schema()),
         stockitem: db.create_table("stockitem", stockitem_schema()),
@@ -82,7 +110,16 @@ pub fn install(db: &mut Database, registry: &mut StmtRegistry) -> ExtensionTable
     registry
         .load(EXT_STMT_TOML, db)
         .expect("extension statements must bind");
-    tables
+    let id = |name: &str| registry.id(name).expect("just loaded");
+    let stmts = ExtensionStmts {
+        inv_check_stock: id("inv_check_stock"),
+        inv_reserve: id("inv_reserve"),
+        inv_restock: id("inv_restock"),
+        inv_product: id("inv_product"),
+        mfg_open_workorder: id("mfg_open_workorder"),
+        mfg_complete: id("mfg_complete"),
+    };
+    Extension { tables, stmts }
 }
 
 /// Load `products` products with initial stock.
@@ -143,13 +180,13 @@ pub fn run_ext_txn(
     db: &mut Database,
     ctx: &mut ExecCtx<'_>,
     registry: &StmtRegistry,
-    tables: ExtensionTables,
+    ext: &Extension,
     kind: ExtTxn,
     product: i64,
     now_us: i64,
     rng: &mut DetRng,
 ) -> Result<ExtOutcome, ExecError> {
-    let stmt = |name: &str| registry.get(name).expect("extension statement registered");
+    let Extension { tables, stmts } = ext;
     let mut txn = db.begin();
     let mut opened = false;
     match kind {
@@ -158,14 +195,14 @@ pub fn run_ext_txn(
                 db,
                 ctx,
                 &mut txn,
-                stmt("inv_product"),
+                &registry[stmts.inv_product],
                 &[Value::Int(product)],
             )?;
             execute(
                 db,
                 ctx,
                 &mut txn,
-                stmt("inv_check_stock"),
+                &registry[stmts.inv_check_stock],
                 &[Value::Int(product)],
             )?;
         }
@@ -174,18 +211,18 @@ pub fn run_ext_txn(
                 db,
                 ctx,
                 &mut txn,
-                stmt("inv_check_stock"),
+                &registry[stmts.inv_check_stock],
                 &[Value::Int(product)],
             )?;
-            if let Some(row) = out.rows.first() {
-                let qty = row[1].expect_int();
-                let reserved = row[2].expect_int();
+            if let Some(row) = out.row {
+                let qty = row.int(1);
+                let reserved = row.int(2);
                 let want = rng.range_inclusive(1, 5);
                 execute(
                     db,
                     ctx,
                     &mut txn,
-                    stmt("inv_reserve"),
+                    &registry[stmts.inv_reserve],
                     &[
                         Value::Int(want),
                         Value::Timestamp(now_us),
@@ -198,7 +235,7 @@ pub fn run_ext_txn(
                         db,
                         ctx,
                         &mut txn,
-                        stmt("mfg_open_workorder"),
+                        &registry[stmts.mfg_open_workorder],
                         &[
                             Value::Int(product),
                             Value::Int(100),
@@ -223,12 +260,13 @@ pub fn run_ext_txn(
                     false
                 });
                 if let Some((p, qty)) = target {
-                    execute(db, ctx, &mut txn, stmt("mfg_complete"), &[Value::Int(w_id)])?;
+                    let complete = &registry[stmts.mfg_complete];
+                    execute(db, ctx, &mut txn, complete, &[Value::Int(w_id)])?;
                     execute(
                         db,
                         ctx,
                         &mut txn,
-                        stmt("inv_restock"),
+                        &registry[stmts.inv_restock],
                         &[Value::Int(qty), Value::Timestamp(now_us), Value::Int(p)],
                     )?;
                 }
@@ -279,6 +317,7 @@ mod tests {
     struct Env {
         db: Database,
         registry: StmtRegistry,
+        ext: Extension,
         tables: ExtensionTables,
         pool: BufferPool,
         storage: cb_store::StorageService,
@@ -289,12 +328,14 @@ mod tests {
     fn env() -> Env {
         let mut db = Database::new();
         let mut registry = StmtRegistry::new();
-        let tables = install(&mut db, &mut registry);
+        let ext = install(&mut db, &mut registry);
+        let tables = ext.tables;
         let mut rng = DetRng::seeded(5);
         load_extension_data(&mut db, tables, 100, &mut rng);
         Env {
             db,
             registry,
+            ext,
             tables,
             pool: BufferPool::new(1024),
             storage: SutProfile::aws_rds().storage_service(),
@@ -315,7 +356,7 @@ mod tests {
             &mut env.db,
             &mut ctx,
             &env.registry,
-            env.tables,
+            &env.ext,
             kind,
             product,
             12345,
@@ -424,15 +465,17 @@ mod tests {
         let model = cb_engine::CostModel::default();
         let mut ctx = ExecCtx::new(cb_sim::SimTime::ZERO, &mut pool, None, &mut storage, &model);
         let mut txn = db.begin();
-        let out = execute(&mut db, &mut ctx, &mut txn, stmt, &[Value::Int(5)]).unwrap();
+        let found = execute(&mut db, &mut ctx, &mut txn, stmt, &[Value::Int(5)])
+            .unwrap()
+            .affected;
         db.commit(&mut ctx, txn);
-        assert!(out.affected > 0, "order 5 has orderlines");
+        assert!(found > 0, "order 5 has orderlines");
         // Every returned orderline belongs to... the projection dropped
         // OL_O_ID, so verify via a direct index lookup instead.
         let orderline = db.table_id("orderline").unwrap();
         let mut ctx = ExecCtx::new(cb_sim::SimTime::ZERO, &mut pool, None, &mut storage, &model);
         let rows = db.index_lookup(&mut ctx, orderline, 1, 5);
-        assert_eq!(rows.len() as u64, out.affected);
+        assert_eq!(rows.len() as u64, found);
         assert!(rows.iter().all(|r| r.values[1].expect_int() == 5));
     }
 
@@ -446,6 +489,6 @@ mod tests {
         // All nine tables visible, twelve statements registered.
         assert_eq!(db.tables().len(), 6);
         assert_eq!(registry.len(), 12);
-        assert_ne!(sales.orders, ext.product);
+        assert_ne!(sales.orders, ext.tables.product);
     }
 }

@@ -9,6 +9,7 @@
 //! shrink together (see `Deployment`), preserving every cache-pressure ratio
 //! while letting the full experiment grid run in seconds.
 
+use cb_engine::sql::{StmtId, StmtRegistry};
 use cb_engine::{ColumnDef, DataType, Database, Row, Schema, Value};
 use cb_sim::DetRng;
 use cb_store::TableId;
@@ -171,10 +172,47 @@ t3_order_status = "SELECT O_ID, O_DATE, O_STATUS FROM orders WHERE O_ID = ?"
 t4_delete_orderline = "DELETE FROM orderline WHERE OL_ID = ?"
 "#;
 
+/// Handles to the six [`STMT_DB_TOML`] statements, resolved once when a
+/// deployment is assembled so the per-transaction path indexes the registry
+/// instead of hashing a statement name.
+#[derive(Clone, Copy, Debug)]
+pub struct SalesStmts {
+    /// T1 `INSERT INTO orderline`.
+    pub t1_new_orderline: StmtId,
+    /// T2 `SELECT … FROM orders`.
+    pub t2_select_order: StmtId,
+    /// T2 `UPDATE orders`.
+    pub t2_pay_order: StmtId,
+    /// T2 `UPDATE customer`.
+    pub t2_credit_customer: StmtId,
+    /// T3 `SELECT … FROM orders`.
+    pub t3_order_status: StmtId,
+    /// T4 `DELETE FROM orderline`.
+    pub t4_delete_orderline: StmtId,
+}
+
+impl SalesStmts {
+    /// Resolve the six names in a registry that loaded [`STMT_DB_TOML`].
+    pub fn resolve(registry: &StmtRegistry) -> Self {
+        let id = |name: &str| {
+            registry
+                .id(name)
+                .unwrap_or_else(|| panic!("built-in statement {name} is registered"))
+        };
+        SalesStmts {
+            t1_new_orderline: id("t1_new_orderline"),
+            t2_select_order: id("t2_select_order"),
+            t2_pay_order: id("t2_pay_order"),
+            t2_credit_customer: id("t2_credit_customer"),
+            t3_order_status: id("t3_order_status"),
+            t4_delete_orderline: id("t4_delete_orderline"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cb_engine::sql::StmtRegistry;
 
     #[test]
     fn shapes_scale_linearly() {
@@ -294,6 +332,24 @@ mod tests {
             "t4_delete_orderline",
         ] {
             assert!(reg.get(name).is_some(), "missing {name}");
+        }
+        // A handle reaches the statement its name does, and the resolved
+        // struct holds the six handles under the right names.
+        for name in reg.names() {
+            let id = reg.id(name).expect("listed name resolves");
+            assert_eq!(Some(&reg[id]), reg.get(name), "{name}");
+        }
+        assert_eq!(reg.id("t9_unknown"), None);
+        let ids = SalesStmts::resolve(&reg);
+        for (id, name) in [
+            (ids.t1_new_orderline, "t1_new_orderline"),
+            (ids.t2_select_order, "t2_select_order"),
+            (ids.t2_pay_order, "t2_pay_order"),
+            (ids.t2_credit_customer, "t2_credit_customer"),
+            (ids.t3_order_status, "t3_order_status"),
+            (ids.t4_delete_orderline, "t4_delete_orderline"),
+        ] {
+            assert_eq!(Some(&reg[id]), reg.get(name), "{name}");
         }
     }
 

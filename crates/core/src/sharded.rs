@@ -26,7 +26,7 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 pub use cb_cluster::{shard_of_hash, ShardMap, ShardStrategy};
-use cb_engine::sql::{execute, StmtRegistry};
+use cb_engine::sql::{execute, BoundStmt, StmtRegistry};
 use cb_engine::{Database, ExecCtx, TxnHandle, Value};
 use cb_sim::{DetRng, SimDuration, SimTime};
 use cb_store::TxnId;
@@ -37,6 +37,7 @@ use crate::deploy::Deployment;
 use crate::driver::{run, RunOptions, ShiftEvent, TenantSpec, VcoreControl};
 use crate::metrics::p_score;
 use crate::parallel::par_map;
+use crate::schema::SalesStmts;
 
 /// Seed offset between shards: far enough apart that per-shard datasets and
 /// workload streams never share an RNG stream.
@@ -155,12 +156,13 @@ impl Default for TwoPhaseCoordinator {
     }
 }
 
-/// Run `f` against one shard's engine and statement registry with a fresh
-/// execution context on the shard's primary node at instant `at`.
+/// Run `f` against one shard's engine, statement registry and resolved
+/// statement handles with a fresh execution context on the shard's primary
+/// node at instant `at`.
 fn with_shard_ctx<R>(
     dep: &mut Deployment,
     at: SimTime,
-    f: impl FnOnce(&mut Database, &mut ExecCtx<'_>, &StmtRegistry) -> R,
+    f: impl FnOnce(&mut Database, &mut ExecCtx<'_>, &StmtRegistry, &SalesStmts) -> R,
 ) -> R {
     let Deployment {
         profile,
@@ -169,39 +171,39 @@ fn with_shard_ctx<R>(
         group_commit,
         nodes,
         registry,
+        stmts,
         ..
     } = dep;
     let node = &mut nodes[0];
     let mut ctx = ExecCtx::new(at, &mut node.pool, None, storage, &profile.cost_model)
         .with_group_commit(group_commit);
-    f(db, &mut ctx, registry)
+    f(db, &mut ctx, registry, stmts)
 }
 
-/// The paying half of a transfer: `t2_pay_order` marks `order` paid.
+/// The paying half of a transfer: `stmt` (`t2_pay_order`) marks `order` paid.
 fn pay_order(
     db: &mut Database,
     ctx: &mut ExecCtx<'_>,
-    registry: &StmtRegistry,
+    stmt: &BoundStmt,
     txn: &mut TxnHandle,
     now_ts: i64,
     order: i64,
 ) {
-    let stmt = registry.get("t2_pay_order").expect("registered");
     let params = [Value::Timestamp(now_ts), Value::Int(order)];
     execute(db, ctx, txn, stmt, &params).expect("pay executes");
 }
 
-/// The receiving half: `t2_credit_customer` adds `amount` to `customer`.
+/// The receiving half: `stmt` (`t2_credit_customer`) adds `amount` to
+/// `customer`.
 fn credit_customer(
     db: &mut Database,
     ctx: &mut ExecCtx<'_>,
-    registry: &StmtRegistry,
+    stmt: &BoundStmt,
     txn: &mut TxnHandle,
     now_ts: i64,
     customer: i64,
     amount: i64,
 ) {
-    let stmt = registry.get("t2_credit_customer").expect("registered");
     let params = [
         Value::Int(amount),
         Value::Timestamp(now_ts),
@@ -240,25 +242,41 @@ impl TwoPhaseCoordinator {
         let pay_shard = sd.map.shard_of(from_order);
         let credit_shard = sd.map.shard_of(to_customer);
         if pay_shard == credit_shard {
-            with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx, reg| {
+            with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx, reg, ids| {
                 let mut txn = db.begin();
-                pay_order(db, ctx, reg, &mut txn, now_ts, from_order);
-                credit_customer(db, ctx, reg, &mut txn, now_ts, to_customer, amount);
+                pay_order(
+                    db,
+                    ctx,
+                    &reg[ids.t2_pay_order],
+                    &mut txn,
+                    now_ts,
+                    from_order,
+                );
+                let credit = &reg[ids.t2_credit_customer];
+                credit_customer(db, ctx, credit, &mut txn, now_ts, to_customer, amount);
                 db.commit(ctx, txn);
             });
             self.stats.single_shard += 1;
             self.stats.committed += 1;
             return None;
         }
-        let pay_txn = with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx, reg| {
+        let pay_txn = with_shard_ctx(&mut sd.shards[pay_shard], at, |db, ctx, reg, ids| {
             let mut txn = db.begin();
-            pay_order(db, ctx, reg, &mut txn, now_ts, from_order);
+            pay_order(
+                db,
+                ctx,
+                &reg[ids.t2_pay_order],
+                &mut txn,
+                now_ts,
+                from_order,
+            );
             db.prepare(ctx, &mut txn, gid);
             txn
         });
-        let credit_txn = with_shard_ctx(&mut sd.shards[credit_shard], at, |db, ctx, reg| {
+        let credit_txn = with_shard_ctx(&mut sd.shards[credit_shard], at, |db, ctx, reg, ids| {
             let mut txn = db.begin();
-            credit_customer(db, ctx, reg, &mut txn, now_ts, to_customer, amount);
+            let credit = &reg[ids.t2_credit_customer];
+            credit_customer(db, ctx, credit, &mut txn, now_ts, to_customer, amount);
             db.prepare(ctx, &mut txn, gid);
             txn
         });
@@ -302,7 +320,7 @@ impl TwoPhaseCoordinator {
         let Some((shard, txn)) = prepared.parts.pop_front() else {
             return false;
         };
-        with_shard_ctx(&mut sd.shards[shard], at, |db, ctx, _| {
+        with_shard_ctx(&mut sd.shards[shard], at, |db, ctx, _, _| {
             if commit {
                 db.commit(ctx, txn);
             } else {

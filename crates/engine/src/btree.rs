@@ -2,9 +2,9 @@
 //!
 //! Keys are `i64` primary keys; payloads are encoded row images stored in
 //! slotted leaf pages. Internal nodes hold fixed-width `(key, child)`
-//! separators. Every page the tree touches is reported to the caller through
-//! an [`AccessLog`] so the buffer pool can charge cache hits and misses —
-//! the tree itself is oblivious to caching.
+//! separators. Every page the tree touches is reported, as it is touched, to
+//! the caller's [`PageSink`] so the buffer pool can charge cache hits and
+//! misses — the tree itself is oblivious to caching.
 //!
 //! Deletion is lazy (no rebalancing), the same pragmatic choice PostgreSQL
 //! makes: pages may become sparse but never invalid. The CloudyBench
@@ -13,6 +13,7 @@
 
 use cb_store::{PageBuf, PageId, PageStore};
 
+use crate::inline::InlineVec;
 use crate::slotted::{Slotted, SlottedRef};
 
 const TYPE_LEAF: u8 = 0;
@@ -28,8 +29,33 @@ const ENTRY_BYTES: usize = 16; // key i64 + child u64
 /// Maximum separator entries in an internal node.
 pub const INTERNAL_CAPACITY: usize = (cb_store::PAGE_SIZE - ENTRIES_BASE) / ENTRY_BYTES;
 
+/// Where a tree reports each page it touches, in the order it touches them.
+/// Three sinks exist: [`crate::ExecCtx`] charges the access to its buffer
+/// pool on the spot (served statements), an [`AccessLog`] records it (tests
+/// and probes that inspect the pattern), and [`Uncharged`] drops it (bulk
+/// load, index back-fill, recovery, oracles — work nobody is billed for).
+pub trait PageSink {
+    /// `page` was read, or modified when `write` is set.
+    fn touch(&mut self, page: PageId, write: bool);
+}
+
 /// Records every page access the tree performs, in order, with a write flag.
 pub type AccessLog = Vec<(PageId, bool)>;
+
+impl PageSink for AccessLog {
+    fn touch(&mut self, page: PageId, write: bool) {
+        self.push((page, write));
+    }
+}
+
+/// The sink for page accesses that carry no cost.
+#[derive(Clone, Copy, Debug)]
+pub struct Uncharged;
+
+impl PageSink for Uncharged {
+    #[inline]
+    fn touch(&mut self, _page: PageId, _write: bool) {}
+}
 
 /// Attempted insert of an existing key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,11 +137,15 @@ pub struct BTree {
     root: PageId,
 }
 
+/// Trees over 8 KiB pages stay under eight levels for any data that fits in
+/// memory, so the path lives inline.
+type DescentPath = InlineVec<(PageId, usize), 8>;
+
 /// Result of a structural descent: the leaf holding (or that would hold) a
 /// key, plus the internal path to it.
 struct Descent {
     /// `(internal page, child index taken)` from root to the leaf's parent.
-    path: Vec<(PageId, usize)>,
+    path: DescentPath,
     leaf: PageId,
 }
 
@@ -186,19 +216,19 @@ impl BTree {
     }
 
     /// Walk from the root to the leaf that holds (or would hold) `key`,
-    /// logging every page read. `step` sees each internal page and the child
-    /// index taken in it; readers pass a no-op and so allocate nothing.
+    /// reporting every page read. `step` sees each internal page and the
+    /// child index taken in it; readers pass a no-op.
     fn walk(
         &self,
         store: &PageStore,
         key: i64,
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
         mut step: impl FnMut(PageId, &PageBuf, usize),
     ) -> PageId {
         let mut page_id = self.root;
         loop {
             let page = store.read(page_id);
-            log.push((page_id, false));
+            log.touch(page_id, false);
             if is_leaf(page) {
                 return page_id;
             }
@@ -208,13 +238,13 @@ impl BTree {
         }
     }
 
-    fn find_leaf(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> PageId {
+    fn find_leaf(&self, store: &PageStore, key: i64, log: &mut impl PageSink) -> PageId {
         self.walk(store, key, log, |_, _, _| {})
     }
 
     /// The leaf plus the path to it, for an insert that may have to split.
-    fn descend(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> Descent {
-        let mut path = Vec::new();
+    fn descend(&self, store: &PageStore, key: i64, log: &mut impl PageSink) -> Descent {
+        let mut path = DescentPath::new();
         let leaf = self.walk(store, key, log, |id, _, idx| path.push((id, idx)));
         Descent { path, leaf }
     }
@@ -222,14 +252,19 @@ impl BTree {
     /// Look up `key`, returning its payload borrowed straight from the
     /// store's page — no page clone, no payload copy. Callers that need
     /// owned bytes (WAL images, caches) copy at their own boundary.
-    pub fn get<'s>(&self, store: &'s PageStore, key: i64, log: &mut AccessLog) -> Option<&'s [u8]> {
+    pub fn get<'s>(
+        &self,
+        store: &'s PageStore,
+        key: i64,
+        log: &mut impl PageSink,
+    ) -> Option<&'s [u8]> {
         let leaf = self.find_leaf(store, key, log);
         let s = SlottedRef::new(store.read(leaf), ENTRIES_BASE);
         s.find(key).ok().map(|i| s.payload_at(i))
     }
 
     /// True if `key` exists (no payload access at all).
-    pub fn contains(&self, store: &PageStore, key: i64, log: &mut AccessLog) -> bool {
+    pub fn contains(&self, store: &PageStore, key: i64, log: &mut impl PageSink) -> bool {
         let leaf = self.find_leaf(store, key, log);
         SlottedRef::new(store.read(leaf), ENTRIES_BASE)
             .find(key)
@@ -242,7 +277,7 @@ impl BTree {
         store: &mut PageStore,
         key: i64,
         payload: &[u8],
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) -> Result<(), DuplicateKey> {
         let d = self.descend(store, key, log);
         {
@@ -252,7 +287,7 @@ impl BTree {
                 return Err(DuplicateKey(key));
             }
             if let Ok(()) = s.insert(key, payload) {
-                log.push((d.leaf, true));
+                log.touch(d.leaf, true);
                 return Ok(());
             }
         }
@@ -264,9 +299,9 @@ impl BTree {
             let mut s = Slotted::new(page, ENTRIES_BASE);
             s.insert(key, payload)
                 .expect("post-split leaf has room for one record");
-            log.push((target, true));
+            log.touch(target, true);
         }
-        self.propagate_split(store, d.path, sep, right_id, log);
+        self.propagate_split(store, &d.path, sep, right_id, log);
         Ok(())
     }
 
@@ -277,9 +312,9 @@ impl BTree {
         &self,
         store: &PageStore,
         key: i64,
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) -> (Descent, Option<i64>) {
-        let mut path = Vec::new();
+        let mut path = DescentPath::new();
         let mut upper = None;
         let leaf = self.walk(store, key, log, |id, page, idx| {
             // Child `idx` holds keys strictly below separator `idx`; the
@@ -309,7 +344,7 @@ impl BTree {
         cur: &mut BatchIngest,
         key: i64,
         payload: &[u8],
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) -> Result<(), DuplicateKey> {
         if let Some(leaf) = cur.hits(key) {
             let page = store.write(leaf);
@@ -318,7 +353,7 @@ impl BTree {
                 return Err(DuplicateKey(key));
             }
             if s.insert(key, payload).is_ok() {
-                log.push((leaf, true));
+                log.touch(leaf, true);
                 cur.cached.as_mut().expect("cursor hit").last_key = key;
                 return Ok(());
             }
@@ -333,7 +368,7 @@ impl BTree {
                 return Err(DuplicateKey(key));
             }
             if let Ok(()) = s.insert(key, payload) {
-                log.push((d.leaf, true));
+                log.touch(d.leaf, true);
                 cur.cached = Some(IngestLeaf {
                     leaf: d.leaf,
                     upper,
@@ -353,9 +388,9 @@ impl BTree {
             let mut s = Slotted::new(page, ENTRIES_BASE);
             s.insert(key, payload)
                 .expect("post-split leaf has room for one record");
-            log.push((target, true));
+            log.touch(target, true);
         }
-        self.propagate_split(store, d.path, sep, right_id, log);
+        self.propagate_split(store, &d.path, sep, right_id, log);
         cur.cached = Some(IngestLeaf {
             leaf: target,
             upper: target_upper,
@@ -371,7 +406,7 @@ impl BTree {
         store: &mut PageStore,
         key: i64,
         payload: &[u8],
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) -> bool {
         let leaf = self.find_leaf(store, key, log);
         {
@@ -381,7 +416,7 @@ impl BTree {
                 Err(_) => return false,
                 Ok(idx) => {
                     if s.update(idx, payload).is_ok() {
-                        log.push((leaf, true));
+                        log.touch(leaf, true);
                         return true;
                     }
                 }
@@ -400,7 +435,7 @@ impl BTree {
         &mut self,
         store: &mut PageStore,
         key: i64,
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) -> Option<Vec<u8>> {
         let leaf = self.find_leaf(store, key, log);
         let page = store.write(leaf);
@@ -410,7 +445,7 @@ impl BTree {
             Ok(idx) => {
                 let old = s.payload_at(idx).to_vec();
                 s.remove(idx);
-                log.push((leaf, true));
+                log.touch(leaf, true);
                 Some(old)
             }
         }
@@ -423,7 +458,7 @@ impl BTree {
         store: &PageStore,
         lo: i64,
         hi: i64,
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
         mut f: impl FnMut(i64, &[u8]) -> bool,
     ) {
         if lo > hi {
@@ -434,7 +469,7 @@ impl BTree {
         while leaf_id.is_valid() {
             let page = store.read(leaf_id);
             if !first {
-                log.push((leaf_id, false));
+                log.touch(leaf_id, false);
             }
             let s = SlottedRef::new(page, ENTRIES_BASE);
             // Only the first leaf can hold keys below `lo`; every later
@@ -454,7 +489,7 @@ impl BTree {
     }
 
     /// Total number of records (full scan; O(n)).
-    pub fn count(&self, store: &PageStore, log: &mut AccessLog) -> u64 {
+    pub fn count(&self, store: &PageStore, log: &mut impl PageSink) -> u64 {
         let mut n = 0u64;
         self.scan_range(store, i64::MIN, i64::MAX, log, |_, _| {
             n += 1;
@@ -464,13 +499,13 @@ impl BTree {
     }
 
     /// Largest key in the tree, if any.
-    pub fn max_key(&self, store: &PageStore, log: &mut AccessLog) -> Option<i64> {
+    pub fn max_key(&self, store: &PageStore, log: &mut impl PageSink) -> Option<i64> {
         // Descend along the rightmost spine.
         let mut page_id = self.root;
         let mut best = None;
         loop {
             let page = store.read(page_id);
-            log.push((page_id, false));
+            log.touch(page_id, false);
             if is_leaf(page) {
                 let s = SlottedRef::new(page, ENTRIES_BASE);
                 if !s.is_empty() {
@@ -511,7 +546,7 @@ impl BTree {
         &mut self,
         store: &mut PageStore,
         leaf: PageId,
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) -> (i64, PageId) {
         let right_id = store.allocate();
         // The new right sibling is built locally, so the left page can be
@@ -527,8 +562,8 @@ impl BTree {
         set_leaf_next(&mut right_page, leaf_next(left_page));
         set_leaf_next(left_page, right_id);
         *store.write(right_id) = right_page;
-        log.push((leaf, true));
-        log.push((right_id, true));
+        log.touch(leaf, true);
+        log.touch(right_id, true);
         (sep, right_id)
     }
 
@@ -537,65 +572,58 @@ impl BTree {
     fn propagate_split(
         &mut self,
         store: &mut PageStore,
-        mut path: Vec<(PageId, usize)>,
+        path: &[(PageId, usize)],
         mut sep: i64,
         mut right: PageId,
-        log: &mut AccessLog,
+        log: &mut impl PageSink,
     ) {
-        loop {
-            match path.pop() {
-                None => {
-                    // Root split: grow the tree by one level.
-                    let new_root = store.allocate();
-                    let old_root = self.root;
-                    let page = store.write(new_root);
-                    init_internal(page, old_root);
-                    internal_insert_at(page, 0, sep, right);
-                    log.push((new_root, true));
-                    self.root = new_root;
-                    return;
-                }
-                Some((node, idx)) => {
-                    let nkeys = internal_nkeys(store.read(node));
-                    if nkeys < INTERNAL_CAPACITY {
-                        internal_insert_at(store.write(node), idx, sep, right);
-                        log.push((node, true));
-                        return;
-                    }
-                    // Split the internal node: middle key moves up.
-                    let (mid_key, new_right) = {
-                        let left = store.read(node).clone();
-                        let n = internal_nkeys(&left);
-                        let mid = n / 2;
-                        let mid_key = internal_key(&left, mid);
-                        let new_right_id = store.allocate();
-                        let mut right_page = PageBuf::zeroed();
-                        init_internal(&mut right_page, internal_child(&left, mid + 1));
-                        for i in mid + 1..n {
-                            let k = internal_key(&left, i);
-                            let c = internal_child(&left, i + 1);
-                            let nk = internal_nkeys(&right_page);
-                            internal_insert_at(&mut right_page, nk, k, c);
-                        }
-                        *store.write(new_right_id) = right_page;
-                        store.write(node).put_u16(OFF_NKEYS, mid as u16);
-                        (mid_key, new_right_id)
-                    };
-                    // Insert the pending separator into the proper half.
-                    let (target, tgt_idx) = if sep < mid_key {
-                        (node, idx)
-                    } else {
-                        let mid = internal_nkeys(store.read(node));
-                        (new_right, idx - mid - 1)
-                    };
-                    internal_insert_at(store.write(target), tgt_idx, sep, right);
-                    log.push((node, true));
-                    log.push((new_right, true));
-                    sep = mid_key;
-                    right = new_right;
-                }
+        for &(node, idx) in path.iter().rev() {
+            let nkeys = internal_nkeys(store.read(node));
+            if nkeys < INTERNAL_CAPACITY {
+                internal_insert_at(store.write(node), idx, sep, right);
+                log.touch(node, true);
+                return;
             }
+            // Split the internal node: middle key moves up.
+            let (mid_key, new_right) = {
+                let left = store.read(node).clone();
+                let n = internal_nkeys(&left);
+                let mid = n / 2;
+                let mid_key = internal_key(&left, mid);
+                let new_right_id = store.allocate();
+                let mut right_page = PageBuf::zeroed();
+                init_internal(&mut right_page, internal_child(&left, mid + 1));
+                for i in mid + 1..n {
+                    let k = internal_key(&left, i);
+                    let c = internal_child(&left, i + 1);
+                    let nk = internal_nkeys(&right_page);
+                    internal_insert_at(&mut right_page, nk, k, c);
+                }
+                *store.write(new_right_id) = right_page;
+                store.write(node).put_u16(OFF_NKEYS, mid as u16);
+                (mid_key, new_right_id)
+            };
+            // Insert the pending separator into the proper half.
+            let (target, tgt_idx) = if sep < mid_key {
+                (node, idx)
+            } else {
+                let mid = internal_nkeys(store.read(node));
+                (new_right, idx - mid - 1)
+            };
+            internal_insert_at(store.write(target), tgt_idx, sep, right);
+            log.touch(node, true);
+            log.touch(new_right, true);
+            sep = mid_key;
+            right = new_right;
         }
+        // Root split: grow the tree by one level.
+        let new_root = store.allocate();
+        let old_root = self.root;
+        let page = store.write(new_root);
+        init_internal(page, old_root);
+        internal_insert_at(page, 0, sep, right);
+        log.touch(new_root, true);
+        self.root = new_root;
     }
 }
 

@@ -16,9 +16,7 @@
 //! changes eviction decisions and nothing else. See DESIGN.md §16 for the
 //! per-policy victim rules and the determinism argument.
 
-use std::collections::HashMap;
-
-use cb_store::{PageId, PAGE_SIZE};
+use cb_store::{IntMap, PageId, PAGE_SIZE};
 
 /// Result of touching one page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +130,7 @@ impl ListHead {
 pub struct PoolCore {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    map: HashMap<PageId, u32>,
+    map: IntMap<PageId, u32>,
     lists: [ListHead; 2],
 }
 
@@ -141,7 +139,7 @@ impl PoolCore {
         PoolCore {
             nodes: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: IntMap::default(),
             lists: [ListHead::EMPTY; 2],
         }
     }
@@ -641,6 +639,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn hit_and_miss_accounting() {

@@ -6,13 +6,20 @@
 //! strict WAL discipline: every DML appends a logical record with before/
 //! after images at operation time, commit appends a commit record and pays
 //! the durable log append, abort applies undo images in reverse.
+//!
+//! Cost accounting is charge-as-you-walk: the context is the
+//! [`crate::btree::PageSink`] the trees report to, so a page is charged to
+//! the buffer pool at the moment the tree touches it. Work that nobody is
+//! billed for (bulk load, index back-fill, oracles, recovery) passes
+//! [`Uncharged`] instead.
 
 use cb_sim::SimTime;
-use cb_store::{LogStore, Lsn, PageStore, StorageService, TableId, TxnId, WalOp, WalRecord};
+use cb_store::{LogStore, Lsn, PageStore, StorageService, TableId, TxnId, WalOp};
 
-use crate::btree::{AccessLog, BTree};
+use crate::btree::{BTree, PageSink, Uncharged};
 use crate::bufferpool::BufferPool;
 use crate::exec::ExecCtx;
+use crate::inline::InlineVec;
 use crate::locks::{LockTable, RowKey};
 use crate::mvcc::{VersionStore, Visibility};
 use crate::secondary::SecondaryIndex;
@@ -100,13 +107,24 @@ impl TableMeta {
     }
 }
 
+/// The row keys a transaction wrote, one per DML. The paper's point
+/// transactions write at most two rows, so the set lives inline.
+pub type WriteSet = InlineVec<RowKey, 4>;
+
+/// The LSNs of a transaction's DML records, aligned with its [`WriteSet`].
+/// The records themselves stay in the WAL — abort and version publication
+/// read them back — which holds because nothing truncates the log under an
+/// open transaction: checkpoints run between transactions and keep at least
+/// the tail since the previous checkpoint.
+pub type UndoLsns = InlineVec<Lsn, 4>;
+
 /// An open transaction: its undo log and write set.
 pub struct TxnHandle {
     id: TxnId,
     /// Row keys written (for lock registration by the driver).
-    writes: Vec<RowKey>,
-    /// Undo actions, applied in reverse on abort.
-    undo: Vec<WalRecord>,
+    writes: WriteSet,
+    /// DML records to undo, applied in reverse on abort.
+    undo: UndoLsns,
     /// Bytes of WAL generated (paid as one durable append at commit).
     wal_bytes: u64,
     begun: bool,
@@ -135,14 +153,11 @@ pub struct Committed {
     /// LSN of the commit record.
     pub lsn: Lsn,
     /// Row keys to lock until the commit's virtual completion time.
-    pub writes: Vec<RowKey>,
-    /// The transaction's undo records, moved out of the handle so the
-    /// driver can publish version-chain pre-images once it knows the
-    /// commit's virtual completion time (see
-    /// [`Database::publish_versions`]). Free for READ COMMITTED runs: the
-    /// records were already cloned for abort handling; this only changes
-    /// where they are dropped.
-    pub undo: Vec<WalRecord>,
+    pub writes: WriteSet,
+    /// Where the transaction's DML records sit in the WAL, so the driver
+    /// can publish version-chain pre-images once it knows the commit's
+    /// virtual completion time (see [`Database::publish_versions`]).
+    pub undo: UndoLsns,
 }
 
 /// The canonical database of one simulated cluster.
@@ -264,15 +279,19 @@ impl Database {
         assert!(!t.has_index(col), "column {column} is already indexed");
         let mut idx = SecondaryIndex::create(&mut self.pages, col);
         // Back-fill from the clustered tree.
-        let mut alog = AccessLog::new();
         let mut entries = Vec::new();
-        t.tree
-            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut alog, |pk, img| {
+        t.tree.scan_range(
+            &self.pages,
+            i64::MIN,
+            i64::MAX,
+            &mut Uncharged,
+            |pk, img| {
                 entries.push((RowRef::new(img).int(col), pk));
                 true
-            });
+            },
+        );
         for (value, pk) in entries {
-            idx.add(&mut self.pages, value, pk, &mut alog);
+            idx.add(&mut self.pages, value, pk, &mut Uncharged);
         }
         t.secondaries.push(idx);
     }
@@ -282,10 +301,10 @@ impl Database {
         t: &mut TableMeta,
         row: RowRef<'_>,
         pk: i64,
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
     ) {
         for idx in &mut t.secondaries {
-            idx.add(pages, row.int(idx.column()), pk, alog);
+            idx.add(pages, row.int(idx.column()), pk, sink);
         }
     }
 
@@ -294,10 +313,10 @@ impl Database {
         t: &mut TableMeta,
         row: RowRef<'_>,
         pk: i64,
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
     ) {
         for idx in &mut t.secondaries {
-            idx.remove(pages, row.int(idx.column()), pk, alog);
+            idx.remove(pages, row.int(idx.column()), pk, sink);
         }
     }
 
@@ -307,15 +326,15 @@ impl Database {
         before: RowRef<'_>,
         after: RowRef<'_>,
         pk: i64,
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
     ) {
         for idx in &mut t.secondaries {
             let col = idx.column();
             let old = before.int(col);
             let new = after.int(col);
             if old != new {
-                idx.remove(pages, old, pk, alog);
-                idx.add(pages, new, pk, alog);
+                idx.remove(pages, old, pk, sink);
+                idx.add(pages, new, pk, sink);
             }
         }
     }
@@ -335,16 +354,14 @@ impl Database {
             .iter()
             .find(|s| s.column() == column)
             .unwrap_or_else(|| panic!("column {column} of {} is not indexed", t.name));
-        let mut alog = AccessLog::new();
         ctx.charge_stmt();
-        let pks = idx.lookup(&self.pages, value, &mut alog);
+        let pks = idx.lookup(&self.pages, value, ctx);
         let mut rows = Vec::with_capacity(pks.len());
         for pk in pks {
-            if let Some(img) = t.tree.get(&self.pages, pk, &mut alog) {
+            if let Some(img) = t.tree.get(&self.pages, pk, ctx) {
                 rows.push(Row::decode(img));
             }
         }
-        Self::charge_access_log(ctx, &alog);
         ctx.charge_rows(rows.len() as u64);
         rows
     }
@@ -356,8 +373,8 @@ impl Database {
         self.next_txn += 1;
         TxnHandle {
             id,
-            writes: Vec::new(),
-            undo: Vec::new(),
+            writes: WriteSet::new(),
+            undo: UndoLsns::new(),
             wal_bytes: 0,
             begun: false,
             finished: false,
@@ -372,10 +389,17 @@ impl Database {
         }
     }
 
+    /// Append one DML record for `txn` and remember where it sits.
+    fn log_dml(&mut self, txn: &mut TxnHandle, row: RowKey, op: WalOp) {
+        let lsn = self.log.append(txn.id, op);
+        txn.wal_bytes += self.log.get(lsn).expect("just appended").approx_bytes();
+        txn.writes.push(row);
+        txn.undo.push(lsn);
+    }
+
     /// Bulk-load rows without WAL or cost accounting (initial data
     /// generation — the paper's "data generator" phase is not measured).
     pub fn load_bulk(&mut self, table: TableId, rows: impl IntoIterator<Item = Row>) -> u64 {
-        let mut log = AccessLog::new();
         let mut n = 0u64;
         // One scratch image buffer for the whole load: dataset generation
         // encodes millions of rows, and this loop is its only allocation-free
@@ -391,21 +415,14 @@ impl Database {
             image.clear();
             row.encode_into(&mut image);
             t.tree
-                .insert_sorted(&mut self.pages, &mut cur, key, &image, &mut log)
+                .insert_sorted(&mut self.pages, &mut cur, key, &image, &mut Uncharged)
                 .expect("bulk load keys must be unique");
-            Self::index_add(&mut self.pages, t, RowRef::new(&image), key, &mut log);
+            Self::index_add(&mut self.pages, t, RowRef::new(&image), key, &mut Uncharged);
             t.rows += 1;
             t.auto_key = t.auto_key.max(key + 1);
             n += 1;
-            log.clear();
         }
         n
-    }
-
-    fn charge_access_log(ctx: &mut ExecCtx<'_>, log: &AccessLog) {
-        for (page, write) in log {
-            ctx.charge_page(*page, *write);
-        }
     }
 
     /// Insert `row` with an explicit key (column 0).
@@ -416,36 +433,38 @@ impl Database {
         table: TableId,
         row: Row,
     ) -> Result<i64, EngineError> {
+        self.tables[table.0 as usize].schema.validate(&row)?;
+        self.insert_image(ctx, txn, table, row.key(), row.encode())
+    }
+
+    /// Insert a row given as its encoded image, which the caller has
+    /// already checked against the schema and which becomes the WAL
+    /// record's image as it is — the one allocation an insert needs.
+    pub(crate) fn insert_image(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        txn: &mut TxnHandle,
+        table: TableId,
+        key: i64,
+        image: Vec<u8>,
+    ) -> Result<i64, EngineError> {
         debug_assert!(!txn.finished, "use of finished transaction");
         self.ensure_begun(txn);
         let t = &mut self.tables[table.0 as usize];
-        t.schema.validate(&row)?;
-        let key = row.key();
-        let image = row.encode();
-        let mut alog = AccessLog::new();
         ctx.charge_stmt();
-        match t.tree.insert(&mut self.pages, key, &image, &mut alog) {
-            Ok(()) => {}
-            Err(_) => {
-                Self::charge_access_log(ctx, &alog);
-                return Err(EngineError::Duplicate { table, key });
-            }
+        if t.tree.insert(&mut self.pages, key, &image, ctx).is_err() {
+            return Err(EngineError::Duplicate { table, key });
         }
-        Self::index_add(&mut self.pages, t, RowRef::new(&image), key, &mut alog);
+        Self::index_add(&mut self.pages, t, RowRef::new(&image), key, ctx);
         t.rows += 1;
         t.auto_key = t.auto_key.max(key + 1);
-        Self::charge_access_log(ctx, &alog);
         ctx.charge_rows(1);
         let op = WalOp::Insert {
             table,
             key,
             row: image,
         };
-        let lsn = self.log.append(txn.id, op);
-        txn.wal_bytes += self.log.get(lsn).expect("just appended").approx_bytes();
-        txn.writes.push((table, key));
-        txn.undo
-            .push(self.log.get(lsn).expect("just appended").clone());
+        self.log_dml(txn, (table, key), op);
         Ok(key)
     }
 
@@ -491,10 +510,8 @@ impl Database {
             }
         }
         let t = &self.tables[table.0 as usize];
-        let mut alog = AccessLog::new();
         ctx.charge_stmt();
-        let image = t.tree.get(&self.pages, key, &mut alog);
-        Self::charge_access_log(ctx, &alog);
+        let image = t.tree.get(&self.pages, key, ctx);
         image.map(|img| {
             ctx.charge_rows(1);
             RowRef::new(img)
@@ -509,8 +526,9 @@ impl Database {
         match self.versions.visible((table, key), ts) {
             Visibility::Latest => {
                 let t = &self.tables[table.0 as usize];
-                let mut alog = AccessLog::new();
-                t.tree.get(&self.pages, key, &mut alog).map(Row::decode)
+                t.tree
+                    .get(&self.pages, key, &mut Uncharged)
+                    .map(Row::decode)
             }
             Visibility::Image(img) => Some(Row::decode(img)),
             Visibility::Absent => None,
@@ -526,23 +544,39 @@ impl Database {
         key: i64,
         f: impl FnOnce(&mut Row),
     ) -> Result<bool, EngineError> {
+        self.update_image(ctx, txn, table, key, |schema, before, after| {
+            let mut row = before.to_row();
+            f(&mut row);
+            schema.validate(&row)?;
+            assert_eq!(row.key(), key, "updates must not change the primary key");
+            row.encode_into(after);
+            Ok(())
+        })
+    }
+
+    /// The update every caller funnels into: `build` sees the row as it
+    /// stands and appends the image it should become, checked against the
+    /// schema it is handed and keeping the key. The before-image is copied
+    /// out of the page once (it must outlive the page mutation) and both
+    /// images move into the WAL record: two allocations per update.
+    pub(crate) fn update_image<E: From<EngineError>>(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        txn: &mut TxnHandle,
+        table: TableId,
+        key: i64,
+        build: impl FnOnce(&Schema, RowRef<'_>, &mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<bool, E> {
         debug_assert!(!txn.finished, "use of finished transaction");
         self.ensure_begun(txn);
         let t = &mut self.tables[table.0 as usize];
-        let mut alog = AccessLog::new();
         ctx.charge_stmt();
-        // The WAL before-image must outlive the page mutation below, so this
-        // is a genuine ownership boundary: copy the borrowed payload once.
-        let Some(before_img) = t.tree.get(&self.pages, key, &mut alog).map(<[u8]>::to_vec) else {
-            Self::charge_access_log(ctx, &alog);
+        let Some(before_img) = t.tree.get(&self.pages, key, ctx).map(<[u8]>::to_vec) else {
             return Ok(false);
         };
-        let mut row = Row::decode(&before_img);
-        f(&mut row);
-        t.schema.validate(&row)?;
-        assert_eq!(row.key(), key, "updates must not change the primary key");
-        let after_img = row.encode();
-        let updated = t.tree.update(&mut self.pages, key, &after_img, &mut alog);
+        let mut after_img = Vec::with_capacity(before_img.len() + 8);
+        build(&t.schema, RowRef::new(&before_img), &mut after_img)?;
+        let updated = t.tree.update(&mut self.pages, key, &after_img, ctx);
         debug_assert!(updated, "row existed moments ago");
         Self::index_transition(
             &mut self.pages,
@@ -550,9 +584,8 @@ impl Database {
             RowRef::new(&before_img),
             RowRef::new(&after_img),
             key,
-            &mut alog,
+            ctx,
         );
-        Self::charge_access_log(ctx, &alog);
         ctx.charge_rows(1);
         let op = WalOp::Update {
             table,
@@ -560,11 +593,7 @@ impl Database {
             before: before_img,
             after: after_img,
         };
-        let lsn = self.log.append(txn.id, op);
-        txn.wal_bytes += self.log.get(lsn).expect("just appended").approx_bytes();
-        txn.writes.push((table, key));
-        txn.undo
-            .push(self.log.get(lsn).expect("just appended").clone());
+        self.log_dml(txn, (table, key), op);
         Ok(true)
     }
 
@@ -579,22 +608,14 @@ impl Database {
         debug_assert!(!txn.finished, "use of finished transaction");
         self.ensure_begun(txn);
         let t = &mut self.tables[table.0 as usize];
-        let mut alog = AccessLog::new();
         ctx.charge_stmt();
-        let removed = t.tree.delete(&mut self.pages, key, &mut alog);
-        Self::charge_access_log(ctx, &alog);
-        let Some(before) = removed else {
+        let Some(before) = t.tree.delete(&mut self.pages, key, ctx) else {
             return false;
         };
-        Self::index_remove(&mut self.pages, t, RowRef::new(&before), key, &mut alog);
+        Self::index_remove(&mut self.pages, t, RowRef::new(&before), key, ctx);
         t.rows -= 1;
         ctx.charge_rows(1);
-        let op = WalOp::Delete { table, key, before };
-        let lsn = self.log.append(txn.id, op);
-        txn.wal_bytes += self.log.get(lsn).expect("just appended").approx_bytes();
-        txn.writes.push((table, key));
-        txn.undo
-            .push(self.log.get(lsn).expect("just appended").clone());
+        self.log_dml(txn, (table, key), WalOp::Delete { table, key, before });
         true
     }
 
@@ -613,20 +634,19 @@ impl Database {
         hi: i64,
         mut f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) {
-        let mut alog = AccessLog::new();
         ctx.charge_stmt();
         let rows = if ctx.isolation.is_versioned() {
-            self.scan_range_versioned(table, lo, hi, ctx.now, &mut alog, f)
+            let snapshot = ctx.now;
+            self.scan_range_versioned(table, lo, hi, snapshot, ctx, f)
         } else {
             let t = &self.tables[table.0 as usize];
             let mut rows = 0u64;
-            t.tree.scan_range(&self.pages, lo, hi, &mut alog, |k, img| {
+            t.tree.scan_range(&self.pages, lo, hi, ctx, |k, img| {
                 rows += 1;
                 f(k, RowRef::new(img))
             });
             rows
         };
-        Self::charge_access_log(ctx, &alog);
         ctx.charge_rows(rows);
     }
 
@@ -641,8 +661,7 @@ impl Database {
         ts: SimTime,
         f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) {
-        let mut alog = AccessLog::new();
-        self.scan_range_versioned(table, lo, hi, ts, &mut alog, f);
+        self.scan_range_versioned(table, lo, hi, ts, &mut Uncharged, f);
     }
 
     /// The shared snapshot-scan merge: walk the tree and the version
@@ -656,14 +675,14 @@ impl Database {
         lo: i64,
         hi: i64,
         ts: SimTime,
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
         mut f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) -> u64 {
         let t = &self.tables[table.0 as usize];
         let mut overlay = self.versions.overlay_keys(table, lo, hi).peekable();
         let mut rows = 0u64;
         let mut stop = false;
-        t.tree.scan_range(&self.pages, lo, hi, alog, |k, img| {
+        t.tree.scan_range(&self.pages, lo, hi, sink, |k, img| {
             // Overlay keys sorting before `k` have no tree row any more:
             // deleted after `ts`, resurrected from the chain if visible.
             while let Some(&(_, ok)) = overlay.peek() {
@@ -749,8 +768,8 @@ impl Database {
             // Read-only: nothing to make durable.
             return Committed {
                 lsn: self.log.head(),
-                writes: Vec::new(),
-                undo: Vec::new(),
+                writes: WriteSet::new(),
+                undo: UndoLsns::new(),
             };
         }
         let lsn = self.log.append(txn.id, WalOp::Commit);
@@ -758,8 +777,8 @@ impl Database {
         ctx.charge_commit(bytes);
         Committed {
             lsn,
-            writes: std::mem::take(&mut txn.writes),
-            undo: std::mem::take(&mut txn.undo),
+            writes: txn.writes,
+            undo: txn.undo,
         }
     }
 
@@ -771,8 +790,9 @@ impl Database {
     /// execution (the tree already holds the post-images), so snapshot
     /// readers between now and `commit_ts` resolve to the pre-image.
     pub fn publish_versions(&mut self, committed: &Committed, commit_ts: SimTime) {
-        let mut seen: Vec<RowKey> = Vec::with_capacity(committed.undo.len());
-        for rec in &committed.undo {
+        let mut seen = WriteSet::new();
+        for &lsn in committed.undo.iter() {
+            let rec = self.log.get(lsn).expect("DML record of a live commit");
             let (key, pre): (RowKey, Option<&[u8]>) = match &rec.op {
                 WalOp::Insert { table, key, .. } => ((*table, *key), None),
                 WalOp::Update {
@@ -793,14 +813,17 @@ impl Database {
     pub fn abort(&mut self, ctx: &mut ExecCtx<'_>, mut txn: TxnHandle) {
         debug_assert!(!txn.finished);
         txn.finished = true;
-        let mut alog = AccessLog::new();
-        for rec in txn.undo.iter().rev() {
+        for &lsn in txn.undo.iter().rev() {
+            let rec = self
+                .log
+                .get(lsn)
+                .expect("DML record of an open transaction");
             match &rec.op {
                 WalOp::Insert { table, key, row } => {
                     let t = &mut self.tables[table.0 as usize];
-                    let removed = t.tree.delete(&mut self.pages, *key, &mut alog);
+                    let removed = t.tree.delete(&mut self.pages, *key, ctx);
                     debug_assert!(removed.is_some(), "undo of insert: row must exist");
-                    Self::index_remove(&mut self.pages, t, RowRef::new(row), *key, &mut alog);
+                    Self::index_remove(&mut self.pages, t, RowRef::new(row), *key, ctx);
                     t.rows -= 1;
                 }
                 WalOp::Update {
@@ -810,7 +833,7 @@ impl Database {
                     after,
                 } => {
                     let t = &mut self.tables[table.0 as usize];
-                    let ok = t.tree.update(&mut self.pages, *key, before, &mut alog);
+                    let ok = t.tree.update(&mut self.pages, *key, before, ctx);
                     debug_assert!(ok, "undo of update: row must exist");
                     Self::index_transition(
                         &mut self.pages,
@@ -818,22 +841,21 @@ impl Database {
                         RowRef::new(after),
                         RowRef::new(before),
                         *key,
-                        &mut alog,
+                        ctx,
                     );
                 }
                 WalOp::Delete { table, key, before } => {
                     let t = &mut self.tables[table.0 as usize];
                     t.tree
-                        .insert(&mut self.pages, *key, before, &mut alog)
+                        .insert(&mut self.pages, *key, before, ctx)
                         .expect("undo of delete: key must be free");
-                    Self::index_add(&mut self.pages, t, RowRef::new(before), *key, &mut alog);
+                    Self::index_add(&mut self.pages, t, RowRef::new(before), *key, ctx);
                     t.rows += 1;
                 }
                 other => unreachable!("non-DML in undo chain: {other:?}"),
             }
             ctx.charge_rows(1);
         }
-        Self::charge_access_log(ctx, &alog);
         if txn.begun {
             self.log.append(txn.id, WalOp::Abort);
         }
@@ -896,13 +918,13 @@ impl Database {
         table: TableId,
         key: i64,
         image: &[u8],
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
     ) {
         let t = &mut self.tables[table.0 as usize];
         t.tree
-            .insert(&mut self.pages, key, image, alog)
+            .insert(&mut self.pages, key, image, sink)
             .expect("redo insert must not collide");
-        Self::index_add(&mut self.pages, t, RowRef::new(image), key, alog);
+        Self::index_add(&mut self.pages, t, RowRef::new(image), key, sink);
         t.rows += 1;
         t.auto_key = t.auto_key.max(key + 1);
     }
@@ -917,13 +939,13 @@ impl Database {
         key: i64,
         image: &[u8],
         cur: &mut crate::btree::BatchIngest,
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
     ) {
         let t = &mut self.tables[table.0 as usize];
         t.tree
-            .insert_sorted(&mut self.pages, cur, key, image, alog)
+            .insert_sorted(&mut self.pages, cur, key, image, sink)
             .expect("redo insert must not collide");
-        Self::index_add(&mut self.pages, t, RowRef::new(image), key, alog);
+        Self::index_add(&mut self.pages, t, RowRef::new(image), key, sink);
         t.rows += 1;
         t.auto_key = t.auto_key.max(key + 1);
     }
@@ -934,18 +956,18 @@ impl Database {
         table: TableId,
         key: i64,
         image: &[u8],
-        alog: &mut AccessLog,
+        sink: &mut impl PageSink,
     ) {
         let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
         // The before-image lives in the page the update rewrites, so it is
         // copied out first — and only when an index is there to read it.
         let before = (!t.secondaries.is_empty()).then(|| {
             t.tree
-                .get(pages, key, alog)
+                .get(pages, key, sink)
                 .unwrap_or_else(|| panic!("redo update of missing key {key}"))
                 .to_vec()
         });
-        let ok = t.tree.update(pages, key, image, alog);
+        let ok = t.tree.update(pages, key, image, sink);
         assert!(ok, "redo update of missing key {key}");
         if let Some(before) = before {
             Self::index_transition(
@@ -954,19 +976,19 @@ impl Database {
                 RowRef::new(&before),
                 RowRef::new(image),
                 key,
-                alog,
+                sink,
             );
         }
     }
 
     /// Recovery/replication internal: apply a delete directly.
-    pub fn apply_delete_raw(&mut self, table: TableId, key: i64, alog: &mut AccessLog) {
+    pub fn apply_delete_raw(&mut self, table: TableId, key: i64, sink: &mut impl PageSink) {
         let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
-        let removed = t.tree.delete(pages, key, alog);
+        let removed = t.tree.delete(pages, key, sink);
         let Some(before) = removed else {
             panic!("redo delete of missing key {key}");
         };
-        Self::index_remove(pages, t, RowRef::new(&before), key, alog);
+        Self::index_remove(pages, t, RowRef::new(&before), key, sink);
         t.rows -= 1;
     }
 
@@ -988,9 +1010,8 @@ impl Database {
     pub fn dump_table(&self, table: TableId) -> Vec<Row> {
         let t = &self.tables[table.0 as usize];
         let mut out = Vec::new();
-        let mut alog = AccessLog::new();
         t.tree
-            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut alog, |_, img| {
+            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut Uncharged, |_, img| {
                 out.push(Row::decode(img));
                 true
             });
@@ -1069,7 +1090,7 @@ mod tests {
         db.insert(&mut ctx, &mut txn, orders, order_row(1, "NEW", 100))
             .unwrap();
         let c = db.commit(&mut ctx, txn);
-        assert_eq!(c.writes, vec![(orders, 1)]);
+        assert_eq!(&c.writes[..], [(orders, 1)]);
         assert!(ctx.cpu > SimDuration::ZERO);
         assert!(ctx.io > SimDuration::ZERO, "commit pays a durable append");
         let got = db.get(&mut ctx, orders, 1).unwrap();

@@ -11,6 +11,7 @@ use cb_obs::{Category, ObsSink};
 use cb_sim::{SimDuration, SimTime};
 use cb_store::{GroupCommit, PageId, StorageService};
 
+use crate::btree::PageSink;
 use crate::bufferpool::{BufferPool, EvictionPolicyKind};
 use crate::mvcc::IsolationLevel;
 
@@ -130,7 +131,7 @@ pub struct ExecCtx<'a> {
     /// per-commit flush.
     group_commit: Option<&'a mut GroupCommit>,
     /// Observability sink (no-op unless enabled via [`ExecCtx::with_obs`]).
-    obs: ObsSink,
+    obs: &'a ObsSink,
     /// Track id for emitted events (the executing node).
     track: u64,
 }
@@ -155,7 +156,7 @@ impl<'a> ExecCtx<'a> {
             stats: ExecStats::default(),
             isolation: IsolationLevel::ReadCommitted,
             group_commit: None,
-            obs: ObsSink::disabled(),
+            obs: &ObsSink::DISABLED,
             track: 0,
         }
     }
@@ -177,8 +178,8 @@ impl<'a> ExecCtx<'a> {
     /// Attach an observability sink; `track` identifies the executing node
     /// in emitted events. Cache misses, write-backs and WAL appends are
     /// then journaled and aggregated into histograms.
-    pub fn with_obs(mut self, obs: &ObsSink, track: u64) -> Self {
-        self.obs = obs.clone();
+    pub fn with_obs(mut self, obs: &'a ObsSink, track: u64) -> Self {
+        self.obs = obs;
         self.track = track;
         self
     }
@@ -340,6 +341,18 @@ impl<'a> ExecCtx<'a> {
     /// separately because it contends on the node's CPU resource).
     pub fn total_io(&self) -> SimDuration {
         self.io
+    }
+}
+
+/// The sink served statements use: the tree reports a page and the context
+/// charges it to the pool, the remote tier and storage before the walk moves
+/// on. Charges land in the order the tree touches pages, which is the order
+/// a recorded [`crate::AccessLog`] replayed through [`ExecCtx::charge_page`]
+/// would produce them in.
+impl PageSink for ExecCtx<'_> {
+    #[inline]
+    fn touch(&mut self, page: PageId, write: bool) {
+        self.charge_page(page, write);
     }
 }
 

@@ -8,6 +8,7 @@
 //! * [`btree`] — a clustered B+tree over fixed-size pages.
 //! * [`bufferpool`] — per-node page-cache simulator (hits/misses/dirty)
 //!   with pluggable replacement policies (LRU / SIEVE / CLOCK / LRU-K).
+//! * [`inline`] — the inline small vector behind write sets and descents.
 //! * [`locks`] — virtual-time 2PL row locks.
 //! * [`mvcc`] — version chains, snapshot visibility, watermark GC, and the
 //!   selectable [`IsolationLevel`]s.
@@ -24,6 +25,7 @@ pub mod btree;
 pub mod bufferpool;
 pub mod db;
 pub mod exec;
+pub mod inline;
 pub mod locks;
 pub mod mvcc;
 pub mod recovery;
@@ -32,10 +34,10 @@ pub mod slotted;
 pub mod sql;
 pub mod value;
 
-pub use btree::{AccessLog, BTree, DuplicateKey};
+pub use btree::{AccessLog, BTree, DuplicateKey, PageSink, Uncharged};
 pub use bufferpool::{Access, BufferPool, EvictionPolicy, EvictionPolicyKind};
-pub use db::{Committed, Database, EngineError, TxnHandle};
+pub use db::{Committed, Database, EngineError, TxnHandle, UndoLsns, WriteSet};
 pub use exec::{CostModel, ExecCtx, ExecStats, RemoteTier};
 pub use locks::{LockTable, RowKey};
 pub use mvcc::{IsolationLevel, Version, VersionStore, Visibility};
-pub use value::{ColumnDef, DataType, Row, RowRef, Schema, SchemaError, Value};
+pub use value::{ColumnDef, DataType, Row, RowRef, Schema, SchemaError, Value, ValueRef};

@@ -8,10 +8,8 @@
 //! contention (hot rows under the `latest` distribution serialize) without
 //! real threads, deterministically.
 
-use std::collections::HashMap;
-
 use cb_sim::SimTime;
-use cb_store::TableId;
+use cb_store::{IntMap, TableId};
 
 /// A row lock key.
 pub type RowKey = (TableId, i64);
@@ -19,7 +17,7 @@ pub type RowKey = (TableId, i64);
 /// Exclusive row locks with virtual release times.
 #[derive(Default)]
 pub struct LockTable {
-    held: HashMap<RowKey, SimTime>,
+    held: IntMap<RowKey, SimTime>,
     registered: u64,
     conflicts: u64,
 }

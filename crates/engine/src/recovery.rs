@@ -16,6 +16,7 @@ use std::collections::HashSet;
 
 use cb_store::{LogStore, Lsn, TableId, TxnId, WalOp, WalRecord};
 
+use crate::btree::Uncharged;
 use crate::db::Database;
 
 /// Record counts from the ARIES analysis pass.
@@ -112,21 +113,19 @@ pub fn in_doubt_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> Ve
 /// timing is modelled by the caller). Idempotent per record when applied in
 /// LSN order from a consistent base.
 pub fn apply_redo(db: &mut Database, rec: &WalRecord) {
-    use crate::btree::AccessLog;
-    let mut alog = AccessLog::new();
     match &rec.op {
         WalOp::Insert { table, key, row } => {
             let t = *table;
             // Split borrows: tree ops need &mut pages and &mut tree.
-            db.apply_insert_raw(t, *key, row, &mut alog);
+            db.apply_insert_raw(t, *key, row, &mut Uncharged);
         }
         WalOp::Update {
             table, key, after, ..
         } => {
-            db.apply_update_raw(*table, *key, after, &mut alog);
+            db.apply_update_raw(*table, *key, after, &mut Uncharged);
         }
         WalOp::Delete { table, key, .. } => {
-            db.apply_delete_raw(*table, *key, &mut alog);
+            db.apply_delete_raw(*table, *key, &mut Uncharged);
         }
         _ => {}
     }
@@ -317,8 +316,7 @@ pub fn merge_net_effects<'a>(parts: Vec<RedoNetEffects<'a>>) -> RedoPlan<'a> {
 /// Returns the plan's committed-DML count, matching [`redo_committed`]'s
 /// return value for the same log tail.
 pub fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
-    use crate::btree::{AccessLog, BatchIngest};
-    let mut alog = AccessLog::new();
+    use crate::btree::BatchIngest;
     let mut cur = BatchIngest::new();
     let mut cur_table: Option<TableId> = None;
     for &(table, key, ref action) in &plan.ops {
@@ -328,15 +326,15 @@ pub fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
         }
         match *action {
             NetAction::Insert(img) => {
-                db.apply_insert_raw_batched(table, key, img, &mut cur, &mut alog)
+                db.apply_insert_raw_batched(table, key, img, &mut cur, &mut Uncharged)
             }
             NetAction::Update(img) => {
                 cur.invalidate();
-                db.apply_update_raw(table, key, img, &mut alog);
+                db.apply_update_raw(table, key, img, &mut Uncharged);
             }
             NetAction::Delete => {
                 cur.invalidate();
-                db.apply_delete_raw(table, key, &mut alog);
+                db.apply_delete_raw(table, key, &mut Uncharged);
             }
         }
     }
@@ -379,7 +377,6 @@ pub fn undo_losers(
     durable_len: usize,
     resolved: &HashSet<TxnId>,
 ) -> u64 {
-    use crate::btree::AccessLog;
     let durable_len = durable_len.min(records.len());
     let finished: HashSet<TxnId> = records[..durable_len]
         .iter()
@@ -388,19 +385,18 @@ pub fn undo_losers(
         .map(|r| r.txn)
         .chain(resolved.iter().copied())
         .collect();
-    let mut alog = AccessLog::new();
     let mut undone = 0u64;
     for r in records.iter().rev() {
         if finished.contains(&r.txn) {
             continue;
         }
         match &r.op {
-            WalOp::Insert { table, key, .. } => db.apply_delete_raw(*table, *key, &mut alog),
+            WalOp::Insert { table, key, .. } => db.apply_delete_raw(*table, *key, &mut Uncharged),
             WalOp::Update {
                 table, key, before, ..
-            } => db.apply_update_raw(*table, *key, before, &mut alog),
+            } => db.apply_update_raw(*table, *key, before, &mut Uncharged),
             WalOp::Delete { table, key, before } => {
-                db.apply_insert_raw(*table, *key, before, &mut alog)
+                db.apply_insert_raw(*table, *key, before, &mut Uncharged)
             }
             _ => continue,
         }

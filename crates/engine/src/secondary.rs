@@ -13,7 +13,7 @@
 
 use cb_store::{PageId, PageStore};
 
-use crate::btree::{AccessLog, BTree};
+use crate::btree::{BTree, PageSink, Uncharged};
 
 /// Maximum primary keys per indexed value (payload-size bound).
 pub const MAX_KEYS_PER_VALUE: usize = 120;
@@ -59,7 +59,7 @@ impl SecondaryIndex {
     }
 
     /// Register `pk` under `value`.
-    pub fn add(&mut self, store: &mut PageStore, value: i64, pk: i64, alog: &mut AccessLog) {
+    pub fn add(&mut self, store: &mut PageStore, value: i64, pk: i64, alog: &mut impl PageSink) {
         // Decode the posting list to owned keys first: the borrowed payload
         // must be released before the tree (hence the store) is mutated.
         match self.tree.get(store, value, alog).map(decode_pks) {
@@ -85,7 +85,7 @@ impl SecondaryIndex {
     }
 
     /// Remove `pk` from `value`'s posting list.
-    pub fn remove(&mut self, store: &mut PageStore, value: i64, pk: i64, alog: &mut AccessLog) {
+    pub fn remove(&mut self, store: &mut PageStore, value: i64, pk: i64, alog: &mut impl PageSink) {
         let mut pks = decode_pks(
             self.tree
                 .get(store, value, alog)
@@ -104,7 +104,7 @@ impl SecondaryIndex {
     }
 
     /// All primary keys registered under `value`, ascending.
-    pub fn lookup(&self, store: &PageStore, value: i64, alog: &mut AccessLog) -> Vec<i64> {
+    pub fn lookup(&self, store: &PageStore, value: i64, alog: &mut impl PageSink) -> Vec<i64> {
         self.tree
             .get(store, value, alog)
             .map(decode_pks)
@@ -113,14 +113,14 @@ impl SecondaryIndex {
 
     /// Number of distinct indexed values (O(n) scan; diagnostics).
     pub fn distinct_values(&self, store: &PageStore) -> u64 {
-        let mut alog = AccessLog::new();
-        self.tree.count(store, &mut alog)
+        self.tree.count(store, &mut Uncharged)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::AccessLog;
 
     fn setup() -> (PageStore, SecondaryIndex, AccessLog) {
         let mut store = PageStore::new();

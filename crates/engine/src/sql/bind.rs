@@ -6,7 +6,7 @@ use cb_store::TableId;
 
 use crate::db::{Database, EngineError, TxnHandle};
 use crate::exec::ExecCtx;
-use crate::value::{DataType, Row, Value};
+use crate::value::{DataType, RowRef, Schema, Value, ValueRef};
 
 use super::parser::{Assign, Ast, Expr};
 
@@ -333,22 +333,35 @@ impl From<EngineError> for ExecError {
     }
 }
 
-fn eval(expr: &BoundExpr, params: &[Value], row: Option<&Row>) -> Result<Value, ExecError> {
+/// Evaluate to a value borrowed from where it lives — a parameter, a
+/// literal of the statement, a column of `row` — so nothing is cloned.
+fn eval<'a>(
+    expr: &'a BoundExpr,
+    params: &'a [Value],
+    row: Option<RowRef<'a>>,
+) -> Result<ValueRef<'a>, ExecError> {
     match expr {
-        BoundExpr::Param(n) => params.get(*n).cloned().ok_or(ExecError::MissingParam(*n)),
-        BoundExpr::Int(v) => Ok(Value::Int(*v)),
-        BoundExpr::Str(s) => Ok(Value::Text(s.clone())),
+        BoundExpr::Param(n) => params
+            .get(*n)
+            .map(Value::as_ref)
+            .ok_or(ExecError::MissingParam(*n)),
+        BoundExpr::Int(v) => Ok(ValueRef::Int(*v)),
+        BoundExpr::Str(s) => Ok(ValueRef::Text(s)),
         BoundExpr::Col(i) => {
             let row =
                 row.ok_or_else(|| ExecError::Type("column reference outside row context".into()))?;
-            Ok(row.values[*i].clone())
+            Ok(row.get(*i))
         }
         BoundExpr::Add(a, b) => {
             let (a, b) = (eval(a, params, row)?, eval(b, params, row)?);
             match (a, b) {
-                (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x + y)),
-                (Value::Timestamp(x), Value::Int(y)) => Ok(Value::Timestamp(x + y)),
-                (a, b) => Err(ExecError::Type(format!("cannot add {a} and {b}"))),
+                (ValueRef::Int(x), ValueRef::Int(y)) => Ok(ValueRef::Int(x + y)),
+                (ValueRef::Timestamp(x), ValueRef::Int(y)) => Ok(ValueRef::Timestamp(x + y)),
+                (a, b) => Err(ExecError::Type(format!(
+                    "cannot add {} and {}",
+                    a.to_value(),
+                    b.to_value()
+                ))),
             }
         }
     }
@@ -356,60 +369,143 @@ fn eval(expr: &BoundExpr, params: &[Value], row: Option<&Row>) -> Result<Value, 
 
 fn eval_key(expr: &BoundExpr, params: &[Value]) -> Result<i64, ExecError> {
     match eval(expr, params, None)? {
-        Value::Int(k) => Ok(k),
+        ValueRef::Int(k) => Ok(k),
         other => Err(ExecError::Type(format!(
-            "key must be an integer, got {other}"
+            "key must be an integer, got {}",
+            other.to_value()
         ))),
     }
 }
 
-/// Result of executing a statement.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StmtOutput {
-    /// Projected result rows (SELECT only).
-    pub rows: Vec<Vec<Value>>,
+/// The row a primary-key SELECT found, seen through the statement's
+/// projection: column `i` here is the `i`-th selected column. It is a view
+/// of the page (or version-chain) image the engine holds; a field is
+/// decoded when an accessor asks for it and a text field is borrowed, so
+/// reading a result allocates nothing.
+#[derive(Clone, Copy)]
+pub struct ProjectedRow<'a> {
+    row: RowRef<'a>,
+    /// Selected column indices (`None` = all, in schema order).
+    columns: Option<&'a [usize]>,
+}
+
+impl<'a> ProjectedRow<'a> {
+    fn column(self, i: usize) -> usize {
+        self.columns.map_or(i, |c| c[i])
+    }
+
+    /// Number of selected columns.
+    pub fn len(self) -> usize {
+        self.columns.map_or(self.row.len(), <[usize]>::len)
+    }
+
+    /// True if the projection selects nothing (the parser never binds one).
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The integer in selected column `i`; panics on any other type.
+    pub fn int(self, i: usize) -> i64 {
+        self.row.int(self.column(i))
+    }
+
+    /// The timestamp in selected column `i`; panics on any other type.
+    pub fn timestamp(self, i: usize) -> i64 {
+        self.row.timestamp(self.column(i))
+    }
+
+    /// The string in selected column `i`, borrowed from the image.
+    pub fn text(self, i: usize) -> &'a str {
+        self.row.text(self.column(i))
+    }
+
+    /// Selected column `i`, borrowed.
+    pub fn get(self, i: usize) -> ValueRef<'a> {
+        self.row.get(self.column(i))
+    }
+
+    /// Every selected column as an owned value, in selection order.
+    pub fn to_values(self) -> Vec<Value> {
+        (0..self.len()).map(|i| self.get(i).to_value()).collect()
+    }
+}
+
+impl fmt::Debug for ProjectedRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|i| self.get(i)))
+            .finish()
+    }
+}
+
+/// Result of executing a statement. It borrows the database for as long as
+/// a selected row is looked at; copy out what must outlive the next
+/// statement.
+#[derive(Debug, Default)]
+pub struct StmtOutput<'a> {
+    /// The row a primary-key SELECT found.
+    pub row: Option<ProjectedRow<'a>>,
+    /// The rows a secondary-index SELECT found, owned and already
+    /// projected: they come from several pages, so there is no one image to
+    /// borrow. Empty for every other statement.
+    pub index_rows: Vec<Vec<Value>>,
     /// Rows affected (writes), or matched (reads).
     pub affected: u64,
 }
 
-/// Coerce an evaluated value to the column type where unambiguous (Int
-/// params feeding Timestamp columns are the common case in the workload).
-fn coerce(v: Value, ty: DataType) -> Value {
-    match (v, ty) {
-        (Value::Int(x), DataType::Timestamp) => Value::Timestamp(x),
-        (Value::Timestamp(x), DataType::Int) => Value::Int(x),
-        (v, _) => v,
+impl StmtOutput<'_> {
+    fn affected(n: u64) -> Self {
+        StmtOutput {
+            affected: n,
+            ..StmtOutput::default()
+        }
     }
 }
 
+/// Coerce an evaluated value to the type of column `column` where
+/// unambiguous (Int params feeding Timestamp columns are the common case in
+/// the workload) and hold it to the schema.
+fn typed<'v>(schema: &Schema, column: usize, v: ValueRef<'v>) -> Result<ValueRef<'v>, ExecError> {
+    let v = match (v, schema.columns()[column].ty) {
+        (ValueRef::Int(x), DataType::Timestamp) => ValueRef::Timestamp(x),
+        (ValueRef::Timestamp(x), DataType::Int) => ValueRef::Int(x),
+        (v, _) => v,
+    };
+    schema
+        .check_column(column, v.data_type())
+        .map_err(EngineError::Schema)?;
+    Ok(v)
+}
+
 /// Execute a bound statement with `params`.
-pub fn execute(
-    db: &mut Database,
+pub fn execute<'a>(
+    db: &'a mut Database,
     ctx: &mut ExecCtx<'_>,
     txn: &mut TxnHandle,
-    stmt: &BoundStmt,
+    stmt: &'a BoundStmt,
     params: &[Value],
-) -> Result<StmtOutput, ExecError> {
+) -> Result<StmtOutput<'a>, ExecError> {
     match stmt {
         BoundStmt::Insert {
             table,
             auto_key,
             values,
         } => {
-            let columns = &db.table(*table).schema().columns()[usize::from(*auto_key)..];
-            let mut vals = Vec::with_capacity(values.len());
-            for (e, c) in values.iter().zip(columns) {
-                vals.push(coerce(eval(e, params, None)?, c.ty));
-            }
+            // Parameters are encoded straight into the image the WAL record
+            // will own; no `Value`, `Row` or second copy in between.
+            let t = db.table(*table);
+            let schema = t.schema();
+            let mut image = Vec::with_capacity(8 + schema.len() * 9);
+            image.push(schema.len() as u8);
             if *auto_key {
-                db.insert_auto(ctx, txn, *table, vals)?;
-            } else {
-                db.insert(ctx, txn, *table, Row::new(vals))?;
+                ValueRef::Int(t.next_auto_key()).encode_into(&mut image);
             }
-            Ok(StmtOutput {
-                rows: Vec::new(),
-                affected: 1,
-            })
+            for (column, e) in (usize::from(*auto_key)..).zip(values) {
+                typed(schema, column, eval(e, params, None)?)?.encode_into(&mut image);
+            }
+            let key = RowRef::new(&image).int(0);
+            db.insert_image(ctx, txn, *table, key, image)?;
+            Ok(StmtOutput::affected(1))
         }
         BoundStmt::Select {
             table,
@@ -418,58 +514,60 @@ pub fn execute(
             via,
         } => {
             let k = eval_key(key, params)?;
-            let rows: Vec<Vec<Value>> = match via {
-                // Project straight off the borrowed image: only the named
-                // columns are ever decoded.
-                Access::PrimaryKey => db
-                    .get(ctx, *table, k)
-                    .map(|row| match columns {
-                        None => row.to_row().values,
-                        Some(idxs) => idxs.iter().map(|&i| row.value(i)).collect(),
+            match via {
+                Access::PrimaryKey => {
+                    let db: &'a Database = db;
+                    let row = db.get(ctx, *table, k).map(|row| ProjectedRow {
+                        row,
+                        columns: columns.as_deref(),
+                    });
+                    Ok(StmtOutput {
+                        row,
+                        index_rows: Vec::new(),
+                        affected: u64::from(row.is_some()),
                     })
-                    .into_iter()
-                    .collect(),
-                Access::SecondaryIndex(col) => db
-                    .index_lookup(ctx, *table, *col, k)
-                    .into_iter()
-                    .map(|row| match columns {
-                        None => row.values,
-                        Some(idxs) => idxs.iter().map(|&i| row.values[i].clone()).collect(),
+                }
+                Access::SecondaryIndex(col) => {
+                    let index_rows: Vec<Vec<Value>> = db
+                        .index_lookup(ctx, *table, *col, k)
+                        .into_iter()
+                        .map(|row| match columns {
+                            None => row.values,
+                            Some(idxs) => idxs.iter().map(|&i| row.values[i].clone()).collect(),
+                        })
+                        .collect();
+                    Ok(StmtOutput {
+                        row: None,
+                        affected: index_rows.len() as u64,
+                        index_rows,
                     })
-                    .collect(),
-            };
-            Ok(StmtOutput {
-                affected: rows.len() as u64,
-                rows,
-            })
+                }
+            }
         }
         BoundStmt::Update { table, sets, key } => {
             let k = eval_key(key, params)?;
-            let mut result: Result<(), ExecError> = Ok(());
-            let hit = db.update(ctx, txn, *table, k, |row| {
-                for (idx, ty, e) in sets {
-                    match eval(e, params, Some(row)) {
-                        Ok(v) => row.values[*idx] = coerce(v, *ty),
-                        Err(e) => {
-                            result = Err(e);
-                            return;
-                        }
-                    }
-                }
-            })?;
-            result?;
-            Ok(StmtOutput {
-                rows: Vec::new(),
-                affected: u64::from(hit),
-            })
+            // The after-image is the before-image with the assigned columns
+            // re-encoded in place; every expression sees the row as it was.
+            let hit =
+                db.update_image::<ExecError>(ctx, txn, *table, k, |schema, before, after| {
+                    before.rewrite(after, |col| {
+                        let Some((.., e)) = sets.iter().rfind(|(i, ..)| *i == col) else {
+                            return Ok(None);
+                        };
+                        let v = typed(schema, col, eval(e, params, Some(before))?)?;
+                        assert!(
+                            col != 0 || v == ValueRef::Int(k),
+                            "updates must not change the primary key"
+                        );
+                        Ok(Some(v))
+                    })
+                })?;
+            Ok(StmtOutput::affected(u64::from(hit)))
         }
         BoundStmt::Delete { table, key } => {
             let k = eval_key(key, params)?;
             let hit = db.delete(ctx, txn, *table, k);
-            Ok(StmtOutput {
-                rows: Vec::new(),
-                affected: u64::from(hit),
-            })
+            Ok(StmtOutput::affected(u64::from(hit)))
         }
     }
 }
@@ -503,7 +601,7 @@ mod tests {
     use crate::bufferpool::BufferPool;
     use crate::exec::CostModel;
     use crate::sql::parser::parse;
-    use crate::value::{ColumnDef, Schema};
+    use crate::value::{ColumnDef, Row, Schema};
     use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
     use cb_store::{StorageArch, StorageService};
 
@@ -595,13 +693,20 @@ mod tests {
         let mut txn = db.begin();
         let out = execute(&mut db, &mut ctx, &mut txn, &stmt, &[Value::Int(3)]).unwrap();
         assert_eq!(out.affected, 1);
+        let row = out.row.expect("order 3 exists");
+        assert_eq!((row.len(), row.int(0), row.text(1)), (2, 3, "NEW"));
         assert_eq!(
-            out.rows,
-            vec![vec![Value::Int(3), Value::Text("NEW".into())]]
+            row.to_values(),
+            vec![Value::Int(3), Value::Text("NEW".into())]
+        );
+        assert!(
+            out.index_rows.is_empty(),
+            "a primary-key SELECT owns no rows"
         );
         // Missing key: zero rows.
         let out = execute(&mut db, &mut ctx, &mut txn, &stmt, &[Value::Int(99)]).unwrap();
         assert_eq!(out.affected, 0);
+        assert!(out.row.is_none());
         db.commit(&mut ctx, txn);
     }
 

@@ -8,7 +8,8 @@ pub mod parser;
 pub mod registry;
 
 pub use bind::{
-    bind, execute, write_key, Access, BindError, BoundExpr, BoundStmt, ExecError, StmtOutput,
+    bind, execute, write_key, Access, BindError, BoundExpr, BoundStmt, ExecError, ProjectedRow,
+    StmtOutput,
 };
 pub use parser::{parse, Assign, Ast, Expr, ParseError};
-pub use registry::{PreparedStmt, RegistryError, StmtRegistry};
+pub use registry::{PreparedStmt, RegistryError, StmtId, StmtRegistry};

@@ -3,8 +3,11 @@
 //! The paper's extensibility story decouples SQL text from the driver: new
 //! workloads are added by listing named statements in a `stmt_db.toml` file.
 //! [`StmtRegistry::load`] parses that format (a `[section]`-and-`name =
-//! "SQL"` subset of TOML), binds each statement against the catalog once,
-//! and hands out prepared [`BoundStmt`]s by name.
+//! "SQL"` subset of TOML) and binds each statement against the catalog once.
+//! A caller resolves a name to a [`StmtId`] when it is set up
+//! ([`StmtRegistry::id`]) and indexes the registry with it per execution;
+//! [`StmtRegistry::get`] looks a statement up by name for set-up code and
+//! one-off callers.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -57,10 +60,18 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
+/// Handle to a registered statement: its position in the registry that
+/// issued it. Indexing with it (`registry[id]`) is a bounds-checked array
+/// access — no name is hashed on the execution path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct StmtId(u32);
+
 /// Named, prepared statements.
 #[derive(Default)]
 pub struct StmtRegistry {
-    stmts: HashMap<String, PreparedStmt>,
+    /// Registration order; a [`StmtId`] indexes this.
+    stmts: Vec<PreparedStmt>,
+    by_name: HashMap<String, StmtId>,
 }
 
 /// A registered statement: original SQL plus its bound form.
@@ -79,7 +90,7 @@ impl StmtRegistry {
 
     /// Register one named statement.
     pub fn register(&mut self, name: &str, sql: &str, db: &Database) -> Result<(), RegistryError> {
-        if self.stmts.contains_key(name) {
+        if self.by_name.contains_key(name) {
             return Err(RegistryError::Duplicate(name.to_string()));
         }
         let ast = parse(sql).map_err(|error| RegistryError::Parse {
@@ -90,13 +101,12 @@ impl StmtRegistry {
             name: name.to_string(),
             error,
         })?;
-        self.stmts.insert(
-            name.to_string(),
-            PreparedStmt {
-                sql: sql.to_string(),
-                stmt,
-            },
-        );
+        let id = StmtId(self.stmts.len() as u32);
+        self.stmts.push(PreparedStmt {
+            sql: sql.to_string(),
+            stmt,
+        });
+        self.by_name.insert(name.to_string(), id);
         Ok(())
     }
 
@@ -136,19 +146,24 @@ impl StmtRegistry {
         Ok(loaded)
     }
 
+    /// Resolve a name to its handle, once, at set-up.
+    pub fn id(&self, name: &str) -> Option<StmtId> {
+        self.by_name.get(name).copied()
+    }
+
     /// Fetch a prepared statement by name.
     pub fn get(&self, name: &str) -> Option<&BoundStmt> {
-        self.stmts.get(name).map(|p| &p.stmt)
+        self.id(name).map(|id| &self[id])
     }
 
     /// Fetch the full prepared entry (SQL text + bound form).
     pub fn get_prepared(&self, name: &str) -> Option<&PreparedStmt> {
-        self.stmts.get(name)
+        self.id(name).map(|id| &self.stmts[id.0 as usize])
     }
 
     /// Registered statement names (sorted, for reports).
     pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.stmts.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.by_name.keys().map(String::as_str).collect();
         v.sort_unstable();
         v
     }
@@ -161,6 +176,15 @@ impl StmtRegistry {
     /// True if nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.stmts.is_empty()
+    }
+}
+
+impl std::ops::Index<StmtId> for StmtRegistry {
+    type Output = BoundStmt;
+
+    /// The statement behind a handle this registry issued.
+    fn index(&self, id: StmtId) -> &BoundStmt {
+        &self.stmts[id.0 as usize].stmt
     }
 }
 
@@ -196,6 +220,15 @@ t_pay = "UPDATE orders SET O_STATUS='PAID' WHERE O_ID=?"
         assert_eq!(n, 2);
         assert_eq!(reg.names(), vec!["t3_order_status", "t_pay"]);
         assert!(reg.get("t3_order_status").is_some());
+        // A handle and a name reach the same statement; unknown names
+        // resolve to nothing.
+        for name in reg.names() {
+            let id = reg.id(name).expect("listed name resolves");
+            assert_eq!(Some(&reg[id]), reg.get(name));
+        }
+        assert_ne!(reg.id("t3_order_status"), reg.id("t_pay"));
+        assert_eq!(reg.id("nope"), None);
+        assert!(reg.get("nope").is_none());
         assert_eq!(
             reg.get_prepared("t_pay").unwrap().sql,
             "UPDATE orders SET O_STATUS='PAID' WHERE O_ID=?"

@@ -70,25 +70,74 @@ impl Value {
         }
     }
 
+    /// The same value, borrowed.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Int(x) => ValueRef::Int(*x),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Timestamp(x) => ValueRef::Timestamp(*x),
+        }
+    }
+
     /// Append this value's tagged serialization to `out`. The write path
     /// encodes whole rows through one caller-owned scratch buffer, so hot
     /// loops pay zero allocations per value.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.as_ref().encode_into(out);
+    }
+}
+
+/// A value borrowed from where it already lives: a statement parameter, a
+/// SQL literal or a column of a row image. The SQL write path evaluates to
+/// these and encodes them straight into the new image, so a text value is
+/// never copied into a `String` on the way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// Integer.
+    Int(i64),
+    /// UTF-8 string.
+    Text(&'a str),
+    /// Timestamp (microseconds since epoch).
+    Timestamp(i64),
+}
+
+impl ValueRef<'_> {
+    /// The value's type.
+    pub fn data_type(self) -> DataType {
         match self {
-            Value::Int(x) => {
+            ValueRef::Int(_) => DataType::Int,
+            ValueRef::Text(_) => DataType::Text,
+            ValueRef::Timestamp(_) => DataType::Timestamp,
+        }
+    }
+
+    /// Append the tagged serialization to `out` — the one encoder behind
+    /// [`Value::encode_into`] and [`Row::encode_into`].
+    pub fn encode_into(self, out: &mut Vec<u8>) {
+        match self {
+            ValueRef::Int(x) => {
                 out.push(TAG_INT);
                 out.extend_from_slice(&x.to_le_bytes());
             }
-            Value::Text(s) => {
+            ValueRef::Text(s) => {
                 assert!(s.len() <= u16::MAX as usize, "text too long");
                 out.push(TAG_TEXT);
                 out.extend_from_slice(&(s.len() as u16).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
-            Value::Timestamp(x) => {
+            ValueRef::Timestamp(x) => {
                 out.push(TAG_TS);
                 out.extend_from_slice(&x.to_le_bytes());
             }
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(x) => Value::Int(x),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+            ValueRef::Timestamp(x) => Value::Timestamp(x),
         }
     }
 }
@@ -118,6 +167,20 @@ impl ColumnDef {
         ColumnDef {
             name: name.to_string(),
             ty,
+        }
+    }
+
+    /// The type rule: this column, at position `column`, holds `found`.
+    #[inline]
+    fn check(&self, column: usize, found: DataType) -> Result<(), SchemaError> {
+        if found == self.ty {
+            Ok(())
+        } else {
+            Err(SchemaError::Type {
+                column,
+                expected: self.ty,
+                found,
+            })
         }
     }
 }
@@ -177,15 +240,16 @@ impl Schema {
             });
         }
         for (i, (v, c)) in row.values.iter().zip(&self.columns).enumerate() {
-            if v.data_type() != c.ty {
-                return Err(SchemaError::Type {
-                    column: i,
-                    expected: c.ty,
-                    found: v.data_type(),
-                });
-            }
+            c.check(i, v.data_type())?;
         }
         Ok(())
+    }
+
+    /// Check that a value of type `found` may be stored in column `column`
+    /// — the rule [`Schema::validate`] applies to every column, for writers
+    /// that encode a row column by column without building a [`Row`].
+    pub fn check_column(&self, column: usize, found: DataType) -> Result<(), SchemaError> {
+        self.columns[column].check(column, found)
     }
 }
 
@@ -313,6 +377,14 @@ impl<'a> Field<'a> {
             Field::Timestamp(x) => Value::Timestamp(x),
         }
     }
+
+    fn borrowed(&self) -> ValueRef<'a> {
+        match *self {
+            Field::Int(x) => ValueRef::Int(x),
+            Field::Text(b) => ValueRef::Text(Self::text(b)),
+            Field::Timestamp(x) => ValueRef::Timestamp(x),
+        }
+    }
 }
 
 /// The walker's one step, and the only code that reads the tag layout
@@ -365,6 +437,14 @@ impl<'a> Iterator for Fields<'a> {
         let field;
         (field, self.rest) = read_field(self.rest);
         Some(field)
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.fields().map(|field| field.borrowed()))
+            .finish()
     }
 }
 
@@ -427,6 +507,33 @@ impl<'a> RowRef<'a> {
     /// Column `col` as an owned value.
     pub fn value(self, col: usize) -> Value {
         self.field(col).to_value()
+    }
+
+    /// Column `col`, borrowed from the image.
+    pub fn get(self, col: usize) -> ValueRef<'a> {
+        self.field(col).borrowed()
+    }
+
+    /// Append to `out` the image of this row with some columns replaced:
+    /// `replace(col)` supplies the new value of a column or `None` to keep
+    /// it, in which case the column's bytes are copied as they stand. This
+    /// is how an UPDATE builds its after-image without decoding the row.
+    pub fn rewrite<'v, E>(
+        self,
+        out: &mut Vec<u8>,
+        mut replace: impl FnMut(usize) -> Result<Option<ValueRef<'v>>, E>,
+    ) -> Result<(), E> {
+        out.push(self.image[0]);
+        let mut rest = &self.image[1..];
+        for col in 0..self.len() {
+            let (_, after) = read_field(rest);
+            match replace(col)? {
+                Some(v) => v.encode_into(out),
+                None => out.extend_from_slice(&rest[..rest.len() - after.len()]),
+            }
+            rest = after;
+        }
+        Ok(())
     }
 
     /// Decode every column into an owned row.
@@ -546,6 +653,35 @@ mod tests {
         assert_eq!(view.int(3), -5);
         assert_eq!(view.value(1), Value::Text("PAID".into()));
         assert_eq!(view.to_row(), sample_row());
+    }
+
+    #[test]
+    fn rewrite_replaces_named_columns_and_copies_the_rest() {
+        let image = sample_row().encode();
+        let mut out = Vec::new();
+        RowRef::new(&image)
+            .rewrite(&mut out, |col| {
+                Ok::<_, ()>(match col {
+                    1 => Some(ValueRef::Text("REFUNDED")),
+                    3 => Some(ValueRef::Int(7)),
+                    _ => None,
+                })
+            })
+            .unwrap();
+        let mut want = sample_row();
+        want.values[1] = Value::Text("REFUNDED".into());
+        want.values[3] = Value::Int(7);
+        assert_eq!(out, want.encode(), "byte-identical to decode-modify-encode");
+        assert_eq!(RowRef::new(&out).get(1), ValueRef::Text("REFUNDED"));
+        // An error from the callback stops the rewrite.
+        let err = RowRef::new(&image).rewrite(&mut Vec::new(), |col| {
+            if col == 2 {
+                Err("boom")
+            } else {
+                Ok(None)
+            }
+        });
+        assert_eq!(err, Err("boom"));
     }
 
     #[test]

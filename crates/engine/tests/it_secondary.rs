@@ -17,7 +17,7 @@ fn orderline_schema() -> Schema {
     ])
 }
 
-fn base_db() -> Database {
+fn unindexed_db() -> Database {
     let mut db = Database::new();
     let t = db.create_table("orderline", orderline_schema());
     db.load_bulk(
@@ -30,6 +30,12 @@ fn base_db() -> Database {
             ])
         }),
     );
+    db
+}
+
+fn base_db() -> Database {
+    let mut db = unindexed_db();
+    let t = db.table_id("orderline").unwrap();
     db.create_index(t, "OL_O_ID");
     db
 }
@@ -78,10 +84,11 @@ fn sql_select_uses_the_index() {
     let mut ctx = env.ctx();
     let mut txn = db.begin();
     let out = execute(&mut db, &mut ctx, &mut txn, &stmt, &[Value::Int(3)]).unwrap();
-    db.commit(&mut ctx, txn);
     assert_eq!(out.affected, 10, "order 3 has orderlines 21..=30");
-    let ids: Vec<i64> = out.rows.iter().map(|r| r[0].expect_int()).collect();
+    assert!(out.row.is_none(), "index rows come back owned");
+    let ids: Vec<i64> = out.index_rows.iter().map(|r| r[0].expect_int()).collect();
     assert_eq!(ids, (21..=30).collect::<Vec<_>>());
+    db.commit(&mut ctx, txn);
 }
 
 #[test]
@@ -129,6 +136,45 @@ fn dml_maintains_the_index() {
         .collect();
     assert_eq!(order4[0], 22, "moved row appears under its new order");
     assert_eq!(order4.len(), 11);
+}
+
+/// Page touches charged for inserting orderline 500 into order 3 and for
+/// deleting it again, each statement on a fresh context.
+fn insert_then_delete_touches(mut db: Database) -> (u64, u64) {
+    let t = db.table_id("orderline").unwrap();
+    let mut env = Env::new();
+    let mut txn = db.begin();
+    let touches =
+        |ctx: &ExecCtx<'_>| ctx.stats.local_hits + ctx.stats.remote_hits + ctx.stats.storage_reads;
+    let mut ctx = env.ctx();
+    let row = Row::new(vec![Value::Int(500), Value::Int(3), Value::Int(1)]);
+    db.insert(&mut ctx, &mut txn, t, row).unwrap();
+    let inserted = touches(&ctx);
+    let mut ctx = env.ctx();
+    assert!(db.delete(&mut ctx, &mut txn, t, 500));
+    let deleted = touches(&ctx);
+    db.commit(&mut ctx, txn);
+    (inserted, deleted)
+}
+
+#[test]
+fn delete_charges_the_index_pages_it_touches() {
+    // Regression: `delete` used to charge its access log before the index
+    // maintenance ran, so the index pages a delete reads and rewrites were
+    // free while insert and update paid for theirs.
+    let (plain_insert, plain_delete) = insert_then_delete_touches(unindexed_db());
+    let (indexed_insert, indexed_delete) = insert_then_delete_touches(base_db());
+    assert!(
+        indexed_delete > plain_delete,
+        "the index costs a delete something: {indexed_delete} vs {plain_delete} touches"
+    );
+    // Taking a key off a posting list touches what putting it there did:
+    // read the list, find its leaf again, rewrite it.
+    assert_eq!(
+        indexed_delete - plain_delete,
+        indexed_insert - plain_insert,
+        "delete and insert pay the same for the index"
+    );
 }
 
 #[test]

@@ -5,11 +5,13 @@
 use std::collections::BTreeMap;
 use std::panic::catch_unwind;
 
-use cb_engine::btree::{AccessLog, BTree};
+use cb_engine::btree::{AccessLog, BTree, PageSink};
+use cb_engine::secondary::SecondaryIndex;
 use cb_engine::slotted::Slotted;
 use cb_engine::sql::parse;
-use cb_engine::{Row, RowRef, Value};
-use cb_store::{PageBuf, PageStore};
+use cb_engine::{BufferPool, CostModel, ExecCtx, Row, RowRef, Value};
+use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
+use cb_store::{PageBuf, PageStore, StorageArch, StorageService};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -46,8 +48,150 @@ fn op_strategy(key_space: i64) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A clustered tree plus a secondary index over the payload's first byte:
+/// the page traffic of a table with one indexed column.
+struct IndexedTree {
+    store: PageStore,
+    tree: BTree,
+    index: SecondaryIndex,
+}
+
+impl IndexedTree {
+    fn new() -> Self {
+        let mut store = PageStore::new();
+        let tree = BTree::create(&mut store);
+        let index = SecondaryIndex::create(&mut store, 1);
+        IndexedTree { store, tree, index }
+    }
+
+    /// Apply `op` the way `Database` does its DML — tree first, then index
+    /// maintenance — reporting every page to `sink`. Returns rows processed.
+    fn apply(&mut self, op: &Op, sink: &mut impl PageSink) -> u64 {
+        let IndexedTree { store, tree, index } = self;
+        // Payloads are stretched so a few hundred keys span dozens of leaves.
+        let image = |p: &[u8]| p.repeat(8);
+        match op {
+            Op::Insert(k, p) => {
+                if tree.insert(store, *k, &image(p), sink).is_err() {
+                    return 0;
+                }
+                index.add(store, i64::from(p[0]), *k, sink);
+                1
+            }
+            Op::Update(k, p) => {
+                let Some(old) = tree.get(store, *k, sink).map(|img| img[0]) else {
+                    return 0;
+                };
+                tree.update(store, *k, &image(p), sink);
+                if old != p[0] {
+                    index.remove(store, i64::from(old), *k, sink);
+                    index.add(store, i64::from(p[0]), *k, sink);
+                }
+                1
+            }
+            Op::Delete(k) => {
+                let Some(old) = tree.delete(store, *k, sink) else {
+                    return 0;
+                };
+                index.remove(store, i64::from(old[0]), *k, sink);
+                1
+            }
+            Op::Get(k) => u64::from(tree.get(store, *k, sink).is_some()),
+            Op::Scan(lo, span) => {
+                let mut rows = 0;
+                tree.scan_range(store, *lo, lo + span, sink, |_, _| {
+                    rows += 1;
+                    true
+                });
+                rows
+            }
+        }
+    }
+}
+
+/// A node small enough that the workload evicts, and writes back, as soon
+/// as the trees outgrow a leaf each: two pool frames over a throttled
+/// device, so every charge moves the device queue the next one is timed
+/// against.
+struct TinyNode {
+    pool: BufferPool,
+    storage: StorageService,
+    model: CostModel,
+}
+
+impl TinyNode {
+    fn new() -> Self {
+        let device = || {
+            Device::new(
+                DeviceKind::NetworkSsd,
+                SimDuration::from_micros(450),
+                Some(20_000),
+            )
+        };
+        TinyNode {
+            pool: BufferPool::new(2),
+            storage: StorageService::new(
+                StorageArch::Coupled,
+                device(),
+                device(),
+                None,
+                1,
+                SimDuration::ZERO,
+            ),
+            model: CostModel::default(),
+        }
+    }
+
+    fn ctx(&mut self) -> ExecCtx<'_> {
+        ExecCtx::new(
+            SimTime::ZERO,
+            &mut self.pool,
+            None,
+            &mut self.storage,
+            &self.model,
+        )
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Charging pages as the tree walks equals recording them and charging
+    /// the record afterwards: the property that let `Database` drop its
+    /// per-statement access log. One side hands the trees the context
+    /// itself; the other hands them a `Vec` and replays it through
+    /// `charge_page` in recorded order. Everything the cost model produces
+    /// must agree at the end.
+    #[test]
+    fn charging_while_walking_equals_replaying_the_log(
+        ops in prop::collection::vec(op_strategy(300), 1..400),
+    ) {
+        let (mut walked, mut logged) = (IndexedTree::new(), IndexedTree::new());
+        let (mut node_a, mut node_b) = (TinyNode::new(), TinyNode::new());
+        let (mut ctx_a, mut ctx_b) = (node_a.ctx(), node_b.ctx());
+        let mut alog = AccessLog::new();
+        for op in &ops {
+            ctx_a.charge_stmt();
+            let rows = walked.apply(op, &mut ctx_a);
+            ctx_a.charge_rows(rows);
+
+            ctx_b.charge_stmt();
+            let rows_b = logged.apply(op, &mut alog);
+            for (page, write) in alog.drain(..) {
+                ctx_b.charge_page(page, write);
+            }
+            ctx_b.charge_rows(rows_b);
+            prop_assert_eq!(rows, rows_b);
+        }
+        prop_assert_eq!(ctx_a.cpu, ctx_b.cpu);
+        prop_assert_eq!(ctx_a.io, ctx_b.io);
+        prop_assert_eq!(ctx_a.stats, ctx_b.stats);
+        prop_assert_eq!(node_a.pool.hits(), node_b.pool.hits());
+        prop_assert_eq!(node_a.pool.misses(), node_b.pool.misses());
+        prop_assert_eq!(node_a.pool.dirty_evictions(), node_b.pool.dirty_evictions());
+        prop_assert_eq!(node_a.storage.page_ops(), node_b.storage.page_ops());
+        prop_assert_eq!(node_a.storage.log_ops(), node_b.storage.log_ops());
+    }
 
     /// The B+tree agrees with a BTreeMap under arbitrary operation mixes,
     /// including the final full-scan content.

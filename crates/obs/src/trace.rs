@@ -273,9 +273,14 @@ pub struct ObsSink {
 pub const DEFAULT_JOURNAL_CAP: usize = 65_536;
 
 impl ObsSink {
+    /// The no-op sink as a constant: `&ObsSink::DISABLED` is a `'static`
+    /// borrow, so a holder of `&ObsSink` needs no sink of its own to
+    /// default to.
+    pub const DISABLED: ObsSink = ObsSink { core: None };
+
     /// The no-op sink.
     pub fn disabled() -> Self {
-        ObsSink { core: None }
+        Self::DISABLED
     }
 
     /// An active sink with the default journal capacity.

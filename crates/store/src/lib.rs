@@ -12,6 +12,8 @@
 //!   safekeeper+pageserver, memory disaggregation).
 //! * [`codec`] — framed, checksummed on-wire WAL serialization (what log
 //!   shipping actually moves; detects torn tails and corruption).
+//! * [`hash`] — [`IntMap`]: `HashMap` with a cheap fixed hasher, for maps
+//!   keyed by engine-assigned integers (pages, row locks).
 //! * [`group_commit`] — the [`GroupCommit`] pipeline: commits stage into a
 //!   virtual-time batch flushed per window/size cap, acked together.
 
@@ -19,6 +21,7 @@
 
 pub mod codec;
 pub mod group_commit;
+pub mod hash;
 pub mod page;
 pub mod service;
 pub mod wal;
@@ -28,6 +31,7 @@ pub use codec::{
     encode_segment_into, CodecError,
 };
 pub use group_commit::{CommitAck, DurabilityAck, GroupCommit, GroupCommitConfig};
+pub use hash::IntMap;
 pub use page::{PageBuf, PageId, PageStore, PAGE_SIZE};
 pub use service::{StorageArch, StorageService};
 pub use wal::{

@@ -6,14 +6,15 @@
 //! never duplicate content, which keeps a multi-node cluster consistent by
 //! construction while still modelling cache behaviour faithfully.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::hash::IntMap;
 
 /// Size of every page in bytes (matches PostgreSQL's default).
 pub const PAGE_SIZE: usize = 8192;
 
 /// Identifier of a page within the page store.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(pub u64);
 
 impl PageId {
@@ -120,7 +121,7 @@ impl PageBuf {
 /// The canonical, durable home of all pages.
 #[derive(Default)]
 pub struct PageStore {
-    pages: HashMap<PageId, PageBuf>,
+    pages: IntMap<PageId, PageBuf>,
     next_id: u64,
     allocated: u64,
     freed: u64,

@@ -22,7 +22,7 @@ use std::fmt;
 pub struct TxnId(pub u64);
 
 /// Table identifier (assigned by the engine catalog).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct TableId(pub u16);
 
 /// Log sequence number. LSN 0 means "before any record".

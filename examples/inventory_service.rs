@@ -23,7 +23,7 @@ fn main() {
     registry.load(STMT_DB_TOML, &db).expect("sales statements");
     let ext = install(&mut db, &mut registry);
     let mut rng = DetRng::seeded(99);
-    load_extension_data(&mut db, ext, 200, &mut rng);
+    load_extension_data(&mut db, ext.tables, 200, &mut rng);
     println!(
         "installed {} statements over {} tables\n",
         registry.len(),
@@ -56,7 +56,7 @@ fn main() {
             &mut db,
             &mut ctx,
             &registry,
-            ext,
+            &ext,
             kind,
             product,
             i as i64 * 1000,
@@ -73,13 +73,13 @@ fn main() {
         }] += 1;
     }
 
-    let workorders = db.dump_table(ext.workorder);
+    let workorders = db.dump_table(ext.tables.workorder);
     let open = workorders
         .iter()
         .filter(|r| r.values[3].expect_text() == "OPEN")
         .count();
     let done = workorders.len() - open;
-    let stock = db.dump_table(ext.stockitem);
+    let stock = db.dump_table(ext.tables.stockitem);
     let total_qty: i64 = stock.iter().map(|r| r.values[1].expect_int()).sum();
     let total_reserved: i64 = stock.iter().map(|r| r.values[2].expect_int()).sum();
 
