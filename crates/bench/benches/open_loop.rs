@@ -13,12 +13,6 @@
 //!    and at the knee.
 //! 3. **Multi-seed aggregation**: one fixed-rate plan across 5 seeds,
 //!    reporting mean/stddev/CV/95% CI per metric.
-//!
-//! With `CB_BENCH_JSON=<path>` the fixed-rate sweep also appends one
-//! `{"name","median_ns"}` line per cell (response p99 in ns), matching the
-//! vendored-criterion JSON convention the CI smoke job consumes.
-
-use std::io::Write as _;
 
 use cb_bench::{open_loop_cell, open_loop_curve, OPEN_LOOP_CLIENTS, SEED, SIM_SCALE};
 use cb_load::{ArrivalPlan, PhasePlan};
@@ -42,16 +36,14 @@ fn main() {
          {OPEN_LOOP_CLIENTS} logical clients; 1 RW + 1 RO)\n",
         cb_bench::MEASURE_SECS
     );
-    let mut json: Vec<(String, u64)> = Vec::new();
     for profile in [SutProfile::aws_rds(), SutProfile::cdb4()] {
-        fixed_rate_sweep(&profile, &mut json);
+        fixed_rate_sweep(&profile);
     }
     fixed_vs_maxtp(&SutProfile::aws_rds());
     multi_seed(&SutProfile::aws_rds());
-    emit_json(&json);
 }
 
-fn fixed_rate_sweep(profile: &SutProfile, json: &mut Vec<(String, u64)>) {
+fn fixed_rate_sweep(profile: &SutProfile) {
     let mut t = Table::new(
         &format!("Fixed-rate sweep — {} (RW mix)", profile.name),
         &[
@@ -79,10 +71,6 @@ fn fixed_rate_sweep(profile: &SutProfile, json: &mut Vec<(String, u64)>) {
             fnum(c.sched_lag_p99_ms),
             c.queue_depth_max.to_string(),
         ]);
-        json.push((
-            format!("open_loop_{}_{}ps_p99", profile.name, c.offered_rate as u64),
-            (c.p99_ms * 1e6) as u64,
-        ));
     }
     println!("{t}");
 }
@@ -176,18 +164,4 @@ fn multi_seed(profile: &SutProfile) {
         ],
     );
     println!("{t}");
-}
-
-fn emit_json(entries: &[(String, u64)]) {
-    let Ok(path) = std::env::var("CB_BENCH_JSON") else {
-        return;
-    };
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .expect("open CB_BENCH_JSON");
-    for (name, ns) in entries {
-        writeln!(f, "{{\"name\":\"{name}\",\"median_ns\":{ns}}}").expect("write bench json");
-    }
 }

@@ -43,28 +43,10 @@ pub fn oltp_cell(
     concurrency: u32,
     dist: AccessDistribution,
 ) -> OltpCell {
-    dep.reset_runtime();
-    let duration = SimDuration::from_secs(MEASURE_SECS);
-    let spec = TenantSpec::constant(
-        concurrency,
-        duration,
-        mix,
-        dist,
-        KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-    );
-    let opts = RunOptions {
-        seed: SEED,
-        vcores: VcoreControl::Fixed,
-        ..RunOptions::default()
-    };
-    let result = run(dep, &[spec], &opts);
-    let avg_tps = result.avg_tps(SimTime::ZERO, SimTime::ZERO + duration);
-    let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + duration);
-    let cost = ruc_cost(&usage, &RucRates::default());
-    let minutes = duration.as_secs_f64() / 60.0;
+    let cell = run_cell(dep, mix, concurrency, dist, None, SEED);
     OltpCell {
-        avg_tps,
-        cost_per_min: cost.scaled(1.0 / minutes),
+        avg_tps: cell.avg_tps,
+        cost_per_min: cell.cost_per_min,
     }
 }
 
@@ -82,27 +64,29 @@ pub struct PolicyCell {
     pub cost_per_min: CostBreakdown,
 }
 
-/// Run one fixed-capacity OLTP cell under an explicit eviction policy,
-/// reporting the primary's hit rate alongside throughput. Identical run
-/// shape to [`oltp_cell`]; `eviction` feeds `RunOptions::eviction`.
-pub fn policy_cell(
-    dep: &mut Deployment,
-    mix: TxnMix,
-    concurrency: u32,
-    dist: AccessDistribution,
-    eviction: cb_engine::EvictionPolicyKind,
-) -> PolicyCell {
-    policy_cell_seeded(dep, mix, concurrency, dist, eviction, SEED)
-}
-
-/// [`policy_cell`] with an explicit workload seed — used by the policy
-/// grid's seed-stability check (`CB_SEED` in `fig8_policy_grid`).
+/// Run one fixed-capacity OLTP cell under an explicit eviction policy and
+/// workload seed (`CB_SEED` in `fig8_policy_grid` drives the seed-stability
+/// check), reporting the primary's hit rate alongside throughput. Identical
+/// run shape to [`oltp_cell`]; `eviction` feeds `RunOptions::eviction`.
 pub fn policy_cell_seeded(
     dep: &mut Deployment,
     mix: TxnMix,
     concurrency: u32,
     dist: AccessDistribution,
     eviction: cb_engine::EvictionPolicyKind,
+    seed: u64,
+) -> PolicyCell {
+    run_cell(dep, mix, concurrency, dist, Some(eviction), seed)
+}
+
+/// The one cell body: [`MEASURE_SECS`] of `concurrency` closed-loop clients
+/// at fixed capacity; `eviction: None` keeps the profile's default policy.
+fn run_cell(
+    dep: &mut Deployment,
+    mix: TxnMix,
+    concurrency: u32,
+    dist: AccessDistribution,
+    eviction: Option<cb_engine::EvictionPolicyKind>,
     seed: u64,
 ) -> PolicyCell {
     dep.reset_runtime();
@@ -117,7 +101,7 @@ pub fn policy_cell_seeded(
     let opts = RunOptions {
         seed,
         vcores: VcoreControl::Fixed,
-        eviction: Some(eviction),
+        eviction,
         ..RunOptions::default()
     };
     let (h0, m0) = (dep.nodes[0].pool.hits(), dep.nodes[0].pool.misses());
@@ -312,6 +296,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn oltp_cell_equals_policy_cell_at_the_default_policy() {
+        // Data and pool contents survive `reset_runtime`, so each side gets
+        // its own copy of the one deployment.
+        let profile = SutProfile::cdb2();
+        let fresh = || Deployment::new(profile.clone(), 1, 2000, 1, SEED);
+        let (mix, dist) = (TxnMix::read_write(), AccessDistribution::Uniform);
+        let plain = oltp_cell(&mut fresh(), mix, 10, dist);
+        let policy =
+            policy_cell_seeded(&mut fresh(), mix, 10, dist, profile.default_eviction, SEED);
+        assert_eq!(plain.avg_tps.to_bits(), policy.avg_tps.to_bits());
+        assert_eq!(
+            plain.cost_per_min.total().to_bits(),
+            policy.cost_per_min.total().to_bits()
+        );
     }
 
     #[test]

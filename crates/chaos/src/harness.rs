@@ -9,9 +9,9 @@
 //! copy of the WAL, pulled at every acknowledgement, never truncated — so
 //! that after a crash it can run both real recovery paths:
 //!
-//! * **replay-from-storage**: `base_database()` + checkpoint-partitioned
-//!   parallel redo over the archive ([`cloudybench::replay`]), the CDB1–3
-//!   route (also "restore backup and roll forward"), and
+//! * **replay-from-storage**: `base_database()` + net-effect redo over the
+//!   archive ([`cb_engine::recovery::redo_net_effects`]), the CDB1–3 route
+//!   (also "restore backup and roll forward"), and
 //! * **in-place ARIES undo**: `undo_losers` over the crash epoch's
 //!   log tail applied to the crashed image, the RDS/CDB4 route.
 //!
@@ -31,7 +31,7 @@ use std::collections::HashSet;
 
 use cb_cluster::{plan_failover_with_detection, HeartbeatMonitor, NodeHealth};
 use cb_engine::exec::RemoteTier;
-use cb_engine::recovery::{analyze, undo_losers};
+use cb_engine::recovery::{analyze, redo_net_effects, undo_losers};
 use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
 use cb_obs::{
     ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, Category, ObsSink,
@@ -877,12 +877,10 @@ impl Harness {
         let mut replayed = self.dep.base_database();
         let redo_src = self.bugged_archive();
         let redo_start = self.now;
-        // Checkpoint-partitioned parallel redo with its fixed partition
-        // count; one worker here, but the merged plan is identical for any
-        // worker count, so campaign output cannot depend on `--jobs`.
+        // The redo plan is a pure function of the archive, so campaign
+        // output cannot depend on `--jobs`.
         let no_2pc = HashSet::new();
-        let redone =
-            cloudybench::replay::redo_committed_parallel(&mut replayed, &redo_src, &no_2pc, 1);
+        let redone = redo_net_effects(&mut replayed, &redo_src, &no_2pc);
         self.check_state(&replayed, "replay")?;
         // 6. In-place ARIES oracle: undo losers on the crashed image using
         //    the full pre-crash tail, honouring the durability horizon — a

@@ -23,7 +23,7 @@
 //! Recovery then runs per shard as production would: `in_doubt_txns` over
 //! the shard's WAL, `coord.resolve` against the surviving decision log, and
 //! **both** real paths — rebuild from `base_database()` through the
-//! net-effect planner ([`redo_committed_parallel`]) and in-place ARIES undo
+//! net-effect planner ([`redo_net_effects`]) and in-place ARIES undo
 //! ([`undo_losers`]). Four oracles:
 //!
 //! 1. **Path equivalence** — both recovery paths produce identical tables.
@@ -40,13 +40,12 @@
 //! `TwoPhaseCoordinator::new()` — a coordinator that lost its decision log
 //! — so production carries no test hook.
 
-use cb_engine::recovery::{in_doubt_txns, undo_losers};
+use cb_engine::recovery::{in_doubt_txns, redo_net_effects, undo_losers};
 use cb_engine::Database;
 use cb_sim::{DetRng, SimDuration, SimTime};
 use cb_store::{Lsn, TableId, WalRecord};
 use cb_sut::SutProfile;
 use cloudybench::parallel::par_map;
-use cloudybench::replay::redo_committed_parallel;
 use cloudybench::sharded::{ShardMap, ShardedDeployment, TwoPhaseCoordinator, TwoPhaseStats};
 use cloudybench::DatasetShape;
 
@@ -347,7 +346,7 @@ fn run_layout(
         // Path A: restore the base snapshot, roll forward through the
         // net-effect planner with the resolved commits joined in.
         let mut rebuilt = dep.base_database();
-        redo_committed_parallel(&mut rebuilt, &refs, &resolved, 1);
+        redo_net_effects(&mut rebuilt, &refs, &resolved);
 
         // Path B: in-place ARIES undo of every unresolved loser.
         dep.db.simulate_crash();

@@ -106,7 +106,11 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ChaosArgs, String> {
             "--seeds" => {
                 parsed.seeds = value("--seeds")?
                     .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
+                    .map_err(|e| format!("--seeds: {e}"))?;
+                // An empty campaign would report "0 violations" and exit 0.
+                if parsed.seeds == 0 {
+                    return Err("--seeds needs at least one seed".to_string());
+                }
             }
             "--profile" => {
                 let name = value("--profile")?;

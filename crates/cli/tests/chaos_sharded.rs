@@ -1,15 +1,20 @@
 //! `cloudybench chaos --sharded` through the real binary: flags the 2PC
 //! campaign cannot carry are refused instead of dropped, `--profile` is
-//! honoured.
+//! honoured, and an empty campaign (`--seeds 0`, sharded or not) is refused
+//! instead of reported clean.
 
 use std::process::{Command, Output};
 
-fn chaos_sharded(args: &[&str]) -> Output {
+fn chaos(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cloudybench"))
-        .args(["chaos", "--sharded"])
+        .arg("chaos")
         .args(args)
         .output()
         .expect("the cloudybench binary runs")
+}
+
+fn chaos_sharded(args: &[&str]) -> Output {
+    chaos(&[&["--sharded"], args].concat())
 }
 
 #[test]
@@ -32,6 +37,17 @@ fn flags_the_sharded_campaign_cannot_carry_exit_2() {
     }
     let out = chaos_sharded(&["--shards", "1"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn an_empty_campaign_exits_2_instead_of_reporting_clean() {
+    for run in [chaos, chaos_sharded] {
+        let out = run(&["--seeds", "0"]);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(out.stdout.is_empty(), "printed a summary anyway");
+        let msg = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(msg.trim_end(), "--seeds needs at least one seed");
+    }
 }
 
 #[test]

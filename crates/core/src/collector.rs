@@ -4,33 +4,6 @@
 use std::io::Write;
 use std::path::Path;
 
-use cb_sim::{GaugeSeries, SimDuration, SimTime, TpsRecorder};
-
-/// Export a per-second TPS series as `second,tps` rows.
-pub fn export_tps_csv(tps: &TpsRecorder, path: &Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "second,tps")?;
-    for (i, rate) in tps.rate_series().iter().enumerate() {
-        writeln!(f, "{i},{rate}")?;
-    }
-    Ok(())
-}
-
-/// Export a gauge sampled at `step` for `n` points as `second,value` rows.
-pub fn export_gauge_csv(
-    gauge: &GaugeSeries,
-    step: SimDuration,
-    n: usize,
-    path: &Path,
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "second,value")?;
-    for (i, v) in gauge.sample(SimTime::ZERO, step, n).iter().enumerate() {
-        writeln!(f, "{},{v}", i as f64 * step.as_secs_f64())?;
-    }
-    Ok(())
-}
-
 /// Export several named series sharing an x-axis (one figure = one file):
 /// `x,name1,name2,...` rows. Shorter series pad with empty cells.
 pub fn export_multi_csv(
@@ -69,34 +42,6 @@ mod tests {
             std::process::id()
         ));
         p
-    }
-
-    #[test]
-    fn tps_csv_round_trips() {
-        let mut tps = TpsRecorder::per_second();
-        for ms in [100u64, 200, 1500, 1600, 1700] {
-            tps.record(SimTime::from_millis(ms));
-        }
-        let path = tmp("tps.csv");
-        export_tps_csv(&tps, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "second,tps");
-        assert_eq!(lines[1], "0,2");
-        assert_eq!(lines[2], "1,3");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn gauge_csv_samples_step_function() {
-        let mut g = GaugeSeries::starting_at(1.0);
-        g.set(SimTime::from_secs(2), 4.0);
-        let path = tmp("gauge.csv");
-        export_gauge_csv(&g, SimDuration::from_secs(1), 4, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines, vec!["second,value", "0,1", "1,1", "2,4", "3,4"]);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   registry exactly as the extensibility story prescribes.
 //! * [`parallel`] — deterministic scoped-thread fan-out of independent
 //!   experiment cells (grids, chaos seeds) with canonical-order merging.
-//! * [`replay`] — checkpoint-partitioned parallel ARIES redo on top of
-//!   [`parallel`]: partition-scan, canonical merge, batched sorted apply.
+//! * [`replay`] — restore-and-roll-forward through the engine's net-effect
+//!   redo.
 //! * [`sharded`] — hash/range-sharded deployments: tenant fleets, cross-shard
 //!   two-phase commit on the virtual clock, mid-run workload shifts.
 //! * [`collector`] — CSV export of recorded series (figures as data).
@@ -61,7 +61,7 @@ pub use openloop::{
     aggregate, run_open_loop, run_open_loop_seeds, OpenLoopAggregate, OpenLoopConfig,
     OpenLoopResult, OpenLoopSpec, SeedOutcome,
 };
-pub use replay::{rebuild_parallel, redo_committed_parallel, REDO_PARTITIONS};
+pub use replay::rebuild_parallel;
 pub use schema::{create_tables, load_dataset, DatasetShape, SalesTables};
 pub use sharded::{
     run_fleet, FleetReport, FleetSpec, ShardScore, ShardedDeployment, TwoPhaseCoordinator,

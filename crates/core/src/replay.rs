@@ -1,87 +1,30 @@
-//! Checkpoint-partitioned parallel ARIES redo.
+//! Restore-and-roll-forward through the engine's net-effect redo.
 //!
-//! Sequential redo ([`cb_engine::recovery::redo_committed`]) walks the
-//! post-checkpoint log once and applies every committed DML record in LSN
-//! order. For large tails that scan dominates recovery time, so this module
-//! splits it across worker threads the same way the rest of the testbed
-//! parallelizes experiment cells — [`crate::parallel::par_map`] over row
-//! partitions:
-//!
-//! 1. **Scan** (parallel): one lane per worker (capped at
-//!    [`REDO_PARTITIONS`]) makes a single pass over the shared borrowed
-//!    record slice and folds the committed DML whose `(table, key)` hashes
-//!    to it into net row effects ([`partition_net_effects`]). Every lane
-//!    scans once, so total scan work stays `lanes x O(log)` with all lanes
-//!    running concurrently — wall-clock one pass.
-//! 2. **Merge** (sequential, cheap): partition slabs concatenate and sort
-//!    into one globally `(table, key)`-ordered plan
-//!    ([`merge_net_effects`]). Keys are disjoint across partitions and the
-//!    per-key fold is the same whichever lane owns the key, so the merged
-//!    plan is a pure function of the log — independent of both the
-//!    partition count and the worker count.
-//! 3. **Apply** (sequential): the sorted plan replays through the B-tree's
-//!    batched-ingest cursor ([`apply_redo_plan`]).
-//!
-//! Because only step 1 is parallel and its outputs merge into a canonical
-//! order, `--jobs 1` and `--jobs N` produce byte-identical databases; the
-//! chaos harness leans on that for its recovery-equivalence oracle.
+//! [`cb_engine::recovery::redo_net_effects`] folds the committed log into at
+//! most one physical op per row and applies the `(table, key)`-sorted plan
+//! through the B-tree's batched-ingest cursor. The plan is a pure function
+//! of the log, so every rebuild of the same log is byte-identical; the chaos
+//! harness leans on that for its recovery-equivalence oracle.
 
 use std::collections::HashSet;
 
 use cb_engine::db::Database;
-use cb_engine::recovery::{
-    apply_redo_plan, committed_txns, merge_net_effects, partition_net_effects,
-};
-use cb_store::{LogStore, Lsn, TxnId, WalRecord};
+use cb_engine::recovery::redo_net_effects;
+use cb_store::{LogStore, Lsn, WalRecord};
 
-use crate::parallel::par_map;
-
-/// Cap on scan-lane count for the parallel redo scan. The canonical merge
-/// makes the plan identical for any lane count, so lanes simply track
-/// `jobs` up to this bound; 16 comfortably out-scales the simulated hosts
-/// while keeping per-lane slabs large enough to be worth a thread.
-pub const REDO_PARTITIONS: usize = 16;
-
-/// Parallel equivalent of [`cb_engine::recovery::redo_committed`]: redo
-/// every committed transaction's DML from `records` onto `db` using `jobs`
-/// worker threads for the log scan. Returns the committed-DML record count
-/// (the same number the sequential pass reports).
+/// Net-effect equivalent of [`cb_engine::recovery::rebuild`]: restore from a
+/// base snapshot and roll the whole log forward.
 ///
-/// `resolved` carries two-phase-commit decision resolution: in-doubt
-/// participant transactions (a durable `Prepare`, no durable decision record
-/// — see [`cb_engine::recovery::in_doubt_txns`]) whose coordinator decided
-/// commit. They join the committed set before the partition scan, so the
-/// net-effect planner folds their DML exactly as if their own `Commit`
-/// record had survived; undecided prepared transactions stay excluded —
-/// presumed-abort. Empty outside sharded recovery.
-///
-/// With `jobs <= 1` the scan runs inline on the calling thread through the
-/// exact same per-partition code, so the sequential and parallel paths
-/// cannot diverge; the plan is a pure function of `(records, resolved)`,
-/// byte-identical across lane and worker counts.
-pub fn redo_committed_parallel(
-    db: &mut Database,
-    records: &[&WalRecord],
-    resolved: &HashSet<TxnId>,
-    jobs: usize,
-) -> u64 {
-    let mut committed = committed_txns(records.iter().copied());
-    committed.extend(resolved.iter().copied());
-    let lane_count = jobs.clamp(1, REDO_PARTITIONS);
-    let lanes: Vec<usize> = (0..lane_count).collect();
-    let effects = par_map(&lanes, jobs, |_, &lane| {
-        partition_net_effects(records, &committed, lane, lane_count)
-    });
-    let plan = merge_net_effects(effects);
-    apply_redo_plan(db, &plan)
-}
-
-/// Parallel equivalent of [`cb_engine::recovery::rebuild`]: restore from a
-/// base snapshot and roll the whole log forward on `jobs` threads.
+/// `jobs` is ignored: redo once scanned the log on that many threads, which
+/// lost to one thread on every measured cell. The parameter survives only
+/// because the frozen `benchmark/` calls this with 1 and 2 for its
+/// `core.replay.rebuild_j2_speedup` probe; parameter and probe leave
+/// together in the next `benchmark`-archetype PR.
 pub fn rebuild_parallel(base: impl FnOnce() -> Database, log: &LogStore, jobs: usize) -> Database {
+    let _ = jobs;
     let mut db = base();
     let records: Vec<&WalRecord> = log.records_after(Lsn::ZERO).collect();
-    redo_committed_parallel(&mut db, &records, &HashSet::new(), jobs);
+    redo_net_effects(&mut db, &records, &HashSet::new());
     db
 }
 
@@ -165,12 +108,10 @@ mod tests {
             redo_committed(&mut fresh, db.log().records_after(Lsn::ZERO))
         };
         let records: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
-        for jobs in [1usize, 2, 4, 8] {
-            let mut par = base();
-            let applied = redo_committed_parallel(&mut par, &records, &HashSet::new(), jobs);
-            assert_eq!(applied, seq_applied, "jobs={jobs}");
-            assert_eq!(par.dump_table(t), seq.dump_table(t), "jobs={jobs}");
-        }
+        let mut net = base();
+        let applied = redo_net_effects(&mut net, &records, &HashSet::new());
+        assert_eq!(applied, seq_applied);
+        assert_eq!(net.dump_table(t), seq.dump_table(t));
     }
 
     #[test]
@@ -181,7 +122,8 @@ mod tests {
         for jobs in [2usize, 4] {
             let n = rebuild_parallel(base, db.log(), jobs);
             assert_eq!(n.dump_table(t), one.dump_table(t));
-            // Same physical construction order -> same page image.
+            // `jobs` is ignored: same plan, same construction order, same
+            // page image.
             assert_eq!(
                 format!("{:?}", n.dump_table(t)),
                 format!("{:?}", one.dump_table(t))

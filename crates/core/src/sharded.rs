@@ -13,8 +13,8 @@
 //! coordinator's decision log, and recovery joins a participant's in-doubt
 //! transactions ([`cb_engine::recovery::in_doubt_txns`]) against that log —
 //! resolved commits replay through the net-effect planner
-//! ([`crate::replay::redo_committed_parallel`]), everything else
-//! is presumed aborted.
+//! ([`cb_engine::recovery::redo_net_effects`]), everything else is presumed
+//! aborted.
 //!
 //! [`run_fleet`] drives the whole scenario: hundreds of Zipfian-skewed
 //! tenants, a flash-sale spike on the hot shard, optional mid-run workload
@@ -353,7 +353,7 @@ impl TwoPhaseCoordinator {
     /// The recovery-time join: given one participant's in-doubt
     /// transactions (from [`cb_engine::recovery::in_doubt_txns`]), the
     /// subset whose global transaction the log decided to commit. Feed the
-    /// result to [`crate::replay::redo_committed_parallel`] /
+    /// result to [`cb_engine::recovery::redo_net_effects`] /
     /// [`cb_engine::recovery::undo_losers`]; in-doubt
     /// transactions outside the set stay presumed-abort.
     pub fn resolve(&self, in_doubt: &[(TxnId, u64)]) -> HashSet<TxnId> {
@@ -714,8 +714,7 @@ mod tests {
 
     #[test]
     fn coordinator_crash_resolution_joins_votes_with_the_decision_log() {
-        use crate::replay::redo_committed_parallel;
-        use cb_engine::recovery::undo_losers;
+        use cb_engine::recovery::{redo_net_effects, undo_losers};
         // The coordinator dies after `steps` of phase two — 0: votes only,
         // 1: decision logged, 2: first participant told — and recovery must
         // roll `resolved` in-doubt votes forward across the fleet.
@@ -762,7 +761,7 @@ mod tests {
                 resolved_total += resolved.len();
 
                 let mut rebuilt = shard.base_database();
-                redo_committed_parallel(&mut rebuilt, &refs, &resolved, 1);
+                redo_net_effects(&mut rebuilt, &refs, &resolved);
                 shard.db.simulate_crash();
                 undo_losers(&mut shard.db, &tail, tail.len(), &resolved);
                 for t in shard.db.tables() {

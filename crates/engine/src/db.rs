@@ -893,8 +893,8 @@ impl Database {
     /// decides how much of the log tail survived (see
     /// [`LogStore::discard_after`]) and what recovery path to run. A
     /// recovered database serves every row at `SimTime::ZERO` — versions
-    /// collapse to the latest committed image, which keeps net-effect
-    /// parallel redo byte-identical across lanes.
+    /// collapse to the latest committed image, which keeps net-effect redo
+    /// a pure function of the log.
     pub fn simulate_crash(&mut self) -> Lsn {
         self.locks.clear();
         self.versions.clear();

@@ -30,9 +30,9 @@
 //!
 //! The store is **volatile**: it dies with the process on a crash, and
 //! recovery deliberately collapses every row to its latest committed image
-//! at `SimTime::ZERO` (an empty store). That keeps the PR 6 net-effect
-//! parallel redo byte-identical across lanes — replay never has to
-//! reconstruct historical versions, only the final states.
+//! at `SimTime::ZERO` (an empty store). That keeps net-effect redo a pure
+//! function of the log — replay never has to reconstruct historical
+//! versions, only the final states.
 //!
 //! **GC.** [`VersionStore::gc`] takes a watermark `g` — the oldest snapshot
 //! any active reader can hold. Per chain it keeps the newest version with

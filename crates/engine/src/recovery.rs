@@ -34,8 +34,8 @@ pub struct AriesAnalysis {
     /// `Commit`/`Abort` decision record. Counted inside `loser_txns` too —
     /// with no surviving coordinator decision they roll back
     /// (presumed-abort) — but callers holding a decision log resolve them
-    /// through [`undo_losers`]'s `resolved` set /
-    /// [`partition_net_effects`]'s committed-set union instead.
+    /// through the `resolved` set of [`undo_losers`] / [`redo_net_effects`]
+    /// instead.
     pub in_doubt_txns: u64,
 }
 
@@ -155,7 +155,7 @@ where
 }
 
 /// The committed-transaction set of a record stream (the first pass of
-/// redo, exposed so partitioned replay computes it once for all lanes).
+/// redo).
 pub fn committed_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> HashSet<TxnId> {
     records
         .into_iter()
@@ -164,16 +164,7 @@ pub fn committed_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> H
         .collect()
 }
 
-// --- Checkpoint-partitioned parallel redo ----------------------------------
-
-/// Deterministic partition assignment for a `(table, key)` pair. Pure
-/// arithmetic (a multiplicative hash), so the assignment is identical on
-/// every host and for every worker count — partition *contents* depend only
-/// on the log, never on how many threads scan it.
-pub fn redo_partition(table: TableId, key: i64, partitions: usize) -> usize {
-    let mixed = (((table.0 as u64) << 48) ^ (key as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (mixed >> 32) as usize % partitions.max(1)
-}
+// --- Net-effect redo --------------------------------------------------------
 
 /// The net effect of the committed post-checkpoint log on one row.
 ///
@@ -193,9 +184,11 @@ pub enum NetAction<'a> {
     Delete,
 }
 
-/// One partition's slab of net row effects, borrowed from the log records.
+/// A `(table, key)`-sorted redo plan of net row effects, borrowed from the
+/// log records. A pure function of the log and the committed set: nothing
+/// about the host decides what gets applied or in which order.
 #[derive(Clone, Debug, Default)]
-pub struct RedoNetEffects<'a> {
+pub struct RedoPlan<'a> {
     /// `(table, key, action)` triples in ascending `(table, key)` order.
     pub ops: Vec<(TableId, i64, NetAction<'a>)>,
     /// Per-table maximum committed-`Insert` key (even if the row was later
@@ -203,21 +196,14 @@ pub struct RedoNetEffects<'a> {
     /// insert it applies, so net-effect replay must reproduce the bump for
     /// inserts it elides.
     pub max_insert_keys: Vec<(TableId, i64)>,
-    /// Committed DML records scanned into this partition — the records
-    /// sequential [`redo_committed`] would have applied one by one.
+    /// Committed DML records scanned — the records sequential
+    /// [`redo_committed`] would have applied one by one.
     pub dml_records: u64,
 }
 
-/// Scan `records` (one checkpoint's log tail, in LSN order) and fold the
-/// committed DML whose rows hash to partition `part` of `parts` into net
-/// row effects. Pure function of its inputs; safe to run for different
-/// `part` values concurrently over the same borrowed records.
-pub fn partition_net_effects<'a>(
-    records: &[&'a WalRecord],
-    committed: &HashSet<TxnId>,
-    part: usize,
-    parts: usize,
-) -> RedoNetEffects<'a> {
+/// Scan `records` (one checkpoint's log tail, in LSN order) once and fold
+/// the DML of the `committed` transactions into net row effects.
+pub fn net_effects<'a>(records: &[&'a WalRecord], committed: &HashSet<TxnId>) -> RedoPlan<'a> {
     use std::collections::HashMap;
     // Per row: (first committed op was an insert, final image or deleted).
     type RowNet<'a> = HashMap<(TableId, i64), (bool, Option<&'a [u8]>)>;
@@ -233,7 +219,7 @@ pub fn partition_net_effects<'a>(
             WalOp::Delete { table, key, .. } => (*table, *key, None, false),
             _ => continue,
         };
-        if !committed.contains(&r.txn) || redo_partition(table, key, parts) != part {
+        if !committed.contains(&r.txn) {
             continue;
         }
         dml += 1;
@@ -262,46 +248,6 @@ pub fn partition_net_effects<'a>(
     ops.sort_unstable_by_key(|&(t, k, _)| (t, k));
     let mut max_insert_keys: Vec<(TableId, i64)> = max_ins.into_iter().collect();
     max_insert_keys.sort_unstable();
-    RedoNetEffects {
-        ops,
-        max_insert_keys,
-        dml_records: dml,
-    }
-}
-
-/// A globally `(table, key)`-sorted redo plan merged from every partition.
-#[derive(Clone, Debug, Default)]
-pub struct RedoPlan<'a> {
-    /// All partitions' net effects in one ascending `(table, key)` stream.
-    pub ops: Vec<(TableId, i64, NetAction<'a>)>,
-    /// Per-table auto-key watermarks folded across partitions.
-    pub max_insert_keys: Vec<(TableId, i64)>,
-    /// Total committed DML records scanned (sequential redo's apply count).
-    pub dml_records: u64,
-}
-
-/// Merge per-partition net effects into one plan. Keys are disjoint across
-/// partitions, so concatenation plus one sort yields a total order that is
-/// independent of both the partition count and the worker count: parallelism
-/// decides who *scanned* the log, never what gets applied or in which order.
-/// That is the whole determinism argument — the applied plan is a pure
-/// function of the log.
-pub fn merge_net_effects<'a>(parts: Vec<RedoNetEffects<'a>>) -> RedoPlan<'a> {
-    use std::collections::HashMap;
-    let mut ops = Vec::with_capacity(parts.iter().map(|p| p.ops.len()).sum());
-    let mut max_ins: HashMap<TableId, i64> = HashMap::new();
-    let mut dml = 0u64;
-    for p in parts {
-        dml += p.dml_records;
-        ops.extend(p.ops);
-        for (t, k) in p.max_insert_keys {
-            let m = max_ins.entry(t).or_insert(k);
-            *m = (*m).max(k);
-        }
-    }
-    ops.sort_unstable_by_key(|&(t, k, _)| (t, k));
-    let mut max_insert_keys: Vec<(TableId, i64)> = max_ins.into_iter().collect();
-    max_insert_keys.sort_unstable();
     RedoPlan {
         ops,
         max_insert_keys,
@@ -309,8 +255,8 @@ pub fn merge_net_effects<'a>(parts: Vec<RedoNetEffects<'a>>) -> RedoPlan<'a> {
     }
 }
 
-/// Apply a merged redo plan to `db` (base = the checkpoint image the plan
-/// was computed against). Ascending-key inserts ride the B-tree's
+/// Apply a redo plan to `db` (base = the checkpoint image the plan was
+/// computed against). Ascending-key inserts ride the B-tree's
 /// [`BatchIngest`](crate::btree::BatchIngest) right-edge cursor; updates and
 /// deletes invalidate it (they can restructure the leaf under the cursor).
 /// Returns the plan's committed-DML count, matching [`redo_committed`]'s
@@ -342,6 +288,28 @@ pub fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
         db.bump_auto_key(table, key);
     }
     plan.dml_records
+}
+
+/// Net-effect equivalent of [`redo_committed`]: fold the committed DML of
+/// `records` into one op per row ([`net_effects`]) and apply the plan onto
+/// `db`. Returns the committed-DML record count (the same number the
+/// record-by-record pass reports).
+///
+/// `resolved` carries two-phase-commit decision resolution: in-doubt
+/// participant transactions (a durable `Prepare`, no durable decision record
+/// — see [`in_doubt_txns`]) whose coordinator decided commit. They join the
+/// committed set before the scan, so the planner folds their DML exactly as
+/// if their own `Commit` record had survived; undecided prepared
+/// transactions stay excluded — presumed-abort. Empty outside sharded
+/// recovery.
+pub fn redo_net_effects(
+    db: &mut Database,
+    records: &[&WalRecord],
+    resolved: &HashSet<TxnId>,
+) -> u64 {
+    let mut committed = committed_txns(records.iter().copied());
+    committed.extend(resolved.iter().copied());
+    apply_redo_plan(db, &net_effects(records, &committed))
 }
 
 /// ARIES undo pass, applied *in place* to a database that still carries the
@@ -768,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_net_effect_replay_matches_sequential_redo() {
+    fn net_effect_replay_matches_sequential_redo() {
         let db = mixed_log();
         let t = db.table_id("t").unwrap();
         let refs: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
@@ -778,45 +746,18 @@ mod tests {
             let mut fresh = base();
             redo_committed(&mut fresh, db.log().records_after(Lsn::ZERO))
         };
-        for parts in [1usize, 3, 8] {
-            let effects: Vec<RedoNetEffects> = (0..parts)
-                .map(|p| partition_net_effects(&refs, &committed, p, parts))
-                .collect();
-            let plan = merge_net_effects(effects);
-            let mut par = base();
-            let applied = apply_redo_plan(&mut par, &plan);
-            assert_eq!(
-                applied, seq_applied,
-                "committed-DML count matches sequential redo ({parts} parts)"
-            );
-            assert_eq!(
-                par.dump_table(t),
-                seq.dump_table(t),
-                "net-effect replay reproduces sequential state ({parts} parts)"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_plan_is_identical_for_any_partition_count() {
-        let db = mixed_log();
-        let refs: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
-        let committed = committed_txns(refs.iter().copied());
-        let plan1 = merge_net_effects(
-            (0..1)
-                .map(|p| partition_net_effects(&refs, &committed, p, 1))
-                .collect(),
+        let plan = net_effects(&refs, &committed);
+        let mut net = base();
+        let applied = apply_redo_plan(&mut net, &plan);
+        assert_eq!(
+            applied, seq_applied,
+            "committed-DML count matches sequential redo"
         );
-        for parts in [2usize, 5, 16] {
-            let plan = merge_net_effects(
-                (0..parts)
-                    .map(|p| partition_net_effects(&refs, &committed, p, parts))
-                    .collect(),
-            );
-            assert_eq!(plan.ops, plan1.ops, "{parts} partitions");
-            assert_eq!(plan.max_insert_keys, plan1.max_insert_keys);
-            assert_eq!(plan.dml_records, plan1.dml_records);
-        }
+        assert_eq!(
+            net.dump_table(t),
+            seq.dump_table(t),
+            "net-effect replay reproduces sequential state"
+        );
     }
 
     #[test]
@@ -825,7 +766,7 @@ mod tests {
         let t = db.table_id("t").unwrap();
         let refs: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
         let committed = committed_txns(refs.iter().copied());
-        let plan = merge_net_effects(vec![partition_net_effects(&refs, &committed, 0, 1)]);
+        let plan = net_effects(&refs, &committed);
         // Inserted-then-deleted key 30 vanishes from the plan entirely;
         // inserted-then-updated key 15 nets to a single Insert of the final
         // image; base-resident key 1 nets to an Update; key 2 to a Delete.
@@ -1147,11 +1088,8 @@ mod tests {
 
         // Replay path: the resolved commit joins the committed set before
         // the net-effect scan, exactly as if its Commit record survived.
-        let mut committed = committed_txns(refs.iter().copied());
-        committed.extend(resolved.iter().copied());
-        let plan = merge_net_effects(vec![partition_net_effects(&refs, &committed, 0, 1)]);
         let mut replayed = base();
-        apply_redo_plan(&mut replayed, &plan);
+        redo_net_effects(&mut replayed, &refs, &resolved);
 
         // In-place path: the resolved transaction is not a loser.
         undo_losers(&mut db, &tail, tail.len(), &resolved);

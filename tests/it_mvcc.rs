@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 
 use cb_engine::exec::RemoteTier;
-use cb_engine::recovery::undo_losers;
+use cb_engine::recovery::{redo_net_effects, undo_losers};
 use cb_engine::{
     ColumnDef, DataType, Database, ExecCtx, IsolationLevel, LockTable, Row, Schema, Value,
 };
@@ -97,7 +97,7 @@ fn crash_mid_txn_collapses(profile: SutProfile) {
     // committed, so the replayed image is exactly the pre-crash snapshot.
     let mut replayed = dep.base_database();
     let refs: Vec<&WalRecord> = full_tail.iter().collect();
-    cloudybench::replay::redo_committed_parallel(&mut replayed, &refs, &HashSet::new(), 2);
+    redo_net_effects(&mut replayed, &refs, &HashSet::new());
     for (i, &t) in tables.iter().enumerate() {
         assert_eq!(
             replayed.dump_table(t),
