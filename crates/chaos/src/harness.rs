@@ -9,9 +9,10 @@
 //! copy of the WAL, pulled at every acknowledgement, never truncated — so
 //! that after a crash it can run both real recovery paths:
 //!
-//! * **replay-from-storage**: `base_database()` + net-effect redo over the
-//!   archive ([`cb_engine::recovery::redo_net_effects`]), the CDB1–3 route
-//!   (also "restore backup and roll forward"), and
+//! * **replay-from-storage**: a copy of the snapshot captured before the
+//!   first transaction + net-effect redo over the archive
+//!   ([`cb_engine::recovery::redo_net_effects`]), the CDB1–3 route
+//!   ("restore the backup, roll the archive forward"), and
 //! * **in-place ARIES undo**: `undo_losers` over the crash epoch's
 //!   log tail applied to the crashed image, the RDS/CDB4 route.
 //!
@@ -22,8 +23,10 @@
 //! promoted (recovery replays them), the rest legally vanish (no ack was
 //! ever sent).
 //!
-//! Both recovered states must equal the shadow. Divergences are classified
-//! by direction (durability / atomicity / equivalence) in [`ShadowDiff`].
+//! Both recovered states must equal the shadow: every row of every table,
+//! at every check, compared as borrowed page images against the model.
+//! Divergences are classified by direction (durability / atomicity /
+//! equivalence) in [`crate::ShadowDiff`].
 //! Determinism — same seed, byte-identical cb-obs artifacts — is checked one
 //! level up by the campaign runner, which runs every seed twice.
 
@@ -32,7 +35,7 @@ use std::collections::HashSet;
 use cb_cluster::{plan_failover_with_detection, HeartbeatMonitor, NodeHealth};
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::{analyze, redo_net_effects, undo_losers};
-use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
+use cb_engine::{Database, EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
 use cb_obs::{
     ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, Category, ObsSink,
 };
@@ -110,6 +113,29 @@ impl Default for ChaosOptions {
     }
 }
 
+impl ChaosOptions {
+    /// The `cloudybench chaos` flags that set these options apart from a
+    /// default run, each with a leading space: what a printed replay line
+    /// must carry to re-run the same campaign cell. Empty for the defaults.
+    fn replay_flags(&self) -> String {
+        let defaults = ChaosOptions::default();
+        let mut flags = String::new();
+        if self.isolation != defaults.isolation {
+            flags.push_str(&format!(" --isolation {}", self.isolation.as_str()));
+        }
+        if self.eviction != defaults.eviction {
+            flags.push_str(&format!(" --eviction {}", self.eviction.label()));
+        }
+        if self.txns != defaults.txns {
+            flags.push_str(&format!(" --txns {}", self.txns));
+        }
+        if let Some(n) = self.bug_skip_redo {
+            flags.push_str(&format!(" --bug-skip-redo {n}"));
+        }
+        flags
+    }
+}
+
 /// The four exported artifact strings of one run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Artifacts {
@@ -163,14 +189,52 @@ pub struct Violation {
     pub detail: String,
     /// The fault schedule that produced it.
     pub schedule: FaultSchedule,
+    /// The non-default campaign flags of the run it was found in, each with
+    /// a leading space (` --isolation si --txns 80`); empty for a default
+    /// run. Boxed to keep `Result<_, Violation>` under clippy's 128-byte
+    /// `result_large_err` line.
+    pub replay_flags: Box<str>,
+}
+
+impl Violation {
+    pub(crate) fn new(
+        profile: &SutProfile,
+        seed: u64,
+        schedule: &FaultSchedule,
+        opts: &ChaosOptions,
+        oracle: &'static str,
+        detail: String,
+    ) -> Self {
+        Violation {
+            seed,
+            profile: profile.name.to_string(),
+            oracle,
+            detail,
+            schedule: schedule.clone(),
+            replay_flags: opts.replay_flags().into(),
+        }
+    }
+
+    /// The command line that re-runs this seed under the options the
+    /// violation was found with.
+    pub fn replay_command(&self) -> String {
+        format!(
+            "cloudybench chaos --profile {} --replay {}{}",
+            self.profile, self.seed, self.replay_flags
+        )
+    }
 }
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ORACLE VIOLATION [{}] profile={} {}\n  detail: {}\n  replay: cloudybench chaos --profile {} --replay {}",
-            self.oracle, self.profile, self.schedule, self.detail, self.profile, self.seed
+            "ORACLE VIOLATION [{}] profile={} {}\n  detail: {}\n  replay: {}",
+            self.oracle,
+            self.profile,
+            self.schedule,
+            self.detail,
+            self.replay_command()
         )
     }
 }
@@ -209,6 +273,9 @@ struct PendingCommit {
 
 struct Harness {
     dep: Deployment,
+    /// The database as loaded, captured before the first transaction: the
+    /// backup every crash restores a copy of.
+    base: Database,
     shadow: ShadowModel,
     /// The storage tier's durable WAL copy since birth; never truncated.
     archive: Vec<WalRecord>,
@@ -250,6 +317,7 @@ impl Harness {
         if let Some(rp) = dep.remote_pool.as_mut() {
             rp.set_policy(opts.eviction);
         }
+        let base = dep.db.clone();
         let shadow = ShadowModel::from_db(&dep.db);
         let mut root = DetRng::seeded(seed);
         let wl_rng = root.fork(0xB0B);
@@ -273,6 +341,7 @@ impl Harness {
         }
         Harness {
             dep,
+            base,
             shadow,
             archive: Vec::new(),
             acked: Lsn::ZERO,
@@ -303,13 +372,14 @@ impl Harness {
     }
 
     fn violation(&self, oracle: &'static str, detail: String) -> Violation {
-        Violation {
-            seed: self.seed,
-            profile: self.dep.profile.name.to_string(),
+        Violation::new(
+            &self.dep.profile,
+            self.seed,
+            &self.schedule,
+            &self.opts,
             oracle,
             detail,
-            schedule: self.schedule.clone(),
-        }
+        )
     }
 
     /// Copy every record the log has appended since the last pull into the
@@ -664,18 +734,17 @@ impl Harness {
                     read_ts
                 };
                 let (lo, hi) = (k.saturating_sub(8), k.saturating_add(8));
-                let mut got: Vec<(i64, Row)> = Vec::new();
+                // Each scanned image is held against the next acked row as
+                // it arrives; the scan runs to its end so the count in the
+                // detail text is complete.
+                let mut want = self.shadow.range(t, lo, hi);
+                let (mut scanned, mut agrees) = (0usize, true);
                 self.dep.db.scan_range_at(t, lo, hi, scan_ts, |sk, row| {
-                    got.push((sk, row.to_row()));
+                    scanned += 1;
+                    agrees &= want.next().is_some_and(|(&wk, wr)| sk == wk && row == *wr);
                     true
                 });
-                let want = self.shadow.range(t, lo, hi);
-                let agrees = got.len() == want.len()
-                    && got
-                        .iter()
-                        .zip(&want)
-                        .all(|((gk, gr), (wk, wr))| gk == wk && gr == *wr);
-                if !agrees {
+                if !agrees || want.next().is_some() {
                     return Err(self.violation(
                         "snapshot-consistency",
                         format!(
@@ -684,8 +753,8 @@ impl Harness {
                              scanned {} rows, acked {})",
                             self.now,
                             p.ack_at,
-                            got.len(),
-                            want.len()
+                            scanned,
+                            self.shadow.range(t, lo, hi).count()
                         ),
                     ));
                 }
@@ -874,7 +943,7 @@ impl Harness {
         // 5. Replay oracle: restore the base snapshot and roll the durable
         //    archive forward. Only committed transactions replay.
         self.archive.extend(tail[..survivors].iter().cloned());
-        let mut replayed = self.dep.base_database();
+        let mut replayed = self.base.clone();
         let redo_src = self.bugged_archive();
         let redo_start = self.now;
         // The redo plan is a pure function of the archive, so campaign
@@ -954,7 +1023,7 @@ impl Harness {
 
     /// Compare a recovered database against the shadow, classifying any
     /// divergence into the durability / atomicity / equivalence oracles.
-    fn check_state(&self, db: &cb_engine::Database, path: &str) -> Result<(), Violation> {
+    fn check_state(&self, db: &Database, path: &str) -> Result<(), Violation> {
         let diff = self.shadow.diff(db);
         if diff.is_empty() {
             return Ok(());

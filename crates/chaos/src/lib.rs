@@ -197,11 +197,12 @@ fn determinism_violation(
             .map(|(line, l, r)| format!("{name} diverges at line {line}: {l:?} vs {r:?}"))
     })
     .unwrap_or_else(|| "artifacts differ".to_string());
-    Some(Violation {
+    Some(Violation::new(
+        profile,
         seed,
-        profile: profile.name.to_string(),
-        oracle: "determinism",
+        schedule,
+        opts,
+        "determinism",
         detail,
-        schedule: schedule.clone(),
-    })
+    ))
 }

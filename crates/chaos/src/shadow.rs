@@ -78,12 +78,9 @@ impl ShadowModel {
             .tables()
             .iter()
             .map(|t| {
-                let rows: BTreeMap<i64, Row> = db
-                    .dump_table(t.id())
-                    .into_iter()
-                    .map(|r| (r.key(), r))
-                    .collect();
-                (t.name().to_string(), t.id(), rows)
+                let mut rows = Vec::with_capacity(t.rows() as usize);
+                db.for_each_row(t.id(), |key, row| rows.push((key, row.to_row())));
+                (t.name().to_string(), t.id(), BTreeMap::from_iter(rows))
             })
             .collect();
         ShadowModel { tables }
@@ -116,12 +113,8 @@ impl ShadowModel {
     /// The acked rows of `table` in `[lo, hi]`, in key order. The scan
     /// branch of the snapshot-consistency oracle compares an MVCC snapshot
     /// range scan against this window.
-    pub fn range(&self, table: TableId, lo: i64, hi: i64) -> Vec<(i64, &Row)> {
-        self.tables[table.0 as usize]
-            .2
-            .range(lo..=hi)
-            .map(|(k, r)| (*k, r))
-            .collect()
+    pub fn range(&self, table: TableId, lo: i64, hi: i64) -> impl Iterator<Item = (&i64, &Row)> {
+        self.tables[table.0 as usize].2.range(lo..=hi)
     }
 
     /// Total rows across all tables.
@@ -129,8 +122,34 @@ impl ShadowModel {
         self.tables.iter().map(|(_, _, m)| m.len()).sum()
     }
 
-    /// Compare `db` against the shadow, classifying every divergence.
+    /// Compare `db` against the shadow, classifying every divergence: one
+    /// merge-walk per table of the model's rows against the database's
+    /// latest images, both in key order. Every row of both sides is
+    /// compared on every call; the images stay on their pages, so a
+    /// database that agrees costs the walk and nothing else.
     pub fn diff(&self, db: &Database) -> ShadowDiff {
+        let mut d = ShadowDiff::default();
+        for (name, id, model) in &self.tables {
+            let mut expected = model.iter().peekable();
+            db.for_each_row(*id, |key, actual| {
+                while let Some((&k, _)) = expected.next_if(|(&k, _)| k < key) {
+                    d.missing.push((name.clone(), k));
+                }
+                match expected.next_if(|(&k, _)| k == key) {
+                    Some((_, row)) if actual == *row => {}
+                    Some(_) => d.mismatched.push((name.clone(), key)),
+                    None => d.extra.push((name.clone(), key)),
+                }
+            });
+            d.missing.extend(expected.map(|(&k, _)| (name.clone(), k)));
+        }
+        d
+    }
+
+    /// The dump-and-look-up comparison [`ShadowModel::diff`] replaced, kept
+    /// as the reference the merge-walk is tested against.
+    #[cfg(test)]
+    fn diff_reference(&self, db: &Database) -> ShadowDiff {
         let mut d = ShadowDiff::default();
         for (name, id, model) in &self.tables {
             let actual: BTreeMap<i64, Row> = db
@@ -159,6 +178,7 @@ impl ShadowModel {
 mod tests {
     use super::*;
     use cb_engine::{ColumnDef, DataType, Schema, Value};
+    use proptest::prelude::*;
 
     fn db_with_rows() -> Database {
         let mut db = Database::new();
@@ -210,5 +230,59 @@ mod tests {
         let s = d.summary();
         assert!(s.contains("missing: t[4]"), "{s}");
         assert!(s.contains("extra: t[1]"), "{s}");
+    }
+
+    /// How one key of the property below sits on the two sides; 0 and 1
+    /// are the same row on both.
+    const DB_ONLY: u8 = 2;
+    const MODEL_ONLY: u8 = 3;
+    const OTHER_VALUE: u8 = 4;
+    const OTHER_TYPE: u8 = 5;
+    const OTHER_ARITY: u8 = 6;
+
+    proptest! {
+        /// The merge-walk reports exactly what the dump-and-look-up
+        /// comparison does, element order included. Keys come from a range
+        /// small enough that every class of divergence lands on the first,
+        /// a middle and the last key of either table, runs of them sit next
+        /// to each other, and `empty` wipes one side of one table.
+        #[test]
+        fn merge_walk_diff_equals_the_reference(
+            a in prop::collection::vec((0i64..24, 0u8..7), 0..30),
+            b in prop::collection::vec((0i64..24, 0u8..7), 0..30),
+            empty in 0u8..8,
+        ) {
+            let schema = || Schema::new(vec![
+                ColumnDef::new("ID", DataType::Int),
+                ColumnDef::new("V", DataType::Int),
+            ]);
+            let mut db = Database::new();
+            let tables = [db.create_table("a", schema()), db.create_table("b", schema())];
+            let mut shadow = ShadowModel::from_db(&db);
+            for (i, (t, cells)) in tables.into_iter().zip([a, b]).enumerate() {
+                let (no_db, no_model) = (empty == 2 * i as u8 + 1, empty == 2 * i as u8 + 2);
+                // The last draw of a key decides its state.
+                let cells: BTreeMap<i64, u8> = cells.into_iter().collect();
+                db.load_bulk(
+                    t,
+                    cells
+                        .iter()
+                        .filter(|&(_, &state)| state != MODEL_ONLY && !no_db)
+                        .map(|(&k, _)| Row::new(vec![Value::Int(k), Value::Int(k * 10)])),
+                );
+                for (&k, &state) in cells.iter().filter(|_| !no_model) {
+                    let mut values = vec![Value::Int(k), Value::Int(k * 10)];
+                    match state {
+                        DB_ONLY => continue,
+                        OTHER_VALUE => values[1] = Value::Int(-1),
+                        OTHER_TYPE => values[1] = Value::Timestamp(k * 10),
+                        OTHER_ARITY => values.push(Value::Int(0)),
+                        _ => {}
+                    }
+                    shadow.apply(ShadowOp::Put(t, k, Row::new(values)));
+                }
+            }
+            prop_assert_eq!(shadow.diff(&db), shadow.diff_reference(&db));
+        }
     }
 }

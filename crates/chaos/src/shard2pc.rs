@@ -22,9 +22,9 @@
 //!
 //! Recovery then runs per shard as production would: `in_doubt_txns` over
 //! the shard's WAL, `coord.resolve` against the surviving decision log, and
-//! **both** real paths — rebuild from `base_database()` through the
-//! net-effect planner ([`redo_net_effects`]) and in-place ARIES undo
-//! ([`undo_losers`]). Four oracles:
+//! **both** real paths — rebuild from a copy of the shard's database as
+//! loaded through the net-effect planner ([`redo_net_effects`]) and
+//! in-place ARIES undo ([`undo_losers`]). Four oracles:
 //!
 //! 1. **Path equivalence** — both recovery paths produce identical tables.
 //! 2. **2PC atomicity** — every shard equals its [`ShadowModel`], which
@@ -218,10 +218,9 @@ fn credit_sum(db: &Database, customer: TableId) -> i64 {
         .schema()
         .column_index("C_CREDIT")
         .expect("CUSTOMER has C_CREDIT");
-    db.dump_table(customer)
-        .iter()
-        .map(|row| row.values[col].expect_int())
-        .sum()
+    let mut sum = 0i64;
+    db.for_each_row(customer, |_, row| sum += row.int(col));
+    sum
 }
 
 /// Run the transfer stream + crash + recovery once and check the state
@@ -254,6 +253,9 @@ fn run_layout(
         .iter()
         .map(|dep| ShadowModel::from_db(&dep.db))
         .collect();
+    // Each shard's backup, taken before the first transfer: what path A
+    // restores.
+    let bases: Vec<Database> = sd.shards.iter().map(|dep| dep.db.clone()).collect();
     let base_credit: i64 = sd
         .shards
         .iter()
@@ -337,7 +339,7 @@ fn run_layout(
     }
     let mut resolved_in_doubt = 0u64;
     let mut credit = 0i64;
-    for (s, dep) in sd.shards.iter_mut().enumerate() {
+    for (s, (dep, mut rebuilt)) in sd.shards.iter_mut().zip(bases).enumerate() {
         let tail: Vec<WalRecord> = dep.db.log().records_after(Lsn::ZERO).cloned().collect();
         let refs: Vec<&WalRecord> = tail.iter().collect();
         let resolved = coord.resolve(&in_doubt_txns(&tail));
@@ -345,7 +347,6 @@ fn run_layout(
 
         // Path A: restore the base snapshot, roll forward through the
         // net-effect planner with the resolved commits joined in.
-        let mut rebuilt = dep.base_database();
         redo_net_effects(&mut rebuilt, &refs, &resolved);
 
         // Path B: in-place ARIES undo of every unresolved loser.

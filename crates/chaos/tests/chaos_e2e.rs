@@ -472,3 +472,45 @@ fn sharded_2pc_campaign_is_clean_over_100_seeds() {
     assert_eq!(sequential.resolved_in_doubt, report.resolved_in_doubt);
     assert_eq!(sequential.two_phase, report.two_phase);
 }
+
+#[test]
+fn the_printed_replay_line_carries_the_options_the_violation_needs() {
+    use cb_engine::IsolationLevel;
+    let replay_line = |v: &cb_chaos::Violation| {
+        let text = v.to_string();
+        text.lines().last().expect("a replay line").to_string()
+    };
+    // Found under SI with a longer run: both flags travel with the seed.
+    let (schedule, base) = open_batch_crash(FaultKind::CrashAtLsn {
+        in_flight: 1,
+        ops_each: 2,
+    });
+    let si = ChaosOptions {
+        isolation: IsolationLevel::Snapshot,
+        txns: 80,
+        bug_read_future_version: true,
+        ..base
+    };
+    let v = run_with_schedule(&SutProfile::aws_rds(), 7, &schedule, &si)
+        .expect_err("observing an unacked version must trip an oracle");
+    assert_eq!(
+        replay_line(&v),
+        "  replay: cloudybench chaos --profile aws-rds --replay 7 --isolation si --txns 80"
+    );
+    // A default run prints the bare line, plus the self-test flag that
+    // planted the bug.
+    let skip = ChaosOptions {
+        bug_skip_redo: Some(0),
+        ..ChaosOptions::default()
+    };
+    let v = (0..8)
+        .find_map(|seed| run_seed(&SutProfile::cdb2(), seed, &skip).err())
+        .expect("a skipped redo record is caught within eight seeds");
+    assert_eq!(
+        replay_line(&v),
+        format!(
+            "  replay: cloudybench chaos --profile cdb2 --replay {} --bug-skip-redo 0",
+            v.seed
+        )
+    );
+}

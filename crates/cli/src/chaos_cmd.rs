@@ -185,8 +185,10 @@ fn write_failure(out: &Option<PathBuf>, v: &ShrunkViolation) {
         v.violation.profile, v.violation.seed
     ));
     let body = format!(
-        "{}\n\nminimal reproducer:\n  {}\n\nreplay with:\n  cloudybench chaos --profile {} --replay {} --txns <same>\n",
-        v.violation, v.minimal, v.violation.profile, v.violation.seed
+        "{}\n\nminimal reproducer:\n  {}\n\nreplay with:\n  {}\n",
+        v.violation,
+        v.minimal,
+        v.violation.replay_command()
     );
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, body)) {
         eprintln!("cloudybench chaos: writing {}: {e}", path.display());

@@ -263,18 +263,27 @@ mod tests {
 
     #[test]
     fn base_database_reproduces_the_initial_snapshot() {
+        // A copy of a fresh deployment's database and a regenerated base are
+        // the same snapshot: the chaos harness restores the former where it
+        // used to build the latter.
         let d = tiny(SutProfile::cdb2());
+        let copy = d.db.clone();
         let base = d.base_database();
-        for (live, rebuilt) in d.db.tables().iter().zip(base.tables()) {
+        for (live, rebuilt) in copy.tables().iter().zip(base.tables()) {
             assert_eq!(live.name(), rebuilt.name());
             assert_eq!(
-                d.db.dump_table(live.id()),
+                copy.dump_table(live.id()),
                 base.dump_table(rebuilt.id()),
                 "table {} must match before any transactions ran",
                 live.name()
             );
+            assert_eq!(live.rows(), rebuilt.rows());
+            assert_eq!(live.next_auto_key(), rebuilt.next_auto_key());
         }
+        assert_eq!(copy.tables().len(), base.tables().len());
+        assert_eq!(copy.pages().live_pages(), base.pages().live_pages());
         assert_eq!(base.log().retained(), 0, "a base snapshot has no WAL");
+        assert_eq!(copy.log().retained(), 0, "nor has a freshly loaded one");
     }
 
     #[test]

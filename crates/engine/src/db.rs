@@ -59,6 +59,7 @@ impl From<SchemaError> for EngineError {
 }
 
 /// One table: schema + clustered B+tree + counters + secondary indexes.
+#[derive(Clone)]
 pub struct TableMeta {
     id: TableId,
     name: String,
@@ -161,6 +162,11 @@ pub struct Committed {
 }
 
 /// The canonical database of one simulated cluster.
+///
+/// `Clone` is a deep copy — pages, log, locks, version chains, counters —
+/// and the two copies share nothing afterwards: a clone taken before the
+/// first transaction is the backup that crash recovery restores.
+#[derive(Clone)]
 pub struct Database {
     pages: PageStore,
     log: LogStore,
@@ -1006,15 +1012,22 @@ impl Database {
         self.pages.size_bytes()
     }
 
-    /// Collect the full contents of a table (tests and recovery checks).
-    pub fn dump_table(&self, table: TableId) -> Vec<Row> {
+    /// Visit every row of a table in key order: the latest images, borrowed
+    /// straight off the pages, with no cost accounting (oracles, tests and
+    /// recovery checks).
+    pub fn for_each_row(&self, table: TableId, mut f: impl FnMut(i64, RowRef<'_>)) {
         let t = &self.tables[table.0 as usize];
-        let mut out = Vec::new();
         t.tree
-            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut Uncharged, |_, img| {
-                out.push(Row::decode(img));
+            .scan_range(&self.pages, i64::MIN, i64::MAX, &mut Uncharged, |k, img| {
+                f(k, RowRef::new(img));
                 true
             });
+    }
+
+    /// Collect the full contents of a table as owned rows.
+    pub fn dump_table(&self, table: TableId) -> Vec<Row> {
+        let mut out = Vec::new();
+        self.for_each_row(table, |_, row| out.push(row.to_row()));
         out
     }
 }
@@ -1335,6 +1348,60 @@ mod tests {
         assert!(io > SimDuration::ZERO);
         assert_eq!(db.last_checkpoint(), lsn);
         assert_eq!(env.pool.dirty_count(), 0);
+    }
+
+    #[test]
+    fn clone_is_deep() {
+        // Everything an outside reader can see of one copy.
+        fn observe(db: &Database, t: TableId) -> (Vec<Row>, u64, i64, Lsn, usize) {
+            let meta = db.table(t);
+            (
+                db.dump_table(t),
+                meta.rows(),
+                meta.next_auto_key(),
+                db.log().head(),
+                db.pages().live_pages(),
+            )
+        }
+        // Inserts enough to split leaves, an update, a delete, and the WAL
+        // records of all of them.
+        fn churn(db: &mut Database, t: TableId, status: &str) {
+            let mut env = Env::new();
+            let mut ctx = env.ctx();
+            let mut txn = db.begin();
+            for i in 0..400 {
+                db.insert_auto(
+                    &mut ctx,
+                    &mut txn,
+                    t,
+                    vec![Value::Text(status.into()), Value::Int(i)],
+                )
+                .unwrap();
+            }
+            db.update(&mut ctx, &mut txn, t, 2, |r| {
+                r.values[1] = Value::Text(status.into())
+            })
+            .unwrap();
+            assert!(db.delete(&mut ctx, &mut txn, t, 3));
+            db.commit(&mut ctx, txn);
+        }
+
+        let mut original = Database::new();
+        let orders = original.create_table("orders", orders_schema());
+        original.load_bulk(orders, (1..=200).map(|i| order_row(i, "NEW", i)));
+        let mut copy = original.clone();
+        let loaded = observe(&original, orders);
+        assert_eq!(observe(&copy, orders), loaded);
+
+        churn(&mut copy, orders, "COPY");
+        assert_eq!(observe(&original, orders), loaded);
+        let churned = observe(&copy, orders);
+        assert_ne!(churned.0, loaded.0);
+        assert!(churned.1 > loaded.1 && churned.2 > loaded.2);
+        assert!(churned.3 > loaded.3 && churned.4 > loaded.4);
+
+        churn(&mut original, orders, "ORIGINAL");
+        assert_eq!(observe(&copy, orders), churned);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cb_store::{IntMap, TableId};
 pub type RowKey = (TableId, i64);
 
 /// Exclusive row locks with virtual release times.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct LockTable {
     held: IntMap<RowKey, SimTime>,
     registered: u64,

@@ -118,7 +118,7 @@ pub enum Visibility<'a> {
 /// The per-database version overlay. Deterministic by construction: both
 /// maps are `BTreeMap`s, so iteration (and therefore GC and debug dumps) is
 /// key-ordered regardless of insertion history.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct VersionStore {
     latest: BTreeMap<RowKey, SimTime>,
     chains: BTreeMap<RowKey, Vec<Version>>,

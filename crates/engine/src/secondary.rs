@@ -19,6 +19,7 @@ use crate::btree::{BTree, PageSink, Uncharged};
 pub const MAX_KEYS_PER_VALUE: usize = 120;
 
 /// A secondary index over one `Int` column.
+#[derive(Clone)]
 pub struct SecondaryIndex {
     column: usize,
     tree: BTree,

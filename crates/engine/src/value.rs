@@ -440,6 +440,25 @@ impl<'a> Iterator for Fields<'a> {
     }
 }
 
+/// A view equals an owned row when both hold the same columns: same count,
+/// same type and same value in every position. Nothing is decoded or
+/// allocated, so an oracle can hold a whole table of images against its
+/// expected rows for the price of the walk.
+impl PartialEq<Row> for RowRef<'_> {
+    fn eq(&self, row: &Row) -> bool {
+        self.len() == row.values.len()
+            && self
+                .fields()
+                .zip(&row.values)
+                .all(|(field, value)| match (field, value) {
+                    (Field::Int(a), Value::Int(b)) => a == *b,
+                    (Field::Timestamp(a), Value::Timestamp(b)) => a == *b,
+                    (Field::Text(a), Value::Text(b)) => a == b.as_bytes(),
+                    _ => false,
+                })
+    }
+}
+
 impl fmt::Debug for RowRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list()

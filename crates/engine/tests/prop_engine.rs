@@ -643,8 +643,9 @@ proptest! {
         }
     }
 
-    /// Row images round-trip for arbitrary value mixes, and the borrowed
-    /// view reads every column exactly as the decoder does.
+    /// Row images round-trip for arbitrary value mixes, the borrowed view
+    /// reads every column exactly as the decoder does, and it equals the
+    /// row it encodes and no row one value, one type or one column away.
     #[test]
     fn row_codec_round_trip(
         key in any::<i64>(),
@@ -662,6 +663,20 @@ proptest! {
         let view = RowRef::new(&img);
         prop_assert_eq!(view.len(), row.values.len());
         prop_assert_eq!(&view.to_row(), &row);
+        prop_assert!(view == row);
+        let at = cut as usize % row.values.len();
+        let (mut value, mut ty) = (row.clone(), row.clone());
+        (value.values[at], ty.values[at]) = match &row.values[at] {
+            Value::Int(x) => (Value::Int(x ^ 1), Value::Timestamp(*x)),
+            Value::Timestamp(x) => (Value::Timestamp(x ^ 1), Value::Int(*x)),
+            Value::Text(s) => (Value::Text(format!("{s}.")), Value::Int(0)),
+        };
+        let (mut longer, mut shorter) = (row.clone(), row.clone());
+        longer.values.push(Value::Int(0));
+        shorter.values.pop();
+        for other in [&value, &ty, &longer, &shorter] {
+            prop_assert!(view != *other, "{view:?} vs {other:?}");
+        }
         for (i, v) in row.values.iter().enumerate() {
             prop_assert_eq!(&view.value(i), v);
             // The accessor of the column's own type agrees; another type's

@@ -119,7 +119,7 @@ impl PageBuf {
 }
 
 /// The canonical, durable home of all pages.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct PageStore {
     pages: IntMap<PageId, PageBuf>,
     next_id: u64,
