@@ -6,11 +6,13 @@
 //! Zipfian point-read working set (hot and small, θ = 0.99 over SF100's
 //! orders) polluted by periodic T5 range sweeps that drag thousands of
 //! cold order pages through the pool exactly once. Pure LRU lets every
-//! sweep flush the hot set; SIEVE and CLOCK demand a second touch before a
-//! page outlives the hand, and LRU-K(2) quarantines one-touch pages in
-//! probation — so the scan-resistant policies hold their hit rate where
-//! LRU's collapses. The effect is largest on CDB2's paper-configured 44 MB
-//! buffer, where the pool barely covers the hot set.
+//! sweep flush the hot set; SIEVE demands a second touch before a page
+//! outlives the hand, and LRU-K(2) quarantines one-touch pages in probation
+//! — so the scan-resistant policies hold their hit rate where LRU's
+//! collapses. The effect is largest on CDB2's paper-configured 44 MB
+//! buffer, where the pool barely covers the hot set. (CLOCK measured
+//! −1.0 % to +0.8 % against LRU here — inside one-seed noise — and was
+//! removed in PR 25.)
 //!
 //! Cells run on fresh deployments (policy and buffer size change the
 //! cache state, so no warm-cache carry-over), single seed, fixed vcores —

@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+use cb_engine::EvictionPolicyKind;
 use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
@@ -43,7 +44,14 @@ pub fn oltp_cell(
     concurrency: u32,
     dist: AccessDistribution,
 ) -> OltpCell {
-    let cell = run_cell(dep, mix, concurrency, dist, None, SEED);
+    let cell = policy_cell_seeded(
+        dep,
+        mix,
+        concurrency,
+        dist,
+        EvictionPolicyKind::default(),
+        SEED,
+    );
     OltpCell {
         avg_tps: cell.avg_tps,
         cost_per_min: cell.cost_per_min,
@@ -64,29 +72,17 @@ pub struct PolicyCell {
     pub cost_per_min: CostBreakdown,
 }
 
-/// Run one fixed-capacity OLTP cell under an explicit eviction policy and
-/// workload seed (`CB_SEED` in `fig8_policy_grid` drives the seed-stability
-/// check), reporting the primary's hit rate alongside throughput. Identical
-/// run shape to [`oltp_cell`]; `eviction` feeds `RunOptions::eviction`.
+/// Run one fixed-capacity OLTP cell — [`MEASURE_SECS`] of `concurrency`
+/// closed-loop clients — under an explicit eviction policy and workload
+/// seed (`CB_SEED` in `fig8_policy_grid` drives the seed-stability check),
+/// reporting the primary's hit rate alongside throughput. [`oltp_cell`] is
+/// this cell at the default policy; `eviction` feeds `RunOptions::eviction`.
 pub fn policy_cell_seeded(
     dep: &mut Deployment,
     mix: TxnMix,
     concurrency: u32,
     dist: AccessDistribution,
-    eviction: cb_engine::EvictionPolicyKind,
-    seed: u64,
-) -> PolicyCell {
-    run_cell(dep, mix, concurrency, dist, Some(eviction), seed)
-}
-
-/// The one cell body: [`MEASURE_SECS`] of `concurrency` closed-loop clients
-/// at fixed capacity; `eviction: None` keeps the profile's default policy.
-fn run_cell(
-    dep: &mut Deployment,
-    mix: TxnMix,
-    concurrency: u32,
-    dist: AccessDistribution,
-    eviction: Option<cb_engine::EvictionPolicyKind>,
+    eviction: EvictionPolicyKind,
     seed: u64,
 ) -> PolicyCell {
     dep.reset_runtime();
@@ -306,8 +302,14 @@ mod tests {
         let fresh = || Deployment::new(profile.clone(), 1, 2000, 1, SEED);
         let (mix, dist) = (TxnMix::read_write(), AccessDistribution::Uniform);
         let plain = oltp_cell(&mut fresh(), mix, 10, dist);
-        let policy =
-            policy_cell_seeded(&mut fresh(), mix, 10, dist, profile.default_eviction, SEED);
+        let policy = policy_cell_seeded(
+            &mut fresh(),
+            mix,
+            10,
+            dist,
+            EvictionPolicyKind::default(),
+            SEED,
+        );
         assert_eq!(plain.avg_tps.to_bits(), policy.avg_tps.to_bits());
         assert_eq!(
             plain.cost_per_min.total().to_bits(),

@@ -57,7 +57,7 @@ fn chaos_usage() -> String {
          --replay SEED      re-run one seed, printing its fault schedule\n\
          --isolation LEVEL  rc|si|ser (default rc); si/ser turn on version\n\
          \x20                  publication and the snapshot-consistency oracle\n\
-         --eviction POLICY  lru|sieve|clock|lru-k buffer-pool eviction\n\
+         --eviction POLICY  lru|sieve|lru-k buffer-pool eviction\n\
          \x20                  (default lru); oracles and cross-jobs identity\n\
          \x20                  must hold under every policy\n\
          --txns N           workload transactions per seed (default 60)\n\
@@ -87,7 +87,7 @@ fn parse(args: impl Iterator<Item = String>) -> Result<ChaosArgs, String> {
         replay: None,
         bug_skip_redo: None,
         isolation: IsolationLevel::ReadCommitted,
-        eviction: EvictionPolicyKind::Lru,
+        eviction: EvictionPolicyKind::default(),
         txns: 60,
         jobs: cloudybench::parallel::default_jobs(),
         sharded: false,

@@ -145,9 +145,8 @@ fn parse_distribution(props: &Props) -> Result<AccessDistribution, CliError> {
     }
 }
 
-/// Parse the optional `eviction` key into a buffer-pool policy override.
-/// Absent means "use the SUT profile's default" (LRU everywhere), which
-/// keeps existing props files bit-identical.
+/// Parse the optional `eviction` key. Absent runs the default (LRU); the
+/// `Option` survives only so `mode = sharded` can refuse an explicit key.
 fn parse_eviction(props: &Props) -> Result<Option<EvictionPolicyKind>, CliError> {
     match props.get("eviction") {
         None => Ok(None),
@@ -156,7 +155,7 @@ fn parse_eviction(props: &Props) -> Result<Option<EvictionPolicyKind>, CliError>
             .ok_or(CliError::Unknown {
                 key: "eviction",
                 value: v.to_string(),
-                expected: "lru, sieve, clock, lru-k",
+                expected: "lru, sieve, lru-k",
             }),
     }
 }
@@ -218,7 +217,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
     let base = RunOptions {
         seed,
         obs: obs.clone(),
-        eviction,
+        eviction: eviction.unwrap_or_default(),
         ..RunOptions::default()
     };
     let mut out = String::new();
@@ -538,6 +537,9 @@ mod tests {
 
         let e = fail("eviction = mru");
         assert!(e.contains("sieve"), "{e}");
+        // CLOCK was removed: naming it is refused, not run as another policy.
+        let e = fail("eviction = clock");
+        assert!(e.ends_with("(expected one of: lru, sieve, lru-k)"), "{e}");
         let e = fail("distribution = zipfian-1.5\nsim_scale = 2000");
         assert!(e.contains("THETA"), "{e}");
     }

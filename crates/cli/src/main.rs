@@ -26,7 +26,7 @@ fn usage() -> ExitCode {
     eprintln!("      mode (oltp|elasticity|tenancy|failover|lagtime|sharded),");
     eprintln!("      mix (ro|rw|wo|scan-resistant|t1:t2:t3:t4[:t5]),");
     eprintln!("      distribution (uniform|latest-N|zipfian-THETA),");
-    eprintln!("      eviction (lru|sieve|clock|lru-k; not in mode sharded)");
+    eprintln!("      eviction (lru|sieve|lru-k; not in mode sharded)");
     eprintln!("  oltp: scale_factor, concurrency, duration_secs, ro_nodes,");
     eprintln!("      ruc_{{cpu_vcore,mem_gb,storage_gb,iops_100,tcp_gbps,rdma_gbps}}_hour");
     eprintln!("  elasticity: pattern (single-peak|large-spike|single-valley|zero-valley), tau,");

@@ -1,7 +1,7 @@
 //! `cloudybench chaos --sharded` through the real binary: flags the 2PC
 //! campaign cannot carry are refused instead of dropped, `--profile` is
-//! honoured, and an empty campaign (`--seeds 0`, sharded or not) is refused
-//! instead of reported clean.
+//! honoured, and an empty campaign (`--seeds 0`, sharded or not) or a
+//! removed eviction policy is refused instead of reported clean.
 
 use std::process::{Command, Output};
 
@@ -48,6 +48,18 @@ fn an_empty_campaign_exits_2_instead_of_reporting_clean() {
         let msg = String::from_utf8(out.stderr).unwrap();
         assert_eq!(msg.trim_end(), "--seeds needs at least one seed");
     }
+}
+
+/// CLOCK was removed as a policy; at the parent this ran a campaign and
+/// exited 0, now it is refused like any other unknown name.
+#[test]
+fn a_removed_eviction_policy_exits_2() {
+    let args: Vec<&str> = "--eviction clock --seeds 1".split(' ').collect();
+    let out = chaos(&args);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "ran a campaign anyway");
+    let msg = String::from_utf8(out.stderr).unwrap();
+    assert!(msg.starts_with("unknown eviction \"clock\"\n"), "{msg}");
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!   remote-buffer switch-over.
 //! * [`shard`] — hash/range key-space sharding: deterministic routing of
 //!   every primary key to exactly one engine instance.
-//! * [`tenancy`] — isolated instances, elastic pools (water-filling
-//!   scheduler), git-style branches.
+//! * [`tenancy`] — the elastic-pool (water-filling) scheduler of a shared
+//!   vCore pool (CDB2's multi-tenant deployment).
 //! * [`metering`] — integrate vCores/memory/storage/IOPS/network consumption
 //!   for the Resource Unit Cost model.
 
@@ -44,4 +44,4 @@ pub use metering::{measure, MeterConfig, ResourceUsage};
 pub use node::{Node, NodeId, NodeRole, NodeStatus};
 pub use replication::{quorum_ack_latency, ReplayPolicy, ReplicationStream};
 pub use shard::{shard_of_hash, ShardMap, ShardStrategy};
-pub use tenancy::{elastic_pool_allocate, TenancyModel};
+pub use tenancy::elastic_pool_allocate;

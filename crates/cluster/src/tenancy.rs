@@ -1,50 +1,8 @@
-//! Multi-tenancy models and the elastic-pool scheduler.
-//!
-//! The paper's systems span three deployment models: fully isolated
-//! instances (AWS RDS, CDB1, CDB4 — high performance, tripled network/IOPS
-//! cost, no sharing), a shared elastic pool (CDB2 — tenants share vCores and
-//! the log service, so an idle tenant's capacity flows to a busy one), and
-//! git-style branches (CDB3 — shared storage, strictly isolated per-branch
-//! compute).
-
-use cb_sim::SimDuration;
-
-/// How tenants are deployed onto resources.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TenancyModel {
-    /// One isolated instance (own cluster) per tenant.
-    IsolatedInstances {
-        /// vCores of each tenant's instance.
-        vcores_per_tenant: f64,
-    },
-    /// All tenants share one pool of compute (CDB2-like).
-    ElasticPool {
-        /// Total vCores in the pool.
-        total_vcores: f64,
-        /// Guaranteed minimum share per tenant.
-        min_per_tenant: f64,
-        /// How often the pool rebalances.
-        rebalance_every: SimDuration,
-    },
-    /// Copy-on-write branches: shared storage, isolated compute (CDB3-like).
-    Branches {
-        /// vCores of each branch's endpoint.
-        vcores_per_branch: f64,
-    },
-}
-
-impl TenancyModel {
-    /// True if compute capacity can move between tenants on demand.
-    pub fn shares_compute(&self) -> bool {
-        matches!(self, TenancyModel::ElasticPool { .. })
-    }
-
-    /// True if tenants share the storage layer (affects cost accounting:
-    /// isolated instances pay network + IOPS per tenant).
-    pub fn shares_storage(&self) -> bool {
-        !matches!(self, TenancyModel::IsolatedInstances { .. })
-    }
-}
+//! The elastic-pool scheduler: how a shared pool of vCores is split across
+//! tenants (CDB2's deployment model — tenants share vCores and the log
+//! service, so an idle tenant's capacity flows to a busy one). Which profile
+//! deploys which tenancy model is `cloudybench::tenancy`'s business; it
+//! derives that from each profile's `ScalingKind`.
 
 /// Water-filling allocation of `total` vCores across tenants with the given
 /// `demands` (vCores each tenant could productively use) and a `min_share`
@@ -154,23 +112,5 @@ mod tests {
         assert!(elastic_pool_allocate(&[], 12.0, 0.5).is_empty());
         assert_close(&elastic_pool_allocate(&[0.0, 0.0], 12.0, 0.5), &[0.0, 0.0]);
         assert_close(&elastic_pool_allocate(&[1.0], 0.0, 0.5), &[0.0]);
-    }
-
-    #[test]
-    fn model_classification() {
-        let iso = TenancyModel::IsolatedInstances {
-            vcores_per_tenant: 4.0,
-        };
-        let pool = TenancyModel::ElasticPool {
-            total_vcores: 12.0,
-            min_per_tenant: 0.5,
-            rebalance_every: SimDuration::from_secs(15),
-        };
-        let branches = TenancyModel::Branches {
-            vcores_per_branch: 4.0,
-        };
-        assert!(!iso.shares_compute() && !iso.shares_storage());
-        assert!(pool.shares_compute() && pool.shares_storage());
-        assert!(!branches.shares_compute() && branches.shares_storage());
     }
 }

@@ -35,8 +35,8 @@ pub const CLIENT_RTT: SimDuration = SimDuration::from_micros(1200);
 /// Orders touched by one T5 range sweep. Sized so a single scan pulls a few
 /// hundred leaf pages through the buffer pool — enough to evict a 44 MB
 /// (scaled) pool's entire hot set under pure LRU, which is exactly the
-/// pollution pattern the scan-resistant policies (SIEVE / CLOCK / LRU-K)
-/// are meant to survive.
+/// pollution pattern the scan-resistant policies (SIEVE / LRU-K) are meant
+/// to survive.
 pub const SCAN_SPAN: i64 = 4096;
 
 /// One tenant's offered load: a concurrency schedule plus workload shape.
@@ -276,11 +276,11 @@ pub struct RunOptions {
     /// never registering in the lock table.
     pub isolation: Option<IsolationLevel>,
     /// Buffer-pool replacement policy for every pool in the deployment
-    /// (local pools and the shared remote tier). `None` defers to the SUT
-    /// profile's `default_eviction` (LRU on all five — what the modelled
-    /// services ship). Selecting the default is a strict no-op, so pre-
-    /// policy runs stay bit-identical.
-    pub eviction: Option<EvictionPolicyKind>,
+    /// (local pools and the shared remote tier). The default, LRU, is what
+    /// the modelled services ship and what every pool is built with, so
+    /// selecting it is a strict no-op and pre-policy runs stay
+    /// bit-identical.
+    pub eviction: EvictionPolicyKind,
     /// Observability sink: span tracing, histograms, counters. Disabled by
     /// default (zero overhead); enable with `ObsSink::enabled()` to capture
     /// a full virtual-time trace of the run.
@@ -300,7 +300,7 @@ impl Default for RunOptions {
             collect_lag: false,
             failure: None,
             isolation: None,
-            eviction: None,
+            eviction: EvictionPolicyKind::default(),
             obs: ObsSink::disabled(),
             shifts: Vec::new(),
         }
@@ -332,13 +332,13 @@ impl RunOptions {
     }
 }
 
-/// Resolve and install the run's eviction policy on every pool of the
-/// deployment, and tag the trace with the policy that ran (one instant on
-/// the buffer-pool track — the per-policy `bufpool.*` counters then make
-/// the hit/miss attribution unambiguous). Installing the already-active
-/// policy leaves each pool untouched.
+/// Install the run's eviction policy on every pool of the deployment, and
+/// tag the trace with the policy that ran (one instant on the buffer-pool
+/// track — the per-policy `bufpool.*` counters then make the hit/miss
+/// attribution unambiguous). Installing the already-active policy leaves
+/// each pool untouched.
 fn apply_eviction(dep: &mut Deployment, opts: &RunOptions) {
-    let kind = opts.eviction.unwrap_or(dep.profile.default_eviction);
+    let kind = opts.eviction;
     for node in &mut dep.nodes {
         node.pool.set_policy(kind);
     }

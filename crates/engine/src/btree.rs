@@ -206,11 +206,6 @@ impl BTree {
         BTree { root }
     }
 
-    /// Re-attach to an existing root (used by recovery).
-    pub fn from_root(root: PageId) -> BTree {
-        BTree { root }
-    }
-
     /// The current root page.
     pub fn root(&self) -> PageId {
         self.root

@@ -1,4 +1,4 @@
-//! A per-node buffer pool with pluggable page-replacement policies.
+//! A per-node buffer pool with a selectable page-replacement policy.
 //!
 //! Page content lives once in the cluster-wide [`cb_store::PageStore`]; what
 //! differs per compute node is which pages are resident in its cache. The
@@ -9,14 +9,14 @@
 //!
 //! Storage is a slab of intrusive-list nodes: every touch is O(1) pointer
 //! surgery instead of the O(log n) remove+insert a stamp-ordered map would
-//! pay. *Which* page gets evicted is delegated to an [`EvictionPolicy`] —
-//! LRU (the default; eviction order and all counters identical to the
-//! original stamp-based index), SIEVE, CLOCK, and LRU-K(2) all run over the
-//! same slab + free-list + intrusive-list core, so swapping the policy
-//! changes eviction decisions and nothing else. See DESIGN.md §16 for the
-//! per-policy victim rules and the determinism argument.
+//! pay. *Which* page gets evicted is a closed [`EvictionPolicyKind`] the
+//! pool matches on — LRU (the default; eviction order and all counters
+//! identical to the original stamp-based index), SIEVE and LRU-K(2) all run
+//! over the same slab + free-list + two intrusive lists, so switching the
+//! policy changes eviction decisions and nothing else. See DESIGN.md §16
+//! for the per-policy victim rules and the determinism argument.
 
-use cb_store::{IntMap, PageId, PAGE_SIZE};
+use cb_store::{IntMap, PageId};
 
 /// Result of touching one page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,19 +37,16 @@ const MAIN: usize = 0;
 const PROTECTED: usize = 1;
 
 /// The selectable replacement policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EvictionPolicyKind {
     /// Least-recently-used: move-to-front on hit, evict the tail. The
-    /// default, bit-identical to the pool before policies were pluggable.
+    /// default, bit-identical to the pool before policies were selectable.
+    #[default]
     Lru,
     /// SIEVE: hits only set a visited bit (no list movement); a persistent
     /// hand sweeps tail→head evicting the first unvisited page, clearing
     /// visited bits as it passes. New pages enter at the head unvisited.
     Sieve,
-    /// CLOCK (second-chance FIFO): like SIEVE's sweep, but new pages enter
-    /// with their reference bit set, so every page survives at least one
-    /// full pass of the hand.
-    Clock,
     /// LRU-K with K=2, in its O(1) segmented form: pages touched once sit
     /// in a probation FIFO, a second touch promotes to a protected LRU
     /// list; victims drain probation before protected.
@@ -58,21 +55,19 @@ pub enum EvictionPolicyKind {
 
 impl EvictionPolicyKind {
     /// All selectable policies, in canonical order.
-    pub fn all() -> [EvictionPolicyKind; 4] {
+    pub fn all() -> [EvictionPolicyKind; 3] {
         [
             EvictionPolicyKind::Lru,
             EvictionPolicyKind::Sieve,
-            EvictionPolicyKind::Clock,
             EvictionPolicyKind::LruK,
         ]
     }
 
-    /// Parse a CLI/props spelling ("lru", "sieve", "clock", "lru-k").
+    /// Parse a CLI/props spelling ("lru", "sieve", "lru-k").
     pub fn parse(s: &str) -> Option<EvictionPolicyKind> {
         match s.to_ascii_lowercase().as_str() {
             "lru" => Some(EvictionPolicyKind::Lru),
             "sieve" => Some(EvictionPolicyKind::Sieve),
-            "clock" => Some(EvictionPolicyKind::Clock),
             "lru-k" | "lruk" | "lru2" => Some(EvictionPolicyKind::LruK),
             _ => None,
         }
@@ -83,17 +78,7 @@ impl EvictionPolicyKind {
         match self {
             EvictionPolicyKind::Lru => "lru",
             EvictionPolicyKind::Sieve => "sieve",
-            EvictionPolicyKind::Clock => "clock",
             EvictionPolicyKind::LruK => "lru-k",
-        }
-    }
-
-    fn build(self) -> Box<dyn EvictionPolicy> {
-        match self {
-            EvictionPolicyKind::Lru => Box::new(Lru),
-            EvictionPolicyKind::Sieve => Box::new(Sieve { hand: NIL }),
-            EvictionPolicyKind::Clock => Box::new(Clock { hand: NIL }),
-            EvictionPolicyKind::LruK => Box::new(LruK),
         }
     }
 }
@@ -104,7 +89,7 @@ struct Node {
     prev: u32,
     next: u32,
     dirty: bool,
-    /// SIEVE visited / CLOCK reference bit. Unused by LRU and LRU-K.
+    /// SIEVE visited bit. Unused by LRU and LRU-K.
     visited: bool,
     /// Which intrusive list the node is on ([`MAIN`] or [`PROTECTED`]).
     list: u8,
@@ -123,59 +108,100 @@ impl ListHead {
     };
 }
 
-/// The policy-agnostic storage of a [`BufferPool`]: the node slab, the
-/// free-list, the residency map, and two intrusive doubly-linked lists.
-/// Policies manipulate it only through the O(1) accessors below, so every
-/// policy inherits the same slot-recycling and pointer discipline.
-pub struct PoolCore {
+/// A buffer pool over page ids with a selectable [`EvictionPolicyKind`]
+/// (default LRU): a node slab, its free-list, the residency map, and two
+/// intrusive doubly-linked lists that every policy shares.
+pub struct BufferPool {
+    capacity: usize,
+    policy: EvictionPolicyKind,
+    /// SIEVE's persistent hand: the slot the next sweep starts from, or
+    /// [`NIL`] to start at the tail. Always [`NIL`] under LRU and LRU-K.
+    hand: u32,
     nodes: Vec<Node>,
     free: Vec<u32>,
     map: IntMap<PageId, u32>,
     lists: [ListHead; 2],
+    hits: u64,
+    misses: u64,
+    dirty_evictions: u64,
 }
 
-impl PoolCore {
-    fn new() -> Self {
-        PoolCore {
+impl BufferPool {
+    /// An LRU pool holding at most `capacity` pages (min 1).
+    pub fn new(capacity: usize) -> Self {
+        BufferPool::with_policy(capacity, EvictionPolicyKind::Lru)
+    }
+
+    /// A pool with an explicit replacement policy.
+    pub fn with_policy(capacity: usize, kind: EvictionPolicyKind) -> Self {
+        BufferPool {
+            capacity: capacity.max(1),
+            policy: kind,
+            hand: NIL,
             nodes: Vec::new(),
             free: Vec::new(),
             map: IntMap::default(),
             lists: [ListHead::EMPTY; 2],
+            hits: 0,
+            misses: 0,
+            dirty_evictions: 0,
         }
     }
 
-    /// Head (most recently inserted/used end) of list `l`.
-    pub fn head(&self, l: usize) -> u32 {
-        self.lists[l].head
+    /// The active replacement policy.
+    pub fn policy_kind(&self) -> EvictionPolicyKind {
+        self.policy
     }
 
-    /// Tail (oldest end, the usual victim side) of list `l`.
-    pub fn tail(&self, l: usize) -> u32 {
-        self.lists[l].tail
+    /// Switch the replacement policy. A no-op if `kind` is already active
+    /// (so selecting the default never perturbs an LRU pool). Resident
+    /// pages survive: they are re-linked into the main list in recency
+    /// order (protected segment first) with visited bits cleared and the
+    /// hand parked, which is deterministic — same pool state in, same pool
+    /// state out.
+    pub fn set_policy(&mut self, kind: EvictionPolicyKind) {
+        if kind == self.policy {
+            return;
+        }
+        let mut order: Vec<u32> = Vec::with_capacity(self.map.len());
+        for l in [PROTECTED, MAIN] {
+            let mut cur = self.lists[l].head;
+            while cur != NIL {
+                order.push(cur);
+                cur = self.nodes[cur as usize].next;
+            }
+        }
+        self.lists = [ListHead::EMPTY; 2];
+        for &idx in order.iter().rev() {
+            self.nodes[idx as usize].visited = false;
+            self.push_front(MAIN, idx);
+        }
+        self.policy = kind;
+        self.reset();
     }
 
-    /// The neighbour of `idx` toward the head of its list.
-    pub fn prev(&self, idx: u32) -> u32 {
-        self.nodes[idx as usize].prev
+    /// Capacity in pages.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
-    /// Which list `idx` is on.
-    pub fn list_of(&self, idx: u32) -> usize {
-        self.nodes[idx as usize].list as usize
+    /// Resident pages.
+    pub fn len(&self) -> usize {
+        self.map.len()
     }
 
-    /// The visited/reference bit of `idx`.
-    pub fn visited(&self, idx: u32) -> bool {
-        self.nodes[idx as usize].visited
+    /// True if nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 
-    /// Set the visited/reference bit of `idx`.
-    pub fn set_visited(&mut self, idx: u32, v: bool) {
-        self.nodes[idx as usize].visited = v;
+    /// True if `id` is resident.
+    pub fn contains(&self, id: PageId) -> bool {
+        self.map.contains_key(&id)
     }
 
     /// Detach node `idx` from its list without freeing its slot.
-    pub fn unlink(&mut self, idx: u32) {
+    fn unlink(&mut self, idx: u32) {
         let Node {
             prev, next, list, ..
         } = self.nodes[idx as usize];
@@ -193,7 +219,7 @@ impl PoolCore {
     }
 
     /// Make node `idx` the head of list `l`.
-    pub fn push_front(&mut self, l: usize, idx: u32) {
+    fn push_front(&mut self, l: usize, idx: u32) {
         self.nodes[idx as usize].list = l as u8;
         self.nodes[idx as usize].prev = NIL;
         self.nodes[idx as usize].next = self.lists[l].head;
@@ -227,261 +253,106 @@ impl PoolCore {
             }
         }
     }
-}
 
-/// A replacement policy over the shared [`PoolCore`]. All callbacks are
-/// O(1) (the SIEVE/CLOCK sweep is amortized O(1): each step clears a bit a
-/// hit set). `on_remove` runs *before* the node is unlinked, so policies
-/// can repair hands that point at the departing slot.
-pub trait EvictionPolicy: Send {
-    /// Which selectable policy this is.
-    fn kind(&self) -> EvictionPolicyKind;
     /// A resident page was touched.
-    fn on_hit(&mut self, core: &mut PoolCore, idx: u32);
-    /// A freshly-allocated page (already in the map) joins the lists.
-    fn on_insert(&mut self, core: &mut PoolCore, idx: u32);
-    /// Choose the eviction victim (the pool is non-empty).
-    fn victim(&mut self, core: &mut PoolCore) -> u32;
-    /// `idx` is about to leave the pool (eviction or invalidation); still
-    /// linked when called.
-    fn on_remove(&mut self, core: &mut PoolCore, idx: u32);
-    /// Forget all policy state (pool restart).
-    fn reset(&mut self);
-}
-
-/// Classic LRU — bit-identical to the pool before policies were pluggable.
-struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Lru
-    }
-    fn on_hit(&mut self, core: &mut PoolCore, idx: u32) {
-        if core.head(MAIN) != idx {
-            core.unlink(idx);
-            core.push_front(MAIN, idx);
-        }
-    }
-    fn on_insert(&mut self, core: &mut PoolCore, idx: u32) {
-        core.push_front(MAIN, idx);
-    }
-    fn victim(&mut self, core: &mut PoolCore) -> u32 {
-        core.tail(MAIN)
-    }
-    fn on_remove(&mut self, _core: &mut PoolCore, _idx: u32) {}
-    fn reset(&mut self) {}
-}
-
-/// Shared SIEVE/CLOCK sweep: walk from the hand (or the tail when the hand
-/// is parked) toward the head, clearing visited bits, wrapping at the head,
-/// until an unvisited page is found. Leaves the hand on the victim's
-/// head-side neighbour so the next sweep resumes where this one stopped.
-fn sweep(hand: &mut u32, core: &mut PoolCore) -> u32 {
-    let mut h = if *hand == NIL { core.tail(MAIN) } else { *hand };
-    loop {
-        if h == NIL {
-            h = core.tail(MAIN);
-        }
-        if core.visited(h) {
-            core.set_visited(h, false);
-            h = core.prev(h);
-        } else {
-            *hand = core.prev(h);
-            return h;
-        }
-    }
-}
-
-/// If the hand points at the departing node, advance it toward the head.
-fn repair_hand(hand: &mut u32, core: &PoolCore, departing: u32) {
-    if *hand == departing {
-        *hand = core.prev(departing);
-    }
-}
-
-/// SIEVE: lazy promotion (hits set a bit), quick demotion (new pages enter
-/// unvisited and are the first candidates the hand reaches).
-struct Sieve {
-    hand: u32,
-}
-
-impl EvictionPolicy for Sieve {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Sieve
-    }
-    fn on_hit(&mut self, core: &mut PoolCore, idx: u32) {
-        core.set_visited(idx, true);
-    }
-    fn on_insert(&mut self, core: &mut PoolCore, idx: u32) {
-        core.push_front(MAIN, idx);
-    }
-    fn victim(&mut self, core: &mut PoolCore) -> u32 {
-        sweep(&mut self.hand, core)
-    }
-    fn on_remove(&mut self, core: &mut PoolCore, idx: u32) {
-        repair_hand(&mut self.hand, core, idx);
-    }
-    fn reset(&mut self) {
-        self.hand = NIL;
-    }
-}
-
-/// CLOCK: the second-chance FIFO. Identical sweep to SIEVE; the one
-/// behavioural difference is that new pages enter with the reference bit
-/// set, so everything survives at least one full hand pass.
-struct Clock {
-    hand: u32,
-}
-
-impl EvictionPolicy for Clock {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Clock
-    }
-    fn on_hit(&mut self, core: &mut PoolCore, idx: u32) {
-        core.set_visited(idx, true);
-    }
-    fn on_insert(&mut self, core: &mut PoolCore, idx: u32) {
-        core.push_front(MAIN, idx);
-        core.set_visited(idx, true);
-    }
-    fn victim(&mut self, core: &mut PoolCore) -> u32 {
-        sweep(&mut self.hand, core)
-    }
-    fn on_remove(&mut self, core: &mut PoolCore, idx: u32) {
-        repair_hand(&mut self.hand, core, idx);
-    }
-    fn reset(&mut self) {
-        self.hand = NIL;
-    }
-}
-
-/// LRU-K (K=2) in its O(1) two-segment form: first touch lands in the
-/// probation FIFO ([`MAIN`]); a second touch promotes to the protected LRU
-/// list; protected hits move-to-front. Victim = probation tail (the page
-/// with <2 accesses whose single access is oldest), else protected tail
-/// (the oldest last-access among twice-touched pages) — exactly the
-/// backward-K-distance rule for K=2 with an LRU tie-break.
-struct LruK;
-
-impl EvictionPolicy for LruK {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::LruK
-    }
-    fn on_hit(&mut self, core: &mut PoolCore, idx: u32) {
-        if core.list_of(idx) == MAIN || core.head(PROTECTED) != idx {
-            core.unlink(idx);
-            core.push_front(PROTECTED, idx);
-        }
-    }
-    fn on_insert(&mut self, core: &mut PoolCore, idx: u32) {
-        core.push_front(MAIN, idx);
-    }
-    fn victim(&mut self, core: &mut PoolCore) -> u32 {
-        let t = core.tail(MAIN);
-        if t != NIL {
-            t
-        } else {
-            core.tail(PROTECTED)
-        }
-    }
-    fn on_remove(&mut self, _core: &mut PoolCore, _idx: u32) {}
-    fn reset(&mut self) {}
-}
-
-/// A buffer pool over page ids with a selectable [`EvictionPolicy`]
-/// (default LRU).
-pub struct BufferPool {
-    capacity: usize,
-    core: PoolCore,
-    policy: Box<dyn EvictionPolicy>,
-    hits: u64,
-    misses: u64,
-    dirty_evictions: u64,
-}
-
-impl BufferPool {
-    /// An LRU pool holding at most `capacity` pages (min 1).
-    pub fn new(capacity: usize) -> Self {
-        BufferPool::with_policy(capacity, EvictionPolicyKind::Lru)
-    }
-
-    /// A pool with an explicit replacement policy.
-    pub fn with_policy(capacity: usize, kind: EvictionPolicyKind) -> Self {
-        BufferPool {
-            capacity: capacity.max(1),
-            core: PoolCore::new(),
-            policy: kind.build(),
-            hits: 0,
-            misses: 0,
-            dirty_evictions: 0,
-        }
-    }
-
-    /// An LRU pool sized in bytes (e.g. the paper's 128 MB / 44 MB / 10 GB
-    /// configurations).
-    pub fn with_bytes(bytes: u64) -> Self {
-        BufferPool::new((bytes / PAGE_SIZE as u64).max(1) as usize)
-    }
-
-    /// The active replacement policy.
-    pub fn policy_kind(&self) -> EvictionPolicyKind {
-        self.policy.kind()
-    }
-
-    /// Switch the replacement policy. A no-op if `kind` is already active
-    /// (so selecting the default never perturbs an LRU pool). Resident
-    /// pages survive: they are re-linked into the main list in recency
-    /// order (protected segment first) with visited bits cleared, which is
-    /// deterministic — same pool state in, same pool state out.
-    pub fn set_policy(&mut self, kind: EvictionPolicyKind) {
-        if kind == self.policy.kind() {
-            return;
-        }
-        let mut order: Vec<u32> = Vec::with_capacity(self.core.map.len());
-        for l in [PROTECTED, MAIN] {
-            let mut cur = self.core.head(l);
-            while cur != NIL {
-                order.push(cur);
-                cur = self.core.nodes[cur as usize].next;
+    fn on_hit(&mut self, idx: u32) {
+        match self.policy {
+            EvictionPolicyKind::Lru => {
+                if self.lists[MAIN].head != idx {
+                    self.unlink(idx);
+                    self.push_front(MAIN, idx);
+                }
+            }
+            // Lazy promotion: a hit only sets the bit the hand will clear.
+            EvictionPolicyKind::Sieve => self.nodes[idx as usize].visited = true,
+            // A second touch promotes out of probation; protected hits
+            // move to the front of the protected list.
+            EvictionPolicyKind::LruK => {
+                if self.nodes[idx as usize].list == MAIN as u8 || self.lists[PROTECTED].head != idx
+                {
+                    self.unlink(idx);
+                    self.push_front(PROTECTED, idx);
+                }
             }
         }
-        self.core.lists = [ListHead::EMPTY; 2];
-        for &idx in order.iter().rev() {
-            self.core.nodes[idx as usize].visited = false;
-            self.core.push_front(MAIN, idx);
+    }
+
+    /// A freshly-allocated page (already in the map) joins the lists: every
+    /// policy admits it at the head of the main list (SIEVE: unvisited, so
+    /// it is among the first candidates the hand reaches).
+    fn on_insert(&mut self, idx: u32) {
+        self.push_front(MAIN, idx);
+    }
+
+    /// Choose the eviction victim (the pool is non-empty).
+    fn victim(&mut self) -> u32 {
+        match self.policy {
+            EvictionPolicyKind::Lru => self.lists[MAIN].tail,
+            EvictionPolicyKind::Sieve => self.sweep(),
+            // Probation tail (the once-touched page whose single access is
+            // oldest), else protected tail (the oldest last access among
+            // twice-touched pages) — the backward-K-distance rule for K=2
+            // with an LRU tie-break.
+            EvictionPolicyKind::LruK => match self.lists[MAIN].tail {
+                NIL => self.lists[PROTECTED].tail,
+                t => t,
+            },
         }
-        self.policy = kind.build();
     }
 
-    /// Capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// SIEVE's sweep: walk from the hand (or the tail when the hand is
+    /// parked) toward the head, clearing visited bits, wrapping at the head,
+    /// until an unvisited page is found. Leaves the hand on the victim's
+    /// head-side neighbour so the next sweep resumes where this one stopped.
+    /// Amortized O(1): each step clears a bit a hit set.
+    fn sweep(&mut self) -> u32 {
+        let mut h = self.hand;
+        loop {
+            if h == NIL {
+                h = self.lists[MAIN].tail;
+            }
+            let node = &mut self.nodes[h as usize];
+            if node.visited {
+                node.visited = false;
+                h = node.prev;
+            } else {
+                self.hand = node.prev;
+                return h;
+            }
+        }
     }
 
-    /// Resident pages.
-    pub fn len(&self) -> usize {
-        self.core.map.len()
+    /// `idx` is about to leave the pool (eviction or invalidation) and is
+    /// still linked: if SIEVE's hand points at it, advance the hand toward
+    /// the head. The hand is [`NIL`] under LRU and LRU-K, so this never
+    /// fires there.
+    fn on_remove(&mut self, idx: u32) {
+        if self.hand == idx {
+            self.hand = self.nodes[idx as usize].prev;
+        }
     }
 
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.core.map.is_empty()
+    /// Forget all policy state: park SIEVE's hand (the only state any
+    /// policy keeps outside the lists).
+    fn reset(&mut self) {
+        self.hand = NIL;
     }
 
-    /// True if `id` is resident.
-    pub fn contains(&self, id: PageId) -> bool {
-        self.core.map.contains_key(&id)
+    /// Unlink slot `idx` (already out of the map) and return it to the
+    /// free-list.
+    fn release(&mut self, idx: u32) {
+        self.on_remove(idx);
+        self.unlink(idx);
+        self.free.push(idx);
     }
 
     /// Evict the policy's victim, returning its id if it was dirty.
     fn evict_one(&mut self) -> Option<PageId> {
-        let victim_idx = self.policy.victim(&mut self.core);
+        let victim_idx = self.victim();
         debug_assert_ne!(victim_idx, NIL, "pool non-empty");
-        let victim = self.core.nodes[victim_idx as usize];
-        self.policy.on_remove(&mut self.core, victim_idx);
-        self.core.unlink(victim_idx);
-        self.core.map.remove(&victim.id);
-        self.core.free.push(victim_idx);
+        let victim = self.nodes[victim_idx as usize];
+        self.map.remove(&victim.id);
+        self.release(victim_idx);
         if victim.dirty {
             self.dirty_evictions += 1;
             Some(victim.id)
@@ -494,9 +365,9 @@ impl BufferPool {
     /// modified (only meaningful on architectures where the compute tier
     /// writes pages back).
     pub fn touch(&mut self, id: PageId, mark_dirty: bool) -> Access {
-        if let Some(&idx) = self.core.map.get(&id) {
-            self.core.nodes[idx as usize].dirty |= mark_dirty;
-            self.policy.on_hit(&mut self.core, idx);
+        if let Some(&idx) = self.map.get(&id) {
+            self.nodes[idx as usize].dirty |= mark_dirty;
+            self.on_hit(idx);
             self.hits += 1;
             return Access {
                 hit: true,
@@ -505,12 +376,12 @@ impl BufferPool {
         }
         self.misses += 1;
         let mut evicted_dirty = None;
-        if self.core.map.len() >= self.capacity {
+        if self.map.len() >= self.capacity {
             evicted_dirty = self.evict_one();
         }
-        let idx = self.core.alloc(id, mark_dirty);
-        self.core.map.insert(id, idx);
-        self.policy.on_insert(&mut self.core, idx);
+        let idx = self.alloc(id, mark_dirty);
+        self.map.insert(id, idx);
+        self.on_insert(idx);
         Access {
             hit: false,
             evicted_dirty,
@@ -520,10 +391,8 @@ impl BufferPool {
     /// Drop `id` from the cache without write-back (cache invalidation, used
     /// by the memory-disaggregated remote pool coherency protocol).
     pub fn invalidate(&mut self, id: PageId) {
-        if let Some(idx) = self.core.map.remove(&id) {
-            self.policy.on_remove(&mut self.core, idx);
-            self.core.unlink(idx);
-            self.core.free.push(idx);
+        if let Some(idx) = self.map.remove(&id) {
+            self.release(idx);
         }
     }
 
@@ -531,8 +400,8 @@ impl BufferPool {
     /// or clean shutdown; the caller charges the write-back I/O).
     pub fn flush_dirty(&mut self) -> Vec<PageId> {
         let mut flushed: Vec<PageId> = Vec::new();
-        for (&id, &idx) in &self.core.map {
-            let node = &mut self.core.nodes[idx as usize];
+        for (&id, &idx) in &self.map {
+            let node = &mut self.nodes[idx as usize];
             if node.dirty {
                 node.dirty = false;
                 flushed.push(id);
@@ -544,10 +413,9 @@ impl BufferPool {
 
     /// Number of dirty resident pages.
     pub fn dirty_count(&self) -> usize {
-        self.core
-            .map
+        self.map
             .values()
-            .filter(|&&idx| self.core.nodes[idx as usize].dirty)
+            .filter(|&&idx| self.nodes[idx as usize].dirty)
             .count()
     }
 
@@ -557,7 +425,7 @@ impl BufferPool {
     pub fn resize(&mut self, capacity: usize) -> Vec<PageId> {
         self.capacity = capacity.max(1);
         let mut dirty_out = Vec::new();
-        while self.core.map.len() > self.capacity {
+        while self.map.len() > self.capacity {
             if let Some(dirty) = self.evict_one() {
                 dirty_out.push(dirty);
             }
@@ -567,13 +435,13 @@ impl BufferPool {
 
     /// Drop everything (a node restart loses its cache — the cold-cache
     /// penalty after fail-over comes from here). The policy selection
-    /// survives; its sweep state is reset.
+    /// survives; SIEVE's hand is parked.
     pub fn clear(&mut self) {
-        self.core.nodes.clear();
-        self.core.free.clear();
-        self.core.map.clear();
-        self.core.lists = [ListHead::EMPTY; 2];
-        self.policy.reset();
+        self.nodes.clear();
+        self.free.clear();
+        self.map.clear();
+        self.lists = [ListHead::EMPTY; 2];
+        self.reset();
     }
 
     /// Cache hits so far.
@@ -609,28 +477,24 @@ impl BufferPool {
     pub fn check_integrity(&self) {
         let mut seen = 0usize;
         for l in [MAIN, PROTECTED] {
-            let mut cur = self.core.head(l);
+            let mut cur = self.lists[l].head;
             let mut prev = NIL;
             while cur != NIL {
-                let n = &self.core.nodes[cur as usize];
+                let n = &self.nodes[cur as usize];
                 assert_eq!(n.prev, prev, "prev pointer coherent");
                 assert_eq!(n.list as usize, l, "list tag matches");
-                assert_eq!(
-                    self.core.map.get(&n.id),
-                    Some(&cur),
-                    "listed node is mapped"
-                );
+                assert_eq!(self.map.get(&n.id), Some(&cur), "listed node is mapped");
                 seen += 1;
                 prev = cur;
                 cur = n.next;
             }
-            assert_eq!(self.core.tail(l), prev, "tail pointer coherent");
+            assert_eq!(self.lists[l].tail, prev, "tail pointer coherent");
         }
-        assert_eq!(seen, self.core.map.len(), "every resident page listed");
-        assert!(self.core.map.len() <= self.capacity, "capacity respected");
+        assert_eq!(seen, self.map.len(), "every resident page listed");
+        assert!(self.map.len() <= self.capacity, "capacity respected");
         assert_eq!(
-            self.core.free.len() + self.core.map.len(),
-            self.core.nodes.len(),
+            self.free.len() + self.map.len(),
+            self.nodes.len(),
             "free-list accounts for every unmapped slot"
         );
     }
@@ -720,14 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn with_bytes_sizes_in_pages() {
-        let pool = BufferPool::with_bytes(128 * 1024 * 1024);
-        assert_eq!(pool.capacity(), 128 * 1024 * 1024 / PAGE_SIZE);
-        // Tiny pools round up to one page.
-        assert_eq!(BufferPool::with_bytes(100).capacity(), 1);
-    }
-
-    #[test]
     fn working_set_larger_than_pool_thrashes() {
         let mut pool = BufferPool::new(10);
         for round in 0..3 {
@@ -790,19 +646,6 @@ mod tests {
         // Hand now parks on 2's slot side; next eviction takes 2 directly.
         pool.touch(PageId(5), false);
         assert!(!pool.contains(PageId(2)));
-        assert!(pool.contains(PageId(3)));
-        pool.check_integrity();
-    }
-
-    #[test]
-    fn clock_gives_new_pages_a_second_chance() {
-        let mut pool = BufferPool::with_policy(2, EvictionPolicyKind::Clock);
-        pool.touch(PageId(1), false);
-        pool.touch(PageId(2), false);
-        // Both enter with ref=1. The sweep clears 1 then 2, wraps, evicts 1.
-        pool.touch(PageId(3), false);
-        assert!(!pool.contains(PageId(1)));
-        assert!(pool.contains(PageId(2)));
         assert!(pool.contains(PageId(3)));
         pool.check_integrity();
     }

@@ -31,11 +31,6 @@ fn policy_counters(kind: EvictionPolicyKind) -> (&'static str, &'static str, &'s
             "bufpool.miss.sieve",
             "bufpool.dirty_evict.sieve",
         ),
-        EvictionPolicyKind::Clock => (
-            "bufpool.hit.clock",
-            "bufpool.miss.clock",
-            "bufpool.dirty_evict.clock",
-        ),
         EvictionPolicyKind::LruK => (
             "bufpool.hit.lru-k",
             "bufpool.miss.lru-k",
@@ -325,22 +320,6 @@ impl<'a> ExecCtx<'a> {
         }
         self.obs
             .instant(Category::Wal, "gc-ack", self.track, ack.ack_at);
-    }
-
-    /// Charge a background-style write-back of one page (checkpoints).
-    pub fn charge_page_writeback(&mut self) {
-        let at = self.io_now();
-        self.io += self.storage.page_write_cost(at);
-        self.stats.page_writebacks += 1;
-        self.obs.add("bufferpool.writebacks", 1);
-        self.obs
-            .instant(Category::BufferPool, "flush", self.track, at);
-    }
-
-    /// Total simulated latency accumulated so far (CPU demand is reported
-    /// separately because it contends on the node's CPU resource).
-    pub fn total_io(&self) -> SimDuration {
-        self.io
     }
 }
 

@@ -7,7 +7,7 @@
 //! * [`slotted`] — slotted leaf pages.
 //! * [`btree`] — a clustered B+tree over fixed-size pages.
 //! * [`bufferpool`] — per-node page-cache simulator (hits/misses/dirty)
-//!   with pluggable replacement policies (LRU / SIEVE / CLOCK / LRU-K).
+//!   with a selectable replacement policy (LRU / SIEVE / LRU-K).
 //! * [`inline`] — the inline small vector behind write sets and descents.
 //! * [`locks`] — virtual-time 2PL row locks.
 //! * [`mvcc`] — version chains, snapshot visibility, watermark GC, and the
@@ -35,7 +35,7 @@ pub mod sql;
 pub mod value;
 
 pub use btree::{AccessLog, BTree, DuplicateKey, PageSink, Uncharged};
-pub use bufferpool::{Access, BufferPool, EvictionPolicy, EvictionPolicyKind};
+pub use bufferpool::{Access, BufferPool, EvictionPolicyKind};
 pub use db::{Committed, Database, EngineError, TxnHandle, UndoLsns, WriteSet};
 pub use exec::{CostModel, ExecCtx, ExecStats, RemoteTier};
 pub use locks::{LockTable, RowKey};

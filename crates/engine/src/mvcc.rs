@@ -256,11 +256,6 @@ impl VersionStore {
         self.max_chain
     }
 
-    /// Versions currently retained across all chains.
-    pub fn retained_versions(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
-    }
-
     /// The effective GC watermark.
     pub fn watermark(&self) -> SimTime {
         self.watermark
@@ -321,7 +316,7 @@ mod tests {
         assert_eq!(vs.gc(ts(250)), 2);
         assert_eq!(vs.visible((T, 1), ts(250)), Visibility::Image(b"v2"));
         assert_eq!(vs.visible((T, 1), ts(299)), Visibility::Image(b"v2"));
-        assert_eq!(vs.retained_versions(), 1);
+        assert_eq!(vs.chain_len((T, 1)), 1);
         // Watermark at the latest commit: everything collapses.
         assert_eq!(vs.gc(ts(300)), 1);
         assert_eq!(vs.tracked_rows(), 0);

@@ -423,11 +423,6 @@ impl<'a> ProjectedRow<'a> {
     pub fn get(self, i: usize) -> ValueRef<'a> {
         self.row.get(self.column(i))
     }
-
-    /// Every selected column as an owned value, in selection order.
-    pub fn to_values(self) -> Vec<Value> {
-        (0..self.len()).map(|i| self.get(i).to_value()).collect()
-    }
 }
 
 impl fmt::Debug for ProjectedRow<'_> {
@@ -695,10 +690,6 @@ mod tests {
         assert_eq!(out.affected, 1);
         let row = out.row.expect("order 3 exists");
         assert_eq!((row.len(), row.int(0), row.text(1)), (2, 3, "NEW"));
-        assert_eq!(
-            row.to_values(),
-            vec![Value::Int(3), Value::Text("NEW".into())]
-        );
         assert!(
             out.index_rows.is_empty(),
             "a primary-key SELECT owns no rows"

@@ -12,4 +12,4 @@ pub use bind::{
     StmtOutput,
 };
 pub use parser::{parse, Assign, Ast, Expr, ParseError};
-pub use registry::{PreparedStmt, RegistryError, StmtId, StmtRegistry};
+pub use registry::{RegistryError, StmtId, StmtRegistry};

@@ -69,17 +69,9 @@ pub struct StmtId(u32);
 /// Named, prepared statements.
 #[derive(Default)]
 pub struct StmtRegistry {
-    /// Registration order; a [`StmtId`] indexes this.
-    stmts: Vec<PreparedStmt>,
+    /// Bound statements in registration order; a [`StmtId`] indexes this.
+    stmts: Vec<BoundStmt>,
     by_name: HashMap<String, StmtId>,
-}
-
-/// A registered statement: original SQL plus its bound form.
-pub struct PreparedStmt {
-    /// Original SQL text.
-    pub sql: String,
-    /// Bound, executable form.
-    pub stmt: BoundStmt,
 }
 
 impl StmtRegistry {
@@ -102,10 +94,7 @@ impl StmtRegistry {
             error,
         })?;
         let id = StmtId(self.stmts.len() as u32);
-        self.stmts.push(PreparedStmt {
-            sql: sql.to_string(),
-            stmt,
-        });
+        self.stmts.push(stmt);
         self.by_name.insert(name.to_string(), id);
         Ok(())
     }
@@ -156,11 +145,6 @@ impl StmtRegistry {
         self.id(name).map(|id| &self[id])
     }
 
-    /// Fetch the full prepared entry (SQL text + bound form).
-    pub fn get_prepared(&self, name: &str) -> Option<&PreparedStmt> {
-        self.id(name).map(|id| &self.stmts[id.0 as usize])
-    }
-
     /// Registered statement names (sorted, for reports).
     pub fn names(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.by_name.keys().map(String::as_str).collect();
@@ -184,7 +168,7 @@ impl std::ops::Index<StmtId> for StmtRegistry {
 
     /// The statement behind a handle this registry issued.
     fn index(&self, id: StmtId) -> &BoundStmt {
-        &self.stmts[id.0 as usize].stmt
+        &self.stmts[id.0 as usize]
     }
 }
 
@@ -229,10 +213,6 @@ t_pay = "UPDATE orders SET O_STATUS='PAID' WHERE O_ID=?"
         assert_ne!(reg.id("t3_order_status"), reg.id("t_pay"));
         assert_eq!(reg.id("nope"), None);
         assert!(reg.get("nope").is_none());
-        assert_eq!(
-            reg.get_prepared("t_pay").unwrap().sql,
-            "UPDATE orders SET O_STATUS='PAID' WHERE O_ID=?"
-        );
     }
 
     #[test]

@@ -62,14 +62,6 @@ impl Value {
         }
     }
 
-    /// The timestamp inside, panicking otherwise.
-    pub fn expect_timestamp(&self) -> i64 {
-        match self {
-            Value::Timestamp(v) => *v,
-            other => panic!("expected Timestamp, found {other:?}"),
-        }
-    }
-
     /// The same value, borrowed.
     pub fn as_ref(&self) -> ValueRef<'_> {
         match self {

@@ -21,13 +21,6 @@ pub struct CpuSlot {
     pub end: SimTime,
 }
 
-impl CpuSlot {
-    /// Total delay experienced by the caller: queueing + (speed-scaled) service.
-    pub fn delay_from(&self, now: SimTime) -> SimDuration {
-        self.end.saturating_since(now)
-    }
-}
-
 /// A virtual CPU with a dynamic number of (possibly fractional) vCores.
 #[derive(Clone, Debug)]
 pub struct CpuResource {
@@ -139,11 +132,6 @@ impl CpuResource {
         self.vcore_ns += self.vcores * dt.as_nanos() as f64;
         self.last_integrated = self.last_integrated.max(now);
     }
-
-    /// The earliest instant at which any server is free (useful for tests).
-    pub fn earliest_free(&self) -> SimTime {
-        self.servers.iter().copied().min().unwrap_or(SimTime::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +205,6 @@ mod tests {
         }
         cpu.set_vcores(SimTime::from_micros(100), 1.0);
         // The surviving server keeps the deepest backlog.
-        assert!(cpu.earliest_free() >= SimTime::from_millis(2));
         let s = cpu.reserve(SimTime::from_micros(100), MS);
         assert!(s.start >= SimTime::from_millis(2));
     }

@@ -86,19 +86,6 @@ impl Device {
         (start + self.latency).saturating_since(now)
     }
 
-    /// Perform `n` back-to-back accesses; returns delay until the last
-    /// completes. Cheaper than calling [`Device::access`] in a loop.
-    pub fn access_batch(&mut self, now: SimTime, n: u64) -> SimDuration {
-        if n == 0 {
-            return SimDuration::ZERO;
-        }
-        let start = now.max(self.next_slot);
-        let last_start = start + self.min_gap * (n - 1);
-        self.next_slot = last_start + self.min_gap;
-        self.ops += n;
-        (last_start + self.latency).saturating_since(now)
-    }
-
     /// Total operations served.
     pub fn ops(&self) -> u64 {
         self.ops
@@ -180,29 +167,6 @@ mod tests {
             d.access(SimTime::from_millis(10)),
             SimDuration::from_micros(500)
         );
-    }
-
-    #[test]
-    fn batch_access_matches_loop() {
-        let mut a = Device::new(
-            DeviceKind::NetworkSsd,
-            SimDuration::from_micros(500),
-            Some(1000),
-        );
-        let mut b = a.clone();
-        let mut last = SimDuration::ZERO;
-        for _ in 0..5 {
-            last = a.access(SimTime::ZERO);
-        }
-        assert_eq!(b.access_batch(SimTime::ZERO, 5), last);
-        assert_eq!(a.ops(), b.ops());
-    }
-
-    #[test]
-    fn batch_of_zero_is_free() {
-        let mut d = Device::with_defaults(DeviceKind::LocalNvme, None);
-        assert_eq!(d.access_batch(SimTime::ZERO, 0), SimDuration::ZERO);
-        assert_eq!(d.ops(), 0);
     }
 
     #[test]

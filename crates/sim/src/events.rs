@@ -97,14 +97,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.payload))
     }
 
-    /// Pop the next event only if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Number of live events still queued.
     pub fn len(&self) -> usize {
         self.heap
@@ -164,17 +156,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().map(|(_, p)| p), Some("b"));
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), "later");
-        assert!(q.pop_due(SimTime::from_secs(4)).is_none());
-        assert_eq!(
-            q.pop_due(SimTime::from_secs(5)).map(|(_, p)| p),
-            Some("later")
-        );
     }
 
     #[test]

@@ -94,19 +94,6 @@ impl TpsRecorder {
         total as f64 / span.as_secs_f64()
     }
 
-    /// The first slot index (if any) whose rate reaches `rate`, at or after
-    /// slot `from_slot`. Used by the fail-over evaluator to find recovery
-    /// points.
-    pub fn first_slot_at_rate(&self, from_slot: usize, rate: f64) -> Option<usize> {
-        let secs = self.slot.as_secs_f64();
-        self.counts
-            .iter()
-            .enumerate()
-            .skip(from_slot)
-            .find(|(_, c)| **c as f64 / secs >= rate)
-            .map(|(i, _)| i)
-    }
-
     /// Width of one slot.
     pub fn slot(&self) -> SimDuration {
         self.slot
@@ -263,20 +250,6 @@ mod tests {
         assert_eq!(r.rate_series(), vec![10.0, 5.0]);
         let avg = r.avg_rate(SimTime::ZERO, SimTime::from_secs(2));
         assert!((avg - 7.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn first_slot_at_rate_finds_recovery() {
-        let mut r = TpsRecorder::per_second();
-        // second 0 busy, seconds 1-2 dead, second 3 recovers.
-        for _ in 0..100 {
-            r.record(SimTime::from_millis(500));
-        }
-        for _ in 0..90 {
-            r.record(SimTime::from_millis(3500));
-        }
-        assert_eq!(r.first_slot_at_rate(1, 1.0), Some(3));
-        assert_eq!(r.first_slot_at_rate(1, 95.0), None);
     }
 
     #[test]

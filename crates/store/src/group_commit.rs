@@ -106,7 +106,6 @@ pub struct CommitAck {
 /// One open commit batch.
 #[derive(Clone, Copy, Debug)]
 struct OpenBatch {
-    opened_at: SimTime,
     deadline: SimTime,
     completion: SimTime,
     commits: usize,
@@ -179,7 +178,6 @@ impl GroupCommit {
                 self.batches += 1;
                 opened = Some((arrival, completion));
                 self.batch = Some(OpenBatch {
-                    opened_at: arrival,
                     deadline,
                     completion,
                     commits: 1,
@@ -208,11 +206,6 @@ impl GroupCommit {
     /// Virtual time the currently open batch (if any) will flush.
     pub fn open_batch_flush_at(&self) -> Option<SimTime> {
         self.batch.map(|b| b.completion)
-    }
-
-    /// When the open batch was opened (for obs spans and tests).
-    pub fn open_batch_opened_at(&self) -> Option<SimTime> {
-        self.batch.map(|b| b.opened_at)
     }
 
     /// Total commits ever enqueued.

@@ -77,16 +77,6 @@ impl PageBuf {
         self.bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Read a `u32` at byte offset `off`.
-    pub fn get_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().unwrap())
-    }
-
-    /// Write a `u32` at byte offset `off`.
-    pub fn put_u32(&mut self, off: usize, v: u32) {
-        self.bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Read a `u64` at byte offset `off`.
     pub fn get_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
@@ -123,8 +113,6 @@ impl PageBuf {
 pub struct PageStore {
     pages: IntMap<PageId, PageBuf>,
     next_id: u64,
-    allocated: u64,
-    freed: u64,
 }
 
 impl PageStore {
@@ -137,7 +125,6 @@ impl PageStore {
     pub fn allocate(&mut self) -> PageId {
         let id = PageId(self.next_id);
         self.next_id += 1;
-        self.allocated += 1;
         self.pages.insert(id, PageBuf::zeroed());
         id
     }
@@ -146,7 +133,6 @@ impl PageStore {
     pub fn free(&mut self, id: PageId) {
         let removed = self.pages.remove(&id);
         assert!(removed.is_some(), "free of unknown page {id:?}");
-        self.freed += 1;
     }
 
     /// Borrow a page. Panics on unknown id — an engine bug, not user error.
@@ -177,16 +163,6 @@ impl PageStore {
     pub fn size_bytes(&self) -> u64 {
         self.pages.len() as u64 * PAGE_SIZE as u64
     }
-
-    /// Pages ever allocated (for leak diagnostics).
-    pub fn total_allocated(&self) -> u64 {
-        self.allocated
-    }
-
-    /// Pages ever freed.
-    pub fn total_freed(&self) -> u64 {
-        self.freed
-    }
 }
 
 #[cfg(test)]
@@ -197,11 +173,9 @@ mod tests {
     fn scalar_round_trips() {
         let mut p = PageBuf::zeroed();
         p.put_u16(0, 0xBEEF);
-        p.put_u32(10, 0xDEAD_BEEF);
         p.put_u64(100, u64::MAX - 7);
         p.put_i64(200, -12345);
         assert_eq!(p.get_u16(0), 0xBEEF);
-        assert_eq!(p.get_u32(10), 0xDEAD_BEEF);
         assert_eq!(p.get_u64(100), u64::MAX - 7);
         assert_eq!(p.get_i64(200), -12345);
     }
@@ -226,8 +200,6 @@ mod tests {
         s.free(a);
         assert!(!s.contains(a));
         assert_eq!(s.live_pages(), 1);
-        assert_eq!(s.total_allocated(), 2);
-        assert_eq!(s.total_freed(), 1);
     }
 
     #[test]

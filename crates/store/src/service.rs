@@ -155,11 +155,6 @@ impl StorageService {
     pub fn page_latency(&self) -> SimDuration {
         self.page_dev.latency()
     }
-
-    /// One-way network latency to the storage tier (zero when coupled).
-    pub fn network_latency(&self) -> SimDuration {
-        self.net.map_or(SimDuration::ZERO, |n| n.latency())
-    }
 }
 
 #[cfg(test)]

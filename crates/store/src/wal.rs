@@ -217,11 +217,6 @@ impl LogStore {
         }
     }
 
-    /// Records per segment for this store.
-    pub fn segment_capacity(&self) -> usize {
-        self.segment_cap
-    }
-
     /// Number of segments currently held (including the active tail).
     pub fn segment_count(&self) -> usize {
         self.segments.len()

@@ -11,7 +11,7 @@ use cb_cluster::{
     quorum_ack_latency, FailoverModel, FixedCapacity, GradualDownScaler, MeterConfig,
     OnDemandScaler, QuantScaler, RecoveryKind, ReplayPolicy, ReplicationStream, ScalingPolicy,
 };
-use cb_engine::{CostModel, EvictionPolicyKind, IsolationLevel};
+use cb_engine::{CostModel, IsolationLevel};
 use cb_sim::{Device, DeviceKind, NetworkLink, SimDuration};
 use cb_store::{DurabilityAck, GroupCommit, GroupCommitConfig, StorageArch, StorageService};
 
@@ -124,14 +124,11 @@ pub struct SutProfile {
     /// [`IsolationLevel::ReadCommitted`]; runs opt into SI/SER via
     /// `RunOptions::isolation`.
     pub default_isolation: IsolationLevel,
-    /// Default buffer-pool eviction policy. Every modeled vendor ships an
-    /// LRU-approximating replacement scheme (PostgreSQL clocks, InnoDB
-    /// midpoint LRU, SQL Server LRU-K2 — all of which the seed pool's exact
-    /// LRU stood in for), so all five profiles default to
-    /// [`EvictionPolicyKind::Lru`]; runs opt into SIEVE / CLOCK / LRU-K via
-    /// `RunOptions::eviction`.
-    pub default_eviction: EvictionPolicyKind,
-
+    // No per-profile eviction policy: every modeled vendor ships an
+    // LRU-approximating replacement scheme (PostgreSQL clocks, InnoDB
+    // midpoint LRU, SQL Server LRU-K2 — all of which the pool's exact LRU
+    // stands in for), so all five run `EvictionPolicyKind::default()` (LRU);
+    // runs opt into SIEVE / LRU-K via `RunOptions::eviction`.
     /// Vendor-style pricing for the starred metrics.
     pub actual_pricing: ActualPricing,
 }
@@ -211,7 +208,6 @@ impl SutProfile {
             scale_disruption: SimDuration::ZERO,
             checkpoint_interval: Some(SimDuration::from_secs(30)),
             default_isolation: IsolationLevel::ReadCommitted,
-            default_eviction: EvictionPolicyKind::Lru,
             actual_pricing: ActualPricing {
                 vcore_hour: 0.30,
                 mem_gb_hour: 0.020,
@@ -287,7 +283,6 @@ impl SutProfile {
             scale_disruption: SimDuration::from_secs(25),
             checkpoint_interval: None,
             default_isolation: IsolationLevel::ReadCommitted,
-            default_eviction: EvictionPolicyKind::Lru,
             actual_pricing: ActualPricing {
                 vcore_hour: 0.28,
                 mem_gb_hour: 0.018,
@@ -362,7 +357,6 @@ impl SutProfile {
             scale_disruption: SimDuration::ZERO,
             checkpoint_interval: None,
             default_isolation: IsolationLevel::ReadCommitted,
-            default_eviction: EvictionPolicyKind::Lru,
             actual_pricing: ActualPricing {
                 vcore_hour: 0.42,
                 mem_gb_hour: 0.020,
@@ -440,7 +434,6 @@ impl SutProfile {
             scale_disruption: SimDuration::ZERO,
             checkpoint_interval: None,
             default_isolation: IsolationLevel::ReadCommitted,
-            default_eviction: EvictionPolicyKind::Lru,
             actual_pricing: ActualPricing {
                 vcore_hour: 0.16, // startup pricing, ~3x cheaper CPU
                 mem_gb_hour: 0.008,
@@ -510,7 +503,6 @@ impl SutProfile {
             scale_disruption: SimDuration::ZERO,
             checkpoint_interval: Some(SimDuration::from_secs(60)),
             default_isolation: IsolationLevel::ReadCommitted,
-            default_eviction: EvictionPolicyKind::Lru,
             actual_pricing: ActualPricing {
                 vcore_hour: 0.35,
                 mem_gb_hour: 0.025,
