@@ -10,7 +10,7 @@
 //! while letting the full experiment grid run in seconds.
 
 use cb_engine::sql::{StmtId, StmtRegistry};
-use cb_engine::{ColumnDef, DataType, Database, Row, Schema, Value};
+use cb_engine::{ColumnDef, DataType, Database, Schema, Value};
 use cb_sim::DetRng;
 use cb_store::TableId;
 
@@ -107,6 +107,10 @@ pub fn create_tables(db: &mut Database) -> SalesTables {
 pub const STATUSES: [&str; 3] = ["NEW", "PAID", "SHIPPED"];
 
 /// Generate and bulk-load the dataset. Deterministic for a given seed.
+///
+/// Rows stream into the loader as fixed-size arrays, so generating an
+/// orderline allocates nothing and a customer or order only its one text
+/// value.
 pub fn load_dataset(
     db: &mut Database,
     tables: SalesTables,
@@ -117,12 +121,12 @@ pub fn load_dataset(
     db.load_bulk(
         tables.customer,
         (1..=shape.customers as i64).map(|c_id| {
-            Row::new(vec![
+            [
                 Value::Int(c_id),
                 Value::Text(format!("Customer#{c_id:09}")),
                 Value::Int(1_000 + (c_id % 9_000)), // opening credit in cents
                 Value::Timestamp(0),
-            ])
+            ]
         }),
     );
     // Orders and orderlines stream into the loader too: each generator
@@ -133,27 +137,27 @@ pub fn load_dataset(
         (1..=shape.orders as i64).map(|o_id| {
             let c_id = rng.range_inclusive(1, shape.customers as i64);
             let status = STATUSES[rng.below(STATUSES.len() as u64) as usize];
-            Row::new(vec![
+            [
                 Value::Int(o_id),
                 Value::Int(c_id),
                 Value::Text(status.to_string()),
                 Value::Int(rng.range_inclusive(100, 100_000)),
                 Value::Timestamp(o_id * 1_000),
                 Value::Timestamp(o_id * 1_000),
-            ])
+            ]
         }),
     );
     db.load_bulk(
         tables.orderline,
         (1..=shape.orderlines as i64).map(|ol_id| {
             let o_id = rng.range_inclusive(1, shape.orders as i64);
-            Row::new(vec![
+            [
                 Value::Int(ol_id),
                 Value::Int(o_id),
                 Value::Int(rng.range_inclusive(1, 100_000)),
                 Value::Int(rng.range_inclusive(1, 10)),
                 Value::Int(rng.range_inclusive(100, 50_000)),
-            ])
+            ]
         }),
     );
     shape
@@ -213,6 +217,7 @@ impl SalesStmts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cb_engine::Row;
 
     #[test]
     fn shapes_scale_linearly() {
@@ -302,6 +307,52 @@ mod tests {
                 Value::Int(9),
                 Value::Int(11_797),
             ]))
+        );
+    }
+
+    /// `(live_pages, digest)` of the loaded dataset: FNV-1a-64 over every
+    /// page's 1024 little-endian `u64` words, pages in id order.
+    fn page_digest(shape: DatasetShape, seed: u64) -> (usize, u64) {
+        let mut db = Database::new();
+        let tables = create_tables(&mut db);
+        load_dataset(&mut db, tables, shape, seed);
+        let pages = db.pages();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut seen = 0;
+        let mut id = 0u64;
+        while seen < pages.live_pages() {
+            let page = cb_store::PageId(id);
+            id += 1;
+            if !pages.contains(page) {
+                continue;
+            }
+            seen += 1;
+            for word in pages.read(page).as_bytes().chunks_exact(8) {
+                let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        (seen, h)
+    }
+
+    /// Every page image the loader writes — ids, fill, separators, sibling
+    /// links — pinned at two shapes, so a loader change that moves one byte
+    /// (and with it which rows share a page, hence every pool hit ratio)
+    /// fails here.
+    #[test]
+    fn loaded_page_images_are_pinned() {
+        assert_eq!(
+            page_digest(DatasetShape::new(1, 3000), 2025),
+            (17, 0x976f_9286_c14c_6747)
+        );
+    }
+
+    /// The 3.6 M-row shape: inner-node splits and a three-level tree.
+    #[test]
+    fn loaded_page_images_are_pinned_at_sf10() {
+        assert_eq!(
+            page_digest(DatasetShape::new(10, 10), 2025),
+            (52_450, 0xb20b_7fec_8473_6815)
         );
     }
 

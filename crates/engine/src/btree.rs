@@ -71,6 +71,22 @@ fn init_leaf(page: &mut PageBuf) {
     Slotted::init(page, ENTRIES_BASE);
 }
 
+/// Add `key -> payload` to a leaf: an append when `key` is above every key
+/// present (no search, no slot shift), search and insert otherwise.
+/// `Ok(false)` when the leaf has no room.
+fn leaf_add(page: &mut PageBuf, key: i64, payload: &[u8]) -> Result<bool, DuplicateKey> {
+    let mut s = Slotted::new(page, ENTRIES_BASE);
+    let n = s.len();
+    let placed = if n == 0 || s.key_at(n - 1) < key {
+        s.append(key, payload)
+    } else if s.find(key).is_ok() {
+        return Err(DuplicateKey(key));
+    } else {
+        s.insert(key, payload)
+    };
+    Ok(placed.is_ok())
+}
+
 fn leaf_next(page: &PageBuf) -> PageId {
     PageId(page.get_u64(OFF_NEXT_LEAF))
 }
@@ -276,29 +292,32 @@ impl BTree {
         log: &mut impl PageSink,
     ) -> Result<(), DuplicateKey> {
         let d = self.descend(store, key, log);
-        {
-            let page = store.write(d.leaf);
-            let mut s = Slotted::new(page, ENTRIES_BASE);
-            if s.find(key).is_ok() {
-                return Err(DuplicateKey(key));
-            }
-            if let Ok(()) = s.insert(key, payload) {
-                log.touch(d.leaf, true);
-                return Ok(());
-            }
+        if leaf_add(store.write(d.leaf), key, payload)? {
+            log.touch(d.leaf, true);
+        } else {
+            self.split_insert(store, &d, key, payload, log);
         }
-        // Split the leaf and retry on the correct side.
+        Ok(())
+    }
+
+    /// Split the full leaf `d.leaf`, place `key -> payload` in the half it
+    /// belongs to and post the separator up `d.path`. Returns the leaf the
+    /// record landed in and the separator.
+    fn split_insert(
+        &mut self,
+        store: &mut PageStore,
+        d: &Descent,
+        key: i64,
+        payload: &[u8],
+        log: &mut impl PageSink,
+    ) -> (PageId, i64) {
         let (sep, right_id) = self.split_leaf(store, d.leaf, log);
         let target = if key < sep { d.leaf } else { right_id };
-        {
-            let page = store.write(target);
-            let mut s = Slotted::new(page, ENTRIES_BASE);
-            s.insert(key, payload)
-                .expect("post-split leaf has room for one record");
-            log.touch(target, true);
-        }
+        let placed = leaf_add(store.write(target), key, payload);
+        assert_eq!(placed, Ok(true), "post-split leaf has room for one record");
+        log.touch(target, true);
         self.propagate_split(store, &d.path, sep, right_id, log);
-        Ok(())
+        (target, sep)
     }
 
     /// Like [`descend`](Self::descend), but also computes the exclusive key
@@ -343,12 +362,7 @@ impl BTree {
         log: &mut impl PageSink,
     ) -> Result<(), DuplicateKey> {
         if let Some(leaf) = cur.hits(key) {
-            let page = store.write(leaf);
-            let mut s = Slotted::new(page, ENTRIES_BASE);
-            if s.find(key).is_ok() {
-                return Err(DuplicateKey(key));
-            }
-            if s.insert(key, payload).is_ok() {
+            if leaf_add(store.write(leaf), key, payload)? {
                 log.touch(leaf, true);
                 cur.cached.as_mut().expect("cursor hit").last_key = key;
                 return Ok(());
@@ -357,39 +371,16 @@ impl BTree {
             cur.invalidate();
         }
         let (d, upper) = self.descend_bounded(store, key, log);
-        {
-            let page = store.write(d.leaf);
-            let mut s = Slotted::new(page, ENTRIES_BASE);
-            if s.find(key).is_ok() {
-                return Err(DuplicateKey(key));
-            }
-            if let Ok(()) = s.insert(key, payload) {
-                log.touch(d.leaf, true);
-                cur.cached = Some(IngestLeaf {
-                    leaf: d.leaf,
-                    upper,
-                    last_key: key,
-                });
-                return Ok(());
-            }
-        }
-        let (sep, right_id) = self.split_leaf(store, d.leaf, log);
-        let (target, target_upper) = if key < sep {
-            (d.leaf, Some(sep))
+        let (leaf, upper) = if leaf_add(store.write(d.leaf), key, payload)? {
+            log.touch(d.leaf, true);
+            (d.leaf, upper)
         } else {
-            (right_id, upper)
+            let (leaf, sep) = self.split_insert(store, &d, key, payload, log);
+            (leaf, if leaf == d.leaf { Some(sep) } else { upper })
         };
-        {
-            let page = store.write(target);
-            let mut s = Slotted::new(page, ENTRIES_BASE);
-            s.insert(key, payload)
-                .expect("post-split leaf has room for one record");
-            log.touch(target, true);
-        }
-        self.propagate_split(store, &d.path, sep, right_id, log);
         cur.cached = Some(IngestLeaf {
-            leaf: target,
-            upper: target_upper,
+            leaf,
+            upper,
             last_key: key,
         });
         Ok(())
@@ -544,20 +535,15 @@ impl BTree {
         leaf: PageId,
         log: &mut impl PageSink,
     ) -> (i64, PageId) {
+        // The right sibling is built in place in its freshly allocated page:
+        // no staging page, no second zeroed 8 KB.
         let right_id = store.allocate();
-        // The new right sibling is built locally, so the left page can be
-        // split in place — no scratch copy of the 8 KB page.
-        let mut right_page = PageBuf::zeroed();
-        init_leaf(&mut right_page);
-        let left_page = store.write(leaf);
-        let sep = {
-            let mut left_s = Slotted::new(&mut *left_page, ENTRIES_BASE);
-            let mut right_s = Slotted::new(&mut right_page, ENTRIES_BASE);
-            left_s.split_into(&mut right_s)
-        };
-        set_leaf_next(&mut right_page, leaf_next(left_page));
+        let (left_page, right_page) = store.write_pair(leaf, right_id);
+        init_leaf(right_page);
+        let sep = Slotted::new(&mut *left_page, ENTRIES_BASE)
+            .split_into(&mut Slotted::new(&mut *right_page, ENTRIES_BASE));
+        set_leaf_next(right_page, leaf_next(left_page));
         set_leaf_next(left_page, right_id);
-        *store.write(right_id) = right_page;
         log.touch(leaf, true);
         log.touch(right_id, true);
         (sep, right_id)
@@ -580,24 +566,19 @@ impl BTree {
                 log.touch(node, true);
                 return;
             }
-            // Split the internal node: middle key moves up.
-            let (mid_key, new_right) = {
-                let left = store.read(node).clone();
-                let n = internal_nkeys(&left);
-                let mid = n / 2;
-                let mid_key = internal_key(&left, mid);
-                let new_right_id = store.allocate();
-                let mut right_page = PageBuf::zeroed();
-                init_internal(&mut right_page, internal_child(&left, mid + 1));
-                for i in mid + 1..n {
-                    let k = internal_key(&left, i);
-                    let c = internal_child(&left, i + 1);
-                    let nk = internal_nkeys(&right_page);
-                    internal_insert_at(&mut right_page, nk, k, c);
-                }
-                *store.write(new_right_id) = right_page;
-                store.write(node).put_u16(OFF_NKEYS, mid as u16);
-                (mid_key, new_right_id)
+            // Split the internal node: middle key moves up, the entries
+            // after it move as one block into a fresh right sibling.
+            let new_right = store.allocate();
+            let mid_key = {
+                let (left, right_page) = store.write_pair(node, new_right);
+                let mid = nkeys / 2;
+                init_internal(right_page, internal_child(left, mid + 1));
+                let moved =
+                    ENTRIES_BASE + (mid + 1) * ENTRY_BYTES..ENTRIES_BASE + nkeys * ENTRY_BYTES;
+                right_page.put_slice(ENTRIES_BASE, &left.as_bytes()[moved]);
+                right_page.put_u16(OFF_NKEYS, (nkeys - mid - 1) as u16);
+                left.put_u16(OFF_NKEYS, mid as u16);
+                internal_key(left, mid)
             };
             // Insert the pending separator into the proper half.
             let (target, tgt_idx) = if sep < mid_key {
@@ -812,6 +793,15 @@ mod tests {
             let (ss, st) = build_sorted(keys.iter().copied());
             assert_eq!(dump(&ps, &pt), dump(&ss, &st));
             assert_eq!(pt.height(&ps), st.height(&ss));
+            // Same bytes, not only the same rows: every page image, in id
+            // order, and the same page count.
+            assert_eq!(ps.live_pages(), ss.live_pages());
+            for id in (0..ps.live_pages() as u64).map(PageId) {
+                assert!(
+                    ps.read(id).as_bytes()[..] == ss.read(id).as_bytes()[..],
+                    "page {id:?} differs"
+                );
+            }
         }
     }
 

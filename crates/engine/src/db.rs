@@ -16,14 +16,14 @@
 use cb_sim::SimTime;
 use cb_store::{LogStore, Lsn, PageStore, StorageService, TableId, TxnId, WalOp};
 
-use crate::btree::{BTree, PageSink, Uncharged};
+use crate::btree::{BTree, BatchIngest, PageSink, Uncharged};
 use crate::bufferpool::BufferPool;
 use crate::exec::ExecCtx;
 use crate::inline::InlineVec;
 use crate::locks::{LockTable, RowKey};
 use crate::mvcc::{VersionStore, Visibility};
 use crate::secondary::SecondaryIndex;
-use crate::value::{Row, RowRef, Schema, SchemaError, Value};
+use crate::value::{encode_values_into, Row, RowRef, Schema, SchemaError, Value};
 
 /// Engine-level errors surfaced to the benchmark driver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -405,30 +405,52 @@ impl Database {
 
     /// Bulk-load rows without WAL or cost accounting (initial data
     /// generation — the paper's "data generator" phase is not measured).
-    pub fn load_bulk(&mut self, table: TableId, rows: impl IntoIterator<Item = Row>) -> u64 {
-        let mut n = 0u64;
+    /// A row is anything that lends its values as a slice: a [`Row`], or an
+    /// array a generator fills without a heap `Vec`.
+    pub fn load_bulk<R: AsRef<[Value]>>(
+        &mut self,
+        table: TableId,
+        rows: impl IntoIterator<Item = R>,
+    ) -> u64 {
         // One scratch image buffer for the whole load: dataset generation
         // encodes millions of rows, and this loop is its only allocation-free
         // path (Value::encode_into appends; no per-row Vec). The ingest
         // cursor makes the (typically ascending-key) generated stream skip
         // the per-row root-to-leaf descent.
         let mut image = Vec::new();
-        let mut cur = crate::btree::BatchIngest::new();
+        let mut cur = BatchIngest::new();
+        let mut n = 0u64;
         for row in rows {
-            let t = &mut self.tables[table.0 as usize];
-            t.schema.validate(&row).expect("bulk rows must fit schema");
-            let key = row.key();
-            image.clear();
-            row.encode_into(&mut image);
-            t.tree
-                .insert_sorted(&mut self.pages, &mut cur, key, &image, &mut Uncharged)
-                .expect("bulk load keys must be unique");
-            Self::index_add(&mut self.pages, t, RowRef::new(&image), key, &mut Uncharged);
-            t.rows += 1;
-            t.auto_key = t.auto_key.max(key + 1);
+            self.load_row(table, row.as_ref(), &mut image, &mut cur);
             n += 1;
         }
         n
+    }
+
+    /// One row of [`load_bulk`](Self::load_bulk): check, encode, append,
+    /// count. Not generic, so it is compiled once, here, whatever the
+    /// caller's rows are; only the loop above is instantiated in the
+    /// calling crate, and load speed does not hang on where that lands.
+    fn load_row(
+        &mut self,
+        table: TableId,
+        values: &[Value],
+        image: &mut Vec<u8>,
+        cur: &mut BatchIngest,
+    ) {
+        let t = &mut self.tables[table.0 as usize];
+        t.schema
+            .validate_values(values)
+            .expect("bulk rows must fit schema");
+        let key = values[0].expect_int();
+        image.clear();
+        encode_values_into(values, image);
+        t.tree
+            .insert_sorted(&mut self.pages, cur, key, image, &mut Uncharged)
+            .expect("bulk load keys must be unique");
+        Self::index_add(&mut self.pages, t, RowRef::new(image), key, &mut Uncharged);
+        t.rows += 1;
+        t.auto_key = t.auto_key.max(key + 1);
     }
 
     /// Insert `row` with an explicit key (column 0).

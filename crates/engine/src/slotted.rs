@@ -14,6 +14,8 @@
 //! mutable view (insert/remove/update/split/compact) and delegates all of
 //! its reads to an internal `SlottedRef`.
 
+use std::ops::Range;
+
 use cb_store::{PageBuf, PAGE_SIZE};
 
 /// Largest payload a record may carry. Keeps worst-case fan-out sane.
@@ -129,6 +131,30 @@ impl<'a> SlottedRef<'a> {
         self.free_ptr().saturating_sub(dir_end)
     }
 
+    /// `(offset, length)` of the payload of record `idx`.
+    fn slot_payload(&self, idx: usize) -> (usize, usize) {
+        let s = self.slot_off(idx);
+        (
+            self.page.get_u16(s + 8) as usize,
+            self.page.get_u16(s + 10) as usize,
+        )
+    }
+
+    /// The byte range holding the payloads of records `mid..len`, if each
+    /// of them ends exactly where the one before it begins.
+    fn upper_block(&self, mid: usize) -> Option<Range<usize>> {
+        let (top_off, top_len) = self.slot_payload(mid);
+        let mut bottom = top_off;
+        for i in mid + 1..self.len() {
+            let (off, len) = self.slot_payload(i);
+            if off + len != bottom {
+                return None;
+            }
+            bottom = off;
+        }
+        Some(bottom..top_off + top_len)
+    }
+
     /// Free bytes recoverable by compaction.
     pub fn total_free(&self) -> usize {
         self.contiguous_free() + self.garbage()
@@ -221,11 +247,26 @@ impl<'a> Slotted<'a> {
     /// compaction. Panics if `key` already exists (callers check first) or
     /// the payload exceeds [`MAX_PAYLOAD`].
     pub fn insert(&mut self, key: i64, payload: &[u8]) -> Result<(), PageFull> {
-        assert!(payload.len() <= MAX_PAYLOAD, "payload too large");
-        let pos = match self.find(key) {
+        match self.find(key) {
             Ok(_) => panic!("duplicate key {key} in slotted insert"),
-            Err(pos) => pos,
-        };
+            Err(pos) => self.insert_at(pos, key, payload),
+        }
+    }
+
+    /// Append a record whose key is above every key present: the bytes
+    /// [`insert`](Self::insert) writes for such a key, without its search.
+    /// Panics if `key` is not above the last key (slots must stay sorted).
+    pub fn append(&mut self, key: i64, payload: &[u8]) -> Result<(), PageFull> {
+        let n = self.len();
+        assert!(
+            n == 0 || self.key_at(n - 1) < key,
+            "append of key {key} at or below the last key"
+        );
+        self.insert_at(n, key, payload)
+    }
+
+    fn insert_at(&mut self, pos: usize, key: i64, payload: &[u8]) -> Result<(), PageFull> {
+        assert!(payload.len() <= MAX_PAYLOAD, "payload too large");
         let need = SLOT_BYTES + payload.len();
         if self.total_free() < need {
             return Err(PageFull);
@@ -238,11 +279,13 @@ impl<'a> Slotted<'a> {
         let off = self.free_ptr() - payload.len();
         self.page.put_slice(off, payload);
         self.set_free_ptr(off as u16);
-        // Shift slots [pos..) right by one.
+        // Shift slots [pos..) right by one (nothing to shift for an append).
         let n = self.len();
         let src = self.slot_off(pos);
-        let bytes = self.page.as_bytes_mut();
-        bytes.copy_within(src..src + (n - pos) * SLOT_BYTES, src + SLOT_BYTES);
+        if pos < n {
+            let bytes = self.page.as_bytes_mut();
+            bytes.copy_within(src..src + (n - pos) * SLOT_BYTES, src + SLOT_BYTES);
+        }
         // Write the new slot.
         self.page.put_i64(src, key);
         self.page.put_u16(src + 8, off as u16);
@@ -292,25 +335,75 @@ impl<'a> Slotted<'a> {
     /// slotted region). Returns the first key now living in `dst`.
     ///
     /// Payloads are copied page-to-page directly; nothing is staged in a
-    /// heap buffer.
+    /// heap buffer. When the upper half's payloads lie back to back in slot
+    /// order — always so on a page filled by [`append`](Self::append) — they
+    /// move as one payload block plus one slot-directory block; otherwise
+    /// record by record. Both write the same bytes.
     pub fn split_into(&mut self, dst: &mut Slotted<'_>) -> i64 {
+        self.split(dst, true)
+    }
+
+    /// [`split_into`](Self::split_into); `allow_block: false` forces the
+    /// record-by-record path, the reference the block path is tested
+    /// against.
+    fn split(&mut self, dst: &mut Slotted<'_>, allow_block: bool) -> i64 {
         let n = self.len();
         assert!(n >= 2, "cannot split a page with < 2 records");
         assert!(dst.is_empty(), "split destination must be empty");
         let mid = n / 2;
-        for i in mid..n {
-            let key = self.key_at(i);
-            dst.insert(key, self.as_read().payload_at(i))
-                .expect("fresh page cannot be full");
-        }
+        // Inserting record by record never compacts `dst` when everything
+        // fits its contiguous space; only then do the two paths agree.
+        let dead = match self.as_read().upper_block(mid) {
+            Some(block)
+                if allow_block && dst.contiguous_free() >= block.len() + (n - mid) * SLOT_BYTES =>
+            {
+                self.move_block(mid, block, dst)
+            }
+            _ => self.move_records(mid, dst),
+        };
         // Truncate: account dead payload bytes, then drop the slots.
-        let mut dead = 0usize;
-        for i in mid..n {
-            dead += self.page.get_u16(self.slot_off(i) + 10) as usize;
-        }
         self.set_garbage(self.garbage() + dead);
         self.set_nslots(mid);
         dst.key_at(0)
+    }
+
+    /// Records `mid..len` into `dst`, one insert each; returns their
+    /// payload bytes.
+    fn move_records(&self, mid: usize, dst: &mut Slotted<'_>) -> usize {
+        let mut moved = 0;
+        for i in mid..self.len() {
+            let payload = self.as_read().payload_at(i);
+            moved += payload.len();
+            dst.insert(self.key_at(i), payload)
+                .expect("fresh page cannot be full");
+        }
+        moved
+    }
+
+    /// Records `mid..len`, whose payloads fill `block`, into `dst` as two
+    /// copies — the payload block below `dst`'s free pointer, the slot
+    /// directory at its head — with offsets rebased; returns the payload
+    /// bytes. The result is what [`move_records`](Self::move_records)
+    /// writes: inserting ascending keys stacks their payloads downward in
+    /// slot order, which is the order `block` already holds them in.
+    fn move_block(&self, mid: usize, block: Range<usize>, dst: &mut Slotted<'_>) -> usize {
+        let n = self.len() - mid;
+        let top = dst.free_ptr();
+        let bottom = top - block.len();
+        let src = self.page.as_bytes();
+        let dst_dir = dst.slot_off(0);
+        let bytes = dst.page.as_bytes_mut();
+        bytes[bottom..top].copy_from_slice(&src[block.clone()]);
+        bytes[dst_dir..dst_dir + n * SLOT_BYTES]
+            .copy_from_slice(&src[self.slot_off(mid)..self.slot_off(mid + n)]);
+        for j in 0..n {
+            let off = dst.slot_off(j) + 8;
+            let old = dst.page.get_u16(off) as usize;
+            dst.page.put_u16(off, (old + top - block.end) as u16);
+        }
+        dst.set_free_ptr(bottom as u16);
+        dst.set_nslots(n);
+        block.len()
     }
 
     /// Rewrite payloads contiguously, reclaiming garbage — in place.
@@ -349,6 +442,7 @@ impl<'a> Slotted<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fresh() -> PageBuf {
         PageBuf::zeroed()
@@ -513,6 +607,132 @@ mod tests {
         assert_eq!(left.key_at(4), 4);
         assert_eq!(right.key_at(0), 5);
         assert_eq!(right.payload_at(0), b"v5");
+    }
+
+    /// A payload of `len` bytes that differs per key.
+    fn body(key: i64, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (key as usize * 31 + i) as u8).collect()
+    }
+
+    /// Fill a page by appending ascending keys with these payload lengths
+    /// until one does not fit; returns the keys placed.
+    fn fill_by_appends(page: &mut PageBuf, lens: &[usize]) -> usize {
+        let mut s = Slotted::init(page, 16);
+        for (k, &len) in lens.iter().enumerate() {
+            if s.append(k as i64 * 3, &body(k as i64, len)).is_err() {
+                return k;
+            }
+        }
+        lens.len()
+    }
+
+    /// Split `src` both ways, on copies; returns the two `(left, right)`
+    /// page pairs and the separators.
+    fn split_both_ways(src: &PageBuf) -> [(PageBuf, PageBuf, i64); 2] {
+        [true, false].map(|block| {
+            let mut left = src.clone();
+            let mut right = fresh();
+            let mut r = Slotted::init(&mut right, 16);
+            let sep = Slotted::new(&mut left, 16).split(&mut r, block);
+            (left, right, sep)
+        })
+    }
+
+    fn same_bytes(a: &PageBuf, b: &PageBuf) -> bool {
+        a.as_bytes()[..] == b.as_bytes()[..]
+    }
+
+    proptest! {
+        /// `append` of a key above every key present writes what `insert`
+        /// writes, byte for byte — including the page-full verdict and a
+        /// compaction forced by the garbage deletes leave behind.
+        #[test]
+        fn append_writes_the_bytes_insert_writes(
+            lens in prop::collection::vec(0usize..300, 1..120),
+            remove_every in 2usize..12,
+        ) {
+            let (mut a, mut b) = (fresh(), fresh());
+            let mut sa = Slotted::init(&mut a, 16);
+            let mut sb = Slotted::init(&mut b, 16);
+            for (k, &len) in lens.iter().enumerate() {
+                let (key, payload) = (k as i64 * 2 + 1, body(k as i64, len));
+                prop_assert_eq!(sa.insert(key, &payload), sb.append(key, &payload));
+                if k % remove_every == 0 && sa.len() > 1 {
+                    let victim = k * 7 % sa.len();
+                    sa.remove(victim);
+                    sb.remove(victim);
+                }
+            }
+            prop_assert!(same_bytes(&a, &b));
+        }
+
+        /// On an append-built page the block split and the per-record split
+        /// write identical bytes into both halves.
+        #[test]
+        fn block_split_equals_record_split(lens in prop::collection::vec(0usize..MAX_PAYLOAD, 2..200)) {
+            let mut page = fresh();
+            if fill_by_appends(&mut page, &lens) >= 2 {
+                let s = SlottedRef::new(&page, 16);
+                prop_assert!(s.upper_block(s.len() / 2).is_some());
+                let [(l1, r1, s1), (l2, r2, s2)] = split_both_ways(&page);
+                prop_assert!(same_bytes(&l1, &l2) && same_bytes(&r1, &r2));
+                prop_assert_eq!(s1, s2);
+            }
+        }
+
+        /// After deletes, resizing updates and compaction the payloads are
+        /// no longer stacked in slot order; the split still writes what
+        /// the per-record split does and keeps every record.
+        #[test]
+        fn scrambled_page_split_equals_record_split(
+            lens in prop::collection::vec(1usize..200, 8..80),
+            edits in prop::collection::vec((0usize..80, 0usize..250, 0u8..3), 1..20),
+        ) {
+            let mut page = fresh();
+            let placed = fill_by_appends(&mut page, &lens);
+            let mut s = Slotted::new(&mut page, 16);
+            for (i, len, op) in edits {
+                if s.len() <= 2 || i >= s.len() {
+                    continue;
+                }
+                match op {
+                    0 => s.remove(i),
+                    1 => {
+                        let key = s.key_at(i);
+                        let _ = s.update(i, &body(key + 1, len));
+                    }
+                    _ => s.compact(),
+                }
+            }
+            prop_assert!(placed >= 2);
+            let want: Vec<(i64, Vec<u8>)> =
+                (0..s.len()).map(|i| (s.key_at(i), s.payload_at(i).to_vec())).collect();
+            let [(l1, r1, s1), (l2, r2, s2)] = split_both_ways(&page);
+            prop_assert!(same_bytes(&l1, &l2) && same_bytes(&r1, &r2));
+            prop_assert_eq!(s1, s2);
+            let (l, r) = (SlottedRef::new(&l1, 16), SlottedRef::new(&r1, 16));
+            let got: Vec<(i64, Vec<u8>)> = (0..l.len())
+                .map(|i| (l.key_at(i), l.payload_at(i).to_vec()))
+                .chain((0..r.len()).map(|i| (r.key_at(i), r.payload_at(i).to_vec())))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn split_falls_back_when_payloads_are_out_of_slot_order() {
+        let mut page = fresh();
+        let mut s = Slotted::init(&mut page, 16);
+        for k in 0..10 {
+            s.append(k, &body(k, 20)).unwrap();
+        }
+        // A resized record moves to the bottom of the heap: slot 7's
+        // payload no longer sits between slots 6 and 8.
+        s.update(7, &body(70, 33)).unwrap();
+        assert!(s.as_read().upper_block(5).is_none());
+        let [(l1, r1, _), (l2, r2, _)] = split_both_ways(&page);
+        assert!(same_bytes(&l1, &l2) && same_bytes(&r1, &r2));
+        assert_eq!(SlottedRef::new(&r1, 16).payload_at(2), body(70, 33));
     }
 
     #[test]

@@ -225,13 +225,19 @@ impl Schema {
 
     /// Check that `row` conforms to this schema.
     pub fn validate(&self, row: &Row) -> Result<(), SchemaError> {
-        if row.values.len() != self.columns.len() {
+        self.validate_values(&row.values)
+    }
+
+    /// [`Schema::validate`] for a row's values held anywhere — a bulk load
+    /// streams them as arrays, not as [`Row`]s.
+    pub(crate) fn validate_values(&self, values: &[Value]) -> Result<(), SchemaError> {
+        if values.len() != self.columns.len() {
             return Err(SchemaError::Arity {
                 expected: self.columns.len(),
-                found: row.values.len(),
+                found: values.len(),
             });
         }
-        for (i, (v, c)) in row.values.iter().zip(&self.columns).enumerate() {
+        for (i, (v, c)) in values.iter().zip(&self.columns).enumerate() {
             c.check(i, v.data_type())?;
         }
         Ok(())
@@ -315,16 +321,28 @@ impl Row {
     /// Append the serialized image to `out`; callers reuse one scratch
     /// buffer across rows and clear it between encodes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.values.len() as u8);
-        for v in &self.values {
-            v.encode_into(out);
-        }
+        encode_values_into(&self.values, out);
     }
 
     /// Decode an image produced by [`Row::encode`] into an owned row: the
     /// full walk of [`RowRef::to_row`], with its panics on corruption.
     pub fn decode(bytes: &[u8]) -> Row {
         RowRef::new(bytes).to_row()
+    }
+}
+
+impl AsRef<[Value]> for Row {
+    fn as_ref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
+/// Append the image of a row with these values to `out` — the layout
+/// [`Row::encode_into`] writes, for values held anywhere.
+pub(crate) fn encode_values_into(values: &[Value], out: &mut Vec<u8>) {
+    out.push(values.len() as u8);
+    for v in values {
+        v.encode_into(out);
     }
 }
 

@@ -13,7 +13,7 @@
 //! * [`codec`] — framed, checksummed on-wire WAL serialization (what log
 //!   shipping actually moves; detects torn tails and corruption).
 //! * [`hash`] — [`IntMap`]: `HashMap` with a cheap fixed hasher, for maps
-//!   keyed by engine-assigned integers (pages, row locks).
+//!   keyed by engine-assigned integers (pool residency, row locks).
 //! * [`group_commit`] — the [`GroupCommit`] pipeline: commits stage into a
 //!   virtual-time batch flushed per window/size cap, acked together.
 

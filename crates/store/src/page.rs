@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use crate::hash::IntMap;
-
 /// Size of every page in bytes (matches PostgreSQL's default).
 pub const PAGE_SIZE: usize = 8192;
 
@@ -109,10 +107,17 @@ impl PageBuf {
 }
 
 /// The canonical, durable home of all pages.
+///
+/// A dense arena: ids are handed out in order and never reused, so page `i`
+/// lives at index `i` and a lookup is a bounds check, not a hash probe. A
+/// freed page leaves a `None` hole. Each page stays its own boxed 8 KB
+/// allocation: one contiguous slab was measured slower to build, because
+/// dropping a whole dataset returns it to the kernel at once and the next
+/// load faults every page back in.
 #[derive(Clone, Default)]
 pub struct PageStore {
-    pages: IntMap<PageId, PageBuf>,
-    next_id: u64,
+    pages: Vec<Option<PageBuf>>,
+    live: usize,
 }
 
 impl PageStore {
@@ -123,45 +128,65 @@ impl PageStore {
 
     /// Allocate a fresh zeroed page.
     pub fn allocate(&mut self) -> PageId {
-        let id = PageId(self.next_id);
-        self.next_id += 1;
-        self.pages.insert(id, PageBuf::zeroed());
+        let id = PageId(self.pages.len() as u64);
+        self.pages.push(Some(PageBuf::zeroed()));
+        self.live += 1;
         id
     }
 
     /// Drop a page. Panics if the page does not exist (double free).
     pub fn free(&mut self, id: PageId) {
-        let removed = self.pages.remove(&id);
+        let removed = self.pages.get_mut(id.0 as usize).and_then(Option::take);
         assert!(removed.is_some(), "free of unknown page {id:?}");
+        self.live -= 1;
     }
 
     /// Borrow a page. Panics on unknown id — an engine bug, not user error.
     pub fn read(&self, id: PageId) -> &PageBuf {
         self.pages
-            .get(&id)
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("read of unknown page {id:?}"))
     }
 
     /// Mutably borrow a page.
     pub fn write(&mut self, id: PageId) -> &mut PageBuf {
         self.pages
-            .get_mut(&id)
+            .get_mut(id.0 as usize)
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("write of unknown page {id:?}"))
+    }
+
+    /// Mutably borrow two distinct pages at once (a split moving records
+    /// from one into the other). Panics if `a == b` or either is unknown.
+    pub fn write_pair(&mut self, a: PageId, b: PageId) -> (&mut PageBuf, &mut PageBuf) {
+        assert_ne!(a, b, "write_pair of one page {a:?}");
+        for id in [a, b] {
+            assert!(self.contains(id), "write of unknown page {id:?}");
+        }
+        let [pa, pb] = self
+            .pages
+            .get_disjoint_mut([a.0 as usize, b.0 as usize])
+            .expect("two distinct live ids");
+        (
+            pa.as_mut().expect("live page"),
+            pb.as_mut().expect("live page"),
+        )
     }
 
     /// True if `id` is live.
     pub fn contains(&self, id: PageId) -> bool {
-        self.pages.contains_key(&id)
+        self.pages.get(id.0 as usize).is_some_and(Option::is_some)
     }
 
     /// Number of live pages.
     pub fn live_pages(&self) -> usize {
-        self.pages.len()
+        self.live
     }
 
     /// Total bytes of live data.
     pub fn size_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE as u64
+        self.live as u64 * PAGE_SIZE as u64
     }
 }
 
@@ -209,6 +234,85 @@ mod tests {
         let a = s.allocate();
         s.free(a);
         s.free(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "read of unknown page P0")]
+    fn read_of_freed_page_panics() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        s.allocate();
+        s.free(a);
+        s.read(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "write of unknown page P0")]
+    fn write_of_freed_page_panics() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        s.free(a);
+        s.write(a);
+    }
+
+    #[test]
+    fn never_allocated_ids_are_unknown() {
+        use std::panic::catch_unwind;
+        let one_page = || {
+            let mut s = PageStore::new();
+            s.allocate();
+            s
+        };
+        for id in [PageId(1), PageId(1 << 40), PageId::INVALID] {
+            assert!(!one_page().contains(id));
+            let s = one_page();
+            assert!(
+                catch_unwind(|| s.read(id).get_u64(0)).is_err(),
+                "read {id:?}"
+            );
+            let mut s = one_page();
+            assert!(
+                catch_unwind(move || s.write(id).get_u64(0)).is_err(),
+                "write {id:?}"
+            );
+            let mut s = one_page();
+            assert!(catch_unwind(move || s.free(id)).is_err(), "free {id:?}");
+        }
+    }
+
+    #[test]
+    fn write_pair_borrows_two_disjoint_pages() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        let b = s.allocate();
+        let c = s.allocate();
+        for (x, y) in [(a, c), (c, a), (b, a)] {
+            let (px, py) = s.write_pair(x, y);
+            px.put_u64(0, x.0 + 100);
+            py.put_u64(8, y.0 + 200);
+            assert_eq!(s.read(x).get_u64(0), x.0 + 100);
+            assert_eq!(s.read(y).get_u64(8), y.0 + 200);
+        }
+        assert_eq!(s.read(b).get_u64(8), 0, "b was only ever the first page");
+        assert_eq!(s.live_pages(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "write_pair of one page")]
+    fn write_pair_of_one_page_panics() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        s.write_pair(a, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "write of unknown page P1")]
+    fn write_pair_of_freed_page_panics() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        let b = s.allocate();
+        s.free(b);
+        s.write_pair(a, b);
     }
 
     #[test]
