@@ -9,7 +9,7 @@
 
 use cb_cluster::{Node, NodeId, NodeRole, ScaleSample, ScalingPolicy};
 use cb_engine::{Database, ExecCtx};
-use cb_sim::{DetRng, GaugeSeries, SimDuration, SimTime, TpsRecorder};
+use cb_sim::{CpuResource, DetRng, GaugeSeries, SimDuration, SimTime, TpsRecorder};
 use cb_store::StorageService;
 use cb_sut::SutProfile;
 
@@ -98,11 +98,7 @@ pub fn run_constant(
             // Sample.
             let busy = node.cpu.busy_core_secs();
             let vcore_secs = node.vcore_gauge.integral(snap_time, now);
-            let util = if vcore_secs > 1e-9 {
-                ((busy - busy_snap) / vcore_secs).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
+            let util = CpuResource::utilization(busy - busy_snap, vcore_secs);
             busy_snap = busy;
             snap_time = now;
             // One scaling operation in flight at a time: a new decision

@@ -13,9 +13,9 @@ use cb_store::TableId;
 use crate::runner::Workload;
 
 /// Rows per table at full scale.
-pub const ROWS_PER_TABLE: u64 = 300_000;
+pub(crate) const ROWS_PER_TABLE: u64 = 300_000;
 /// Number of sbtest tables.
-pub const TABLES: usize = 3;
+pub(crate) const TABLES: usize = 3;
 
 /// The SysBench-style workload.
 pub struct Sysbench {

@@ -6,31 +6,31 @@
 //! factor 1 with 44 threads) and as a second OLTP workload demonstrating
 //! the testbed's extensibility.
 
-use cb_engine::{ColumnDef, DataType, Database, EngineError, ExecCtx, Row, Schema, Value};
+use cb_engine::{ColumnDef, DataType, Database, ExecCtx, Row, Schema, Value};
 use cb_sim::DetRng;
 use cb_store::TableId;
 
 use crate::runner::Workload;
 
 /// Districts per warehouse.
-pub const DISTRICTS_PER_W: i64 = 10;
+pub(crate) const DISTRICTS_PER_W: i64 = 10;
 /// Customers per district at full scale.
-pub const CUSTOMERS_PER_D: i64 = 3_000;
+pub(crate) const CUSTOMERS_PER_D: i64 = 3_000;
 /// Items at full scale.
-pub const ITEMS: i64 = 100_000;
+pub(crate) const ITEMS: i64 = 100_000;
 
 /// Pack a (warehouse, district) pair into a district key.
-pub fn district_key(w: i64, d: i64) -> i64 {
+pub(crate) fn district_key(w: i64, d: i64) -> i64 {
     w * 100 + d
 }
 
 /// Pack a (warehouse, district, customer) triple into a customer key.
-pub fn customer_key(w: i64, d: i64, c: i64) -> i64 {
+pub(crate) fn customer_key(w: i64, d: i64, c: i64) -> i64 {
     district_key(w, d) * 100_000 + c
 }
 
 /// Pack a (warehouse, item) pair into a stock key.
-pub fn stock_key(w: i64, i: i64) -> i64 {
+pub(crate) fn stock_key(w: i64, i: i64) -> i64 {
     w * 1_000_000 + i
 }
 
@@ -369,9 +369,6 @@ impl Workload for TpccLite {
         "tpcc-lite"
     }
 }
-
-/// Re-exported for tests that need the error type.
-pub type TpccError = EngineError;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,6 @@ use cb_baselines::{run_constant, Sysbench, TpccLite};
 use cb_bench::{SEED, SIM_SCALE};
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
-use cloudybench::collector::export_multi_csv;
 use cloudybench::elasticity::{assemble, ElasticPattern};
 use cloudybench::report::print_series;
 use cloudybench::{
@@ -94,19 +93,21 @@ fn main() {
     );
 
     // Also drop the series as CSV for plotting.
+    let series = [
+        cloudy.sample(SimTime::ZERO, step, n),
+        sys.vcores.sample(SimTime::ZERO, step, n),
+        tpcc.vcores.sample(SimTime::ZERO, step, n),
+    ];
+    let mut csv = String::from("minute,cloudybench,sysbench,tpcc\n");
+    for (i, x) in xs.iter().enumerate() {
+        csv.push_str(x);
+        for ys in &series {
+            csv.push_str(&format!(",{}", ys[i]));
+        }
+        csv.push('\n');
+    }
     let out = std::path::Path::new("target/fig9_cpu_fluctuation.csv");
-    if export_multi_csv(
-        "minute",
-        &xs,
-        &[
-            ("cloudybench", cloudy.sample(SimTime::ZERO, step, n)),
-            ("sysbench", sys.vcores.sample(SimTime::ZERO, step, n)),
-            ("tpcc", tpcc.vcores.sample(SimTime::ZERO, step, n)),
-        ],
-        out,
-    )
-    .is_ok()
-    {
+    if std::fs::write(out, csv).is_ok() {
         println!("series written to {}", out.display());
     }
 }

@@ -65,8 +65,6 @@ pub struct ChaosOptions {
     /// Override the profile's group-commit window (e.g. a huge window keeps
     /// a batch open across many transactions so a crash lands inside it).
     pub group_commit_window: Option<SimDuration>,
-    /// Collect cb-obs artifacts (needed for the determinism oracle).
-    pub collect_artifacts: bool,
     /// Pace the workload with open-loop Poisson arrivals at this rate
     /// (transactions per second) instead of back-to-back execution. Each
     /// transaction waits for its scheduled arrival, so faults land in the
@@ -103,7 +101,6 @@ impl Default for ChaosOptions {
             bug_skip_redo: None,
             bug_ack_unflushed: false,
             group_commit_window: None,
-            collect_artifacts: true,
             arrival_rate: None,
             isolation: IsolationLevel::ReadCommitted,
             bug_read_future_version: false,
@@ -170,8 +167,8 @@ pub struct SeedReport {
     /// Commits that were awaiting a group-commit ack at a crash and whose
     /// batch was lost — legally vanished (never acknowledged).
     pub gc_dropped: u64,
-    /// Exported artifacts, if collection was on.
-    pub artifacts: Option<Artifacts>,
+    /// Exported artifacts.
+    pub artifacts: Artifacts,
 }
 
 /// One oracle violation: everything needed to reproduce and report it.
@@ -322,11 +319,8 @@ impl Harness {
         let mut root = DetRng::seeded(seed);
         let wl_rng = root.fork(0xB0B);
         let fault_rng = root.fork(0xFA117);
-        let obs = if opts.collect_artifacts {
-            ObsSink::enabled()
-        } else {
-            ObsSink::disabled()
-        };
+        // Always on: the determinism oracle compares the exported artifacts.
+        let obs = ObsSink::enabled();
         // Tag the run with the policy under test so artifacts are
         // self-describing (and still byte-identical across worker counts).
         obs.instant(
@@ -454,12 +448,15 @@ impl Harness {
         if !diff.is_empty() {
             return Err(self.violation("recovery-equivalence", diff.summary()));
         }
-        let artifacts = self.obs.with(|t| Artifacts {
-            trace: chrome_trace_json(t),
-            hist_json: histogram_summary_json(t),
-            hist_csv: histogram_csv(t),
-            timeline: ascii_timeline(t),
-        });
+        let artifacts = self
+            .obs
+            .with(|t| Artifacts {
+                trace: chrome_trace_json(t),
+                hist_json: histogram_summary_json(t),
+                hist_csv: histogram_csv(t),
+                timeline: ascii_timeline(t),
+            })
+            .expect("the chaos sink is always enabled");
         Ok(SeedReport {
             seed: self.seed,
             profile: self.dep.profile.name.to_string(),

@@ -18,11 +18,11 @@
 //! 4. **Determinism** — the same seed reproduces the identical fault
 //!    schedule and byte-identical cb-obs artifacts (every seed runs twice).
 //!
-//! On violation the schedule is shrunk ([`shrink`]) to a 1-minimal
+//! On violation the schedule is shrunk ([`shrink()`]) to a 1-minimal
 //! reproducer and printed with its seed, so
 //! `cloudybench chaos --replay <seed>` replays the exact failure.
 //!
-//! The [`shard2pc`] module extends the harness to sharded deployments: it
+//! The `shard2pc` module extends the harness to sharded deployments: it
 //! drives the production `cloudybench::sharded::TwoPhaseCoordinator` over
 //! real per-shard `Deployment`s, stops stepping it after prepare, after the
 //! decision is logged, or after the first participant is told, and checks
@@ -31,15 +31,15 @@
 
 #![warn(missing_docs)]
 
-pub mod harness;
-pub mod schedule;
-pub mod shadow;
-pub mod shard2pc;
-pub mod shrink;
+mod harness;
+mod schedule;
+mod shadow;
+mod shard2pc;
+mod shrink;
 
 pub use harness::{run_seed, run_with_schedule, Artifacts, ChaosOptions, SeedReport, Violation};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
-pub use shadow::{ShadowDiff, ShadowModel, ShadowOp};
+pub use shadow::{ShadowDiff, ShadowModel};
 pub use shard2pc::{run_shard2pc_campaign_jobs, Shard2pcOptions, Shard2pcReport, ShardViolation};
 pub use shrink::shrink;
 
@@ -178,10 +178,7 @@ fn determinism_violation(
             })
         }
     };
-    let (a, b) = match (&first.artifacts, &second.artifacts) {
-        (Some(a), Some(b)) => (a, b),
-        _ => return None, // artifact collection off: nothing to compare
-    };
+    let (a, b) = (&first.artifacts, &second.artifacts);
     if a == b {
         return None;
     }

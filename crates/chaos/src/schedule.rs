@@ -178,11 +178,6 @@ impl FaultSchedule {
         events.sort_by_key(|e| e.at_txn);
         FaultSchedule { seed, events }
     }
-
-    /// Number of crash-class events.
-    pub fn crashes(&self) -> usize {
-        self.events.iter().filter(|e| e.kind.is_crash()).count()
-    }
 }
 
 impl fmt::Display for FaultSchedule {

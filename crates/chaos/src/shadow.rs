@@ -16,7 +16,7 @@ use cb_store::TableId;
 
 /// One mirrored effect of a transaction, staged until commit-ack.
 #[derive(Clone, Debug)]
-pub enum ShadowOp {
+pub(crate) enum ShadowOp {
     /// Insert or overwrite the row at `key`.
     Put(TableId, i64, Row),
     /// Remove the row at `key`.
@@ -91,7 +91,7 @@ impl ShadowModel {
     }
 
     /// Apply one committed effect.
-    pub fn apply(&mut self, op: ShadowOp) {
+    pub(crate) fn apply(&mut self, op: ShadowOp) {
         match op {
             ShadowOp::Put(t, key, row) => {
                 self.table_mut(t).insert(key, row);
@@ -106,14 +106,19 @@ impl ShadowModel {
     /// snapshot-consistency oracle compares MVCC snapshot reads against
     /// this: a snapshot taken now must see exactly the acked state, never
     /// a commit whose ack is still pending in an open group-commit batch.
-    pub fn get(&self, table: TableId, key: i64) -> Option<&Row> {
+    pub(crate) fn get(&self, table: TableId, key: i64) -> Option<&Row> {
         self.tables[table.0 as usize].2.get(&key)
     }
 
     /// The acked rows of `table` in `[lo, hi]`, in key order. The scan
     /// branch of the snapshot-consistency oracle compares an MVCC snapshot
     /// range scan against this window.
-    pub fn range(&self, table: TableId, lo: i64, hi: i64) -> impl Iterator<Item = (&i64, &Row)> {
+    pub(crate) fn range(
+        &self,
+        table: TableId,
+        lo: i64,
+        hi: i64,
+    ) -> impl Iterator<Item = (&i64, &Row)> {
         self.tables[table.0 as usize].2.range(lo..=hi)
     }
 

@@ -253,7 +253,8 @@ mod tests {
             },
         ]);
         let (minimal, _v) = shrink(&s, fake_violation(), |c| {
-            (c.crashes() >= 2).then(fake_violation)
+            let crashes = c.events.iter().filter(|e| e.kind.is_crash()).count();
+            (crashes >= 2).then(fake_violation)
         });
         assert_eq!(minimal.events.len(), 2, "both crashes are necessary");
     }

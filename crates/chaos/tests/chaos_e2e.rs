@@ -34,7 +34,7 @@ fn all_profiles_survive_a_small_campaign() {
         assert_eq!(report.reports.len(), seeds.len());
         for r in &report.reports {
             assert!(r.committed > 0, "seed {} committed nothing", r.seed);
-            assert!(r.artifacts.is_some());
+            assert!(!r.artifacts.trace.is_empty());
         }
     }
 }
@@ -362,8 +362,7 @@ fn si_campaign_is_deterministic_across_jobs() {
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.committed, b.committed);
         assert_eq!(
-            a.artifacts.as_ref().expect("artifacts on"),
-            b.artifacts.as_ref().expect("artifacts on"),
+            a.artifacts, b.artifacts,
             "seed {}: jobs=1 and jobs=4 must be byte-identical under SI",
             a.seed
         );
@@ -379,8 +378,7 @@ fn same_seed_reproduces_identical_artifacts() {
     assert_eq!(a.aborted, b.aborted);
     assert_eq!(a.crashes, b.crashes);
     assert_eq!(
-        a.artifacts.expect("artifacts on"),
-        b.artifacts.expect("artifacts on"),
+        a.artifacts, b.artifacts,
         "same seed must produce byte-identical artifacts"
     );
 }
@@ -432,8 +430,7 @@ fn poisson_paced_campaign_stays_clean_on_rds() {
     let with = run_seed(&profile, seeds[0], &paced).expect("paced run clean");
     let without = run_seed(&profile, seeds[0], &unpaced).expect("unpaced run clean");
     assert_ne!(
-        with.artifacts.expect("artifacts on").timeline,
-        without.artifacts.expect("artifacts on").timeline,
+        with.artifacts.timeline, without.artifacts.timeline,
         "poisson pacing should stretch the run timeline"
     );
 }

@@ -297,7 +297,8 @@ fn replay(seed: u64, parsed: &ChaosArgs, opts: &ChaosOptions) -> u8 {
                     "{:8}  committed={} aborted={} crashes={} faults={}",
                     profile.name, r.committed, r.aborted, r.crashes, r.faults
                 );
-                if let (Some(dir), Some(a)) = (&parsed.out, &r.artifacts) {
+                if let Some(dir) = &parsed.out {
+                    let a = &r.artifacts;
                     let dir = dir.join(format!("chaos-{}-{}", profile.name, seed));
                     let write = std::fs::create_dir_all(&dir).and_then(|_| {
                         std::fs::write(dir.join(cb_obs::export::TRACE_FILE), &a.trace)?;

@@ -162,7 +162,7 @@ impl GradualDownScaler {
     /// CDB1-flavoured defaults: 1–4 vCores, ~10 s up, 0.25-vCore steps every
     /// 30 s down (so releasing the full range takes minutes, matching the
     /// paper's 479 s observation).
-    pub fn cdb1_default() -> Self {
+    pub(crate) fn cdb1_default() -> Self {
         GradualDownScaler {
             min: 1.0,
             max: 4.0,
@@ -255,7 +255,7 @@ impl QuantScaler {
     /// a 25 s apply delay (~45–60 s end-to-end, the paper's observed
     /// scaling granularity), 2-sample down confirmation (so one-minute
     /// valleys are missed, as Table VI records), pause after ~40 s idle.
-    pub fn cdb3_default() -> Self {
+    pub(crate) fn cdb3_default() -> Self {
         QuantScaler {
             min: 0.25,
             max: 4.0,

@@ -111,7 +111,8 @@ impl FailoverTimeline {
     }
 
     /// Find a phase by name.
-    pub fn phase(&self, name: &str) -> Option<&FailoverPhase> {
+    #[cfg(test)]
+    pub(crate) fn phase(&self, name: &str) -> Option<&FailoverPhase> {
         self.phases.iter().find(|p| p.name == name)
     }
 }

@@ -51,7 +51,7 @@ impl HeartbeatMonitor {
     }
 
     /// The worst-case detection latency this configuration can exhibit.
-    pub fn max_detection_latency(&self) -> SimDuration {
+    pub(crate) fn max_detection_latency(&self) -> SimDuration {
         self.interval * u64::from(self.misses_allowed + 1)
     }
 
@@ -86,7 +86,8 @@ impl HeartbeatMonitor {
     }
 
     /// Reset after the node rejoined (fail-over completed).
-    pub fn reset(&mut self, now: SimTime) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self, now: SimTime) {
         self.declared = None;
         self.last_beat = now;
     }

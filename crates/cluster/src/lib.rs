@@ -3,33 +3,33 @@
 //! The components that turn the `cb-engine` storage engine into a simulated
 //! cloud-native database cluster:
 //!
-//! * [`node`] — compute nodes (CPU + buffer pool + lifecycle: restart,
+//! * `node` — compute nodes (CPU + buffer pool + lifecycle: restart,
 //!   pause/resume, warm-up ramps).
-//! * [`replication`] — log shipping with sequential / parallel / on-demand
+//! * `replication` — log shipping with sequential / parallel / on-demand
 //!   replay (the replication-lag story).
-//! * [`autoscale`] — fixed, on-demand, gradual-down, and quantized
+//! * `autoscale` — fixed, on-demand, gradual-down, and quantized
 //!   pause/resume scaling policies.
-//! * [`heartbeat`] — heartbeat-based failure detection (the mechanism
+//! * `heartbeat` — heartbeat-based failure detection (the mechanism
 //!   behind each profile's detection delay).
-//! * [`failover`] — fail-over planning: ARIES vs replay-from-storage vs
+//! * `failover` — fail-over planning: ARIES vs replay-from-storage vs
 //!   remote-buffer switch-over.
-//! * [`shard`] — hash/range key-space sharding: deterministic routing of
+//! * `shard` — hash/range key-space sharding: deterministic routing of
 //!   every primary key to exactly one engine instance.
-//! * [`tenancy`] — the elastic-pool (water-filling) scheduler of a shared
+//! * `tenancy` — the elastic-pool (water-filling) scheduler of a shared
 //!   vCore pool (CDB2's multi-tenant deployment).
-//! * [`metering`] — integrate vCores/memory/storage/IOPS/network consumption
+//! * `metering` — integrate vCores/memory/storage/IOPS/network consumption
 //!   for the Resource Unit Cost model.
 
 #![warn(missing_docs)]
 
-pub mod autoscale;
-pub mod failover;
-pub mod heartbeat;
-pub mod metering;
-pub mod node;
-pub mod replication;
-pub mod shard;
-pub mod tenancy;
+mod autoscale;
+mod failover;
+mod heartbeat;
+mod metering;
+mod node;
+mod replication;
+mod shard;
+mod tenancy;
 
 pub use autoscale::{
     FixedCapacity, GradualDownScaler, OnDemandScaler, QuantScaler, ScaleDecision, ScaleSample,
@@ -41,7 +41,7 @@ pub use failover::{
 };
 pub use heartbeat::{HeartbeatMonitor, NodeHealth};
 pub use metering::{measure, MeterConfig, ResourceUsage};
-pub use node::{Node, NodeId, NodeRole, NodeStatus};
+pub use node::{Node, NodeId, NodeRole};
 pub use replication::{quorum_ack_latency, ReplayPolicy, ReplicationStream};
 pub use shard::{shard_of_hash, ShardMap, ShardStrategy};
 pub use tenancy::elastic_pool_allocate;

@@ -88,7 +88,8 @@ impl ResourceUsage {
     /// Merge usage of independently metered deployments (e.g. isolated
     /// per-tenant instances: vCores/memory/storage/IOPS add up; the window
     /// must match).
-    pub fn combined(parts: &[ResourceUsage]) -> ResourceUsage {
+    #[cfg(test)]
+    pub(crate) fn combined(parts: &[ResourceUsage]) -> ResourceUsage {
         let mut out = ResourceUsage::default();
         for p in parts {
             out.avg_vcores += p.avg_vcores;

@@ -18,7 +18,7 @@ pub enum NodeRole {
 
 /// Lifecycle state of a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NodeStatus {
+pub(crate) enum NodeStatus {
     /// Serving requests.
     Up,
     /// Restarting; unavailable until the contained instant.
@@ -61,11 +61,6 @@ impl Node {
             warmup_until: SimTime::ZERO,
             warmup_len: SimDuration::ZERO,
         }
-    }
-
-    /// Current lifecycle state.
-    pub fn status(&self) -> NodeStatus {
-        self.status
     }
 
     /// True if the node can serve a request at `now`.
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn fresh_node_is_up() {
         let n = node();
-        assert_eq!(n.status(), NodeStatus::Up);
+        assert_eq!(n.status, NodeStatus::Up);
         assert!(n.is_available(SimTime::ZERO));
         assert_eq!(n.available_at(SimTime::ZERO), Some(SimTime::ZERO));
     }
@@ -178,7 +173,7 @@ mod tests {
             Some(SimTime::from_secs(16))
         );
         n.refresh_status(SimTime::from_secs(16));
-        assert_eq!(n.status(), NodeStatus::Up);
+        assert_eq!(n.status, NodeStatus::Up);
     }
 
     #[test]
@@ -207,7 +202,7 @@ mod tests {
     fn pause_and_resume_cycle() {
         let mut n = node();
         n.pause(SimTime::from_secs(1));
-        assert_eq!(n.status(), NodeStatus::Paused);
+        assert_eq!(n.status, NodeStatus::Paused);
         assert!(n.cpu.is_paused());
         assert_eq!(n.available_at(SimTime::from_secs(2)), None);
         n.resume(SimTime::from_secs(5), 2.0, SimDuration::from_secs(3));

@@ -58,7 +58,7 @@ impl ReplayPolicy {
 
     /// Cost to replay one record, ZERO for on-demand materialization
     /// (there is no upfront apply to wait for).
-    pub fn per_record(&self) -> SimDuration {
+    pub(crate) fn per_record(&self) -> SimDuration {
         match self {
             ReplayPolicy::Sequential { per_record, .. }
             | ReplayPolicy::Parallel { per_record, .. } => *per_record,
@@ -113,7 +113,6 @@ pub struct ReplicationStream {
     lanes: Vec<SimTime>,
     /// Highest LSN applied and when.
     applied: (Lsn, SimTime),
-    batches: u64,
     records: u64,
 }
 
@@ -130,21 +129,14 @@ impl ReplicationStream {
             policy,
             lanes: vec![SimTime::ZERO; lane_count],
             applied: (Lsn::ZERO, SimTime::ZERO),
-            batches: 0,
             records: 0,
         }
-    }
-
-    /// Shipping latency.
-    pub fn ship_latency(&self) -> SimDuration {
-        self.ship_latency
     }
 
     /// Process one committed batch of `dml_records` ending at `up_to`,
     /// committed at `commit_time`. Returns the instant the batch is fully
     /// applied (visible) on the replica.
     pub fn on_commit(&mut self, up_to: Lsn, commit_time: SimTime, dml_records: u64) -> SimTime {
-        self.batches += 1;
         self.records += dml_records;
         let arrival = commit_time + self.ship_latency;
         // Visibility waits for the next apply boundary after arrival.
@@ -187,11 +179,6 @@ impl ReplicationStream {
     /// Highest LSN applied so far and when it became visible.
     pub fn applied(&self) -> (Lsn, SimTime) {
         self.applied
-    }
-
-    /// Total batches processed.
-    pub fn batches(&self) -> u64 {
-        self.batches
     }
 
     /// Total DML records replayed.

@@ -52,7 +52,7 @@ impl ShardMap {
 
     /// Range-sharding with explicit split points (`splits.len() + 1`
     /// shards). Splits must be strictly ascending.
-    pub fn range(splits: Vec<i64>) -> Self {
+    pub(crate) fn range(splits: Vec<i64>) -> Self {
         assert!(
             splits.windows(2).all(|w| w[0] < w[1]),
             "range splits must be strictly ascending"

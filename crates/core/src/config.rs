@@ -88,7 +88,7 @@ impl Props {
     }
 
     /// Required string.
-    pub fn require(&self, key: &str) -> Result<&str, ConfigError> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, ConfigError> {
         self.get(key)
             .ok_or_else(|| ConfigError::Missing(key.into()))
     }

@@ -114,26 +114,14 @@ impl Deployment {
         db
     }
 
-    /// Add one more read-only node (scale-out, for E2-Score).
-    pub fn add_ro_node(&mut self) {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(
-            id,
-            NodeRole::ReadOnly,
-            self.profile.max_vcores,
-            self.profile.buffer_pages(self.sim_scale),
-        ));
-        self.streams.push(self.profile.replication_stream());
-    }
-
     /// Number of read-only nodes.
-    pub fn ro_count(&self) -> usize {
+    pub(crate) fn ro_count(&self) -> usize {
         self.nodes.len() - 1
     }
 
     /// The logical data size in *paper-scale* GB (the simulation divisor is
     /// undone so billing matches the real deployment it models).
-    pub fn data_gb_paper(&self) -> f64 {
+    pub(crate) fn data_gb_paper(&self) -> f64 {
         (self.db.data_bytes() * self.sim_scale) as f64 / (1024.0 * 1024.0 * 1024.0)
     }
 
@@ -211,10 +199,8 @@ mod tests {
 
     #[test]
     fn scale_out_adds_nodes_and_streams() {
-        let mut d = tiny(SutProfile::cdb1());
-        assert_eq!(d.ro_count(), 1);
-        d.add_ro_node();
-        d.add_ro_node();
+        assert_eq!(tiny(SutProfile::cdb1()).ro_count(), 1);
+        let d = Deployment::new(SutProfile::cdb1(), 1, 1000, 3, 42);
         assert_eq!(d.ro_count(), 3);
         assert_eq!(d.streams.len(), 3);
         assert_eq!(d.nodes[3].role, NodeRole::ReadOnly);

@@ -19,7 +19,7 @@ use cb_engine::recovery::analyze;
 use cb_engine::sql::execute;
 use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Value};
 use cb_obs::{Category, LogHistogram, ObsSink};
-use cb_sim::{DetRng, EventQueue, SimDuration, SimTime, TpsRecorder};
+use cb_sim::{CpuResource, DetRng, EventQueue, SimDuration, SimTime, TpsRecorder};
 use cb_store::Lsn;
 
 use crate::deploy::Deployment;
@@ -73,7 +73,7 @@ impl TenantSpec {
     }
 
     /// Total schedule length.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.slot_len * self.slots.len() as u64
     }
 
@@ -81,7 +81,7 @@ impl TenantSpec {
     /// `[k*slot_len, (k+1)*slot_len)`, so the instant a slot ends its
     /// concurrency no longer applies. A zero-length slot schedule covers no
     /// instant at all and reports 0 everywhere.
-    pub fn concurrency_at(&self, t: SimTime) -> u32 {
+    pub(crate) fn concurrency_at(&self, t: SimTime) -> u32 {
         if self.slot_len.is_zero() {
             return 0;
         }
@@ -99,7 +99,7 @@ impl TenantSpec {
     /// query at exactly the end of the client's last active slot finds no
     /// later activation and returns `None`. Zero-length slots cover no
     /// instant and never activate anyone.
-    pub fn next_activation(&self, t: SimTime, idx: u32) -> Option<SimTime> {
+    pub(crate) fn next_activation(&self, t: SimTime, idx: u32) -> Option<SimTime> {
         if self.slot_len.is_zero() {
             return None;
         }
@@ -121,7 +121,7 @@ impl TenantSpec {
     }
 
     /// Peak concurrency (client population size).
-    pub fn max_concurrency(&self) -> u32 {
+    pub(crate) fn max_concurrency(&self) -> u32 {
         self.slots.iter().copied().max().unwrap_or(0)
     }
 }
@@ -198,12 +198,6 @@ impl ShiftEvent {
             dist: None,
             pace: None,
         }
-    }
-
-    /// Restrict the shift to one tenant.
-    pub fn tenant(mut self, tenant: usize) -> Self {
-        self.tenant = Some(tenant);
-        self
     }
 
     /// Shift the transaction mix.
@@ -397,7 +391,7 @@ impl TenantResult {
     /// 0.0 rather than NaN/inf — evaluators probe sub-windows computed from
     /// timelines that can collapse (e.g. a fail-over that ends at the
     /// horizon).
-    pub fn avg_tps(&self, from: SimTime, to: SimTime) -> f64 {
+    pub(crate) fn avg_tps(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return 0.0;
         }
@@ -437,7 +431,7 @@ impl LagSamples {
     }
 
     /// Mean of a sample set in milliseconds.
-    pub fn mean_ms(samples: &[SimDuration]) -> f64 {
+    pub(crate) fn mean_ms(samples: &[SimDuration]) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }
@@ -981,7 +975,7 @@ impl<'a> RunCtx<'a> {
             }
         } else if wait_key.is_some() {
             // Virtual-time 2PL: wait for conflicting writers.
-            if let Some(until) = dep.db.locks_mut().conflict_until(wait_key.as_slice(), t) {
+            if let Some(until) = dep.db.locks_mut().conflict_probe(wait_key.as_slice(), t) {
                 self.result.lock_conflicts += 1;
                 opts.obs
                     .span(Category::Lock, "wait", tenant as u64, t, until);
@@ -1160,11 +1154,7 @@ impl<'a> RunCtx<'a> {
                 let n = &dep.nodes[node];
                 let busy = n.cpu.busy_core_secs();
                 let vcore_secs = n.vcore_gauge.integral(ctl.snap_time[node], now);
-                let util = if vcore_secs > 1e-9 {
-                    ((busy - ctl.busy_snap[node]) / vcore_secs).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
+                let util = CpuResource::utilization(busy - ctl.busy_snap[node], vcore_secs);
                 ctl.busy_snap[node] = busy;
                 ctl.snap_time[node] = now;
                 let offered = match opts.mapping {
@@ -1927,9 +1917,8 @@ mod tests {
 
     #[test]
     fn per_tenant_mapping_isolates_tenants() {
-        let mut dep = quick_dep(SutProfile::cdb3());
-        dep.add_ro_node(); // ensure 3 nodes for 3 tenants
-        dep.add_ro_node();
+        // At least one node per tenant.
+        let mut dep = Deployment::new(SutProfile::cdb3(), 1, 1000, 3, 42);
         let mk = |con: u32, dep: &Deployment, i: usize| {
             TenantSpec::constant(
                 con,

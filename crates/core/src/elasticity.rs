@@ -14,14 +14,12 @@
 //! workload ends — the paper's CDB1 story), and reports TPS, cost,
 //! E1-Score, and per-transition scaling behaviour (paper Table VI).
 
-use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
 use cb_sim::{DetRng, GaugeSeries, SimDuration, SimTime};
 
 use crate::cost::{ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
 use crate::driver::{run, RunOptions, RunResult, TenantSpec};
 use crate::metrics::e1_score;
-use crate::openloop::{run_open_loop, OpenLoopSpec};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 use cb_sut::SutProfile;
 
@@ -175,9 +173,8 @@ pub fn evaluate_elasticity(
 /// One-minute slots, as in the paper.
 const SLOT: SimDuration = SimDuration::from_secs(60);
 
-/// Score a finished pattern run, closed or open loop alike: average TPS
-/// over the pattern's active slots, RUC cost over the billing window, and
-/// the E1-Score of the two.
+/// Score a finished pattern run: average TPS over the pattern's active
+/// slots, RUC cost over the billing window, and the E1-Score of the two.
 fn score(
     dep: &Deployment,
     run: &RunResult,
@@ -190,96 +187,6 @@ fn score(
     let cost = ruc_cost(&usage, rates);
     let cost_per_min = cost.scaled(1.0 / (BILLING_WINDOW.as_secs_f64() / 60.0));
     (avg_tps, cost, e1_score(avg_tps, &cost_per_min))
-}
-
-/// The outcome of one open-loop elasticity evaluation.
-pub struct OpenElasticityReport {
-    /// The pattern evaluated.
-    pub pattern: ElasticPattern,
-    /// Average TPS over the active pattern window.
-    pub avg_tps: f64,
-    /// Coordinated-omission-correct p99 response time (ms) over the run.
-    pub p99_ms: f64,
-    /// Arrivals offered.
-    pub arrivals: u64,
-    /// Total RUC cost over the ten-minute billing window.
-    pub cost: CostBreakdown,
-    /// E1-Score.
-    pub e1: f64,
-    /// The allocated-vCore trace.
-    pub vcores: GaugeSeries,
-}
-
-/// Piecewise-constant Poisson arrivals realizing an elasticity pattern:
-/// each one-minute slot offers `proportion x peak_rate` arrivals per second.
-/// Deterministic in `seed`; returned as a replayable trace.
-pub fn pattern_arrivals(
-    pattern: ElasticPattern,
-    peak_rate: f64,
-    slot_len: SimDuration,
-    seed: u64,
-) -> ArrivalProcess {
-    let mut rng = DetRng::seeded(seed ^ 0x6C6F_6164_7061_7474);
-    let mut offsets = Vec::new();
-    for (i, p) in pattern.proportions().iter().enumerate() {
-        let rate = p * peak_rate;
-        if rate <= 0.0 {
-            continue;
-        }
-        let start = slot_len * i as u64;
-        let end = slot_len * (i as u64 + 1);
-        let mut t = start;
-        loop {
-            let u = rng.unit();
-            t += slot_len.mul_f64(-(1.0 - u).ln() / (rate * slot_len.as_secs_f64()));
-            if t >= end {
-                break;
-            }
-            offsets.push(t);
-        }
-    }
-    ArrivalProcess::Trace { offsets }
-}
-
-/// Open-loop variant of [`evaluate_elasticity`]: the pattern modulates an
-/// *arrival rate* rather than a client population, so the latency cost of
-/// scaling lag shows up as coordinated-omission-correct response time
-/// instead of silently throttled offered load.
-pub fn evaluate_elasticity_open(
-    profile: &SutProfile,
-    pattern: ElasticPattern,
-    mix: TxnMix,
-    peak_rate: f64,
-    sim_scale: u64,
-    base: &RunOptions,
-) -> OpenElasticityReport {
-    let mut dep = Deployment::new(profile.clone(), 1, sim_scale, 0, base.seed);
-    let process = pattern_arrivals(pattern, peak_rate, SLOT, base.seed);
-    let spec = OpenLoopSpec {
-        // The whole billing window is the measurement phase: arrivals stop
-        // after the pattern's active slots, but slow scale-down keeps
-        // accruing cost until the window closes.
-        plan: ArrivalPlan::fixed_rate(
-            process,
-            PhasePlan::measure_only(BILLING_WINDOW),
-            peak_rate.ceil() as u64,
-        ),
-        mix,
-        dist: AccessDistribution::Uniform,
-        partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-    };
-    let r = run_open_loop(&mut dep, &spec, &base.inherit());
-
-    let (avg_tps, cost, e1) = score(&dep, &r.run, pattern, &RucRates::default());
-    OpenElasticityReport {
-        pattern,
-        avg_tps,
-        p99_ms: r.response_percentile_ms(99.0),
-        arrivals: r.arrivals,
-        cost,
-        e1,
-        vcores: dep.nodes[0].vcore_gauge.clone(),
-    }
 }
 
 /// Derive Table-VI style scaling observations from a vCore gauge.
@@ -386,57 +293,6 @@ mod tests {
             rds.cost.cpu
         );
         assert!(cdb3.e1 > rds.e1, "{} vs {}", cdb3.e1, rds.e1);
-    }
-
-    #[test]
-    fn open_loop_pattern_offers_rate_shaped_arrivals() {
-        // ZeroValley at peak 40/s: slots offer 20/s, 0, 20/s — the trace
-        // must be empty in the middle minute and deterministic in the seed.
-        let p = pattern_arrivals(
-            ElasticPattern::ZeroValley,
-            40.0,
-            SimDuration::from_secs(60),
-            9,
-        );
-        let q = pattern_arrivals(
-            ElasticPattern::ZeroValley,
-            40.0,
-            SimDuration::from_secs(60),
-            9,
-        );
-        assert_eq!(p, q);
-        let ArrivalProcess::Trace { offsets } = &p else {
-            panic!("expected a trace");
-        };
-        assert!(!offsets.is_empty());
-        let mid = offsets
-            .iter()
-            .filter(|d| **d >= SimDuration::from_secs(60) && **d < SimDuration::from_secs(120))
-            .count();
-        assert_eq!(mid, 0, "idle slot must offer no arrivals");
-        let first = offsets
-            .iter()
-            .filter(|d| **d < SimDuration::from_secs(60))
-            .count();
-        // ~20/s * 60s = ~1200 expected; allow wide statistical slack.
-        assert!((800..1600).contains(&first), "first slot had {first}");
-    }
-
-    #[test]
-    fn open_loop_elasticity_reports_sane_numbers() {
-        let r = evaluate_elasticity_open(
-            &SutProfile::cdb3(),
-            ElasticPattern::ZeroValley,
-            TxnMix::read_only(),
-            30.0,
-            2000,
-            &RunOptions::seeded(7),
-        );
-        assert!(r.avg_tps > 0.0);
-        assert!(r.arrivals > 0);
-        assert!(r.p99_ms > 0.0);
-        assert!(r.cost.total() > 0.0);
-        assert!(r.e1 > 0.0);
     }
 
     #[test]

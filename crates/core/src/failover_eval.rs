@@ -11,6 +11,7 @@ use cb_sut::SutProfile;
 
 use crate::deploy::Deployment;
 use crate::driver::{run, FailurePlan, RunOptions, RunResult, TenantSpec};
+use crate::metrics::{f_score, r_score};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
 /// The outcome of one fail-over experiment (one target node).
@@ -38,12 +39,12 @@ pub struct FailoverReport {
 impl FailoverReport {
     /// Mean F-Score across targets.
     pub fn f_avg(&self) -> f64 {
-        (self.rw.f_secs + self.ro.f_secs) / 2.0
+        f_score(&[self.rw.f_secs, self.ro.f_secs])
     }
 
     /// Mean R-Score across targets.
     pub fn r_avg(&self) -> f64 {
-        (self.rw.r_secs + self.ro.r_secs) / 2.0
+        r_score(&[self.rw.r_secs, self.ro.r_secs])
     }
 
     /// Total recovery time (paper Table VIII's last column).

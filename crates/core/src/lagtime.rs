@@ -15,7 +15,7 @@ use crate::metrics::c_score;
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
 /// The paper's four IUD ratios.
-pub const IUD_MIXES: [(&str, f64, f64, f64); 4] = [
+pub(crate) const IUD_MIXES: [(&str, f64, f64, f64); 4] = [
     ("I60/U30/D10", 60.0, 30.0, 10.0),
     ("I100", 100.0, 0.0, 0.0),
     ("U100", 0.0, 100.0, 0.0),
@@ -34,23 +34,6 @@ pub struct LagRow {
     pub delete_ms: f64,
     /// Samples collected.
     pub samples: usize,
-}
-
-impl LagRow {
-    /// Mean over the classes present in this mix.
-    pub fn overall_ms(&self) -> f64 {
-        let mut vals = Vec::new();
-        if self.insert_ms > 0.0 {
-            vals.push(self.insert_ms);
-        }
-        if self.update_ms > 0.0 {
-            vals.push(self.update_ms);
-        }
-        if self.delete_ms > 0.0 {
-            vals.push(self.delete_ms);
-        }
-        cb_sim::mean(&vals)
-    }
 }
 
 /// The outcome of the lag evaluation on one SUT.
@@ -167,6 +150,5 @@ mod tests {
         assert!(mixed.insert_ms > 0.0);
         assert!(mixed.update_ms > 0.0);
         assert!(mixed.delete_ms > 0.0);
-        assert!(mixed.overall_ms() > 0.0);
     }
 }

@@ -33,7 +33,7 @@ pub fn e1_score(avg_tps: f64, cost_per_min: &CostBreakdown) -> f64 {
 
 /// F-Score: mean seconds from failure injection to service resumption
 /// (Eq. 3). Lower is better.
-pub fn f_score(downtimes_secs: &[f64]) -> f64 {
+pub(crate) fn f_score(downtimes_secs: &[f64]) -> f64 {
     if downtimes_secs.is_empty() {
         return 0.0;
     }
@@ -42,7 +42,7 @@ pub fn f_score(downtimes_secs: &[f64]) -> f64 {
 
 /// R-Score: mean seconds from service resumption to recovering the
 /// pre-failure TPS (Eq. 4). Lower is better.
-pub fn r_score(recovery_secs: &[f64]) -> f64 {
+pub(crate) fn r_score(recovery_secs: &[f64]) -> f64 {
     f_score(recovery_secs)
 }
 
@@ -63,7 +63,7 @@ pub fn e2_score(tps_by_nodes: &[f64], delta: f64) -> f64 {
 
 /// C-Score: mean replication lag over insert/update/delete, per replica
 /// (Eq. 6), in milliseconds. Lower is better.
-pub fn c_score(insert_ms: f64, update_ms: f64, delete_ms: f64, replicas: u32) -> f64 {
+pub(crate) fn c_score(insert_ms: f64, update_ms: f64, delete_ms: f64, replicas: u32) -> f64 {
     if replicas == 0 {
         return 0.0;
     }
@@ -72,7 +72,7 @@ pub fn c_score(insert_ms: f64, update_ms: f64, delete_ms: f64, replicas: u32) ->
 
 /// T-Score: geometric mean of tenant TPS divided by the summed tenant cost
 /// (Eq. 7).
-pub fn t_score(tenant_tps: &[f64], tenant_cost: &[f64]) -> f64 {
+pub(crate) fn t_score(tenant_tps: &[f64], tenant_cost: &[f64]) -> f64 {
     assert_eq!(tenant_tps.len(), tenant_cost.len());
     let total_cost: f64 = tenant_cost.iter().sum();
     if total_cost <= 0.0 {

@@ -29,7 +29,7 @@ pub struct ExtensionTables {
     pub workorder: TableId,
 }
 
-/// Handles to the six [`EXT_STMT_TOML`] statements, resolved by
+/// Handles to the six `EXT_STMT_TOML` statements, resolved by
 /// [`install`] so a transaction indexes the registry instead of looking
 /// names up.
 #[derive(Clone, Copy, Debug)]
@@ -58,7 +58,7 @@ pub struct Extension {
 }
 
 /// PRODUCT schema: P_ID, P_NAME, P_PRICE.
-pub fn product_schema() -> Schema {
+pub(crate) fn product_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("P_ID", DataType::Int),
         ColumnDef::new("P_NAME", DataType::Text),
@@ -68,7 +68,7 @@ pub fn product_schema() -> Schema {
 
 /// STOCKITEM schema: S_P_ID (key = product id), S_QTY, S_RESERVED,
 /// S_UPDATEDDATE.
-pub fn stockitem_schema() -> Schema {
+pub(crate) fn stockitem_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("S_P_ID", DataType::Int),
         ColumnDef::new("S_QTY", DataType::Int),
@@ -78,7 +78,7 @@ pub fn stockitem_schema() -> Schema {
 }
 
 /// WORKORDER schema: W_ID, W_P_ID, W_QTY, W_STATUS, W_CREATED.
-pub fn workorder_schema() -> Schema {
+pub(crate) fn workorder_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("W_ID", DataType::Int),
         ColumnDef::new("W_P_ID", DataType::Int),
@@ -89,7 +89,7 @@ pub fn workorder_schema() -> Schema {
 }
 
 /// The extension's statement registry document.
-pub const EXT_STMT_TOML: &str = r#"
+pub(crate) const EXT_STMT_TOML: &str = r#"
 # Inventory + manufacturing extension statements
 [statements]
 inv_check_stock = "SELECT S_P_ID, S_QTY, S_RESERVED FROM stockitem WHERE S_P_ID = ?"
@@ -281,32 +281,6 @@ pub fn run_ext_txn(
     })
 }
 
-/// Sales-side extension: an **Order Detail** query — all orderlines of an
-/// order — served by a secondary index over `OL_O_ID`. Demonstrates the
-/// second extensibility axis: new *access paths* on existing tables, again
-/// registered through `stmt_db.toml` syntax.
-pub const ORDER_DETAIL_STMT: &str = r#"
-t5_order_detail = "SELECT OL_ID, OL_PRODUCT, OL_QTY, OL_AMOUNT FROM orderline WHERE OL_O_ID = ?"
-"#;
-
-/// Create the `OL_O_ID` secondary index and register the T5 statement.
-/// Returns the number of distinct orders currently indexed.
-pub fn install_order_detail(db: &mut Database, registry: &mut StmtRegistry) -> u64 {
-    let orderline = db.table_id("orderline").expect("sales schema installed");
-    db.create_index(orderline, "OL_O_ID");
-    registry
-        .load(ORDER_DETAIL_STMT, db)
-        .expect("T5 must bind once the index exists");
-    let col = db
-        .table(orderline)
-        .indexed_columns()
-        .first()
-        .copied()
-        .expect("index just created");
-    let _ = col;
-    db.table(orderline).rows()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,7 +432,16 @@ mod tests {
                 &db
             )
             .is_err());
-        install_order_detail(&mut db, &mut registry);
+        // A new access path on an existing table: an Order Detail query
+        // (all orderlines of an order) over an `OL_O_ID` secondary index.
+        let orderline = db.table_id("orderline").unwrap();
+        db.create_index(orderline, "OL_O_ID");
+        registry
+            .load(
+                r#"t5_order_detail = "SELECT OL_ID, OL_PRODUCT, OL_QTY, OL_AMOUNT FROM orderline WHERE OL_O_ID = ?""#,
+                &db,
+            )
+            .expect("T5 binds once the index exists");
         let stmt = registry.get("t5_order_detail").expect("registered");
         let mut pool = cb_engine::BufferPool::new(1024);
         let mut storage = cb_sut::SutProfile::aws_rds().storage_service();
@@ -472,7 +455,6 @@ mod tests {
         assert!(found > 0, "order 5 has orderlines");
         // Every returned orderline belongs to... the projection dropped
         // OL_O_ID, so verify via a direct index lookup instead.
-        let orderline = db.table_id("orderline").unwrap();
         let mut ctx = ExecCtx::new(cb_sim::SimTime::ZERO, &mut pool, None, &mut storage, &model);
         let rows = db.index_lookup(&mut ctx, orderline, 1, 5);
         assert_eq!(rows.len() as u64, found);

@@ -35,14 +35,14 @@ mod tests {
     use cb_engine::exec::{CostModel, ExecCtx};
     use cb_engine::recovery::{rebuild, redo_committed};
     use cb_engine::value::{ColumnDef, DataType, Row, Schema, Value};
-    use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
+    use cb_sim::{Device, SimDuration, SimTime};
     use cb_store::{StorageArch, StorageService};
 
     fn storage() -> StorageService {
         StorageService::new(
             StorageArch::Coupled,
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
             None,
             1,
             SimDuration::ZERO,

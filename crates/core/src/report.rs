@@ -30,16 +30,6 @@ impl Table {
         self.rows.push(cells.to_vec());
         self
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for Table {
@@ -163,7 +153,7 @@ mod tests {
         assert!(s.contains("## Demo"));
         assert!(s.contains("| AWS RDS |"));
         assert!(s.contains("| CDB4    |"), "{s}");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
         // Every line between separators has the same width.
         let lines: Vec<&str> = s.lines().skip(1).collect();
         let w = lines[0].len();

@@ -15,11 +15,11 @@ use cb_sim::DetRng;
 use cb_store::TableId;
 
 /// Rows per table at scale factor 1 (paper values).
-pub const SF1_CUSTOMERS: u64 = 300_000;
+pub(crate) const SF1_CUSTOMERS: u64 = 300_000;
 /// Orders at scale factor 1.
-pub const SF1_ORDERS: u64 = 300_000;
+pub(crate) const SF1_ORDERS: u64 = 300_000;
 /// Orderlines at scale factor 1 (an order of magnitude larger).
-pub const SF1_ORDERLINES: u64 = 3_000_000;
+pub(crate) const SF1_ORDERLINES: u64 = 3_000_000;
 
 /// Table ids of the sales service.
 #[derive(Clone, Copy, Debug)]
@@ -61,7 +61,7 @@ impl DatasetShape {
 }
 
 /// CUSTOMER schema: C_ID, C_NAME, C_CREDIT, C_UPDATEDDATE.
-pub fn customer_schema() -> Schema {
+pub(crate) fn customer_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("C_ID", DataType::Int),
         ColumnDef::new("C_NAME", DataType::Text),
@@ -72,7 +72,7 @@ pub fn customer_schema() -> Schema {
 
 /// ORDERS schema: O_ID, O_C_ID, O_STATUS, O_TOTALAMOUNT, O_DATE,
 /// O_UPDATEDDATE.
-pub fn orders_schema() -> Schema {
+pub(crate) fn orders_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("O_ID", DataType::Int),
         ColumnDef::new("O_C_ID", DataType::Int),
@@ -84,7 +84,7 @@ pub fn orders_schema() -> Schema {
 }
 
 /// ORDERLINE schema: OL_ID, OL_O_ID, OL_PRODUCT, OL_QTY, OL_AMOUNT.
-pub fn orderline_schema() -> Schema {
+pub(crate) fn orderline_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("OL_ID", DataType::Int),
         ColumnDef::new("OL_O_ID", DataType::Int),
@@ -104,7 +104,7 @@ pub fn create_tables(db: &mut Database) -> SalesTables {
 }
 
 /// Order statuses used by the generator and T2.
-pub const STATUSES: [&str; 3] = ["NEW", "PAID", "SHIPPED"];
+pub(crate) const STATUSES: [&str; 3] = ["NEW", "PAID", "SHIPPED"];
 
 /// Generate and bulk-load the dataset. Deterministic for a given seed.
 ///
@@ -197,7 +197,7 @@ pub struct SalesStmts {
 
 impl SalesStmts {
     /// Resolve the six names in a registry that loaded [`STMT_DB_TOML`].
-    pub fn resolve(registry: &StmtRegistry) -> Self {
+    pub(crate) fn resolve(registry: &StmtRegistry) -> Self {
         let id = |name: &str| {
             registry
                 .id(name)

@@ -77,11 +77,6 @@ impl ShardedDeployment {
         ShardedDeployment { map, shards }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `key` under the routing map.
     pub fn shard_of(&self, key: i64) -> usize {
         self.map.shard_of(key)
@@ -130,7 +125,8 @@ pub struct PreparedGlobal {
 impl PreparedGlobal {
     /// Shard ids of the participants not yet told the decision, in
     /// prepare order.
-    pub fn participants(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn participants(&self) -> Vec<usize> {
         self.parts.iter().map(|(s, _)| *s).collect()
     }
 }
@@ -346,7 +342,8 @@ impl TwoPhaseCoordinator {
     }
 
     /// Whether the decision log records a commit for `gid`.
-    pub fn decided_commit(&self, gid: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn decided_commit(&self, gid: u64) -> bool {
         self.committed_gids.contains(&gid)
     }
 

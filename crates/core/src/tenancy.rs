@@ -79,7 +79,8 @@ impl TenancyPattern {
     }
 
     /// True if the offered load exceeds the capacity threshold.
-    pub fn is_contended(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_contended(&self) -> bool {
         matches!(
             self,
             TenancyPattern::HighContention | TenancyPattern::StaggeredHigh
@@ -94,7 +95,7 @@ impl TenancyPattern {
 /// while every other tenant runs the paper's read-write mix under Zipfian
 /// skew at constant concurrency. Deterministic shaping only: the driver's
 /// RNG streams are seeded elsewhere.
-pub fn flash_sale_fleet(
+pub(crate) fn flash_sale_fleet(
     shape: &crate::schema::DatasetShape,
     spec: &crate::sharded::FleetSpec,
     hot: bool,

@@ -7,7 +7,6 @@
 //! evaluator functions; this type just removes the boilerplate for the
 //! common "score one system" path.
 
-use cb_obs::ObsSink;
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 
@@ -17,7 +16,7 @@ use crate::driver::{run, RunOptions, TenantSpec, VcoreControl};
 use crate::elasticity::{evaluate_elasticity, ElasticPattern, ElasticityReport};
 use crate::failover_eval::{evaluate_failover, FailoverReport};
 use crate::lagtime::{evaluate_lagtime, LagReport};
-use crate::metrics::{e1_score, e2_score, o_score, p_score, Perfect};
+use crate::metrics::{e2_score, o_score, p_score, Perfect};
 use crate::tenancy::{evaluate_tenancy, TenancyPattern, TenancyReport};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
@@ -63,26 +62,6 @@ impl Testbed {
             tau: 110,
             tenancy_scale: 0.5,
         }
-    }
-
-    /// Attach an observability sink: every evaluator run through this
-    /// testbed then journals spans (transactions, lock waits, fail-over
-    /// phases, autoscaler decisions, replication, cache/WAL traffic) and
-    /// aggregates exact latency histograms into it. Export the collected
-    /// artifacts with [`cb_obs::write_run_artifacts`].
-    pub fn with_obs(mut self, obs: ObsSink) -> Self {
-        self.base.obs = obs;
-        self
-    }
-
-    /// The attached observability sink (disabled unless set).
-    pub fn obs(&self) -> &ObsSink {
-        &self.base.obs
-    }
-
-    /// The profile under test.
-    pub fn profile(&self) -> &SutProfile {
-        &self.profile
     }
 
     /// Run an OLTP measurement: `mix` at the configured concurrency for
@@ -215,13 +194,6 @@ impl Testbed {
         let o = o_score(1.0, &perfect);
         (perfect, o)
     }
-
-    /// E1-Score of one elasticity report (convenience mirror of the free
-    /// function, with this testbed's rates).
-    pub fn e1_of(&self, report: &ElasticityReport) -> f64 {
-        let per_min = report.cost.scaled(1.0 / 10.0);
-        e1_score(report.avg_tps, &per_min)
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +222,6 @@ mod tests {
         let t = tb(SutProfile::cdb3());
         let e = t.elasticity(ElasticPattern::SinglePeak, TxnMix::read_only());
         assert!(e.avg_tps > 0.0);
-        assert!(t.e1_of(&e) > 0.0);
         let ten = t.tenancy(TenancyPattern::LowContention);
         assert!(ten.total_tps > 0.0);
         let lag = t.lagtime();

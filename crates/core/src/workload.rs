@@ -7,7 +7,7 @@ use cb_sim::DetRng;
 /// The CloudyBench transactions (T1–T4 from the paper, plus the T5
 /// range-scan used by the scan-resistance eviction experiments).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TxnKind {
+pub(crate) enum TxnKind {
     /// T1 — New Orderline (write-only INSERT).
     NewOrderline,
     /// T2 — Order Payment (read-write: SELECT + 2 UPDATEs).
@@ -24,7 +24,7 @@ pub enum TxnKind {
 
 impl TxnKind {
     /// Short label ("T1"…"T5").
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TxnKind::NewOrderline => "T1",
             TxnKind::OrderPayment => "T2",
@@ -35,7 +35,7 @@ impl TxnKind {
     }
 
     /// True if the transaction only reads.
-    pub fn is_read_only(self) -> bool {
+    pub(crate) fn is_read_only(self) -> bool {
         self == TxnKind::OrderStatus || self == TxnKind::OrderRangeScan
     }
 }
@@ -112,7 +112,7 @@ impl TxnMix {
     }
 
     /// Sample a transaction kind.
-    pub fn pick(&self, rng: &mut DetRng) -> TxnKind {
+    pub(crate) fn pick(&self, rng: &mut DetRng) -> TxnKind {
         const KINDS: [TxnKind; 5] = [
             TxnKind::NewOrderline,
             TxnKind::OrderPayment,
@@ -131,7 +131,8 @@ impl TxnMix {
     }
 
     /// Fraction of write transactions.
-    pub fn write_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn write_fraction(&self) -> f64 {
         (self.t1 + self.t2 + self.t4) / (self.t1 + self.t2 + self.t3 + self.t4 + self.scan)
     }
 

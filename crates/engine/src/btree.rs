@@ -32,7 +32,7 @@ pub const INTERNAL_CAPACITY: usize = (cb_store::PAGE_SIZE - ENTRIES_BASE) / ENTR
 /// Where a tree reports each page it touches, in the order it touches them.
 /// Three sinks exist: [`crate::ExecCtx`] charges the access to its buffer
 /// pool on the spot (served statements), an [`AccessLog`] records it (tests
-/// and probes that inspect the pattern), and [`Uncharged`] drops it (bulk
+/// and probes that inspect the pattern), and `Uncharged` drops it (bulk
 /// load, index back-fill, recovery, oracles — work nobody is billed for).
 pub trait PageSink {
     /// `page` was read, or modified when `write` is set.
@@ -50,7 +50,7 @@ impl PageSink for AccessLog {
 
 /// The sink for page accesses that carry no cost.
 #[derive(Clone, Copy, Debug)]
-pub struct Uncharged;
+pub(crate) struct Uncharged;
 
 impl PageSink for Uncharged {
     #[inline]
@@ -183,7 +183,7 @@ struct Descent {
 ///
 /// [`invalidate`]: BatchIngest::invalidate
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BatchIngest {
+pub(crate) struct BatchIngest {
     cached: Option<IngestLeaf>,
 }
 
@@ -198,13 +198,13 @@ struct IngestLeaf {
 
 impl BatchIngest {
     /// A fresh (empty) cursor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BatchIngest::default()
     }
 
     /// Forget the cached leaf. Must be called before any non-cursor
     /// mutation of the tree while the cursor stays live.
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.cached = None;
     }
 
@@ -220,11 +220,6 @@ impl BTree {
         let root = store.allocate();
         init_leaf(store.write(root));
         BTree { root }
-    }
-
-    /// The current root page.
-    pub fn root(&self) -> PageId {
-        self.root
     }
 
     /// Walk from the root to the leaf that holds (or would hold) `key`,
@@ -353,7 +348,7 @@ impl BTree {
     ///
     /// Semantics are identical to [`insert`](Self::insert) for any input
     /// order; only the page-access pattern (and therefore speed) differs.
-    pub fn insert_sorted(
+    pub(crate) fn insert_sorted(
         &mut self,
         store: &mut PageStore,
         cur: &mut BatchIngest,
@@ -476,57 +471,13 @@ impl BTree {
     }
 
     /// Total number of records (full scan; O(n)).
-    pub fn count(&self, store: &PageStore, log: &mut impl PageSink) -> u64 {
+    pub(crate) fn count(&self, store: &PageStore, log: &mut impl PageSink) -> u64 {
         let mut n = 0u64;
         self.scan_range(store, i64::MIN, i64::MAX, log, |_, _| {
             n += 1;
             true
         });
         n
-    }
-
-    /// Largest key in the tree, if any.
-    pub fn max_key(&self, store: &PageStore, log: &mut impl PageSink) -> Option<i64> {
-        // Descend along the rightmost spine.
-        let mut page_id = self.root;
-        let mut best = None;
-        loop {
-            let page = store.read(page_id);
-            log.touch(page_id, false);
-            if is_leaf(page) {
-                let s = SlottedRef::new(page, ENTRIES_BASE);
-                if !s.is_empty() {
-                    best = Some(s.key_at(s.len() - 1));
-                }
-                // A rightmost leaf can be empty after deletions; walking back
-                // is impossible without parent pointers, so scan as fallback.
-                if best.is_none() {
-                    let mut last = None;
-                    self.scan_range(store, i64::MIN, i64::MAX, log, |k, _| {
-                        last = Some(k);
-                        true
-                    });
-                    best = last;
-                }
-                return best;
-            }
-            let n = internal_nkeys(page);
-            page_id = internal_child(page, n);
-        }
-    }
-
-    /// Height of the tree (1 = just a root leaf).
-    pub fn height(&self, store: &PageStore) -> usize {
-        let mut h = 1;
-        let mut page_id = self.root;
-        loop {
-            let page = store.read(page_id);
-            if is_leaf(page) {
-                return h;
-            }
-            page_id = internal_child(page, 0);
-            h += 1;
-        }
     }
 
     fn split_leaf(
@@ -608,6 +559,20 @@ impl BTree {
 mod tests {
     use super::*;
 
+    /// Height of the tree (1 = just a root leaf).
+    fn height(tree: &BTree, store: &PageStore) -> usize {
+        let mut h = 1;
+        let mut page_id = tree.root;
+        loop {
+            let page = store.read(page_id);
+            if is_leaf(page) {
+                return h;
+            }
+            page_id = internal_child(page, 0);
+            h += 1;
+        }
+    }
+
     fn payload(k: i64) -> Vec<u8> {
         format!("payload-{k}").into_bytes()
     }
@@ -628,22 +593,20 @@ mod tests {
         let mut log = AccessLog::new();
         assert_eq!(tree.get(&store, 1, &mut log), None);
         assert_eq!(tree.count(&store, &mut log), 0);
-        assert_eq!(tree.max_key(&store, &mut log), None);
-        assert_eq!(tree.height(&store), 1);
+        assert_eq!(height(&tree, &store), 1);
     }
 
     #[test]
     fn insert_get_thousands_with_splits() {
         let n = 20_000i64;
         let (store, tree) = build(0..n);
-        assert!(tree.height(&store) >= 2, "tree should have split");
+        assert!(height(&tree, &store) >= 2, "tree should have split");
         let mut log = AccessLog::new();
         for k in [0, 1, n / 2, n - 1] {
             assert_eq!(tree.get(&store, k, &mut log), Some(payload(k).as_slice()));
         }
         assert_eq!(tree.get(&store, n, &mut log), None);
         assert_eq!(tree.count(&store, &mut log), n as u64);
-        assert_eq!(tree.max_key(&store, &mut log), Some(n - 1));
     }
 
     #[test]
@@ -754,7 +717,7 @@ mod tests {
         let (store, tree) = build(0..20_000);
         let mut log = AccessLog::new();
         tree.get(&store, 12345, &mut log);
-        assert_eq!(log.len(), tree.height(&store));
+        assert_eq!(log.len(), height(&tree, &store));
         assert!(log.iter().all(|(_, w)| !w));
         log.clear();
     }
@@ -792,7 +755,7 @@ mod tests {
             let (ps, pt) = build(keys.iter().copied());
             let (ss, st) = build_sorted(keys.iter().copied());
             assert_eq!(dump(&ps, &pt), dump(&ss, &st));
-            assert_eq!(pt.height(&ps), st.height(&ss));
+            assert_eq!(height(&pt, &ps), height(&st, &ss));
             // Same bytes, not only the same rows: every page image, in id
             // order, and the same page count.
             assert_eq!(ps.live_pages(), ss.live_pages());
@@ -816,7 +779,7 @@ mod tests {
             tree.insert_sorted(&mut store, &mut cur, k, &payload(k), &mut log)
                 .unwrap();
         }
-        assert!(tree.height(&store) >= 2);
+        assert!(height(&tree, &store) >= 2);
         // Plain inserts touch height+1 pages each (descent + leaf write);
         // the cursor collapses almost every append to one leaf write.
         assert!(
@@ -846,7 +809,7 @@ mod tests {
         // starts in a middle leaf and must leave the cached leaf every time
         // it crosses a separator instead of appending past the bound.
         let (mut store, mut tree) = build((0..2000).map(|k| k * 2));
-        assert!(tree.height(&store) >= 2);
+        assert!(height(&tree, &store) >= 2);
         let mut cur = BatchIngest::new();
         let mut log = AccessLog::new();
         for k in 0..2000 {

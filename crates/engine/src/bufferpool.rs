@@ -412,7 +412,8 @@ impl BufferPool {
     }
 
     /// Number of dirty resident pages.
-    pub fn dirty_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dirty_count(&self) -> usize {
         self.map
             .values()
             .filter(|&&idx| self.nodes[idx as usize].dirty)
@@ -420,8 +421,7 @@ impl BufferPool {
     }
 
     /// Change the capacity; shrinking evicts pages in policy order (dirty
-    /// ones are returned for write-back — route them through
-    /// [`crate::ExecCtx::resize_pool`] so the I/O is charged).
+    /// ones are returned for the caller to write back).
     pub fn resize(&mut self, capacity: usize) -> Vec<PageId> {
         self.capacity = capacity.max(1);
         let mut dirty_out = Vec::new();
@@ -457,16 +457,6 @@ impl BufferPool {
     /// Dirty pages evicted so far (each cost a write-back).
     pub fn dirty_evictions(&self) -> u64 {
         self.dirty_evictions
-    }
-
-    /// Hit ratio in [0, 1]; 0 if never touched.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     /// Walk both intrusive lists and cross-check them against the map,
@@ -512,7 +502,6 @@ mod tests {
         assert!(pool.touch(PageId(1), false).hit);
         assert_eq!(pool.hits(), 1);
         assert_eq!(pool.misses(), 1);
-        assert!((pool.hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`crate::btree::PageSink`] the trees report to, so a page is charged to
 //! the buffer pool at the moment the tree touches it. Work that nobody is
 //! billed for (bulk load, index back-fill, oracles, recovery) passes
-//! [`Uncharged`] instead.
+//! `Uncharged` instead.
 
 use cb_sim::SimTime;
 use cb_store::{LogStore, Lsn, PageStore, StorageService, TableId, TxnId, WalOp};
@@ -97,27 +97,22 @@ impl TableMeta {
         self.auto_key
     }
 
-    /// Columns covered by a secondary index.
-    pub fn indexed_columns(&self) -> Vec<usize> {
-        self.secondaries.iter().map(|s| s.column()).collect()
-    }
-
     /// True if `column` has a secondary index.
-    pub fn has_index(&self, column: usize) -> bool {
+    pub(crate) fn has_index(&self, column: usize) -> bool {
         self.secondaries.iter().any(|s| s.column() == column)
     }
 }
 
 /// The row keys a transaction wrote, one per DML. The paper's point
 /// transactions write at most two rows, so the set lives inline.
-pub type WriteSet = InlineVec<RowKey, 4>;
+pub(crate) type WriteSet = InlineVec<RowKey, 4>;
 
 /// The LSNs of a transaction's DML records, aligned with its [`WriteSet`].
 /// The records themselves stay in the WAL — abort and version publication
 /// read them back — which holds because nothing truncates the log under an
 /// open transaction: checkpoints run between transactions and keep at least
 /// the tail since the previous checkpoint.
-pub type UndoLsns = InlineVec<Lsn, 4>;
+pub(crate) type UndoLsns = InlineVec<Lsn, 4>;
 
 /// An open transaction: its undo log and write set.
 pub struct TxnHandle {
@@ -136,16 +131,6 @@ impl TxnHandle {
     /// Transaction id.
     pub fn id(&self) -> TxnId {
         self.id
-    }
-
-    /// Row keys written so far.
-    pub fn writes(&self) -> &[RowKey] {
-        &self.writes
-    }
-
-    /// WAL bytes generated so far.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal_bytes
     }
 }
 
@@ -343,6 +328,63 @@ impl Database {
                 idx.add(pages, new, pk, sink);
             }
         }
+    }
+
+    /// Undo one DML record in place from its own WAL images, charging every
+    /// page touched to `sink`: an insert is deleted, an update's
+    /// before-image is written back, a delete is re-inserted, and the
+    /// secondary indexes follow. The record's writer must still be the
+    /// row's last writer, so the images are the row's current state.
+    /// Returns `false`, touching nothing, for a record that is not DML.
+    fn undo_dml(
+        pages: &mut PageStore,
+        tables: &mut [TableMeta],
+        op: &WalOp,
+        sink: &mut impl PageSink,
+    ) -> bool {
+        match op {
+            WalOp::Insert { table, key, row } => {
+                let t = &mut tables[table.0 as usize];
+                let removed = t.tree.delete(pages, *key, sink);
+                assert!(removed.is_some(), "undo of insert: row {key} must exist");
+                Self::index_remove(pages, t, RowRef::new(row), *key, sink);
+                t.rows -= 1;
+            }
+            WalOp::Update {
+                table,
+                key,
+                before,
+                after,
+            } => {
+                let t = &mut tables[table.0 as usize];
+                let ok = t.tree.update(pages, *key, before, sink);
+                assert!(ok, "undo of update: row {key} must exist");
+                Self::index_transition(
+                    pages,
+                    t,
+                    RowRef::new(after),
+                    RowRef::new(before),
+                    *key,
+                    sink,
+                );
+            }
+            WalOp::Delete { table, key, before } => {
+                let t = &mut tables[table.0 as usize];
+                t.tree
+                    .insert(pages, *key, before, sink)
+                    .expect("undo of delete: key must be free");
+                Self::index_add(pages, t, RowRef::new(before), *key, sink);
+                t.rows += 1;
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Recovery internal: [`Database::abort`]'s undo step for one record of
+    /// a crash loser, uncharged.
+    pub(crate) fn undo_uncharged(&mut self, op: &WalOp) -> bool {
+        Self::undo_dml(&mut self.pages, &mut self.tables, op, &mut Uncharged)
     }
 
     /// Fetch all rows whose indexed `column` equals `value`, in primary-key
@@ -846,42 +888,8 @@ impl Database {
                 .log
                 .get(lsn)
                 .expect("DML record of an open transaction");
-            match &rec.op {
-                WalOp::Insert { table, key, row } => {
-                    let t = &mut self.tables[table.0 as usize];
-                    let removed = t.tree.delete(&mut self.pages, *key, ctx);
-                    debug_assert!(removed.is_some(), "undo of insert: row must exist");
-                    Self::index_remove(&mut self.pages, t, RowRef::new(row), *key, ctx);
-                    t.rows -= 1;
-                }
-                WalOp::Update {
-                    table,
-                    key,
-                    before,
-                    after,
-                } => {
-                    let t = &mut self.tables[table.0 as usize];
-                    let ok = t.tree.update(&mut self.pages, *key, before, ctx);
-                    debug_assert!(ok, "undo of update: row must exist");
-                    Self::index_transition(
-                        &mut self.pages,
-                        t,
-                        RowRef::new(after),
-                        RowRef::new(before),
-                        *key,
-                        ctx,
-                    );
-                }
-                WalOp::Delete { table, key, before } => {
-                    let t = &mut self.tables[table.0 as usize];
-                    t.tree
-                        .insert(&mut self.pages, *key, before, ctx)
-                        .expect("undo of delete: key must be free");
-                    Self::index_add(&mut self.pages, t, RowRef::new(before), *key, ctx);
-                    t.rows += 1;
-                }
-                other => unreachable!("non-DML in undo chain: {other:?}"),
-            }
+            let undone = Self::undo_dml(&mut self.pages, &mut self.tables, &rec.op, ctx);
+            assert!(undone, "non-DML in undo chain: {:?}", rec.op);
             ctx.charge_rows(1);
         }
         if txn.begun {
@@ -961,7 +969,7 @@ impl Database {
     /// cursor: sorted redo/replay streams amortize the B-tree descent. The
     /// cursor is only valid for consecutive inserts into `table`; callers
     /// must invalidate it around any other mutation of the same tree.
-    pub fn apply_insert_raw_batched(
+    pub(crate) fn apply_insert_raw_batched(
         &mut self,
         table: TableId,
         key: i64,
@@ -979,7 +987,7 @@ impl Database {
     }
 
     /// Recovery/replication internal: apply an update image directly.
-    pub fn apply_update_raw(
+    pub(crate) fn apply_update_raw(
         &mut self,
         table: TableId,
         key: i64,
@@ -1022,9 +1030,10 @@ impl Database {
 
     /// Recovery internal: ensure `table`'s next auto-assigned key is past
     /// `key`. Net-effect replay applies only each key's final image, so
-    /// inserts that were later deleted never reach [`apply_insert_raw`];
-    /// this keeps the auto-key watermark identical to sequential redo.
-    pub fn bump_auto_key(&mut self, table: TableId, key: i64) {
+    /// inserts that were later deleted never reach
+    /// [`apply_insert_raw`](Self::apply_insert_raw); this keeps the auto-key
+    /// watermark identical to sequential redo.
+    pub(crate) fn bump_auto_key(&mut self, table: TableId, key: i64) {
         let t = &mut self.tables[table.0 as usize];
         t.auto_key = t.auto_key.max(key + 1);
     }
@@ -1059,14 +1068,14 @@ mod tests {
     use super::*;
     use crate::exec::CostModel;
     use crate::value::{ColumnDef, DataType};
-    use cb_sim::{Device, DeviceKind, SimDuration};
+    use cb_sim::{Device, SimDuration};
     use cb_store::StorageArch;
 
     fn storage() -> StorageService {
         StorageService::new(
             StorageArch::Coupled,
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
             None,
             1,
             SimDuration::ZERO,

@@ -249,30 +249,6 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Resize the local pool, routing dirty shrink-evictions through the
-    /// same write-back accounting as touch-evictions: the remote tier
-    /// absorbs them when present (at remote-hit latency), otherwise each
-    /// one pays a storage page write. Calling [`BufferPool::resize`]
-    /// directly drops those write-backs on the floor — use this instead
-    /// whenever a context is live.
-    pub fn resize_pool(&mut self, capacity: usize) {
-        let (_, _, dirty_ctr) = policy_counters(self.pool.policy_kind());
-        for victim in self.pool.resize(capacity) {
-            if let Some(remote) = self.remote.as_mut() {
-                remote.pool.touch(victim, true);
-                self.io += self.model.remote_hit;
-            } else {
-                let at = self.io_now();
-                self.io += self.storage.page_write_cost(at);
-                self.obs
-                    .instant(Category::BufferPool, "flush", self.track, at);
-            }
-            self.stats.page_writebacks += 1;
-            self.obs.add("bufferpool.writebacks", 1);
-            self.obs.add(dirty_ctr, 1);
-        }
-    }
-
     /// Charge statement dispatch.
     pub fn charge_stmt(&mut self) {
         self.cpu += self.model.cpu_per_stmt;
@@ -286,7 +262,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Charge a durable WAL append of `bytes` (the commit path).
-    pub fn charge_log_append(&mut self, bytes: u64) {
+    pub(crate) fn charge_log_append(&mut self, bytes: u64) {
         self.cpu += self.model.cpu_per_commit;
         let at = self.io_now();
         let cost = self.storage.log_append_cost(at, bytes);
@@ -300,7 +276,7 @@ impl<'a> ExecCtx<'a> {
     /// pipeline attached the commit stages into the open batch and waits
     /// for the batch's flush ack (enqueue → flush → ack, each journaled);
     /// without one it degenerates to [`ExecCtx::charge_log_append`].
-    pub fn charge_commit(&mut self, bytes: u64) {
+    pub(crate) fn charge_commit(&mut self, bytes: u64) {
         let Some(gc) = self.group_commit.as_deref_mut() else {
             self.charge_log_append(bytes);
             return;
@@ -338,14 +314,14 @@ impl PageSink for ExecCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cb_sim::{Device, DeviceKind, NetworkLink};
+    use cb_sim::{Device, NetworkLink};
     use cb_store::StorageArch;
 
     fn coupled_storage() -> StorageService {
         StorageService::new(
             StorageArch::Coupled,
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
             None,
             1,
             SimDuration::ZERO,
@@ -355,8 +331,8 @@ mod tests {
     fn pushdown_storage() -> StorageService {
         StorageService::new(
             StorageArch::SmartStorage,
-            Device::new(DeviceKind::NetworkSsd, SimDuration::from_micros(450), None),
-            Device::new(DeviceKind::NetworkSsd, SimDuration::from_micros(450), None),
+            Device::new(SimDuration::from_micros(450), None),
+            Device::new(SimDuration::from_micros(450), None),
             Some(NetworkLink::tcp(10.0)),
             6,
             SimDuration::ZERO,
@@ -366,8 +342,8 @@ mod tests {
     fn memdisagg_storage() -> StorageService {
         StorageService::new(
             StorageArch::MemoryDisagg,
-            Device::new(DeviceKind::NetworkSsd, SimDuration::from_micros(450), None),
-            Device::new(DeviceKind::NetworkSsd, SimDuration::from_micros(450), None),
+            Device::new(SimDuration::from_micros(450), None),
+            Device::new(SimDuration::from_micros(450), None),
             Some(NetworkLink::rdma(10.0)),
             3,
             SimDuration::ZERO,
@@ -460,58 +436,6 @@ mod tests {
         assert_eq!(ctx.stats.remote_hits, 1);
         let _ = ctx;
         assert!(remote_pool.contains(PageId(1)));
-    }
-
-    #[test]
-    fn resize_shrink_charges_dirty_writebacks() {
-        // Regression: pool shrinks used to call BufferPool::resize directly
-        // and silently drop the dirty evictions — no I/O wait, no
-        // page_writebacks. The context-level resize must charge them
-        // exactly like touch-evictions.
-        let mut pool = BufferPool::new(4);
-        let mut storage = coupled_storage();
-        let model = CostModel::default();
-        let mut ctx = ExecCtx::new(SimTime::ZERO, &mut pool, None, &mut storage, &model);
-        ctx.charge_page(PageId(1), true);
-        ctx.charge_page(PageId(2), true);
-        ctx.charge_page(PageId(3), false);
-        let before_io = ctx.io;
-        ctx.resize_pool(1);
-        assert_eq!(ctx.pool.capacity(), 1);
-        assert_eq!(ctx.pool.len(), 1);
-        assert_eq!(ctx.stats.page_writebacks, 2, "both dirty victims charged");
-        // Two storage page writes' worth of I/O was actually paid.
-        assert!(
-            ctx.io - before_io >= SimDuration::from_micros(180),
-            "io delta = {}",
-            ctx.io - before_io
-        );
-    }
-
-    #[test]
-    fn resize_shrink_writes_back_into_remote_tier() {
-        let mut local = BufferPool::new(4);
-        let mut remote_pool = BufferPool::new(1024);
-        let mut storage = memdisagg_storage();
-        let model = CostModel::default();
-        let mut ctx = ExecCtx::new(
-            SimTime::ZERO,
-            &mut local,
-            Some(RemoteTier {
-                pool: &mut remote_pool,
-            }),
-            &mut storage,
-            &model,
-        );
-        ctx.charge_page(PageId(1), true);
-        ctx.charge_page(PageId(2), false);
-        ctx.resize_pool(1);
-        assert_eq!(ctx.stats.page_writebacks, 1);
-        let _ = ctx;
-        assert!(
-            remote_pool.contains(PageId(1)),
-            "dirty shrink-eviction lands in the remote tier"
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub struct InlineVec<T, const N: usize> {
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// An empty vector; allocates nothing.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InlineVec {
             len: 0,
             inline: [T::default(); N],
@@ -28,7 +28,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// Append `v`.
-    pub fn push(&mut self, v: T) {
+    pub(crate) fn push(&mut self, v: T) {
         if self.len < N {
             self.inline[self.len] = v;
         } else {

@@ -8,9 +8,9 @@
 //! * [`btree`] — a clustered B+tree over fixed-size pages.
 //! * [`bufferpool`] — per-node page-cache simulator (hits/misses/dirty)
 //!   with a selectable replacement policy (LRU / SIEVE / LRU-K).
-//! * [`inline`] — the inline small vector behind write sets and descents.
-//! * [`locks`] — virtual-time 2PL row locks.
-//! * [`mvcc`] — version chains, snapshot visibility, watermark GC, and the
+//! * `inline` — the inline small vector behind write sets and descents.
+//! * `locks` — virtual-time 2PL row locks.
+//! * `mvcc` — version chains, snapshot visibility, watermark GC, and the
 //!   selectable [`IsolationLevel`]s.
 //! * [`exec`] — [`ExecCtx`]: accumulates CPU demand and I/O wait while
 //!   operations execute logically for real.
@@ -25,19 +25,19 @@ pub mod btree;
 pub mod bufferpool;
 pub mod db;
 pub mod exec;
-pub mod inline;
-pub mod locks;
-pub mod mvcc;
+mod inline;
+mod locks;
+mod mvcc;
 pub mod recovery;
 pub mod secondary;
 pub mod slotted;
 pub mod sql;
 pub mod value;
 
-pub use btree::{AccessLog, BTree, DuplicateKey, PageSink, Uncharged};
+pub use btree::{AccessLog, BTree, DuplicateKey, PageSink};
 pub use bufferpool::{Access, BufferPool, EvictionPolicyKind};
-pub use db::{Committed, Database, EngineError, TxnHandle, UndoLsns, WriteSet};
+pub use db::{Committed, Database, EngineError, TxnHandle};
 pub use exec::{CostModel, ExecCtx, ExecStats, RemoteTier};
-pub use locks::{LockTable, RowKey};
+pub use locks::LockTable;
 pub use mvcc::{IsolationLevel, Version, VersionStore, Visibility};
-pub use value::{ColumnDef, DataType, Row, RowRef, Schema, SchemaError, Value, ValueRef};
+pub use value::{ColumnDef, DataType, Row, RowRef, Schema, SchemaError, Value};

@@ -12,14 +12,12 @@ use cb_sim::SimTime;
 use cb_store::{IntMap, TableId};
 
 /// A row lock key.
-pub type RowKey = (TableId, i64);
+pub(crate) type RowKey = (TableId, i64);
 
 /// Exclusive row locks with virtual release times.
 #[derive(Clone, Default)]
 pub struct LockTable {
     held: IntMap<RowKey, SimTime>,
-    registered: u64,
-    conflicts: u64,
 }
 
 impl LockTable {
@@ -29,29 +27,12 @@ impl LockTable {
     }
 
     /// If any of `keys` is exclusively held past `now`, the instant at which
-    /// the *last* of them releases (the caller must wait until then).
-    pub fn conflict_until(&mut self, keys: &[RowKey], now: SimTime) -> Option<SimTime> {
-        let mut latest: Option<SimTime> = None;
-        for k in keys {
-            if let Some(&release) = self.held.get(k) {
-                if release > now {
-                    latest = Some(latest.map_or(release, |l| l.max(release)));
-                }
-            }
-        }
-        if latest.is_some() {
-            self.conflicts += 1;
-        }
-        latest
-    }
-
-    /// Non-mutating variant of [`LockTable::conflict_until`]: when would
-    /// the last conflicting holder release, without counting a 2PL
-    /// conflict. Versioned isolation levels use this as their
-    /// first-committer-wins probe — a held lock's release time *is* the
-    /// concurrent writer's commit instant, so overlap means the probing
-    /// transaction must abort (write-write under SI, and read-write under
-    /// the serializable read-validation approximation) rather than block.
+    /// the *last* of them releases. Under 2PL the caller waits until then.
+    /// Versioned isolation levels use it as their first-committer-wins
+    /// probe: a held lock's release time *is* the concurrent writer's
+    /// commit instant, so overlap means the probing transaction must abort
+    /// (write-write under SI, and read-write under the serializable
+    /// read-validation approximation) rather than block.
     pub fn conflict_probe(&self, keys: &[RowKey], now: SimTime) -> Option<SimTime> {
         let mut latest: Option<SimTime> = None;
         for k in keys {
@@ -73,7 +54,6 @@ impl LockTable {
             let slot = self.held.entry(*k).or_insert(release);
             *slot = (*slot).max(release);
         }
-        self.registered += keys.len() as u64;
     }
 
     /// Drop every lock that released at or before `now`. Call periodically
@@ -86,26 +66,6 @@ impl LockTable {
     pub fn clear(&mut self) {
         self.held.clear();
     }
-
-    /// Number of live (possibly expired, pre-GC) entries.
-    pub fn len(&self) -> usize {
-        self.held.len()
-    }
-
-    /// True if no locks are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
-    }
-
-    /// Total lock registrations (throughput statistic).
-    pub fn registered(&self) -> u64 {
-        self.registered
-    }
-
-    /// Total conflicts observed (contention statistic).
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
-    }
 }
 
 #[cfg(test)]
@@ -116,9 +76,8 @@ mod tests {
 
     #[test]
     fn no_conflict_when_free() {
-        let mut lt = LockTable::new();
-        assert_eq!(lt.conflict_until(&[(T, 1)], SimTime::ZERO), None);
-        assert_eq!(lt.conflicts(), 0);
+        let lt = LockTable::new();
+        assert_eq!(lt.conflict_probe(&[(T, 1)], SimTime::ZERO), None);
     }
 
     #[test]
@@ -126,12 +85,11 @@ mod tests {
         let mut lt = LockTable::new();
         lt.register(&[(T, 1)], SimTime::from_millis(10));
         assert_eq!(
-            lt.conflict_until(&[(T, 1)], SimTime::from_millis(5)),
+            lt.conflict_probe(&[(T, 1)], SimTime::from_millis(5)),
             Some(SimTime::from_millis(10))
         );
         // After release, no conflict.
-        assert_eq!(lt.conflict_until(&[(T, 1)], SimTime::from_millis(10)), None);
-        assert_eq!(lt.conflicts(), 1);
+        assert_eq!(lt.conflict_probe(&[(T, 1)], SimTime::from_millis(10)), None);
     }
 
     #[test]
@@ -140,7 +98,7 @@ mod tests {
         lt.register(&[(T, 1)], SimTime::from_millis(10));
         lt.register(&[(T, 2)], SimTime::from_millis(30));
         assert_eq!(
-            lt.conflict_until(&[(T, 1), (T, 2), (T, 3)], SimTime::ZERO),
+            lt.conflict_probe(&[(T, 1), (T, 2), (T, 3)], SimTime::ZERO),
             Some(SimTime::from_millis(30))
         );
     }
@@ -149,12 +107,16 @@ mod tests {
     fn probe_reports_conflicts_without_counting_them() {
         let mut lt = LockTable::new();
         lt.register(&[(T, 1)], SimTime::from_millis(10));
+        // A probe borrows the table shared: nothing is recorded.
+        let held = &lt;
         assert_eq!(
-            lt.conflict_probe(&[(T, 1)], SimTime::from_millis(5)),
+            held.conflict_probe(&[(T, 1)], SimTime::from_millis(5)),
             Some(SimTime::from_millis(10))
         );
-        assert_eq!(lt.conflict_probe(&[(T, 1)], SimTime::from_millis(10)), None);
-        assert_eq!(lt.conflicts(), 0, "probes never count as 2PL conflicts");
+        assert_eq!(
+            held.conflict_probe(&[(T, 1)], SimTime::from_millis(10)),
+            None
+        );
     }
 
     #[test]
@@ -163,7 +125,7 @@ mod tests {
         lt.register(&[(T, 1)], SimTime::from_millis(30));
         lt.register(&[(T, 1)], SimTime::from_millis(10));
         assert_eq!(
-            lt.conflict_until(&[(T, 1)], SimTime::ZERO),
+            lt.conflict_probe(&[(T, 1)], SimTime::ZERO),
             Some(SimTime::from_millis(30))
         );
     }
@@ -172,7 +134,7 @@ mod tests {
     fn different_tables_do_not_conflict() {
         let mut lt = LockTable::new();
         lt.register(&[(TableId(1), 5)], SimTime::from_millis(10));
-        assert_eq!(lt.conflict_until(&[(TableId(2), 5)], SimTime::ZERO), None);
+        assert_eq!(lt.conflict_probe(&[(TableId(2), 5)], SimTime::ZERO), None);
     }
 
     #[test]
@@ -181,9 +143,9 @@ mod tests {
         lt.register(&[(T, 1)], SimTime::from_millis(10));
         lt.register(&[(T, 2)], SimTime::from_millis(20));
         lt.gc(SimTime::from_millis(15));
-        assert_eq!(lt.len(), 1);
+        assert_eq!(lt.held.len(), 1);
         assert_eq!(
-            lt.conflict_until(&[(T, 2)], SimTime::ZERO),
+            lt.conflict_probe(&[(T, 2)], SimTime::ZERO),
             Some(SimTime::from_millis(20))
         );
     }
@@ -193,7 +155,7 @@ mod tests {
         let mut lt = LockTable::new();
         lt.register(&[(T, 1), (T, 2)], SimTime::from_secs(100));
         lt.clear();
-        assert!(lt.is_empty());
-        assert_eq!(lt.conflict_until(&[(T, 1)], SimTime::ZERO), None);
+        assert!(lt.held.is_empty());
+        assert_eq!(lt.conflict_probe(&[(T, 1)], SimTime::ZERO), None);
     }
 }

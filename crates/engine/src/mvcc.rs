@@ -124,7 +124,6 @@ pub struct VersionStore {
     chains: BTreeMap<RowKey, Vec<Version>>,
     watermark: SimTime,
     published: u64,
-    pruned: u64,
     max_chain: usize,
 }
 
@@ -173,7 +172,8 @@ impl VersionStore {
     }
 
     /// Chain length for `key` (0 when the row has no history).
-    pub fn chain_len(&self, key: RowKey) -> usize {
+    #[cfg(test)]
+    pub(crate) fn chain_len(&self, key: RowKey) -> usize {
         self.chains.get(&key).map_or(0, Vec::len)
     }
 
@@ -183,7 +183,7 @@ impl VersionStore {
     /// snapshot (their chain still holds the visible image), and tree keys
     /// with a newer-than-snapshot `latest` stamp must resolve through
     /// [`VersionStore::visible`] instead of the tree image.
-    pub fn overlay_keys(
+    pub(crate) fn overlay_keys(
         &self,
         table: cb_store::TableId,
         lo: i64,
@@ -223,7 +223,6 @@ impl VersionStore {
                 chain.drain(..keep_from);
             }
         }
-        self.pruned += pruned;
         pruned
     }
 
@@ -246,19 +245,9 @@ impl VersionStore {
         self.published
     }
 
-    /// Total versions pruned by GC over the store's lifetime.
-    pub fn pruned(&self) -> u64 {
-        self.pruned
-    }
-
     /// Longest chain ever observed.
     pub fn max_chain(&self) -> usize {
         self.max_chain
-    }
-
-    /// The effective GC watermark.
-    pub fn watermark(&self) -> SimTime {
-        self.watermark
     }
 }
 
@@ -321,7 +310,6 @@ mod tests {
         assert_eq!(vs.gc(ts(300)), 1);
         assert_eq!(vs.tracked_rows(), 0);
         assert_eq!(vs.visible((T, 1), ts(300)), Visibility::Latest);
-        assert_eq!(vs.pruned(), 3);
     }
 
     #[test]
@@ -332,7 +320,7 @@ mod tests {
         vs.publish((T, 1), Some(b"v1"), ts(600));
         // A stale (smaller) watermark must not resurrect pruning leniency.
         vs.gc(ts(50));
-        assert_eq!(vs.watermark(), ts(500));
+        assert_eq!(vs.watermark, ts(500));
         assert_eq!(vs.visible((T, 1), ts(550)), Visibility::Image(b"v1"));
     }
 

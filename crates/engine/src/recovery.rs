@@ -112,7 +112,7 @@ pub fn in_doubt_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> Ve
 /// Apply one DML record's redo image directly to `db` (no WAL, no cost —
 /// timing is modelled by the caller). Idempotent per record when applied in
 /// LSN order from a consistent base.
-pub fn apply_redo(db: &mut Database, rec: &WalRecord) {
+pub(crate) fn apply_redo(db: &mut Database, rec: &WalRecord) {
     match &rec.op {
         WalOp::Insert { table, key, row } => {
             let t = *table;
@@ -156,7 +156,9 @@ where
 
 /// The committed-transaction set of a record stream (the first pass of
 /// redo).
-pub fn committed_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> HashSet<TxnId> {
+pub(crate) fn committed_txns<'a>(
+    records: impl IntoIterator<Item = &'a WalRecord>,
+) -> HashSet<TxnId> {
     records
         .into_iter()
         .filter(|r| matches!(r.op, WalOp::Commit))
@@ -175,7 +177,7 @@ pub fn committed_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> H
 /// Everything in between cancels out, so redo applies at most one physical
 /// op per row instead of the whole history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetAction<'a> {
+pub(crate) enum NetAction<'a> {
     /// Absent at the checkpoint, present at the crash: insert final image.
     Insert(&'a [u8]),
     /// Present at the checkpoint, still present: overwrite with final image.
@@ -188,7 +190,7 @@ pub enum NetAction<'a> {
 /// log records. A pure function of the log and the committed set: nothing
 /// about the host decides what gets applied or in which order.
 #[derive(Clone, Debug, Default)]
-pub struct RedoPlan<'a> {
+pub(crate) struct RedoPlan<'a> {
     /// `(table, key, action)` triples in ascending `(table, key)` order.
     pub ops: Vec<(TableId, i64, NetAction<'a>)>,
     /// Per-table maximum committed-`Insert` key (even if the row was later
@@ -203,7 +205,10 @@ pub struct RedoPlan<'a> {
 
 /// Scan `records` (one checkpoint's log tail, in LSN order) once and fold
 /// the DML of the `committed` transactions into net row effects.
-pub fn net_effects<'a>(records: &[&'a WalRecord], committed: &HashSet<TxnId>) -> RedoPlan<'a> {
+pub(crate) fn net_effects<'a>(
+    records: &[&'a WalRecord],
+    committed: &HashSet<TxnId>,
+) -> RedoPlan<'a> {
     use std::collections::HashMap;
     // Per row: (first committed op was an insert, final image or deleted).
     type RowNet<'a> = HashMap<(TableId, i64), (bool, Option<&'a [u8]>)>;
@@ -261,7 +266,7 @@ pub fn net_effects<'a>(records: &[&'a WalRecord], committed: &HashSet<TxnId>) ->
 /// deletes invalidate it (they can restructure the leaf under the cursor).
 /// Returns the plan's committed-DML count, matching [`redo_committed`]'s
 /// return value for the same log tail.
-pub fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
+pub(crate) fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
     use crate::btree::BatchIngest;
     let mut cur = BatchIngest::new();
     let mut cur_table: Option<TableId> = None;
@@ -291,7 +296,7 @@ pub fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
 }
 
 /// Net-effect equivalent of [`redo_committed`]: fold the committed DML of
-/// `records` into one op per row ([`net_effects`]) and apply the plan onto
+/// `records` into one op per row (`net_effects`) and apply the plan onto
 /// `db`. Returns the committed-DML record count (the same number the
 /// record-by-record pass reports).
 ///
@@ -355,20 +360,9 @@ pub fn undo_losers(
         .collect();
     let mut undone = 0u64;
     for r in records.iter().rev() {
-        if finished.contains(&r.txn) {
-            continue;
+        if !finished.contains(&r.txn) && db.undo_uncharged(&r.op) {
+            undone += 1;
         }
-        match &r.op {
-            WalOp::Insert { table, key, .. } => db.apply_delete_raw(*table, *key, &mut Uncharged),
-            WalOp::Update {
-                table, key, before, ..
-            } => db.apply_update_raw(*table, *key, before, &mut Uncharged),
-            WalOp::Delete { table, key, before } => {
-                db.apply_insert_raw(*table, *key, before, &mut Uncharged)
-            }
-            _ => continue,
-        }
-        undone += 1;
     }
     undone
 }
@@ -389,14 +383,14 @@ mod tests {
     use crate::bufferpool::BufferPool;
     use crate::exec::{CostModel, ExecCtx};
     use crate::value::{ColumnDef, DataType, Row, Schema, Value};
-    use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
+    use cb_sim::{Device, SimDuration, SimTime};
     use cb_store::{decode_record, encode_segment_into, StorageArch, StorageService};
 
     fn storage() -> StorageService {
         StorageService::new(
             StorageArch::Coupled,
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
             None,
             1,
             SimDuration::ZERO,

@@ -11,12 +11,12 @@
 //! covers the workload's shapes — an order has ~10 orderlines — and the
 //! bound is enforced loudly rather than silently degrading.
 
-use cb_store::{PageId, PageStore};
+use cb_store::PageStore;
 
 use crate::btree::{BTree, PageSink, Uncharged};
 
 /// Maximum primary keys per indexed value (payload-size bound).
-pub const MAX_KEYS_PER_VALUE: usize = 120;
+pub(crate) const MAX_KEYS_PER_VALUE: usize = 120;
 
 /// A secondary index over one `Int` column.
 #[derive(Clone)]
@@ -50,13 +50,8 @@ impl SecondaryIndex {
     }
 
     /// The indexed column.
-    pub fn column(&self) -> usize {
+    pub(crate) fn column(&self) -> usize {
         self.column
-    }
-
-    /// Root page (for diagnostics).
-    pub fn root(&self) -> PageId {
-        self.tree.root()
     }
 
     /// Register `pk` under `value`.

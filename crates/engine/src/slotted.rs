@@ -7,7 +7,7 @@
 //! a binary search; deletes leave payload garbage that is compacted away
 //! when space is actually needed.
 //!
-//! Two views share the layout logic: [`SlottedRef`] is the read-only view
+//! Two views share the layout logic: `SlottedRef` is the read-only view
 //! over `&PageBuf` whose accessors return slices tied to the *page's*
 //! lifetime — this is what lets `BTree::get` hand back a payload borrowed
 //! straight from the buffer pool with zero copies. [`Slotted`] is the
@@ -19,7 +19,7 @@ use std::ops::Range;
 use cb_store::{PageBuf, PAGE_SIZE};
 
 /// Largest payload a record may carry. Keeps worst-case fan-out sane.
-pub const MAX_PAYLOAD: usize = 1024;
+pub(crate) const MAX_PAYLOAD: usize = 1024;
 
 const SLOT_BYTES: usize = 12; // key: i64, off: u16, len: u16
 const HDR_NSLOTS: usize = 0;
@@ -32,7 +32,7 @@ const HDR_BYTES: usize = 6;
 /// from the view, so they outlive the view and can be returned up the read
 /// path without copying.
 #[derive(Clone, Copy)]
-pub struct SlottedRef<'a> {
+pub(crate) struct SlottedRef<'a> {
     page: &'a PageBuf,
     base: usize,
 }
@@ -50,7 +50,7 @@ pub struct PageFull;
 
 impl<'a> SlottedRef<'a> {
     /// View an already-initialized slotted region read-only.
-    pub fn new(page: &'a PageBuf, base: usize) -> Self {
+    pub(crate) fn new(page: &'a PageBuf, base: usize) -> Self {
         SlottedRef { page, base }
     }
 
@@ -67,23 +67,18 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// Number of live records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.page.get_u16(self.base + HDR_NSLOTS) as usize
     }
 
-    /// True if no records are present.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Key of the record at `idx`.
-    pub fn key_at(&self, idx: usize) -> i64 {
+    pub(crate) fn key_at(&self, idx: usize) -> i64 {
         debug_assert!(idx < self.len());
         self.page.get_i64(self.slot_off(idx))
     }
 
     /// Payload of the record at `idx`, borrowed from the page.
-    pub fn payload_at(&self, idx: usize) -> &'a [u8] {
+    pub(crate) fn payload_at(&self, idx: usize) -> &'a [u8] {
         debug_assert!(idx < self.len());
         let off = self.page.get_u16(self.slot_off(idx) + 8) as usize;
         let len = self.page.get_u16(self.slot_off(idx) + 10) as usize;
@@ -91,7 +86,7 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// Binary search: `Ok(idx)` if `key` exists, `Err(insert_pos)` otherwise.
-    pub fn find(&self, key: i64) -> Result<usize, usize> {
+    pub(crate) fn find(&self, key: i64) -> Result<usize, usize> {
         let mut lo = 0usize;
         let mut hi = self.len();
         while lo < hi {
@@ -110,7 +105,11 @@ impl<'a> SlottedRef<'a> {
     /// stop. Walks the slot directory as one contiguous byte slice — the
     /// scan path's hot loop, measurably faster than indexed `key_at` /
     /// `payload_at` calls per record.
-    pub fn for_each_from(&self, start: usize, mut f: impl FnMut(i64, &'a [u8]) -> bool) -> bool {
+    pub(crate) fn for_each_from(
+        &self,
+        start: usize,
+        mut f: impl FnMut(i64, &'a [u8]) -> bool,
+    ) -> bool {
         let bytes = self.page.as_bytes();
         let dir_start = self.base + HDR_BYTES + start * SLOT_BYTES;
         let dir_end = self.base + HDR_BYTES + self.len() * SLOT_BYTES;
@@ -126,7 +125,7 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// Contiguous free bytes between the slot directory and the payload heap.
-    pub fn contiguous_free(&self) -> usize {
+    pub(crate) fn contiguous_free(&self) -> usize {
         let dir_end = self.base + HDR_BYTES + self.len() * SLOT_BYTES;
         self.free_ptr().saturating_sub(dir_end)
     }
@@ -156,14 +155,14 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// Free bytes recoverable by compaction.
-    pub fn total_free(&self) -> usize {
+    pub(crate) fn total_free(&self) -> usize {
         self.contiguous_free() + self.garbage()
     }
 }
 
 impl<'a> Slotted<'a> {
     /// View an already-initialized slotted region.
-    pub fn new(page: &'a mut PageBuf, base: usize) -> Self {
+    pub(crate) fn new(page: &'a mut PageBuf, base: usize) -> Self {
         Slotted { page, base }
     }
 
@@ -177,7 +176,7 @@ impl<'a> Slotted<'a> {
     }
 
     /// The read-only view of this region (reads share one implementation).
-    pub fn as_read(&self) -> SlottedRef<'_> {
+    pub(crate) fn as_read(&self) -> SlottedRef<'_> {
         SlottedRef {
             page: self.page,
             base: self.base,
@@ -245,7 +244,7 @@ impl<'a> Slotted<'a> {
 
     /// Insert a record. `Err(PageFull)` if it cannot fit even after
     /// compaction. Panics if `key` already exists (callers check first) or
-    /// the payload exceeds [`MAX_PAYLOAD`].
+    /// the payload exceeds `MAX_PAYLOAD`.
     pub fn insert(&mut self, key: i64, payload: &[u8]) -> Result<(), PageFull> {
         match self.find(key) {
             Ok(_) => panic!("duplicate key {key} in slotted insert"),
@@ -256,7 +255,7 @@ impl<'a> Slotted<'a> {
     /// Append a record whose key is above every key present: the bytes
     /// [`insert`](Self::insert) writes for such a key, without its search.
     /// Panics if `key` is not above the last key (slots must stay sorted).
-    pub fn append(&mut self, key: i64, payload: &[u8]) -> Result<(), PageFull> {
+    pub(crate) fn append(&mut self, key: i64, payload: &[u8]) -> Result<(), PageFull> {
         let n = self.len();
         assert!(
             n == 0 || self.key_at(n - 1) < key,
@@ -339,7 +338,7 @@ impl<'a> Slotted<'a> {
     /// order — always so on a page filled by [`append`](Self::append) — they
     /// move as one payload block plus one slot-directory block; otherwise
     /// record by record. Both write the same bytes.
-    pub fn split_into(&mut self, dst: &mut Slotted<'_>) -> i64 {
+    pub(crate) fn split_into(&mut self, dst: &mut Slotted<'_>) -> i64 {
         self.split(dst, true)
     }
 
@@ -474,7 +473,6 @@ mod tests {
         }
         let r = SlottedRef::new(&page, 16);
         assert_eq!(r.len(), 50);
-        assert!(!r.is_empty());
         for k in 0..50usize {
             assert_eq!(r.key_at(k), k as i64);
             assert_eq!(r.payload_at(k), format!("payload-{k}").as_bytes());

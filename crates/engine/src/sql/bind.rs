@@ -78,6 +78,7 @@ pub enum BoundExpr {
 
 impl BoundExpr {
     /// True if the expression references the current row.
+    #[cfg(test)]
     fn references_row(&self) -> bool {
         match self {
             BoundExpr::Col(_) => true,
@@ -395,13 +396,8 @@ impl<'a> ProjectedRow<'a> {
     }
 
     /// Number of selected columns.
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         self.columns.map_or(self.row.len(), <[usize]>::len)
-    }
-
-    /// True if the projection selects nothing (the parser never binds one).
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
     }
 
     /// The integer in selected column `i`; panics on any other type.
@@ -420,7 +416,7 @@ impl<'a> ProjectedRow<'a> {
     }
 
     /// Selected column `i`, borrowed.
-    pub fn get(self, i: usize) -> ValueRef<'a> {
+    pub(crate) fn get(self, i: usize) -> ValueRef<'a> {
         self.row.get(self.column(i))
     }
 }
@@ -568,8 +564,9 @@ pub fn execute<'a>(
 }
 
 /// The row the statement will write-lock, if statically computable from the
-/// parameters (used by the driver's virtual-time 2PL conflict check).
-pub fn write_key(stmt: &BoundStmt, params: &[Value]) -> Option<(TableId, i64)> {
+/// parameters.
+#[cfg(test)]
+pub(crate) fn write_key(stmt: &BoundStmt, params: &[Value]) -> Option<(TableId, i64)> {
     match stmt {
         BoundStmt::Update { table, key, .. } | BoundStmt::Delete { table, key } => {
             eval_key(key, params).ok().map(|k| (*table, k))
@@ -597,14 +594,14 @@ mod tests {
     use crate::exec::CostModel;
     use crate::sql::parser::parse;
     use crate::value::{ColumnDef, Row, Schema};
-    use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
+    use cb_sim::{Device, SimDuration, SimTime};
     use cb_store::{StorageArch, StorageService};
 
     fn storage() -> StorageService {
         StorageService::new(
             StorageArch::Coupled,
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
+            Device::new(SimDuration::from_micros(90), None),
             None,
             1,
             SimDuration::ZERO,

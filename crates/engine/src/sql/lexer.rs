@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A token with its byte position (for error messages).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
     pub kind: TokenKind,
     /// Byte offset in the source.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// The kinds of token the dialect uses.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (matched case-insensitively by the parser).
     Ident(String),
     /// Integer literal.
@@ -55,7 +55,7 @@ impl fmt::Display for TokenKind {
 
 /// A lexing failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// What went wrong.
     pub message: String,
     /// Byte offset.
@@ -71,7 +71,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize `src`.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

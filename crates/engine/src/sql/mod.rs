@@ -3,13 +3,12 @@
 //! workloads extensible without touching driver code.
 
 pub mod bind;
-pub mod lexer;
-pub mod parser;
-pub mod registry;
+pub(crate) mod lexer;
+pub(crate) mod parser;
+pub(crate) mod registry;
 
 pub use bind::{
-    bind, execute, write_key, Access, BindError, BoundExpr, BoundStmt, ExecError, ProjectedRow,
-    StmtOutput,
+    bind, execute, Access, BindError, BoundExpr, BoundStmt, ExecError, ProjectedRow, StmtOutput,
 };
 pub use parser::{parse, Assign, Ast, Expr, ParseError};
 pub use registry::{RegistryError, StmtId, StmtRegistry};

@@ -37,7 +37,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type.
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match self {
             Value::Int(_) => DataType::Int,
             Value::Text(_) => DataType::Text,
@@ -63,7 +63,7 @@ impl Value {
     }
 
     /// The same value, borrowed.
-    pub fn as_ref(&self) -> ValueRef<'_> {
+    pub(crate) fn as_ref(&self) -> ValueRef<'_> {
         match self {
             Value::Int(x) => ValueRef::Int(*x),
             Value::Text(s) => ValueRef::Text(s),
@@ -84,7 +84,7 @@ impl Value {
 /// these and encodes them straight into the new image, so a text value is
 /// never copied into a `String` on the way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ValueRef<'a> {
+pub(crate) enum ValueRef<'a> {
     /// Integer.
     Int(i64),
     /// UTF-8 string.
@@ -95,7 +95,7 @@ pub enum ValueRef<'a> {
 
 impl ValueRef<'_> {
     /// The value's type.
-    pub fn data_type(self) -> DataType {
+    pub(crate) fn data_type(self) -> DataType {
         match self {
             ValueRef::Int(_) => DataType::Int,
             ValueRef::Text(_) => DataType::Text,
@@ -105,7 +105,7 @@ impl ValueRef<'_> {
 
     /// Append the tagged serialization to `out` — the one encoder behind
     /// [`Value::encode_into`] and [`Row::encode_into`].
-    pub fn encode_into(self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(self, out: &mut Vec<u8>) {
         match self {
             ValueRef::Int(x) => {
                 out.push(TAG_INT);
@@ -125,7 +125,7 @@ impl ValueRef<'_> {
     }
 
     /// An owned copy.
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
             ValueRef::Int(x) => Value::Int(x),
             ValueRef::Text(s) => Value::Text(s.to_string()),
@@ -202,18 +202,13 @@ impl Schema {
     }
 
     /// The columns in order.
-    pub fn columns(&self) -> &[ColumnDef] {
+    pub(crate) fn columns(&self) -> &[ColumnDef] {
         &self.columns
     }
 
     /// Number of columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Always false (a schema has at least the key column).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Index of the column named `name` (case-insensitive).
@@ -224,7 +219,7 @@ impl Schema {
     }
 
     /// Check that `row` conforms to this schema.
-    pub fn validate(&self, row: &Row) -> Result<(), SchemaError> {
+    pub(crate) fn validate(&self, row: &Row) -> Result<(), SchemaError> {
         self.validate_values(&row.values)
     }
 
@@ -246,7 +241,7 @@ impl Schema {
     /// Check that a value of type `found` may be stored in column `column`
     /// — the rule [`Schema::validate`] applies to every column, for writers
     /// that encode a row column by column without building a [`Row`].
-    pub fn check_column(&self, column: usize, found: DataType) -> Result<(), SchemaError> {
+    pub(crate) fn check_column(&self, column: usize, found: DataType) -> Result<(), SchemaError> {
         self.columns[column].check(column, found)
     }
 }
@@ -320,7 +315,7 @@ impl Row {
 
     /// Append the serialized image to `out`; callers reuse one scratch
     /// buffer across rows and clear it between encodes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         encode_values_into(&self.values, out);
     }
 
@@ -353,8 +348,8 @@ pub(crate) fn encode_values_into(values: &[Value], out: &mut Vec<u8>) {
 /// outlives the view.
 ///
 /// **Images are trusted.** This is the one place the engine says so: a row
-/// image only ever comes from [`Row::encode_into`] after
-/// [`Schema::validate`] (pages, version chains) or from a WAL record that
+/// image only ever comes from `Row::encode_into` after
+/// `Schema::validate` (pages, version chains) or from a WAL record that
 /// passed the CRC codec (redo, undo), so a malformed image is an engine bug
 /// and not input to validate. The view is lazy about it: an unknown tag, a
 /// short image, bad UTF-8 or a column of another type panics in the
@@ -539,7 +534,7 @@ impl<'a> RowRef<'a> {
     }
 
     /// Column `col`, borrowed from the image.
-    pub fn get(self, col: usize) -> ValueRef<'a> {
+    pub(crate) fn get(self, col: usize) -> ValueRef<'a> {
         self.field(col).borrowed()
     }
 
@@ -547,7 +542,7 @@ impl<'a> RowRef<'a> {
     /// `replace(col)` supplies the new value of a column or `None` to keep
     /// it, in which case the column's bytes are copied as they stand. This
     /// is how an UPDATE builds its after-image without decoding the row.
-    pub fn rewrite<'v, E>(
+    pub(crate) fn rewrite<'v, E>(
         self,
         out: &mut Vec<u8>,
         mut replace: impl FnMut(usize) -> Result<Option<ValueRef<'v>>, E>,
@@ -675,7 +670,6 @@ mod tests {
         let image = sample_row().encode();
         let view = RowRef::new(&image);
         assert_eq!(view.len(), 4);
-        assert!(!view.is_empty());
         assert_eq!(view.int(0), 42);
         assert_eq!(view.text(1), "PAID");
         assert_eq!(view.timestamp(2), 1_700_000_000_000_000);

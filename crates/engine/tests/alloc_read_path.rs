@@ -15,7 +15,7 @@ use cb_engine::{
     Value,
 };
 use cb_obs::ObsSink;
-use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
+use cb_sim::{Device, SimDuration, SimTime};
 use cb_store::{DurabilityAck, GroupCommit, GroupCommitConfig, StorageArch, StorageService};
 
 struct Counting;
@@ -127,8 +127,8 @@ fn scan_and_point_select_do_not_allocate_per_row() {
     let mut pool = BufferPool::new(1024);
     let mut storage = StorageService::new(
         StorageArch::Coupled,
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None),
+        Device::new(SimDuration::from_micros(90), None),
+        Device::new(SimDuration::from_micros(90), None),
         None,
         1,
         SimDuration::ZERO,

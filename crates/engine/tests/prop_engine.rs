@@ -13,7 +13,7 @@ use cb_engine::sql::parse;
 use cb_engine::{
     BufferPool, ColumnDef, CostModel, DataType, Database, ExecCtx, Row, RowRef, Schema, Value,
 };
-use cb_sim::{Device, DeviceKind, SimDuration, SimTime};
+use cb_sim::{Device, SimDuration, SimTime};
 use cb_store::{Lsn, PageBuf, PageStore, StorageArch, StorageService, TableId, WalRecord};
 use proptest::prelude::*;
 
@@ -124,13 +124,7 @@ struct TinyNode {
 
 impl TinyNode {
     fn new() -> Self {
-        let device = || {
-            Device::new(
-                DeviceKind::NetworkSsd,
-                SimDuration::from_micros(450),
-                Some(20_000),
-            )
-        };
+        let device = || Device::new(SimDuration::from_micros(450), Some(20_000));
         TinyNode {
             pool: BufferPool::new(2),
             storage: StorageService::new(

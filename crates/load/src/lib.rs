@@ -29,9 +29,9 @@
 
 #![warn(missing_docs)]
 
-pub mod phases;
-pub mod process;
-pub mod stats;
+mod phases;
+mod process;
+mod stats;
 
 pub use phases::PhasePlan;
 pub use process::{ArrivalGen, ArrivalProcess, PhasedArrivals};

@@ -27,7 +27,7 @@ pub struct PhasePlan {
 
 impl PhasePlan {
     /// Fraction of the target rate offered during warmup.
-    pub const WARMUP_SCALE: f64 = 0.1;
+    pub(crate) const WARMUP_SCALE: f64 = 0.1;
 
     /// A plan with explicit windows.
     pub fn new(warmup: SimDuration, rampup: SimDuration, measure: SimDuration) -> Self {
@@ -88,7 +88,7 @@ impl PhasePlan {
 
     /// Offered-rate scale at instant `t`: [`Self::WARMUP_SCALE`] during
     /// warmup, a linear ramp to 1.0 across ramp-up, then 1.0.
-    pub fn rate_scale(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_scale(&self, t: SimTime) -> f64 {
         let warm_end = SimTime::ZERO + self.warmup;
         let ramp_end = warm_end + self.rampup;
         if t < warm_end {

@@ -56,7 +56,8 @@ impl ArrivalProcess {
     }
 
     /// The long-run mean arrival rate of the process, ops per second.
-    pub fn mean_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_rate(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate } => *rate,
             ArrivalProcess::Bursty {
@@ -82,7 +83,7 @@ impl ArrivalProcess {
     }
 
     /// Validate parameters, returning a human-readable error for CLI use.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             ArrivalProcess::Poisson { rate } => {
                 if !rate.is_finite() || *rate <= 0.0 {
@@ -140,7 +141,7 @@ impl ArrivalProcess {
     /// * `bursty:8000/s,200/s,2s,1s` — on-rate, off-rate, mean-on, mean-off
     /// * `diurnal:3000/s,0.8,60s` — base rate, amplitude, period
     /// * `trace:0.1,0.25,0.5` — arrival offsets in seconds
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    pub(crate) fn parse(spec: &str) -> Result<Self, String> {
         let (kind, rest) = spec
             .split_once(':')
             .ok_or_else(|| format!("expected <kind>:<params>, got {spec:?}"))?;
@@ -238,7 +239,7 @@ pub struct ArrivalGen {
 
 impl ArrivalGen {
     /// A generator for `process` seeded with `seed`. Panics if the process
-    /// fails [`ArrivalProcess::validate`].
+    /// fails `ArrivalProcess::validate`.
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
         process.validate().expect("invalid arrival process");
         let mut rng = DetRng::seeded(seed);
@@ -257,11 +258,6 @@ impl ArrivalGen {
             state_until,
             cursor: 0,
         }
-    }
-
-    /// The process this generator replays.
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
     }
 
     /// The next arrival instant, strictly increasing (except for traces with
@@ -365,11 +361,6 @@ impl PhasedArrivals {
             plan,
             thin_rng: DetRng::seeded(seed ^ 0xD1A2_3F4B_5C6D_7E8F),
         }
-    }
-
-    /// The phase plan applied to the stream.
-    pub fn plan(&self) -> &crate::PhasePlan {
-        &self.plan
     }
 
     /// Next admitted arrival, or `None` once the plan horizon is reached.

@@ -66,7 +66,8 @@ impl Summary {
     }
 
     /// `mean ± ci95` formatted with `digits` decimal places.
-    pub fn pm(&self, digits: usize) -> String {
+    #[cfg(test)]
+    pub(crate) fn pm(&self, digits: usize) -> String {
         format!("{:.d$} ± {:.d$}", self.mean, self.ci95, d = digits)
     }
 }

@@ -80,7 +80,7 @@ impl LogHistogram {
 
     /// Record `n` observations of the same value. Never allocates.
     #[inline]
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -116,7 +116,7 @@ impl LogHistogram {
     }
 
     /// Exact arithmetic mean (the sum is tracked exactly), or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -49,7 +49,7 @@ pub enum Category {
 
 impl Category {
     /// Stable lowercase name used in every export format.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Category::Txn => "txn",
             Category::BufferPool => "bufferpool",
@@ -96,7 +96,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Span duration in nanoseconds (0 for instants).
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         match self.kind {
             EventKind::Span { dur_ns } => dur_ns,
             EventKind::Instant => 0,
@@ -104,7 +104,7 @@ impl TraceEvent {
     }
 
     /// Virtual end time.
-    pub fn end(&self) -> SimTime {
+    pub(crate) fn end(&self) -> SimTime {
         SimTime::from_nanos(self.start.as_nanos().saturating_add(self.dur_ns()))
     }
 }
@@ -121,7 +121,7 @@ pub struct SpanJournal {
 
 impl SpanJournal {
     /// A journal holding at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         SpanJournal {
             buf: VecDeque::with_capacity(cap),
@@ -133,7 +133,7 @@ impl SpanJournal {
 
     /// Append an event, evicting the oldest if the ring is full. Returns
     /// the event's sequence number.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         cat: Category,
         name: &str,
@@ -189,16 +189,6 @@ impl SpanJournal {
     }
 }
 
-/// An open span returned by [`ObsSink::begin`]; close it with
-/// [`ObsSink::end`]. Plain data — dropping it without `end` simply records
-/// nothing.
-#[derive(Clone, Copy, Debug)]
-pub struct SpanHandle {
-    cat: Category,
-    track: u64,
-    start: SimTime,
-}
-
 /// The mutable observability state behind an enabled [`ObsSink`].
 #[derive(Debug)]
 pub struct Tracer {
@@ -209,7 +199,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer whose journal holds at most `journal_cap` events.
-    pub fn new(journal_cap: usize) -> Self {
+    pub(crate) fn new(journal_cap: usize) -> Self {
         Tracer {
             journal: SpanJournal::new(journal_cap),
             hists: BTreeMap::new(),
@@ -223,7 +213,7 @@ impl Tracer {
     }
 
     /// Named histograms, in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -233,7 +223,7 @@ impl Tracer {
     }
 
     /// Named monotone counters, in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
@@ -244,7 +234,7 @@ impl Tracer {
 
     /// Record `value_ns` into the histogram called `name`, creating it on
     /// first use.
-    pub fn record(&mut self, name: &str, value_ns: u64) {
+    pub(crate) fn record(&mut self, name: &str, value_ns: u64) {
         match self.hists.get_mut(name) {
             Some(h) => h.record(value_ns),
             None => {
@@ -256,7 +246,7 @@ impl Tracer {
     }
 
     /// Add `n` to the counter called `name`.
-    pub fn add(&mut self, name: &str, n: u64) {
+    pub(crate) fn add(&mut self, name: &str, n: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += n;
     }
 }
@@ -270,7 +260,7 @@ pub struct ObsSink {
 }
 
 /// Default journal capacity for [`ObsSink::enabled`].
-pub const DEFAULT_JOURNAL_CAP: usize = 65_536;
+pub(crate) const DEFAULT_JOURNAL_CAP: usize = 65_536;
 
 impl ObsSink {
     /// The no-op sink as a constant: `&ObsSink::DISABLED` is a `'static`
@@ -298,26 +288,6 @@ impl ObsSink {
     /// Whether this sink records anything.
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()
-    }
-
-    /// Open a span at `start`. Free: nothing is recorded until
-    /// [`end`](Self::end).
-    pub fn begin(&self, cat: Category, track: u64, start: SimTime) -> SpanHandle {
-        SpanHandle { cat, track, start }
-    }
-
-    /// Close `span` at `end`, recording it under `name`.
-    pub fn end(&self, span: SpanHandle, name: &str, end: SimTime) {
-        if let Some(core) = &self.core {
-            let dur_ns = end.saturating_since(span.start).as_nanos();
-            core.borrow_mut().journal.push(
-                span.cat,
-                name,
-                span.track,
-                span.start,
-                EventKind::Span { dur_ns },
-            );
-        }
     }
 
     /// Record a closed span `[start, end]` in one call.
@@ -376,8 +346,13 @@ mod tests {
     #[test]
     fn spans_and_instants_round_trip() {
         let sink = ObsSink::with_capacity(16);
-        let h = sink.begin(Category::Txn, 3, SimTime::from_micros(10));
-        sink.end(h, "txn", SimTime::from_micros(25));
+        sink.span(
+            Category::Txn,
+            "txn",
+            3,
+            SimTime::from_micros(10),
+            SimTime::from_micros(25),
+        );
         sink.instant(Category::Autoscale, "scale-up", 0, SimTime::from_micros(30));
         sink.with(|t| {
             let evs: Vec<_> = t.journal().iter().collect();

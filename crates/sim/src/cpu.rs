@@ -31,9 +31,6 @@ pub struct CpuResource {
     speed: f64,
     /// Total busy core-nanoseconds (for utilization sampling).
     busy_ns: f64,
-    /// Integral of allocated vCores over time (vCore-nanoseconds, for cost).
-    vcore_ns: f64,
-    last_integrated: SimTime,
 }
 
 impl CpuResource {
@@ -46,8 +43,6 @@ impl CpuResource {
             servers: vec![SimTime::ZERO; n],
             speed: vcores / n as f64,
             busy_ns: 0.0,
-            vcore_ns: 0.0,
-            last_integrated: SimTime::ZERO,
         }
     }
 
@@ -86,7 +81,6 @@ impl CpuResource {
     /// node (Neon-style scale-to-zero); work already reserved is unaffected.
     pub fn set_vcores(&mut self, now: SimTime, vcores: f64) {
         assert!(vcores >= 0.0, "negative vCores");
-        self.integrate_to(now);
         self.vcores = vcores;
         if vcores == 0.0 {
             self.servers.clear();
@@ -112,25 +106,15 @@ impl CpuResource {
         self.busy_ns / 1e9
     }
 
-    /// Utilization over a window given busy core-seconds observed at the
-    /// window edges: `busy_delta / (vcores * window)` clamped to [0, 1].
-    pub fn utilization(busy_delta_core_secs: f64, vcores: f64, window: SimDuration) -> f64 {
-        if vcores <= 0.0 || window.is_zero() {
-            return 0.0;
+    /// Utilization over a sampling window: the busy core-seconds observed
+    /// between its edges over the vCore-seconds allocated in it, clamped to
+    /// [0, 1]; 0 for a window with (next to) no allocation.
+    pub fn utilization(busy_delta_core_secs: f64, vcore_secs: f64) -> f64 {
+        if vcore_secs > 1e-9 {
+            (busy_delta_core_secs / vcore_secs).clamp(0.0, 1.0)
+        } else {
+            0.0
         }
-        (busy_delta_core_secs / (vcores * window.as_secs_f64())).clamp(0.0, 1.0)
-    }
-
-    /// Integral of allocated vCores over time, in vCore-seconds, up to `now`.
-    pub fn vcore_seconds(&mut self, now: SimTime) -> f64 {
-        self.integrate_to(now);
-        self.vcore_ns / 1e9
-    }
-
-    fn integrate_to(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_integrated);
-        self.vcore_ns += self.vcores * dt.as_nanos() as f64;
-        self.last_integrated = self.last_integrated.max(now);
     }
 }
 
@@ -220,25 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn vcore_seconds_integral() {
-        let mut cpu = CpuResource::new(4.0);
-        cpu.set_vcores(SimTime::from_secs(10), 2.0);
-        // 4 vcores for 10s + 2 vcores for 5s = 50 vcore-seconds.
-        let vs = cpu.vcore_seconds(SimTime::from_secs(15));
-        assert!((vs - 50.0).abs() < 1e-6, "vs = {vs}");
-    }
-
-    #[test]
     fn utilization_is_clamped() {
-        assert_eq!(
-            CpuResource::utilization(10.0, 1.0, SimDuration::from_secs(5)),
-            1.0
-        );
-        assert_eq!(
-            CpuResource::utilization(0.0, 1.0, SimDuration::from_secs(5)),
-            0.0
-        );
-        let u = CpuResource::utilization(2.5, 1.0, SimDuration::from_secs(5));
+        assert_eq!(CpuResource::utilization(10.0, 5.0), 1.0);
+        assert_eq!(CpuResource::utilization(0.0, 5.0), 0.0);
+        assert_eq!(CpuResource::utilization(2.5, 0.0), 0.0);
+        let u = CpuResource::utilization(2.5, 5.0);
         assert!((u - 0.5).abs() < 1e-9);
     }
 

@@ -8,7 +8,7 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// The kind of device, used for cost attribution and reporting.
+/// The kind of device, which sets its class-default latency.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Instance-local NVMe SSD (AWS RDS style).
@@ -23,7 +23,7 @@ pub enum DeviceKind {
 
 impl DeviceKind {
     /// A reasonable default access latency for the device class.
-    pub fn default_latency(self) -> SimDuration {
+    pub(crate) fn default_latency(self) -> SimDuration {
         match self {
             DeviceKind::LocalNvme => SimDuration::from_micros(90),
             DeviceKind::NetworkSsd => SimDuration::from_micros(450),
@@ -36,7 +36,6 @@ impl DeviceKind {
 /// A single I/O device with a fixed access latency and an IOPS ceiling.
 #[derive(Clone, Debug)]
 pub struct Device {
-    kind: DeviceKind,
     latency: SimDuration,
     /// Minimum spacing between operation starts (`1e9 / IOPS` ns); zero means
     /// unthrottled.
@@ -46,15 +45,14 @@ pub struct Device {
 }
 
 impl Device {
-    /// A device of `kind` with explicit `latency` and `iops` ceiling
-    /// (`None` = unthrottled).
-    pub fn new(kind: DeviceKind, latency: SimDuration, iops: Option<u64>) -> Self {
+    /// A device with explicit `latency` and `iops` ceiling (`None` =
+    /// unthrottled).
+    pub fn new(latency: SimDuration, iops: Option<u64>) -> Self {
         let min_gap = match iops {
             Some(iops) if iops > 0 => SimDuration::from_nanos(1_000_000_000 / iops),
             _ => SimDuration::ZERO,
         };
         Device {
-            kind,
             latency,
             min_gap,
             next_slot: SimTime::ZERO,
@@ -64,17 +62,7 @@ impl Device {
 
     /// A device of `kind` with its class-default latency.
     pub fn with_defaults(kind: DeviceKind, iops: Option<u64>) -> Self {
-        Device::new(kind, kind.default_latency(), iops)
-    }
-
-    /// Device class.
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
-    /// Configured access latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
+        Device::new(kind.default_latency(), iops)
     }
 
     /// Perform one access starting no earlier than `now`; returns the delay
@@ -116,22 +104,6 @@ impl NetworkLink {
         }
     }
 
-    /// A link with explicit parameters.
-    pub fn new(latency: SimDuration, gbps: f64) -> Self {
-        assert!(gbps > 0.0, "bandwidth must be positive");
-        NetworkLink { latency, gbps }
-    }
-
-    /// One-way propagation latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
-    }
-
-    /// Bandwidth in Gbit/s.
-    pub fn gbps(&self) -> f64 {
-        self.gbps
-    }
-
     /// Time to move `bytes` across the link: latency + serialization.
     pub fn transfer(&self, bytes: u64) -> SimDuration {
         let ser_secs = (bytes as f64 * 8.0) / (self.gbps * 1e9);
@@ -145,7 +117,7 @@ mod tests {
 
     #[test]
     fn unthrottled_device_is_pure_latency() {
-        let mut d = Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(100), None);
+        let mut d = Device::new(SimDuration::from_micros(100), None);
         assert_eq!(d.access(SimTime::ZERO), SimDuration::from_micros(100));
         assert_eq!(d.access(SimTime::ZERO), SimDuration::from_micros(100));
         assert_eq!(d.ops(), 2);
@@ -154,11 +126,7 @@ mod tests {
     #[test]
     fn iops_cap_spaces_operations() {
         // 1000 IOPS => 1ms spacing.
-        let mut d = Device::new(
-            DeviceKind::NetworkSsd,
-            SimDuration::from_micros(500),
-            Some(1000),
-        );
+        let mut d = Device::new(SimDuration::from_micros(500), Some(1000));
         assert_eq!(d.access(SimTime::ZERO), SimDuration::from_micros(500));
         // Second op at t=0 must wait until t=1ms to start.
         assert_eq!(d.access(SimTime::ZERO), SimDuration::from_micros(1500));
@@ -182,12 +150,12 @@ mod tests {
 
     #[test]
     fn network_transfer_includes_serialization() {
-        let link = NetworkLink::new(SimDuration::from_micros(100), 10.0);
+        let link = NetworkLink::tcp(10.0);
         // 125 MB at 10 Gbps = 0.1s serialization.
         let d = link.transfer(125_000_000);
         assert_eq!(
             d,
-            SimDuration::from_micros(100) + SimDuration::from_millis(100)
+            SimDuration::from_micros(120) + SimDuration::from_millis(100)
         );
         // RDMA beats TCP for the same payload.
         assert!(NetworkLink::rdma(10.0).transfer(8192) < NetworkLink::tcp(10.0).transfer(8192));

@@ -10,7 +10,7 @@
 //! * [`EventQueue`] — deterministic timestamped events (autoscaler samples,
 //!   heartbeats, failure injections) with FIFO tie-breaking.
 //! * [`CpuResource`] — a multi-server CPU with fractional vCores, natural
-//!   saturation, and exact utilization / vCore-second accounting.
+//!   saturation, and busy core-second accounting.
 //! * [`Device`] / [`NetworkLink`] — latency + IOPS-throttled I/O devices and
 //!   latency + bandwidth network links.
 //! * [`DetRng`] — seeded randomness so every run reproduces exactly.
@@ -19,16 +19,16 @@
 
 #![warn(missing_docs)]
 
-pub mod cpu;
-pub mod device;
-pub mod events;
-pub mod rng;
-pub mod series;
+mod cpu;
+mod device;
+mod events;
+mod rng;
+mod series;
 pub mod time;
 
 pub use cpu::{CpuResource, CpuSlot};
 pub use device::{Device, DeviceKind, NetworkLink};
-pub use events::{EventId, EventQueue};
+pub use events::EventQueue;
 pub use rng::DetRng;
 pub use series::{geomean, mean, GaugeSeries, TpsRecorder};
 pub use time::{SimDuration, SimTime};

@@ -77,7 +77,8 @@ impl DetRng {
     }
 
     /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    #[cfg(test)]
+    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);

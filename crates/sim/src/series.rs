@@ -8,46 +8,30 @@ use crate::time::{SimDuration, SimTime};
 pub struct TpsRecorder {
     slot: SimDuration,
     counts: Vec<u64>,
-    /// Hard cap on slot growth; events past it count as overflow instead of
+    /// Hard cap on slot growth; events past it are dropped instead of
     /// allocating (a stray far-future timestamp must not OOM the recorder).
     max_slots: usize,
-    overflow: u64,
 }
 
 impl TpsRecorder {
-    /// A recorder with `slot`-wide buckets (must be non-zero) and no horizon
-    /// cap — use [`TpsRecorder::with_horizon`] when the run length is known.
-    pub fn new(slot: SimDuration) -> Self {
+    /// A recorder with `slot`-wide buckets (must be non-zero) whose slot
+    /// storage is capped at the run `horizon`: events timestamped past the
+    /// slot containing the horizon instant are not recorded. An event at
+    /// exactly the horizon still records (drivers close their measurement
+    /// window with `end <= horizon`).
+    pub fn with_horizon(slot: SimDuration, horizon: SimDuration) -> Self {
         assert!(!slot.is_zero(), "slot width must be positive");
         TpsRecorder {
             slot,
             counts: Vec::new(),
-            max_slots: usize::MAX,
-            overflow: 0,
+            max_slots: (horizon.as_nanos() / slot.as_nanos()) as usize + 1,
         }
-    }
-
-    /// A recorder with one-second buckets.
-    pub fn per_second() -> Self {
-        TpsRecorder::new(SimDuration::from_secs(1))
-    }
-
-    /// A recorder whose slot storage is capped at the run `horizon`: events
-    /// timestamped past the slot containing the horizon instant are tallied
-    /// in [`TpsRecorder::overflow`] rather than growing `counts` without
-    /// bound. An event at exactly the horizon still records (drivers close
-    /// their measurement window with `end <= horizon`).
-    pub fn with_horizon(slot: SimDuration, horizon: SimDuration) -> Self {
-        let mut r = TpsRecorder::new(slot);
-        r.max_slots = (horizon.as_nanos() / slot.as_nanos()) as usize + 1;
-        r
     }
 
     /// Record one event at `at`.
     pub fn record(&mut self, at: SimTime) {
         let idx = (at.as_nanos() / self.slot.as_nanos()) as usize;
         if idx >= self.max_slots {
-            self.overflow += 1;
             return;
         }
         if idx >= self.counts.len() {
@@ -56,25 +40,10 @@ impl TpsRecorder {
         self.counts[idx] += 1;
     }
 
-    /// Total events recorded in-horizon (overflow events are not included).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Events recorded past the configured horizon (always 0 without one).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Events per second in each slot.
     pub fn rate_series(&self) -> Vec<f64> {
         let secs = self.slot.as_secs_f64();
         self.counts.iter().map(|c| *c as f64 / secs).collect()
-    }
-
-    /// Raw per-slot counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Average rate (events/sec) over `[from, to)`.
@@ -93,11 +62,6 @@ impl TpsRecorder {
             .sum();
         total as f64 / span.as_secs_f64()
     }
-
-    /// Width of one slot.
-    pub fn slot(&self) -> SimDuration {
-        self.slot
-    }
 }
 
 /// A right-continuous step function of time (e.g. allocated vCores).
@@ -107,11 +71,6 @@ pub struct GaugeSeries {
 }
 
 impl GaugeSeries {
-    /// An empty gauge (value undefined before the first set).
-    pub fn new() -> Self {
-        GaugeSeries::default()
-    }
-
     /// A gauge with an initial value at t=0.
     pub fn starting_at(value: f64) -> Self {
         GaugeSeries {
@@ -239,14 +198,14 @@ mod tests {
 
     #[test]
     fn tps_buckets_and_average() {
-        let mut r = TpsRecorder::per_second();
+        let mut r =
+            TpsRecorder::with_horizon(SimDuration::from_secs(1), SimDuration::from_secs(10));
         for i in 0..10 {
             r.record(SimTime::from_millis(i * 100)); // 10 events in second 0
         }
         for i in 0..5 {
             r.record(SimTime::from_millis(1000 + i * 100)); // 5 in second 1
         }
-        assert_eq!(r.total(), 15);
         assert_eq!(r.rate_series(), vec![10.0, 5.0]);
         let avg = r.avg_rate(SimTime::ZERO, SimTime::from_secs(2));
         assert!((avg - 7.5).abs() < 1e-9);
@@ -261,14 +220,8 @@ mod tests {
                                           // A stray far-future event must not allocate gigabytes of slots.
         r.record(SimTime::from_secs(3_000_000));
         r.record(SimTime::from_secs(11)); // first slot past the horizon's
-        assert_eq!(r.total(), 2);
-        assert_eq!(r.overflow(), 2);
-        assert!(r.counts().len() <= 11);
-        // An uncapped recorder still records anywhere, with zero overflow.
-        let mut free = TpsRecorder::per_second();
-        free.record(SimTime::from_secs(10));
-        assert_eq!(free.total(), 1);
-        assert_eq!(free.overflow(), 0);
+        assert_eq!(r.counts.iter().sum::<u64>(), 2);
+        assert!(r.counts.len() <= 11);
     }
 
     #[test]
@@ -300,7 +253,7 @@ mod tests {
 
     #[test]
     fn gauge_same_instant_last_writer_wins() {
-        let mut g = GaugeSeries::new();
+        let mut g = GaugeSeries::default();
         g.set(SimTime::from_secs(1), 1.0);
         g.set(SimTime::from_secs(1), 2.0);
         assert_eq!(g.value_at(SimTime::from_secs(1)), 2.0);

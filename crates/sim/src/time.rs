@@ -59,23 +59,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Element-wise maximum.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// Element-wise minimum.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
 }
 
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// A span of `nanos` nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -111,16 +99,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds in this span (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Milliseconds in this span (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Whole seconds in this span (truncating).
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000
@@ -149,24 +127,9 @@ impl SimDuration {
     }
 
     /// Divide the span by a positive float factor.
-    pub fn div_f64(self, divisor: f64) -> SimDuration {
+    pub(crate) fn div_f64(self, divisor: f64) -> SimDuration {
         debug_assert!(divisor > 0.0, "division by non-positive factor");
         SimDuration((self.0 as f64 / divisor).round() as u64)
-    }
-
-    /// Element-wise maximum.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// Element-wise minimum.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -287,7 +250,7 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
-        assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
+        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis(1500).as_secs(), 1);
     }
 
@@ -309,10 +272,6 @@ mod tests {
             SimDuration::ZERO
         );
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-        assert_eq!(
-            SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the simulation kernel.
 
-use cb_sim::{CpuResource, DetRng, Device, DeviceKind, GaugeSeries, SimDuration, SimTime};
+use cb_sim::{CpuResource, DetRng, Device, GaugeSeries, SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -69,7 +69,7 @@ proptest! {
     /// IOPS-capped device spaces operations at least 1/IOPS apart.
     #[test]
     fn device_spacing(iops in 100u64..100_000, n in 1u64..200) {
-        let mut d = Device::new(DeviceKind::NetworkSsd, SimDuration::from_micros(100), Some(iops));
+        let mut d = Device::new(SimDuration::from_micros(100), Some(iops));
         let mut last_delay = SimDuration::ZERO;
         for _ in 0..n {
             let delay = d.access(SimTime::ZERO);

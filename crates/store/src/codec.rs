@@ -40,7 +40,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// CRC-32 (IEEE), bitwise — fast enough for log frames and dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= u32::from(b);

@@ -54,19 +54,6 @@ pub enum DurabilityAck {
     RdmaReplicated,
 }
 
-impl DurabilityAck {
-    /// Short name used in obs traces and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DurabilityAck::LocalFsync => "fsync",
-            DurabilityAck::QuorumAppend { .. } => "quorum-append",
-            DurabilityAck::LogService => "log-service",
-            DurabilityAck::SafekeeperQuorum { .. } => "safekeeper",
-            DurabilityAck::RdmaReplicated => "rdma",
-        }
-    }
-}
-
 /// Per-profile group-commit tuning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GroupCommitConfig {
@@ -120,8 +107,6 @@ pub struct GroupCommit {
     // lifetime stats
     enqueued: u64,
     batches: u64,
-    staged_bytes: u64,
-    largest_batch: u64,
     last_ack: SimTime,
     last_wait: SimDuration,
 }
@@ -135,16 +120,9 @@ impl GroupCommit {
             last_completion: SimTime::ZERO,
             enqueued: 0,
             batches: 0,
-            staged_bytes: 0,
-            largest_batch: 0,
             last_ack: SimTime::ZERO,
             last_wait: SimDuration::ZERO,
         }
-    }
-
-    /// The pipeline's configuration.
-    pub fn config(&self) -> GroupCommitConfig {
-        self.cfg
     }
 
     /// Stage `bytes` of commit WAL into the pipeline at virtual time `at`
@@ -185,9 +163,7 @@ impl GroupCommit {
             }
         }
         let b = self.batch.expect("batch just ensured");
-        self.largest_batch = self.largest_batch.max(b.commits as u64);
         self.enqueued += 1;
-        self.staged_bytes += bytes;
         self.last_ack = b.completion;
         self.last_wait = b.completion.saturating_since(at);
         CommitAck {
@@ -203,11 +179,6 @@ impl GroupCommit {
         self.batch = None;
     }
 
-    /// Virtual time the currently open batch (if any) will flush.
-    pub fn open_batch_flush_at(&self) -> Option<SimTime> {
-        self.batch.map(|b| b.completion)
-    }
-
     /// Total commits ever enqueued.
     pub fn commits(&self) -> u64 {
         self.enqueued
@@ -216,16 +187,6 @@ impl GroupCommit {
     /// Total batches ever opened.
     pub fn batches(&self) -> u64 {
         self.batches
-    }
-
-    /// Total WAL bytes staged through the pipeline.
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged_bytes
-    }
-
-    /// Largest batch observed (commits).
-    pub fn largest_batch(&self) -> u64 {
-        self.largest_batch
     }
 
     /// Ack instant handed to the most recent enqueue.
@@ -247,17 +208,13 @@ impl GroupCommit {
 mod tests {
     use super::*;
     use crate::service::StorageArch;
-    use cb_sim::{Device, DeviceKind};
+    use cb_sim::Device;
 
     fn storage() -> StorageService {
         StorageService::new(
             StorageArch::Coupled,
-            Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(80), None),
-            Device::new(
-                DeviceKind::LocalNvme,
-                SimDuration::from_micros(80),
-                Some(15_000),
-            ),
+            Device::new(SimDuration::from_micros(80), None),
+            Device::new(SimDuration::from_micros(80), Some(15_000)),
             None,
             1,
             SimDuration::ZERO,
@@ -284,7 +241,6 @@ mod tests {
         assert_eq!(lead.ack_at, follow.ack_at);
         assert_eq!(gc.batches(), 1);
         assert_eq!(gc.commits(), 2);
-        assert_eq!(gc.largest_batch(), 2);
         // leader ack = arrival + window + device latency (no net, no quorum)
         assert_eq!(
             lead.ack_at,
@@ -382,9 +338,9 @@ mod tests {
         let mut st = storage();
         let mut gc = GroupCommit::new(cfg(500, 64));
         gc.enqueue(&mut st, SimTime::from_millis(1), 10);
-        assert!(gc.open_batch_flush_at().is_some());
+        assert!(gc.batch.is_some());
         gc.crash_abort();
-        assert!(gc.open_batch_flush_at().is_none());
+        assert!(gc.batch.is_none());
         // next commit leads a fresh batch
         let next = gc.enqueue(&mut st, SimTime::from_millis(2), 10);
         assert!(next.opened_batch.is_some());

@@ -29,7 +29,7 @@ pub enum StorageArch {
 
 impl StorageArch {
     /// True if the architecture disaggregates compute from storage.
-    pub fn is_disaggregated(self) -> bool {
+    pub(crate) fn is_disaggregated(self) -> bool {
         self != StorageArch::Coupled
     }
 
@@ -96,8 +96,8 @@ impl StorageService {
     ///
     /// This is the legacy *per-commit* flush: one device access and one
     /// quorum ack per transaction. The group-commit pipeline
-    /// ([`crate::GroupCommit`]) decomposes it into [`Self::log_stage_cost`]
-    /// per commit plus [`Self::log_flush_cost`] once per batch.
+    /// ([`crate::GroupCommit`]) decomposes it into `Self::log_stage_cost`
+    /// per commit plus `Self::log_flush_cost` once per batch.
     pub fn log_append_cost(&mut self, now: SimTime, bytes: u64) -> SimDuration {
         let wire = self.net.map_or(SimDuration::ZERO, |n| n.transfer(bytes));
         wire + self.log_dev.access(now + wire) + self.quorum_extra
@@ -106,7 +106,7 @@ impl StorageService {
     /// Cost of shipping `bytes` of commit WAL into an open commit batch:
     /// wire transfer only. The durable flush is paid once per batch by
     /// [`Self::log_flush_cost`].
-    pub fn log_stage_cost(&mut self, bytes: u64) -> SimDuration {
+    pub(crate) fn log_stage_cost(&mut self, bytes: u64) -> SimDuration {
         self.net.map_or(SimDuration::ZERO, |n| n.transfer(bytes))
     }
 
@@ -114,7 +114,7 @@ impl StorageService {
     /// log-device access plus the quorum ack overhead, regardless of how
     /// many commits the batch holds — this is where group commit amortizes
     /// the device's IOPS gap.
-    pub fn log_flush_cost(&mut self, now: SimTime) -> SimDuration {
+    pub(crate) fn log_flush_cost(&mut self, now: SimTime) -> SimDuration {
         self.log_dev.access(now) + self.quorum_extra
     }
 
@@ -150,24 +150,18 @@ impl StorageService {
     pub fn log_ops(&self) -> u64 {
         self.log_dev.ops()
     }
-
-    /// Latency of the page device (for replay cost models).
-    pub fn page_latency(&self) -> SimDuration {
-        self.page_dev.latency()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cb_sim::DeviceKind;
 
     fn nvme() -> Device {
-        Device::new(DeviceKind::LocalNvme, SimDuration::from_micros(90), None)
+        Device::new(SimDuration::from_micros(90), None)
     }
 
     fn net_ssd() -> Device {
-        Device::new(DeviceKind::NetworkSsd, SimDuration::from_micros(450), None)
+        Device::new(SimDuration::from_micros(450), None)
     }
 
     fn coupled() -> StorageService {

@@ -34,7 +34,7 @@ impl Lsn {
     pub const ZERO: Lsn = Lsn(0);
 
     /// The next LSN.
-    pub fn next(self) -> Lsn {
+    pub(crate) fn next(self) -> Lsn {
         Lsn(self.0 + 1)
     }
 }
@@ -142,7 +142,7 @@ impl WalRecord {
 
 /// Records per segment. Large enough that segment crossings are rare on the
 /// append path, small enough that checkpoint truncation frees memory promptly.
-pub const DEFAULT_SEGMENT_RECORDS: usize = 1024;
+pub(crate) const DEFAULT_SEGMENT_RECORDS: usize = 1024;
 
 /// How many freed segment buffers the store keeps around for reuse.
 const RECYCLE_POOL_CAP: usize = 4;
@@ -276,7 +276,7 @@ impl LogStore {
 
     /// The retained records with `lsn > after` as contiguous per-segment
     /// slices, in order. Partitioned replay iterates these slabs directly.
-    pub fn slabs_after(&self, after: Lsn) -> Slabs<'_> {
+    pub(crate) fn slabs_after(&self, after: Lsn) -> Slabs<'_> {
         if after < self.truncated_through {
             panic!(
                 "records before {:?} were truncated (requested after {:?})",
@@ -426,7 +426,7 @@ impl ExactSizeIterator for RecordsAfter<'_> {}
 
 /// Iterator over contiguous per-segment record slices past a given LSN.
 #[derive(Clone)]
-pub struct Slabs<'a> {
+pub(crate) struct Slabs<'a> {
     segments: std::collections::vec_deque::Iter<'a, Segment>,
     after: Lsn,
 }

@@ -8,6 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod profiles;
+mod profiles;
 
 pub use profiles::{ActualPricing, ScalingKind, SutProfile};

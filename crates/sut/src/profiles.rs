@@ -12,7 +12,7 @@ use cb_cluster::{
     OnDemandScaler, QuantScaler, RecoveryKind, ReplayPolicy, ReplicationStream, ScalingPolicy,
 };
 use cb_engine::{CostModel, IsolationLevel};
-use cb_sim::{Device, DeviceKind, NetworkLink, SimDuration};
+use cb_sim::{Device, NetworkLink, SimDuration};
 use cb_store::{DurabilityAck, GroupCommit, GroupCommitConfig, StorageArch, StorageService};
 
 /// Which autoscaling behaviour a SUT uses.
@@ -532,12 +532,8 @@ impl SutProfile {
 
     /// Construct the storage service for this SUT.
     pub fn storage_service(&self) -> StorageService {
-        let page_kind = match self.arch {
-            StorageArch::Coupled => DeviceKind::LocalNvme,
-            _ => DeviceKind::NetworkSsd,
-        };
-        let page_dev = Device::new(page_kind, self.page_latency, self.page_iops);
-        let log_dev = Device::new(page_kind, self.log_latency, self.log_iops);
+        let page_dev = Device::new(self.page_latency, self.page_iops);
+        let log_dev = Device::new(self.log_latency, self.log_iops);
         let net = match self.arch {
             StorageArch::Coupled => None,
             _ if self.rdma => Some(NetworkLink::rdma(self.network_gbps)),
