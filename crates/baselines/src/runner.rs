@@ -4,12 +4,12 @@
 //! CloudyBench's peak/valley patterns vs the flat load of SysBench and
 //! TPC-C. The baselines only need a constant-concurrency closed loop over a
 //! single autoscaled node — this runner provides exactly that, built from
-//! the same primitives (CPU reservation, I/O cost, scaling policy sampling)
-//! as the main driver.
+//! the same primitives (CPU reservation, I/O cost) and the same
+//! [`Autoscaler`] as the main driver.
 
-use cb_cluster::{Node, NodeId, NodeRole, ScaleSample, ScalingPolicy};
+use cb_cluster::{Autoscaler, Node, NodeId, NodeRole};
 use cb_engine::{Database, ExecCtx};
-use cb_sim::{CpuResource, DetRng, GaugeSeries, SimDuration, SimTime, TpsRecorder};
+use cb_sim::{DetRng, GaugeSeries, SimDuration, SimTime, TpsRecorder};
 use cb_store::StorageService;
 use cb_sut::SutProfile;
 
@@ -57,19 +57,21 @@ pub fn run_constant(
         profile.max_vcores,
         profile.buffer_pages(sim_scale),
     );
-    let mut policy: Box<dyn ScalingPolicy> = profile.scaling_policy();
-    if profile.serverless {
-        node.set_vcores(SimTime::ZERO, profile.min_vcores);
-    }
+    let mut scaler = Autoscaler::new(
+        profile.scaling,
+        profile.min_vcores,
+        profile.max_vcores,
+        &mut node,
+    );
     let horizon = SimTime::ZERO + duration;
     let mut clients: Vec<SimTime> = vec![SimTime::ZERO; threads as usize];
     let mut client_rngs: Vec<DetRng> = (0..threads).map(|i| rng.fork(u64::from(i))).collect();
     let mut tps = TpsRecorder::with_horizon(SimDuration::from_secs(1), duration);
 
-    // Autoscaler state.
-    let mut next_sample = SimTime::ZERO + policy.sample_interval();
-    let mut busy_snap = 0.0f64;
-    let mut snap_time = SimTime::ZERO;
+    // Autoscaler state: a fixed tier never samples.
+    let mut next_sample = scaler
+        .as_ref()
+        .map_or(SimTime::MAX, |s| SimTime::ZERO + s.interval());
     let mut pending: Option<(SimTime, f64)> = None;
 
     loop {
@@ -96,30 +98,24 @@ pub fn run_constant(
                 }
             }
             // Sample.
-            let busy = node.cpu.busy_core_secs();
-            let vcore_secs = node.vcore_gauge.integral(snap_time, now);
-            let util = CpuResource::utilization(busy - busy_snap, vcore_secs);
-            busy_snap = busy;
-            snap_time = now;
+            let s = scaler.as_mut().expect("only an autoscaler samples");
+            let util = s.observe(&node, now);
             // One scaling operation in flight at a time: a new decision
-            // must not clobber one that has not applied yet.
+            // must not clobber one that has not applied yet, so the
+            // scaler is not asked (and its streaks do not move) while one
+            // is pending — unlike the driver, which asks at every sample.
             if pending.is_none() {
-                if let Some(d) = policy.decide(ScaleSample {
-                    now,
-                    util,
-                    current: node.cpu.vcores(),
-                    offered_load: true,
-                }) {
+                if let Some(d) = s.decide(now, util, node.cpu.vcores(), true) {
                     pending = Some((d.effective_at, d.target_vcores));
                 }
             }
-            next_sample = now + policy.sample_interval();
+            next_sample = now + s.interval();
             continue;
         }
         // Client transaction.
         if node.cpu.is_paused() {
-            node.resume(t, profile.min_vcores.max(0.25), policy.resume_delay());
-            clients[ci] = t + policy.resume_delay();
+            node.resume(t, profile.min_vcores.max(0.25), Autoscaler::RESUME_DELAY);
+            clients[ci] = t + Autoscaler::RESUME_DELAY;
             continue;
         }
         if let Some(at) = node.available_at(t) {

@@ -13,7 +13,8 @@
 //!    buffer pool (throughput + fail-over).
 
 use cb_bench::{oltp_cell, SEED, SIM_SCALE};
-use cb_sut::{ScalingKind, SutProfile};
+use cb_cluster::ScalingKind;
+use cb_sut::SutProfile;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::{fmoney, fnum, Table};
@@ -100,7 +101,6 @@ fn ablation_cdb4_autoscaling() {
     );
     let base = SutProfile::cdb4();
     let mut scaled = SutProfile::cdb4();
-    scaled.serverless = true;
     scaled.min_vcores = 1.0;
     // Memory disaggregation makes compute nearly stateless, so the what-if
     // scaler can be the fast on-demand one rather than CU quanta.

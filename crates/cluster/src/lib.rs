@@ -7,8 +7,8 @@
 //!   pause/resume, warm-up ramps).
 //! * `replication` — log shipping with sequential / parallel / on-demand
 //!   replay (the replication-lag story).
-//! * `autoscale` — fixed, on-demand, gradual-down, and quantized
-//!   pause/resume scaling policies.
+//! * `autoscale` — the per-node autoscaler of the four scaling kinds:
+//!   fixed, on-demand, gradual-down, and quantized pause/resume.
 //! * `heartbeat` — heartbeat-based failure detection (the mechanism
 //!   behind each profile's detection delay).
 //! * `failover` — fail-over planning: ARIES vs replay-from-storage vs
@@ -31,10 +31,7 @@ mod replication;
 mod shard;
 mod tenancy;
 
-pub use autoscale::{
-    FixedCapacity, GradualDownScaler, OnDemandScaler, QuantScaler, ScaleDecision, ScaleSample,
-    ScalingPolicy,
-};
+pub use autoscale::{Autoscaler, ScaleDecision, ScalingKind};
 pub use failover::{
     plan_failover, plan_failover_with_detection, plan_ro_failover, FailoverModel, FailoverPhase,
     FailoverTimeline, RecoveryKind,

@@ -8,9 +8,9 @@
 //! that can shift capacity to the only busy tenant (CDB2's elastic pool);
 //! contention patterns reward strict isolation (fixed instances).
 
-use cb_cluster::ResourceUsage;
+use cb_cluster::{ResourceUsage, ScalingKind};
 use cb_sim::{SimDuration, SimTime};
-use cb_sut::{ScalingKind, SutProfile};
+use cb_sut::SutProfile;
 
 use crate::cost::{actual_cost, ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;

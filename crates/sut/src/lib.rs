@@ -10,4 +10,4 @@
 
 mod profiles;
 
-pub use profiles::{ActualPricing, ScalingKind, SutProfile};
+pub use profiles::{ActualPricing, SutProfile};

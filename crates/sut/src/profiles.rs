@@ -8,25 +8,12 @@
 //! in the workspace hard-codes per-system behaviour.
 
 use cb_cluster::{
-    quorum_ack_latency, FailoverModel, FixedCapacity, GradualDownScaler, MeterConfig,
-    OnDemandScaler, QuantScaler, RecoveryKind, ReplayPolicy, ReplicationStream, ScalingPolicy,
+    quorum_ack_latency, FailoverModel, MeterConfig, RecoveryKind, ReplayPolicy, ReplicationStream,
+    ScalingKind,
 };
 use cb_engine::{CostModel, IsolationLevel};
 use cb_sim::{Device, NetworkLink, SimDuration};
 use cb_store::{DurabilityAck, GroupCommit, GroupCommitConfig, StorageArch, StorageService};
-
-/// Which autoscaling behaviour a SUT uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScalingKind {
-    /// Provisioned capacity (AWS RDS, CDB4).
-    Fixed,
-    /// On-demand up/down each period (CDB2).
-    OnDemand,
-    /// Fast up, gradual down (CDB1).
-    GradualDown,
-    /// Quantized CU with pause-and-resume (CDB3).
-    QuantPauseResume,
-}
 
 /// Vendor-style "actual" pricing, for the paper's starred metrics
 /// (P-Score*, E1-Score*, T-Score*, O-Score*).
@@ -62,10 +49,9 @@ pub struct SutProfile {
     // -- compute --
     /// Maximum (provisioned) vCores.
     pub max_vcores: f64,
-    /// Minimum vCores for serverless tiers.
+    /// Minimum vCores for autoscaled tiers (equal to `max_vcores` for
+    /// [`ScalingKind::Fixed`]).
     pub min_vcores: f64,
-    /// True if the tier autoscales.
-    pub serverless: bool,
     /// Local buffer size in bytes (paper Table IV).
     pub local_buffer_bytes: u64,
     /// Shared remote buffer pool in bytes (CDB4's 24 GB), if any.
@@ -109,7 +95,8 @@ pub struct SutProfile {
     pub cost_model: CostModel,
     /// Fail-over model.
     pub failover: FailoverModel,
-    /// Autoscaling behaviour.
+    /// Autoscaling behaviour; the scaler's tuning is a constant of the kind,
+    /// bounded by `min_vcores` / `max_vcores`.
     pub scaling: ScalingKind,
     /// Service disruption at each scaling point (CDB1's serverless tier
     /// pauses connections while it finds a scaling point — the paper
@@ -162,7 +149,6 @@ impl SutProfile {
             arch: StorageArch::Coupled,
             max_vcores: 4.0,
             min_vcores: 4.0,
-            serverless: false,
             local_buffer_bytes: 128 * MB,
             remote_buffer_bytes: None,
             local_mem_gb: 16.0,
@@ -230,7 +216,6 @@ impl SutProfile {
             arch: StorageArch::SmartStorage,
             max_vcores: 4.0,
             min_vcores: 1.0,
-            serverless: true,
             local_buffer_bytes: 128 * MB,
             remote_buffer_bytes: None,
             local_mem_gb: 32.0, // 1:8 CPU:memory ratio
@@ -304,7 +289,6 @@ impl SutProfile {
             arch: StorageArch::LogPageSplit,
             max_vcores: 4.0,
             min_vcores: 0.5,
-            serverless: true,
             local_buffer_bytes: 44 * MB,
             remote_buffer_bytes: None,
             local_mem_gb: 20.0,
@@ -379,7 +363,6 @@ impl SutProfile {
             arch: StorageArch::SafekeeperPageserver,
             max_vcores: 4.0,
             min_vcores: 0.25,
-            serverless: true,
             local_buffer_bytes: 128 * MB,
             remote_buffer_bytes: None,
             local_mem_gb: 16.0,
@@ -456,7 +439,6 @@ impl SutProfile {
             arch: StorageArch::MemoryDisagg,
             max_vcores: 4.0,
             min_vcores: 4.0,
-            serverless: false,
             local_buffer_bytes: 10 * GB,
             remote_buffer_bytes: Some(24 * GB),
             local_mem_gb: 16.0,
@@ -559,25 +541,6 @@ impl SutProfile {
         ReplicationStream::new(self.ship_latency, self.replay)
     }
 
-    /// Construct the autoscaling policy.
-    pub fn scaling_policy(&self) -> Box<dyn ScalingPolicy> {
-        match self.scaling {
-            ScalingKind::Fixed => Box::new(FixedCapacity),
-            ScalingKind::OnDemand => Box::new(OnDemandScaler {
-                min: self.min_vcores,
-                max: self.max_vcores,
-                ..OnDemandScaler::cdb2_default()
-            }),
-            ScalingKind::GradualDown => Box::new(GradualDownScaler::with_bounds(
-                self.min_vcores,
-                self.max_vcores,
-            )),
-            ScalingKind::QuantPauseResume => {
-                Box::new(QuantScaler::with_bounds(self.min_vcores, self.max_vcores))
-            }
-        }
-    }
-
     /// Meter configuration given the logical data size.
     pub fn meter_config(&self, data_gb: f64) -> MeterConfig {
         MeterConfig {
@@ -658,7 +621,7 @@ mod tests {
     #[test]
     fn table4_configuration_facts() {
         let rds = SutProfile::aws_rds();
-        assert!(!rds.serverless);
+        assert_eq!(rds.scaling, ScalingKind::Fixed);
         assert_eq!(rds.local_buffer_bytes, 128 * MB);
         assert_eq!(rds.arch, StorageArch::Coupled);
 
@@ -689,13 +652,23 @@ mod tests {
 
     #[test]
     fn scaling_policies_match_kind() {
-        assert_eq!(SutProfile::aws_rds().scaling_policy().name(), "fixed");
-        assert_eq!(SutProfile::cdb1().scaling_policy().name(), "gradual-down");
-        assert_eq!(SutProfile::cdb2().scaling_policy().name(), "on-demand");
+        let kinds: Vec<ScalingKind> = SutProfile::all().iter().map(|p| p.scaling).collect();
         assert_eq!(
-            SutProfile::cdb3().scaling_policy().name(),
-            "quant-pause-resume"
+            kinds,
+            vec![
+                ScalingKind::Fixed,
+                ScalingKind::GradualDown,
+                ScalingKind::OnDemand,
+                ScalingKind::QuantPauseResume,
+                ScalingKind::Fixed,
+            ]
         );
+        // Fixed tiers are provisioned at their one size; only the
+        // autoscaled ones span a range.
+        for p in SutProfile::all() {
+            let fixed = p.scaling == ScalingKind::Fixed;
+            assert_eq!(fixed, p.min_vcores == p.max_vcores, "{}", p.name);
+        }
     }
 
     #[test]
