@@ -224,7 +224,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
     match mode.as_str() {
         "oltp" => {
             let sf = props.get_u64("scale_factor", 1)?;
-            let con = props.get_u64("concurrency", 100)? as u32;
+            let con = props.get_u32("concurrency", 100)?;
             let secs = props.get_u64("duration_secs", 30)?;
             let ro = props.get_u64("ro_nodes", 1)? as usize;
             let mut dep = Deployment::new(profile.clone(), sf, sim_scale, ro, seed);
@@ -271,7 +271,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             out.push_str(&t.to_string());
         }
         "elasticity" => {
-            let tau = props.get_u64("tau", 110)? as u32;
+            let tau = props.get_u32("tau", 110)?;
             // Either a named pattern or an explicit schedule from *_con keys.
             if props.get("first_con").is_some() {
                 let sched = ElasticScheduleConfig::from_props(props)?;
@@ -321,7 +321,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             out.push_str(&t.to_string());
         }
         "failover" => {
-            let con = props.get_u64("concurrency", 100)? as u32;
+            let con = props.get_u32("concurrency", 100)?;
             let r = evaluate_failover(&profile, con, sim_scale, &base);
             let mut t = Table::new(
                 &format!("Fail-over — {}", profile.display),
@@ -332,7 +332,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             out.push_str(&t.to_string());
         }
         "lagtime" => {
-            let con = props.get_u64("concurrency", 30)? as u32;
+            let con = props.get_u32("concurrency", 30)?;
             let replicas = props.get_u64("replicas", 1)? as usize;
             let r = evaluate_lagtime(&profile, con, replicas.max(1), sim_scale, &base);
             let mut t = Table::new(
@@ -368,8 +368,8 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             let jobs = (props.get_u64("jobs", 1)? as usize).max(1);
             let mut spec = FleetSpec {
                 tenants_per_shard: props.get_u64("tenants_per_shard", 8)? as usize,
-                clients_per_tenant: props.get_u64("clients_per_tenant", 1)? as u32,
-                hot_clients: props.get_u64("hot_clients", 8)? as u32,
+                clients_per_tenant: props.get_u32("clients_per_tenant", 1)?,
+                hot_clients: props.get_u32("hot_clients", 8)?,
                 slot_len: SimDuration::from_secs(props.get_u64("slot_secs", 5)?),
                 transfers: props.get_u64("transfers", 32)?,
                 ..FleetSpec::default()
@@ -607,5 +607,28 @@ mod tests {
         assert!(fail("sut = oracle").contains("oracle"));
         assert!(fail("mode = nonsense").contains("nonsense"));
         assert!(fail("mix = 1:2").contains("mix"));
+        // A u32 key past u32::MAX is refused, not wrapped (2^32 + 1 used to
+        // run with one client).
+        for (mode, key) in [
+            ("oltp", "concurrency"),
+            ("failover", "concurrency"),
+            ("lagtime", "concurrency"),
+            ("elasticity", "tau"),
+            ("sharded", "clients_per_tenant"),
+            ("sharded", "hot_clients"),
+        ] {
+            let e = fail(&format!("mode = {mode}\n{key} = 4294967297"));
+            assert!(e.contains(key) && e.contains("u32"), "{mode}: {e}");
+        }
+        let e = fail("mode = elasticity\ntau = 4294967296");
+        assert!(e.ends_with("\"4294967296\" is not a valid u32"), "{e}");
+    }
+
+    #[test]
+    fn failover_without_clients_reports() {
+        // No commit before the injection at 45 s leaves the TPS series
+        // empty; the pre-failure window must not slice past its end.
+        let f = go("sut = cdb4\nmode = failover\nsim_scale = 2000\nconcurrency = 0");
+        assert!(f.contains("RW"), "{f}");
     }
 }

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// A parse or lookup failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,28 +94,38 @@ impl Props {
             .ok_or_else(|| ConfigError::Missing(key.into()))
     }
 
-    /// Typed lookup with a default.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, ConfigError> {
+    /// `key` parsed as `T`, or `default` when absent; a value that does not
+    /// parse (including one out of `T`'s range) is `Invalid { expected }`.
+    fn get_parsed<T: FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        expected: &'static str,
+    ) -> Result<T, ConfigError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ConfigError::Invalid {
                 key: key.into(),
                 value: v.into(),
-                expected: "u64",
+                expected,
             }),
         }
     }
 
+    /// Typed lookup with a default.
+    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, ConfigError> {
+        self.get_parsed(key, default, "u64")
+    }
+
+    /// Typed u32 lookup with a default: a value past `u32::MAX` is an
+    /// error, never a silent wrap.
+    pub fn get_u32(&self, key: &str, default: u32) -> Result<u32, ConfigError> {
+        self.get_parsed(key, default, "u32")
+    }
+
     /// Typed f64 lookup with a default.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ConfigError::Invalid {
-                key: key.into(),
-                value: v.into(),
-                expected: "f64",
-            }),
-        }
+        self.get_parsed(key, default, "f64")
     }
 
     /// Number of keys.
