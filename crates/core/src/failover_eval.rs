@@ -6,6 +6,7 @@
 //! resumption until throughput returns to its pre-failure level.
 
 use cb_cluster::FailoverTimeline;
+use cb_load::Summary;
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 
@@ -59,11 +60,12 @@ const RECOVERY_FRACTION: f64 = 0.9;
 fn measure(result: &RunResult, inject: SimTime) -> FailoverOutcome {
     let timeline = result.failover.clone().expect("failure was injected");
     let rates = result.total.rate_series();
-    let inject_slot = inject.as_nanos() as usize / 1_000_000_000;
+    // The series grows only to the last committed second: with no commits
+    // before the injection, the pre-failure window is empty.
+    let inject_slot = (inject.as_nanos() as usize / 1_000_000_000).min(rates.len());
     // Pre-failure TPS: average of the 10 seconds before injection.
     let pre_lo = inject_slot.saturating_sub(10);
-    let pre: Vec<f64> = rates[pre_lo..inject_slot].to_vec();
-    let pre_tps = cb_sim::mean(&pre);
+    let pre_tps = Summary::of(&rates[pre_lo..inject_slot]).mean;
     let f_secs = timeline.downtime().as_secs_f64();
     // R: first second at or after resumption reaching the recovery target.
     let resumed_slot = (timeline.service_resumed_at.as_nanos() as usize).div_ceil(1_000_000_000);

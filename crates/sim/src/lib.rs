@@ -30,5 +30,5 @@ pub use cpu::{CpuResource, CpuSlot};
 pub use device::{Device, DeviceKind, NetworkLink};
 pub use events::EventQueue;
 pub use rng::DetRng;
-pub use series::{geomean, mean, GaugeSeries, TpsRecorder};
+pub use series::{geomean, GaugeSeries, TpsRecorder};
 pub use time::{SimDuration, SimTime};

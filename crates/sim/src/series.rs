@@ -163,15 +163,6 @@ impl GaugeSeries {
     }
 }
 
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 /// Geometric mean of the *positive* elements; 0.0 when none remain.
 ///
 /// Non-positive (or NaN) elements are dropped with a warning rather than
@@ -262,8 +253,6 @@ mod tests {
 
     #[test]
     fn stats_helpers() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         // A non-positive element is dropped (with a warning), not allowed to
         // zero the whole mean.
