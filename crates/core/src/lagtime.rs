@@ -10,9 +10,9 @@ use cb_sim::SimDuration;
 use cb_sut::SutProfile;
 
 use crate::deploy::Deployment;
-use crate::driver::{run, LagSamples, RunOptions, TenantSpec, VcoreControl};
+use crate::driver::{run, RunOptions, TenantSpec, VcoreControl};
 use crate::metrics::c_score;
-use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
+use crate::workload::{AccessDistribution, KeyPartition, TxnKind, TxnMix};
 
 /// The paper's four IUD ratios.
 pub(crate) const IUD_MIXES: [(&str, f64, f64, f64); 4] = [
@@ -76,10 +76,10 @@ pub fn evaluate_lagtime(
         let result = run(&mut dep, &[spec], &opts);
         rows.push(LagRow {
             label,
-            insert_ms: LagSamples::mean_ms(&result.lag.insert),
-            update_ms: LagSamples::mean_ms(&result.lag.update),
-            delete_ms: LagSamples::mean_ms(&result.lag.delete),
-            samples: result.lag.insert.len() + result.lag.update.len() + result.lag.delete.len(),
+            insert_ms: result.lag.mean_ms(TxnKind::NewOrderline),
+            update_ms: result.lag.mean_ms(TxnKind::OrderPayment),
+            delete_ms: result.lag.mean_ms(TxnKind::OrderlineDeletion),
+            samples: result.lag.samples(),
         });
     }
     // C-Score from the pure runs: T_insert from I100, T_update from U100,
