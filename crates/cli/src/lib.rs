@@ -379,6 +379,13 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             let shift_secs = props.get_u64("shift_secs", 0)?;
             if shift_secs > 0 {
                 let pace = props.get_f64("shift_pace", 0.5)?;
+                if !(pace > 0.0 && pace <= 1.0) {
+                    return Err(CliError::Unknown {
+                        key: "shift_pace",
+                        value: pace.to_string(),
+                        expected: "a pace in (0, 1]",
+                    });
+                }
                 spec.shifts =
                     vec![
                         ShiftEvent::at(SimTime::ZERO + SimDuration::from_secs(shift_secs))
@@ -622,6 +629,14 @@ mod tests {
         }
         let e = fail("mode = elasticity\ntau = 4294967296");
         assert!(e.ends_with("\"4294967296\" is not a valid u32"), "{e}");
+        // A pace outside (0, 1] is refused, not handed to the shift's
+        // assertion (each of these aborted the process).
+        for pace in ["0", "1.5", "nan"] {
+            let e = fail(&format!(
+                "mode = sharded\nshift_secs = 8\nshift_pace = {pace}"
+            ));
+            assert!(e.contains("shift_pace") && e.contains("(0, 1]"), "{e}");
+        }
     }
 
     #[test]

@@ -85,13 +85,6 @@ impl HeartbeatMonitor {
         }
     }
 
-    /// Reset after the node rejoined (fail-over completed).
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self, now: SimTime) {
-        self.declared = None;
-        self.last_beat = now;
-    }
-
     /// Simulate a node that stopped beating at `stopped_at`: the instant
     /// failure would be detected.
     pub fn detection_instant(&self, stopped_at: SimTime) -> SimTime {
@@ -149,15 +142,6 @@ mod tests {
             m.check(SimTime::from_secs(62)),
             NodeHealth::Failed { .. }
         ));
-    }
-
-    #[test]
-    fn reset_rearms_the_monitor() {
-        let mut m = monitor();
-        m.beat(SimTime::from_secs(1));
-        let _ = m.check(SimTime::from_secs(30));
-        m.reset(SimTime::from_secs(30));
-        assert_eq!(m.check(SimTime::from_secs(30)), NodeHealth::Healthy);
     }
 
     #[test]

@@ -85,25 +85,6 @@ pub fn measure(nodes: &[&Node], cfg: &MeterConfig, from: SimTime, to: SimTime) -
 }
 
 impl ResourceUsage {
-    /// Merge usage of independently metered deployments (e.g. isolated
-    /// per-tenant instances: vCores/memory/storage/IOPS add up; the window
-    /// must match).
-    #[cfg(test)]
-    pub(crate) fn combined(parts: &[ResourceUsage]) -> ResourceUsage {
-        let mut out = ResourceUsage::default();
-        for p in parts {
-            out.avg_vcores += p.avg_vcores;
-            out.avg_mem_gb += p.avg_mem_gb;
-            out.storage_gb += p.storage_gb;
-            out.iops += p.iops;
-            out.observed_iops += p.observed_iops;
-            out.network_gbps += p.network_gbps;
-            out.rdma |= p.rdma;
-            out.window = out.window.max(p.window);
-        }
-        out
-    }
-
     /// IOPS the billing model charges: the observed average when the run
     /// was metered at the device level, else the provisioned figure. This
     /// is what makes group commit *visible* in the C-score IO component —
@@ -175,16 +156,6 @@ mod tests {
         let u = measure(&[&a, &b], &cfg(), SimTime::ZERO, SimTime::from_secs(60));
         assert!((u.avg_vcores - 8.0).abs() < 1e-9);
         assert!((u.avg_mem_gb - 32.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn combined_adds_isolated_instances() {
-        let node = Node::new(NodeId(0), NodeRole::ReadWrite, 4.0, 16);
-        let one = measure(&[&node], &cfg(), SimTime::ZERO, SimTime::from_secs(60));
-        let three = ResourceUsage::combined(&[one, one, one]);
-        assert!((three.avg_vcores - 12.0).abs() < 1e-9);
-        assert_eq!(three.iops, 3000, "isolated instances triple the IOPS bill");
-        assert!((three.network_gbps - 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -77,15 +77,6 @@ impl TenancyPattern {
             }
         }
     }
-
-    /// True if the offered load exceeds the capacity threshold.
-    #[cfg(test)]
-    pub(crate) fn is_contended(&self) -> bool {
-        matches!(
-            self,
-            TenancyPattern::HighContention | TenancyPattern::StaggeredHigh
-        )
-    }
 }
 
 /// Tenant shaping for one shard of the scale-out flash-sale fleet
@@ -326,14 +317,6 @@ mod tests {
         let c = TenancyPattern::StaggeredHigh.tenant_slots(0.01);
         assert_eq!(c[0][1], 0, "zeros stay zero");
         assert!(c[0][0] >= 1, "positives stay positive");
-    }
-
-    #[test]
-    fn contention_classification() {
-        assert!(TenancyPattern::HighContention.is_contended());
-        assert!(TenancyPattern::StaggeredHigh.is_contended());
-        assert!(!TenancyPattern::LowContention.is_contended());
-        assert!(!TenancyPattern::StaggeredLow.is_contended());
     }
 
     #[test]

@@ -130,12 +130,6 @@ impl TxnMix {
         }
     }
 
-    /// Fraction of write transactions.
-    #[cfg(test)]
-    pub(crate) fn write_fraction(&self) -> f64 {
-        (self.t1 + self.t2 + self.t4) / (self.t1 + self.t2 + self.t3 + self.t4 + self.scan)
-    }
-
     /// Human-readable mix label.
     pub fn label(&self) -> String {
         if *self == TxnMix::read_only() {
@@ -265,10 +259,10 @@ mod tests {
         assert_eq!(TxnMix::read_only().label(), "RO");
         assert_eq!(TxnMix::read_write().label(), "RW");
         assert_eq!(TxnMix::write_only().label(), "WO");
-        assert_eq!(TxnMix::read_only().write_fraction(), 0.0);
-        assert_eq!(TxnMix::write_only().write_fraction(), 1.0);
-        let rw = TxnMix::read_write();
-        assert!((rw.write_fraction() - 0.2).abs() < 1e-12);
+        let weights = |m: TxnMix| (m.t1, m.t2, m.t3, m.t4, m.scan);
+        assert_eq!(weights(TxnMix::read_only()), (0.0, 0.0, 100.0, 0.0, 0.0));
+        assert_eq!(weights(TxnMix::write_only()), (100.0, 0.0, 0.0, 0.0, 0.0));
+        assert_eq!(weights(TxnMix::read_write()), (15.0, 5.0, 80.0, 0.0, 0.0));
     }
 
     #[test]
@@ -295,7 +289,11 @@ mod tests {
     #[test]
     fn scan_mix_samples_t5_without_perturbing_zero_scan_draws() {
         let mix = TxnMix::scan_resistant(10.0);
-        assert!((mix.write_fraction()).abs() < 1e-12, "T3 + T5 is read-only");
+        assert_eq!(
+            (mix.t1, mix.t2, mix.t4),
+            (0.0, 0.0, 0.0),
+            "T3 + T5 is read-only"
+        );
         let mut rng = DetRng::seeded(6);
         let mut scans = 0u32;
         for _ in 0..10_000 {

@@ -16,7 +16,7 @@
 use cb_sim::SimTime;
 use cb_store::{LogStore, Lsn, PageStore, StorageService, TableId, TxnId, WalOp};
 
-use crate::btree::{BTree, BatchIngest, PageSink, Uncharged};
+use crate::btree::{BTree, BatchIngest, DuplicateKey, PageSink, Uncharged};
 use crate::bufferpool::BufferPool;
 use crate::exec::ExecCtx;
 use crate::inline::InlineVec;
@@ -100,6 +100,98 @@ impl TableMeta {
     /// True if `column` has a secondary index.
     pub(crate) fn has_index(&self, column: usize) -> bool {
         self.secondaries.iter().any(|s| s.column() == column)
+    }
+
+    // The three row primitives. Every change to a row of the table — DML,
+    // abort, crash undo, both redo paths, bulk load — is one of them, and
+    // nothing else touches the tree's rows, `rows` or `auto_key` (apart from
+    // `create_table` and `Database::bump_auto_key`). Each charges the pages
+    // it touches to `sink` in the order the tree, then the indexes, touch
+    // them.
+
+    /// Put a row the table does not hold: the tree insert (through `cur`
+    /// when a sorted stream brings one), an entry in every secondary index,
+    /// the row count and the auto-key watermark. A duplicate key changes
+    /// nothing.
+    pub(crate) fn put_row(
+        &mut self,
+        pages: &mut PageStore,
+        key: i64,
+        image: &[u8],
+        cur: Option<&mut BatchIngest>,
+        sink: &mut impl PageSink,
+    ) -> Result<(), DuplicateKey> {
+        match cur {
+            Some(cur) => self.tree.insert_sorted(pages, cur, key, image, sink)?,
+            None => self.tree.insert(pages, key, image, sink)?,
+        }
+        let row = RowRef::new(image);
+        for idx in &mut self.secondaries {
+            idx.add(pages, row.int(idx.column()), key, sink);
+        }
+        self.rows += 1;
+        self.auto_key = self.auto_key.max(key + 1);
+        Ok(())
+    }
+
+    /// Overwrite a row with `after` and move it in every index whose column
+    /// differs from `before`. Returns `false`, changing nothing, if the row
+    /// is absent.
+    pub(crate) fn set_row(
+        &mut self,
+        pages: &mut PageStore,
+        key: i64,
+        before: Option<&[u8]>,
+        after: &[u8],
+        sink: &mut impl PageSink,
+    ) -> bool {
+        // Without a before-image from the caller it is read from the page
+        // the update rewrites, so it is copied out first — and only when an
+        // index is there to read it.
+        let copied;
+        let before = match before {
+            Some(before) => Some(before),
+            None if self.secondaries.is_empty() => None,
+            None => {
+                let Some(image) = self.tree.get(pages, key, sink) else {
+                    return false;
+                };
+                copied = image.to_vec();
+                Some(copied.as_slice())
+            }
+        };
+        if !self.tree.update(pages, key, after, sink) {
+            return false;
+        }
+        if let Some(before) = before.map(RowRef::new) {
+            let after = RowRef::new(after);
+            for idx in &mut self.secondaries {
+                let col = idx.column();
+                let (old, new) = (before.int(col), after.int(col));
+                if old != new {
+                    idx.remove(pages, old, key, sink);
+                    idx.add(pages, new, key, sink);
+                }
+            }
+        }
+        true
+    }
+
+    /// Take a row out of the tree and every index; returns its image, or
+    /// `None` if it is absent.
+    pub(crate) fn take_row(
+        &mut self,
+        pages: &mut PageStore,
+        key: i64,
+        sink: &mut impl PageSink,
+    ) -> Option<Vec<u8>> {
+        let before = self.tree.delete(pages, key, sink)?;
+        let row = RowRef::new(&before);
+        for idx in &mut self.secondaries {
+            idx.remove(pages, row.int(idx.column()), key, sink);
+        }
+        self.rows -= 1;
+        Some(before)
     }
 }
 
@@ -287,68 +379,24 @@ impl Database {
         t.secondaries.push(idx);
     }
 
-    fn index_add(
-        pages: &mut PageStore,
-        t: &mut TableMeta,
-        row: RowRef<'_>,
-        pk: i64,
-        sink: &mut impl PageSink,
-    ) {
-        for idx in &mut t.secondaries {
-            idx.add(pages, row.int(idx.column()), pk, sink);
-        }
-    }
-
-    fn index_remove(
-        pages: &mut PageStore,
-        t: &mut TableMeta,
-        row: RowRef<'_>,
-        pk: i64,
-        sink: &mut impl PageSink,
-    ) {
-        for idx in &mut t.secondaries {
-            idx.remove(pages, row.int(idx.column()), pk, sink);
-        }
-    }
-
-    fn index_transition(
-        pages: &mut PageStore,
-        t: &mut TableMeta,
-        before: RowRef<'_>,
-        after: RowRef<'_>,
-        pk: i64,
-        sink: &mut impl PageSink,
-    ) {
-        for idx in &mut t.secondaries {
-            let col = idx.column();
-            let old = before.int(col);
-            let new = after.int(col);
-            if old != new {
-                idx.remove(pages, old, pk, sink);
-                idx.add(pages, new, pk, sink);
-            }
-        }
-    }
-
     /// Undo one DML record in place from its own WAL images, charging every
-    /// page touched to `sink`: an insert is deleted, an update's
-    /// before-image is written back, a delete is re-inserted, and the
-    /// secondary indexes follow. The record's writer must still be the
-    /// row's last writer, so the images are the row's current state.
-    /// Returns `false`, touching nothing, for a record that is not DML.
-    fn undo_dml(
+    /// page touched to `sink`: an insert is taken out, an update's
+    /// before-image is set back, a delete is put back. The record's writer
+    /// must still be the row's last writer, so the images are the row's
+    /// current state. Returns `false`, touching nothing, for a record that
+    /// is not DML. [`Database::abort`] runs it charged and
+    /// [`crate::recovery::undo_losers`] uncharged; it takes the pages and
+    /// tables apart from the log because `abort` reads the record out of it.
+    pub(crate) fn undo_dml(
         pages: &mut PageStore,
         tables: &mut [TableMeta],
         op: &WalOp,
         sink: &mut impl PageSink,
     ) -> bool {
         match op {
-            WalOp::Insert { table, key, row } => {
-                let t = &mut tables[table.0 as usize];
-                let removed = t.tree.delete(pages, *key, sink);
+            WalOp::Insert { table, key, .. } => {
+                let removed = tables[table.0 as usize].take_row(pages, *key, sink);
                 assert!(removed.is_some(), "undo of insert: row {key} must exist");
-                Self::index_remove(pages, t, RowRef::new(row), *key, sink);
-                t.rows -= 1;
             }
             WalOp::Update {
                 table,
@@ -357,34 +405,23 @@ impl Database {
                 after,
             } => {
                 let t = &mut tables[table.0 as usize];
-                let ok = t.tree.update(pages, *key, before, sink);
+                let ok = t.set_row(pages, *key, Some(after), before, sink);
                 assert!(ok, "undo of update: row {key} must exist");
-                Self::index_transition(
-                    pages,
-                    t,
-                    RowRef::new(after),
-                    RowRef::new(before),
-                    *key,
-                    sink,
-                );
             }
             WalOp::Delete { table, key, before } => {
-                let t = &mut tables[table.0 as usize];
-                t.tree
-                    .insert(pages, *key, before, sink)
+                tables[table.0 as usize]
+                    .put_row(pages, *key, before, None, sink)
                     .expect("undo of delete: key must be free");
-                Self::index_add(pages, t, RowRef::new(before), *key, sink);
-                t.rows += 1;
             }
             _ => return false,
         }
         true
     }
 
-    /// Recovery internal: [`Database::abort`]'s undo step for one record of
-    /// a crash loser, uncharged.
-    pub(crate) fn undo_uncharged(&mut self, op: &WalOp) -> bool {
-        Self::undo_dml(&mut self.pages, &mut self.tables, op, &mut Uncharged)
+    /// The page store and the tables, borrowed apart from the log, for the
+    /// recovery passes that change rows through [`TableMeta`]'s primitives.
+    pub(crate) fn rows_mut(&mut self) -> (&mut PageStore, &mut [TableMeta]) {
+        (&mut self.pages, &mut self.tables)
     }
 
     /// Fetch all rows whose indexed `column` equals `value`, in primary-key
@@ -487,12 +524,8 @@ impl Database {
         let key = values[0].expect_int();
         image.clear();
         encode_values_into(values, image);
-        t.tree
-            .insert_sorted(&mut self.pages, cur, key, image, &mut Uncharged)
+        t.put_row(&mut self.pages, key, image, Some(cur), &mut Uncharged)
             .expect("bulk load keys must be unique");
-        Self::index_add(&mut self.pages, t, RowRef::new(image), key, &mut Uncharged);
-        t.rows += 1;
-        t.auto_key = t.auto_key.max(key + 1);
     }
 
     /// Insert `row` with an explicit key (column 0).
@@ -522,12 +555,9 @@ impl Database {
         self.ensure_begun(txn);
         let t = &mut self.tables[table.0 as usize];
         ctx.charge_stmt();
-        if t.tree.insert(&mut self.pages, key, &image, ctx).is_err() {
+        if t.put_row(&mut self.pages, key, &image, None, ctx).is_err() {
             return Err(EngineError::Duplicate { table, key });
         }
-        Self::index_add(&mut self.pages, t, RowRef::new(&image), key, ctx);
-        t.rows += 1;
-        t.auto_key = t.auto_key.max(key + 1);
         ctx.charge_rows(1);
         let op = WalOp::Insert {
             table,
@@ -646,16 +676,8 @@ impl Database {
         };
         let mut after_img = Vec::with_capacity(before_img.len() + 8);
         build(&t.schema, RowRef::new(&before_img), &mut after_img)?;
-        let updated = t.tree.update(&mut self.pages, key, &after_img, ctx);
+        let updated = t.set_row(&mut self.pages, key, Some(&before_img), &after_img, ctx);
         debug_assert!(updated, "row existed moments ago");
-        Self::index_transition(
-            &mut self.pages,
-            t,
-            RowRef::new(&before_img),
-            RowRef::new(&after_img),
-            key,
-            ctx,
-        );
         ctx.charge_rows(1);
         let op = WalOp::Update {
             table,
@@ -679,11 +701,9 @@ impl Database {
         self.ensure_begun(txn);
         let t = &mut self.tables[table.0 as usize];
         ctx.charge_stmt();
-        let Some(before) = t.tree.delete(&mut self.pages, key, ctx) else {
+        let Some(before) = t.take_row(&mut self.pages, key, ctx) else {
             return false;
         };
-        Self::index_remove(&mut self.pages, t, RowRef::new(&before), key, ctx);
-        t.rows -= 1;
         ctx.charge_rows(1);
         self.log_dml(txn, (table, key), WalOp::Delete { table, key, before });
         true
@@ -936,9 +956,8 @@ impl Database {
         self.next_txn = self.next_txn.max(beyond.0 + 1);
     }
 
-    /// Recovery/replication internal: apply an insert image directly (no
-    /// WAL, no cost charging). Panics on duplicate keys — replay from a
-    /// consistent base never sees one.
+    /// Insert an image outside any transaction: no WAL, and no cost beyond
+    /// what `sink` does with the pages. Panics on a duplicate key.
     pub fn apply_insert_raw(
         &mut self,
         table: TableId,
@@ -946,83 +965,22 @@ impl Database {
         image: &[u8],
         sink: &mut impl PageSink,
     ) {
-        let t = &mut self.tables[table.0 as usize];
-        t.tree
-            .insert(&mut self.pages, key, image, sink)
-            .expect("redo insert must not collide");
-        Self::index_add(&mut self.pages, t, RowRef::new(image), key, sink);
-        t.rows += 1;
-        t.auto_key = t.auto_key.max(key + 1);
+        self.tables[table.0 as usize]
+            .put_row(&mut self.pages, key, image, None, sink)
+            .expect("raw insert must not collide");
     }
 
-    /// [`apply_insert_raw`](Self::apply_insert_raw) through a [`BatchIngest`]
-    /// cursor: sorted redo/replay streams amortize the B-tree descent. The
-    /// cursor is only valid for consecutive inserts into `table`; callers
-    /// must invalidate it around any other mutation of the same tree.
-    pub(crate) fn apply_insert_raw_batched(
-        &mut self,
-        table: TableId,
-        key: i64,
-        image: &[u8],
-        cur: &mut crate::btree::BatchIngest,
-        sink: &mut impl PageSink,
-    ) {
-        let t = &mut self.tables[table.0 as usize];
-        t.tree
-            .insert_sorted(&mut self.pages, cur, key, image, sink)
-            .expect("redo insert must not collide");
-        Self::index_add(&mut self.pages, t, RowRef::new(image), key, sink);
-        t.rows += 1;
-        t.auto_key = t.auto_key.max(key + 1);
-    }
-
-    /// Recovery/replication internal: apply an update image directly.
-    pub(crate) fn apply_update_raw(
-        &mut self,
-        table: TableId,
-        key: i64,
-        image: &[u8],
-        sink: &mut impl PageSink,
-    ) {
-        let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
-        // The before-image lives in the page the update rewrites, so it is
-        // copied out first — and only when an index is there to read it.
-        let before = (!t.secondaries.is_empty()).then(|| {
-            t.tree
-                .get(pages, key, sink)
-                .unwrap_or_else(|| panic!("redo update of missing key {key}"))
-                .to_vec()
-        });
-        let ok = t.tree.update(pages, key, image, sink);
-        assert!(ok, "redo update of missing key {key}");
-        if let Some(before) = before {
-            Self::index_transition(
-                pages,
-                t,
-                RowRef::new(&before),
-                RowRef::new(image),
-                key,
-                sink,
-            );
-        }
-    }
-
-    /// Recovery/replication internal: apply a delete directly.
+    /// Delete a row outside any transaction, like
+    /// [`apply_insert_raw`](Self::apply_insert_raw). Panics if it is absent.
     pub fn apply_delete_raw(&mut self, table: TableId, key: i64, sink: &mut impl PageSink) {
-        let (pages, t) = (&mut self.pages, &mut self.tables[table.0 as usize]);
-        let removed = t.tree.delete(pages, key, sink);
-        let Some(before) = removed else {
-            panic!("redo delete of missing key {key}");
-        };
-        Self::index_remove(pages, t, RowRef::new(&before), key, sink);
-        t.rows -= 1;
+        let removed = self.tables[table.0 as usize].take_row(&mut self.pages, key, sink);
+        assert!(removed.is_some(), "raw delete of missing key {key}");
     }
 
     /// Recovery internal: ensure `table`'s next auto-assigned key is past
     /// `key`. Net-effect replay applies only each key's final image, so
-    /// inserts that were later deleted never reach
-    /// [`apply_insert_raw`](Self::apply_insert_raw); this keeps the auto-key
-    /// watermark identical to sequential redo.
+    /// inserts that were later deleted never reach the tree; this keeps the
+    /// auto-key watermark identical to sequential redo.
     pub(crate) fn bump_auto_key(&mut self, table: TableId, key: i64) {
         let t = &mut self.tables[table.0 as usize];
         t.auto_key = t.auto_key.max(key + 1);

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 
 use cb_store::{LogStore, Lsn, TableId, TxnId, WalOp, WalRecord};
 
-use crate::btree::Uncharged;
+use crate::btree::{BatchIngest, Uncharged};
 use crate::db::Database;
 
 /// Record counts from the ARIES analysis pass.
@@ -39,42 +39,73 @@ pub struct AriesAnalysis {
     pub in_doubt_txns: u64,
 }
 
-/// Scan `log` from just after `checkpoint`, classifying work. `in_flight`
-/// lists transactions that had begun before the crash and must be treated
-/// as losers unless a commit record is found. The scan borrows records out
-/// of the segmented log — nothing is copied.
+/// How the transactions of a record stream ended: the one classification
+/// pass behind [`analyze`], [`in_doubt_txns`], both redo paths and
+/// [`undo_losers`].
+#[derive(Default)]
+struct Outcomes {
+    /// Transactions with a `Commit` record inside the durable horizon.
+    committed: HashSet<TxnId>,
+    /// Transactions with an `Abort` record anywhere.
+    aborted: HashSet<TxnId>,
+    /// Every `Prepare` vote, `(txn, gid)` in log order.
+    prepared: Vec<(TxnId, u64)>,
+}
+
+impl Outcomes {
+    /// Classify `records`, of which the first `durable_len` reached stable
+    /// storage: a `Commit` beyond that horizon does not count, an `Abort`
+    /// counts wherever it is (see [`undo_losers`]).
+    fn of<'a>(records: impl IntoIterator<Item = &'a WalRecord>, durable_len: usize) -> Self {
+        let mut o = Outcomes::default();
+        for (i, r) in records.into_iter().enumerate() {
+            match r.op {
+                WalOp::Commit if i < durable_len => {
+                    o.committed.insert(r.txn);
+                }
+                WalOp::Abort => {
+                    o.aborted.insert(r.txn);
+                }
+                WalOp::Prepare { gid } => o.prepared.push((r.txn, gid)),
+                _ => {}
+            }
+        }
+        o
+    }
+
+    /// True if `txn` committed or aborted.
+    fn decided(&self, txn: TxnId) -> bool {
+        self.committed.contains(&txn) || self.aborted.contains(&txn)
+    }
+
+    /// Prepared transactions with no decision, in first-prepare order.
+    fn in_doubt(&self) -> Vec<(TxnId, u64)> {
+        let mut seen = HashSet::new();
+        self.prepared
+            .iter()
+            .copied()
+            .filter(|&(txn, _)| !self.decided(txn) && seen.insert(txn))
+            .collect()
+    }
+}
+
+/// Scan `log` from just after `checkpoint`, classifying work: committed DML
+/// to redo, DML of transactions that neither committed nor aborted to
+/// undo. The scan borrows records out of the segmented log — nothing is
+/// copied.
 pub fn analyze(log: &LogStore, checkpoint: Lsn) -> AriesAnalysis {
     let records = log.records_after(checkpoint);
-    let committed: HashSet<TxnId> = records
-        .clone()
-        .filter(|r| matches!(r.op, WalOp::Commit))
-        .map(|r| r.txn)
-        .collect();
-    let aborted: HashSet<TxnId> = records
-        .clone()
-        .filter(|r| matches!(r.op, WalOp::Abort))
-        .map(|r| r.txn)
-        .collect();
+    let outcomes = Outcomes::of(records.clone(), usize::MAX);
     let mut a = AriesAnalysis {
         scanned: records.len() as u64,
+        in_doubt_txns: outcomes.in_doubt().len() as u64,
         ..Default::default()
     };
     let mut losers: HashSet<TxnId> = HashSet::new();
-    let mut in_doubt: HashSet<TxnId> = HashSet::new();
-    for r in records.clone() {
-        if let WalOp::Prepare { .. } = r.op {
-            if !committed.contains(&r.txn) && !aborted.contains(&r.txn) {
-                in_doubt.insert(r.txn);
-            }
-        }
-    }
-    for r in records {
-        if !r.op.is_dml() {
-            continue;
-        }
-        if committed.contains(&r.txn) {
+    for r in records.filter(|r| r.op.is_dml()) {
+        if outcomes.committed.contains(&r.txn) {
             a.redo_records += 1;
-        } else if !aborted.contains(&r.txn) {
+        } else if !outcomes.aborted.contains(&r.txn) {
             // Neither committed nor cleanly aborted: a loser to undo.
             a.undo_records += 1;
             losers.insert(r.txn);
@@ -82,7 +113,6 @@ pub fn analyze(log: &LogStore, checkpoint: Lsn) -> AriesAnalysis {
         // Cleanly aborted transactions already applied their undo images.
     }
     a.loser_txns = losers.len() as u64;
-    a.in_doubt_txns = in_doubt.len() as u64;
     a
 }
 
@@ -92,43 +122,7 @@ pub fn analyze(log: &LogStore, checkpoint: Lsn) -> AriesAnalysis {
 /// global id, so this is the recovery-time join between a participant's WAL
 /// and the decisions that outlived the crash.
 pub fn in_doubt_txns<'a>(records: impl IntoIterator<Item = &'a WalRecord>) -> Vec<(TxnId, u64)> {
-    let mut prepared: Vec<(TxnId, u64)> = Vec::new();
-    let mut decided: HashSet<TxnId> = HashSet::new();
-    for r in records {
-        match r.op {
-            WalOp::Prepare { gid } if !prepared.iter().any(|(t, _)| *t == r.txn) => {
-                prepared.push((r.txn, gid));
-            }
-            WalOp::Commit | WalOp::Abort => {
-                decided.insert(r.txn);
-            }
-            _ => {}
-        }
-    }
-    prepared.retain(|(t, _)| !decided.contains(t));
-    prepared
-}
-
-/// Apply one DML record's redo image directly to `db` (no WAL, no cost —
-/// timing is modelled by the caller). Idempotent per record when applied in
-/// LSN order from a consistent base.
-pub(crate) fn apply_redo(db: &mut Database, rec: &WalRecord) {
-    match &rec.op {
-        WalOp::Insert { table, key, row } => {
-            let t = *table;
-            // Split borrows: tree ops need &mut pages and &mut tree.
-            db.apply_insert_raw(t, *key, row, &mut Uncharged);
-        }
-        WalOp::Update {
-            table, key, after, ..
-        } => {
-            db.apply_update_raw(*table, *key, after, &mut Uncharged);
-        }
-        WalOp::Delete { table, key, .. } => {
-            db.apply_delete_raw(*table, *key, &mut Uncharged);
-        }
-        _ => {}
-    }
+    Outcomes::of(records, usize::MAX).in_doubt()
 }
 
 /// Redo every committed transaction's DML from `records` (in order) onto
@@ -143,46 +137,73 @@ where
     I::IntoIter: Clone,
 {
     let records = records.into_iter();
-    let committed = committed_txns(records.clone());
+    let committed = Outcomes::of(records.clone(), usize::MAX).committed;
     let mut applied = 0u64;
-    for r in records {
-        if r.op.is_dml() && committed.contains(&r.txn) {
-            apply_redo(db, r);
+    for r in records.filter(|r| committed.contains(&r.txn)) {
+        if let Some((table, key, action)) = redo_action(&r.op) {
+            redo_row(db, table, key, action, None);
             applied += 1;
         }
     }
     applied
 }
 
-/// The committed-transaction set of a record stream (the first pass of
-/// redo).
-pub(crate) fn committed_txns<'a>(
-    records: impl IntoIterator<Item = &'a WalRecord>,
-) -> HashSet<TxnId> {
-    records
-        .into_iter()
-        .filter(|r| matches!(r.op, WalOp::Commit))
-        .map(|r| r.txn)
-        .collect()
+/// The row change one DML record redoes; `None` for any other record.
+fn redo_action(op: &WalOp) -> Option<(TableId, i64, RedoAction<'_>)> {
+    Some(match op {
+        WalOp::Insert { table, key, row } => (*table, *key, RedoAction::Insert(row)),
+        WalOp::Update {
+            table, key, after, ..
+        } => (*table, *key, RedoAction::Update(after)),
+        WalOp::Delete { table, key, .. } => (*table, *key, RedoAction::Delete),
+        _ => return None,
+    })
+}
+
+/// Apply one row change to `db`, uncharged: the one dispatch of both redo
+/// paths. An insert rides `cur` when the caller streams sorted keys.
+fn redo_row(
+    db: &mut Database,
+    table: TableId,
+    key: i64,
+    action: RedoAction<'_>,
+    cur: Option<&mut BatchIngest>,
+) {
+    let (pages, tables) = db.rows_mut();
+    let t = &mut tables[table.0 as usize];
+    match action {
+        RedoAction::Insert(img) => t
+            .put_row(pages, key, img, cur, &mut Uncharged)
+            .expect("redo insert must not collide"),
+        RedoAction::Update(img) => assert!(
+            t.set_row(pages, key, None, img, &mut Uncharged),
+            "redo update of missing key {key}"
+        ),
+        RedoAction::Delete => assert!(
+            t.take_row(pages, key, &mut Uncharged).is_some(),
+            "redo delete of missing key {key}"
+        ),
+    }
 }
 
 // --- Net-effect redo --------------------------------------------------------
 
-/// The net effect of the committed post-checkpoint log on one row.
+/// One row change redo applies: a DML record's own, or the net effect of
+/// the committed post-checkpoint log on one row.
 ///
 /// Under strict two-phase locking the committed projection of the log is
 /// well-formed against the checkpoint image: the *first* committed op on a
 /// key tells whether the row existed at the checkpoint (`Insert` ⇒ absent,
 /// `Update`/`Delete` ⇒ present) and the *last* op gives its final state.
-/// Everything in between cancels out, so redo applies at most one physical
-/// op per row instead of the whole history.
+/// Everything in between cancels out, so net-effect redo applies at most
+/// one physical op per row instead of the whole history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum NetAction<'a> {
-    /// Absent at the checkpoint, present at the crash: insert final image.
+pub(crate) enum RedoAction<'a> {
+    /// Absent before, present after: insert the image.
     Insert(&'a [u8]),
-    /// Present at the checkpoint, still present: overwrite with final image.
+    /// Present before and after: overwrite with the image.
     Update(&'a [u8]),
-    /// Present at the checkpoint, gone at the crash.
+    /// Present before, gone after.
     Delete,
 }
 
@@ -192,7 +213,7 @@ pub(crate) enum NetAction<'a> {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RedoPlan<'a> {
     /// `(table, key, action)` triples in ascending `(table, key)` order.
-    pub ops: Vec<(TableId, i64, NetAction<'a>)>,
+    pub ops: Vec<(TableId, i64, RedoAction<'a>)>,
     /// Per-table maximum committed-`Insert` key (even if the row was later
     /// deleted): sequential redo bumps the auto-key watermark on every
     /// insert it applies, so net-effect replay must reproduce the bump for
@@ -216,33 +237,33 @@ pub(crate) fn net_effects<'a>(
     let mut max_ins: HashMap<TableId, i64> = HashMap::new();
     let mut dml = 0u64;
     for r in records {
-        let (table, key, image, is_insert) = match &r.op {
-            WalOp::Insert { table, key, row } => (*table, *key, Some(row.as_slice()), true),
-            WalOp::Update {
-                table, key, after, ..
-            } => (*table, *key, Some(after.as_slice()), false),
-            WalOp::Delete { table, key, .. } => (*table, *key, None, false),
-            _ => continue,
+        let Some((table, key, action)) = redo_action(&r.op) else {
+            continue;
         };
         if !committed.contains(&r.txn) {
             continue;
         }
         dml += 1;
-        if is_insert {
-            let m = max_ins.entry(table).or_insert(key);
-            *m = (*m).max(key);
-        }
+        let image = match action {
+            RedoAction::Insert(img) => {
+                let m = max_ins.entry(table).or_insert(key);
+                *m = (*m).max(key);
+                Some(img)
+            }
+            RedoAction::Update(img) => Some(img),
+            RedoAction::Delete => None,
+        };
         net.entry((table, key))
             .and_modify(|slot| slot.1 = image)
-            .or_insert((is_insert, image));
+            .or_insert((matches!(action, RedoAction::Insert(_)), image));
     }
-    let mut ops: Vec<(TableId, i64, NetAction<'a>)> = net
+    let mut ops: Vec<(TableId, i64, RedoAction<'a>)> = net
         .into_iter()
         .filter_map(|((table, key), (born, image))| {
             let action = match (born, image) {
-                (true, Some(img)) => NetAction::Insert(img),
-                (false, Some(img)) => NetAction::Update(img),
-                (false, None) => NetAction::Delete,
+                (true, Some(img)) => RedoAction::Insert(img),
+                (false, Some(img)) => RedoAction::Update(img),
+                (false, None) => RedoAction::Delete,
                 // Inserted after the checkpoint and deleted again before the
                 // crash: the checkpoint image is already correct.
                 (true, None) => return None,
@@ -267,27 +288,14 @@ pub(crate) fn net_effects<'a>(
 /// Returns the plan's committed-DML count, matching [`redo_committed`]'s
 /// return value for the same log tail.
 pub(crate) fn apply_redo_plan(db: &mut Database, plan: &RedoPlan<'_>) -> u64 {
-    use crate::btree::BatchIngest;
     let mut cur = BatchIngest::new();
     let mut cur_table: Option<TableId> = None;
-    for &(table, key, ref action) in &plan.ops {
-        if cur_table != Some(table) {
+    for &(table, key, action) in &plan.ops {
+        if cur_table != Some(table) || !matches!(action, RedoAction::Insert(_)) {
             cur.invalidate();
             cur_table = Some(table);
         }
-        match *action {
-            NetAction::Insert(img) => {
-                db.apply_insert_raw_batched(table, key, img, &mut cur, &mut Uncharged)
-            }
-            NetAction::Update(img) => {
-                cur.invalidate();
-                db.apply_update_raw(table, key, img, &mut Uncharged);
-            }
-            NetAction::Delete => {
-                cur.invalidate();
-                db.apply_delete_raw(table, key, &mut Uncharged);
-            }
-        }
+        redo_row(db, table, key, action, Some(&mut cur));
     }
     for &(table, key) in &plan.max_insert_keys {
         db.bump_auto_key(table, key);
@@ -312,7 +320,7 @@ pub fn redo_net_effects(
     records: &[&WalRecord],
     resolved: &HashSet<TxnId>,
 ) -> u64 {
-    let mut committed = committed_txns(records.iter().copied());
+    let mut committed = Outcomes::of(records.iter().copied(), usize::MAX).committed;
     committed.extend(resolved.iter().copied());
     apply_redo_plan(db, &net_effects(records, &committed))
 }
@@ -350,17 +358,12 @@ pub fn undo_losers(
     durable_len: usize,
     resolved: &HashSet<TxnId>,
 ) -> u64 {
-    let durable_len = durable_len.min(records.len());
-    let finished: HashSet<TxnId> = records[..durable_len]
-        .iter()
-        .filter(|r| matches!(r.op, WalOp::Commit))
-        .chain(records.iter().filter(|r| matches!(r.op, WalOp::Abort)))
-        .map(|r| r.txn)
-        .chain(resolved.iter().copied())
-        .collect();
+    let outcomes = Outcomes::of(records, durable_len);
+    let (pages, tables) = db.rows_mut();
     let mut undone = 0u64;
     for r in records.iter().rev() {
-        if !finished.contains(&r.txn) && db.undo_uncharged(&r.op) {
+        let finished = outcomes.decided(r.txn) || resolved.contains(&r.txn);
+        if !finished && Database::undo_dml(pages, tables, &r.op, &mut Uncharged) {
             undone += 1;
         }
     }
@@ -734,7 +737,7 @@ mod tests {
         let db = mixed_log();
         let t = db.table_id("t").unwrap();
         let refs: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
-        let committed = committed_txns(refs.iter().copied());
+        let committed = Outcomes::of(refs.iter().copied(), usize::MAX).committed;
         let seq = rebuild(base, db.log());
         let seq_applied = {
             let mut fresh = base();
@@ -759,16 +762,16 @@ mod tests {
         let db = mixed_log();
         let t = db.table_id("t").unwrap();
         let refs: Vec<&WalRecord> = db.log().records_after(Lsn::ZERO).collect();
-        let committed = committed_txns(refs.iter().copied());
+        let committed = Outcomes::of(refs.iter().copied(), usize::MAX).committed;
         let plan = net_effects(&refs, &committed);
         // Inserted-then-deleted key 30 vanishes from the plan entirely;
         // inserted-then-updated key 15 nets to a single Insert of the final
         // image; base-resident key 1 nets to an Update; key 2 to a Delete.
         let find = |k: i64| plan.ops.iter().find(|&&(pt, pk, _)| pt == t && pk == k);
         assert!(find(30).is_none(), "insert+delete cancels");
-        assert!(matches!(find(15), Some((_, _, NetAction::Insert(_)))));
-        assert!(matches!(find(1), Some((_, _, NetAction::Update(_)))));
-        assert!(matches!(find(2), Some((_, _, NetAction::Delete))));
+        assert!(matches!(find(15), Some((_, _, RedoAction::Insert(_)))));
+        assert!(matches!(find(1), Some((_, _, RedoAction::Update(_)))));
+        assert!(matches!(find(2), Some((_, _, RedoAction::Delete))));
         // Loser txn 91 and cleanly aborted 90 are absent.
         assert!(find(90).is_none());
         assert!(find(91).is_none());

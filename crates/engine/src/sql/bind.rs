@@ -76,18 +76,6 @@ pub enum BoundExpr {
     Add(Box<BoundExpr>, Box<BoundExpr>),
 }
 
-impl BoundExpr {
-    /// True if the expression references the current row.
-    #[cfg(test)]
-    fn references_row(&self) -> bool {
-        match self {
-            BoundExpr::Col(_) => true,
-            BoundExpr::Add(a, b) => a.references_row() || b.references_row(),
-            _ => false,
-        }
-    }
-}
-
 /// How a SELECT reaches its rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Access {
@@ -563,30 +551,6 @@ pub fn execute<'a>(
     }
 }
 
-/// The row the statement will write-lock, if statically computable from the
-/// parameters.
-#[cfg(test)]
-pub(crate) fn write_key(stmt: &BoundStmt, params: &[Value]) -> Option<(TableId, i64)> {
-    match stmt {
-        BoundStmt::Update { table, key, .. } | BoundStmt::Delete { table, key } => {
-            eval_key(key, params).ok().map(|k| (*table, k))
-        }
-        BoundStmt::Insert {
-            table,
-            auto_key: false,
-            values,
-        } => {
-            // Explicit key in position 0 and it must not reference a row.
-            let key_expr = values.first()?;
-            if key_expr.references_row() {
-                return None;
-            }
-            eval_key(key_expr, params).ok().map(|k| (*table, k))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,24 +791,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(e, ExecError::Type(_)));
         db.commit(&mut ctx, txn);
-    }
-
-    #[test]
-    fn write_key_prediction() {
-        let db = test_db();
-        let orders = db.table_id("orders").unwrap();
-        let upd = prep(&db, "UPDATE orders SET O_STATUS='PAID' WHERE O_ID=?");
-        assert_eq!(write_key(&upd, &[Value::Int(3)]), Some((orders, 3)));
-        let del = prep(&db, "DELETE FROM orders WHERE O_ID=7");
-        assert_eq!(write_key(&del, &[]), Some((orders, 7)));
-        let ins_auto = prep(&db, "INSERT INTO orders VALUES (DEFAULT, ?, 'NEW', ?, ?)");
-        assert_eq!(write_key(&ins_auto, &[Value::Int(1)]), None);
-        let ins_explicit = prep(&db, "INSERT INTO orders VALUES (?, ?, 'NEW', ?, ?)");
-        assert_eq!(
-            write_key(&ins_explicit, &[Value::Int(42)]),
-            Some((orders, 42))
-        );
-        let sel = prep(&db, "SELECT O_ID FROM orders WHERE O_ID=?");
-        assert_eq!(write_key(&sel, &[Value::Int(1)]), None);
     }
 }

@@ -55,33 +55,6 @@ impl ArrivalProcess {
         ArrivalProcess::Poisson { rate }
     }
 
-    /// The long-run mean arrival rate of the process, ops per second.
-    #[cfg(test)]
-    pub(crate) fn mean_rate(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { rate } => *rate,
-            ArrivalProcess::Bursty {
-                rate_on,
-                rate_off,
-                mean_on,
-                mean_off,
-            } => {
-                let on = mean_on.as_secs_f64();
-                let off = mean_off.as_secs_f64();
-                (rate_on * on + rate_off * off) / (on + off)
-            }
-            ArrivalProcess::Diurnal { base, .. } => *base,
-            ArrivalProcess::Trace { offsets } => {
-                let span = offsets.last().map(|d| d.as_secs_f64()).unwrap_or(0.0);
-                if span > 0.0 {
-                    offsets.len() as f64 / span
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
     /// Validate parameters, returning a human-readable error for CLI use.
     pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
@@ -494,18 +467,6 @@ mod tests {
         assert!(ArrivalProcess::parse("diurnal:100,1.5,60s").is_err());
         assert!(ArrivalProcess::parse("nope:1").is_err());
         assert!(ArrivalProcess::parse("poisson").is_err());
-    }
-
-    #[test]
-    fn mean_rate_formulas() {
-        assert!((ArrivalProcess::poisson(123.0).mean_rate() - 123.0).abs() < 1e-9);
-        let b = ArrivalProcess::Bursty {
-            rate_on: 1000.0,
-            rate_off: 0.0,
-            mean_on: SimDuration::from_secs(1),
-            mean_off: SimDuration::from_secs(3),
-        };
-        assert!((b.mean_rate() - 250.0).abs() < 1e-9);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl Summary {
             ci95,
         }
     }
-
-    /// `mean ± ci95` formatted with `digits` decimal places.
-    #[cfg(test)]
-    pub(crate) fn pm(&self, digits: usize) -> String {
-        format!("{:.d$} ± {:.d$}", self.mean, self.ci95, d = digits)
-    }
 }
 
 #[cfg(test)]
@@ -114,11 +108,5 @@ mod tests {
         assert_eq!(s.n, 100);
         let expect = 1.96 * s.stddev / 10.0;
         assert!((s.ci95 - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pm_formats() {
-        let s = Summary::of(&[10.0, 10.0, 10.0]);
-        assert_eq!(s.pm(1), "10.0 ± 0.0");
     }
 }

@@ -75,15 +75,6 @@ impl DetRng {
         }
         weights.len() - 1
     }
-
-    /// Fisher-Yates shuffle.
-    #[cfg(test)]
-    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,16 +150,5 @@ mod tests {
             }
         }
         assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DetRng::seeded(13);
-        let mut v: Vec<u32> = (0..64).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-        assert_ne!(v, (0..64).collect::<Vec<_>>());
     }
 }
