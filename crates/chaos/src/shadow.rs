@@ -244,22 +244,33 @@ mod tests {
     const OTHER_VALUE: u8 = 4;
     const OTHER_TYPE: u8 = 5;
     const OTHER_ARITY: u8 = 6;
+    const OTHER_TEXT: u8 = 7;
+    const OTHER_TEXT_LEN: u8 = 8;
+
+    /// The text column of key `k`: one to five bytes, so neighbouring rows
+    /// differ in length.
+    fn text_of(k: i64) -> String {
+        "t".repeat(1 + k.rem_euclid(5) as usize)
+    }
 
     proptest! {
         /// The merge-walk reports exactly what the dump-and-look-up
         /// comparison does, element order included. Keys come from a range
         /// small enough that every class of divergence lands on the first,
         /// a middle and the last key of either table, runs of them sit next
-        /// to each other, and `empty` wipes one side of one table.
+        /// to each other, and `empty` wipes one side of one table. The text
+        /// column's length varies per key, and a text divergence keeps or
+        /// changes that length.
         #[test]
         fn merge_walk_diff_equals_the_reference(
-            a in prop::collection::vec((0i64..24, 0u8..7), 0..30),
-            b in prop::collection::vec((0i64..24, 0u8..7), 0..30),
+            a in prop::collection::vec((0i64..24, 0u8..9), 0..30),
+            b in prop::collection::vec((0i64..24, 0u8..9), 0..30),
             empty in 0u8..8,
         ) {
             let schema = || Schema::new(vec![
                 ColumnDef::new("ID", DataType::Int),
                 ColumnDef::new("V", DataType::Int),
+                ColumnDef::new("S", DataType::Text),
             ]);
             let mut db = Database::new();
             let tables = [db.create_table("a", schema()), db.create_table("b", schema())];
@@ -273,10 +284,20 @@ mod tests {
                     cells
                         .iter()
                         .filter(|&(_, &state)| state != MODEL_ONLY && !no_db)
-                        .map(|(&k, _)| Row::new(vec![Value::Int(k), Value::Int(k * 10)])),
+                        .map(|(&k, _)| Row::new(vec![
+                            Value::Int(k),
+                            Value::Int(k * 10),
+                            Value::Text(text_of(k)),
+                        ])),
                 );
                 for (&k, &state) in cells.iter().filter(|_| !no_model) {
-                    let mut values = vec![Value::Int(k), Value::Int(k * 10)];
+                    let mut text = text_of(k);
+                    match state {
+                        OTHER_TEXT => text.replace_range(..1, "u"),
+                        OTHER_TEXT_LEN => text.push('t'),
+                        _ => {}
+                    }
+                    let mut values = vec![Value::Int(k), Value::Int(k * 10), Value::Text(text)];
                     match state {
                         DB_ONLY => continue,
                         OTHER_VALUE => values[1] = Value::Int(-1),
