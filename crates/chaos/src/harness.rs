@@ -552,7 +552,7 @@ impl Harness {
                     .expect("auto keys never collide");
                 let mut values = vec![Value::Int(key)];
                 values.extend(rest);
-                staged.push(ShadowOp::Put(t_orderline, key, Row::new(values)));
+                staged.push(ShadowOp::Put(t_orderline, key, Row::new(values).encode()));
                 "t1"
             }
             1 => {
@@ -572,7 +572,8 @@ impl Harness {
                         o_id,
                         db.get(&mut ctx, t_orders, o_id)
                             .expect("just updated")
-                            .to_row(),
+                            .image()
+                            .to_vec(),
                     ));
                     if db
                         .update(&mut ctx, &mut txn, t_customer, c_id, |r| {
@@ -587,7 +588,8 @@ impl Harness {
                             c_id,
                             db.get(&mut ctx, t_customer, c_id)
                                 .expect("just updated")
-                                .to_row(),
+                                .image()
+                                .to_vec(),
                         ));
                     }
                 }
@@ -711,7 +713,11 @@ impl Harness {
                         ),
                     ));
                 }
-                if first.as_ref() != self.shadow.get(t, k) {
+                let acked = match (&first, self.shadow.get(t, k)) {
+                    (Some(row), Some(image)) => image == *row,
+                    (first, image) => first.is_none() && image.is_none(),
+                };
+                if !acked {
                     return Err(self.violation(
                         "snapshot-consistency",
                         format!(
@@ -738,7 +744,9 @@ impl Harness {
                 let (mut scanned, mut agrees) = (0usize, true);
                 self.dep.db.scan_range_at(t, lo, hi, scan_ts, |sk, row| {
                     scanned += 1;
-                    agrees &= want.next().is_some_and(|(&wk, wr)| sk == wk && row == *wr);
+                    agrees &= want
+                        .next()
+                        .is_some_and(|(wk, image)| sk == wk && row.image() == image);
                     true
                 });
                 if !agrees || want.next().is_some() {

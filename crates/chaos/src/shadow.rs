@@ -8,17 +8,22 @@
 //! work vanished), a row the database has but the shadow doesn't is an
 //! **atomicity** violation (loser effect survived), and a row present on
 //! both sides with different bytes is an **equivalence** violation.
+//!
+//! The shadow holds every row as its encoded image. The encoding is
+//! canonical — a count byte, then per value a tag and a payload the value
+//! alone determines, with a schema capped at 255 columns — so a byte
+//! comparison of two images is exactly a comparison of their rows.
 
 use std::collections::BTreeMap;
 
-use cb_engine::{Database, Row};
+use cb_engine::{Database, RowRef};
 use cb_store::TableId;
 
 /// One mirrored effect of a transaction, staged until commit-ack.
 #[derive(Clone, Debug)]
 pub(crate) enum ShadowOp {
-    /// Insert or overwrite the row at `key`.
-    Put(TableId, i64, Row),
+    /// Insert or overwrite the row at `key` with this encoded image.
+    Put(TableId, i64, Vec<u8>),
     /// Remove the row at `key`.
     Delete(TableId, i64),
 }
@@ -66,9 +71,9 @@ impl ShadowDiff {
     }
 }
 
-/// Committed state mirrored per table as `key -> Row`.
+/// Committed state mirrored per table as `key -> row image`.
 pub struct ShadowModel {
-    tables: Vec<(String, TableId, BTreeMap<i64, Row>)>,
+    tables: Vec<(String, TableId, BTreeMap<i64, Vec<u8>>)>,
 }
 
 impl ShadowModel {
@@ -79,22 +84,22 @@ impl ShadowModel {
             .iter()
             .map(|t| {
                 let mut rows = Vec::with_capacity(t.rows() as usize);
-                db.for_each_row(t.id(), |key, row| rows.push((key, row.to_row())));
+                db.for_each_row(t.id(), |key, row| rows.push((key, row.image().to_vec())));
                 (t.name().to_string(), t.id(), BTreeMap::from_iter(rows))
             })
             .collect();
         ShadowModel { tables }
     }
 
-    fn table_mut(&mut self, id: TableId) -> &mut BTreeMap<i64, Row> {
+    fn table_mut(&mut self, id: TableId) -> &mut BTreeMap<i64, Vec<u8>> {
         &mut self.tables[id.0 as usize].2
     }
 
     /// Apply one committed effect.
     pub(crate) fn apply(&mut self, op: ShadowOp) {
         match op {
-            ShadowOp::Put(t, key, row) => {
-                self.table_mut(t).insert(key, row);
+            ShadowOp::Put(t, key, image) => {
+                self.table_mut(t).insert(key, image);
             }
             ShadowOp::Delete(t, key) => {
                 self.table_mut(t).remove(&key);
@@ -106,20 +111,26 @@ impl ShadowModel {
     /// snapshot-consistency oracle compares MVCC snapshot reads against
     /// this: a snapshot taken now must see exactly the acked state, never
     /// a commit whose ack is still pending in an open group-commit batch.
-    pub(crate) fn get(&self, table: TableId, key: i64) -> Option<&Row> {
-        self.tables[table.0 as usize].2.get(&key)
+    pub(crate) fn get(&self, table: TableId, key: i64) -> Option<RowRef<'_>> {
+        self.tables[table.0 as usize]
+            .2
+            .get(&key)
+            .map(|image| RowRef::new(image))
     }
 
-    /// The acked rows of `table` in `[lo, hi]`, in key order. The scan
-    /// branch of the snapshot-consistency oracle compares an MVCC snapshot
-    /// range scan against this window.
+    /// The acked row images of `table` in `[lo, hi]`, in key order. The
+    /// scan branch of the snapshot-consistency oracle compares an MVCC
+    /// snapshot range scan against this window.
     pub(crate) fn range(
         &self,
         table: TableId,
         lo: i64,
         hi: i64,
-    ) -> impl Iterator<Item = (&i64, &Row)> {
-        self.tables[table.0 as usize].2.range(lo..=hi)
+    ) -> impl Iterator<Item = (i64, &[u8])> {
+        self.tables[table.0 as usize]
+            .2
+            .range(lo..=hi)
+            .map(|(&k, image)| (k, image.as_slice()))
     }
 
     /// Total rows across all tables.
@@ -128,10 +139,10 @@ impl ShadowModel {
     }
 
     /// Compare `db` against the shadow, classifying every divergence: one
-    /// merge-walk per table of the model's rows against the database's
+    /// merge-walk per table of the model's images against the database's
     /// latest images, both in key order. Every row of both sides is
-    /// compared on every call; the images stay on their pages, so a
-    /// database that agrees costs the walk and nothing else.
+    /// compared on every call, byte for byte; the images stay on their
+    /// pages, so a database that agrees costs the walk and nothing else.
     pub fn diff(&self, db: &Database) -> ShadowDiff {
         let mut d = ShadowDiff::default();
         for (name, id, model) in &self.tables {
@@ -141,7 +152,7 @@ impl ShadowModel {
                     d.missing.push((name.clone(), k));
                 }
                 match expected.next_if(|(&k, _)| k == key) {
-                    Some((_, row)) if actual == *row => {}
+                    Some((_, image)) if actual.image() == image.as_slice() => {}
                     Some(_) => d.mismatched.push((name.clone(), key)),
                     None => d.extra.push((name.clone(), key)),
                 }
@@ -152,9 +163,12 @@ impl ShadowModel {
     }
 
     /// The dump-and-look-up comparison [`ShadowModel::diff`] replaced, kept
-    /// as the reference the merge-walk is tested against.
+    /// as the reference the merge-walk is tested against. It compares owned
+    /// rows value by value, which holds the byte comparison to the value
+    /// comparison.
     #[cfg(test)]
     fn diff_reference(&self, db: &Database) -> ShadowDiff {
+        use cb_engine::Row;
         let mut d = ShadowDiff::default();
         for (name, id, model) in &self.tables {
             let actual: BTreeMap<i64, Row> = db
@@ -162,10 +176,10 @@ impl ShadowModel {
                 .into_iter()
                 .map(|r| (r.key(), r))
                 .collect();
-            for (k, row) in model {
+            for (k, image) in model {
                 match actual.get(k) {
                     None => d.missing.push((name.clone(), *k)),
-                    Some(r) if r != row => d.mismatched.push((name.clone(), *k)),
+                    Some(r) if *r != Row::decode(image) => d.mismatched.push((name.clone(), *k)),
                     Some(_) => {}
                 }
             }
@@ -182,7 +196,7 @@ impl ShadowModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cb_engine::{ColumnDef, DataType, Schema, Value};
+    use cb_engine::{ColumnDef, DataType, Row, Schema, Value};
     use proptest::prelude::*;
 
     fn db_with_rows() -> Database {
@@ -218,7 +232,7 @@ mod tests {
         shadow.apply(ShadowOp::Put(
             t,
             4,
-            Row::new(vec![Value::Int(4), Value::Int(40)]),
+            Row::new(vec![Value::Int(4), Value::Int(40)]).encode(),
         ));
         // Shadow thinks key 1 was deleted (db kept it) => atomicity.
         shadow.apply(ShadowOp::Delete(t, 1));
@@ -226,7 +240,7 @@ mod tests {
         shadow.apply(ShadowOp::Put(
             t,
             2,
-            Row::new(vec![Value::Int(2), Value::Int(-2)]),
+            Row::new(vec![Value::Int(2), Value::Int(-2)]).encode(),
         ));
         let d = shadow.diff(&db);
         assert_eq!(d.missing, vec![("t".to_string(), 4)]);
@@ -305,7 +319,7 @@ mod tests {
                         OTHER_ARITY => values.push(Value::Int(0)),
                         _ => {}
                     }
-                    shadow.apply(ShadowOp::Put(t, k, Row::new(values)));
+                    shadow.apply(ShadowOp::Put(t, k, Row::new(values).encode()));
                 }
             }
             prop_assert_eq!(shadow.diff(&db), shadow.diff_reference(&db));

@@ -272,7 +272,7 @@ fn run_layout(
                 .db
                 .get_at(table, key, SimTime::ZERO)
                 .expect("transfer rows exist on their home shard");
-            shadows[s].apply(ShadowOp::Put(table, key, row));
+            shadows[s].apply(ShadowOp::Put(table, key, row.encode()));
         }
         decided_credit += amount;
     };

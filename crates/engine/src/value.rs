@@ -498,6 +498,14 @@ impl<'a> RowRef<'a> {
         self.image[0] as usize
     }
 
+    /// The encoded image the view reads. The encoding is canonical (a
+    /// count byte, then per value a tag and a payload the value alone
+    /// determines), so two images are byte-equal exactly when the view
+    /// equals the row the other one encodes.
+    pub fn image(self) -> &'a [u8] {
+        self.image
+    }
+
     /// True for a row of no columns (never the case under a [`Schema`]).
     pub fn is_empty(self) -> bool {
         self.len() == 0

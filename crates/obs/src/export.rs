@@ -7,20 +7,31 @@
 //! the same seed emit byte-identical artifacts — the files double as
 //! regression fixtures.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::hist::LogHistogram;
-use crate::trace::{EventKind, Tracer};
+use crate::trace::{Category, EventKind, Tracer};
 
-/// Format virtual nanoseconds as microseconds with fixed three-decimal
-/// precision (the Chrome trace `ts`/`dur` unit), avoiding float formatting.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Append virtual nanoseconds to `out` as microseconds with fixed
+/// three-decimal precision (the Chrome trace `ts`/`dur` unit), avoiding
+/// float formatting.
+fn push_micros(out: &mut String, ns: u64) {
+    let _ = write!(out, "{}.", ns / 1_000);
+    let frac = ns % 1_000;
+    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + digit as u8));
+    }
 }
 
-/// Minimal JSON string escaping for the names we emit.
-fn escape(s: &str) -> String {
+/// Minimal JSON string escaping for the names we emit; a name with no `"`,
+/// `\` or control byte (every name the simulator emits) comes back as it
+/// is.
+fn escape(s: &str) -> Cow<'_, str> {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -32,11 +43,12 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Render the journal as Chrome trace-event JSON. Spans become complete
 /// (`"ph":"X"`) events and instants become `"ph":"i"`; tracks map to `tid`.
+/// Every field is written straight into the output buffer.
 pub fn chrome_trace_json(tracer: &Tracer) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
@@ -45,17 +57,19 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
             out.push(',');
         }
         first = false;
+        out.push_str("{\"name\":\"");
+        out.push_str(&escape(&ev.name));
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":0,\"tid\":{},\"ts\":{}",
-            escape(&ev.name),
+            "\",\"cat\":\"{}\",\"pid\":0,\"tid\":{},\"ts\":",
             ev.cat.as_str(),
             ev.track,
-            micros(ev.start.as_nanos()),
         );
+        push_micros(&mut out, ev.start.as_nanos());
         match ev.kind {
             EventKind::Span { dur_ns } => {
-                let _ = write!(out, ",\"ph\":\"X\",\"dur\":{}", micros(dur_ns));
+                out.push_str(",\"ph\":\"X\",\"dur\":");
+                push_micros(&mut out, dur_ns);
             }
             EventKind::Instant => {
                 out.push_str(",\"ph\":\"i\",\"s\":\"t\"");
@@ -171,14 +185,19 @@ pub fn ascii_timeline(tracer: &Tracer) -> String {
         .unwrap_or(t0);
     let span = (t1 - t0).max(1);
 
-    // Row per (cat, name), in first-seen order for stable output.
-    let mut rows: Vec<(String, [bool; TIMELINE_COLS], u64)> = Vec::new();
+    // Row per (cat, name), in first-seen order for stable output. No
+    // category name holds a `/`, so the pair and its `cat/name` label
+    // identify the same row; the label is formatted once, for a new row.
+    let mut rows: Vec<(Category, &str, String, [bool; TIMELINE_COLS], u64)> = Vec::new();
     for ev in journal.iter() {
-        let label = format!("{}/{}", ev.cat.as_str(), ev.name);
-        let idx = match rows.iter().position(|(l, _, _)| *l == label) {
+        let idx = match rows
+            .iter()
+            .position(|(cat, name, ..)| *cat == ev.cat && *name == ev.name)
+        {
             Some(i) => i,
             None => {
-                rows.push((label, [false; TIMELINE_COLS], 0));
+                let label = format!("{}/{}", ev.cat.as_str(), ev.name);
+                rows.push((ev.cat, &ev.name, label, [false; TIMELINE_COLS], 0));
                 rows.len() - 1
             }
         };
@@ -187,15 +206,15 @@ pub fn ascii_timeline(tracer: &Tracer) -> String {
                 .min(TIMELINE_COLS - 1)
         };
         let (a, b) = (cell(ev.start.as_nanos()), cell(ev.end().as_nanos()));
-        for c in &mut rows[idx].1[a..=b] {
+        for c in &mut rows[idx].3[a..=b] {
             *c = true;
         }
-        rows[idx].2 += 1;
+        rows[idx].4 += 1;
     }
 
     let label_w = rows
         .iter()
-        .map(|(l, _, _)| l.len())
+        .map(|(_, _, label, ..)| label.len())
         .max()
         .unwrap_or(0)
         .max(8);
@@ -208,9 +227,10 @@ pub fn ascii_timeline(tracer: &Tracer) -> String {
         journal.total(),
         journal.dropped(),
     );
-    for (label, cells, n) in &rows {
-        let bar: String = cells.iter().map(|&on| if on { '#' } else { '.' }).collect();
-        let _ = writeln!(out, "{label:<label_w$} |{bar}| x{n}");
+    for (_, _, label, cells, n) in &rows {
+        let _ = write!(out, "{label:<label_w$} |");
+        out.extend(cells.iter().map(|&on| if on { '#' } else { '.' }));
+        let _ = writeln!(out, "| x{n}");
     }
     out
 }
@@ -332,6 +352,28 @@ mod tests {
         // Balanced braces and brackets => structurally plausible JSON.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn chrome_trace_escapes_names_and_prints_every_fraction() {
+        let sink = ObsSink::with_capacity(8);
+        sink.span(
+            Category::Txn,
+            "a\"b\\c\n",
+            3,
+            SimTime::from_nanos(1_999_999),
+            SimTime::from_nanos(2_000_998),
+        );
+        sink.instant(Category::Wal, "plain", 0, SimTime::from_nanos(5));
+        assert_eq!(
+            sink.with(chrome_trace_json).unwrap(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"name\":\"a\\\"b\\\\c\\u000a\",\"cat\":\"txn\",\"pid\":0,\"tid\":3,\
+             \"ts\":1999.999,\"ph\":\"X\",\"dur\":0.999},\
+             {\"name\":\"plain\",\"cat\":\"wal\",\"pid\":0,\"tid\":0,\
+             \"ts\":0.005,\"ph\":\"i\",\"s\":\"t\"}],\
+             \"otherData\":{\"dropped\":0,\"retained\":2}}\n"
+        );
     }
 
     #[test]
