@@ -14,15 +14,33 @@ use std::path::Path;
 use crate::hist::LogHistogram;
 use crate::trace::{Category, EventKind, Tracer};
 
+/// Append the decimal digits of `n` to `out`: the digits fill a stack
+/// buffer from the right, with none of the formatting machinery a Chrome
+/// trace would otherwise pay three times per event.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// Append virtual nanoseconds to `out` as microseconds with fixed
 /// three-decimal precision (the Chrome trace `ts`/`dur` unit), avoiding
-/// float formatting.
+/// float formatting. The fraction runs to 999, so it stays a `u64` until
+/// each digit is split off.
 fn push_micros(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.", ns / 1_000);
+    push_u64(out, ns / 1_000);
     let frac = ns % 1_000;
-    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
-        out.push(char::from(b'0' + digit as u8));
-    }
+    let digit = |d: u64| b'0' + (d % 10) as u8;
+    let tail = [b'.', digit(frac / 100), digit(frac / 10), digit(frac)];
+    out.push_str(std::str::from_utf8(&tail).expect("ASCII digits"));
 }
 
 /// Minimal JSON string escaping for the names we emit; a name with no `"`,
@@ -59,12 +77,11 @@ pub fn chrome_trace_json(tracer: &Tracer) -> String {
         first = false;
         out.push_str("{\"name\":\"");
         out.push_str(&escape(&ev.name));
-        let _ = write!(
-            out,
-            "\",\"cat\":\"{}\",\"pid\":0,\"tid\":{},\"ts\":",
-            ev.cat.as_str(),
-            ev.track,
-        );
+        out.push_str("\",\"cat\":\"");
+        out.push_str(ev.cat.as_str());
+        out.push_str("\",\"pid\":0,\"tid\":");
+        push_u64(&mut out, ev.track);
+        out.push_str(",\"ts\":");
         push_micros(&mut out, ev.start.as_nanos());
         match ev.kind {
             EventKind::Span { dur_ns } => {
@@ -184,6 +201,16 @@ pub fn ascii_timeline(tracer: &Tracer) -> String {
         .max()
         .unwrap_or(t0);
     let span = (t1 - t0).max(1);
+    // The column of an instant. The product takes 128 bits only when 64
+    // overflow (offsets past 2^64 / 71 ns); the quotient is the same.
+    let cell = |ns: u64| -> usize {
+        let off = ns - t0;
+        let col = match off.checked_mul(TIMELINE_COLS as u64 - 1) {
+            Some(scaled) => scaled / span,
+            None => (off as u128 * (TIMELINE_COLS as u128 - 1) / span as u128) as u64,
+        };
+        (col as usize).min(TIMELINE_COLS - 1)
+    };
 
     // Row per (cat, name), in first-seen order for stable output. No
     // category name holds a `/`, so the pair and its `cat/name` label
@@ -200,10 +227,6 @@ pub fn ascii_timeline(tracer: &Tracer) -> String {
                 rows.push((ev.cat, &ev.name, label, [false; TIMELINE_COLS], 0));
                 rows.len() - 1
             }
-        };
-        let cell = |ns: u64| -> usize {
-            (((ns - t0) as u128 * (TIMELINE_COLS as u128 - 1) / span as u128) as usize)
-                .min(TIMELINE_COLS - 1)
         };
         let (a, b) = (cell(ev.start.as_nanos()), cell(ev.end().as_nanos()));
         for c in &mut rows[idx].3[a..=b] {
@@ -228,9 +251,9 @@ pub fn ascii_timeline(tracer: &Tracer) -> String {
         journal.dropped(),
     );
     for (_, _, label, cells, n) in &rows {
-        let _ = write!(out, "{label:<label_w$} |");
-        out.extend(cells.iter().map(|&on| if on { '#' } else { '.' }));
-        let _ = writeln!(out, "| x{n}");
+        let bar = cells.map(|on| if on { b'#' } else { b'.' });
+        let bar = std::str::from_utf8(&bar).expect("ASCII cells");
+        let _ = writeln!(out, "{label:<label_w$} |{bar}| x{n}");
     }
     out
 }
@@ -395,6 +418,33 @@ mod tests {
         assert!(txt.contains("txn/txn"));
         assert!(txt.contains("wal/append"));
         assert!(txt.contains("failover/promotion"));
+    }
+
+    #[test]
+    fn timeline_columns_are_exact_past_64_bit_products() {
+        // Offsets of 2^59 ns and more overflow `offset * 71` in 64 bits.
+        let sink = ObsSink::with_capacity(8);
+        sink.instant(Category::Txn, "a", 0, SimTime::from_nanos(0));
+        sink.instant(Category::Txn, "b", 0, SimTime::from_nanos(1 << 59));
+        sink.instant(Category::Txn, "c", 0, SimTime::from_nanos(3 << 58));
+        sink.instant(Category::Txn, "d", 0, SimTime::from_nanos(1 << 60));
+        let txt = sink.with(ascii_timeline).unwrap();
+        let column = |label: &str| {
+            let line = txt.lines().find(|l| l.starts_with(label)).unwrap();
+            let bar = line.split('|').nth(1).unwrap();
+            assert_eq!(bar.matches('#').count(), 1, "{line}");
+            bar.find('#').unwrap()
+        };
+        // 71 * offset / 2^60, rounded down.
+        assert_eq!(
+            [
+                column("txn/a"),
+                column("txn/b"),
+                column("txn/c"),
+                column("txn/d")
+            ],
+            [0, 35, 53, 71]
+        );
     }
 
     #[test]
