@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use cb_store::{LogStore, Lsn, TableId, TxnId, WalOp, WalRecord};
+use cb_store::{IntMap, LogStore, Lsn, TableId, TxnId, WalOp, WalRecord};
 
 use crate::btree::{BatchIngest, Uncharged};
 use crate::db::Database;
@@ -230,11 +230,13 @@ pub(crate) fn net_effects<'a>(
     records: &[&'a WalRecord],
     committed: &HashSet<TxnId>,
 ) -> RedoPlan<'a> {
-    use std::collections::HashMap;
     // Per row: (first committed op was an insert, final image or deleted).
-    type RowNet<'a> = HashMap<(TableId, i64), (bool, Option<&'a [u8]>)>;
-    let mut net: RowNet<'a> = HashMap::new();
-    let mut max_ins: HashMap<TableId, i64> = HashMap::new();
+    // Keyed by engine-assigned integers and sorted below, so the cheap
+    // fixed hasher cannot move a byte of the plan; sized for the record
+    // count, an upper bound on the rows, so the fold never rehashes.
+    type RowNet<'a> = IntMap<(TableId, i64), (bool, Option<&'a [u8]>)>;
+    let mut net: RowNet<'a> = IntMap::with_capacity_and_hasher(records.len(), Default::default());
+    let mut max_ins: IntMap<TableId, i64> = IntMap::default();
     let mut dml = 0u64;
     for r in records {
         let Some((table, key, action)) = redo_action(&r.op) else {

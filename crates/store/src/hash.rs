@@ -1,14 +1,14 @@
 //! A cheap deterministic hasher for maps keyed by engine-assigned integers.
 //!
-//! The buffer pool's residency map is probed once per page touch and the
-//! lock table once per written row; their keys ([`crate::PageId`],
-//! `(TableId, i64)` row keys) are small integers the engine itself assigns,
-//! never outside input, so SipHash's protection against crafted collisions
-//! buys nothing there and costs more than the rest of a pool hit. (The page
-//! store needs no map at all: its ids are dense, so it is a `Vec`.) The two
-//! maps are only ever probed, inserted into, removed from, counted or
-//! filtered — no result depends on their iteration order (the one walk that
-//! returns pages, `BufferPool::flush_dirty`, sorts) — and with a fixed
+//! The buffer pool's residency map is probed once per page touch, the lock
+//! table once per written row and recovery's net-effect fold once per
+//! redone record; their keys ([`crate::PageId`], `(TableId, i64)` row keys)
+//! are small integers the engine itself assigns, never outside input, so
+//! SipHash's protection against crafted collisions buys nothing there and
+//! costs more than the rest of a pool hit. (The page store needs no map at
+//! all: its ids are dense, so it is a `Vec`.) No result depends on these
+//! maps' iteration order (the walks that return pages or a redo plan,
+//! `BufferPool::flush_dirty` and the fold's plan, sort) — and with a fixed
 //! hasher even that order is the same in every process.
 
 use std::collections::HashMap;
