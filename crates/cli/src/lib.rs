@@ -104,6 +104,20 @@ fn parse_mix(props: &Props) -> Result<TxnMix, CliError> {
                     expected: "weights t1:t2:t3:t4 or t1:t2:t3:t4:t5",
                 });
             }
+            // `TxnMix::new` asserts what this refuses: a negative or NaN
+            // weight, or t1..t4 all zero. An infinite weight (or a sum that
+            // overflows to one) would run a degenerate draw.
+            let total: f64 = parts.iter().sum();
+            if parts.iter().any(|w| w.is_nan() || *w < 0.0)
+                || !total.is_finite()
+                || parts[..4].iter().all(|&w| w == 0.0)
+            {
+                return Err(CliError::Unknown {
+                    key: "mix",
+                    value: other.to_string(),
+                    expected: "finite weights >= 0 with t1..t4 not all zero",
+                });
+            }
             let mix = TxnMix::new(parts[0], parts[1], parts[2], parts[3]);
             Ok(match parts.get(4) {
                 Some(&scan) if scan > 0.0 => mix.with_scan(scan),
@@ -614,6 +628,21 @@ mod tests {
         assert!(fail("sut = oracle").contains("oracle"));
         assert!(fail("mode = nonsense").contains("nonsense"));
         assert!(fail("mix = 1:2").contains("mix"));
+        // Weights `TxnMix::new` would assert on (each aborted the process)
+        // or that ran silently: an infinite weight, a negative T5 dropped.
+        for mix in [
+            "0:0:0:0",
+            "-5:0:100:0",
+            "nan:0:1:0",
+            "inf:0:1:0",
+            "1:0:0:0:-3",
+        ] {
+            let e = fail(&format!("mix = {mix}"));
+            assert!(
+                e.contains("key mix") && e.contains(mix) && e.contains("not all zero"),
+                "{mix}: {e}"
+            );
+        }
         // A u32 key past u32::MAX is refused, not wrapped (2^32 + 1 used to
         // run with one client).
         for (mode, key) in [
