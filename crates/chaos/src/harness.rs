@@ -715,7 +715,7 @@ impl Harness {
                 }
                 let acked = match (&first, self.shadow.get(t, k)) {
                     (Some(row), Some(image)) => image == *row,
-                    (first, image) => first.is_none() && image.is_none(),
+                    (row, image) => row.is_none() && image.is_none(),
                 };
                 if !acked {
                     return Err(self.violation(

@@ -415,7 +415,8 @@ mod tests {
 
     #[test]
     fn timeline_columns_round_down_at_any_offset() {
-        // Offsets of 2^59 ns and more overflow `offset * 71` in 64 bits.
+        // Offsets of 2^59 ns and more overflow `offset * 71` in 64 bits;
+        // the columns must still round down exactly.
         let sink = ObsSink::with_capacity(8);
         sink.instant(Category::Txn, "a", 0, SimTime::from_nanos(0));
         sink.instant(Category::Txn, "b", 0, SimTime::from_nanos(1 << 59));
