@@ -320,7 +320,17 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
         }
         "tenancy" => {
             let pattern = parse_tenancy_pattern(props)?;
+            // Each tenant's clients are its paper concurrency times the
+            // scale: NaN, zero or a negative scale clamps every tenant to one
+            // client, and an infinite one asks for u32::MAX of them.
             let scale = props.get_f64("tenancy_scale", 0.5)?;
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(CliError::Unknown {
+                    key: "tenancy_scale",
+                    value: scale.to_string(),
+                    expected: "a finite scale > 0",
+                });
+            }
             let r = evaluate_tenancy(&profile, pattern, scale, sim_scale, &base);
             let mut t = Table::new(
                 &format!("Multi-tenancy — {} / {}", profile.display, pattern.label()),
@@ -380,11 +390,32 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             }
             let shards = (props.get_u64("shards", 2)? as usize).max(1);
             let jobs = (props.get_u64("jobs", 1)? as usize).max(1);
+            let shape = cloudybench::DatasetShape::new(1, sim_scale);
+            let keyspace = shape.orders.min(shape.customers);
+            // Every tenant works on its own slice of a shard's keys, so a
+            // shard holds at most one tenant per key.
+            let tenants = props.get_u64("tenants_per_shard", 8)?;
+            if tenants == 0 || tenants > keyspace {
+                return Err(CliError::Unknown {
+                    key: "tenants_per_shard",
+                    value: format!("{tenants} with {keyspace} keys per shard"),
+                    expected: "at least one tenant and at most one per key",
+                });
+            }
+            // The P-Score divides by the window's length.
+            let slot_secs = props.get_u64("slot_secs", 5)?;
+            if slot_secs == 0 {
+                return Err(CliError::Unknown {
+                    key: "slot_secs",
+                    value: slot_secs.to_string(),
+                    expected: "a slot of at least 1 second",
+                });
+            }
             let mut spec = FleetSpec {
-                tenants_per_shard: props.get_u64("tenants_per_shard", 8)? as usize,
+                tenants_per_shard: tenants as usize,
                 clients_per_tenant: props.get_u32("clients_per_tenant", 1)?,
                 hot_clients: props.get_u32("hot_clients", 8)?,
-                slot_len: SimDuration::from_secs(props.get_u64("slot_secs", 5)?),
+                slot_len: SimDuration::from_secs(slot_secs),
                 transfers: props.get_u64("transfers", 32)?,
                 ..FleetSpec::default()
             };
@@ -406,8 +437,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
                             .pace(pace),
                     ];
             }
-            let shape = cloudybench::DatasetShape::new(1, sim_scale);
-            let keyspace = shape.orders.min(shape.customers) as i64;
+            let keyspace = keyspace as i64;
             let maps = match props.get("strategy").unwrap_or("both") {
                 s if s.eq_ignore_ascii_case("hash") => vec![ShardMap::hash(shards)],
                 s if s.eq_ignore_ascii_case("range") => {
@@ -665,6 +695,34 @@ mod tests {
                 "mode = sharded\nshift_secs = 8\nshift_pace = {pace}"
             ));
             assert!(e.contains("shift_pace") && e.contains("(0, 1]"), "{e}");
+        }
+        // A shard of 150 orders (sim_scale 2000) sliced for 200 tenants left
+        // the last one an empty key range, and the driver's key draw
+        // panicked; 0 tenants ran one and reported none.
+        for tenants in ["0", "200"] {
+            let e = fail(&format!(
+                "sut = aws-rds\nmode = sharded\nsim_scale = 2000\nshards = 2\n\
+                 tenants_per_shard = {tenants}\nslot_secs = 1\ntransfers = 2\nstrategy = hash"
+            ));
+            assert!(
+                e.contains("key tenants_per_shard") && e.contains("150 keys per shard"),
+                "{tenants}: {e}"
+            );
+        }
+        // A zero-length window ran and printed a NaN P-Score.
+        let e = fail("mode = sharded\nsim_scale = 2000\nslot_secs = 0");
+        assert!(
+            e.contains("key slot_secs") && e.contains("at least 1 second"),
+            "{e}"
+        );
+        // Each of these ran silently with one client per tenant, or (inf)
+        // aborted the process on a client table of u32::MAX entries.
+        for scale in ["nan", "inf", "0", "-1"] {
+            let e = fail(&format!("mode = tenancy\ntenancy_scale = {scale}"));
+            assert!(
+                e.contains("key tenancy_scale") && e.contains("finite scale > 0"),
+                "{scale}: {e}"
+            );
         }
     }
 

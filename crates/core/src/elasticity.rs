@@ -14,7 +14,7 @@
 //! workload ends — the paper's CDB1 story), and reports TPS, cost,
 //! E1-Score, and per-transition scaling behaviour (paper Table VI).
 
-use cb_sim::{DetRng, GaugeSeries, SimDuration, SimTime};
+use cb_sim::{GaugeSeries, SimDuration, SimTime};
 
 use crate::cost::{ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
@@ -75,16 +75,6 @@ impl ElasticPattern {
             .map(|p| (p * tau as f64).round() as u32)
             .collect()
     }
-}
-
-/// Default proportions drawn from a Pareto distribution (the paper's
-/// fallback when no explicit proportions are configured). Returns `n`
-/// values in (0, 1], the largest normalized to 1.
-pub fn pareto_proportions(rng: &mut DetRng, n: usize) -> Vec<f64> {
-    assert!(n > 0);
-    let raw: Vec<f64> = (0..n).map(|_| rng.pareto(1.0, 1.16)).collect();
-    let max = raw.iter().cloned().fold(f64::MIN, f64::max);
-    raw.into_iter().map(|x| x / max).collect()
 }
 
 /// Assemble several patterns into one long schedule (used by the Fig 9
@@ -245,15 +235,6 @@ mod tests {
             vec![44, 22, 44]
         );
         assert_eq!(ElasticPattern::ZeroValley.concurrency(110), vec![55, 0, 55]);
-    }
-
-    #[test]
-    fn pareto_proportions_are_normalized() {
-        let mut rng = DetRng::seeded(5);
-        let p = pareto_proportions(&mut rng, 8);
-        assert_eq!(p.len(), 8);
-        assert!(p.iter().all(|x| *x > 0.0 && *x <= 1.0));
-        assert!(p.iter().any(|x| (*x - 1.0).abs() < 1e-12));
     }
 
     #[test]

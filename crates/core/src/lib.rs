@@ -17,9 +17,6 @@
 //! * [`lagtime`] — replication lag probes and C-Score.
 //! * [`cost`] — the Resource Unit Cost model (Table III) + actual pricing.
 //! * [`metrics`] — the PERFECT scores and the unified O-Score.
-//! * [`microservices`] — the inventory + manufacturing extension services
-//!   (the paper's Fig 2 future work), installed through the statement
-//!   registry exactly as the extensibility story prescribes.
 //! * [`parallel`] — deterministic scoped-thread fan-out of independent
 //!   experiment cells (grids, chaos seeds) with canonical-order merging.
 //! * `replay` — restore-and-roll-forward through the engine's net-effect
@@ -39,7 +36,6 @@ pub mod elasticity;
 pub mod failover_eval;
 pub mod lagtime;
 pub mod metrics;
-pub mod microservices;
 mod openloop;
 pub mod parallel;
 mod replay;

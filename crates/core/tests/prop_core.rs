@@ -2,7 +2,7 @@
 //! tenancy patterns, key partitions, props files.
 
 use cloudybench::config::Props;
-use cloudybench::elasticity::{assemble, pareto_proportions, ElasticPattern};
+use cloudybench::elasticity::{assemble, ElasticPattern};
 use cloudybench::tenancy::TenancyPattern;
 use cloudybench::workload::KeyPartition;
 use proptest::prelude::*;
@@ -24,16 +24,6 @@ proptest! {
         // Assembly preserves order and length.
         let all = assemble(&ElasticPattern::all(), tau);
         prop_assert_eq!(all.len(), 12);
-    }
-
-    /// Pareto proportions are positive, at most 1, and include 1.
-    #[test]
-    fn pareto_proportions_normalized(seed in any::<u64>(), n in 1usize..24) {
-        let mut rng = cb_sim::DetRng::seeded(seed);
-        let p = pareto_proportions(&mut rng, n);
-        prop_assert_eq!(p.len(), n);
-        prop_assert!(p.iter().all(|x| *x > 0.0 && *x <= 1.0 + 1e-12));
-        prop_assert!(p.iter().any(|x| (*x - 1.0).abs() < 1e-9));
     }
 
     /// Tenancy tuples scale monotonically and zeros are invariant.

@@ -33,7 +33,7 @@ pub const INTERNAL_CAPACITY: usize = (cb_store::PAGE_SIZE - ENTRIES_BASE) / ENTR
 /// Three sinks exist: [`crate::ExecCtx`] charges the access to its buffer
 /// pool on the spot (served statements), an [`AccessLog`] records it (tests
 /// and probes that inspect the pattern), and `Uncharged` drops it (bulk
-/// load, index back-fill, recovery, oracles — work nobody is billed for).
+/// load, recovery, oracles — work nobody is billed for).
 pub trait PageSink {
     /// `page` was read, or modified when `write` is set.
     fn touch(&mut self, page: PageId, write: bool);
@@ -471,7 +471,8 @@ impl BTree {
     }
 
     /// Total number of records (full scan; O(n)).
-    pub(crate) fn count(&self, store: &PageStore, log: &mut impl PageSink) -> u64 {
+    #[cfg(test)]
+    fn count(&self, store: &PageStore, log: &mut impl PageSink) -> u64 {
         let mut n = 0u64;
         self.scan_range(store, i64::MIN, i64::MAX, log, |_, _| {
             n += 1;

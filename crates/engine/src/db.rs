@@ -10,8 +10,7 @@
 //! Cost accounting is charge-as-you-walk: the context is the
 //! [`crate::btree::PageSink`] the trees report to, so a page is charged to
 //! the buffer pool at the moment the tree touches it. Work that nobody is
-//! billed for (bulk load, index back-fill, oracles, recovery) passes
-//! `Uncharged` instead.
+//! billed for (bulk load, oracles, recovery) passes `Uncharged` instead.
 
 use cb_sim::SimTime;
 use cb_store::{LogStore, Lsn, PageStore, StorageService, TableId, TxnId, WalOp};
@@ -22,7 +21,6 @@ use crate::exec::ExecCtx;
 use crate::inline::InlineVec;
 use crate::locks::{LockTable, RowKey};
 use crate::mvcc::{VersionStore, Visibility};
-use crate::secondary::SecondaryIndex;
 use crate::value::{encode_values_into, Row, RowRef, Schema, SchemaError, Value};
 
 /// Engine-level errors surfaced to the benchmark driver.
@@ -58,14 +56,13 @@ impl From<SchemaError> for EngineError {
     }
 }
 
-/// One table: schema + clustered B+tree + counters + secondary indexes.
+/// One table: schema + clustered B+tree + counters.
 #[derive(Clone)]
 pub struct TableMeta {
     id: TableId,
     name: String,
     schema: Schema,
     tree: BTree,
-    secondaries: Vec<SecondaryIndex>,
     /// Next auto-assigned key for `DEFAULT` inserts.
     auto_key: i64,
     rows: u64,
@@ -97,22 +94,15 @@ impl TableMeta {
         self.auto_key
     }
 
-    /// True if `column` has a secondary index.
-    pub(crate) fn has_index(&self, column: usize) -> bool {
-        self.secondaries.iter().any(|s| s.column() == column)
-    }
-
     // The three row primitives. Every change to a row of the table — DML,
     // abort, crash undo, both redo paths, bulk load — is one of them, and
     // nothing else touches the tree's rows, `rows` or `auto_key` (apart from
     // `create_table` and `Database::bump_auto_key`). Each charges the pages
-    // it touches to `sink` in the order the tree, then the indexes, touch
-    // them.
+    // it touches to `sink` in the order the tree touches them.
 
     /// Put a row the table does not hold: the tree insert (through `cur`
-    /// when a sorted stream brings one), an entry in every secondary index,
-    /// the row count and the auto-key watermark. A duplicate key changes
-    /// nothing.
+    /// when a sorted stream brings one), the row count and the auto-key
+    /// watermark. A duplicate key changes nothing.
     pub(crate) fn put_row(
         &mut self,
         pages: &mut PageStore,
@@ -125,60 +115,25 @@ impl TableMeta {
             Some(cur) => self.tree.insert_sorted(pages, cur, key, image, sink)?,
             None => self.tree.insert(pages, key, image, sink)?,
         }
-        let row = RowRef::new(image);
-        for idx in &mut self.secondaries {
-            idx.add(pages, row.int(idx.column()), key, sink);
-        }
         self.rows += 1;
         self.auto_key = self.auto_key.max(key + 1);
         Ok(())
     }
 
-    /// Overwrite a row with `after` and move it in every index whose column
-    /// differs from `before`. Returns `false`, changing nothing, if the row
-    /// is absent.
+    /// Overwrite a row with `after`. Returns `false`, changing nothing, if
+    /// the row is absent.
     pub(crate) fn set_row(
         &mut self,
         pages: &mut PageStore,
         key: i64,
-        before: Option<&[u8]>,
         after: &[u8],
         sink: &mut impl PageSink,
     ) -> bool {
-        // Without a before-image from the caller it is read from the page
-        // the update rewrites, so it is copied out first — and only when an
-        // index is there to read it.
-        let copied;
-        let before = match before {
-            Some(before) => Some(before),
-            None if self.secondaries.is_empty() => None,
-            None => {
-                let Some(image) = self.tree.get(pages, key, sink) else {
-                    return false;
-                };
-                copied = image.to_vec();
-                Some(copied.as_slice())
-            }
-        };
-        if !self.tree.update(pages, key, after, sink) {
-            return false;
-        }
-        if let Some(before) = before.map(RowRef::new) {
-            let after = RowRef::new(after);
-            for idx in &mut self.secondaries {
-                let col = idx.column();
-                let (old, new) = (before.int(col), after.int(col));
-                if old != new {
-                    idx.remove(pages, old, key, sink);
-                    idx.add(pages, new, key, sink);
-                }
-            }
-        }
-        true
+        self.tree.update(pages, key, after, sink)
     }
 
-    /// Take a row out of the tree and every index; returns its image, or
-    /// `None` if it is absent.
+    /// Take a row out of the tree; returns its image, or `None` if it is
+    /// absent.
     pub(crate) fn take_row(
         &mut self,
         pages: &mut PageStore,
@@ -186,10 +141,6 @@ impl TableMeta {
         sink: &mut impl PageSink,
     ) -> Option<Vec<u8>> {
         let before = self.tree.delete(pages, key, sink)?;
-        let row = RowRef::new(&before);
-        for idx in &mut self.secondaries {
-            idx.remove(pages, row.int(idx.column()), key, sink);
-        }
         self.rows -= 1;
         Some(before)
     }
@@ -284,7 +235,6 @@ impl Database {
             name: name.to_string(),
             schema,
             tree,
-            secondaries: Vec::new(),
             auto_key: 1,
             rows: 0,
         });
@@ -344,41 +294,6 @@ impl Database {
         self.last_checkpoint
     }
 
-    /// Create a secondary index over an `Int` column (not the primary key),
-    /// back-filling it from existing rows. Panics on misuse — index
-    /// declarations are programmer decisions, not user input.
-    pub fn create_index(&mut self, table: TableId, column: &str) {
-        let t = &mut self.tables[table.0 as usize];
-        let col = t
-            .schema
-            .column_index(column)
-            .unwrap_or_else(|| panic!("no column {column} in table {}", t.name));
-        assert!(col != 0, "the primary key is already the clustered index");
-        assert_eq!(
-            t.schema.columns()[col].ty,
-            crate::value::DataType::Int,
-            "secondary indexes cover Int columns"
-        );
-        assert!(!t.has_index(col), "column {column} is already indexed");
-        let mut idx = SecondaryIndex::create(&mut self.pages, col);
-        // Back-fill from the clustered tree.
-        let mut entries = Vec::new();
-        t.tree.scan_range(
-            &self.pages,
-            i64::MIN,
-            i64::MAX,
-            &mut Uncharged,
-            |pk, img| {
-                entries.push((RowRef::new(img).int(col), pk));
-                true
-            },
-        );
-        for (value, pk) in entries {
-            idx.add(&mut self.pages, value, pk, &mut Uncharged);
-        }
-        t.secondaries.push(idx);
-    }
-
     /// Undo one DML record in place from its own WAL images, charging every
     /// page touched to `sink`: an insert is taken out, an update's
     /// before-image is set back, a delete is put back. The record's writer
@@ -399,13 +314,9 @@ impl Database {
                 assert!(removed.is_some(), "undo of insert: row {key} must exist");
             }
             WalOp::Update {
-                table,
-                key,
-                before,
-                after,
+                table, key, before, ..
             } => {
-                let t = &mut tables[table.0 as usize];
-                let ok = t.set_row(pages, *key, Some(after), before, sink);
+                let ok = tables[table.0 as usize].set_row(pages, *key, before, sink);
                 assert!(ok, "undo of update: row {key} must exist");
             }
             WalOp::Delete { table, key, before } => {
@@ -422,33 +333,6 @@ impl Database {
     /// recovery passes that change rows through [`TableMeta`]'s primitives.
     pub(crate) fn rows_mut(&mut self) -> (&mut PageStore, &mut [TableMeta]) {
         (&mut self.pages, &mut self.tables)
-    }
-
-    /// Fetch all rows whose indexed `column` equals `value`, in primary-key
-    /// order, charging `ctx` for the index probe and each row fetch.
-    pub fn index_lookup(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        table: TableId,
-        column: usize,
-        value: i64,
-    ) -> Vec<Row> {
-        let t = &self.tables[table.0 as usize];
-        let idx = t
-            .secondaries
-            .iter()
-            .find(|s| s.column() == column)
-            .unwrap_or_else(|| panic!("column {column} of {} is not indexed", t.name));
-        ctx.charge_stmt();
-        let pks = idx.lookup(&self.pages, value, ctx);
-        let mut rows = Vec::with_capacity(pks.len());
-        for pk in pks {
-            if let Some(img) = t.tree.get(&self.pages, pk, ctx) {
-                rows.push(Row::decode(img));
-            }
-        }
-        ctx.charge_rows(rows.len() as u64);
-        rows
     }
 
     /// Begin a transaction. The `Begin` WAL record is written lazily before
@@ -676,7 +560,7 @@ impl Database {
         };
         let mut after_img = Vec::with_capacity(before_img.len() + 8);
         build(&t.schema, RowRef::new(&before_img), &mut after_img)?;
-        let updated = t.set_row(&mut self.pages, key, Some(&before_img), &after_img, ctx);
+        let updated = t.set_row(&mut self.pages, key, &after_img, ctx);
         debug_assert!(updated, "row existed moments ago");
         ctx.charge_rows(1);
         let op = WalOp::Update {

@@ -29,7 +29,6 @@ mod inline;
 mod locks;
 mod mvcc;
 pub mod recovery;
-pub mod secondary;
 pub mod slotted;
 pub mod sql;
 pub mod value;

@@ -176,7 +176,7 @@ fn redo_row(
             .put_row(pages, key, img, cur, &mut Uncharged)
             .expect("redo insert must not collide"),
         RedoAction::Update(img) => assert!(
-            t.set_row(pages, key, None, img, &mut Uncharged),
+            t.set_row(pages, key, img, &mut Uncharged),
             "redo update of missing key {key}"
         ),
         RedoAction::Delete => assert!(

@@ -22,8 +22,8 @@ pub enum BindError {
         /// Column name.
         column: String,
     },
-    /// The WHERE column is neither the primary key nor covered by a
-    /// secondary index — the only point predicates the engine can serve.
+    /// The WHERE column is not the primary key — the only point predicate
+    /// the engine can serve.
     NotPrimaryKey(String),
     /// INSERT value count does not match the schema.
     Arity {
@@ -76,15 +76,6 @@ pub enum BoundExpr {
     Add(Box<BoundExpr>, Box<BoundExpr>),
 }
 
-/// How a SELECT reaches its rows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Access {
-    /// Point lookup on the clustered primary key.
-    PrimaryKey,
-    /// Probe of the secondary index over the contained column.
-    SecondaryIndex(usize),
-}
-
 /// A statement bound against a catalog, ready to execute repeatedly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BoundStmt {
@@ -98,7 +89,7 @@ pub enum BoundStmt {
         /// `auto_key`, this excludes the key column.
         values: Vec<BoundExpr>,
     },
-    /// Point SELECT on the primary key or a secondary index.
+    /// Point SELECT on the primary key.
     Select {
         /// Target table.
         table: TableId,
@@ -106,8 +97,6 @@ pub enum BoundStmt {
         columns: Option<Vec<usize>>,
         /// Key expression.
         key: BoundExpr,
-        /// Access path.
-        via: Access,
     },
     /// Point UPDATE on the primary key.
     Update {
@@ -159,6 +148,7 @@ fn resolve_table(db: &Database, name: &str) -> Result<TableId, BindError> {
         .ok_or_else(|| BindError::UnknownTable(name.to_string()))
 }
 
+/// Bind a point predicate: `key_column` must be the table's primary key.
 fn bind_key(
     db: &Database,
     table: TableId,
@@ -166,38 +156,18 @@ fn bind_key(
     key_column: &str,
     key: &Expr,
 ) -> Result<BoundExpr, BindError> {
-    let (expr, access) = bind_access(db, table, table_name, key_column, key)?;
-    if access != Access::PrimaryKey {
-        return Err(BindError::NotPrimaryKey(key_column.to_string()));
-    }
-    Ok(expr)
-}
-
-/// Resolve a point predicate to an access path: the primary key, or a
-/// secondary index when one covers the column (SELECT only).
-fn bind_access(
-    db: &Database,
-    table: TableId,
-    table_name: &str,
-    key_column: &str,
-    key: &Expr,
-) -> Result<(BoundExpr, Access), BindError> {
-    let t = db.table(table);
-    let idx = t
+    let idx = db
+        .table(table)
         .schema()
         .column_index(key_column)
         .ok_or_else(|| BindError::UnknownColumn {
             table: table_name.to_string(),
             column: key_column.to_string(),
         })?;
-    let access = if idx == 0 {
-        Access::PrimaryKey
-    } else if t.has_index(idx) {
-        Access::SecondaryIndex(idx)
-    } else {
+    if idx != 0 {
         return Err(BindError::NotPrimaryKey(key_column.to_string()));
-    };
-    Ok((bind_expr(key, db, table, table_name)?, access))
+    }
+    bind_expr(key, db, table, table_name)
 }
 
 /// Bind a parsed statement against the catalog.
@@ -231,7 +201,7 @@ pub fn bind(ast: &Ast, db: &Database) -> Result<BoundStmt, BindError> {
             key,
         } => {
             let tid = resolve_table(db, table)?;
-            let (key, via) = bind_access(db, tid, table, key_column, key)?;
+            let key = bind_key(db, tid, table, key_column, key)?;
             let columns = match columns {
                 None => None,
                 Some(names) => {
@@ -252,7 +222,6 @@ pub fn bind(ast: &Ast, db: &Database) -> Result<BoundStmt, BindError> {
                 table: tid,
                 columns,
                 key,
-                via,
             })
         }
         Ast::Update {
@@ -420,14 +389,10 @@ impl fmt::Debug for ProjectedRow<'_> {
 /// Result of executing a statement. It borrows the database for as long as
 /// a selected row is looked at; copy out what must outlive the next
 /// statement.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StmtOutput<'a> {
-    /// The row a primary-key SELECT found.
+    /// The row a SELECT found.
     pub row: Option<ProjectedRow<'a>>,
-    /// The rows a secondary-index SELECT found, owned and already
-    /// projected: they come from several pages, so there is no one image to
-    /// borrow. Empty for every other statement.
-    pub index_rows: Vec<Vec<Value>>,
     /// Rows affected (writes), or matched (reads).
     pub affected: u64,
 }
@@ -435,8 +400,8 @@ pub struct StmtOutput<'a> {
 impl StmtOutput<'_> {
     fn affected(n: u64) -> Self {
         StmtOutput {
+            row: None,
             affected: n,
-            ..StmtOutput::default()
         }
     }
 }
@@ -490,38 +455,17 @@ pub fn execute<'a>(
             table,
             columns,
             key,
-            via,
         } => {
             let k = eval_key(key, params)?;
-            match via {
-                Access::PrimaryKey => {
-                    let db: &'a Database = db;
-                    let row = db.get(ctx, *table, k).map(|row| ProjectedRow {
-                        row,
-                        columns: columns.as_deref(),
-                    });
-                    Ok(StmtOutput {
-                        row,
-                        index_rows: Vec::new(),
-                        affected: u64::from(row.is_some()),
-                    })
-                }
-                Access::SecondaryIndex(col) => {
-                    let index_rows: Vec<Vec<Value>> = db
-                        .index_lookup(ctx, *table, *col, k)
-                        .into_iter()
-                        .map(|row| match columns {
-                            None => row.values,
-                            Some(idxs) => idxs.iter().map(|&i| row.values[i].clone()).collect(),
-                        })
-                        .collect();
-                    Ok(StmtOutput {
-                        row: None,
-                        affected: index_rows.len() as u64,
-                        index_rows,
-                    })
-                }
-            }
+            let db: &'a Database = db;
+            let row = db.get(ctx, *table, k).map(|row| ProjectedRow {
+                row,
+                columns: columns.as_deref(),
+            });
+            Ok(StmtOutput {
+                row,
+                affected: u64::from(row.is_some()),
+            })
         }
         BoundStmt::Update { table, sets, key } => {
             let k = eval_key(key, params)?;
@@ -651,10 +595,6 @@ mod tests {
         assert_eq!(out.affected, 1);
         let row = out.row.expect("order 3 exists");
         assert_eq!((row.len(), row.int(0), row.text(1)), (2, 3, "NEW"));
-        assert!(
-            out.index_rows.is_empty(),
-            "a primary-key SELECT owns no rows"
-        );
         // Missing key: zero rows.
         let out = execute(&mut db, &mut ctx, &mut txn, &stmt, &[Value::Int(99)]).unwrap();
         assert_eq!(out.affected, 0);

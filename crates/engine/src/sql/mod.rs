@@ -8,7 +8,7 @@ pub(crate) mod parser;
 pub(crate) mod registry;
 
 pub use bind::{
-    bind, execute, Access, BindError, BoundExpr, BoundStmt, ExecError, ProjectedRow, StmtOutput,
+    bind, execute, BindError, BoundExpr, BoundStmt, ExecError, ProjectedRow, StmtOutput,
 };
 pub use parser::{parse, Assign, Ast, Expr, ParseError};
 pub use registry::{RegistryError, StmtId, StmtRegistry};

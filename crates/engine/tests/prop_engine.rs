@@ -7,7 +7,6 @@ use std::panic::catch_unwind;
 
 use cb_engine::btree::{AccessLog, BTree, PageSink};
 use cb_engine::recovery::{redo_committed, redo_net_effects};
-use cb_engine::secondary::SecondaryIndex;
 use cb_engine::slotted::Slotted;
 use cb_engine::sql::parse;
 use cb_engine::{
@@ -95,54 +94,34 @@ fn op_strategy(key_space: i64) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// A clustered tree plus a secondary index over the payload's first byte:
-/// the page traffic of a table with one indexed column.
-struct IndexedTree {
+/// A clustered tree on its own page store: the page traffic of a table.
+struct Table {
     store: PageStore,
     tree: BTree,
-    index: SecondaryIndex,
 }
 
-impl IndexedTree {
+impl Table {
     fn new() -> Self {
         let mut store = PageStore::new();
         let tree = BTree::create(&mut store);
-        let index = SecondaryIndex::create(&mut store, 1);
-        IndexedTree { store, tree, index }
+        Table { store, tree }
     }
 
-    /// Apply `op` the way `Database` does its DML — tree first, then index
-    /// maintenance — reporting every page to `sink`. Returns rows processed.
+    /// Apply `op` the way `Database` does its DML, reporting every page to
+    /// `sink`. Returns rows processed.
     fn apply(&mut self, op: &Op, sink: &mut impl PageSink) -> u64 {
-        let IndexedTree { store, tree, index } = self;
+        let Table { store, tree } = self;
         // Payloads are stretched so a few hundred keys span dozens of leaves.
         let image = |p: &[u8]| p.repeat(8);
         match op {
-            Op::Insert(k, p) => {
-                if tree.insert(store, *k, &image(p), sink).is_err() {
-                    return 0;
-                }
-                index.add(store, i64::from(p[0]), *k, sink);
-                1
-            }
+            Op::Insert(k, p) => u64::from(tree.insert(store, *k, &image(p), sink).is_ok()),
             Op::Update(k, p) => {
-                let Some(old) = tree.get(store, *k, sink).map(|img| img[0]) else {
+                if tree.get(store, *k, sink).is_none() {
                     return 0;
-                };
-                tree.update(store, *k, &image(p), sink);
-                if old != p[0] {
-                    index.remove(store, i64::from(old), *k, sink);
-                    index.add(store, i64::from(p[0]), *k, sink);
                 }
-                1
+                u64::from(tree.update(store, *k, &image(p), sink))
             }
-            Op::Delete(k) => {
-                let Some(old) = tree.delete(store, *k, sink) else {
-                    return 0;
-                };
-                index.remove(store, i64::from(old[0]), *k, sink);
-                1
-            }
+            Op::Delete(k) => u64::from(tree.delete(store, *k, sink).is_some()),
             Op::Get(k) => u64::from(tree.get(store, *k, sink).is_some()),
             Op::Scan(lo, span) => {
                 let mut rows = 0;
@@ -288,7 +267,7 @@ proptest! {
 
     /// Charging pages as the tree walks equals recording them and charging
     /// the record afterwards: the property that let `Database` drop its
-    /// per-statement access log. One side hands the trees the context
+    /// per-statement access log. One side hands the tree the context
     /// itself; the other hands them a `Vec` and replays it through
     /// `charge_page` in recorded order. Everything the cost model produces
     /// must agree at the end.
@@ -296,7 +275,7 @@ proptest! {
     fn charging_while_walking_equals_replaying_the_log(
         ops in prop::collection::vec(op_strategy(300), 1..400),
     ) {
-        let (mut walked, mut logged) = (IndexedTree::new(), IndexedTree::new());
+        let (mut walked, mut logged) = (Table::new(), Table::new());
         let (mut node_a, mut node_b) = (TinyNode::new(), TinyNode::new());
         let (mut ctx_a, mut ctx_b) = (node_a.ctx(), node_b.ctx());
         let mut alog = AccessLog::new();
@@ -378,48 +357,6 @@ proptest! {
             true
         });
         prop_assert_eq!(scanned, model.into_iter().collect::<Vec<_>>());
-    }
-
-    /// Secondary-index maintenance agrees with a model of posting sets:
-    /// lookups return exactly the model's primary keys, ascending, through
-    /// the borrowed tree read path.
-    #[test]
-    fn secondary_index_matches_model(
-        ops in prop::collection::vec((0i64..40, 0i64..200, prop::bool::ANY), 1..300),
-    ) {
-        use cb_engine::secondary::SecondaryIndex;
-        use std::collections::BTreeSet;
-        let mut store = PageStore::new();
-        let mut idx = SecondaryIndex::create(&mut store, 1);
-        let mut model: BTreeMap<i64, BTreeSet<i64>> = BTreeMap::new();
-        let mut alog = AccessLog::new();
-        for (value, pk, remove) in ops {
-            let present = model.get(&value).is_some_and(|s| s.contains(&pk));
-            if remove {
-                if present {
-                    idx.remove(&mut store, value, pk, &mut alog);
-                    let set = model.get_mut(&value).expect("present implies entry");
-                    set.remove(&pk);
-                    if set.is_empty() { model.remove(&value); }
-                }
-            } else if !present {
-                idx.add(&mut store, value, pk, &mut alog);
-                model.entry(value).or_default().insert(pk);
-            }
-            prop_assert_eq!(
-                idx.lookup(&store, value, &mut alog),
-                model.get(&value).map(|s| s.iter().copied().collect::<Vec<_>>()).unwrap_or_default()
-            );
-            alog.clear();
-        }
-        for (value, set) in &model {
-            prop_assert_eq!(
-                idx.lookup(&store, *value, &mut alog),
-                set.iter().copied().collect::<Vec<_>>()
-            );
-        }
-        prop_assert_eq!(idx.distinct_values(&store), model.len() as u64);
-        prop_assert_eq!(idx.lookup(&store, 1_000_000, &mut alog), Vec::<i64>::new());
     }
 
     /// Slotted pages keep keys sorted and payloads intact under churn.

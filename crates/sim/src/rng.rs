@@ -4,7 +4,6 @@
 //! based generator, so every experiment is reproducible bit-for-bit from its
 //! configuration.
 
-use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,14 +50,6 @@ impl DetRng {
     /// Bernoulli draw with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.inner.gen_bool(p.clamp(0.0, 1.0))
-    }
-
-    /// Sample from a Pareto distribution with scale `xm > 0` and shape
-    /// `alpha > 0` (used for the paper's default elasticity proportions).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0, "invalid Pareto parameters");
-        let u: f64 = Uniform::new(f64::EPSILON, 1.0).sample(&mut self.inner);
-        xm / u.powf(1.0 / alpha)
     }
 
     /// Pick an index according to non-negative `weights` (at least one must
@@ -114,14 +105,6 @@ mod tests {
             .filter(|_| f1.below(1_000_000) == g.below(1_000_000))
             .count();
         assert!(same < 3);
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = DetRng::seeded(11);
-        for _ in 0..1000 {
-            assert!(rng.pareto(1.0, 1.16) >= 1.0);
-        }
     }
 
     #[test]
