@@ -7,10 +7,10 @@
 //! (11 threads) and TPC-C (44 threads) keep the allocation nearly flat
 //! (≈0.5–1.25 and ≈1–2 vCores respectively).
 
-use cb_baselines::{run_constant, Sysbench, TpccLite};
 use cb_bench::{SEED, SIM_SCALE};
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
+use cloudybench::baselines::{run_constant, Baseline};
 use cloudybench::elasticity::{assemble, ElasticPattern};
 use cloudybench::report::print_series;
 use cloudybench::{
@@ -45,22 +45,8 @@ fn main() {
 
     // Baselines: constant threads chosen as in the paper (peak/valley points).
     let duration = SimDuration::from_secs(60 * MINUTES as u64);
-    let sys = run_constant(
-        &profile,
-        &mut Sysbench::default(),
-        11,
-        duration,
-        SIM_SCALE,
-        SEED,
-    );
-    let tpcc = run_constant(
-        &profile,
-        &mut TpccLite::new(1),
-        44,
-        duration,
-        SIM_SCALE,
-        SEED,
-    );
+    let sys = run_constant(&profile, Baseline::Sysbench, 11, duration, SIM_SCALE, SEED);
+    let tpcc = run_constant(&profile, Baseline::TpccLite, 44, duration, SIM_SCALE, SEED);
 
     // Sample all three gauges once per 30 seconds.
     let step = SimDuration::from_secs(30);

@@ -220,13 +220,15 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
     let sim_scale = props.get_u64("sim_scale", 200)?;
     let seed = props.get_u64("seed", 7)?;
     let mode = props.get("mode").unwrap_or("oltp").to_ascii_lowercase();
-    // Workload-shape keys parse up front, whatever the mode: a malformed
-    // `mix=`, `distribution=`, or `eviction=` is a configuration error even
-    // when the selected mode never reads the key — silently falling back to
-    // the default would bless a typo'd experiment config.
+    // Workload-shape keys and the calibratable unit prices parse up front,
+    // whatever the mode: a malformed `mix=`, `distribution=`, `eviction=` or
+    // `ruc_*_hour=` is a configuration error even when the selected mode
+    // never reads the key — silently falling back to the default would bless
+    // a typo'd experiment config.
     let mix = parse_mix(props)?;
     let dist = parse_distribution(props)?;
     let eviction = parse_eviction(props)?;
+    let rates = RucRates::from_props(props)?;
     // What every run of every mode inherits; the evaluators add the rest.
     let base = RunOptions {
         seed,
@@ -257,8 +259,6 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             let result = run(&mut dep, &[spec], &opts);
             let end = SimTime::ZERO + duration;
             let usage = dep.usage(SimTime::ZERO, end);
-            // Unit prices are calibratable from the same props file.
-            let rates = RucRates::from_props(props)?;
             let cost = ruc_cost(&usage, &rates);
             let mut t = Table::new(
                 &format!(
@@ -650,6 +650,8 @@ mod tests {
             assert!(e.contains("THETA"), "{mode}: {e}");
             let e = fail(&format!("mode = {mode}\nmix = 1:2"));
             assert!(e.contains("mix"), "{mode}: {e}");
+            let e = fail(&format!("mode = {mode}\nruc_cpu_vcore_hour = nan"));
+            assert!(e.contains("key ruc_cpu_vcore_hour"), "{mode}: {e}");
         }
     }
 
@@ -723,6 +725,15 @@ mod tests {
                 e.contains("key tenancy_scale") && e.contains("finite scale > 0"),
                 "{scale}: {e}"
             );
+        }
+        // A NaN unit price printed `RUC cost $NaN`, a negative one a
+        // negative cost; both exited 0.
+        for res in "cpu_vcore mem_gb storage_gb iops_100 tcp_gbps rdma_gbps".split(' ') {
+            for price in ["nan", "-1", "inf"] {
+                let e = fail(&format!("ruc_{res}_hour = {price}"));
+                let named = e.contains(&format!("key ruc_{res}_hour"));
+                assert!(named && e.contains("finite price >= 0"), "{res}: {e}");
+            }
         }
     }
 

@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::Command;
 
-use cb_baselines::{run_constant, BaselineRun, Sysbench, TpccLite};
 use cb_chaos::{run_campaign_jobs, run_shard2pc_campaign_jobs, ChaosOptions, Shard2pcOptions};
 use cb_cli::run_from_props;
 use cb_cluster::ScalingKind;
@@ -27,6 +26,7 @@ use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
 use cb_obs::{ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, ObsSink};
 use cb_sim::SimDuration;
 use cb_sut::SutProfile;
+use cloudybench::baselines::{run_constant, Baseline, BaselineRun};
 use cloudybench::config::Props;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::parallel::par_map;
@@ -198,8 +198,8 @@ fn baseline_digest(run: &BaselineRun) -> String {
 fn baselines_corpus(out: &mut BTreeMap<String, String>) {
     let profile = SutProfile::cdb3();
     let duration = SimDuration::from_secs(120);
-    let sys = run_constant(&profile, &mut Sysbench::default(), 11, duration, 2000, 7);
-    let tpcc = run_constant(&profile, &mut TpccLite::new(1), 44, duration, 2000, 7);
+    let sys = run_constant(&profile, Baseline::Sysbench, 11, duration, 2000, 7);
+    let tpcc = run_constant(&profile, Baseline::TpccLite, 44, duration, 2000, 7);
     out.insert("baselines.cdb3.sysbench".into(), baseline_digest(&sys));
     out.insert("baselines.cdb3.tpcc".into(), baseline_digest(&tpcc));
 }

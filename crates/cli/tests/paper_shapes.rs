@@ -2,9 +2,9 @@
 //! EXPERIMENTS index to the shape the paper reports, and each assertion
 //! message names its row.
 
-use cb_baselines::{run_constant, Sysbench, TpccLite};
 use cb_sim::{GaugeSeries, SimDuration, SimTime};
 use cb_sut::SutProfile;
+use cloudybench::baselines::{run_constant, Baseline};
 use cloudybench::elasticity::{assemble, ElasticPattern};
 use cloudybench::{
     run, AccessDistribution, Deployment, KeyPartition, RunOptions, TenantSpec, TxnMix,
@@ -42,22 +42,8 @@ fn fig9_constant_loads_stay_flat_while_cloudybench_swings() {
         "Fig 9: CloudyBench must swing CDB3 by more than 2 vCores, got {lo}..{hi}"
     );
 
-    let sysbench = run_constant(
-        &profile,
-        &mut Sysbench::default(),
-        11,
-        duration,
-        SIM_SCALE,
-        SEED,
-    );
-    let tpcc = run_constant(
-        &profile,
-        &mut TpccLite::new(1),
-        44,
-        duration,
-        SIM_SCALE,
-        SEED,
-    );
+    let sysbench = run_constant(&profile, Baseline::Sysbench, 11, duration, SIM_SCALE, SEED);
+    let tpcc = run_constant(&profile, Baseline::TpccLite, 44, duration, SIM_SCALE, SEED);
     for (name, r) in [("SysBench", &sysbench), ("TPC-C", &tpcc)] {
         let (_, peak) = range(&r.vcores, SimTime::ZERO);
         assert!(

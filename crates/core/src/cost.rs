@@ -50,16 +50,25 @@ impl RucRates {
     /// with the actual cost"). Missing keys keep their Table III defaults.
     ///
     /// Keys: `ruc_cpu_vcore_hour`, `ruc_mem_gb_hour`, `ruc_storage_gb_hour`,
-    /// `ruc_iops_100_hour`, `ruc_tcp_gbps_hour`, `ruc_rdma_gbps_hour`.
+    /// `ruc_iops_100_hour`, `ruc_tcp_gbps_hour`, `ruc_rdma_gbps_hour`. Each
+    /// must be a finite price >= 0.
     pub fn from_props(props: &Props) -> Result<RucRates, ConfigError> {
         let d = RucRates::default();
+        let price = |key: &str, default: f64| match props.get_f64(key, default)? {
+            v if v.is_finite() && v >= 0.0 => Ok(v),
+            _ => Err(ConfigError::Invalid {
+                key: key.into(),
+                value: props.get(key).unwrap_or_default().into(),
+                expected: "finite price >= 0",
+            }),
+        };
         Ok(RucRates {
-            cpu_vcore_hour: props.get_f64("ruc_cpu_vcore_hour", d.cpu_vcore_hour)?,
-            mem_gb_hour: props.get_f64("ruc_mem_gb_hour", d.mem_gb_hour)?,
-            storage_gb_hour: props.get_f64("ruc_storage_gb_hour", d.storage_gb_hour)?,
-            iops_100_hour: props.get_f64("ruc_iops_100_hour", d.iops_100_hour)?,
-            tcp_gbps_hour: props.get_f64("ruc_tcp_gbps_hour", d.tcp_gbps_hour)?,
-            rdma_gbps_hour: props.get_f64("ruc_rdma_gbps_hour", d.rdma_gbps_hour)?,
+            cpu_vcore_hour: price("ruc_cpu_vcore_hour", d.cpu_vcore_hour)?,
+            mem_gb_hour: price("ruc_mem_gb_hour", d.mem_gb_hour)?,
+            storage_gb_hour: price("ruc_storage_gb_hour", d.storage_gb_hour)?,
+            iops_100_hour: price("ruc_iops_100_hour", d.iops_100_hour)?,
+            tcp_gbps_hour: price("ruc_tcp_gbps_hour", d.tcp_gbps_hour)?,
+            rdma_gbps_hour: price("ruc_rdma_gbps_hour", d.rdma_gbps_hour)?,
         })
     }
 }

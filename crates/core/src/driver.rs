@@ -1,9 +1,11 @@
 //! The virtual-time workload driver.
 //!
 //! One event loop ([`run`] for a closed-loop client population,
-//! [`crate::openloop::run_open_loop`] for an arrival plan) executes the
-//! CloudyBench transactions against a [`Deployment`] on the virtual clock:
-//! every transaction runs *logically for real* in the engine while its
+//! [`crate::openloop::run_open_loop`] for an arrival plan) executes
+//! transactions against a [`Deployment`] on the virtual clock — the
+//! CloudyBench sales transactions, or one of Fig 9's constant-load baselines
+//! ([`crate::baselines`]) — every transaction runs *logically for real* in
+//! the engine while its
 //! simulated duration comes from CPU reservation on the executing node,
 //! accumulated I/O waits, lock waits (virtual-time 2PL), node availability
 //! (restarts, pause/resume) and a fixed client round trip. Controllers —
@@ -16,14 +18,15 @@ use std::collections::BinaryHeap;
 use cb_cluster::{plan_failover, plan_ro_failover, Autoscaler, FailoverTimeline};
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::analyze;
-use cb_engine::sql::execute;
-use cb_engine::{EvictionPolicyKind, ExecCtx, IsolationLevel, Value};
+use cb_engine::sql::{execute, StmtRegistry};
+use cb_engine::{Database, EvictionPolicyKind, ExecCtx, IsolationLevel, TxnHandle, Value};
 use cb_obs::{Category, LogHistogram, ObsSink};
 use cb_sim::{DetRng, EventQueue, SimDuration, SimTime, TpsRecorder};
-use cb_store::Lsn;
+use cb_store::{Lsn, TableId};
 
 use crate::deploy::Deployment;
 use crate::openloop::ArrivalSource;
+use crate::schema::{SalesStmts, SalesTables};
 use crate::workload::{AccessDistribution, KeyPartition, TxnKind, TxnMix};
 
 /// Client-to-server round trip inside one VPC, paid once per *statement* —
@@ -511,9 +514,214 @@ enum StepOutcome {
     Executed {
         /// Completion instant (commit + I/O + client round trips).
         end: SimTime,
-        /// Which transaction ran (for recording).
-        kind: TxnKind,
+        /// Span label of the transaction that ran.
+        label: &'static str,
     },
+}
+
+/// What a body draws once an attempt has passed the node gates.
+#[derive(Default)]
+pub(crate) struct Draw<P> {
+    /// The statement parameters.
+    pub(crate) params: P,
+    /// The one write key the lock / first-committer-wins probe checks.
+    pub(crate) write_key: Option<(TableId, i64)>,
+    /// The read key a serializable run also validates.
+    pub(crate) read_key: Option<(TableId, i64)>,
+}
+
+/// The part of a transaction attempt that differs between workloads. The
+/// loop owns everything else, for every body alike: node choice, the
+/// availability and resume gates, the isolation probe, `begin` and `commit`
+/// with group commit, CPU reservation, I/O and [`CLIENT_RTT`] per statement,
+/// lock registration, version publishing, replication and recording.
+pub(crate) trait Body {
+    /// The draw made before the node gates.
+    type Kind: Copy;
+    /// The statement parameters drawn after the gates.
+    type Params: Default;
+    /// Draw the transaction before the node gates; `mix` is the tenant's
+    /// mix in effect at this instant.
+    fn pick(&self, mix: &TxnMix, rng: &mut DetRng) -> Self::Kind;
+    /// Whether `kind` may run on a read-only replica.
+    fn read_only(_: Self::Kind) -> bool {
+        false
+    }
+    /// Draw the parameters once the gates have passed. A body that draws
+    /// inside its statements probes no key.
+    fn draw(
+        &self,
+        _: &Database,
+        _: Self::Kind,
+        _: &AccessDistribution,
+        _: KeyPartition,
+        _: &mut DetRng,
+    ) -> Draw<Self::Params> {
+        Draw::default()
+    }
+    /// Run the statements between the loop's `begin` and `commit`.
+    #[allow(clippy::too_many_arguments)]
+    fn statements(
+        &self,
+        db: &mut Database,
+        registry: &StmtRegistry,
+        ctx: &mut ExecCtx<'_>,
+        txn: &mut TxnHandle,
+        kind: Self::Kind,
+        params: Self::Params,
+        rng: &mut DetRng,
+    );
+    /// Span label of `kind`.
+    fn label(kind: Self::Kind) -> &'static str;
+    /// The replication-lag class `kind` samples into, if any.
+    fn lag_kind(_: Self::Kind) -> Option<TxnKind> {
+        None
+    }
+}
+
+/// The CloudyBench sales transactions T1–T5 over the deployment's sales
+/// tables and prepared statements.
+pub(crate) struct Sales {
+    tables: SalesTables,
+    stmts: SalesStmts,
+}
+
+impl Sales {
+    pub(crate) fn of(dep: &Deployment) -> Self {
+        Sales {
+            tables: dep.tables,
+            stmts: dep.stmts,
+        }
+    }
+}
+
+/// The sales parameters drawn after the gates: the order T1–T3 and T5 work
+/// on, the orderline T4 deletes, and the last order T5 sweeps.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SalesParams {
+    o_id: i64,
+    ol_id: i64,
+    scan_hi: i64,
+}
+
+impl Body for Sales {
+    type Kind = TxnKind;
+    type Params = SalesParams;
+
+    fn pick(&self, mix: &TxnMix, rng: &mut DetRng) -> TxnKind {
+        mix.pick(rng)
+    }
+
+    fn read_only(kind: TxnKind) -> bool {
+        kind.is_read_only()
+    }
+
+    fn draw(
+        &self,
+        db: &Database,
+        kind: TxnKind,
+        dist: &AccessDistribution,
+        p: KeyPartition,
+        rng: &mut DetRng,
+    ) -> Draw<SalesParams> {
+        let orderline_hwm = db.table(self.tables.orderline).next_auto_key() - 1;
+        // No kind writes more than one predictable key.
+        let (write_key, o_id, ol_id) = match kind {
+            TxnKind::NewOrderline | TxnKind::OrderStatus => {
+                (None, dist.pick_order(rng, p.orders_lo, p.orders_hi), 0)
+            }
+            TxnKind::OrderPayment => {
+                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
+                (Some((self.tables.orders, o)), o, 0)
+            }
+            TxnKind::OrderlineDeletion => {
+                let ol = rng.range_inclusive(1, orderline_hwm.max(1));
+                (Some((self.tables.orderline, ol)), 0, ol)
+            }
+            // Uniform start within the partition: the sweep deliberately
+            // ignores the tenant's access distribution so it drags cold
+            // pages through the pool. One RNG draw, like the other kinds.
+            TxnKind::OrderRangeScan => (None, rng.range_inclusive(p.orders_lo, p.orders_hi), 0),
+        };
+        Draw {
+            params: SalesParams {
+                o_id,
+                ol_id,
+                scan_hi: o_id.saturating_add(SCAN_SPAN - 1).min(p.orders_hi),
+            },
+            write_key,
+            // Under the serializable approximation the T3 status check also
+            // validates its read key.
+            read_key: (kind == TxnKind::OrderStatus).then_some((self.tables.orders, o_id)),
+        }
+    }
+
+    fn statements(
+        &self,
+        db: &mut Database,
+        registry: &StmtRegistry,
+        ctx: &mut ExecCtx<'_>,
+        txn: &mut TxnHandle,
+        kind: TxnKind,
+        p: SalesParams,
+        rng: &mut DetRng,
+    ) {
+        let stmts = &self.stmts;
+        // Divide before narrowing: microseconds fit an i64 for every instant.
+        let now_ts = (ctx.now.as_nanos() / 1_000) as i64;
+        match kind {
+            TxnKind::NewOrderline => {
+                let params = [
+                    Value::Int(p.o_id),
+                    Value::Int(rng.range_inclusive(1, 100_000)),
+                    Value::Int(rng.range_inclusive(1, 10)),
+                    Value::Int(rng.range_inclusive(100, 50_000)),
+                ];
+                let insert = &registry[stmts.t1_new_orderline];
+                execute(db, ctx, txn, insert, &params).expect("t1 must execute");
+            }
+            TxnKind::OrderPayment => {
+                let select = &registry[stmts.t2_select_order];
+                let out = execute(db, ctx, txn, select, &[Value::Int(p.o_id)])
+                    .expect("t2 select must execute");
+                if let Some(row) = out.row {
+                    let c_id = row.int(1);
+                    let pay = &registry[stmts.t2_pay_order];
+                    let params = [Value::Timestamp(now_ts), Value::Int(p.o_id)];
+                    execute(db, ctx, txn, pay, &params).expect("t2 pay must execute");
+                    let credit = &registry[stmts.t2_credit_customer];
+                    let params = [
+                        Value::Int(rng.range_inclusive(1, 10_000)),
+                        Value::Timestamp(now_ts),
+                        Value::Int(c_id),
+                    ];
+                    execute(db, ctx, txn, credit, &params).expect("t2 credit must execute");
+                }
+            }
+            TxnKind::OrderStatus => {
+                let status = &registry[stmts.t3_order_status];
+                execute(db, ctx, txn, status, &[Value::Int(p.o_id)]).expect("t3 must execute");
+            }
+            TxnKind::OrderlineDeletion => {
+                let delete = &registry[stmts.t4_delete_orderline];
+                execute(db, ctx, txn, delete, &[Value::Int(p.ol_id)]).expect("t4 must execute");
+            }
+            TxnKind::OrderRangeScan => {
+                // T5 bypasses the statement registry (whose shape is pinned by
+                // the deploy tests) and drives the clustered tree directly; the
+                // same page/row cost accounting applies via ExecCtx.
+                db.scan_range(ctx, self.tables.orders, p.o_id, p.scan_hi, |_, _| true);
+            }
+        }
+    }
+
+    fn label(kind: TxnKind) -> &'static str {
+        kind.label()
+    }
+
+    fn lag_kind(kind: TxnKind) -> Option<TxnKind> {
+        Some(kind)
+    }
 }
 
 /// The controller half of a run — autoscaler sampling, elastic-pool
@@ -627,19 +835,32 @@ impl OpTable {
 /// Everything one run holds, so the event loop, the transaction attempt and
 /// the controller events are methods instead of functions over a dozen
 /// positional borrows.
-pub(crate) struct RunCtx<'a> {
+pub(crate) struct RunCtx<'a, B> {
     dep: &'a mut Deployment,
     opts: &'a RunOptions,
     tenants: &'a [TenantSpec],
+    body: B,
     ctl: Controllers,
     result: RunResult,
     ro_rr: usize,
     horizon: SimTime,
 }
 
-/// Drive `tenants` against `dep`. The run ends when every tenant's schedule
-/// is exhausted.
+/// Drive `tenants` against `dep` with the sales transactions. The run ends
+/// when every tenant's schedule is exhausted.
 pub fn run(dep: &mut Deployment, tenants: &[TenantSpec], opts: &RunOptions) -> RunResult {
+    let sales = Sales::of(dep);
+    run_closed(dep, tenants, opts, sales)
+}
+
+/// Drive `tenants` against `dep` with `body`, one closed-loop client per
+/// unit of peak concurrency.
+pub(crate) fn run_closed<B: Body>(
+    dep: &mut Deployment,
+    tenants: &[TenantSpec],
+    opts: &RunOptions,
+    body: B,
+) -> RunResult {
     // The closed-loop load source: one op per client, admitted up front.
     let mut root_rng = DetRng::seeded(opts.seed);
     let clients = tenants.iter().map(|s| s.max_concurrency() as usize).sum();
@@ -662,16 +883,17 @@ pub fn run(dep: &mut Deployment, tenants: &[TenantSpec], opts: &RunOptions) -> R
             }
         }
     }
-    RunCtx::new(dep, tenants, opts).drive(&mut ops, None)
+    RunCtx::new(dep, tenants, opts, body).drive(&mut ops, None)
 }
 
-impl<'a> RunCtx<'a> {
+impl<'a, B: Body> RunCtx<'a, B> {
     /// Install the eviction policy, start the controllers and open the
     /// result over the longest tenant schedule.
     pub(crate) fn new(
         dep: &'a mut Deployment,
         tenants: &'a [TenantSpec],
         opts: &'a RunOptions,
+        body: B,
     ) -> Self {
         assert!(!tenants.is_empty(), "at least one tenant required");
         apply_eviction(dep, opts);
@@ -704,6 +926,7 @@ impl<'a> RunCtx<'a> {
             dep,
             opts,
             tenants,
+            body,
             ctl,
             result,
             ro_rr: 0,
@@ -778,7 +1001,7 @@ impl<'a> RunCtx<'a> {
             }
         }
         let sched = *op.sched.get_or_insert(t);
-        let (end, kind) = match self.attempt_txn(op.tenant, &mut op.rng, t) {
+        let (end, label) = match self.attempt_txn(op.tenant, &mut op.rng, t) {
             StepOutcome::Blocked { resume_at } => {
                 if let Some(a) = arrivals {
                     a.count_blocked(&opts.obs);
@@ -791,10 +1014,10 @@ impl<'a> RunCtx<'a> {
                 }
                 return;
             }
-            StepOutcome::Executed { end, kind } => (end, kind),
+            StepOutcome::Executed { end, label } => (end, label),
         };
         if end <= horizon {
-            self.record_completion(arrivals.as_deref_mut(), op.tenant, kind, sched, t, end);
+            self.record_completion(arrivals.as_deref_mut(), op.tenant, label, sched, t, end);
         }
         match arrivals {
             None => {
@@ -833,7 +1056,7 @@ impl<'a> RunCtx<'a> {
         &mut self,
         arrivals: Option<&mut ArrivalSource>,
         tenant: usize,
-        kind: TxnKind,
+        label: &'static str,
         sched: SimTime,
         start: SimTime,
         end: SimTime,
@@ -850,7 +1073,7 @@ impl<'a> RunCtx<'a> {
         tr.latency_sum += lat;
         tr.latency_max = tr.latency_max.max(lat);
         tr.latency_hist.record(lat.as_nanos());
-        obs.span(Category::Txn, kind.label(), tenant as u64, sched, end);
+        obs.span(Category::Txn, label, tenant as u64, sched, end);
         obs.record("txn.latency_ns", lat.as_nanos());
     }
 
@@ -859,133 +1082,83 @@ impl<'a> RunCtx<'a> {
     /// while accumulating simulated cost. The caller owns latency recording,
     /// because only it knows the operation's scheduled instant.
     fn attempt_txn(&mut self, tenant: usize, rng: &mut DetRng, t: SimTime) -> StepOutcome {
-        let (dep, opts) = (&mut *self.dep, self.opts);
+        let (dep, opts, body) = (&mut *self.dep, self.opts, &self.body);
         let spec = &self.tenants[tenant];
         let (mix, dist, _) = effective_shape(spec, &opts.shifts, tenant, t);
         // Pick the transaction and its node.
-        let kind = mix.pick(rng);
+        let kind = body.pick(mix, rng);
         let node_idx = match opts.mapping {
             NodeMapping::PerTenant => tenant,
-            NodeMapping::RwWithRo => {
-                if kind.is_read_only() && dep.ro_count() > 0 {
-                    // Read-only transactions balance across *all* available
-                    // nodes — the primary serves reads too (otherwise adding
-                    // the first replica would not change throughput at all).
-                    let n = dep.nodes.len();
-                    let mut chosen = None;
-                    for k in 0..n {
-                        let cand = (self.ro_rr + k) % n;
-                        if dep.nodes[cand].is_available(t) {
-                            chosen = Some(cand);
-                            self.ro_rr = (cand + 1) % n;
-                            break;
-                        }
+            // Read-only transactions balance across *all* available nodes —
+            // the primary serves reads too (otherwise adding the first
+            // replica would not change throughput at all).
+            NodeMapping::RwWithRo if B::read_only(kind) && dep.ro_count() > 0 => {
+                let n = dep.nodes.len();
+                let mut ring = (0..n).map(|k| (self.ro_rr + k) % n);
+                match ring.find(|&cand| dep.nodes[cand].is_available(t)) {
+                    Some(cand) => {
+                        self.ro_rr = (cand + 1) % n;
+                        cand
                     }
-                    chosen.unwrap_or(0)
-                } else {
-                    0
+                    None => 0,
                 }
             }
+            NodeMapping::RwWithRo => 0,
         };
 
-        // Node availability gates.
-        match dep.nodes[node_idx].available_at(t) {
-            Some(at) if at > t => {
-                return StepOutcome::Blocked { resume_at: at };
-            }
+        // Node availability gates. A paused node resumes on demand; so does
+        // one whose restart raced with a pause (a failure injected on a
+        // paused node), which reports available with its CPU still at zero.
+        let node = &mut dep.nodes[node_idx];
+        let paused = match node.available_at(t) {
+            Some(at) if at > t => return StepOutcome::Blocked { resume_at: at },
             Some(_) => {
-                dep.nodes[node_idx].refresh_status(t);
+                node.refresh_status(t);
+                node.cpu.is_paused()
             }
-            None => {
-                // Paused: demand arrival triggers resume.
-                let delay = Autoscaler::RESUME_DELAY;
-                dep.nodes[node_idx].resume(t, dep.profile.min_vcores.max(0.25), delay);
-                return StepOutcome::Blocked {
-                    resume_at: t + delay,
-                };
-            }
-        }
-        // A restart can race with a pause (failure injected on a paused node):
-        // the node reports available but its CPU is still at zero. Resume it.
-        if dep.nodes[node_idx].cpu.is_paused() {
+            None => true,
+        };
+        if paused {
             let delay = Autoscaler::RESUME_DELAY;
-            dep.nodes[node_idx].resume(t, dep.profile.min_vcores.max(0.25), delay);
+            node.resume(t, dep.profile.min_vcores.max(0.25), delay);
             return StepOutcome::Blocked {
                 resume_at: t + delay,
             };
         }
 
-        // Generate parameters.
-        let p = spec.partition;
-        // Divide before narrowing: microseconds fit an i64 for every `t`.
-        let now_ts = (t.as_nanos() / 1_000) as i64;
-        let orderline_hwm = dep.db.table(dep.tables.orderline).next_auto_key() - 1;
-        // No kind writes more than one predictable key.
-        let (wait_key, o_id, ol_id): (Option<(cb_store::TableId, i64)>, i64, i64) = match kind {
-            TxnKind::NewOrderline => {
-                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
-                (None, o, 0)
-            }
-            TxnKind::OrderPayment => {
-                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
-                (Some((dep.tables.orders, o)), o, 0)
-            }
-            TxnKind::OrderStatus => {
-                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
-                (None, o, 0)
-            }
-            TxnKind::OrderlineDeletion => {
-                let ol = rng.range_inclusive(1, orderline_hwm.max(1));
-                (Some((dep.tables.orderline, ol)), 0, ol)
-            }
-            TxnKind::OrderRangeScan => {
-                // Uniform start within the partition: the sweep deliberately
-                // ignores the tenant's access distribution so it drags cold
-                // pages through the pool. One RNG draw, like the other kinds.
-                let o = rng.range_inclusive(p.orders_lo, p.orders_hi);
-                (None, o, 0)
-            }
-        };
+        let Draw {
+            params,
+            write_key,
+            read_key,
+        } = body.draw(&dep.db, kind, dist, spec.partition, rng);
 
+        // A write key held by a concurrent writer blocks the attempt until
+        // the holder commits (its lock release time *is* its commit instant).
+        // At READ COMMITTED that is a virtual-time 2PL wait; a versioned level
+        // aborts first-committer-wins and retries, and serializable also
+        // validates the body's read key. Snapshot reads themselves never
+        // consult or register locks.
         let iso = opts.isolation.unwrap_or(dep.profile.default_isolation);
-        if iso.is_versioned() {
-            // First-committer-wins: a write key held by a concurrent writer
-            // (its lock release time *is* its commit instant) aborts this
-            // attempt, to be retried once the winner has committed. Under the
-            // serializable approximation the T3 status check also validates
-            // its read key; snapshot reads themselves never consult or
-            // register locks.
-            let probed = dep.db.locks_mut().conflict_probe(wait_key.as_slice(), t);
-            let read_probe = if iso == IsolationLevel::Serializable && kind == TxnKind::OrderStatus
-            {
-                dep.db
-                    .locks_mut()
-                    .conflict_probe(&[(dep.tables.orders, o_id)], t)
-            } else {
-                None
-            };
-            if let Some(until) = probed.max(read_probe) {
+        let locks = dep.db.locks_mut();
+        let read_key = read_key.filter(|_| iso == IsolationLevel::Serializable);
+        let until = locks.conflict_probe(write_key.as_slice(), t);
+        if let Some(until) = until.max(read_key.and_then(|k| locks.conflict_probe(&[k], t))) {
+            let (category, name, count, wait) = if iso.is_versioned() {
                 self.result.si_aborts += 1;
-                opts.obs
-                    .span(Category::Mvcc, "abort-retry", tenant as u64, t, until);
-                opts.obs.add("mvcc.aborts", 1);
-                opts.obs.record(
+                (
+                    Category::Mvcc,
+                    "abort-retry",
+                    "mvcc.aborts",
                     "mvcc.retry_backoff_ns",
-                    until.saturating_since(t).as_nanos(),
-                );
-                return StepOutcome::Blocked { resume_at: until };
-            }
-        } else if wait_key.is_some() {
-            // Virtual-time 2PL: wait for conflicting writers.
-            if let Some(until) = dep.db.locks_mut().conflict_probe(wait_key.as_slice(), t) {
+                )
+            } else {
                 self.result.lock_conflicts += 1;
-                opts.obs
-                    .span(Category::Lock, "wait", tenant as u64, t, until);
-                opts.obs.add("lock.conflicts", 1);
-                opts.obs
-                    .record("lock.wait_ns", until.saturating_since(t).as_nanos());
-                return StepOutcome::Blocked { resume_at: until };
-            }
+                (Category::Lock, "wait", "lock.conflicts", "lock.wait_ns")
+            };
+            opts.obs.span(category, name, tenant as u64, t, until);
+            opts.obs.add(count, 1);
+            opts.obs.record(wait, until.saturating_since(t).as_nanos());
+            return StepOutcome::Blocked { resume_at: until };
         }
 
         // Execute logically, accumulating simulated cost.
@@ -998,8 +1171,6 @@ impl<'a> RunCtx<'a> {
             streams,
             remote_pool,
             registry,
-            stmts,
-            tables,
             ..
         } = dep;
         let node = &mut nodes[node_idx];
@@ -1009,84 +1180,7 @@ impl<'a> RunCtx<'a> {
             .with_group_commit(group_commit)
             .with_isolation(iso);
         let mut txn = db.begin();
-        match kind {
-            TxnKind::NewOrderline => {
-                let params = [
-                    Value::Int(o_id),
-                    Value::Int(rng.range_inclusive(1, 100_000)),
-                    Value::Int(rng.range_inclusive(1, 10)),
-                    Value::Int(rng.range_inclusive(100, 50_000)),
-                ];
-                execute(
-                    db,
-                    &mut ctx,
-                    &mut txn,
-                    &registry[stmts.t1_new_orderline],
-                    &params,
-                )
-                .expect("t1 must execute");
-            }
-            TxnKind::OrderPayment => {
-                let out = execute(
-                    db,
-                    &mut ctx,
-                    &mut txn,
-                    &registry[stmts.t2_select_order],
-                    &[Value::Int(o_id)],
-                )
-                .expect("t2 select must execute");
-                if let Some(row) = out.row {
-                    let c_id = row.int(1);
-                    execute(
-                        db,
-                        &mut ctx,
-                        &mut txn,
-                        &registry[stmts.t2_pay_order],
-                        &[Value::Timestamp(now_ts), Value::Int(o_id)],
-                    )
-                    .expect("t2 pay must execute");
-                    execute(
-                        db,
-                        &mut ctx,
-                        &mut txn,
-                        &registry[stmts.t2_credit_customer],
-                        &[
-                            Value::Int(rng.range_inclusive(1, 10_000)),
-                            Value::Timestamp(now_ts),
-                            Value::Int(c_id),
-                        ],
-                    )
-                    .expect("t2 credit must execute");
-                }
-            }
-            TxnKind::OrderStatus => {
-                execute(
-                    db,
-                    &mut ctx,
-                    &mut txn,
-                    &registry[stmts.t3_order_status],
-                    &[Value::Int(o_id)],
-                )
-                .expect("t3 must execute");
-            }
-            TxnKind::OrderlineDeletion => {
-                execute(
-                    db,
-                    &mut ctx,
-                    &mut txn,
-                    &registry[stmts.t4_delete_orderline],
-                    &[Value::Int(ol_id)],
-                )
-                .expect("t4 must execute");
-            }
-            TxnKind::OrderRangeScan => {
-                // T5 bypasses the statement registry (whose shape is pinned by
-                // the deploy tests) and drives the clustered tree directly; the
-                // same page/row cost accounting applies via ExecCtx.
-                let hi = o_id.saturating_add(SCAN_SPAN - 1).min(p.orders_hi);
-                db.scan_range(&mut ctx, tables.orders, o_id, hi, |_, _| true);
-            }
-        }
+        body.statements(db, registry, &mut ctx, &mut txn, kind, params, rng);
         let committed = db.commit(&mut ctx, txn);
         let cpu_demand = ctx.cpu;
         let io_wait = ctx.io;
@@ -1128,11 +1222,18 @@ impl<'a> RunCtx<'a> {
                     applied.saturating_since(end).as_nanos(),
                 );
                 if opts.collect_lag && ri == 0 {
-                    self.result.lag.push(kind, applied.saturating_since(end));
+                    if let Some(lag_kind) = B::lag_kind(kind) {
+                        self.result
+                            .lag
+                            .push(lag_kind, applied.saturating_since(end));
+                    }
                 }
             }
         }
-        StepOutcome::Executed { end, kind }
+        StepOutcome::Executed {
+            end,
+            label: B::label(kind),
+        }
     }
 
     /// Pop and handle the next controller event (must exist — peek first).

@@ -11,6 +11,9 @@
 //! * [`driver`] — the virtual-time workload driver: the single run loop and
 //!   its closed-loop client source.
 //! * `openloop` — the arrival-driven (open-loop) source for that loop.
+//! * [`baselines`] — Fig 9's constant-load SysBench and TPC-C lite, run
+//!   through that loop; their transaction bodies live in the private
+//!   `sysbench` and `tpcc` modules.
 //! * [`elasticity`] — peak/valley patterns and the elasticity evaluator.
 //! * [`tenancy`] — contention patterns and the multi-tenancy evaluator.
 //! * [`failover_eval`] — failure injection, F-Score and R-Score.
@@ -28,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod config;
 pub mod cost;
 mod deploy;
@@ -42,8 +46,10 @@ mod replay;
 pub mod report;
 pub mod schema;
 pub mod sharded;
+mod sysbench;
 pub mod tenancy;
 mod testbed;
+mod tpcc;
 pub mod workload;
 
 pub use deploy::Deployment;

@@ -25,7 +25,7 @@ use cb_obs::{LogHistogram, ObsSink};
 use cb_sim::{DetRng, SimDuration, SimTime};
 
 use crate::deploy::Deployment;
-use crate::driver::{Op, OpTable, RunCtx, RunOptions, RunResult, TenantSpec};
+use crate::driver::{Op, OpTable, RunCtx, RunOptions, RunResult, Sales, TenantSpec};
 use crate::parallel::par_map;
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
@@ -285,7 +285,8 @@ pub fn run_open_loop(
     )];
     let mut ops = OpTable::default();
     let mut source = ArrivalSource::new(&spec.plan, opts.seed, &mut ops);
-    let run = RunCtx::new(dep, &tenant, opts).drive(&mut ops, Some(&mut source));
+    let sales = Sales::of(dep);
+    let run = RunCtx::new(dep, &tenant, opts, sales).drive(&mut ops, Some(&mut source));
     let (measure_from, measure_to) = spec.plan.phases.measure_window();
     OpenLoopResult {
         run,

@@ -102,6 +102,25 @@ impl ArrivalProcess {
                 }
             }
         }
+        // The fastest rate the nanosecond clock can space out is one arrival
+        // per nanosecond: above it every gap truncates to zero and the
+        // stream never leaves its first instant.
+        let peak = match self {
+            ArrivalProcess::Poisson { rate } => *rate,
+            ArrivalProcess::Bursty {
+                rate_on, rate_off, ..
+            } => rate_on.max(*rate_off),
+            ArrivalProcess::Diurnal {
+                base, amplitude, ..
+            } => base * (1.0 + amplitude),
+            ArrivalProcess::Trace { .. } => 0.0,
+        };
+        if peak > 1e9 {
+            return Err(format!(
+                "arrival rate must be at most 1e9/s (one arrival per clock nanosecond), \
+                 got {peak:e}/s at its peak"
+            ));
+        }
         Ok(())
     }
 
@@ -464,6 +483,16 @@ mod tests {
             }
         );
         assert!(ArrivalProcess::parse("poisson:-5/s").is_err());
+        // Faster than one arrival per clock nanosecond: every gap would
+        // truncate to zero. The limit itself still parses.
+        for spec in
+            "poisson:1e12/s bursty:2e9,0,1s,1s bursty:1,2e9,1s,1s diurnal:6e8,0.8,60s".split(' ')
+        {
+            let err = ArrivalProcess::parse(spec).unwrap_err();
+            assert!(err.contains("at most 1e9/s"), "{spec}: {err}");
+        }
+        assert!(ArrivalProcess::parse("poisson:1e9/s").is_ok());
+        assert!(ArrivalProcess::parse("diurnal:5e8,1,60s").is_ok());
         assert!(ArrivalProcess::parse("diurnal:100,1.5,60s").is_err());
         assert!(ArrivalProcess::parse("nope:1").is_err());
         assert!(ArrivalProcess::parse("poisson").is_err());
