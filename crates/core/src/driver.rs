@@ -2,10 +2,10 @@
 //!
 //! One event loop ([`run`] for a closed-loop client population,
 //! [`crate::openloop::run_open_loop`] for an arrival plan) executes
-//! transactions against a [`Deployment`] on the virtual clock — the
-//! CloudyBench sales transactions, or one of Fig 9's constant-load baselines
-//! ([`crate::baselines`]) — every transaction runs *logically for real* in
-//! the engine while its
+//! transactions — the CloudyBench sales transactions, or the body of one of
+//! Fig 9's constant-load baselines ([`crate::baselines`]) — against a
+//! [`Deployment`] on the virtual clock: every transaction runs *logically
+//! for real* in the engine while its
 //! simulated duration comes from CPU reservation on the executing node,
 //! accumulated I/O waits, lock waits (virtual-time 2PL), node availability
 //! (restarts, pause/resume) and a fixed client round trip. Controllers —
@@ -1089,21 +1089,26 @@ impl<'a, B: Body> RunCtx<'a, B> {
         let kind = body.pick(mix, rng);
         let node_idx = match opts.mapping {
             NodeMapping::PerTenant => tenant,
-            // Read-only transactions balance across *all* available nodes —
-            // the primary serves reads too (otherwise adding the first
-            // replica would not change throughput at all).
-            NodeMapping::RwWithRo if B::read_only(kind) && dep.ro_count() > 0 => {
-                let n = dep.nodes.len();
-                let mut ring = (0..n).map(|k| (self.ro_rr + k) % n);
-                match ring.find(|&cand| dep.nodes[cand].is_available(t)) {
-                    Some(cand) => {
-                        self.ro_rr = (cand + 1) % n;
-                        cand
+            NodeMapping::RwWithRo => {
+                if B::read_only(kind) && dep.ro_count() > 0 {
+                    // Read-only transactions balance across *all* available
+                    // nodes — the primary serves reads too (otherwise adding
+                    // the first replica would not change throughput at all).
+                    let n = dep.nodes.len();
+                    let mut chosen = None;
+                    for k in 0..n {
+                        let cand = (self.ro_rr + k) % n;
+                        if dep.nodes[cand].is_available(t) {
+                            chosen = Some(cand);
+                            self.ro_rr = (cand + 1) % n;
+                            break;
+                        }
                     }
-                    None => 0,
+                    chosen.unwrap_or(0)
+                } else {
+                    0
                 }
             }
-            NodeMapping::RwWithRo => 0,
         };
 
         // Node availability gates. A paused node resumes on demand; so does
