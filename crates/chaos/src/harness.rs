@@ -32,7 +32,7 @@
 
 use std::collections::HashSet;
 
-use cb_cluster::{plan_failover_with_detection, HeartbeatMonitor, NodeHealth};
+use cb_cluster::{plan_failover, HeartbeatMonitor, NodeHealth};
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::{analyze, redo_net_effects, undo_losers};
 use cb_engine::{Database, EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
@@ -975,8 +975,7 @@ impl Harness {
         let detected = detected_at
             .unwrap_or(crash_at + self.dep.profile.failover.detection)
             .max(self.now);
-        let tl =
-            plan_failover_with_detection(&self.dep.profile.failover, crash_at, detected, &analysis);
+        let tl = plan_failover(&self.dep.profile.failover, crash_at, detected, &analysis);
         for p in &tl.phases {
             self.obs.span(Category::Failover, p.name, 1, p.start, p.end);
         }

@@ -14,23 +14,51 @@ use cb_chaos::{
     run_campaign_jobs, run_seed, run_shard2pc_campaign_jobs, ChaosOptions, FaultSchedule,
     Shard2pcOptions, ShrunkViolation,
 };
-use cb_engine::{EvictionPolicyKind, IsolationLevel};
 use cb_sut::SutProfile;
+use cloudybench::config::{ConfigError, Props};
 
-/// Parsed `chaos` subcommand arguments.
-struct ChaosArgs {
-    seeds: u64,
+use crate::{argv_props, jobs, parse_eviction, parse_isolation, parse_sut, CliError};
+
+/// The `chaos` flags that take a value, and its bare switches.
+const FLAGS: [&str; 10] = [
+    "--seeds",
+    "--profile",
+    "--replay",
+    "--isolation",
+    "--eviction",
+    "--txns",
+    "--jobs",
+    "--shards",
+    "--bug-skip-redo",
+    "--out",
+];
+const SWITCHES: [&str; 2] = ["--sharded", "--bug-forget-decision"];
+
+/// What a `chaos` command line runs.
+enum Campaign {
+    /// The crash-recovery campaign; failure reproducers go to `out`.
+    Recovery {
+        opts: ChaosOptions,
+        out: Option<PathBuf>,
+    },
+    /// One seed of it, printing its fault schedule; its artifacts go to
+    /// `out`.
+    Replay {
+        seed: u64,
+        opts: ChaosOptions,
+        out: Option<PathBuf>,
+    },
+    /// The sharded 2PC crash-point campaign.
+    Sharded(Shard2pcOptions),
+}
+
+/// A parsed `chaos` command line: the campaign, the profiles it sweeps, its
+/// seed count and its worker threads.
+pub(crate) struct Chaos {
+    campaign: Campaign,
     profiles: Vec<SutProfile>,
-    replay: Option<u64>,
-    bug_skip_redo: Option<usize>,
-    isolation: IsolationLevel,
-    eviction: EvictionPolicyKind,
-    txns: u64,
+    seeds: u64,
     jobs: usize,
-    sharded: bool,
-    shards: usize,
-    bug_forget_decision: bool,
-    out: Option<PathBuf>,
 }
 
 /// Flags the `--sharded` campaign cannot carry: its one fault is the
@@ -80,102 +108,69 @@ fn chaos_usage() -> String {
     )
 }
 
-fn parse(args: impl Iterator<Item = String>) -> Result<ChaosArgs, String> {
-    let mut parsed = ChaosArgs {
-        seeds: 20,
-        profiles: SutProfile::all(),
-        replay: None,
-        bug_skip_redo: None,
-        isolation: IsolationLevel::ReadCommitted,
-        eviction: EvictionPolicyKind::default(),
-        txns: 60,
-        jobs: cloudybench::parallel::default_jobs(),
-        sharded: false,
-        shards: 3,
-        bug_forget_decision: false,
-        out: None,
-    };
-    let mut given: Vec<String> = Vec::new();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value\n{}", chaos_usage()))
+/// Parse a `chaos` command line into the campaign it asks for; nothing runs.
+pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Chaos, CliError> {
+    let props = argv_props(args, &FLAGS, &SWITCHES, &chaos_usage())?;
+    let sharded = props.get("--sharded").is_some();
+    if let Some(flag) = NOT_SHARDED
+        .iter()
+        .find(|f| sharded && props.get(f).is_some())
+    {
+        return Err(CliError::Arg(format!(
+            "{flag} is not supported with --sharded"
+        )));
+    }
+    let seeds = props.get_u64("--seeds", 20)?;
+    // An empty campaign would report "0 violations" and exit 0.
+    if seeds == 0 {
+        return Err(CliError::Arg("--seeds needs at least one seed".into()));
+    }
+    let txns = props.get_u64("--txns", 60)?;
+    let shards = (props.get_u64("--shards", 3)? as usize).max(1);
+    let campaign = if sharded {
+        if shards < 2 {
+            return Err(CliError::Arg(
+                "--sharded needs --shards of at least 2".into(),
+            ));
+        }
+        Campaign::Sharded(Shard2pcOptions {
+            shards,
+            transfers: txns.max(2),
+            bug_forget_decision: props.get("--bug-forget-decision").is_some(),
+        })
+    } else {
+        // `FaultSchedule::generate` puts the first fault on transaction 3: a
+        // shorter run ends before any fault fires and reports clean.
+        if txns < 4 {
+            return Err(CliError::Arg(format!(
+                "key --txns: {txns} transactions end before the first fault (transaction 3); \
+                 give at least 4"
+            )));
+        }
+        let opts = ChaosOptions {
+            txns,
+            bug_skip_redo: optional_u64(&props, "--bug-skip-redo")?.map(|n| n as usize),
+            isolation: parse_isolation(&props, "--isolation")?.unwrap_or_default(),
+            eviction: parse_eviction(&props, "--eviction")?.unwrap_or_default(),
+            ..ChaosOptions::default()
         };
-        match arg.as_str() {
-            "--seeds" => {
-                parsed.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-                // An empty campaign would report "0 violations" and exit 0.
-                if parsed.seeds == 0 {
-                    return Err("--seeds needs at least one seed".to_string());
-                }
-            }
-            "--profile" => {
-                let name = value("--profile")?;
-                let p = SutProfile::by_name(&name)
-                    .ok_or_else(|| format!("unknown profile {name:?}\n{}", chaos_usage()))?;
-                parsed.profiles = vec![p];
-            }
-            "--replay" => {
-                parsed.replay = Some(
-                    value("--replay")?
-                        .parse()
-                        .map_err(|e| format!("--replay: {e}"))?,
-                )
-            }
-            "--bug-skip-redo" => {
-                parsed.bug_skip_redo = Some(
-                    value("--bug-skip-redo")?
-                        .parse()
-                        .map_err(|e| format!("--bug-skip-redo: {e}"))?,
-                )
-            }
-            "--isolation" => {
-                let name = value("--isolation")?;
-                parsed.isolation = IsolationLevel::parse(&name)
-                    .ok_or_else(|| format!("unknown isolation {name:?}\n{}", chaos_usage()))?;
-            }
-            "--eviction" => {
-                let name = value("--eviction")?;
-                parsed.eviction = EvictionPolicyKind::parse(&name)
-                    .ok_or_else(|| format!("unknown eviction {name:?}\n{}", chaos_usage()))?;
-            }
-            "--txns" => {
-                parsed.txns = value("--txns")?
-                    .parse()
-                    .map_err(|e| format!("--txns: {e}"))?
-            }
-            "--jobs" => {
-                parsed.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--jobs: {e}"))?
-                    .max(1)
-            }
-            "--sharded" => parsed.sharded = true,
-            "--shards" => {
-                parsed.shards = value("--shards")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--shards: {e}"))?
-                    .max(1)
-            }
-            "--bug-forget-decision" => parsed.bug_forget_decision = true,
-            "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => return Err(chaos_usage()),
-            other => return Err(format!("unknown argument {other:?}\n{}", chaos_usage())),
+        let out = props.get("--out").map(PathBuf::from);
+        match optional_u64(&props, "--replay")? {
+            Some(seed) => Campaign::Replay { seed, opts, out },
+            None => Campaign::Recovery { opts, out },
         }
-        given.push(arg);
-    }
-    if parsed.sharded {
-        if let Some(flag) = given.iter().find(|g| NOT_SHARDED.contains(&g.as_str())) {
-            return Err(format!("{flag} is not supported with --sharded"));
-        }
-        if parsed.shards < 2 {
-            return Err("--sharded needs --shards of at least 2".to_string());
-        }
-    }
-    Ok(parsed)
+    };
+    Ok(Chaos {
+        campaign,
+        profiles: parse_sut(&props, "--profile")?.map_or_else(SutProfile::all, |p| vec![p]),
+        seeds,
+        jobs: jobs(&props)?,
+    })
+}
+
+/// `key` as a number when it is given.
+fn optional_u64(props: &Props, key: &str) -> Result<Option<u64>, ConfigError> {
+    props.get(key).map(|_| props.get_u64(key, 0)).transpose()
 }
 
 fn write_failure(out: &Option<PathBuf>, v: &ShrunkViolation) {
@@ -197,34 +192,25 @@ fn write_failure(out: &Option<PathBuf>, v: &ShrunkViolation) {
     }
 }
 
-/// Entry point for `cloudybench chaos ...`. Returns the process exit code:
-/// zero iff every seed on every profile passed all oracles.
-pub fn chaos_main(args: impl Iterator<Item = String>) -> u8 {
-    let parsed = match parse(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
+/// Run a parsed `chaos` command line. Returns the process exit code: zero
+/// iff every seed on every profile passed all oracles.
+pub(crate) fn run(chaos: Chaos) -> u8 {
+    let Chaos {
+        campaign,
+        profiles,
+        seeds,
+        jobs,
+    } = chaos;
+    let (opts, out) = match campaign {
+        Campaign::Sharded(opts) => return sharded_campaign(&profiles, seeds, jobs, &opts),
+        Campaign::Replay { seed, opts, out } => return replay(seed, &profiles, &opts, &out),
+        Campaign::Recovery { opts, out } => (opts, out),
     };
-    let opts = ChaosOptions {
-        txns: parsed.txns,
-        bug_skip_redo: parsed.bug_skip_redo,
-        isolation: parsed.isolation,
-        eviction: parsed.eviction,
-        ..ChaosOptions::default()
-    };
-    if parsed.sharded {
-        return sharded_campaign(&parsed);
-    }
-    if let Some(seed) = parsed.replay {
-        return replay(seed, &parsed, &opts);
-    }
-    let seeds: Vec<u64> = (0..parsed.seeds).collect();
+    let seeds: Vec<u64> = (0..seeds).collect();
     let mut total_ok = 0usize;
     let mut total_bad = 0usize;
-    for profile in &parsed.profiles {
-        let report = run_campaign_jobs(profile, &seeds, &opts, parsed.jobs);
+    for profile in &profiles {
+        let report = run_campaign_jobs(profile, &seeds, &opts, jobs);
         let crashes: u64 = report.reports.iter().map(|r| r.crashes).sum();
         let faults: u64 = report.reports.iter().map(|r| r.faults).sum();
         println!(
@@ -240,14 +226,14 @@ pub fn chaos_main(args: impl Iterator<Item = String>) -> u8 {
         total_bad += report.violations.len();
         for v in &report.violations {
             eprintln!("{v}");
-            write_failure(&parsed.out, v);
+            write_failure(&out, v);
         }
     }
     println!(
         "chaos: {} clean seed-runs, {} violations across {} profile(s)",
         total_ok,
         total_bad,
-        parsed.profiles.len()
+        profiles.len()
     );
     u8::from(total_bad > 0)
 }
@@ -256,16 +242,16 @@ pub fn chaos_main(args: impl Iterator<Item = String>) -> u8 {
 /// prepare, after the decision, or after the first delivery, every shard
 /// recovered through both real paths and checked by the atomicity and
 /// conservation oracles. One summary line per profile.
-fn sharded_campaign(parsed: &ChaosArgs) -> u8 {
-    let opts = Shard2pcOptions {
-        shards: parsed.shards,
-        transfers: parsed.txns.max(2),
-        bug_forget_decision: parsed.bug_forget_decision,
-    };
-    let seeds: Vec<u64> = (0..parsed.seeds).collect();
+fn sharded_campaign(
+    profiles: &[SutProfile],
+    seeds: u64,
+    jobs: usize,
+    opts: &Shard2pcOptions,
+) -> u8 {
+    let seeds: Vec<u64> = (0..seeds).collect();
     let mut failed = false;
-    for profile in &parsed.profiles {
-        let report = run_shard2pc_campaign_jobs(profile, &seeds, &opts, parsed.jobs);
+    for profile in profiles {
+        let report = run_shard2pc_campaign_jobs(profile, &seeds, opts, jobs);
         let [prepared, decided, first_committed] = report.crash_points;
         println!(
             "{:8}  seeds={}  clean={}  violations={}  shards={}  prepares={}  committed-2pc={}  resolved-in-doubt={}  crashes={prepared}/{decided}/{first_committed}",
@@ -286,9 +272,9 @@ fn sharded_campaign(parsed: &ChaosArgs) -> u8 {
     u8::from(failed)
 }
 
-fn replay(seed: u64, parsed: &ChaosArgs, opts: &ChaosOptions) -> u8 {
+fn replay(seed: u64, profiles: &[SutProfile], opts: &ChaosOptions, out: &Option<PathBuf>) -> u8 {
     let mut failed = false;
-    for profile in &parsed.profiles {
+    for profile in profiles {
         let schedule = FaultSchedule::generate(seed, opts.txns);
         println!("{:8}  {}", profile.name, schedule);
         match run_seed(profile, seed, opts) {
@@ -297,7 +283,7 @@ fn replay(seed: u64, parsed: &ChaosArgs, opts: &ChaosOptions) -> u8 {
                     "{:8}  committed={} aborted={} crashes={} faults={}",
                     profile.name, r.committed, r.aborted, r.crashes, r.faults
                 );
-                if let Some(dir) = &parsed.out {
+                if let Some(dir) = out {
                     let a = &r.artifacts;
                     let dir = dir.join(format!("chaos-{}-{}", profile.name, seed));
                     let write = std::fs::create_dir_all(&dir).and_then(|_| {

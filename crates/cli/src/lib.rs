@@ -1,16 +1,22 @@
 //! Props-file driven entry points for the CloudyBench testbed.
 //!
 //! The paper's testbed is configured through a properties file; this crate
-//! turns such a file into an evaluator run and a printed report. Used by
-//! the `cloudybench` binary and directly testable as a library.
+//! turns such a file into an evaluator run and a printed report. The
+//! `chaos` and `load` subcommands read their flags through the same
+//! [`Props`]: one argv step turns `--flag value` pairs and bare switches
+//! into props keyed by the flag as typed, and the name parsers below serve
+//! both surfaces. Used by the `cloudybench` binary and directly testable as
+//! a library.
 
 #![warn(missing_docs)]
 
-pub mod chaos_cmd;
-pub mod load_cmd;
+mod chaos_cmd;
+mod load_cmd;
 
-use cb_engine::EvictionPolicyKind;
-use cb_obs::ObsSink;
+use std::path::Path;
+
+use cb_engine::{EvictionPolicyKind, IsolationLevel};
+use cb_obs::{write_run_artifacts, ObsSink};
 use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 use cloudybench::config::{ConfigError, ElasticScheduleConfig, Props};
@@ -48,6 +54,10 @@ pub enum CliError {
         /// The mode that cannot carry it.
         mode: &'static str,
     },
+    /// A subcommand line that cannot run, as printed: an unknown flag, a
+    /// flag without its value, or a value its parser refused (the message
+    /// names the flag).
+    Arg(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -67,6 +77,7 @@ impl std::fmt::Display for CliError {
             CliError::Unsupported { key, mode } => {
                 write!(f, "key {key}: not supported in mode {mode}")
             }
+            CliError::Arg(msg) => f.write_str(msg),
         }
     }
 }
@@ -79,8 +90,44 @@ impl From<ConfigError> for CliError {
     }
 }
 
-fn parse_mix(props: &Props) -> Result<TxnMix, CliError> {
-    match props.get("mix").unwrap_or("rw") {
+/// The one argv step of every subcommand: `--flag value` pairs for the
+/// names in `flags` and the bare `switches` (stored as `"true"`) become
+/// [`Props`] keyed by the flag as typed, so a bad value's message names the
+/// flag. A repeated flag keeps its last value. Any other word, a flag
+/// without its value, or `--help` is refused with `usage`.
+fn argv_props(
+    mut args: impl Iterator<Item = String>,
+    flags: &[&str],
+    switches: &[&str],
+    usage: &str,
+) -> Result<Props, CliError> {
+    let mut pairs = Vec::new();
+    while let Some(flag) = args.next() {
+        let value = if switches.contains(&flag.as_str()) {
+            "true".to_string()
+        } else if flags.contains(&flag.as_str()) {
+            args.next()
+                .ok_or_else(|| CliError::Arg(format!("{flag} needs a value\n{usage}")))?
+        } else if flag == "--help" || flag == "-h" {
+            return Err(CliError::Arg(usage.to_string()));
+        } else {
+            return Err(CliError::Arg(format!("unknown argument {flag:?}\n{usage}")));
+        };
+        pairs.push((flag, value));
+    }
+    Ok(pairs.into_iter().collect())
+}
+
+/// `--jobs`: worker threads, at least one (default: available parallelism).
+fn jobs(props: &Props) -> Result<usize, ConfigError> {
+    let default = cloudybench::parallel::default_jobs() as u64;
+    Ok((props.get_u64("--jobs", default)? as usize).max(1))
+}
+
+/// The transaction mix under `key` (default `rw`): a named mix or
+/// `t1:t2:t3:t4[:t5]` weights.
+fn parse_mix(props: &Props, key: &'static str) -> Result<TxnMix, CliError> {
+    match props.get(key).unwrap_or("rw") {
         m if m.eq_ignore_ascii_case("ro") => Ok(TxnMix::read_only()),
         m if m.eq_ignore_ascii_case("rw") => Ok(TxnMix::read_write()),
         m if m.eq_ignore_ascii_case("wo") => Ok(TxnMix::write_only()),
@@ -93,13 +140,13 @@ fn parse_mix(props: &Props) -> Result<TxnMix, CliError> {
                 .map(|p| p.trim().parse::<f64>())
                 .collect::<Result<_, _>>()
                 .map_err(|_| CliError::Unknown {
-                    key: "mix",
+                    key,
                     value: other.to_string(),
                     expected: "ro, rw, wo, scan-resistant, or t1:t2:t3:t4[:t5] weights",
                 })?;
             if parts.len() != 4 && parts.len() != 5 {
                 return Err(CliError::Unknown {
-                    key: "mix",
+                    key,
                     value: other.to_string(),
                     expected: "weights t1:t2:t3:t4 or t1:t2:t3:t4:t5",
                 });
@@ -113,7 +160,7 @@ fn parse_mix(props: &Props) -> Result<TxnMix, CliError> {
                 || parts[..4].iter().all(|&w| w == 0.0)
             {
                 return Err(CliError::Unknown {
-                    key: "mix",
+                    key,
                     value: other.to_string(),
                     expected: "finite weights >= 0 with t1..t4 not all zero",
                 });
@@ -159,28 +206,47 @@ fn parse_distribution(props: &Props) -> Result<AccessDistribution, CliError> {
     }
 }
 
-/// Parse the optional `eviction` key. Absent runs the default (LRU); the
-/// `Option` survives only so `mode = sharded` can refuse an explicit key.
-fn parse_eviction(props: &Props) -> Result<Option<EvictionPolicyKind>, CliError> {
-    match props.get("eviction") {
-        None => Ok(None),
-        Some(v) => EvictionPolicyKind::parse(v)
-            .map(Some)
-            .ok_or(CliError::Unknown {
-                key: "eviction",
-                value: v.to_string(),
-                expected: "lru, sieve, lru-k",
-            }),
-    }
+/// The name under `key` through `parse`, if given; a name it does not know
+/// is refused with the `expected` list.
+fn named<T>(
+    props: &Props,
+    key: &'static str,
+    parse: impl Fn(&str) -> Option<T>,
+    expected: &'static str,
+) -> Result<Option<T>, CliError> {
+    let unknown = |value: &str| CliError::Unknown {
+        key,
+        value: value.to_string(),
+        expected,
+    };
+    props
+        .get(key)
+        .map(|v| parse(v).ok_or_else(|| unknown(v)))
+        .transpose()
 }
 
-fn parse_sut(props: &Props) -> Result<SutProfile, CliError> {
-    let name = props.get("sut").unwrap_or("cdb4");
-    SutProfile::by_name(name).ok_or(CliError::Unknown {
-        key: "sut",
-        value: name.to_string(),
-        expected: "aws-rds, cdb1, cdb2, cdb3, cdb4",
-    })
+/// The eviction policy under `key`, if given; absent runs the default
+/// (LRU), and `mode = sharded` refuses an explicit key.
+fn parse_eviction(
+    props: &Props,
+    key: &'static str,
+) -> Result<Option<EvictionPolicyKind>, CliError> {
+    named(props, key, EvictionPolicyKind::parse, "lru, sieve, lru-k")
+}
+
+/// The isolation level under `key`, if given.
+fn parse_isolation(props: &Props, key: &'static str) -> Result<Option<IsolationLevel>, CliError> {
+    named(props, key, IsolationLevel::parse, "rc, si, ser")
+}
+
+/// The SUT profile named under `key`, if given.
+fn parse_sut(props: &Props, key: &'static str) -> Result<Option<SutProfile>, CliError> {
+    named(
+        props,
+        key,
+        SutProfile::by_name,
+        "aws-rds, cdb1, cdb2, cdb3, cdb4",
+    )
 }
 
 fn parse_elastic_pattern(props: &Props) -> Result<ElasticPattern, CliError> {
@@ -216,7 +282,7 @@ fn parse_tenancy_pattern(props: &Props) -> Result<TenancyPattern, CliError> {
 /// export (the binary's `--trace-out` / `--metrics-out` flags); pass
 /// [`ObsSink::disabled`] for a plain run.
 pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> {
-    let profile = parse_sut(props)?;
+    let profile = parse_sut(props, "sut")?.unwrap_or_else(SutProfile::cdb4);
     let sim_scale = props.get_u64("sim_scale", 200)?;
     let seed = props.get_u64("seed", 7)?;
     let mode = props.get("mode").unwrap_or("oltp").to_ascii_lowercase();
@@ -225,9 +291,9 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
     // `ruc_*_hour=` is a configuration error even when the selected mode
     // never reads the key — silently falling back to the default would bless
     // a typo'd experiment config.
-    let mix = parse_mix(props)?;
+    let mix = parse_mix(props, "mix")?;
     let dist = parse_distribution(props)?;
-    let eviction = parse_eviction(props)?;
+    let eviction = parse_eviction(props, "eviction")?;
     let rates = RucRates::from_props(props)?;
     // What every run of every mode inherits; the evaluators add the rest.
     let base = RunOptions {
@@ -499,6 +565,111 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
     Ok(out)
 }
 
+/// The props-file front end's usage, printed (exit 1) for a command line it
+/// cannot read.
+const USAGE: &str = "\
+usage: cloudybench <props-file | - > [--trace-out DIR] [--metrics-out DIR]
+       cloudybench chaos [--seeds N] [--profile NAME] [--replay SEED] ...
+       cloudybench load --arrival SPEC [--runs N] [--jobs N] ...
+
+keys, every mode: sut (aws-rds|cdb1..cdb4), sim_scale, seed,
+      mode (oltp|elasticity|tenancy|failover|lagtime|sharded),
+      mix (ro|rw|wo|scan-resistant|t1:t2:t3:t4[:t5]),
+      distribution (uniform|latest-N|zipfian-THETA),
+      eviction (lru|sieve|lru-k; not in mode sharded)
+  oltp: scale_factor, concurrency, duration_secs, ro_nodes,
+      ruc_{cpu_vcore,mem_gb,storage_gb,iops_100,tcp_gbps,rdma_gbps}_hour
+  elasticity: pattern (single-peak|large-spike|single-valley|zero-valley), tau,
+      or elastic_testTime + first_con, second_con.. + slot_seconds
+  tenancy: tenancy_pattern (a|b|c|d), tenancy_scale
+  failover: concurrency
+  lagtime: concurrency, replicas
+  sharded: shards, strategy (hash|range|both), jobs, tenants_per_shard,
+      clients_per_tenant, hot_clients, slot_secs, transfers, shift_secs, shift_pace
+
+flags: --trace-out DIR    write trace.json, histograms.json/.csv, timeline.txt
+       --metrics-out DIR  write histograms.json and histograms.csv only";
+
+/// The `cloudybench` command line (the arguments after the program name):
+/// `chaos ...` and `load ...` run those subcommands, anything else names a
+/// props file (`-` for stdin) followed by its flags. Returns the process
+/// exit code; a subcommand line that cannot run exits 2.
+pub fn cli_main(args: impl Iterator<Item = String>) -> u8 {
+    let mut args = args.peekable();
+    let run = match args.peek().map(String::as_str) {
+        Some("chaos") => chaos_cmd::parse(args.skip(1)).map(chaos_cmd::run),
+        Some("load") => load_cmd::parse(args.skip(1)).map(load_cmd::run),
+        _ => return props_main(args),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        2
+    })
+}
+
+/// Run the props file named first in `args`, followed by its flags; exit 1
+/// with the usage for a command line it cannot read.
+fn props_main(mut args: impl Iterator<Item = String>) -> u8 {
+    let path = args.next();
+    let flags = argv_props(args, &["--trace-out", "--metrics-out"], &[], USAGE);
+    let (Some(path), Ok(flags)) = (path, flags) else {
+        eprintln!("{USAGE}");
+        return 1;
+    };
+    match run_props_file(&path, &flags) {
+        Ok(()) => 0,
+        Err(msg) => {
+            eprintln!("cloudybench: {msg}");
+            1
+        }
+    }
+}
+
+/// Run the props file at `path` (`-` for stdin), print its report and write
+/// the artifacts `flags` ask for; the error is the message to print.
+fn run_props_file(path: &str, flags: &Props) -> Result<(), String> {
+    let (text, source) = if path == "-" {
+        (std::io::read_to_string(std::io::stdin()), "stdin")
+    } else {
+        (std::fs::read_to_string(path), path)
+    };
+    let text = text.map_err(|e| format!("reading {source}: {e}"))?;
+    let props = Props::parse(&text).map_err(|e| e.to_string())?;
+    // Either artifact flag turns the sink on.
+    let obs = if flags.is_empty() {
+        ObsSink::disabled()
+    } else {
+        ObsSink::enabled()
+    };
+    println!(
+        "{}",
+        run_from_props(&props, &obs).map_err(|e| e.to_string())?
+    );
+    if let Some(dir) = flags.get("--trace-out").map(Path::new) {
+        obs.with(|t| write_run_artifacts(t, dir))
+            .expect("sink enabled")
+            .map_err(|e| format!("writing trace artifacts to {}: {e}", dir.display()))?;
+        println!("trace artifacts written to {}", dir.display());
+    }
+    if let Some(dir) = flags.get("--metrics-out").map(Path::new) {
+        obs.with(|t| -> std::io::Result<()> {
+            std::fs::create_dir_all(dir)?;
+            std::fs::write(
+                dir.join(cb_obs::export::HIST_JSON_FILE),
+                cb_obs::histogram_summary_json(t),
+            )?;
+            std::fs::write(
+                dir.join(cb_obs::export::HIST_CSV_FILE),
+                cb_obs::histogram_csv(t),
+            )
+        })
+        .expect("sink enabled")
+        .map_err(|e| format!("writing metrics to {}: {e}", dir.display()))?;
+        println!("metric summaries written to {}", dir.display());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,6 +905,121 @@ mod tests {
                 let named = e.contains(&format!("key ruc_{res}_hour"));
                 assert!(named && e.contains("finite price >= 0"), "{res}: {e}");
             }
+        }
+    }
+
+    /// What a fuzzed subcommand line is made of: every flag and switch of
+    /// `chaos` and `load` (and words that are neither), then values that
+    /// parse and hostile ones.
+    const FLAGS: [&str; 26] = [
+        "--seeds",
+        "--profile",
+        "--replay",
+        "--isolation",
+        "--eviction",
+        "--txns",
+        "--jobs",
+        "--shards",
+        "--bug-skip-redo",
+        "--out",
+        "--sharded",
+        "--bug-forget-decision",
+        "--arrival",
+        "--phases",
+        "--runs",
+        "--mix",
+        "--clients",
+        "--seed",
+        "--scale-factor",
+        "--sim-scale",
+        "--ro-nodes",
+        "--help",
+        "--",
+        "",
+        "-1",
+        "ñ",
+    ];
+    const VALUES: [&str; 31] = [
+        "",
+        "-1",
+        "0",
+        "1",
+        "3",
+        "4",
+        "nan",
+        "inf",
+        "-inf",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e308",
+        "--",
+        "ñ",
+        "日本語",
+        "cdb2",
+        "si",
+        "sieve",
+        "rw",
+        "0:0:90:0:10",
+        "0:0:0:0",
+        "poisson:100/s",
+        "maxtp:2",
+        "maxtp:0",
+        "bursty:10,1,inf,1s",
+        "trace:",
+        "1s,1s,5s",
+        "nan,nan,1",
+        "0,0,inf",
+        "1e300,1,1",
+        "--seeds",
+    ];
+
+    /// Every flag alone with every value, with and without a valid
+    /// `--arrival` ahead of it: the single-flag half of the fuzz, exhaustive.
+    #[test]
+    fn every_flag_with_every_value_parses_or_errs() {
+        for flag in FLAGS {
+            for value in VALUES {
+                for prefix in [&[][..], &["--arrival", "maxtp:2"]] {
+                    let argv = || prefix.iter().chain([&flag, &value]).map(|w| w.to_string());
+                    let _ = chaos_cmd::parse(argv());
+                    let _ = load_cmd::parse(argv());
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        /// Any command line the two subcommands are given parses to a plan
+        /// or to an error; nothing runs and nothing panics. Half the lines
+        /// start with a valid `--arrival` so `load` reaches its other flags.
+        #[test]
+        fn subcommand_argv_never_panics(
+            words in proptest::collection::vec(
+                (0..FLAGS.len(), 0..VALUES.len(), proptest::bool::ANY),
+                0..10,
+            ),
+            arrival in proptest::bool::ANY,
+        ) {
+            let mut argv: Vec<String> = Vec::new();
+            if arrival {
+                argv.extend(["--arrival".to_string(), "maxtp:2".to_string()]);
+            }
+            for &(flag, value, with_value) in &words {
+                argv.push(FLAGS[flag].to_string());
+                if with_value {
+                    argv.push(VALUES[value].to_string());
+                }
+            }
+            let _ = chaos_cmd::parse(argv.clone().into_iter());
+            let _ = load_cmd::parse(argv.into_iter());
+        }
+
+        /// Arbitrary text is a props file or a syntax error.
+        #[test]
+        fn props_text_never_panics(text in "[ -~\t\n\r=#!éß日\u{0}]{0,80}") {
+            let _ = Props::parse(&text);
         }
     }
 

@@ -10,28 +10,41 @@
 //! Runs are deterministic: the per-seed artifact written with `--out` is
 //! byte-identical for any `--jobs` value.
 
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
-use cb_load::{ArrivalPlan, PhasePlan, TestMode};
+use cb_load::{ArrivalPlan, PhasePlan};
 use cb_sut::SutProfile;
 use cloudybench::report::{fnum, summary_table, Table};
 use cloudybench::{
     aggregate, run_open_loop_seeds, AccessDistribution, DatasetShape, KeyPartition, OpenLoopConfig,
-    OpenLoopSpec, SeedOutcome, TxnMix,
+    OpenLoopSpec, SeedOutcome,
 };
 
-/// Parsed `load` subcommand arguments.
-struct LoadArgs {
-    mode: TestMode,
-    phases: PhasePlan,
-    clients: u64,
-    profile: SutProfile,
-    mix: TxnMix,
-    scale_factor: u64,
-    sim_scale: u64,
-    ro_nodes: usize,
-    seed: u64,
-    runs: u64,
+use crate::{argv_props, jobs, parse_mix, parse_sut, CliError};
+
+/// The `load` flags; each takes a value.
+const FLAGS: [&str; 12] = [
+    "--arrival",
+    "--phases",
+    "--runs",
+    "--jobs",
+    "--profile",
+    "--mix",
+    "--clients",
+    "--seed",
+    "--scale-factor",
+    "--sim-scale",
+    "--ro-nodes",
+    "--out",
+];
+
+/// A parsed `load` command line: the deployment, the arrival plan and
+/// workload, the seeds to run, worker threads and the artifact directory.
+pub(crate) struct Load {
+    cfg: OpenLoopConfig,
+    spec: OpenLoopSpec,
+    seeds: RangeInclusive<u64>,
     jobs: usize,
     out: Option<PathBuf>,
 }
@@ -63,89 +76,50 @@ fn load_usage() -> String {
     )
 }
 
-fn parse(args: impl Iterator<Item = String>) -> Result<LoadArgs, String> {
-    let mut mode: Option<TestMode> = None;
-    let mut parsed = LoadArgs {
-        mode: TestMode::MaxThroughput { clients: 1 }, // placeholder until --arrival
-        phases: PhasePlan::parse("2s,2s,20s").expect("default phases parse"),
-        clients: 100_000,
-        profile: SutProfile::aws_rds(),
-        mix: TxnMix::read_write(),
-        scale_factor: 1,
-        sim_scale: 100,
-        ro_nodes: 1,
-        seed: 2025,
-        runs: 1,
-        jobs: cloudybench::parallel::default_jobs(),
-        out: None,
+/// Parse a `load` command line into the runs it asks for; nothing runs.
+pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Load, CliError> {
+    let props = argv_props(args, &FLAGS, &[], &load_usage())?;
+    // The arrival and phase specs have parsers of their own; their messages
+    // gain the flag.
+    let naming = |flag: &str, e: String| CliError::Arg(format!("key {flag}: {e}"));
+    let arrival = props
+        .get("--arrival")
+        .ok_or_else(|| CliError::Arg(format!("--arrival is required\n{}", load_usage())))?;
+    let mode = ArrivalPlan::parse_mode(arrival).map_err(|e| naming("--arrival", e))?;
+    let phases = PhasePlan::parse(props.get("--phases").unwrap_or("2s,2s,20s"))
+        .map_err(|e| naming("--phases", e))?;
+    let cfg = OpenLoopConfig {
+        profile: parse_sut(&props, "--profile")?.unwrap_or_else(SutProfile::aws_rds),
+        scale_factor: props.get_u64("--scale-factor", 1)?,
+        sim_scale: props.get_u64("--sim-scale", 100)?,
+        ro_nodes: props.get_u64("--ro-nodes", 1)? as usize,
     };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value\n{}", load_usage()))
-        };
-        match arg.as_str() {
-            "--arrival" => mode = Some(ArrivalPlan::parse_mode(&value("--arrival")?)?),
-            "--phases" => parsed.phases = PhasePlan::parse(&value("--phases")?)?,
-            "--clients" => {
-                parsed.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--profile" => {
-                let name = value("--profile")?;
-                parsed.profile = SutProfile::by_name(&name)
-                    .ok_or_else(|| format!("unknown profile {name:?}\n{}", load_usage()))?;
-            }
-            "--mix" => {
-                let m = value("--mix")?;
-                parsed.mix = match m.to_ascii_lowercase().as_str() {
-                    "ro" => TxnMix::read_only(),
-                    "rw" => TxnMix::read_write(),
-                    "wo" => TxnMix::write_only(),
-                    other => return Err(format!("unknown mix {other:?}\n{}", load_usage())),
-                };
-            }
-            "--scale-factor" => {
-                parsed.scale_factor = value("--scale-factor")?
-                    .parse()
-                    .map_err(|e| format!("--scale-factor: {e}"))?
-            }
-            "--sim-scale" => {
-                parsed.sim_scale = value("--sim-scale")?
-                    .parse()
-                    .map_err(|e| format!("--sim-scale: {e}"))?
-            }
-            "--ro-nodes" => {
-                parsed.ro_nodes = value("--ro-nodes")?
-                    .parse()
-                    .map_err(|e| format!("--ro-nodes: {e}"))?
-            }
-            "--seed" => {
-                parsed.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--runs" => {
-                parsed.runs = value("--runs")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--runs: {e}"))?
-                    .max(1)
-            }
-            "--jobs" => {
-                parsed.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--jobs: {e}"))?
-                    .max(1)
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => return Err(load_usage()),
-            other => return Err(format!("unknown argument {other:?}\n{}", load_usage())),
-        }
-    }
-    parsed.mode = mode.ok_or_else(|| format!("--arrival is required\n{}", load_usage()))?;
-    Ok(parsed)
+    let shape = DatasetShape::new(cfg.scale_factor, cfg.sim_scale);
+    let spec = OpenLoopSpec {
+        plan: ArrivalPlan {
+            mode,
+            phases,
+            logical_clients: props.get_u64("--clients", 100_000)?,
+        },
+        mix: parse_mix(&props, "--mix")?,
+        dist: AccessDistribution::Uniform,
+        partition: KeyPartition::whole(shape.orders, shape.customers),
+    };
+    let first = props.get_u64("--seed", 2025)?;
+    let runs = props.get_u64("--runs", 1)?.max(1);
+    let last = first.checked_add(runs - 1).ok_or_else(|| {
+        CliError::Arg(format!(
+            "key --seed: {runs} runs from seed {first} pass the last seed {}",
+            u64::MAX
+        ))
+    })?;
+    Ok(Load {
+        cfg,
+        spec,
+        seeds: first..=last,
+        jobs: jobs(&props)?,
+        out: props.get("--out").map(PathBuf::from),
+    })
 }
 
 /// One stable text line per seed — the deterministic artifact body. Floats
@@ -174,43 +148,26 @@ fn artifact(outcomes: &[SeedOutcome]) -> String {
     s
 }
 
-/// Entry point for `cloudybench load ...`. Returns the process exit code.
-pub fn load_main(args: impl Iterator<Item = String>) -> u8 {
-    let parsed = match parse(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
-    };
-    let cfg = OpenLoopConfig {
-        profile: parsed.profile.clone(),
-        scale_factor: parsed.scale_factor,
-        sim_scale: parsed.sim_scale,
-        ro_nodes: parsed.ro_nodes,
-    };
-    let shape = DatasetShape::new(parsed.scale_factor, parsed.sim_scale);
-    let spec = OpenLoopSpec {
-        plan: ArrivalPlan {
-            mode: parsed.mode.clone(),
-            phases: parsed.phases.clone(),
-            logical_clients: parsed.clients,
-        },
-        mix: parsed.mix,
-        dist: AccessDistribution::Uniform,
-        partition: KeyPartition::whole(shape.orders, shape.customers),
-    };
-    let seeds: Vec<u64> = (parsed.seed..parsed.seed + parsed.runs).collect();
-    let outcomes = run_open_loop_seeds(&cfg, &spec, &seeds, parsed.jobs);
+/// Run a parsed `load` command line. Returns the process exit code.
+pub(crate) fn run(load: Load) -> u8 {
+    let Load {
+        cfg,
+        spec,
+        seeds,
+        jobs,
+        out,
+    } = load;
+    let seeds: Vec<u64> = seeds.collect();
+    let outcomes = run_open_loop_seeds(&cfg, &spec, &seeds, jobs);
 
     let mut t = Table::new(
         &format!(
             "Open-loop load — {} ({:?}, phases {:?}+{:?}+{:?})",
-            parsed.profile.name,
-            parsed.mode,
-            parsed.phases.warmup,
-            parsed.phases.rampup,
-            parsed.phases.measure,
+            cfg.profile.name,
+            spec.plan.mode,
+            spec.plan.phases.warmup,
+            spec.plan.phases.rampup,
+            spec.plan.phases.measure,
         ),
         &[
             "Seed", "TPS", "mean ms", "p50 ms", "p99 ms", "p99.9 ms", "svc p99", "lag p99",
@@ -247,7 +204,7 @@ pub fn load_main(args: impl Iterator<Item = String>) -> u8 {
             )
         );
     }
-    if let Some(dir) = &parsed.out {
+    if let Some(dir) = &out {
         let path = dir.join("load-report.txt");
         match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, artifact(&outcomes)))
         {
@@ -264,6 +221,7 @@ pub fn load_main(args: impl Iterator<Item = String>) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cb_load::TestMode;
 
     fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(String::from)
@@ -272,19 +230,39 @@ mod tests {
     #[test]
     fn parse_requires_arrival() {
         assert!(parse(argv("--runs 3")).is_err());
-        let p = parse(argv("--arrival poisson:100/s --runs 3 --jobs 2")).unwrap();
-        assert_eq!(p.runs, 3);
+        let p = parse(argv("--arrival poisson:100/s --runs 3 --jobs 2"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(p.seeds, 2025..=2027);
         assert_eq!(p.jobs, 2);
-        assert!(matches!(p.mode, TestMode::FixedRate(_)));
+        assert!(matches!(p.spec.plan.mode, TestMode::FixedRate(_)));
     }
 
     #[test]
     fn parse_maxtp_and_phases() {
-        let p = parse(argv("--arrival maxtp:32 --phases 1s,1s,5s --profile cdb3")).unwrap();
-        assert!(matches!(p.mode, TestMode::MaxThroughput { clients: 32 }));
-        assert_eq!(p.profile.name, "cdb3");
-        assert_eq!(p.phases.total(), cb_sim::SimDuration::from_secs(7));
+        let p = parse(argv("--arrival maxtp:32 --phases 1s,1s,5s --profile cdb3"))
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert!(matches!(
+            p.spec.plan.mode,
+            TestMode::MaxThroughput { clients: 32 }
+        ));
+        assert_eq!(p.cfg.profile.name, "cdb3");
+        assert_eq!(
+            p.spec.plan.phases.total(),
+            cb_sim::SimDuration::from_secs(7)
+        );
         assert!(parse(argv("--arrival maxtp:32 --mix zz")).is_err());
+    }
+
+    #[test]
+    fn mix_takes_every_form_the_props_key_takes() {
+        for mix in ["wo", "scan-resistant", "15:5:80:0", "0:0:90:0:10"] {
+            let p = parse(argv(&format!("--arrival maxtp:2 --mix {mix}")));
+            assert!(p.is_ok(), "{mix}");
+        }
+        let e = parse(argv("--arrival maxtp:2 --mix 0:0:0:0"))
+            .err()
+            .unwrap();
+        assert!(e.to_string().starts_with("key --mix: "), "{e}");
     }
 
     #[test]

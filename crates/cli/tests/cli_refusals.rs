@@ -1,0 +1,68 @@
+//! Subcommand lines that cannot run as asked exit 2 before any work, with a
+//! message naming the flag as typed. Each of these used to run: a chaos
+//! campaign too short for any fault to fire reported clean, a seed range
+//! past `u64::MAX` wrapped to an empty table (or panicked with overflow
+//! checks on), and `nan` / `inf` phase lengths ran a 0 s warmup or a
+//! horizon that never ends.
+
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// Run the binary, killing it if it outlives `limit` (a never-ending run
+/// fails the test instead of hanging it).
+fn cloudybench(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cloudybench"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the cloudybench binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("wait on the child").is_none() {
+        if start.elapsed() > limit {
+            child.kill().expect("kill the child");
+            panic!("{args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect the output")
+}
+
+#[test]
+fn values_that_cannot_run_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        ("chaos --txns 3 --profile cdb3 --seeds 2", "--txns"),
+        (
+            "load --arrival poisson:100/s --phases 0,0,0.01 --seed 18446744073709551615 --runs 2",
+            "--seed",
+        ),
+        (
+            "load --arrival poisson:100/s --phases nan,nan,1",
+            "--phases",
+        ),
+        ("load --arrival poisson:100/s --phases 0,0,inf", "--phases"),
+    ] {
+        let argv: Vec<&str> = args.split(' ').collect();
+        let out = cloudybench(&argv, Duration::from_secs(60));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args} ran anyway");
+        assert!(
+            stderr.starts_with(&format!("key {flag}: ")),
+            "{args}: {stderr}"
+        );
+    }
+}
+
+/// The 2PC campaign counts transfers, not fault slots: a short one still
+/// runs.
+#[test]
+fn a_short_sharded_campaign_still_runs() {
+    let argv: Vec<&str> = "chaos --sharded --txns 3 --profile cdb2 --seeds 2 --jobs 1"
+        .split(' ')
+        .collect();
+    let out = cloudybench(&argv, Duration::from_secs(60));
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("cdb2 "), "{stdout}");
+}

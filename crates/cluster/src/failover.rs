@@ -117,23 +117,14 @@ impl FailoverTimeline {
     }
 }
 
-/// Plan a fail-over injected at `inject`, given the WAL analysis at the
-/// moment of failure (ARIES cost depends on it). Detection takes the
-/// model's fixed `detection` duration.
+/// Plan a fail-over injected at `inject` and detected at `detected_at`,
+/// given the WAL analysis at the moment of failure (ARIES cost depends on
+/// it). The nominal detection instant is `inject + model.detection`; a
+/// [`crate::heartbeat::HeartbeatMonitor`], or a chaos schedule that delays
+/// detection past the model's window (silent heartbeat loss), supplies its
+/// own. The "detect" phase spans `inject → detected_at`; everything after it
+/// follows the model's recovery route unchanged.
 pub fn plan_failover(
-    model: &FailoverModel,
-    inject: SimTime,
-    analysis: &AriesAnalysis,
-) -> FailoverTimeline {
-    plan_failover_with_detection(model, inject, inject + model.detection, analysis)
-}
-
-/// Plan a fail-over whose detection instant was determined externally — by a
-/// [`crate::heartbeat::HeartbeatMonitor`], or by a chaos schedule that delays
-/// detection past the model's nominal window (silent heartbeat loss). The
-/// "detect" phase spans `inject → detected_at`; everything after it follows
-/// the model's recovery route unchanged.
-pub fn plan_failover_with_detection(
     model: &FailoverModel,
     inject: SimTime,
     detected_at: SimTime,
@@ -301,6 +292,11 @@ mod tests {
         }
     }
 
+    /// The plan with the model's own detection delay.
+    fn nominal(m: &FailoverModel, inject: SimTime, a: &AriesAnalysis) -> FailoverTimeline {
+        plan_failover(m, inject, inject + m.detection, a)
+    }
+
     fn aries_model() -> FailoverModel {
         FailoverModel {
             detection: SimDuration::from_secs(2),
@@ -318,8 +314,8 @@ mod tests {
     #[test]
     fn aries_downtime_grows_with_log_tail() {
         let m = aries_model();
-        let small = plan_failover(&m, SimTime::ZERO, &analysis(1_000, 800, 10));
-        let large = plan_failover(&m, SimTime::ZERO, &analysis(100_000, 80_000, 500));
+        let small = nominal(&m, SimTime::ZERO, &analysis(1_000, 800, 10));
+        let large = nominal(&m, SimTime::ZERO, &analysis(100_000, 80_000, 500));
         assert!(large.downtime() > small.downtime());
         assert!(small.downtime() >= SimDuration::from_secs(8));
         assert_eq!(small.phases.len(), 5);
@@ -330,10 +326,10 @@ mod tests {
     fn delayed_detection_shifts_the_whole_timeline() {
         let m = aries_model();
         let inject = SimTime::from_secs(50);
-        let nominal = plan_failover(&m, inject, &analysis(1_000, 800, 10));
+        let on_time = nominal(&m, inject, &analysis(1_000, 800, 10));
         // A chaos scenario where heartbeats were lost for 9s before anyone
         // noticed: detection takes 9s instead of the model's 2s.
-        let late = plan_failover_with_detection(
+        let late = plan_failover(
             &m,
             inject,
             inject + SimDuration::from_secs(9),
@@ -345,19 +341,10 @@ mod tests {
         );
         assert_eq!(
             late.downtime(),
-            nominal.downtime() + SimDuration::from_secs(7),
+            on_time.downtime() + SimDuration::from_secs(7),
             "everything after detection is unchanged"
         );
-        // Nominal detection through the explicit entry point matches the
-        // fixed-duration wrapper exactly.
-        let same = plan_failover_with_detection(
-            &m,
-            inject,
-            inject + m.detection,
-            &analysis(1_000, 800, 10),
-        );
-        assert_eq!(same.downtime(), nominal.downtime());
-        assert_eq!(same.phases, nominal.phases);
+        assert_eq!(on_time.phase("detect").unwrap().duration(), m.detection);
     }
 
     #[test]
@@ -378,8 +365,8 @@ mod tests {
         // The storage tier applies the committed tail to the crash LSN
         // before serving a view: downtime grows with the tail, charged at
         // the replicas' replay cost — not at an ARIES per-record cost.
-        let small = plan_failover(&m, SimTime::ZERO, &analysis(1_000, 800, 0));
-        let large = plan_failover(&m, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
+        let small = nominal(&m, SimTime::ZERO, &analysis(1_000, 800, 0));
+        let large = nominal(&m, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
         assert!(large.downtime() > small.downtime());
         assert_eq!(
             small.phase("catchup").unwrap().duration(),
@@ -394,7 +381,7 @@ mod tests {
             replay: par_replay(8),
             ..m
         };
-        let p = plan_failover(&par, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
+        let p = nominal(&par, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
         assert_eq!(
             p.phase("catchup").unwrap().duration(),
             SimDuration::from_micros(5) * 800_000u64 / 8
@@ -409,7 +396,7 @@ mod tests {
             },
             ..m
         };
-        let long = plan_failover(&m_long, SimTime::ZERO, &analysis(1_000, 800, 0));
+        let long = nominal(&m_long, SimTime::ZERO, &analysis(1_000, 800, 0));
         assert!(long.downtime() > small.downtime());
     }
 
@@ -421,8 +408,8 @@ mod tests {
             ..seq
         };
         let a = analysis(100_000, 80_000, 4_000);
-        let ts = plan_failover(&seq, SimTime::ZERO, &a);
-        let tp = plan_failover(&par, SimTime::ZERO, &a);
+        let ts = nominal(&seq, SimTime::ZERO, &a);
+        let tp = nominal(&par, SimTime::ZERO, &a);
         // Fixed phases are identical lane-for-lane.
         for name in ["detect", "restart", "analysis"] {
             assert_eq!(
@@ -452,7 +439,7 @@ mod tests {
             replay: par_replay(8),
             ..seq
         };
-        let t = plan_failover(&rfs, SimTime::ZERO, &a);
+        let t = nominal(&rfs, SimTime::ZERO, &a);
         assert_eq!(
             t.phase("undo").unwrap().duration(),
             SimDuration::from_micros(100) * 4_000 / 8
@@ -476,7 +463,7 @@ mod tests {
             warmup: SimDuration::from_secs(3),
             warmup_peak: SimDuration::from_millis(1),
         };
-        let t = plan_failover(&m, SimTime::from_secs(100), &analysis(10_000, 9_000, 100));
+        let t = nominal(&m, SimTime::from_secs(100), &analysis(10_000, 9_000, 100));
         assert_eq!(
             t.phases.iter().map(|p| p.name).collect::<Vec<_>>(),
             vec!["detect", "prepare", "switchover", "recovering"]

@@ -15,7 +15,7 @@
 //!   remote-buffer switch-over.
 //! * `shard` — hash/range key-space sharding: deterministic routing of
 //!   every primary key to exactly one engine instance.
-//! * `tenancy` — the elastic-pool (water-filling) scheduler of a shared
+//! * `elastic_pool` — the elastic-pool (water-filling) scheduler of a shared
 //!   vCore pool (CDB2's multi-tenant deployment).
 //! * `metering` — integrate vCores/memory/storage/IOPS/network consumption
 //!   for the Resource Unit Cost model.
@@ -23,22 +23,21 @@
 #![warn(missing_docs)]
 
 mod autoscale;
+mod elastic_pool;
 mod failover;
 mod heartbeat;
 mod metering;
 mod node;
 mod replication;
 mod shard;
-mod tenancy;
 
 pub use autoscale::{Autoscaler, ScaleDecision, ScalingKind};
+pub use elastic_pool::elastic_pool_allocate;
 pub use failover::{
-    plan_failover, plan_failover_with_detection, plan_ro_failover, FailoverModel, FailoverPhase,
-    FailoverTimeline, RecoveryKind,
+    plan_failover, plan_ro_failover, FailoverModel, FailoverPhase, FailoverTimeline, RecoveryKind,
 };
 pub use heartbeat::{HeartbeatMonitor, NodeHealth};
 pub use metering::{measure, MeterConfig, ResourceUsage};
 pub use node::{Node, NodeId, NodeRole};
 pub use replication::{quorum_ack_latency, ReplayPolicy, ReplicationStream};
 pub use shard::{shard_of_hash, ShardMap, ShardStrategy};
-pub use tenancy::elastic_pool_allocate;

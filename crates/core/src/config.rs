@@ -139,6 +139,16 @@ impl Props {
     }
 }
 
+/// Props from `(key, value)` pairs (a command line's flags, say); a repeated
+/// key keeps its last value, as a repeated line in a props file does.
+impl FromIterator<(String, String)> for Props {
+    fn from_iter<I: IntoIterator<Item = (String, String)>>(pairs: I) -> Self {
+        Props {
+            values: pairs.into_iter().collect(),
+        }
+    }
+}
+
 /// Ordinal key names for the `*_con` convention.
 const ORDINALS: [&str; 12] = [
     "first", "second", "third", "fourth", "fifth", "sixth", "seventh", "eighth", "ninth", "tenth",

@@ -1397,7 +1397,8 @@ impl<'a, B: Body> RunCtx<'a, B> {
                     opts.obs
                         .instant(Category::Recovery, "analyze", target as u64, now);
                     opts.obs.add("recovery.scanned_records", analysis.scanned);
-                    plan_failover(&dep.profile.failover, now, &analysis)
+                    let model = &dep.profile.failover;
+                    plan_failover(model, now, now + model.detection, &analysis)
                 };
                 opts.obs
                     .instant(Category::Failover, "inject", target as u64, now);

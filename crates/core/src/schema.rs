@@ -44,13 +44,14 @@ pub struct DatasetShape {
 }
 
 impl DatasetShape {
-    /// The shape for `scale_factor`, shrunk by `sim_scale`.
+    /// The shape for `scale_factor`, shrunk by `sim_scale`. A scale factor
+    /// past `u64::MAX` rows saturates instead of wrapping.
     pub fn new(scale_factor: u64, sim_scale: u64) -> Self {
         let div = sim_scale.max(1);
         DatasetShape {
-            customers: (SF1_CUSTOMERS * scale_factor / div).max(100),
-            orders: (SF1_ORDERS * scale_factor / div).max(100),
-            orderlines: (SF1_ORDERLINES * scale_factor / div).max(1000),
+            customers: (SF1_CUSTOMERS.saturating_mul(scale_factor) / div).max(100),
+            orders: (SF1_ORDERS.saturating_mul(scale_factor) / div).max(100),
+            orderlines: (SF1_ORDERLINES.saturating_mul(scale_factor) / div).max(1000),
         }
     }
 

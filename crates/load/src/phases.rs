@@ -14,6 +14,8 @@
 
 use cb_sim::{SimDuration, SimTime};
 
+use crate::process::parse_duration;
+
 /// The three consecutive phase windows of a load run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhasePlan {
@@ -43,25 +45,18 @@ impl PhasePlan {
         PhasePlan::new(SimDuration::ZERO, SimDuration::ZERO, measure)
     }
 
-    /// Parse `"<warmup>,<rampup>,<measure>"` with second-default durations
-    /// (e.g. `"5s,10s,60s"` or `"0,0,20"`).
+    /// Parse `"<warmup>,<rampup>,<measure>"`, each a duration as an arrival
+    /// spec writes it (`2s`, `500ms`, `250us`, or bare seconds; e.g.
+    /// `"5s,10s,60s"` or `"0,0,20"`).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let parts: Vec<&str> = spec.split(',').collect();
         if parts.len() != 3 {
             return Err(format!("expected warmup,rampup,measure — got {spec:?}"));
         }
-        let parse_one = |s: &str| -> Result<SimDuration, String> {
-            let body = s.strip_suffix('s').unwrap_or(s);
-            let v: f64 = body.parse().map_err(|_| format!("bad duration {s:?}"))?;
-            if v < 0.0 {
-                return Err(format!("negative duration {s:?}"));
-            }
-            Ok(SimDuration::from_secs_f64(v))
-        };
         let plan = PhasePlan::new(
-            parse_one(parts[0])?,
-            parse_one(parts[1])?,
-            parse_one(parts[2])?,
+            parse_duration(parts[0])?,
+            parse_duration(parts[1])?,
+            parse_duration(parts[2])?,
         );
         if plan.measure.is_zero() {
             return Err("measurement window must be positive".into());
@@ -116,6 +111,12 @@ mod tests {
         assert!(PhasePlan::parse("1,2").is_err());
         assert!(PhasePlan::parse("1,2,0").is_err());
         assert!(PhasePlan::parse("1,-2,3").is_err());
+        // Rust's float parser takes these: NaN ran as a 0 s window, and an
+        // infinite one saturated the horizon at u64::MAX ns and never ended.
+        for spec in ["nan,nan,1", "0,0,inf", "inf,1,1", "1,-inf,1", "0,0,NaN"] {
+            let e = PhasePlan::parse(spec).unwrap_err();
+            assert!(e.contains("not a finite duration"), "{spec}: {e}");
+        }
     }
 
     #[test]

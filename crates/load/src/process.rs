@@ -194,8 +194,9 @@ fn parse_rate(s: &str) -> Result<f64, String> {
     Ok(rate)
 }
 
-/// Parse `2s`, `500ms`, `250us`, or a bare number of seconds.
-fn parse_duration(s: &str) -> Result<SimDuration, String> {
+/// Parse `2s`, `500ms`, `250us`, or a bare number of seconds: finite and
+/// not negative.
+pub(crate) fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let (body, scale) = if let Some(b) = s.strip_suffix("ms") {
         (b, 1e-3)
     } else if let Some(b) = s.strip_suffix("us") {
@@ -206,6 +207,9 @@ fn parse_duration(s: &str) -> Result<SimDuration, String> {
         (s, 1.0)
     };
     let v: f64 = body.parse().map_err(|_| format!("bad duration {s:?}"))?;
+    if !v.is_finite() {
+        return Err(format!("{s:?} is not a finite duration"));
+    }
     if v < 0.0 {
         return Err(format!("negative duration {s:?}"));
     }
@@ -496,6 +500,20 @@ mod tests {
         assert!(ArrivalProcess::parse("diurnal:100,1.5,60s").is_err());
         assert!(ArrivalProcess::parse("nope:1").is_err());
         assert!(ArrivalProcess::parse("poisson").is_err());
+    }
+
+    #[test]
+    fn non_finite_durations_are_refused() {
+        // NaN used to hold for 0 s and infinity for u64::MAX ns.
+        for spec in [
+            "bursty:10,1,inf,1s",
+            "bursty:10,1,1s,nanms",
+            "diurnal:100,0.5,inf",
+            "trace:0.1,nan",
+        ] {
+            let e = ArrivalProcess::parse(spec).unwrap_err();
+            assert!(e.contains("not a finite duration"), "{spec}: {e}");
+        }
     }
 
     #[test]

@@ -722,7 +722,8 @@ mod tests {
             in_doubt_txns: 0,
         };
         let downtime = |p: &SutProfile| {
-            plan_failover(&p.failover, cb_sim::SimTime::ZERO, &analysis).downtime()
+            let t0 = cb_sim::SimTime::ZERO;
+            plan_failover(&p.failover, t0, t0 + p.failover.detection, &analysis).downtime()
         };
         let rds = downtime(&SutProfile::aws_rds());
         let c4 = downtime(&SutProfile::cdb4());
