@@ -1,10 +1,13 @@
 //! The chaos harness: one seeded run of randomized transactions with
 //! injected faults, checked against four oracles.
 //!
-//! The harness drives an open-loop, *sequential* T1–T4 mix directly against
-//! a [`Deployment`]'s database (the closed-loop benchmark driver would hide
-//! the crash points this harness needs to control). Every transaction's
-//! effects are staged into a [`ShadowModel`] and applied only at commit-ack.
+//! The harness drives an open-loop, *sequential* T1–T4 mix on a
+//! [`Deployment`] (the closed-loop benchmark driver would hide the crash
+//! points this harness needs to control). The transactions execute the
+//! deployment's registered Table II statements (`STMT_DB_TOML`) and commit
+//! through its group-commit pipeline, as the benchmark driver does. Every
+//! transaction's effects are staged into a [`ShadowModel`] and applied only
+//! at commit-ack.
 //! In parallel it maintains the **archive** — the storage tier's durable
 //! copy of the WAL, pulled at every acknowledgement, never truncated — so
 //! that after a crash it can run both real recovery paths:
@@ -32,9 +35,10 @@
 
 use std::collections::HashSet;
 
-use cb_cluster::{plan_failover, HeartbeatMonitor, NodeHealth};
+use cb_cluster::plan_failover;
 use cb_engine::exec::RemoteTier;
 use cb_engine::recovery::{analyze, redo_net_effects, undo_losers};
+use cb_engine::sql::execute;
 use cb_engine::{Database, EvictionPolicyKind, ExecCtx, IsolationLevel, Row, Value};
 use cb_obs::{
     ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, Category, ObsSink,
@@ -46,6 +50,10 @@ use cloudybench::Deployment;
 
 use crate::schedule::{FaultKind, FaultSchedule};
 use crate::shadow::{ShadowModel, ShadowOp};
+
+/// How long fail-over detection takes after the primary's heartbeats stop:
+/// four missed 250 ms beats.
+const HEARTBEAT_DETECTION: SimDuration = SimDuration::from_millis(4 * 250);
 
 /// Knobs for one chaos run.
 #[derive(Clone, Debug)]
@@ -62,9 +70,6 @@ pub struct ChaosOptions {
     /// open batch then loses an acked commit — the durability oracle must
     /// catch it.
     pub bug_ack_unflushed: bool,
-    /// Override the profile's group-commit window (e.g. a huge window keeps
-    /// a batch open across many transactions so a crash lands inside it).
-    pub group_commit_window: Option<SimDuration>,
     /// Pace the workload with open-loop Poisson arrivals at this rate
     /// (transactions per second) instead of back-to-back execution. Each
     /// transaction waits for its scheduled arrival, so faults land in the
@@ -100,7 +105,6 @@ impl Default for ChaosOptions {
             sim_scale: 3000,
             bug_skip_redo: None,
             bug_ack_unflushed: false,
-            group_commit_window: None,
             arrival_rate: None,
             isolation: IsolationLevel::ReadCommitted,
             bug_read_future_version: false,
@@ -281,8 +285,6 @@ struct Harness {
     /// Reused wire-encoding scratch for crash-time tail encodes: one
     /// allocation per harness, not one per crash.
     wire_scratch: Vec<u8>,
-    /// The primary's group-commit pipeline (window possibly overridden).
-    gc: cb_store::GroupCommit,
     /// Commits enqueued but not yet acknowledged, FIFO by commit LSN.
     pending: std::collections::VecDeque<PendingCommit>,
     now: SimTime,
@@ -329,10 +331,6 @@ impl Harness {
             0,
             SimTime::ZERO,
         );
-        let mut gc_cfg = profile.group_commit;
-        if let Some(window) = opts.group_commit_window {
-            gc_cfg.window = window;
-        }
         Harness {
             dep,
             base,
@@ -340,7 +338,6 @@ impl Harness {
             archive: Vec::new(),
             acked: Lsn::ZERO,
             wire_scratch: Vec::new(),
-            gc: cb_store::GroupCommit::new(gc_cfg),
             pending: std::collections::VecDeque::new(),
             now: SimTime::from_secs(1),
             arrivals: opts.arrival_rate.map(|rate| {
@@ -520,7 +517,7 @@ impl Harness {
         let now = self.now;
         let kind = self.wl_rng.pick_weighted(&[45.0, 43.0, 10.0, 2.0]);
         let abort_roll = self.wl_rng.chance(0.06);
-        let pre_enqueued = self.gc.commits();
+        let pre_enqueued = self.dep.group_commit.commits();
         let remote = self
             .dep
             .remote_pool
@@ -533,40 +530,43 @@ impl Harness {
             &mut self.dep.storage,
             &self.dep.profile.cost_model,
         )
-        .with_group_commit(&mut self.gc);
+        .with_group_commit(&mut self.dep.group_commit);
+        let (registry, stmts) = (&self.dep.registry, self.dep.stmts);
         let db = &mut self.dep.db;
         let mut txn = db.begin();
         self.max_txn = self.max_txn.max(txn.id().0);
         let mut staged: Vec<ShadowOp> = Vec::new();
         let name = match kind {
             0 => {
-                // T1: insert a new orderline with an auto key.
-                let rest = vec![
+                // T1: insert a new orderline under the next auto key.
+                let params = [
                     Value::Int(self.wl_rng.range_inclusive(1, orders_hi)),
                     Value::Int(self.wl_rng.range_inclusive(1, 100_000)),
                     Value::Int(self.wl_rng.range_inclusive(1, 10)),
                     Value::Int(self.wl_rng.range_inclusive(100, 50_000)),
                 ];
-                let key = db
-                    .insert_auto(&mut ctx, &mut txn, t_orderline, rest.clone())
-                    .expect("auto keys never collide");
+                let key = db.table(t_orderline).next_auto_key();
+                let insert = &registry[stmts.t1_new_orderline];
+                execute(db, &mut ctx, &mut txn, insert, &params).expect("t1 must execute");
                 let mut values = vec![Value::Int(key)];
-                values.extend(rest);
+                values.extend(params);
                 staged.push(ShadowOp::Put(t_orderline, key, Row::new(values).encode()));
                 "t1"
             }
             1 => {
                 // T2: pay an order — status flip plus customer credit.
                 let o_id = self.wl_rng.range_inclusive(1, orders_hi);
-                if let Some(order) = db.get(&mut ctx, t_orders, o_id) {
-                    let c_id = order.int(1);
+                let select = &registry[stmts.t2_select_order];
+                let c_id = execute(db, &mut ctx, &mut txn, select, &[Value::Int(o_id)])
+                    .expect("t2 select must execute")
+                    .row
+                    .map(|order| order.int(1));
+                if let Some(c_id) = c_id {
                     let amount = self.wl_rng.range_inclusive(100, 10_000);
-                    let ts = (now.as_nanos() / 1_000) as i64;
-                    db.update(&mut ctx, &mut txn, t_orders, o_id, |r| {
-                        r.values[2] = Value::Text("PAID".to_string());
-                        r.values[5] = Value::Timestamp(ts);
-                    })
-                    .expect("orders schema is stable");
+                    let ts = Value::Timestamp((now.as_nanos() / 1_000) as i64);
+                    let pay = &registry[stmts.t2_pay_order];
+                    let params = [ts.clone(), Value::Int(o_id)];
+                    execute(db, &mut ctx, &mut txn, pay, &params).expect("t2 pay must execute");
                     staged.push(ShadowOp::Put(
                         t_orders,
                         o_id,
@@ -575,14 +575,12 @@ impl Harness {
                             .image()
                             .to_vec(),
                     ));
-                    if db
-                        .update(&mut ctx, &mut txn, t_customer, c_id, |r| {
-                            let credit = r.values[2].expect_int();
-                            r.values[2] = Value::Int(credit + amount);
-                            r.values[3] = Value::Timestamp(ts);
-                        })
-                        .expect("customer schema is stable")
-                    {
+                    let credit = &registry[stmts.t2_credit_customer];
+                    let params = [Value::Int(amount), ts, Value::Int(c_id)];
+                    let credited = execute(db, &mut ctx, &mut txn, credit, &params)
+                        .expect("t2 credit must execute")
+                        .affected;
+                    if credited > 0 {
                         staged.push(ShadowOp::Put(
                             t_customer,
                             c_id,
@@ -598,14 +596,20 @@ impl Harness {
             2 => {
                 // T3: order-status read.
                 let o_id = self.wl_rng.range_inclusive(1, orders_hi);
-                let _ = db.get(&mut ctx, t_orders, o_id);
+                let status = &registry[stmts.t3_order_status];
+                execute(db, &mut ctx, &mut txn, status, &[Value::Int(o_id)])
+                    .expect("t3 must execute");
                 "t3"
             }
             _ => {
                 // T4: delete an orderline (original or workload-inserted).
                 let hi = (db.table(t_orderline).next_auto_key() - 1).max(1);
                 let ol = self.wl_rng.range_inclusive(1, hi);
-                if db.delete(&mut ctx, &mut txn, t_orderline, ol) {
+                let delete = &registry[stmts.t4_delete_orderline];
+                let deleted = execute(db, &mut ctx, &mut txn, delete, &[Value::Int(ol)])
+                    .expect("t4 must execute")
+                    .affected;
+                if deleted > 0 {
                     staged.push(ShadowOp::Delete(t_orderline, ol));
                 }
                 "t4"
@@ -628,7 +632,7 @@ impl Harness {
         // A durable (write) commit enqueued into the group-commit pipeline;
         // its ack — and its client-visible effects — arrive only when the
         // batch flushes. Read-only commits never enqueue and carry no ops.
-        let enqueued = self.gc.commits() > pre_enqueued;
+        let enqueued = self.dep.group_commit.commits() > pre_enqueued;
         // Versioned isolation: publish the commit's pre-images, stamped with
         // the instant the client will be acknowledged — the batch flush for
         // enqueued commits. Until that instant a snapshot read must resolve
@@ -637,7 +641,7 @@ impl Harness {
             if let Some(c) = &committed_rec {
                 if !c.undo.is_empty() {
                     let commit_ts = if enqueued {
-                        self.gc.last_ack()
+                        self.dep.group_commit.last_ack()
                     } else {
                         now + latency
                     };
@@ -654,12 +658,12 @@ impl Harness {
                 }
             } else {
                 self.pending.push_back(PendingCommit {
-                    ack_at: self.gc.last_ack(),
+                    ack_at: self.dep.group_commit.last_ack(),
                     commit_lsn: commit_lsn.expect("enqueued implies committed"),
                     ops: std::mem::take(&mut staged),
                 });
             }
-            self.gc.last_wait()
+            self.dep.group_commit.last_wait()
         } else {
             // Reads (and aborts) complete without a batch ack; their shadow
             // effects (none for reads, none after an abort) apply now.
@@ -812,12 +816,8 @@ impl Harness {
                 silent_ms,
                 in_flight,
             } => {
-                let mut mon = HeartbeatMonitor::new(SimDuration::from_millis(250), 3);
-                mon.beat(self.now);
-                let earliest = mon.detection_instant(self.now);
-                let detected =
-                    (self.now + SimDuration::from_millis(silent_ms as u64)).max(earliest);
-                debug_assert!(matches!(mon.check(detected), NodeHealth::Failed { .. }));
+                let silence = SimDuration::from_millis(silent_ms as u64);
+                let detected = self.now + silence.max(HEARTBEAT_DETECTION);
                 self.obs
                     .span(Category::Failover, "hb-silence", 1, self.now, detected);
                 self.crash(in_flight, 2, None, Some(detected))
@@ -857,19 +857,21 @@ impl Harness {
                 &mut self.dep.storage,
                 &self.dep.profile.cost_model,
             );
+            let (registry, stmts) = (&self.dep.registry, self.dep.stmts);
             let db = &mut self.dep.db;
             let mut txn = db.begin();
             self.max_txn = self.max_txn.max(txn.id().0);
             for _ in 0..ops_each {
                 match self.fault_rng.below(3) {
                     0 => {
-                        let rest = vec![
+                        let params = [
                             Value::Int(self.fault_rng.range_inclusive(1, orders_hi)),
                             Value::Int(7),
                             Value::Int(1),
                             Value::Int(500),
                         ];
-                        db.insert_auto(&mut ctx, &mut txn, self.dep.tables.orderline, rest)
+                        let insert = &registry[stmts.t1_new_orderline];
+                        execute(db, &mut ctx, &mut txn, insert, &params)
                             .expect("auto keys never collide");
                     }
                     1 => {
@@ -882,7 +884,9 @@ impl Harness {
                     _ => {
                         let hi = (db.table(self.dep.tables.orderline).next_auto_key() - 1).max(1);
                         let ol = self.fault_rng.range_inclusive(1, hi);
-                        let _ = db.delete(&mut ctx, &mut txn, self.dep.tables.orderline, ol);
+                        let delete = &registry[stmts.t4_delete_orderline];
+                        execute(db, &mut ctx, &mut txn, delete, &[Value::Int(ol)])
+                            .expect("t4 must execute");
                     }
                 }
             }
@@ -932,7 +936,7 @@ impl Harness {
         //    into the shadow); a commit whose batch was lost legally
         //    vanishes (nobody was ever told it happened).
         self.dep.db.simulate_crash();
-        self.gc.crash_abort();
+        self.dep.group_commit.crash_abort();
         let (pre_promoted, pre_dropped) = (self.promoted, self.dropped);
         while let Some(p) = self.pending.pop_front() {
             if p.commit_lsn <= durable_head {

@@ -152,18 +152,21 @@ fn bugged_recovery_is_caught_and_shrunk() {
 }
 
 /// A schedule with one crash landing while txns are still enqueueing, plus
-/// an opts override that keeps one group-commit batch open across the whole
-/// run — the crash is guaranteed to strike inside it.
+/// quick options; run it on a profile passed through [`held_open`] and the
+/// crash is guaranteed to strike inside an open batch.
 fn open_batch_crash(kind: FaultKind) -> (FaultSchedule, ChaosOptions) {
     let schedule = FaultSchedule {
         seed: 7,
         events: vec![FaultEvent { at_txn: 20, kind }],
     };
-    let opts = ChaosOptions {
-        group_commit_window: Some(SimDuration::from_secs(10)),
-        ..quick_opts()
-    };
-    (schedule, opts)
+    (schedule, quick_opts())
+}
+
+/// `profile` with a group-commit window that keeps one batch open across
+/// the whole run.
+fn held_open(mut profile: SutProfile) -> SutProfile {
+    profile.group_commit.window = SimDuration::from_secs(10);
+    profile
 }
 
 #[test]
@@ -176,7 +179,7 @@ fn crash_inside_an_open_batch_legally_drops_unacked_commits() {
         in_flight: 1,
         ops_each: 2,
     });
-    for profile in SutProfile::all() {
+    for profile in SutProfile::all().into_iter().map(held_open) {
         let r = run_with_schedule(&profile, 7, &schedule, &opts)
             .unwrap_or_else(|v| panic!("{}: {v}", profile.name));
         assert!(
@@ -202,7 +205,7 @@ fn torn_write_promotes_the_durable_prefix_of_an_open_batch() {
         ops_each: 2,
         cut_permille: 1000,
     });
-    for profile in SutProfile::all() {
+    for profile in SutProfile::all().into_iter().map(held_open) {
         let r = run_with_schedule(&profile, 7, &schedule, &opts)
             .unwrap_or_else(|v| panic!("{}: {v}", profile.name));
         assert!(
@@ -228,7 +231,7 @@ fn acking_before_the_flush_is_caught_by_the_durability_oracle() {
         in_flight: 1,
         ops_each: 2,
     });
-    let profile = SutProfile::by_name("aws-rds").unwrap();
+    let profile = held_open(SutProfile::aws_rds());
     assert!(
         run_with_schedule(&profile, 7, &schedule, &clean_opts).is_ok(),
         "sanity: deferred acks survive the same crash"
@@ -293,7 +296,7 @@ fn reading_a_pending_version_is_caught_by_the_snapshot_oracle() {
         isolation: IsolationLevel::Snapshot,
         ..base
     };
-    let profile = SutProfile::by_name("aws-rds").unwrap();
+    let profile = held_open(SutProfile::aws_rds());
     assert!(
         run_with_schedule(&profile, 7, &schedule, &clean_opts).is_ok(),
         "sanity: chain-resolved snapshot reads survive the same schedule"
@@ -324,7 +327,7 @@ fn scanning_a_pending_version_is_caught_by_the_snapshot_oracle() {
         isolation: IsolationLevel::Snapshot,
         ..base
     };
-    let profile = SutProfile::by_name("aws-rds").unwrap();
+    let profile = held_open(SutProfile::aws_rds());
     assert!(
         run_with_schedule(&profile, 7, &schedule, &clean_opts).is_ok(),
         "sanity: chain-resolved snapshot scans survive the same schedule"
@@ -488,7 +491,7 @@ fn the_printed_replay_line_carries_the_options_the_violation_needs() {
         bug_read_future_version: true,
         ..base
     };
-    let v = run_with_schedule(&SutProfile::aws_rds(), 7, &schedule, &si)
+    let v = run_with_schedule(&held_open(SutProfile::aws_rds()), 7, &schedule, &si)
         .expect_err("observing an unacked version must trip an oracle");
     assert_eq!(
         replay_line(&v),

@@ -17,7 +17,7 @@ use cb_chaos::{
 use cb_sut::SutProfile;
 use cloudybench::config::{ConfigError, Props};
 
-use crate::{argv_props, jobs, parse_eviction, parse_isolation, parse_sut, CliError};
+use crate::{argv_props, jobs, parse_eviction, parse_isolation, parse_sut, seed_list, CliError};
 
 /// The `chaos` flags that take a value, and its bare switches.
 const FLAGS: [&str; 10] = [
@@ -194,7 +194,7 @@ fn write_failure(out: &Option<PathBuf>, v: &ShrunkViolation) {
 
 /// Run a parsed `chaos` command line. Returns the process exit code: zero
 /// iff every seed on every profile passed all oracles.
-pub(crate) fn run(chaos: Chaos) -> u8 {
+pub(crate) fn run(chaos: Chaos) -> Result<u8, CliError> {
     let Chaos {
         campaign,
         profiles,
@@ -202,11 +202,14 @@ pub(crate) fn run(chaos: Chaos) -> u8 {
         jobs,
     } = chaos;
     let (opts, out) = match campaign {
-        Campaign::Sharded(opts) => return sharded_campaign(&profiles, seeds, jobs, &opts),
-        Campaign::Replay { seed, opts, out } => return replay(seed, &profiles, &opts, &out),
+        Campaign::Replay { seed, opts, out } => return Ok(replay(seed, &profiles, &opts, &out)),
+        Campaign::Sharded(opts) => {
+            let seeds = seed_list(0..=seeds - 1, "--seeds")?;
+            return Ok(sharded_campaign(&profiles, &seeds, jobs, &opts));
+        }
         Campaign::Recovery { opts, out } => (opts, out),
     };
-    let seeds: Vec<u64> = (0..seeds).collect();
+    let seeds = seed_list(0..=seeds - 1, "--seeds")?;
     let mut total_ok = 0usize;
     let mut total_bad = 0usize;
     for profile in &profiles {
@@ -235,7 +238,7 @@ pub(crate) fn run(chaos: Chaos) -> u8 {
         total_bad,
         profiles.len()
     );
-    u8::from(total_bad > 0)
+    Ok(u8::from(total_bad > 0))
 }
 
 /// The `--sharded` campaign: the production 2PC coordinator crashing after
@@ -244,14 +247,13 @@ pub(crate) fn run(chaos: Chaos) -> u8 {
 /// conservation oracles. One summary line per profile.
 fn sharded_campaign(
     profiles: &[SutProfile],
-    seeds: u64,
+    seeds: &[u64],
     jobs: usize,
     opts: &Shard2pcOptions,
 ) -> u8 {
-    let seeds: Vec<u64> = (0..seeds).collect();
     let mut failed = false;
     for profile in profiles {
-        let report = run_shard2pc_campaign_jobs(profile, &seeds, opts, jobs);
+        let report = run_shard2pc_campaign_jobs(profile, seeds, opts, jobs);
         let [prepared, decided, first_committed] = report.crash_points;
         println!(
             "{:8}  seeds={}  clean={}  violations={}  shards={}  prepares={}  committed-2pc={}  resolved-in-doubt={}  crashes={prepared}/{decided}/{first_committed}",

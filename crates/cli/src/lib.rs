@@ -13,6 +13,7 @@
 mod chaos_cmd;
 mod load_cmd;
 
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 use cb_engine::{EvictionPolicyKind, IsolationLevel};
@@ -122,6 +123,18 @@ fn argv_props(
 fn jobs(props: &Props) -> Result<usize, ConfigError> {
     let default = cloudybench::parallel::default_jobs() as u64;
     Ok((props.get_u64("--jobs", default)? as usize).max(1))
+}
+
+/// `seeds` as a list, or a `key <flag>:` error when the host cannot hold
+/// that many.
+fn seed_list(seeds: RangeInclusive<u64>, flag: &str) -> Result<Vec<u64>, CliError> {
+    let mut list = Vec::new();
+    list.try_reserve_exact(seeds.size_hint().0).map_err(|_| {
+        let n = (seeds.end() - seeds.start()).saturating_add(1);
+        CliError::Arg(format!("key {flag}: {n} seeds do not fit in memory"))
+    })?;
+    list.extend(seeds);
+    Ok(list)
 }
 
 /// The transaction mix under `key` (default `rw`): a named mix or
@@ -597,8 +610,8 @@ flags: --trace-out DIR    write trace.json, histograms.json/.csv, timeline.txt
 pub fn cli_main(args: impl Iterator<Item = String>) -> u8 {
     let mut args = args.peekable();
     let run = match args.peek().map(String::as_str) {
-        Some("chaos") => chaos_cmd::parse(args.skip(1)).map(chaos_cmd::run),
-        Some("load") => load_cmd::parse(args.skip(1)).map(load_cmd::run),
+        Some("chaos") => chaos_cmd::parse(args.skip(1)).and_then(chaos_cmd::run),
+        Some("load") => load_cmd::parse(args.skip(1)).and_then(load_cmd::run),
         _ => return props_main(args),
     };
     run.unwrap_or_else(|e| {

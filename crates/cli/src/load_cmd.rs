@@ -21,7 +21,7 @@ use cloudybench::{
     OpenLoopSpec, SeedOutcome,
 };
 
-use crate::{argv_props, jobs, parse_mix, parse_sut, CliError};
+use crate::{argv_props, jobs, parse_mix, parse_sut, seed_list, CliError};
 
 /// The `load` flags; each takes a value.
 const FLAGS: [&str; 12] = [
@@ -149,7 +149,7 @@ fn artifact(outcomes: &[SeedOutcome]) -> String {
 }
 
 /// Run a parsed `load` command line. Returns the process exit code.
-pub(crate) fn run(load: Load) -> u8 {
+pub(crate) fn run(load: Load) -> Result<u8, CliError> {
     let Load {
         cfg,
         spec,
@@ -157,7 +157,7 @@ pub(crate) fn run(load: Load) -> u8 {
         jobs,
         out,
     } = load;
-    let seeds: Vec<u64> = seeds.collect();
+    let seeds = seed_list(seeds, "--runs")?;
     let outcomes = run_open_loop_seeds(&cfg, &spec, &seeds, jobs);
 
     let mut t = Table::new(
@@ -211,11 +211,11 @@ pub(crate) fn run(load: Load) -> u8 {
             Ok(()) => println!("artifact written to {}", path.display()),
             Err(e) => {
                 eprintln!("cloudybench load: writing {}: {e}", path.display());
-                return 1;
+                return Ok(1);
             }
         }
     }
-    0
+    Ok(0)
 }
 
 #[cfg(test)]

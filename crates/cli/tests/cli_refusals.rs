@@ -41,6 +41,11 @@ fn values_that_cannot_run_exit_2_naming_the_flag() {
             "--phases",
         ),
         ("load --arrival poisson:100/s --phases 0,0,inf", "--phases"),
+        ("chaos --seeds 18446744073709551615", "--seeds"),
+        (
+            "load --arrival poisson:100/s --seed 0 --runs 18446744073709551615",
+            "--runs",
+        ),
     ] {
         let argv: Vec<&str> = args.split(' ').collect();
         let out = cloudybench(&argv, Duration::from_secs(60));

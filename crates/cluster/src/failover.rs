@@ -120,10 +120,10 @@ impl FailoverTimeline {
 /// Plan a fail-over injected at `inject` and detected at `detected_at`,
 /// given the WAL analysis at the moment of failure (ARIES cost depends on
 /// it). The nominal detection instant is `inject + model.detection`; a
-/// [`crate::heartbeat::HeartbeatMonitor`], or a chaos schedule that delays
-/// detection past the model's window (silent heartbeat loss), supplies its
-/// own. The "detect" phase spans `inject → detected_at`; everything after it
-/// follows the model's recovery route unchanged.
+/// chaos schedule that delays detection past the model's window (silent
+/// heartbeat loss) supplies its own. The "detect" phase spans
+/// `inject → detected_at`; everything after it follows the model's
+/// recovery route unchanged.
 pub fn plan_failover(
     model: &FailoverModel,
     inject: SimTime,

@@ -9,8 +9,6 @@
 //!   replay (the replication-lag story).
 //! * `autoscale` — the per-node autoscaler of the four scaling kinds:
 //!   fixed, on-demand, gradual-down, and quantized pause/resume.
-//! * `heartbeat` — heartbeat-based failure detection (the mechanism
-//!   behind each profile's detection delay).
 //! * `failover` — fail-over planning: ARIES vs replay-from-storage vs
 //!   remote-buffer switch-over.
 //! * `shard` — hash/range key-space sharding: deterministic routing of
@@ -25,7 +23,6 @@
 mod autoscale;
 mod elastic_pool;
 mod failover;
-mod heartbeat;
 mod metering;
 mod node;
 mod replication;
@@ -36,7 +33,6 @@ pub use elastic_pool::elastic_pool_allocate;
 pub use failover::{
     plan_failover, plan_ro_failover, FailoverModel, FailoverPhase, FailoverTimeline, RecoveryKind,
 };
-pub use heartbeat::{HeartbeatMonitor, NodeHealth};
 pub use metering::{measure, MeterConfig, ResourceUsage};
 pub use node::{Node, NodeId, NodeRole};
 pub use replication::{quorum_ack_latency, ReplayPolicy, ReplicationStream};

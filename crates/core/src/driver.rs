@@ -260,8 +260,6 @@ pub struct RunOptions {
     pub mapping: NodeMapping,
     /// vCore control mode.
     pub vcores: VcoreControl,
-    /// Collect replication-lag samples.
-    pub collect_lag: bool,
     /// Optional failure injection.
     pub failure: Option<FailurePlan>,
     /// Transaction isolation for the whole run. `None` defers to the SUT
@@ -294,7 +292,6 @@ impl Default for RunOptions {
             seed: 7,
             mapping: NodeMapping::RwWithRo,
             vcores: VcoreControl::PolicyPerNode,
-            collect_lag: false,
             failure: None,
             isolation: None,
             eviction: EvictionPolicyKind::default(),
@@ -307,8 +304,8 @@ impl Default for RunOptions {
 impl RunOptions {
     /// What an evaluator's runs inherit from the caller's base options:
     /// `seed`, `obs`, `isolation` and `eviction`. `mapping`, `vcores`,
-    /// `failure`, `collect_lag` and `shifts` define the experiment itself,
-    /// so they start from the default and the evaluator sets them.
+    /// `failure` and `shifts` define the experiment itself, so they start
+    /// from the default and the evaluator sets them.
     pub(crate) fn inherit(&self) -> RunOptions {
         RunOptions {
             seed: self.seed,
@@ -463,7 +460,7 @@ pub struct RunResult {
     pub tenants: Vec<TenantResult>,
     /// Cluster-wide committed TPS.
     pub total: TpsRecorder,
-    /// Replication-lag samples (if collected).
+    /// Replication-lag samples from the first replica's stream.
     pub lag: LagSamples,
     /// Fail-over timeline (if a failure was injected).
     pub failover: Option<FailoverTimeline>,
@@ -1226,7 +1223,7 @@ impl<'a, B: Body> RunCtx<'a, B> {
                     "replication.lag_ns",
                     applied.saturating_since(end).as_nanos(),
                 );
-                if opts.collect_lag && ri == 0 {
+                if ri == 0 {
                     if let Some(lag_kind) = B::lag_kind(kind) {
                         self.result
                             .lag
@@ -1630,7 +1627,6 @@ mod tests {
             whole(&dep),
         );
         let opts = RunOptions {
-            collect_lag: true,
             failure: Some(FailurePlan {
                 at: SimTime::from_secs(4),
                 target_ro: false,
@@ -1915,11 +1911,7 @@ mod tests {
             AccessDistribution::Uniform,
             whole(&dep),
         );
-        let opts = RunOptions {
-            collect_lag: true,
-            ..RunOptions::default()
-        };
-        let r = run(&mut dep, &[spec], &opts);
+        let r = run(&mut dep, &[spec], &RunOptions::default());
         assert!(r.tenants[0].committed > 500);
         // The RW mix has no deletes: every sample is an insert or update.
         assert!(r.lag.samples() > 0);

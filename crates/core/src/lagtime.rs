@@ -69,7 +69,6 @@ pub fn evaluate_lagtime(
             KeyPartition::whole(dep.shape.orders, dep.shape.customers),
         );
         let opts = RunOptions {
-            collect_lag: true,
             vcores: VcoreControl::Fixed,
             ..base.inherit()
         };

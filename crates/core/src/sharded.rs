@@ -34,7 +34,7 @@ use cb_sut::SutProfile;
 
 use crate::cost::{ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
-use crate::driver::{run, RunOptions, ShiftEvent, TenantSpec, VcoreControl};
+use crate::driver::{run, RunOptions, ShiftEvent, VcoreControl};
 use crate::metrics::p_score;
 use crate::parallel::par_map;
 use crate::schema::SalesStmts;
@@ -362,6 +362,14 @@ impl TwoPhaseCoordinator {
     }
 }
 
+/// Schedule slots of every fleet tenant; the flash sale spikes in the
+/// middle one.
+pub(crate) const FLEET_SLOTS: usize = 3;
+/// Zipfian skew, in per mille, of every regular fleet tenant.
+pub(crate) const FLEET_THETA_PM: u16 = 900;
+/// The shard that carries the flash sale.
+const HOT_SHARD: usize = 0;
+
 /// Shape of one tenant-fleet scenario.
 #[derive(Clone, Debug)]
 pub struct FleetSpec {
@@ -371,14 +379,8 @@ pub struct FleetSpec {
     pub clients_per_tenant: u32,
     /// Spike concurrency for the flash-sale tenant on the hot shard.
     pub hot_clients: u32,
-    /// Number of schedule slots (the spike occupies the middle slot).
-    pub slots: usize,
-    /// Length of one slot.
+    /// Length of one of the three schedule slots.
     pub slot_len: SimDuration,
-    /// Zipfian skew in per-mille (every regular tenant).
-    pub theta_pm: u16,
-    /// The shard carrying the flash sale.
-    pub hot_shard: usize,
     /// Cross-shard transfers to run after the measurement window.
     pub transfers: u64,
     /// Mid-run workload shifts applied on every shard's driver clock.
@@ -391,10 +393,7 @@ impl Default for FleetSpec {
             tenants_per_shard: 64,
             clients_per_tenant: 1,
             hot_clients: 32,
-            slots: 3,
             slot_len: SimDuration::from_secs(20),
-            theta_pm: 900,
-            hot_shard: 0,
             transfers: 64,
             shifts: Vec::new(),
         }
@@ -440,15 +439,6 @@ pub struct FleetReport {
     pub two_phase: TwoPhaseStats,
 }
 
-/// Build the tenant specs for one shard of the fleet. Tenants partition the
-/// shard's keyspace into equal slices; the hot shard's tenant 0 is the
-/// flash-sale tenant (payment-heavy mix, latest-10 skew, spike in the
-/// middle slot), everyone else runs the paper's read-write mix under
-/// Zipfian skew at constant concurrency.
-fn fleet_specs(shard: usize, dep: &Deployment, spec: &FleetSpec) -> Vec<TenantSpec> {
-    crate::tenancy::flash_sale_fleet(&dep.shape, spec, shard == spec.hot_shard)
-}
-
 /// Run the tenant-fleet scenario: per-shard closed-loop runs fanned across
 /// `jobs` cores with [`par_map`], scored with the PERFECT productivity
 /// metric per shard and in aggregate, followed by a deterministic
@@ -465,7 +455,7 @@ pub fn run_fleet(
     seed: u64,
     jobs: usize,
 ) -> FleetReport {
-    let window = spec.slot_len * spec.slots.max(1) as u64;
+    let window = spec.slot_len * FLEET_SLOTS as u64;
     let shard_ids: Vec<usize> = (0..map.shards()).collect();
     let cells = par_map(&shard_ids, jobs, |_, &s| {
         let mut dep = Deployment::new(
@@ -475,7 +465,7 @@ pub fn run_fleet(
             0,
             seed + s as u64 * SHARD_SEED_STRIDE,
         );
-        let tenants = fleet_specs(s, &dep, spec);
+        let tenants = crate::tenancy::flash_sale_fleet(&dep.shape, spec, s == HOT_SHARD);
         let opts = RunOptions {
             seed: seed + s as u64,
             vcores: VcoreControl::Fixed,
@@ -552,7 +542,7 @@ pub fn run_fleet(
         per_shard,
         aggregate_tps,
         aggregate_cost_per_min,
-        hot_shard: spec.hot_shard,
+        hot_shard: HOT_SHARD,
         two_phase: coord.stats,
     }
 }
@@ -569,7 +559,6 @@ mod tests {
             tenants_per_shard: 2,
             clients_per_tenant: 2,
             hot_clients: 8,
-            slots: 3,
             slot_len: SimDuration::from_secs(2),
             transfers: 16,
             ..FleetSpec::default()

@@ -16,6 +16,7 @@ use crate::cost::{actual_cost, ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
 use crate::driver::{run, NodeMapping, RunOptions, TenantSpec, VcoreControl};
 use crate::metrics::t_score;
+use crate::sharded::{FLEET_SLOTS, FLEET_THETA_PM};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
 /// The four multi-tenancy patterns.
@@ -96,7 +97,7 @@ pub(crate) fn flash_sale_fleet(
         .map(|j| {
             let partition = KeyPartition::tenant_slice(shape.orders, shape.customers, j, n);
             if hot && j == 0 {
-                let mut slots = vec![spec.clients_per_tenant; spec.slots.max(1)];
+                let mut slots = vec![spec.clients_per_tenant; FLEET_SLOTS];
                 let mid = slots.len() / 2;
                 slots[mid] = spec.hot_clients;
                 TenantSpec {
@@ -108,10 +109,10 @@ pub(crate) fn flash_sale_fleet(
                 }
             } else {
                 TenantSpec {
-                    slots: vec![spec.clients_per_tenant; spec.slots.max(1)],
+                    slots: vec![spec.clients_per_tenant; FLEET_SLOTS],
                     slot_len: spec.slot_len,
                     mix: TxnMix::read_write(),
-                    dist: AccessDistribution::Zipfian(spec.theta_pm),
+                    dist: AccessDistribution::Zipfian(FLEET_THETA_PM),
                     partition,
                 }
             }
@@ -394,7 +395,6 @@ mod tests {
             tenants_per_shard: 4,
             clients_per_tenant: 2,
             hot_clients: 16,
-            slots: 3,
             ..crate::sharded::FleetSpec::default()
         };
         let hot = flash_sale_fleet(&shape, &spec, true);
@@ -403,7 +403,7 @@ mod tests {
         assert_eq!(hot[0].slots, vec![2, 16, 2], "spike in the middle slot");
         assert_eq!(hot[0].dist, AccessDistribution::Latest(10));
         assert_eq!(cold[0].slots, vec![2, 2, 2]);
-        assert_eq!(cold[0].dist, AccessDistribution::Zipfian(spec.theta_pm));
+        assert_eq!(cold[0].dist, AccessDistribution::Zipfian(FLEET_THETA_PM));
         // Non-hot tenants are identical either way, and the tenant slices
         // tile the keyspace without overlap.
         assert_eq!(hot[1], cold[1]);

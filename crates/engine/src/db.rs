@@ -452,22 +452,6 @@ impl Database {
         Ok(key)
     }
 
-    /// Insert with an auto-assigned key (`INSERT ... VALUES (DEFAULT, ...)`);
-    /// `rest` are the non-key columns.
-    pub fn insert_auto(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        txn: &mut TxnHandle,
-        table: TableId,
-        rest: Vec<Value>,
-    ) -> Result<i64, EngineError> {
-        let key = self.tables[table.0 as usize].auto_key;
-        let mut values = Vec::with_capacity(rest.len() + 1);
-        values.push(Value::Int(key));
-        values.extend(rest);
-        self.insert(ctx, txn, table, Row::new(values))
-    }
-
     /// Point lookup. Under a versioned isolation level the read resolves
     /// against the snapshot at `ctx.now`: the common case (the row's latest
     /// image committed at-or-before the snapshot) is one overlay probe and
@@ -982,15 +966,13 @@ mod tests {
         let mut env = Env::new();
         let mut ctx = env.ctx();
         let mut txn = db.begin();
+        let next = db.table(orders).next_auto_key();
+        assert_eq!(next, 11, "auto key continues after bulk load");
         let k = db
-            .insert_auto(
-                &mut ctx,
-                &mut txn,
-                orders,
-                vec![Value::Text("NEW".into()), Value::Int(7)],
-            )
+            .insert(&mut ctx, &mut txn, orders, order_row(next, "NEW", 7))
             .unwrap();
-        assert_eq!(k, 11, "auto key continues after bulk load");
+        assert_eq!(k, 11);
+        assert_eq!(db.table(orders).next_auto_key(), 12, "insert moves it on");
         db.commit(&mut ctx, txn);
     }
 
@@ -1233,13 +1215,8 @@ mod tests {
             let mut ctx = env.ctx();
             let mut txn = db.begin();
             for i in 0..400 {
-                db.insert_auto(
-                    &mut ctx,
-                    &mut txn,
-                    t,
-                    vec![Value::Text(status.into()), Value::Int(i)],
-                )
-                .unwrap();
+                let row = order_row(db.table(t).next_auto_key(), status, i);
+                db.insert(&mut ctx, &mut txn, t, row).unwrap();
             }
             db.update(&mut ctx, &mut txn, t, 2, |r| {
                 r.values[1] = Value::Text(status.into())

@@ -95,7 +95,6 @@ fn sharded_fleet() {
         shifts: vec![ShiftEvent::at(SimTime::ZERO + SimDuration::from_secs(30))
             .mix(TxnMix::new(10.0, 30.0, 60.0, 0.0))
             .dist(AccessDistribution::Latest(10))],
-        ..FleetSpec::default()
     };
     let shape = cloudybench::DatasetShape::new(1, sim_scale);
     let keyspace = shape.orders.min(shape.customers) as i64;
