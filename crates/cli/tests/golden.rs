@@ -3,9 +3,11 @@
 //! A fixed corpus of real runs — every props mode, the chaos and sharded-2PC
 //! campaigns, the `load` subcommand's artifact, and every scaling kind (the
 //! elasticity runs of the three autoscaled profiles, one what-if scaler, and
-//! Fig 9's constant-load baselines), and the version store under snapshot
-//! and serializable load — is reduced to one FNV-1a-64 digest per
-//! entry and compared with `golden/MANIFEST`. The corpus is driven through
+//! Fig 9's constant-load baselines), the fixed-capacity OLTP cell (the
+//! testbed's P-Score and replica runs, and two cells back to back on one
+//! warm deployment), and the version store under snapshot and serializable
+//! load — is reduced to one FNV-1a-64 digest per entry and compared with
+//! `golden/MANIFEST`. The corpus is driven through
 //! the libraries (and, for `load`, the binary with a temporary `--out`), so
 //! no output path enters a digest.
 //!
@@ -24,15 +26,16 @@ use cb_cluster::ScalingKind;
 use cb_engine::{EvictionPolicyKind, IsolationLevel};
 use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
 use cb_obs::{ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, ObsSink};
-use cb_sim::SimDuration;
+use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 use cloudybench::baselines::{run_constant, Baseline, BaselineRun};
 use cloudybench::config::Props;
+use cloudybench::cost::{ruc_cost, RucRates};
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::parallel::par_map;
 use cloudybench::{
     run, run_open_loop, AccessDistribution, Deployment, KeyPartition, OpenLoopSpec, RunOptions,
-    RunResult, TenantSpec, TxnMix, VcoreControl,
+    RunResult, TenantSpec, Testbed, TxnMix, VcoreControl,
 };
 
 const MANIFEST: &str = include_str!("golden/MANIFEST");
@@ -202,6 +205,72 @@ fn baselines_corpus(out: &mut BTreeMap<String, String>) {
     let tpcc = run_constant(&profile, Baseline::TpccLite, 44, duration, 2000, 7);
     out.insert("baselines.cdb3.sysbench".into(), baseline_digest(&sys));
     out.insert("baselines.cdb3.tpcc".into(), baseline_digest(&tpcc));
+}
+
+/// Every f64 as its bits.
+fn bits(h: &mut Fnv, values: &[f64]) {
+    for v in values {
+        h.field(v.to_bits().to_le_bytes());
+    }
+}
+
+/// One fixed-capacity OLTP cell on a warm deployment: ten read-write
+/// clients for 3 s over the whole key space at fixed vCores, priced per
+/// minute at the default rates. Hashes the TPS, the cost and the primary
+/// pool's hit, miss and dirty-eviction deltas over the cell.
+fn warm_cell(h: &mut Fnv, dep: &mut Deployment, eviction: EvictionPolicyKind) {
+    dep.reset_runtime();
+    let duration = SimDuration::from_secs(3);
+    let spec = TenantSpec::constant(
+        10,
+        duration,
+        TxnMix::read_write(),
+        AccessDistribution::Uniform,
+        KeyPartition::whole(dep.shape.orders, dep.shape.customers),
+    );
+    let opts = RunOptions {
+        seed: 7,
+        vcores: VcoreControl::Fixed,
+        eviction,
+        ..RunOptions::default()
+    };
+    let pool = |d: &Deployment| {
+        let p = &d.nodes[0].pool;
+        [p.hits(), p.misses(), p.dirty_evictions()]
+    };
+    let before = pool(dep);
+    let result = run(dep, &[spec], &opts);
+    let after = pool(dep);
+    let end = SimTime::ZERO + duration;
+    let usage = dep.usage(SimTime::ZERO, end);
+    let c = ruc_cost(&usage, &RucRates::default()).scaled(1.0 / (duration.as_secs_f64() / 60.0));
+    bits(h, &[result.avg_tps(SimTime::ZERO, end)]);
+    bits(h, &[c.cpu, c.mem, c.storage, c.iops, c.network]);
+    for (a, b) in after.iter().zip(before) {
+        h.field((a - b).to_le_bytes());
+    }
+}
+
+/// The fixed-capacity OLTP cells no props mode reaches: the testbed's
+/// P-Score run and its E2 replica probe on CDB3, and two back-to-back cells
+/// on one CDB2 deployment, the second warm and under SIEVE.
+fn cell_corpus(out: &mut BTreeMap<String, String>) {
+    let mut tb = Testbed::new(SutProfile::cdb3(), 2000, 7);
+    tb.concurrency = 20;
+    let r = tb.oltp(1, TxnMix::read_write(), 5);
+    let c = &r.cost_per_min;
+    let mut h = Fnv::new();
+    h.field(r.committed.to_le_bytes());
+    bits(&mut h, &[r.avg_tps, r.avg_latency_ms, r.p99_latency_ms]);
+    bits(&mut h, &[c.cpu, c.mem, c.storage, c.iops, c.network]);
+    bits(&mut h, &[0, 1, 2].map(|ro| tb.read_tps_with_replicas(ro)));
+    out.insert("cell.testbed.cdb3".into(), h.hex());
+
+    let mut dep = Deployment::new(SutProfile::cdb2(), 1, 2000, 1, 7);
+    let mut h = Fnv::new();
+    warm_cell(&mut h, &mut dep, EvictionPolicyKind::Lru);
+    warm_cell(&mut h, &mut dep, EvictionPolicyKind::Sieve);
+    out.insert("cell.warm.cdb2".into(), h.hex());
 }
 
 /// Hash the latency histogram, the per-second series and the version
@@ -386,6 +455,7 @@ fn golden_manifest_matches() {
     props_corpus(&mut actual);
     what_if_corpus(&mut actual);
     baselines_corpus(&mut actual);
+    cell_corpus(&mut actual);
     mvcc_corpus(&mut actual);
     chaos_corpus(&mut actual);
     shard2pc_corpus(&mut actual);
