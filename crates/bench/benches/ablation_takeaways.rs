@@ -12,24 +12,16 @@
 //! 4. Memory disaggregation itself: CDB4 with and without its remote
 //!    buffer pool (throughput + fail-over).
 
-use cb_bench::{oltp_cell, SEED, SIM_SCALE};
+use cb_bench::{base_options, MEASURE, SEED, SIM_SCALE};
 use cb_cluster::ScalingKind;
 use cb_sut::SutProfile;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::report::{fmoney, fnum, Table};
-use cloudybench::RunOptions;
-use cloudybench::{AccessDistribution, Deployment, TxnMix};
+use cloudybench::{oltp_cell, AccessDistribution, Deployment, TxnMix};
 
 const MB: u64 = 1024 * 1024;
 const GB: u64 = 1024 * 1024 * 1024;
-
-fn opts() -> RunOptions {
-    RunOptions {
-        seed: SEED,
-        ..RunOptions::default()
-    }
-}
 
 fn main() {
     println!("=== Ablations: the paper's takeaway what-ifs ===\n");
@@ -57,7 +49,7 @@ fn ablation_cdb1_scale_down() {
             TxnMix::read_write(),
             110,
             SIM_SCALE,
-            &opts(),
+            &base_options(),
         );
         t.row(&[
             label.into(),
@@ -79,12 +71,8 @@ fn ablation_cdb2_buffer() {
         profile.local_buffer_bytes = bytes;
         profile.local_mem_gb = 20.0 + (bytes as f64 / GB as f64);
         let mut dep = Deployment::new(profile, 100, SIM_SCALE, 1, SEED);
-        let cell = oltp_cell(
-            &mut dep,
-            TxnMix::read_write(),
-            100,
-            AccessDistribution::Uniform,
-        );
+        let (rw, uniform) = (TxnMix::read_write(), AccessDistribution::Uniform);
+        let cell = oltp_cell(&mut dep, 100, MEASURE, rw, uniform, &base_options());
         t.row(&[
             label.into(),
             fnum(cell.avg_tps),
@@ -112,7 +100,7 @@ fn ablation_cdb4_autoscaling() {
             TxnMix::read_write(),
             110,
             SIM_SCALE,
-            &opts(),
+            &base_options(),
         );
         t.row(&[
             label.into(),
@@ -148,13 +136,9 @@ fn ablation_cdb4_remote_pool() {
         ("no remote pool (what-if)", without),
     ] {
         let mut dep = Deployment::new(profile.clone(), 100, SIM_SCALE, 1, SEED);
-        let cell = oltp_cell(
-            &mut dep,
-            TxnMix::read_only(),
-            100,
-            AccessDistribution::Uniform,
-        );
-        let fo = evaluate_failover(&profile, 100, SIM_SCALE, &opts());
+        let (ro, uniform) = (TxnMix::read_only(), AccessDistribution::Uniform);
+        let cell = oltp_cell(&mut dep, 100, MEASURE, ro, uniform, &base_options());
+        let fo = evaluate_failover(&profile, 100, SIM_SCALE, &base_options());
         t.row(&[
             label.into(),
             fnum(cell.avg_tps),

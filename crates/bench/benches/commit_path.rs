@@ -8,11 +8,11 @@
 //! device's queue while batches amortize one flush across the group — TPS
 //! rises and the metered IOPS bill falls together.
 
-use cb_bench::{oltp_cell, SEED, SIM_SCALE};
+use cb_bench::{base_options, MEASURE, SEED, SIM_SCALE};
 use cb_store::GroupCommitConfig;
 use cb_sut::SutProfile;
 use cloudybench::report::{fnum, Table};
-use cloudybench::{AccessDistribution, Deployment, TxnMix};
+use cloudybench::{oltp_cell, AccessDistribution, Deployment, TxnMix};
 
 const CONCURRENCIES: [u32; 4] = [16, 64, 128, 200];
 
@@ -20,7 +20,7 @@ fn main() {
     println!("=== Commit path: group commit vs per-commit flushes (aws-rds) ===");
     println!(
         "(sim_scale {SIM_SCALE}, {}s windows, seed {SEED}, write-only mix; 1 RW + 1 RO)\n",
-        cb_bench::MEASURE_SECS
+        MEASURE.as_secs()
     );
     let mut table = Table::new(
         "Committed TPS and metered IO cost by concurrency",
@@ -40,12 +40,8 @@ fn main() {
             GroupCommitConfig::per_commit(percommit_profile.group_commit.ack);
         let run = |profile| {
             let mut dep = Deployment::new(profile, 1, SIM_SCALE, 1, SEED);
-            oltp_cell(
-                &mut dep,
-                TxnMix::write_only(),
-                con,
-                AccessDistribution::Uniform,
-            )
+            let (wo, uniform) = (TxnMix::write_only(), AccessDistribution::Uniform);
+            oltp_cell(&mut dep, con, MEASURE, wo, uniform, &base_options())
         };
         let per = run(percommit_profile);
         let grp = run(grouped_profile);

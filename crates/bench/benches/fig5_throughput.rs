@@ -29,7 +29,7 @@ fn main() {
     println!("=== Figure 5: transaction processing performance ===");
     println!(
         "(sim_scale {SIM_SCALE}, {}s windows, seed {SEED}; 1 RW + 1 RO; {jobs} jobs)\n",
-        cb_bench::MEASURE_SECS
+        cb_bench::MEASURE.as_secs()
     );
     let mixes = paper_mixes();
     let slabs = oltp_grid(&SCALE_FACTORS, SIM_SCALE, &mixes, &CONCURRENCIES, jobs);

@@ -11,11 +11,11 @@
 //! ~1/3 the network cost); AWS RDS keeps a modest edge over CDB1 on average
 //! TPS thanks to its local NVMe commit path.
 
-use cb_bench::{oltp_cell, SEED, SIM_SCALE};
+use cb_bench::{base_options, MEASURE, SEED, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::metrics::p_score;
 use cloudybench::report::{fmoney, fnum, Table};
-use cloudybench::{AccessDistribution, Deployment, TxnMix};
+use cloudybench::{oltp_cell, AccessDistribution, Deployment, TxnMix};
 
 const MB: u64 = 1024 * 1024;
 const GB: u64 = 1024 * 1024 * 1024;
@@ -33,6 +33,11 @@ fn main() {
         "Figure 8 — TPS / cost / P-Score by buffer size",
         &["System", "Buffer", "Avg TPS", "Cost$/min", "P-Score"],
     );
+    let (rw, uniform, opts) = (
+        TxnMix::read_write(),
+        AccessDistribution::Uniform,
+        base_options(),
+    );
     for base in [
         SutProfile::aws_rds(),
         SutProfile::cdb1(),
@@ -48,12 +53,7 @@ fn main() {
             let mut tps_sum = 0.0;
             let mut cost = None;
             for con in CONS {
-                let cell = oltp_cell(
-                    &mut dep,
-                    TxnMix::read_write(),
-                    con,
-                    AccessDistribution::Uniform,
-                );
+                let cell = oltp_cell(&mut dep, con, MEASURE, rw, uniform, &opts);
                 tps_sum += cell.avg_tps;
                 cost = Some(cell.cost_per_min);
             }

@@ -18,11 +18,11 @@
 //! cache state, so no warm-cache carry-over), single seed, fixed vcores —
 //! byte-identical on every run.
 
-use cb_bench::{policy_cell_seeded, PolicyCell, SEED, SIM_SCALE};
+use cb_bench::{MEASURE, SEED, SIM_SCALE};
 use cb_engine::EvictionPolicyKind;
 use cb_sut::SutProfile;
 use cloudybench::report::{fnum, Table};
-use cloudybench::{AccessDistribution, Deployment, TxnMix};
+use cloudybench::{oltp_cell, AccessDistribution, Deployment, RunOptions, TxnMix};
 
 const MB: u64 = 1024 * 1024;
 const BUFFERS: [(u64, &str); 3] = [(16 * MB, "16MB"), (44 * MB, "44MB"), (128 * MB, "128MB")];
@@ -55,12 +55,26 @@ fn main() {
             let mut profile = SutProfile::cdb2();
             profile.local_buffer_bytes = bytes;
             let mut dep = Deployment::new(profile, 100, SIM_SCALE, 1, seed);
-            let PolicyCell {
-                avg_tps,
-                hit_pct,
-                dirty_writebacks,
-                ..
-            } = policy_cell_seeded(&mut dep, mix, CONCURRENCY, ZIPF, kind, seed);
+            let opts = RunOptions {
+                seed,
+                eviction: kind,
+                ..RunOptions::default()
+            };
+            // The primary's pool survives `reset_runtime`, so its counters
+            // are read as deltas over the cell.
+            let pool = |d: &Deployment| {
+                let p = &d.nodes[0].pool;
+                [p.hits(), p.misses(), p.dirty_evictions()]
+            };
+            let [h0, m0, d0] = pool(&dep);
+            let avg_tps = oltp_cell(&mut dep, CONCURRENCY, MEASURE, mix, ZIPF, &opts).avg_tps;
+            let [h1, m1, d1] = pool(&dep);
+            let touches = (h1 - h0) + (m1 - m0);
+            let hit_pct = if touches == 0 {
+                0.0
+            } else {
+                100.0 * (h1 - h0) as f64 / touches as f64
+            };
             let delta = match (kind, lru_tps) {
                 (EvictionPolicyKind::Lru, _) => {
                     lru_tps = Some(avg_tps);
@@ -74,7 +88,7 @@ fn main() {
                 kind.label().to_string(),
                 format!("{}{delta}", fnum(avg_tps)),
                 fnum(hit_pct),
-                format!("{dirty_writebacks}"),
+                format!("{}", d1 - d0),
             ]);
         }
     }

@@ -8,15 +8,14 @@
 //! never touch the lock table at all. SER adds read validation on T3's
 //! order-status check, converting read-write overlap into aborts too.
 
-use cb_bench::{standard_deployment, SEED};
+use cb_bench::{base_options, standard_deployment};
 use cb_engine::IsolationLevel;
-use cb_sim::{SimDuration, SimTime};
+use cb_sim::SimDuration;
 use cb_sut::SutProfile;
-use cloudybench::driver::VcoreControl;
 use cloudybench::report::{fnum, Table};
-use cloudybench::{run, AccessDistribution, KeyPartition, RunOptions, TenantSpec, TxnMix};
+use cloudybench::{oltp_cell, AccessDistribution, RunOptions, TxnMix};
 
-const MEASURE_SECS: u64 = 10;
+const MEASURE: SimDuration = SimDuration::from_secs(10);
 
 fn main() {
     println!("=== Isolation ablation: T1-T4 on aws-rds, latest(64) hot set ===\n");
@@ -39,27 +38,18 @@ fn main() {
     ] {
         for clients in [8u32, 32, 96] {
             let mut dep = standard_deployment(&profile, 1);
-            let duration = SimDuration::from_secs(MEASURE_SECS);
-            let spec = TenantSpec::constant(
-                clients,
-                duration,
-                TxnMix::read_write(),
-                AccessDistribution::Latest(64),
-                KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-            );
             let opts = RunOptions {
-                seed: SEED,
-                vcores: VcoreControl::Fixed,
                 isolation: Some(iso),
-                ..RunOptions::default()
+                ..base_options()
             };
-            let r = run(&mut dep, &[spec], &opts);
-            let tps = r.avg_tps(SimTime::ZERO, SimTime::ZERO + duration);
+            let (rw, hot) = (TxnMix::read_write(), AccessDistribution::Latest(64));
+            let cell = oltp_cell(&mut dep, clients, MEASURE, rw, hot, &opts);
+            let r = &cell.run;
             let p99_ms = r.tenants[0].latency_hist.percentile(99.0) as f64 / 1e6;
             t.row(&[
                 iso.as_str().to_uppercase(),
                 clients.to_string(),
-                fnum(tps),
+                fnum(cell.avg_tps),
                 format!("{p99_ms:.2}"),
                 r.lock_conflicts.to_string(),
                 r.si_aborts.to_string(),

@@ -7,12 +7,10 @@
 //! Percentiles come from the exact log-bucketed histogram in `cb-obs`
 //! (≤1% relative error), not a sampled reservoir.
 
-use cb_bench::{standard_deployment, SEED};
-use cb_sim::SimDuration;
+use cb_bench::{base_options, standard_deployment, MEASURE};
 use cb_sut::SutProfile;
-use cloudybench::driver::VcoreControl;
 use cloudybench::report::Table;
-use cloudybench::{run, AccessDistribution, KeyPartition, RunOptions, TenantSpec, TxnMix};
+use cloudybench::{oltp_cell, AccessDistribution, TxnMix};
 
 fn main() {
     println!("=== Latency profile (extension): percentiles by system and mix ===\n");
@@ -31,20 +29,7 @@ fn main() {
                 AccessDistribution::Latest(10),
             ),
         ] {
-            dep.reset_runtime();
-            let spec = TenantSpec::constant(
-                100,
-                SimDuration::from_secs(20),
-                mix,
-                dist,
-                KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-            );
-            let opts = RunOptions {
-                seed: SEED,
-                vcores: VcoreControl::Fixed,
-                ..RunOptions::default()
-            };
-            let r = run(&mut dep, &[spec], &opts);
+            let r = oltp_cell(&mut dep, 100, MEASURE, mix, dist, &base_options()).run;
             let t = &r.tenants[0];
             table.row(&[
                 profile.display.to_string(),

@@ -14,7 +14,9 @@
 //! 3. **Multi-seed aggregation**: one fixed-rate plan across 5 seeds,
 //!    reporting mean/stddev/CV/95% CI per metric.
 
-use cb_bench::{open_loop_cell, open_loop_curve, OPEN_LOOP_CLIENTS, SEED, SIM_SCALE};
+use cb_bench::{
+    base_options, open_loop_cell, open_loop_curve, MEASURE, OPEN_LOOP_CLIENTS, SEED, SIM_SCALE,
+};
 use cb_load::{ArrivalPlan, PhasePlan};
 use cb_sim::SimDuration;
 use cb_sut::SutProfile;
@@ -34,7 +36,7 @@ fn main() {
     println!(
         "(sim_scale {SIM_SCALE}, 2s+2s warmup/ramp, {}s measured, seed {SEED}, \
          {OPEN_LOOP_CLIENTS} logical clients; 1 RW + 1 RO)\n",
-        cb_bench::MEASURE_SECS
+        MEASURE.as_secs()
     );
     for profile in [SutProfile::aws_rds(), SutProfile::cdb4()] {
         fixed_rate_sweep(&profile);
@@ -59,10 +61,10 @@ fn fixed_rate_sweep(profile: &SutProfile) {
         ],
     );
     let cells = open_loop_curve(profile, 1, SIM_SCALE, TxnMix::read_write(), &RATES, 4);
-    for c in &cells {
+    for (rate, c) in RATES.iter().zip(&cells) {
         t.row(&[
-            fnum(c.offered_rate),
-            fnum(c.measured_tps),
+            fnum(*rate),
+            fnum(c.tps),
             fnum(c.mean_ms),
             fnum(c.p50_ms),
             fnum(c.p99_ms),
@@ -85,7 +87,7 @@ fn fixed_vs_maxtp(profile: &SutProfile) {
         let c = open_loop_cell(&mut dep, TxnMix::read_write(), rate);
         t.row(&[
             format!("poisson {}/s", rate as u64),
-            fnum(c.measured_tps),
+            fnum(c.tps),
             fnum(c.p50_ms),
             fnum(c.p99_ms),
             c.queue_depth_max.to_string(),
@@ -99,7 +101,7 @@ fn fixed_vs_maxtp(profile: &SutProfile) {
                 PhasePlan::new(
                     SimDuration::from_secs(2),
                     SimDuration::from_secs(2),
-                    SimDuration::from_secs(cb_bench::MEASURE_SECS),
+                    MEASURE,
                 ),
             ),
             mix: TxnMix::read_write(),
@@ -107,9 +109,8 @@ fn fixed_vs_maxtp(profile: &SutProfile) {
             partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
         };
         let opts = RunOptions {
-            seed: SEED,
             vcores: cloudybench::driver::VcoreControl::Fixed,
-            ..RunOptions::default()
+            ..base_options()
         };
         let r = run_open_loop(&mut dep, &spec, &opts);
         t.row(&[
@@ -136,7 +137,7 @@ fn multi_seed(profile: &SutProfile) {
             PhasePlan::new(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(2),
-                SimDuration::from_secs(cb_bench::MEASURE_SECS),
+                MEASURE,
             ),
             OPEN_LOOP_CLIENTS,
         ),

@@ -6,11 +6,11 @@
 //! memory, high IOPS); CDB2 lowest (buffer-bound TPS plus a 327× IOPS
 //! bill); CDB1 penalized by its 1:8 CPU:memory ratio and six-way storage.
 
-use cb_bench::{oltp_cell, paper_mixes, standard_deployment, SIM_SCALE};
+use cb_bench::{base_options, paper_mixes, standard_deployment, MEASURE, SIM_SCALE};
 use cb_sut::SutProfile;
 use cloudybench::metrics::p_score;
 use cloudybench::report::{fmoney, fnum, Table};
-use cloudybench::AccessDistribution;
+use cloudybench::{oltp_cell, AccessDistribution};
 
 fn main() {
     println!("=== Table V: P-Score with detailed resource cost ===");
@@ -31,12 +31,13 @@ fn main() {
             "P(AVG)",
         ],
     );
+    let (uniform, base) = (AccessDistribution::Uniform, base_options());
     for profile in SutProfile::all() {
         let mut dep = standard_deployment(&profile, 10);
         let mut scores = Vec::new();
         let mut cost = None;
         for (_, mix) in paper_mixes() {
-            let cell = oltp_cell(&mut dep, mix, 100, AccessDistribution::Uniform);
+            let cell = oltp_cell(&mut dep, 100, MEASURE, mix, uniform, &base);
             scores.push(p_score(cell.avg_tps, &cell.cost_per_min));
             cost = Some(cell.cost_per_min);
         }

@@ -7,47 +7,23 @@
 //! (C) and wins the combined O-Score; with actual prices the startup
 //! pricing of CDB3 flips the ranking (highest O-Score*).
 
-use cb_bench::{oltp_cell, standard_deployment, SEED, SIM_SCALE};
-use cb_sim::{SimDuration, SimTime};
+use cb_bench::{base_options, standard_deployment, MEASURE, SEED, SIM_SCALE};
+use cb_sim::SimTime;
 use cb_sut::SutProfile;
 use cloudybench::cost::{actual_cost, RucRates};
-use cloudybench::driver::VcoreControl;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::lagtime::evaluate_lagtime;
 use cloudybench::metrics::{e1_score, e2_score, o_score, p_score, Perfect};
 use cloudybench::report::{fnum, Table};
 use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
-use cloudybench::{
-    run, AccessDistribution, Deployment, KeyPartition, RunOptions, TenantSpec, TxnMix,
-};
+use cloudybench::{oltp_cell, AccessDistribution, Deployment, TxnMix};
 
 const TAU: u32 = 110;
 
-/// Read-heavy TPS with `ro` replicas (for E2).
-fn tps_with_ro(profile: &SutProfile, ro: usize) -> f64 {
-    let mut dep = Deployment::new(profile.clone(), 1, SIM_SCALE, ro, SEED);
-    let duration = SimDuration::from_secs(20);
-    let spec = TenantSpec::constant(
-        150,
-        duration,
-        TxnMix::read_only(),
-        AccessDistribution::Uniform,
-        KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-    );
-    let opts = RunOptions {
-        seed: SEED,
-        vcores: VcoreControl::Fixed,
-        ..RunOptions::default()
-    };
-    run(&mut dep, &[spec], &opts).avg_tps(SimTime::ZERO, SimTime::ZERO + duration)
-}
-
 fn main() {
-    let base = RunOptions {
-        seed: SEED,
-        ..RunOptions::default()
-    };
+    let base = base_options();
+    let uniform = AccessDistribution::Uniform;
     println!("=== Table IX: overall performance (PERFECT framework) ===\n");
     let mut table = Table::new(
         "Table IX — PERFECT scores and O-Score",
@@ -58,15 +34,9 @@ fn main() {
     for profile in SutProfile::all() {
         // P / P*: read-write throughput per dollar (RUC and actual).
         let mut dep = standard_deployment(&profile, 1);
-        let cell = oltp_cell(
-            &mut dep,
-            TxnMix::read_write(),
-            100,
-            AccessDistribution::Uniform,
-        );
+        let cell = oltp_cell(&mut dep, 100, MEASURE, TxnMix::read_write(), uniform, &base);
         let p = p_score(cell.avg_tps, &cell.cost_per_min);
-        let window = SimDuration::from_secs(cb_bench::MEASURE_SECS);
-        let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + window);
+        let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + MEASURE);
         // Actual dollars (including the vendor's billing minimum) divided
         // by the minutes of *work*: a 10-minute minimum makes a 20-second
         // run ~30x more expensive per useful minute — the paper's P* story.
@@ -109,12 +79,12 @@ fn main() {
         let f = fo.f_avg();
         let r = fo.r_avg().max(0.5);
 
-        // E2: add RO nodes and measure marginal read throughput.
-        let tps_series = [
-            tps_with_ro(&profile, 0),
-            tps_with_ro(&profile, 1),
-            tps_with_ro(&profile, 2),
-        ];
+        // E2: add RO nodes and measure marginal read-only throughput.
+        let tps_series = [0, 1, 2].map(|ro| {
+            let mut dep = Deployment::new(profile.clone(), 1, SIM_SCALE, ro, SEED);
+            let ro_mix = TxnMix::read_only();
+            oltp_cell(&mut dep, 150, MEASURE, ro_mix, uniform, &base).avg_tps
+        });
         let e2 = e2_score(&tps_series, 1.0).max(1.0);
 
         // C: replication lag.

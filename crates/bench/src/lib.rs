@@ -1,21 +1,21 @@
 //! # cb-bench — shared harness utilities for the paper-reproduction benches
 //!
 //! Each bench target under `benches/` regenerates one table or figure of
-//! the CloudyBench paper. This library holds the glue they share: standard
-//! OLTP measurement runs, score assembly, and the experiment-wide defaults
-//! (simulation scale, run windows) documented in EXPERIMENTS.md.
+//! the CloudyBench paper. This library holds the glue they share: the
+//! standard deployment, the parallel OLTP grid over
+//! [`cloudybench::oltp_cell`], the open-loop cell, and the experiment-wide
+//! defaults (simulation scale, run window, seed) documented in
+//! EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 
-use cb_engine::EvictionPolicyKind;
 use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
-use cb_sim::{SimDuration, SimTime};
+use cb_sim::SimDuration;
 use cb_sut::SutProfile;
-use cloudybench::cost::{ruc_cost, CostBreakdown, RucRates};
 use cloudybench::driver::VcoreControl;
 use cloudybench::{
-    run, run_open_loop, AccessDistribution, Deployment, KeyPartition, OpenLoopSpec, RunOptions,
-    TenantSpec, TxnMix,
+    oltp_cell, run_open_loop, AccessDistribution, Deployment, KeyPartition, OltpReport,
+    OpenLoopSpec, RunOptions, SeedOutcome, TxnMix,
 };
 
 /// Default simulation scale divisor: data and buffer pools shrink by this
@@ -23,102 +23,16 @@ use cloudybench::{
 pub const SIM_SCALE: u64 = 100;
 
 /// Default measurement window for throughput cells.
-pub const MEASURE_SECS: u64 = 20;
+pub const MEASURE: SimDuration = SimDuration::from_secs(20);
 
 /// Default workload seed.
 pub const SEED: u64 = 2025;
 
-/// The outcome of one OLTP measurement cell.
-pub struct OltpCell {
-    /// Average TPS over the window.
-    pub avg_tps: f64,
-    /// RUC cost per minute.
-    pub cost_per_min: CostBreakdown,
-}
-
-/// Run one fixed-capacity OLTP cell: `concurrency` clients, the given mix,
-/// against an existing deployment.
-pub fn oltp_cell(
-    dep: &mut Deployment,
-    mix: TxnMix,
-    concurrency: u32,
-    dist: AccessDistribution,
-) -> OltpCell {
-    let cell = policy_cell_seeded(
-        dep,
-        mix,
-        concurrency,
-        dist,
-        EvictionPolicyKind::default(),
-        SEED,
-    );
-    OltpCell {
-        avg_tps: cell.avg_tps,
-        cost_per_min: cell.cost_per_min,
-    }
-}
-
-/// One cell of the eviction-policy grid: throughput, cost, and the primary
-/// node's buffer-pool statistics over this cell's run (counter deltas — the
-/// pool object survives [`Deployment::reset_runtime`], so totals span runs).
-pub struct PolicyCell {
-    /// Average TPS over the window.
-    pub avg_tps: f64,
-    /// Buffer-pool hit percentage on the primary during this cell.
-    pub hit_pct: f64,
-    /// Dirty pages written back during this cell.
-    pub dirty_writebacks: u64,
-    /// RUC cost per minute.
-    pub cost_per_min: CostBreakdown,
-}
-
-/// Run one fixed-capacity OLTP cell — [`MEASURE_SECS`] of `concurrency`
-/// closed-loop clients — under an explicit eviction policy and workload
-/// seed (`CB_SEED` in `fig8_policy_grid` drives the seed-stability check),
-/// reporting the primary's hit rate alongside throughput. [`oltp_cell`] is
-/// this cell at the default policy; `eviction` feeds `RunOptions::eviction`.
-pub fn policy_cell_seeded(
-    dep: &mut Deployment,
-    mix: TxnMix,
-    concurrency: u32,
-    dist: AccessDistribution,
-    eviction: EvictionPolicyKind,
-    seed: u64,
-) -> PolicyCell {
-    dep.reset_runtime();
-    let duration = SimDuration::from_secs(MEASURE_SECS);
-    let spec = TenantSpec::constant(
-        concurrency,
-        duration,
-        mix,
-        dist,
-        KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-    );
-    let opts = RunOptions {
-        seed,
-        vcores: VcoreControl::Fixed,
-        eviction,
+/// The options every cell starts from: [`SEED`], the rest default.
+pub fn base_options() -> RunOptions {
+    RunOptions {
+        seed: SEED,
         ..RunOptions::default()
-    };
-    let (h0, m0) = (dep.nodes[0].pool.hits(), dep.nodes[0].pool.misses());
-    let d0 = dep.nodes[0].pool.dirty_evictions();
-    let result = run(dep, &[spec], &opts);
-    let (h1, m1) = (dep.nodes[0].pool.hits(), dep.nodes[0].pool.misses());
-    let d1 = dep.nodes[0].pool.dirty_evictions();
-    let avg_tps = result.avg_tps(SimTime::ZERO, SimTime::ZERO + duration);
-    let usage = dep.usage(SimTime::ZERO, SimTime::ZERO + duration);
-    let cost = ruc_cost(&usage, &RucRates::default());
-    let minutes = duration.as_secs_f64() / 60.0;
-    let touches = (h1 - h0) + (m1 - m0);
-    PolicyCell {
-        avg_tps,
-        hit_pct: if touches == 0 {
-            0.0
-        } else {
-            100.0 * (h1 - h0) as f64 / touches as f64
-        },
-        dirty_writebacks: d1 - d0,
-        cost_per_min: cost.scaled(1.0 / minutes),
     }
 }
 
@@ -139,7 +53,7 @@ pub struct OltpSlab {
     pub scale_factor: u64,
     /// `cells[mix_idx][con_idx]`, in the order the mixes/concurrencies
     /// were given.
-    pub cells: Vec<Vec<OltpCell>>,
+    pub cells: Vec<Vec<OltpReport>>,
 }
 
 /// Run a full (scale factor x profile x mix x concurrency) OLTP grid,
@@ -161,12 +75,13 @@ pub fn oltp_grid(
         .collect();
     cloudybench::parallel::par_map(&slabs, jobs, |_, (sf, profile)| {
         let mut dep = Deployment::new(profile.clone(), *sf, sim_scale, 1, SEED);
+        let (uniform, base) = (AccessDistribution::Uniform, base_options());
         let cells = mixes
             .iter()
             .map(|(_, mix)| {
                 concurrencies
                     .iter()
-                    .map(|&con| oltp_cell(&mut dep, *mix, con, AccessDistribution::Uniform))
+                    .map(|&con| oltp_cell(&mut dep, con, MEASURE, *mix, uniform, &base))
                     .collect()
             })
             .collect();
@@ -183,31 +98,9 @@ pub fn oltp_grid(
 /// should demonstrate that.
 pub const OPEN_LOOP_CLIENTS: u64 = 100_000;
 
-/// One cell of an open-loop latency-throughput curve.
-pub struct OpenLoopCell {
-    /// Offered arrival rate (ops/s).
-    pub offered_rate: f64,
-    /// Committed TPS over the measurement window.
-    pub measured_tps: f64,
-    /// Mean coordinated-omission-correct response time, ms.
-    pub mean_ms: f64,
-    /// Median response time, ms.
-    pub p50_ms: f64,
-    /// p99 response time, ms.
-    pub p99_ms: f64,
-    /// p99.9 response time, ms.
-    pub p999_ms: f64,
-    /// p99 service time (start → completion), ms.
-    pub service_p99_ms: f64,
-    /// p99 scheduled-vs-actual-start lag, ms.
-    pub sched_lag_p99_ms: f64,
-    /// Peak queue depth during the run.
-    pub queue_depth_max: u64,
-}
-
 /// Run one open-loop Poisson cell at `rate` ops/s against an existing
-/// deployment: 2s warmup, 2s ramp, [`MEASURE_SECS`] measured.
-pub fn open_loop_cell(dep: &mut Deployment, mix: TxnMix, rate: f64) -> OpenLoopCell {
+/// deployment: 2s warmup, 2s ramp, [`MEASURE`] measured.
+pub fn open_loop_cell(dep: &mut Deployment, mix: TxnMix, rate: f64) -> SeedOutcome {
     dep.reset_runtime();
     let spec = OpenLoopSpec {
         plan: ArrivalPlan::fixed_rate(
@@ -215,7 +108,7 @@ pub fn open_loop_cell(dep: &mut Deployment, mix: TxnMix, rate: f64) -> OpenLoopC
             PhasePlan::new(
                 SimDuration::from_secs(2),
                 SimDuration::from_secs(2),
-                SimDuration::from_secs(MEASURE_SECS),
+                MEASURE,
             ),
             OPEN_LOOP_CLIENTS,
         ),
@@ -224,22 +117,10 @@ pub fn open_loop_cell(dep: &mut Deployment, mix: TxnMix, rate: f64) -> OpenLoopC
         partition: KeyPartition::whole(dep.shape.orders, dep.shape.customers),
     };
     let opts = RunOptions {
-        seed: SEED,
         vcores: VcoreControl::Fixed,
-        ..RunOptions::default()
+        ..base_options()
     };
-    let r = run_open_loop(dep, &spec, &opts);
-    OpenLoopCell {
-        offered_rate: rate,
-        measured_tps: r.measured_tps(),
-        mean_ms: r.mean_response_ms(),
-        p50_ms: r.response_percentile_ms(50.0),
-        p99_ms: r.response_percentile_ms(99.0),
-        p999_ms: r.response_percentile_ms(99.9),
-        service_p99_ms: r.service_percentile_ms(99.0),
-        sched_lag_p99_ms: r.sched_lag_percentile_ms(99.0),
-        queue_depth_max: r.queue_depth_max,
-    }
+    SeedOutcome::of(SEED, &run_open_loop(dep, &spec, &opts))
 }
 
 /// The open-loop companion to the Fig 5 grid: sweep offered rates against a
@@ -252,7 +133,7 @@ pub fn open_loop_curve(
     mix: TxnMix,
     rates: &[f64],
     jobs: usize,
-) -> Vec<OpenLoopCell> {
+) -> Vec<SeedOutcome> {
     cloudybench::parallel::par_map(rates, jobs, |_, &rate| {
         let mut dep = Deployment::new(profile.clone(), scale_factor, sim_scale, 1, SEED);
         open_loop_cell(&mut dep, mix, rate)
@@ -295,38 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn oltp_cell_equals_policy_cell_at_the_default_policy() {
-        // Data and pool contents survive `reset_runtime`, so each side gets
-        // its own copy of the one deployment.
-        let profile = SutProfile::cdb2();
-        let fresh = || Deployment::new(profile.clone(), 1, 2000, 1, SEED);
-        let (mix, dist) = (TxnMix::read_write(), AccessDistribution::Uniform);
-        let plain = oltp_cell(&mut fresh(), mix, 10, dist);
-        let policy = policy_cell_seeded(
-            &mut fresh(),
-            mix,
-            10,
-            dist,
-            EvictionPolicyKind::default(),
-            SEED,
-        );
-        assert_eq!(plain.avg_tps.to_bits(), policy.avg_tps.to_bits());
-        assert_eq!(
-            plain.cost_per_min.total().to_bits(),
-            policy.cost_per_min.total().to_bits()
-        );
-    }
-
-    #[test]
     fn oltp_cell_produces_sane_numbers() {
         let profile = SutProfile::aws_rds();
         let mut dep = Deployment::new(profile.clone(), 1, 2000, 1, SEED);
-        let cell = oltp_cell(
-            &mut dep,
-            TxnMix::read_only(),
-            10,
-            AccessDistribution::Uniform,
-        );
+        let (mix, uniform) = (TxnMix::read_only(), AccessDistribution::Uniform);
+        let cell = oltp_cell(&mut dep, 10, MEASURE, mix, uniform, &base_options());
         assert!(cell.avg_tps > 100.0);
         assert!(cell.cost_per_min.total() > 0.0);
     }

@@ -22,7 +22,6 @@ use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 use cloudybench::config::{ConfigError, ElasticScheduleConfig, Props};
 use cloudybench::cost::{ruc_cost, RucRates};
-use cloudybench::driver::VcoreControl;
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::failover_eval::evaluate_failover;
 use cloudybench::lagtime::evaluate_lagtime;
@@ -30,7 +29,7 @@ use cloudybench::report::{fmoney, fnum, fsecs, Table};
 use cloudybench::sharded::ShardMap;
 use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
 use cloudybench::{
-    run, run_fleet, AccessDistribution, Deployment, FleetSpec, KeyPartition, RunOptions,
+    oltp_cell, run, run_fleet, AccessDistribution, Deployment, FleetSpec, KeyPartition, RunOptions,
     ShiftEvent, TenantSpec, TxnMix,
 };
 
@@ -55,9 +54,9 @@ pub enum CliError {
         /// The mode that cannot carry it.
         mode: &'static str,
     },
-    /// A subcommand line that cannot run, as printed: an unknown flag, a
-    /// flag without its value, or a value its parser refused (the message
-    /// names the flag).
+    /// A line that cannot run, as printed: an unknown flag, a flag without
+    /// its value, or a value its parser refused (the message names the key
+    /// or flag).
     Arg(String),
 }
 
@@ -135,6 +134,36 @@ fn seed_list(seeds: RangeInclusive<u64>, flag: &str) -> Result<Vec<u64>, CliErro
     })?;
     list.extend(seeds);
     Ok(list)
+}
+
+/// The simulation divisor under `key` (`default` if absent). The dataset
+/// and the pools divide by at least 1, but the billed data size multiplies
+/// by the divisor itself, so 0 would run a full dataset and bill no storage.
+fn sim_scale(props: &Props, key: &str, default: u64) -> Result<u64, CliError> {
+    match props.get_u64(key, default)? {
+        0 => Err(CliError::Arg(format!(
+            "key {key}: a divisor of 0 bills no storage (expected at least 1)"
+        ))),
+        s => Ok(s),
+    }
+}
+
+/// The most read-only replicas or shards one run may ask for (DESIGN §20).
+/// Each is a node with its own pool and replication stream, or a whole
+/// shard deployment, built before the first transaction, so a count past
+/// what memory holds would never start.
+const MAX_NODES: u64 = 64;
+
+/// The replica or shard count under `key` (`default` if absent), refused
+/// outside `min..=MAX_NODES` before anything is built.
+fn node_count(props: &Props, key: &str, default: u64, min: u64) -> Result<usize, CliError> {
+    let n = props.get_u64(key, default)?;
+    if (min..=MAX_NODES).contains(&n) {
+        return Ok(n as usize);
+    }
+    Err(CliError::Arg(format!(
+        "key {key}: {n} is outside {min}..={MAX_NODES}"
+    )))
 }
 
 /// The transaction mix under `key` (default `rw`): a named mix or
@@ -296,7 +325,7 @@ fn parse_tenancy_pattern(props: &Props) -> Result<TenancyPattern, CliError> {
 /// [`ObsSink::disabled`] for a plain run.
 pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> {
     let profile = parse_sut(props, "sut")?.unwrap_or_else(SutProfile::cdb4);
-    let sim_scale = props.get_u64("sim_scale", 200)?;
+    let sim_scale = sim_scale(props, "sim_scale", 200)?;
     let seed = props.get_u64("seed", 7)?;
     let mode = props.get("mode").unwrap_or("oltp").to_ascii_lowercase();
     // Workload-shape keys and the calibratable unit prices parse up front,
@@ -321,24 +350,11 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             let sf = props.get_u64("scale_factor", 1)?;
             let con = props.get_u32("concurrency", 100)?;
             let secs = props.get_u64("duration_secs", 30)?;
-            let ro = props.get_u64("ro_nodes", 1)? as usize;
+            let ro = node_count(props, "ro_nodes", 1, 0)?;
             let mut dep = Deployment::new(profile.clone(), sf, sim_scale, ro, seed);
             let duration = SimDuration::from_secs(secs);
-            let spec = TenantSpec::constant(
-                con,
-                duration,
-                mix,
-                dist,
-                KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-            );
-            let opts = RunOptions {
-                vcores: VcoreControl::Fixed,
-                ..base
-            };
-            let result = run(&mut dep, &[spec], &opts);
-            let end = SimTime::ZERO + duration;
-            let usage = dep.usage(SimTime::ZERO, end);
-            let cost = ruc_cost(&usage, &rates);
+            let r = oltp_cell(&mut dep, con, duration, mix, dist, &base);
+            let cost = ruc_cost(&dep.usage(SimTime::ZERO, SimTime::ZERO + duration), &rates);
             let mut t = Table::new(
                 &format!(
                     "OLTP — {} SF{sf} {} con={con}",
@@ -347,19 +363,13 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
                 ),
                 &["Metric", "Value"],
             );
-            t.row(&["avg TPS".into(), fnum(result.avg_tps(SimTime::ZERO, end))]);
-            t.row(&[
-                "committed".into(),
-                format!("{}", result.tenants[0].committed),
-            ]);
+            t.row(&["avg TPS".into(), fnum(r.avg_tps)]);
+            t.row(&["committed".into(), format!("{}", r.committed)]);
             t.row(&[
                 "avg latency".into(),
-                format!("{}", result.tenants[0].avg_latency()),
+                format!("{}", r.run.tenants[0].avg_latency()),
             ]);
-            t.row(&[
-                "lock conflicts".into(),
-                format!("{}", result.lock_conflicts),
-            ]);
+            t.row(&["lock conflicts".into(), format!("{}", r.run.lock_conflicts)]);
             t.row(&["RUC cost".into(), fmoney(cost.total())]);
             out.push_str(&t.to_string());
         }
@@ -436,8 +446,8 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
         }
         "lagtime" => {
             let con = props.get_u32("concurrency", 30)?;
-            let replicas = props.get_u64("replicas", 1)? as usize;
-            let r = evaluate_lagtime(&profile, con, replicas.max(1), sim_scale, &base);
+            let replicas = node_count(props, "replicas", 1, 1)?;
+            let r = evaluate_lagtime(&profile, con, replicas, sim_scale, &base);
             let mut t = Table::new(
                 &format!("Replication lag — {}", profile.display),
                 &["Mix", "Insert ms", "Update ms", "Delete ms"],
@@ -467,7 +477,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
                     mode: "sharded",
                 });
             }
-            let shards = (props.get_u64("shards", 2)? as usize).max(1);
+            let shards = node_count(props, "shards", 2, 1)?;
             let jobs = (props.get_u64("jobs", 1)? as usize).max(1);
             let shape = cloudybench::DatasetShape::new(1, sim_scale);
             let keyspace = shape.orders.min(shape.customers);
@@ -836,6 +846,32 @@ mod tests {
             assert!(e.contains("mix"), "{mode}: {e}");
             let e = fail(&format!("mode = {mode}\nruc_cpu_vcore_hour = nan"));
             assert!(e.contains("key ruc_cpu_vcore_hour"), "{mode}: {e}");
+        }
+        // A zero divisor ran the full dataset and billed no storage.
+        for mode in [
+            "oltp",
+            "tenancy",
+            "failover",
+            "lagtime",
+            "sharded",
+            "elasticity",
+        ] {
+            let e = fail(&format!("mode = {mode}\nsim_scale = 0"));
+            assert!(e.starts_with("key sim_scale: "), "{mode}: {e}");
+        }
+        // Replica and shard counts are refused before anything is built: a
+        // huge one built nodes until memory ran out, and `replicas = 0` or
+        // `shards = 0` silently ran one.
+        for (mode, key, n, range) in [
+            ("oltp", "ro_nodes", 100_000_000_000u64, "0..=64"),
+            ("oltp", "ro_nodes", 65, "0..=64"),
+            ("lagtime", "replicas", 0, "1..=64"),
+            ("lagtime", "replicas", 100_000_000_000, "1..=64"),
+            ("sharded", "shards", 0, "1..=64"),
+            ("sharded", "shards", 100_000_000_000, "1..=64"),
+        ] {
+            let e = fail(&format!("mode = {mode}\n{key} = {n}"));
+            assert_eq!(e, format!("key {key}: {n} is outside {range}"), "{mode}");
         }
     }
 

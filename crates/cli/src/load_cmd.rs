@@ -21,7 +21,7 @@ use cloudybench::{
     OpenLoopSpec, SeedOutcome,
 };
 
-use crate::{argv_props, jobs, parse_mix, parse_sut, seed_list, CliError};
+use crate::{argv_props, jobs, node_count, parse_mix, parse_sut, seed_list, sim_scale, CliError};
 
 /// The `load` flags; each takes a value.
 const FLAGS: [&str; 12] = [
@@ -91,8 +91,8 @@ pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Load, CliError
     let cfg = OpenLoopConfig {
         profile: parse_sut(&props, "--profile")?.unwrap_or_else(SutProfile::aws_rds),
         scale_factor: props.get_u64("--scale-factor", 1)?,
-        sim_scale: props.get_u64("--sim-scale", 100)?,
-        ro_nodes: props.get_u64("--ro-nodes", 1)? as usize,
+        sim_scale: sim_scale(&props, "--sim-scale", 100)?,
+        ro_nodes: node_count(&props, "--ro-nodes", 1, 0)?,
     };
     let shape = DatasetShape::new(cfg.scale_factor, cfg.sim_scale);
     let spec = OpenLoopSpec {

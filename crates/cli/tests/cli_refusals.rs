@@ -3,7 +3,8 @@
 //! campaign too short for any fault to fire reported clean, a seed range
 //! past `u64::MAX` wrapped to an empty table (or panicked with overflow
 //! checks on), and `nan` / `inf` phase lengths ran a 0 s warmup or a
-//! horizon that never ends.
+//! horizon that never ends. A props file whose counts or scale cannot run
+//! exits 1 the same way.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -56,6 +57,45 @@ fn values_that_cannot_run_exit_2_naming_the_flag() {
             stderr.starts_with(&format!("key {flag}: ")),
             "{args}: {stderr}"
         );
+    }
+}
+
+/// Run `args`, which must exit with `code` within 1 s, print nothing on
+/// stdout, and start its one message with `prefix`.
+fn refused_at_once(args: &[&str], code: i32, prefix: &str) {
+    let out = cloudybench(args, Duration::from_secs(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    assert!(stderr.starts_with(prefix), "{args:?}: {stderr}");
+}
+
+/// Counts and scales that used to run wrong are refused before anything is
+/// built, naming the key: `sim_scale = 0` billed no storage, a replica
+/// count of 10^11 built nodes until memory ran out, and `replicas = 0` or
+/// `shards = 0` silently ran one. A props file exits 1 and `load` exits 2.
+#[test]
+fn counts_and_scales_that_cannot_run_are_refused_at_once() {
+    let dir = std::env::temp_dir().join(format!("cb-refusals-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temporary props dir");
+    for (mode, key, value) in [
+        ("oltp", "sim_scale", "0"),
+        ("oltp", "ro_nodes", "100000000000"),
+        ("lagtime", "replicas", "100000000000"),
+        ("lagtime", "replicas", "0"),
+        ("sharded", "shards", "0"),
+    ] {
+        let path = dir.join(format!("{key}-{value}.props"));
+        std::fs::write(&path, format!("mode = {mode}\n{key} = {value}\n")).expect("write props");
+        let path = path.to_str().expect("UTF-8 temp path");
+        refused_at_once(&[path], 1, &format!("cloudybench: key {key}: "));
+    }
+    std::fs::remove_dir_all(&dir).expect("temporary props dir removed");
+    for flag in ["--sim-scale 0", "--ro-nodes 100000000000"] {
+        let args = format!("load --arrival poisson:100/s {flag}");
+        let argv: Vec<&str> = args.split(' ').collect();
+        let name = flag.split(' ').next().unwrap();
+        refused_at_once(&argv, 2, &format!("key {name}: "));
     }
 }
 

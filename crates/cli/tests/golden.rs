@@ -7,9 +7,9 @@
 //! testbed's P-Score and replica runs, and two cells back to back on one
 //! warm deployment), and the version store under snapshot and serializable
 //! load — is reduced to one FNV-1a-64 digest per entry and compared with
-//! `golden/MANIFEST`. The corpus is driven through
-//! the libraries (and, for `load`, the binary with a temporary `--out`), so
-//! no output path enters a digest.
+//! `golden/MANIFEST`. The corpus is driven through the libraries (and, for
+//! `load`, the binary with a temporary `--out`), so no output path enters a
+//! digest.
 //!
 //! A change that moves any pinned byte fails here. If the move is intended
 //! (a declared model change), the panic prints the whole actual manifest:
@@ -26,16 +26,15 @@ use cb_cluster::ScalingKind;
 use cb_engine::{EvictionPolicyKind, IsolationLevel};
 use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
 use cb_obs::{ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, ObsSink};
-use cb_sim::{SimDuration, SimTime};
+use cb_sim::SimDuration;
 use cb_sut::SutProfile;
 use cloudybench::baselines::{run_constant, Baseline, BaselineRun};
 use cloudybench::config::Props;
-use cloudybench::cost::{ruc_cost, RucRates};
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::parallel::par_map;
 use cloudybench::{
-    run, run_open_loop, AccessDistribution, Deployment, KeyPartition, OpenLoopSpec, RunOptions,
-    RunResult, TenantSpec, Testbed, TxnMix, VcoreControl,
+    oltp_cell, run, run_open_loop, AccessDistribution, Deployment, KeyPartition, OpenLoopSpec,
+    RunOptions, RunResult, TenantSpec, Testbed, TxnMix, VcoreControl,
 };
 
 const MANIFEST: &str = include_str!("golden/MANIFEST");
@@ -215,22 +214,11 @@ fn bits(h: &mut Fnv, values: &[f64]) {
 }
 
 /// One fixed-capacity OLTP cell on a warm deployment: ten read-write
-/// clients for 3 s over the whole key space at fixed vCores, priced per
-/// minute at the default rates. Hashes the TPS, the cost and the primary
-/// pool's hit, miss and dirty-eviction deltas over the cell.
+/// clients for 3 s over the whole key space. Hashes the TPS, the cost per
+/// minute and the primary pool's hit, miss and dirty-eviction deltas.
 fn warm_cell(h: &mut Fnv, dep: &mut Deployment, eviction: EvictionPolicyKind) {
-    dep.reset_runtime();
-    let duration = SimDuration::from_secs(3);
-    let spec = TenantSpec::constant(
-        10,
-        duration,
-        TxnMix::read_write(),
-        AccessDistribution::Uniform,
-        KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-    );
     let opts = RunOptions {
         seed: 7,
-        vcores: VcoreControl::Fixed,
         eviction,
         ..RunOptions::default()
     };
@@ -239,13 +227,11 @@ fn warm_cell(h: &mut Fnv, dep: &mut Deployment, eviction: EvictionPolicyKind) {
         [p.hits(), p.misses(), p.dirty_evictions()]
     };
     let before = pool(dep);
-    let result = run(dep, &[spec], &opts);
+    let (rw, uniform) = (TxnMix::read_write(), AccessDistribution::Uniform);
+    let r = oltp_cell(dep, 10, SimDuration::from_secs(3), rw, uniform, &opts);
     let after = pool(dep);
-    let end = SimTime::ZERO + duration;
-    let usage = dep.usage(SimTime::ZERO, end);
-    let c = ruc_cost(&usage, &RucRates::default()).scaled(1.0 / (duration.as_secs_f64() / 60.0));
-    bits(h, &[result.avg_tps(SimTime::ZERO, end)]);
-    bits(h, &[c.cpu, c.mem, c.storage, c.iops, c.network]);
+    let c = &r.cost_per_min;
+    bits(h, &[r.avg_tps, c.cpu, c.mem, c.storage, c.iops, c.network]);
     for (a, b) in after.iter().zip(before) {
         h.field((a - b).to_le_bytes());
     }
@@ -261,7 +247,8 @@ fn cell_corpus(out: &mut BTreeMap<String, String>) {
     let c = &r.cost_per_min;
     let mut h = Fnv::new();
     h.field(r.committed.to_le_bytes());
-    bits(&mut h, &[r.avg_tps, r.avg_latency_ms, r.p99_latency_ms]);
+    let avg_latency_ms = r.run.tenants[0].avg_latency().as_millis_f64();
+    bits(&mut h, &[r.avg_tps, avg_latency_ms, r.p99_latency_ms]);
     bits(&mut h, &[c.cpu, c.mem, c.storage, c.iops, c.network]);
     bits(&mut h, &[0, 1, 2].map(|ro| tb.read_tps_with_replicas(ro)));
     out.insert("cell.testbed.cdb3".into(), h.hex());

@@ -10,9 +10,10 @@ use cb_sim::SimDuration;
 use cb_sut::SutProfile;
 
 use crate::deploy::Deployment;
-use crate::driver::{run, RunOptions, TenantSpec, VcoreControl};
+use crate::driver::RunOptions;
 use crate::metrics::c_score;
-use crate::workload::{AccessDistribution, KeyPartition, TxnKind, TxnMix};
+use crate::testbed::oltp_cell;
+use crate::workload::{AccessDistribution, TxnKind, TxnMix};
 
 /// The paper's four IUD ratios.
 pub(crate) const IUD_MIXES: [(&str, f64, f64, f64); 4] = [
@@ -47,9 +48,8 @@ pub struct LagReport {
 
 /// Evaluate replication lag on one SUT with `replicas` RO nodes (the paper
 /// uses one); the C-Score divides by the replica count per the paper's
-/// Eq. 6. `base` supplies each run's `seed`, `obs`, `isolation` and
-/// `eviction`; lag collection and the fixed vCore allocation are the
-/// experiment.
+/// Eq. 6. Each mix is one [`oltp_cell`] on a fresh deployment; `base`
+/// supplies its `seed`, `obs`, `isolation` and `eviction`.
 pub fn evaluate_lagtime(
     profile: &SutProfile,
     concurrency: u32,
@@ -61,18 +61,15 @@ pub fn evaluate_lagtime(
     let mut rows = Vec::with_capacity(IUD_MIXES.len());
     for (label, i, u, d) in IUD_MIXES {
         let mut dep = Deployment::new(profile.clone(), 1, sim_scale, replicas, base.seed);
-        let spec = TenantSpec::constant(
+        let result = oltp_cell(
+            &mut dep,
             concurrency,
             SimDuration::from_secs(20),
             TxnMix::iud(i, u, d),
             AccessDistribution::Uniform,
-            KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-        );
-        let opts = RunOptions {
-            vcores: VcoreControl::Fixed,
-            ..base.inherit()
-        };
-        let result = run(&mut dep, &[spec], &opts);
+            base,
+        )
+        .run;
         rows.push(LagRow {
             label,
             insert_ms: result.lag.mean_ms(TxnKind::NewOrderline),

@@ -67,5 +67,5 @@ pub use sharded::{
     run_fleet, FleetReport, FleetSpec, ShardScore, ShardedDeployment, TwoPhaseCoordinator,
     TwoPhaseStats,
 };
-pub use testbed::{OltpReport, Testbed};
+pub use testbed::{oltp_cell, OltpReport, Testbed};
 pub use workload::{AccessDistribution, KeyPartition, TxnMix};

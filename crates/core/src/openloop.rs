@@ -345,7 +345,8 @@ pub struct SeedOutcome {
 }
 
 impl SeedOutcome {
-    fn of(seed: u64, r: &OpenLoopResult) -> Self {
+    /// The report-ready outcome of `r`, a run under `seed`.
+    pub fn of(seed: u64, r: &OpenLoopResult) -> Self {
         SeedOutcome {
             seed,
             tps: r.measured_tps(),

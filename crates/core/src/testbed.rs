@@ -12,7 +12,7 @@ use cb_sut::SutProfile;
 
 use crate::cost::{ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
-use crate::driver::{run, RunOptions, TenantSpec, VcoreControl};
+use crate::driver::{run, RunOptions, RunResult, TenantSpec, VcoreControl};
 use crate::elasticity::{evaluate_elasticity, ElasticPattern, ElasticityReport};
 use crate::failover_eval::{evaluate_failover, FailoverReport};
 use crate::lagtime::{evaluate_lagtime, LagReport};
@@ -20,18 +20,58 @@ use crate::metrics::{e2_score, o_score, p_score, Perfect};
 use crate::tenancy::{evaluate_tenancy, TenancyPattern, TenancyReport};
 use crate::workload::{AccessDistribution, KeyPartition, TxnMix};
 
-/// Result of a plain OLTP measurement through the testbed.
+/// The outcome of one fixed-capacity OLTP cell ([`oltp_cell`]).
 pub struct OltpReport {
     /// Average TPS over the window.
     pub avg_tps: f64,
     /// Committed transactions.
     pub committed: u64,
-    /// Mean latency (ms).
-    pub avg_latency_ms: f64,
     /// p99 latency (ms).
     pub p99_latency_ms: f64,
-    /// RUC cost per minute.
+    /// RUC cost per minute at the default rates.
     pub cost_per_min: CostBreakdown,
+    /// The run itself: lock conflicts, SI aborts, latency histograms and
+    /// replication lag.
+    pub run: RunResult,
+}
+
+/// One fixed-capacity OLTP cell, the P-Score measurement of paper Tables V
+/// and IX: `concurrency` closed-loop clients run `mix` over the whole key
+/// space for `duration` at fixed vCores, priced per minute at the default
+/// RUC rates. The deployment's runtime state is reset first, so cells run
+/// back to back on one warm deployment (data and pool contents carry over).
+/// `base` supplies the run's `seed`, `obs`, `isolation` and `eviction`.
+pub fn oltp_cell(
+    dep: &mut Deployment,
+    concurrency: u32,
+    duration: SimDuration,
+    mix: TxnMix,
+    dist: AccessDistribution,
+    base: &RunOptions,
+) -> OltpReport {
+    dep.reset_runtime();
+    let spec = TenantSpec::constant(
+        concurrency,
+        duration,
+        mix,
+        dist,
+        KeyPartition::whole(dep.shape.orders, dep.shape.customers),
+    );
+    let opts = RunOptions {
+        vcores: VcoreControl::Fixed,
+        ..base.inherit()
+    };
+    let run = run(dep, &[spec], &opts);
+    let end = SimTime::ZERO + duration;
+    let cost = ruc_cost(&dep.usage(SimTime::ZERO, end), &RucRates::default());
+    let minutes = duration.as_secs_f64() / 60.0;
+    OltpReport {
+        avg_tps: run.avg_tps(SimTime::ZERO, end),
+        committed: run.tenants[0].committed,
+        p99_latency_ms: run.tenants[0].latency_percentile_ms(99.0),
+        cost_per_min: cost.scaled(1.0 / minutes),
+        run,
+    }
 }
 
 /// A configured testbed for one system under test.
@@ -65,40 +105,17 @@ impl Testbed {
     }
 
     /// Run an OLTP measurement: `mix` at the configured concurrency for
-    /// `secs` simulated seconds on a 1 RW + 1 RO deployment.
+    /// `secs` simulated seconds on a fresh 1 RW + 1 RO deployment.
     pub fn oltp(&self, scale_factor: u64, mix: TxnMix, secs: u64) -> OltpReport {
-        let mut dep = Deployment::new(
-            self.profile.clone(),
-            scale_factor,
-            self.sim_scale,
-            1,
-            self.base.seed,
-        );
-        let duration = SimDuration::from_secs(secs);
-        let spec = TenantSpec::constant(
+        let mut dep = self.deployment(scale_factor, 1);
+        oltp_cell(
+            &mut dep,
             self.concurrency,
-            duration,
+            SimDuration::from_secs(secs),
             mix,
             AccessDistribution::Uniform,
-            KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-        );
-        let opts = RunOptions {
-            vcores: VcoreControl::Fixed,
-            ..self.base.inherit()
-        };
-        let result = run(&mut dep, &[spec], &opts);
-        let end = SimTime::ZERO + duration;
-        let usage = dep.usage(SimTime::ZERO, end);
-        let cost = ruc_cost(&usage, &RucRates::default());
-        let minutes = duration.as_secs_f64() / 60.0;
-        let t = &result.tenants[0];
-        OltpReport {
-            avg_tps: result.avg_tps(SimTime::ZERO, end),
-            committed: t.committed,
-            avg_latency_ms: t.avg_latency().as_millis_f64(),
-            p99_latency_ms: t.latency_percentile_ms(99.0),
-            cost_per_min: cost.scaled(1.0 / minutes),
-        }
+            &self.base,
+        )
     }
 
     /// Run one elasticity pattern.
@@ -140,22 +157,29 @@ impl Testbed {
         )
     }
 
-    /// Read-only TPS with `ro` replicas (the E2 probe).
+    /// Read-only TPS with `ro` replicas (the E2 probe): at least 120
+    /// clients for 10 s on a fresh SF1 deployment.
     pub fn read_tps_with_replicas(&self, ro: usize) -> f64 {
-        let mut dep = Deployment::new(self.profile.clone(), 1, self.sim_scale, ro, self.base.seed);
-        let duration = SimDuration::from_secs(10);
-        let spec = TenantSpec::constant(
+        let mut dep = self.deployment(1, ro);
+        oltp_cell(
+            &mut dep,
             self.concurrency.max(120),
-            duration,
+            SimDuration::from_secs(10),
             TxnMix::read_only(),
             AccessDistribution::Uniform,
-            KeyPartition::whole(dep.shape.orders, dep.shape.customers),
-        );
-        let opts = RunOptions {
-            vcores: VcoreControl::Fixed,
-            ..self.base.inherit()
-        };
-        run(&mut dep, &[spec], &opts).avg_tps(SimTime::ZERO, SimTime::ZERO + duration)
+            &self.base,
+        )
+        .avg_tps
+    }
+
+    fn deployment(&self, scale_factor: u64, ro: usize) -> Deployment {
+        Deployment::new(
+            self.profile.clone(),
+            scale_factor,
+            self.sim_scale,
+            ro,
+            self.base.seed,
+        )
     }
 
     /// Compute the full PERFECT score set and O-Score. This runs every
@@ -213,7 +237,8 @@ mod tests {
         let r = tb(SutProfile::cdb4()).oltp(1, TxnMix::read_write(), 5);
         assert!(r.avg_tps > 100.0);
         assert!(r.committed > 500);
-        assert!(r.p99_latency_ms >= r.avg_latency_ms * 0.5);
+        let avg_ms = r.run.tenants[0].avg_latency().as_millis_f64();
+        assert!(r.p99_latency_ms >= avg_ms * 0.5);
         assert!(r.cost_per_min.total() > 0.0);
     }
 
