@@ -5,8 +5,9 @@
 //! elasticity runs of the three autoscaled profiles, one what-if scaler, and
 //! Fig 9's constant-load baselines), the fixed-capacity OLTP cell (the
 //! testbed's P-Score and replica runs, and two cells back to back on one
-//! warm deployment), and the version store under snapshot and serializable
-//! load — is reduced to one FNV-1a-64 digest per entry and compared with
+//! warm deployment), every profile's metered usage, prices and fail-over
+//! plans, and the version store under snapshot and serializable load — is
+//! reduced to one FNV-1a-64 digest per entry and compared with
 //! `golden/MANIFEST`. The corpus is driven through the libraries (and, for
 //! `load`, the binary with a temporary `--out`), so no output path enters a
 //! digest.
@@ -22,16 +23,19 @@ use std::process::Command;
 
 use cb_chaos::{run_campaign_jobs, run_shard2pc_campaign_jobs, ChaosOptions, Shard2pcOptions};
 use cb_cli::run_from_props;
-use cb_cluster::ScalingKind;
+use cb_cluster::{plan_failover, plan_ro_failover, FailoverTimeline, ResourceUsage, ScalingKind};
+use cb_engine::recovery::AriesAnalysis;
 use cb_engine::{EvictionPolicyKind, IsolationLevel};
 use cb_load::{ArrivalPlan, ArrivalProcess, PhasePlan};
 use cb_obs::{ascii_timeline, chrome_trace_json, histogram_csv, histogram_summary_json, ObsSink};
-use cb_sim::SimDuration;
+use cb_sim::{SimDuration, SimTime};
 use cb_sut::SutProfile;
 use cloudybench::baselines::{run_constant, Baseline, BaselineRun};
 use cloudybench::config::Props;
+use cloudybench::cost::{actual_cost, ruc_cost, CostBreakdown, RucRates};
 use cloudybench::elasticity::{evaluate_elasticity, ElasticPattern};
 use cloudybench::parallel::par_map;
+use cloudybench::tenancy::{evaluate_tenancy, TenancyPattern};
 use cloudybench::{
     oltp_cell, run, run_open_loop, AccessDistribution, Deployment, KeyPartition, OpenLoopSpec,
     RunOptions, RunResult, TenantSpec, Testbed, TxnMix, VcoreControl,
@@ -260,6 +264,106 @@ fn cell_corpus(out: &mut BTreeMap<String, String>) {
     out.insert("cell.warm.cdb2".into(), h.hex());
 }
 
+/// Every field of a usage record, floats as bits.
+fn usage_fields(h: &mut Fnv, u: &ResourceUsage) {
+    bits(
+        h,
+        &[u.avg_vcores, u.avg_mem_gb, u.storage_gb, u.network_gbps],
+    );
+    h.field(u.iops.to_le_bytes())
+        .field(u.observed_iops.to_le_bytes())
+        .field([u8::from(u.rdma)])
+        .field(u.window.as_nanos().to_le_bytes());
+}
+
+fn cost_fields(h: &mut Fnv, c: &CostBreakdown) {
+    bits(h, &[c.cpu, c.mem, c.storage, c.iops, c.network]);
+}
+
+fn timeline_fields(h: &mut Fnv, tl: &FailoverTimeline) {
+    h.field(tl.injected_at.as_nanos().to_le_bytes())
+        .field(tl.service_resumed_at.as_nanos().to_le_bytes());
+    for p in &tl.phases {
+        h.field(p.name)
+            .field(p.start.as_nanos().to_le_bytes())
+            .field(p.end.as_nanos().to_le_bytes());
+    }
+}
+
+/// What each profile states about billing and recovery, as bits: the
+/// metered usage of a 3 s cell on one RW and one RO node, its Resource
+/// Unit and vendor-actual prices, and the RW and RO fail-over plans over a
+/// fixed log analysis. Then the usage paths that do not meter a
+/// deployment: CDB4's isolated tenant instances (RDMA, remote memory per
+/// instance) and the per-slot scaling costs of a serverless and a fixed
+/// memory tier.
+fn sut_corpus(out: &mut BTreeMap<String, String>) {
+    let analysis = AriesAnalysis {
+        scanned: 50_000,
+        redo_records: 40_000,
+        undo_records: 200,
+        loser_txns: 50,
+        in_doubt_txns: 0,
+    };
+    let profiles = SutProfile::all();
+    let digests = par_map(&profiles, 2, |_, p| {
+        let mut dep = Deployment::new(p.clone(), 1, 2000, 1, 7);
+        let opts = RunOptions {
+            seed: 7,
+            ..RunOptions::default()
+        };
+        let (rw, uniform) = (TxnMix::read_write(), AccessDistribution::Uniform);
+        let secs = SimDuration::from_secs(3);
+        oltp_cell(&mut dep, 10, secs, rw, uniform, &opts);
+        let u = dep.usage(SimTime::ZERO, SimTime::ZERO + secs);
+        let mut usage = Fnv::new();
+        usage_fields(&mut usage, &u);
+        cost_fields(&mut usage, &ruc_cost(&u, &RucRates::default()));
+        cost_fields(&mut usage, &actual_cost(&u, &p.actual_pricing));
+
+        let mut recovery = Fnv::new();
+        let inject = SimTime::from_secs(10);
+        let detected = inject + p.failover.detection;
+        timeline_fields(
+            &mut recovery,
+            &plan_failover(&p.failover, inject, detected, &analysis),
+        );
+        timeline_fields(&mut recovery, &plan_ro_failover(&p.failover, inject));
+        (usage.hex(), recovery.hex())
+    });
+    for (p, (usage, recovery)) in profiles.iter().zip(digests) {
+        out.insert(format!("usage.{}", p.name), usage);
+        out.insert(format!("recovery.{}", p.name), recovery);
+    }
+
+    let base = RunOptions {
+        seed: 7,
+        ..RunOptions::default()
+    };
+    let cdb4 = SutProfile::cdb4();
+    let r = evaluate_tenancy(&cdb4, TenancyPattern::StaggeredLow, 0.1, 5000, &base);
+    assert!(r.usage.rdma, "CDB4 bills an RDMA fabric");
+    let mut h = Fnv::new();
+    usage_fields(&mut h, &r.usage);
+    out.insert("usage.tenancy.cdb4".into(), h.hex());
+
+    // A fixed tier never scales, so AWS RDS runs under the on-demand scaler
+    // here: its memory bill stays per node while its vCores move.
+    let mut rds = SutProfile::aws_rds();
+    rds.scaling = ScalingKind::OnDemand;
+    rds.min_vcores = 1.0;
+    for (name, p) in [("cdb1", SutProfile::cdb1()), ("aws-rds.on-demand", rds)] {
+        let mix = TxnMix::read_write();
+        let r = evaluate_elasticity(&p, ElasticPattern::ZeroValley, mix, 15, 5000, &base);
+        assert!(r.scalings.iter().any(|s| s.scaling_cost > 0.0), "{name}");
+        let mut h = Fnv::new();
+        for s in &r.scalings {
+            bits(&mut h, &[s.scaling_cost]);
+        }
+        out.insert(format!("usage.scalings.{name}"), h.hex());
+    }
+}
+
 /// Hash the latency histogram, the per-second series and the version
 /// store's lifetime counters of a snapshot-isolation run.
 fn versioned_fields(h: &mut Fnv, run: &RunResult, dep: &Deployment) {
@@ -443,6 +547,7 @@ fn golden_manifest_matches() {
     what_if_corpus(&mut actual);
     baselines_corpus(&mut actual);
     cell_corpus(&mut actual);
+    sut_corpus(&mut actual);
     mvcc_corpus(&mut actual);
     chaos_corpus(&mut actual);
     shard2pc_corpus(&mut actual);
