@@ -55,6 +55,28 @@ use crate::shadow::{ShadowModel, ShadowOp};
 /// four missed 250 ms beats.
 const HEARTBEAT_DETECTION: SimDuration = SimDuration::from_millis(4 * 250);
 
+/// A test-only bug a chaos run plants in its own recovery or read path;
+/// the oracle each variant names must catch it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChaosBug {
+    /// Skip the n-th committed DML record during the replay recovery path.
+    /// The equivalence oracle must catch it.
+    SkipRedo(usize),
+    /// Acknowledge commits to the client the moment they enqueue, before
+    /// the group-commit batch flushes. A crash inside an open batch then
+    /// loses an acked commit — the durability oracle must catch it.
+    AckUnflushed,
+    /// Snapshot reads resolve to the tree's latest image instead of the
+    /// version visible at `now` — i.e. they observe commits whose acks are
+    /// still pending. The snapshot-consistency oracle must catch it.
+    ReadFutureVersion,
+    /// Snapshot *range scans* read the tree's latest images instead of
+    /// resolving each key's chain at `now` — exactly the pre-fix behavior
+    /// of `Database::scan_range` under SI/SER (get_at was point-only). The
+    /// scan branch of the snapshot-consistency oracle must catch it.
+    ScanFutureVersion,
+}
+
 /// Knobs for one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosOptions {
@@ -62,14 +84,8 @@ pub struct ChaosOptions {
     pub txns: u64,
     /// Simulation scale divisor for the dataset (larger = smaller data).
     pub sim_scale: u64,
-    /// Test-only bug injection: skip the n-th committed DML record during
-    /// the replay recovery path. The equivalence oracle must catch it.
-    pub bug_skip_redo: Option<usize>,
-    /// Test-only bug injection: acknowledge commits to the client the moment
-    /// they enqueue, before the group-commit batch flushes. A crash inside an
-    /// open batch then loses an acked commit — the durability oracle must
-    /// catch it.
-    pub bug_ack_unflushed: bool,
+    /// The test-only bug to plant, if any.
+    pub bug: Option<ChaosBug>,
     /// Pace the workload with open-loop Poisson arrivals at this rate
     /// (transactions per second) instead of back-to-back execution. Each
     /// transaction waits for its scheduled arrival, so faults land in the
@@ -81,17 +97,6 @@ pub struct ChaosOptions {
     /// group-commit ack instant, and the snapshot-consistency oracle checks
     /// every still-pending row after each transaction.
     pub isolation: IsolationLevel,
-    /// Test-only bug injection: snapshot reads resolve to the tree's latest
-    /// image instead of the version visible at `now` — i.e. they observe
-    /// commits whose acks are still pending. The snapshot-consistency
-    /// oracle must catch it.
-    pub bug_read_future_version: bool,
-    /// Test-only bug injection: snapshot *range scans* read the tree's
-    /// latest images instead of resolving each key's chain at `now` —
-    /// exactly the pre-fix behavior of `Database::scan_range` under SI/SER
-    /// (get_at was point-only). The scan branch of the snapshot-consistency
-    /// oracle must catch it.
-    pub bug_scan_future_version: bool,
     /// Buffer-pool eviction policy under test. Non-default policies must
     /// leave every oracle green and the artifacts byte-identical across
     /// worker counts, exactly like the default.
@@ -103,12 +108,9 @@ impl Default for ChaosOptions {
         ChaosOptions {
             txns: 60,
             sim_scale: 3000,
-            bug_skip_redo: None,
-            bug_ack_unflushed: false,
+            bug: None,
             arrival_rate: None,
             isolation: IsolationLevel::ReadCommitted,
-            bug_read_future_version: false,
-            bug_scan_future_version: false,
             eviction: EvictionPolicyKind::Lru,
         }
     }
@@ -130,7 +132,7 @@ impl ChaosOptions {
         if self.txns != defaults.txns {
             flags.push_str(&format!(" --txns {}", self.txns));
         }
-        if let Some(n) = self.bug_skip_redo {
+        if let Some(ChaosBug::SkipRedo(n)) = self.bug {
             flags.push_str(&format!(" --bug-skip-redo {n}"));
         }
         flags
@@ -650,7 +652,7 @@ impl Harness {
             }
         }
         let commit_wait = if enqueued {
-            if self.opts.bug_ack_unflushed {
+            if self.opts.bug == Some(ChaosBug::AckUnflushed) {
                 // Injected bug: ack immediately, before the flush. The
                 // durability oracle must notice when a crash eats the batch.
                 for op in staged.drain(..) {
@@ -696,7 +698,7 @@ impl Harness {
     fn check_snapshots(&self) -> Result<(), Violation> {
         // Injected bug: read the tree's latest image (what a non-versioned
         // read would return) instead of resolving the chain at `now`.
-        let read_ts = if self.opts.bug_read_future_version {
+        let read_ts = if self.opts.bug == Some(ChaosBug::ReadFutureVersion) {
             SimTime::MAX
         } else {
             self.now
@@ -735,7 +737,7 @@ impl Harness {
                 // row must reproduce the acked window exactly — no future
                 // image surfacing, no row inserted-but-unacked appearing,
                 // and rows deleted-but-unacked resurrected from chains.
-                let scan_ts = if self.opts.bug_scan_future_version {
+                let scan_ts = if self.opts.bug == Some(ChaosBug::ScanFutureVersion) {
                     SimTime::MAX
                 } else {
                     read_ts
@@ -979,7 +981,8 @@ impl Harness {
         let detected = detected_at
             .unwrap_or(crash_at + self.dep.profile.failover.detection)
             .max(self.now);
-        let tl = plan_failover(&self.dep.profile.failover, crash_at, detected, &analysis);
+        let sut = &self.dep.profile;
+        let tl = plan_failover(&sut.failover, &sut.replay, crash_at, detected, &analysis);
         for p in &tl.phases {
             self.obs.span(Category::Failover, p.name, 1, p.start, p.end);
         }
@@ -1003,9 +1006,10 @@ impl Harness {
     }
 
     /// The archive as the replay path sees it — identical unless the
-    /// test-only `bug_skip_redo` mutation drops a committed DML record.
+    /// test-only [`ChaosBug::SkipRedo`] mutation drops a committed DML
+    /// record.
     fn bugged_archive(&self) -> Vec<&WalRecord> {
-        let Some(n) = self.opts.bug_skip_redo else {
+        let Some(ChaosBug::SkipRedo(n)) = self.opts.bug else {
             return self.archive.iter().collect();
         };
         let committed: HashSet<TxnId> = self

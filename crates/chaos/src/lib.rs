@@ -37,7 +37,9 @@ mod shadow;
 mod shard2pc;
 mod shrink;
 
-pub use harness::{run_seed, run_with_schedule, Artifacts, ChaosOptions, SeedReport, Violation};
+pub use harness::{
+    run_seed, run_with_schedule, Artifacts, ChaosBug, ChaosOptions, SeedReport, Violation,
+};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
 pub use shadow::{ShadowDiff, ShadowModel};
 pub use shard2pc::{run_shard2pc_campaign_jobs, Shard2pcOptions, Shard2pcReport, ShardViolation};

@@ -2,8 +2,8 @@
 //! profile, the deliberately-bugged-recovery self-test, and determinism.
 
 use cb_chaos::{
-    run_campaign, run_seed, run_with_schedule, shrink, ChaosOptions, FaultEvent, FaultKind,
-    FaultSchedule,
+    run_campaign, run_seed, run_with_schedule, shrink, ChaosBug, ChaosOptions, FaultEvent,
+    FaultKind, FaultSchedule,
 };
 use cb_sim::SimDuration;
 use cb_sut::SutProfile;
@@ -123,7 +123,7 @@ fn bugged_recovery_is_caught_and_shrunk() {
         ],
     };
     let opts = ChaosOptions {
-        bug_skip_redo: Some(0),
+        bug: Some(ChaosBug::SkipRedo(0)),
         ..quick_opts()
     };
     // Sanity: without the injected bug the schedule is clean.
@@ -237,7 +237,7 @@ fn acking_before_the_flush_is_caught_by_the_durability_oracle() {
         "sanity: deferred acks survive the same crash"
     );
     let bugged = ChaosOptions {
-        bug_ack_unflushed: true,
+        bug: Some(ChaosBug::AckUnflushed),
         ..clean_opts
     };
     let v = run_with_schedule(&profile, 7, &schedule, &bugged)
@@ -302,7 +302,7 @@ fn reading_a_pending_version_is_caught_by_the_snapshot_oracle() {
         "sanity: chain-resolved snapshot reads survive the same schedule"
     );
     let bugged = ChaosOptions {
-        bug_read_future_version: true,
+        bug: Some(ChaosBug::ReadFutureVersion),
         ..clean_opts
     };
     let v = run_with_schedule(&profile, 7, &schedule, &bugged)
@@ -333,7 +333,7 @@ fn scanning_a_pending_version_is_caught_by_the_snapshot_oracle() {
         "sanity: chain-resolved snapshot scans survive the same schedule"
     );
     let bugged = ChaosOptions {
-        bug_scan_future_version: true,
+        bug: Some(ChaosBug::ScanFutureVersion),
         ..clean_opts
     };
     let v = run_with_schedule(&profile, 7, &schedule, &bugged)
@@ -488,7 +488,7 @@ fn the_printed_replay_line_carries_the_options_the_violation_needs() {
     let si = ChaosOptions {
         isolation: IsolationLevel::Snapshot,
         txns: 80,
-        bug_read_future_version: true,
+        bug: Some(ChaosBug::ReadFutureVersion),
         ..base
     };
     let v = run_with_schedule(&held_open(SutProfile::aws_rds()), 7, &schedule, &si)
@@ -500,7 +500,7 @@ fn the_printed_replay_line_carries_the_options_the_violation_needs() {
     // A default run prints the bare line, plus the self-test flag that
     // planted the bug.
     let skip = ChaosOptions {
-        bug_skip_redo: Some(0),
+        bug: Some(ChaosBug::SkipRedo(0)),
         ..ChaosOptions::default()
     };
     let v = (0..8)

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use cb_chaos::{
-    run_campaign_jobs, run_seed, run_shard2pc_campaign_jobs, ChaosOptions, FaultSchedule,
+    run_campaign_jobs, run_seed, run_shard2pc_campaign_jobs, ChaosBug, ChaosOptions, FaultSchedule,
     Shard2pcOptions, ShrunkViolation,
 };
 use cb_sut::SutProfile;
@@ -149,7 +149,7 @@ pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Chaos, CliErro
         }
         let opts = ChaosOptions {
             txns,
-            bug_skip_redo: optional_u64(&props, "--bug-skip-redo")?.map(|n| n as usize),
+            bug: optional_u64(&props, "--bug-skip-redo")?.map(|n| ChaosBug::SkipRedo(n as usize)),
             isolation: parse_isolation(&props, "--isolation")?.unwrap_or_default(),
             eviction: parse_eviction(&props, "--eviction")?.unwrap_or_default(),
             ..ChaosOptions::default()

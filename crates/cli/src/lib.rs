@@ -136,16 +136,30 @@ fn seed_list(seeds: RangeInclusive<u64>, flag: &str) -> Result<Vec<u64>, CliErro
     Ok(list)
 }
 
+/// `n`, read under `key`, refused at 0 before anything is built: `why`
+/// says what a run with 0 would have measured.
+fn nonzero<T: Copy + Into<u64>>(key: &str, n: T, why: &str) -> Result<T, CliError> {
+    if n.into() > 0 {
+        return Ok(n);
+    }
+    Err(CliError::Arg(format!(
+        "key {key}: {why} (expected at least 1)"
+    )))
+}
+
 /// The simulation divisor under `key` (`default` if absent). The dataset
 /// and the pools divide by at least 1, but the billed data size multiplies
 /// by the divisor itself, so 0 would run a full dataset and bill no storage.
 fn sim_scale(props: &Props, key: &str, default: u64) -> Result<u64, CliError> {
-    match props.get_u64(key, default)? {
-        0 => Err(CliError::Arg(format!(
-            "key {key}: a divisor of 0 bills no storage (expected at least 1)"
-        ))),
-        s => Ok(s),
-    }
+    let s = props.get_u64(key, default)?;
+    nonzero(key, s, "a divisor of 0 bills no storage")
+}
+
+/// The benchmark scale factor under `key` (default 1). The dataset shape
+/// clamps 0 to a minimal table set, which would run and report as SF0.
+fn scale_factor(props: &Props, key: &str) -> Result<u64, CliError> {
+    let sf = props.get_u64(key, 1)?;
+    nonzero(key, sf, "a scale factor of 0 loads no data")
 }
 
 /// The most read-only replicas or shards one run may ask for (DESIGN §20).
@@ -347,9 +361,11 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
     let mut out = String::new();
     match mode.as_str() {
         "oltp" => {
-            let sf = props.get_u64("scale_factor", 1)?;
+            let sf = scale_factor(props, "scale_factor")?;
             let con = props.get_u32("concurrency", 100)?;
+            // A 0 s window commits nothing and prices per minute as 0 × ∞.
             let secs = props.get_u64("duration_secs", 30)?;
+            let secs = nonzero("duration_secs", secs, "a 0 s run measures nothing")?;
             let ro = node_count(props, "ro_nodes", 1, 0)?;
             let mut dep = Deployment::new(profile.clone(), sf, sim_scale, ro, seed);
             let duration = SimDuration::from_secs(secs);
@@ -445,7 +461,9 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             out.push_str(&t.to_string());
         }
         "lagtime" => {
+            // No clients, no lag samples: the C-Score would read 0, the best.
             let con = props.get_u32("concurrency", 30)?;
+            let con = nonzero("concurrency", con, "0 clients take no lag samples")?;
             let replicas = node_count(props, "replicas", 1, 1)?;
             let r = evaluate_lagtime(&profile, con, replicas, sim_scale, &base);
             let mut t = Table::new(
@@ -872,6 +890,17 @@ mod tests {
         ] {
             let e = fail(&format!("mode = {mode}\n{key} = {n}"));
             assert_eq!(e, format!("key {key}: {n} is outside {range}"), "{mode}");
+        }
+        // Runs that measure nothing: SF 0 ran a clamped dataset reported as
+        // SF0, a 0 s run printed 0 TPS at $0 with a NaN cost per minute, and
+        // a lag run without clients scored the best C-Score from no samples.
+        for (mode, key) in [
+            ("oltp", "scale_factor"),
+            ("oltp", "duration_secs"),
+            ("lagtime", "concurrency"),
+        ] {
+            let e = fail(&format!("mode = {mode}\n{key} = 0"));
+            assert!(e.starts_with(&format!("key {key}: ")), "{mode}: {e}");
         }
     }
 

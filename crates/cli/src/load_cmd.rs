@@ -21,7 +21,10 @@ use cloudybench::{
     OpenLoopSpec, SeedOutcome,
 };
 
-use crate::{argv_props, jobs, node_count, parse_mix, parse_sut, seed_list, sim_scale, CliError};
+use crate::{
+    argv_props, jobs, node_count, parse_mix, parse_sut, scale_factor, seed_list, sim_scale,
+    CliError,
+};
 
 /// The `load` flags; each takes a value.
 const FLAGS: [&str; 12] = [
@@ -90,7 +93,7 @@ pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Load, CliError
         .map_err(|e| naming("--phases", e))?;
     let cfg = OpenLoopConfig {
         profile: parse_sut(&props, "--profile")?.unwrap_or_else(SutProfile::aws_rds),
-        scale_factor: props.get_u64("--scale-factor", 1)?,
+        scale_factor: scale_factor(&props, "--scale-factor")?,
         sim_scale: sim_scale(&props, "--sim-scale", 100)?,
         ro_nodes: node_count(&props, "--ro-nodes", 1, 0)?,
     };

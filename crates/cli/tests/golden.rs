@@ -326,7 +326,7 @@ fn sut_corpus(out: &mut BTreeMap<String, String>) {
         let detected = inject + p.failover.detection;
         timeline_fields(
             &mut recovery,
-            &plan_failover(&p.failover, inject, detected, &analysis),
+            &plan_failover(&p.failover, &p.replay, inject, detected, &analysis),
         );
         timeline_fields(&mut recovery, &plan_ro_failover(&p.failover, inject));
         (usage.hex(), recovery.hex())

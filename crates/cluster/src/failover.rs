@@ -61,14 +61,6 @@ pub struct FailoverModel {
     pub restart: SimDuration,
     /// The recovery route.
     pub kind: RecoveryKind,
-    /// Log-replay parallelism during recovery: the same [`ReplayPolicy`]
-    /// the system's replicas run (CDB3's pageservers fan records across
-    /// lanes), consulted here because the *recovering* node replays with
-    /// the same engine. Its [`lanes`](ReplayPolicy::lanes) divide the
-    /// record-proportional redo/undo phase costs — checkpoint-partitioned
-    /// replay splits the scan, while fixed overheads (restart, reattach
-    /// hops, analysis base) stay single-lane.
-    pub replay: ReplayPolicy,
     /// Length of the post-resumption warm-up ramp (drives R-Score).
     pub warmup: SimDuration,
     /// Peak extra per-transaction latency at the start of the ramp.
@@ -124,8 +116,16 @@ impl FailoverTimeline {
 /// heartbeat loss) supplies its own. The "detect" phase spans
 /// `inject → detected_at`; everything after it follows the model's
 /// recovery route unchanged.
+///
+/// `replay` is the system's log-replay policy, the one its replicas run
+/// (CDB3's pageservers fan records across lanes): the *recovering* node
+/// replays with the same engine. Its [`lanes`](ReplayPolicy::lanes) divide
+/// the record-proportional redo/undo phase costs — checkpoint-partitioned
+/// replay splits the scan, while fixed overheads (restart, reattach hops,
+/// analysis base) stay single-lane.
 pub fn plan_failover(
     model: &FailoverModel,
+    replay: &ReplayPolicy,
     inject: SimTime,
     detected_at: SimTime,
     analysis: &AriesAnalysis,
@@ -159,7 +159,7 @@ pub fn plan_failover(
     );
     // Partitioned replay splits record-proportional work across lanes; the
     // analysis scan and all fixed overheads remain single-lane.
-    let lanes = model.replay.lanes();
+    let lanes = replay.lanes();
     match model.kind {
         RecoveryKind::Aries { per_record, base } => {
             push(&mut phases, "restart", model.restart, &mut t);
@@ -202,7 +202,7 @@ pub fn plan_failover(
             push(
                 &mut phases,
                 "catchup",
-                model.replay.per_record() * analysis.redo_records / lanes,
+                replay.per_record() * analysis.redo_records / lanes,
                 &mut t,
             );
             push(
@@ -277,12 +277,10 @@ mod tests {
         }
     }
 
-    fn seq_replay() -> ReplayPolicy {
-        ReplayPolicy::Sequential {
-            per_record: SimDuration::from_micros(5),
-            batch_interval: SimDuration::from_millis(10),
-        }
-    }
+    const SEQ: ReplayPolicy = ReplayPolicy::Sequential {
+        per_record: SimDuration::from_micros(5),
+        batch_interval: SimDuration::from_millis(10),
+    };
 
     fn par_replay(lanes: u32) -> ReplayPolicy {
         ReplayPolicy::Parallel {
@@ -293,8 +291,13 @@ mod tests {
     }
 
     /// The plan with the model's own detection delay.
-    fn nominal(m: &FailoverModel, inject: SimTime, a: &AriesAnalysis) -> FailoverTimeline {
-        plan_failover(m, inject, inject + m.detection, a)
+    fn nominal(
+        m: &FailoverModel,
+        replay: ReplayPolicy,
+        inject: SimTime,
+        a: &AriesAnalysis,
+    ) -> FailoverTimeline {
+        plan_failover(m, &replay, inject, inject + m.detection, a)
     }
 
     fn aries_model() -> FailoverModel {
@@ -305,7 +308,6 @@ mod tests {
                 per_record: SimDuration::from_micros(200),
                 base: SimDuration::from_secs(1),
             },
-            replay: seq_replay(),
             warmup: SimDuration::from_secs(20),
             warmup_peak: SimDuration::from_millis(5),
         }
@@ -314,8 +316,8 @@ mod tests {
     #[test]
     fn aries_downtime_grows_with_log_tail() {
         let m = aries_model();
-        let small = nominal(&m, SimTime::ZERO, &analysis(1_000, 800, 10));
-        let large = nominal(&m, SimTime::ZERO, &analysis(100_000, 80_000, 500));
+        let small = nominal(&m, SEQ, SimTime::ZERO, &analysis(1_000, 800, 10));
+        let large = nominal(&m, SEQ, SimTime::ZERO, &analysis(100_000, 80_000, 500));
         assert!(large.downtime() > small.downtime());
         assert!(small.downtime() >= SimDuration::from_secs(8));
         assert_eq!(small.phases.len(), 5);
@@ -326,11 +328,12 @@ mod tests {
     fn delayed_detection_shifts_the_whole_timeline() {
         let m = aries_model();
         let inject = SimTime::from_secs(50);
-        let on_time = nominal(&m, inject, &analysis(1_000, 800, 10));
+        let on_time = nominal(&m, SEQ, inject, &analysis(1_000, 800, 10));
         // A chaos scenario where heartbeats were lost for 9s before anyone
         // noticed: detection takes 9s instead of the model's 2s.
         let late = plan_failover(
             &m,
+            &SEQ,
             inject,
             inject + SimDuration::from_secs(9),
             &analysis(1_000, 800, 10),
@@ -358,15 +361,14 @@ mod tests {
                 per_hop: SimDuration::from_millis(500),
                 undo_per_record: SimDuration::from_micros(100),
             },
-            replay: seq_replay(),
             warmup: SimDuration::from_secs(10),
             warmup_peak: SimDuration::from_millis(3),
         };
         // The storage tier applies the committed tail to the crash LSN
         // before serving a view: downtime grows with the tail, charged at
         // the replicas' replay cost — not at an ARIES per-record cost.
-        let small = nominal(&m, SimTime::ZERO, &analysis(1_000, 800, 0));
-        let large = nominal(&m, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
+        let small = nominal(&m, SEQ, SimTime::ZERO, &analysis(1_000, 800, 0));
+        let large = nominal(&m, SEQ, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
         assert!(large.downtime() > small.downtime());
         assert_eq!(
             small.phase("catchup").unwrap().duration(),
@@ -377,11 +379,12 @@ mod tests {
             SimDuration::from_micros(5) * 800_000u64
         );
         // Parallel replay lanes divide the catch-up (the CDB3 story).
-        let par = FailoverModel {
-            replay: par_replay(8),
-            ..m
-        };
-        let p = nominal(&par, SimTime::ZERO, &analysis(1_000_000, 800_000, 0));
+        let p = nominal(
+            &m,
+            par_replay(8),
+            SimTime::ZERO,
+            &analysis(1_000_000, 800_000, 0),
+        );
         assert_eq!(
             p.phase("catchup").unwrap().duration(),
             SimDuration::from_micros(5) * 800_000u64 / 8
@@ -396,20 +399,16 @@ mod tests {
             },
             ..m
         };
-        let long = nominal(&m_long, SimTime::ZERO, &analysis(1_000, 800, 0));
+        let long = nominal(&m_long, SEQ, SimTime::ZERO, &analysis(1_000, 800, 0));
         assert!(long.downtime() > small.downtime());
     }
 
     #[test]
     fn parallel_replay_divides_record_costs_only() {
-        let seq = aries_model();
-        let par = FailoverModel {
-            replay: par_replay(8),
-            ..seq
-        };
+        let m = aries_model();
         let a = analysis(100_000, 80_000, 4_000);
-        let ts = nominal(&seq, SimTime::ZERO, &a);
-        let tp = nominal(&par, SimTime::ZERO, &a);
+        let ts = nominal(&m, SEQ, SimTime::ZERO, &a);
+        let tp = nominal(&m, par_replay(8), SimTime::ZERO, &a);
         // Fixed phases are identical lane-for-lane.
         for name in ["detect", "restart", "analysis"] {
             assert_eq!(
@@ -436,17 +435,16 @@ mod tests {
                 per_hop: SimDuration::from_millis(500),
                 undo_per_record: SimDuration::from_micros(100),
             },
-            replay: par_replay(8),
-            ..seq
+            ..m
         };
-        let t = nominal(&rfs, SimTime::ZERO, &a);
+        let t = nominal(&rfs, par_replay(8), SimTime::ZERO, &a);
         assert_eq!(
             t.phase("undo").unwrap().duration(),
             SimDuration::from_micros(100) * 4_000 / 8
         );
         // Degenerate lane counts behave like sequential.
         assert_eq!(par_replay(0).lanes(), 1);
-        assert_eq!(seq_replay().lanes(), 1);
+        assert_eq!(SEQ.lanes(), 1);
     }
 
     #[test]
@@ -459,11 +457,15 @@ mod tests {
                 switchover: SimDuration::from_secs(2),
                 recovering: SimDuration::from_secs(3),
             },
-            replay: seq_replay(),
             warmup: SimDuration::from_secs(3),
             warmup_peak: SimDuration::from_millis(1),
         };
-        let t = nominal(&m, SimTime::from_secs(100), &analysis(10_000, 9_000, 100));
+        let t = nominal(
+            &m,
+            SEQ,
+            SimTime::from_secs(100),
+            &analysis(10_000, 9_000, 100),
+        );
         assert_eq!(
             t.phases.iter().map(|p| p.name).collect::<Vec<_>>(),
             vec!["detect", "prepare", "switchover", "recovering"]

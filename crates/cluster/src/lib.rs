@@ -15,8 +15,8 @@
 //!   every primary key to exactly one engine instance.
 //! * `elastic_pool` — the elastic-pool (water-filling) scheduler of a shared
 //!   vCore pool (CDB2's multi-tenant deployment).
-//! * `metering` — integrate vCores/memory/storage/IOPS/network consumption
-//!   for the Resource Unit Cost model.
+//! * `metering` — the vCores/memory/storage/IOPS/network record a window
+//!   consumed, which the Resource Unit Cost model prices.
 
 #![warn(missing_docs)]
 
@@ -33,7 +33,7 @@ pub use elastic_pool::elastic_pool_allocate;
 pub use failover::{
     plan_failover, plan_ro_failover, FailoverModel, FailoverPhase, FailoverTimeline, RecoveryKind,
 };
-pub use metering::{measure, MeterConfig, ResourceUsage};
+pub use metering::ResourceUsage;
 pub use node::{Node, NodeId, NodeRole};
 pub use replication::{quorum_ack_latency, ReplayPolicy, ReplicationStream};
 pub use shard::{shard_of_hash, ShardMap, ShardStrategy};

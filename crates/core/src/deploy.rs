@@ -2,7 +2,7 @@
 //! cluster — database, storage service, compute nodes, replication streams,
 //! optional remote buffer pool, and the prepared statement registry.
 
-use cb_cluster::{measure, Node, NodeId, NodeRole, ReplicationStream, ResourceUsage};
+use cb_cluster::{Node, NodeId, NodeRole, ReplicationStream, ResourceUsage};
 use cb_engine::sql::StmtRegistry;
 use cb_engine::{BufferPool, Database};
 use cb_sim::SimTime;
@@ -158,9 +158,9 @@ impl Deployment {
     /// flushes directly shrink this figure (see
     /// [`ResourceUsage::billable_iops`]).
     pub fn usage(&self, from: SimTime, to: SimTime) -> ResourceUsage {
-        let cfg = self.profile.meter_config(self.data_gb_paper());
-        let refs: Vec<&Node> = self.nodes.iter().collect();
-        let mut u = measure(&refs, &cfg, from, to);
+        let mut u = self
+            .profile
+            .usage(&self.nodes, self.data_gb_paper(), from, to);
         let secs = to.saturating_since(from).as_secs_f64();
         if secs > 0.0 {
             let ops = self.storage.page_ops() + self.storage.log_ops();

@@ -1394,8 +1394,9 @@ impl<'a, B: Body> RunCtx<'a, B> {
                     opts.obs
                         .instant(Category::Recovery, "analyze", target as u64, now);
                     opts.obs.add("recovery.scanned_records", analysis.scanned);
-                    let model = &dep.profile.failover;
-                    plan_failover(model, now, now + model.detection, &analysis)
+                    let p = &dep.profile;
+                    let detected = now + p.failover.detection;
+                    plan_failover(&p.failover, &p.replay, now, detected, &analysis)
                 };
                 opts.obs
                     .instant(Category::Failover, "inject", target as u64, now);

@@ -201,11 +201,8 @@ fn slot_scalings(
         let scaling_cost = settle.map_or(0.0, |s| {
             let window_end = start + s;
             let vcore_secs = gauge.integral(start, window_end);
-            let mem_gb_secs = profile
-                .gb_per_vcore
-                .map_or(profile.local_mem_gb * s.as_secs_f64(), |per| {
-                    vcore_secs * per
-                });
+            // One node for `s`: node-seconds give memory GB-seconds.
+            let (mem_gb_secs, _) = profile.memory_gb(vcore_secs, s.as_secs_f64());
             vcore_secs / 3600.0 * rates.cpu_vcore_hour + mem_gb_secs / 3600.0 * rates.mem_gb_hour
         });
         out.push(SlotScaling {

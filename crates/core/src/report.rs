@@ -95,7 +95,7 @@ pub fn fsecs(v: f64) -> String {
 
 /// Format a [`cb_load::Summary`] as `mean ± ci95 (cv N%)` — the standard
 /// cell for multi-seed aggregate tables.
-pub fn fsummary(s: &cb_load::Summary) -> String {
+fn fsummary(s: &cb_load::Summary) -> String {
     if s.n < 2 {
         return fnum(s.mean);
     }

@@ -10,7 +10,8 @@
 
 use cb_cluster::{ResourceUsage, ScalingKind};
 use cb_sim::{SimDuration, SimTime};
-use cb_sut::SutProfile;
+use cb_store::StorageArch;
+use cb_sut::{SutProfile, NETWORK_GBPS};
 
 use crate::cost::{actual_cost, ruc_cost, CostBreakdown, RucRates};
 use crate::deploy::Deployment;
@@ -151,12 +152,8 @@ fn provisioned_usage(
 ) -> ResourceUsage {
     let n = n_tenants as f64;
     let vcores = profile.max_vcores * n;
-    let mem = profile
-        .gb_per_vcore
-        .map_or(profile.local_mem_gb * n, |per| per * vcores)
-        + profile
-            .remote_buffer_bytes
-            .map_or(0.0, |b| b as f64 / (1024.0 * 1024.0 * 1024.0) * n);
+    // Every isolated instance brings its own remote pool.
+    let (local, remote) = profile.memory_gb(vcores, n);
     let shares_compute = matches!(profile.scaling, ScalingKind::OnDemand);
     let shares_storage = matches!(
         profile.scaling,
@@ -168,12 +165,12 @@ fn provisioned_usage(
     let storage_mult = if branches { 1.0 } else { n };
     ResourceUsage {
         avg_vcores: vcores,
-        avg_mem_gb: mem,
+        avg_mem_gb: local + remote * n,
         storage_gb: data_gb * profile.storage_replication as f64 * storage_mult,
         iops: profile.billed_iops * iops_mult,
         observed_iops: 0,
-        network_gbps: profile.network_gbps * net_mult,
-        rdma: profile.rdma,
+        network_gbps: NETWORK_GBPS * net_mult,
+        rdma: profile.arch == StorageArch::MemoryDisagg,
         window,
     }
 }

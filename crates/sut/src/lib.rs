@@ -10,4 +10,4 @@
 
 mod profiles;
 
-pub use profiles::{ActualPricing, SutProfile};
+pub use profiles::{ActualPricing, SutProfile, NETWORK_GBPS};

@@ -8,11 +8,11 @@
 //! in the workspace hard-codes per-system behaviour.
 
 use cb_cluster::{
-    quorum_ack_latency, FailoverModel, MeterConfig, RecoveryKind, ReplayPolicy, ReplicationStream,
-    ScalingKind,
+    quorum_ack_latency, FailoverModel, Node, RecoveryKind, ReplayPolicy, ReplicationStream,
+    ResourceUsage, ScalingKind,
 };
 use cb_engine::{CostModel, IsolationLevel};
-use cb_sim::{Device, NetworkLink, SimDuration};
+use cb_sim::{Device, NetworkLink, SimDuration, SimTime};
 use cb_store::{DurabilityAck, GroupCommit, GroupCommitConfig, StorageArch, StorageService};
 
 /// Vendor-style "actual" pricing, for the paper's starred metrics
@@ -74,10 +74,6 @@ pub struct SutProfile {
     pub log_iops: Option<u64>,
     /// Provisioned IOPS for billing (Table V).
     pub billed_iops: u64,
-    /// Network bandwidth in Gbps.
-    pub network_gbps: f64,
-    /// True if the compute-storage fabric is RDMA.
-    pub rdma: bool,
     /// Extra commit-path latency for quorum acknowledgement.
     pub quorum_extra: SimDuration,
     /// Group-commit pipeline tuning: flush window, batch cap, and who must
@@ -87,13 +83,15 @@ pub struct SutProfile {
     // -- replication to read-only nodes --
     /// One-way log shipping latency to a replica.
     pub ship_latency: SimDuration,
-    /// Replay policy on the replica.
+    /// Log-replay policy: on each replica, and on the recovering node during
+    /// fail-over ([`cb_cluster::plan_failover`]), which replays with the
+    /// same engine.
     pub replay: ReplayPolicy,
 
     // -- behaviour --
     /// Engine cost constants.
     pub cost_model: CostModel,
-    /// Fail-over model.
+    /// Fail-over model; recovery replays at [`Self::replay`].
     pub failover: FailoverModel,
     /// Autoscaling behaviour; the scaler's tuning is a constant of the kind,
     /// bounded by `min_vcores` / `max_vcores`.
@@ -138,6 +136,11 @@ fn base_cost_model() -> CostModel {
 const GB: u64 = 1024 * 1024 * 1024;
 const MB: u64 = 1024 * 1024;
 
+/// Compute-to-storage network bandwidth of every modeled deployment, in
+/// Gbps. RDMA or TCP follows from the storage architecture: only memory
+/// disaggregation runs its fabric over RDMA (priced higher in Table III).
+pub const NETWORK_GBPS: f64 = 10.0;
+
 impl SutProfile {
     /// AWS RDS: coupled compute/storage on local NVMe, ARIES recovery,
     /// provisioned 4 vCores / 16 GB, 128 MB buffer.
@@ -159,8 +162,6 @@ impl SutProfile {
             page_iops: Some(50_000),
             log_iops: Some(15_000),
             billed_iops: 1_000,
-            network_gbps: 10.0,
-            rdma: false,
             quorum_extra: SimDuration::ZERO,
             // Postgres-style commit_delay: the leader holds the WAL open a
             // short window so concurrent commits share one local fsync.
@@ -181,11 +182,6 @@ impl SutProfile {
                 kind: RecoveryKind::Aries {
                     per_record: SimDuration::from_micros(35),
                     base: SimDuration::from_secs(2),
-                },
-                // Single-threaded crash recovery, like the replicas' replay.
-                replay: ReplayPolicy::Sequential {
-                    per_record: SimDuration::from_micros(5),
-                    batch_interval: SimDuration::from_millis(6),
                 },
                 warmup: SimDuration::from_secs(24),
                 warmup_peak: SimDuration::from_millis(8),
@@ -226,8 +222,6 @@ impl SutProfile {
             page_iops: Some(80_000),
             log_iops: Some(13_000),
             billed_iops: 1_000,
-            network_gbps: 10.0,
-            rdma: false,
             // 4-of-6 segment quorum: the batch ack waits on the 4th-fastest
             // replica's spread beyond the base smart-storage log hop.
             quorum_extra: quorum_ack_latency(
@@ -256,10 +250,6 @@ impl SutProfile {
                     hops: 1,
                     per_hop: SimDuration::from_millis(200),
                     undo_per_record: SimDuration::from_micros(100),
-                },
-                replay: ReplayPolicy::Sequential {
-                    per_record: SimDuration::from_micros(10),
-                    batch_interval: SimDuration::from_millis(110),
                 },
                 warmup: SimDuration::from_secs(9),
                 warmup_peak: SimDuration::from_millis(4),
@@ -299,8 +289,6 @@ impl SutProfile {
             page_iops: Some(60_000),
             log_iops: Some(9_000),
             billed_iops: 327_680,
-            network_gbps: 10.0,
-            rdma: false,
             quorum_extra: SimDuration::from_micros(80),
             // The dedicated log service batches landing appends itself; a
             // slightly wider window than RDS compensates its lower IOPS cap.
@@ -329,10 +317,6 @@ impl SutProfile {
                     hops: 3, // log service, page service, object tier
                     per_hop: SimDuration::from_millis(400),
                     undo_per_record: SimDuration::from_micros(100),
-                },
-                replay: ReplayPolicy::Sequential {
-                    per_record: SimDuration::from_micros(20),
-                    batch_interval: SimDuration::from_millis(680),
                 },
                 warmup: SimDuration::from_secs(27),
                 warmup_peak: SimDuration::from_millis(6),
@@ -373,8 +357,6 @@ impl SutProfile {
             page_iops: Some(70_000),
             log_iops: Some(14_000),
             billed_iops: 1_000,
-            network_gbps: 10.0,
-            rdma: false,
             // 2-of-3 safekeeper quorum: the ack waits on the 2nd-fastest
             // safekeeper's spread beyond the base log hop.
             quorum_extra: quorum_ack_latency(&[90, 120, 160].map(SimDuration::from_micros), 2),
@@ -387,6 +369,9 @@ impl SutProfile {
                 },
             },
             ship_latency: SimDuration::from_millis(2),
+            // Replicas and the recovering pageserver alike fan the log over
+            // 8 checkpoint-partitioned lanes, which divide fail-over's
+            // record-proportional catch-up and undo scan.
             replay: ReplayPolicy::Parallel {
                 per_record: SimDuration::from_micros(5),
                 lanes: 8,
@@ -401,14 +386,6 @@ impl SutProfile {
                     hops: 2, // safekeeper + pageserver
                     per_hop: SimDuration::from_millis(300),
                     undo_per_record: SimDuration::from_micros(100),
-                },
-                // The recovering pageserver runs the same checkpoint-
-                // partitioned 8-lane replay as the RO replicas, dividing
-                // the record-proportional undo scan.
-                replay: ReplayPolicy::Parallel {
-                    per_record: SimDuration::from_micros(5),
-                    lanes: 8,
-                    batch_interval: SimDuration::from_millis(5),
                 },
                 warmup: SimDuration::from_secs(18),
                 warmup_peak: SimDuration::from_millis(5),
@@ -449,8 +426,6 @@ impl SutProfile {
             page_iops: Some(80_000),
             log_iops: None,
             billed_iops: 84_000,
-            network_gbps: 10.0,
-            rdma: true,
             quorum_extra: SimDuration::from_micros(20),
             // RDMA appends are cheap enough that only a sliver of batching
             // pays off; a long window would just add commit latency.
@@ -474,9 +449,6 @@ impl SutProfile {
                     prepare: SimDuration::from_secs(1),
                     switchover: SimDuration::from_secs(2),
                     recovering: SimDuration::from_secs(3),
-                },
-                replay: ReplayPolicy::OnDemand {
-                    per_batch: SimDuration::from_micros(300),
                 },
                 warmup: SimDuration::from_millis(3500),
                 warmup_peak: SimDuration::from_millis(2),
@@ -518,8 +490,8 @@ impl SutProfile {
         let log_dev = Device::new(self.log_latency, self.log_iops);
         let net = match self.arch {
             StorageArch::Coupled => None,
-            _ if self.rdma => Some(NetworkLink::rdma(self.network_gbps)),
-            _ => Some(NetworkLink::tcp(self.network_gbps)),
+            StorageArch::MemoryDisagg => Some(NetworkLink::rdma(NETWORK_GBPS)),
+            _ => Some(NetworkLink::tcp(NETWORK_GBPS)),
         };
         StorageService::new(
             self.arch,
@@ -541,19 +513,46 @@ impl SutProfile {
         ReplicationStream::new(self.ship_latency, self.replay)
     }
 
-    /// Meter configuration given the logical data size.
-    pub fn meter_config(&self, data_gb: f64) -> MeterConfig {
-        MeterConfig {
-            gb_per_vcore: self.gb_per_vcore,
-            fixed_mem_gb: self.local_mem_gb,
-            remote_mem_gb: self
-                .remote_buffer_bytes
-                .map_or(0.0, |b| b as f64 / GB as f64),
-            data_gb,
-            storage_replication: self.storage_replication,
-            provisioned_iops: self.billed_iops,
-            network_gbps: self.network_gbps,
-            rdma: self.rdma,
+    /// The memory this SUT bills, in GB: `(local, remote)`. Local memory
+    /// follows `vcores` on serverless tiers (`gb_per_vcore`) and is fixed
+    /// per node elsewhere, times `nodes`; remote is the one shared pool of
+    /// a deployment (CDB4's), 0 without one. Both inputs may be integrals
+    /// over a window — vCore-seconds and node-seconds give GB-seconds.
+    pub fn memory_gb(&self, vcores: f64, nodes: f64) -> (f64, f64) {
+        let local = match self.gb_per_vcore {
+            Some(per) => vcores * per,
+            None => self.local_mem_gb * nodes,
+        };
+        let remote = self
+            .remote_buffer_bytes
+            .map_or(0.0, |b| b as f64 / GB as f64);
+        (local, remote)
+    }
+
+    /// Integrate what `nodes` consumed over `[from, to)` with `data_gb` of
+    /// logical data: average vCores and memory, replicated storage, and
+    /// the provisioned IOPS and network. An empty window is all zeros.
+    pub fn usage(&self, nodes: &[Node], data_gb: f64, from: SimTime, to: SimTime) -> ResourceUsage {
+        let window = to.saturating_since(from);
+        let secs = window.as_secs_f64();
+        if secs <= 0.0 {
+            return ResourceUsage {
+                window,
+                ..Default::default()
+            };
+        }
+        let vcore_seconds: f64 = nodes.iter().map(|n| n.vcore_gauge.integral(from, to)).sum();
+        let avg_vcores = vcore_seconds / secs;
+        let (local, remote) = self.memory_gb(avg_vcores, nodes.len() as f64);
+        ResourceUsage {
+            avg_vcores,
+            avg_mem_gb: local + remote,
+            storage_gb: data_gb * self.storage_replication as f64,
+            iops: self.billed_iops,
+            observed_iops: 0,
+            network_gbps: NETWORK_GBPS,
+            rdma: self.arch == StorageArch::MemoryDisagg,
+            window,
         }
     }
 
@@ -573,6 +572,7 @@ impl SutProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cb_cluster::{NodeId, NodeRole};
 
     #[test]
     fn commit_ack_paths_match_the_architectures() {
@@ -635,7 +635,7 @@ mod tests {
         let cdb4 = SutProfile::cdb4();
         assert_eq!(cdb4.local_buffer_bytes, 10 * GB);
         assert_eq!(cdb4.remote_buffer_bytes, Some(24 * GB));
-        assert!(cdb4.rdma);
+        assert_eq!(cdb4.arch, StorageArch::MemoryDisagg, "RDMA fabric");
     }
 
     #[test]
@@ -699,15 +699,94 @@ mod tests {
         assert_eq!(SutProfile::cdb1().remote_pages(10), None);
     }
 
+    fn node(id: u32, vcores: f64) -> Node {
+        let role = if id == 0 {
+            NodeRole::ReadWrite
+        } else {
+            NodeRole::ReadOnly
+        };
+        Node::new(NodeId(id), role, vcores, 16)
+    }
+
+    /// Meter `nodes` over `[0, secs)` with 21 GB of data. AWS RDS, the
+    /// fixed tier most tests use, bills 16 GB per node, two-way storage
+    /// and 1 000 IOPS.
+    fn usage(p: &SutProfile, nodes: &[Node], secs: u64) -> ResourceUsage {
+        p.usage(nodes, 21.0, SimTime::ZERO, SimTime::from_secs(secs))
+    }
+
     #[test]
-    fn meter_config_reflects_deployment() {
-        let m = SutProfile::cdb4().meter_config(21.0);
-        assert!((m.remote_mem_gb - 24.0).abs() < 1e-9);
-        assert_eq!(m.provisioned_iops, 84_000);
-        assert!(m.rdma);
-        let m1 = SutProfile::cdb1().meter_config(21.0);
-        assert_eq!(m1.storage_replication, 6);
-        assert_eq!(m1.gb_per_vcore, Some(8.0));
+    fn usage_reflects_deployment() {
+        let (cdb4, cdb1) = (SutProfile::cdb4(), SutProfile::cdb1());
+        let u = usage(&cdb4, &[node(0, 4.0)], 60);
+        assert!(
+            (u.avg_mem_gb - (16.0 + 24.0)).abs() < 1e-9,
+            "local + remote"
+        );
+        assert_eq!(u.iops, 84_000);
+        assert!(u.rdma);
+        assert_eq!(cdb4.memory_gb(4.0, 3.0), (48.0, 24.0));
+        let u1 = usage(&cdb1, &[node(0, 4.0)], 60);
+        assert!((u1.storage_gb - 21.0 * 6.0).abs() < 1e-9);
+        assert!(!u1.rdma);
+        assert_eq!(u1.network_gbps, NETWORK_GBPS);
+        assert_eq!(cdb1.memory_gb(2.0, 3.0), (16.0, 0.0), "8 GB per vCore");
+    }
+
+    #[test]
+    fn fixed_capacity_measures_flat() {
+        let u = usage(&SutProfile::aws_rds(), &[node(0, 4.0)], 600);
+        assert!((u.avg_vcores - 4.0).abs() < 1e-9);
+        assert!((u.avg_mem_gb - 16.0).abs() < 1e-9);
+        assert!((u.storage_gb - 42.0).abs() < 1e-9);
+        assert_eq!(u.iops, 1000);
+    }
+
+    #[test]
+    fn serverless_memory_tracks_vcores() {
+        let mut n = node(0, 4.0);
+        // Half the window at 4 vCores, half at 2.
+        n.set_vcores(SimTime::from_secs(300), 2.0);
+        let p = SutProfile {
+            gb_per_vcore: Some(2.0),
+            ..SutProfile::aws_rds()
+        };
+        let u = usage(&p, &[n], 600);
+        assert!((u.avg_vcores - 3.0).abs() < 1e-9);
+        assert!((u.avg_mem_gb - 6.0).abs() < 1e-9, "2 GB per average vCore");
+    }
+
+    #[test]
+    fn pause_costs_nothing_while_paused() {
+        let mut n = node(0, 2.0);
+        n.pause(SimTime::from_secs(100));
+        let u = usage(&SutProfile::aws_rds(), &[n], 200);
+        assert!(
+            (u.avg_vcores - 1.0).abs() < 1e-9,
+            "2 vCores for half the window"
+        );
+    }
+
+    #[test]
+    fn multiple_nodes_sum() {
+        let u = usage(&SutProfile::aws_rds(), &[node(0, 4.0), node(1, 4.0)], 60);
+        assert!((u.avg_vcores - 8.0).abs() < 1e-9);
+        assert!((u.avg_mem_gb - 32.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn observed_iops_take_billing_precedence() {
+        let mut u = usage(&SutProfile::aws_rds(), &[node(0, 4.0)], 60);
+        assert_eq!(u.billable_iops(), 1000, "unmetered runs bill provisioned");
+        u.observed_iops = 220;
+        assert_eq!(u.billable_iops(), 220, "metered runs bill what they used");
+    }
+
+    #[test]
+    fn empty_window_is_zero() {
+        let at = SimTime::from_secs(5);
+        let u = SutProfile::aws_rds().usage(&[node(0, 4.0)], 21.0, at, at);
+        assert_eq!(u.avg_vcores, 0.0);
     }
 
     #[test]
@@ -723,7 +802,8 @@ mod tests {
         };
         let downtime = |p: &SutProfile| {
             let t0 = cb_sim::SimTime::ZERO;
-            plan_failover(&p.failover, t0, t0 + p.failover.detection, &analysis).downtime()
+            let detected = t0 + p.failover.detection;
+            plan_failover(&p.failover, &p.replay, t0, detected, &analysis).downtime()
         };
         let rds = downtime(&SutProfile::aws_rds());
         let c4 = downtime(&SutProfile::cdb4());

@@ -25,9 +25,9 @@ fn single_lane(profile: &SutProfile) -> SutProfile {
         per_record,
         batch_interval,
         ..
-    } = p.failover.replay
+    } = p.replay
     {
-        p.failover.replay = ReplayPolicy::Sequential {
+        p.replay = ReplayPolicy::Sequential {
             per_record,
             batch_interval,
         };
@@ -54,7 +54,7 @@ fn main() {
         ],
     );
     for profile in SutProfile::all() {
-        let lanes = profile.failover.replay.lanes();
+        let lanes = profile.replay.lanes();
         let stock = evaluate_failover(&profile, 100, 200, &base);
         let seq = evaluate_failover(&single_lane(&profile), 100, 200, &base);
         t.row(&[
