@@ -886,6 +886,114 @@ mod tests {
         );
     }
 
+    /// FNV-1a-64 step over one 64-bit word.
+    fn fnv(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    /// The leaf a lookup of `key` lands on and the slot search's answer
+    /// there (`Ok(slot)` or `Err(insert position)`).
+    fn locate(
+        tree: &BTree,
+        store: &PageStore,
+        key: i64,
+        log: &mut AccessLog,
+    ) -> (PageId, Result<usize, usize>) {
+        let leaf = tree.find_leaf(store, key, log);
+        (
+            leaf,
+            SlottedRef::new(store.read(leaf), ENTRIES_BASE).find(key),
+        )
+    }
+
+    /// `(hits, digest)` of `keys` looked up in order: FNV-1a-64 over each
+    /// lookup's access log `(page, write)` and the `(leaf, slot)` it lands
+    /// on. `get` must agree with the slot found.
+    fn lookup_digest(tree: &BTree, store: &PageStore, keys: &[i64]) -> (usize, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut hits = 0;
+        let mut log = AccessLog::new();
+        for &key in keys {
+            log.clear();
+            let (leaf, slot) = locate(tree, store, key, &mut log);
+            for &(page, write) in &log {
+                h = fnv(fnv(h, page.0), write as u64);
+            }
+            let slot = match slot {
+                Ok(i) => {
+                    hits += 1;
+                    i as u64
+                }
+                Err(pos) => (1 << 32) | pos as u64,
+            };
+            h = fnv(fnv(h, leaf.0), slot);
+            let mut get_log = AccessLog::new();
+            let got = tree.get(store, key, &mut get_log);
+            assert_eq!(got.is_some(), slot >> 32 == 0, "key {key}");
+            assert_eq!(get_log, log, "key {key}: get walks the same pages");
+        }
+        (hits, h)
+    }
+
+    /// An ORDERS image shaped as the SF 1 generator writes it: six values,
+    /// the status text one of three words.
+    fn orders_image(rng: &mut cb_sim::DetRng, o_id: i64) -> Vec<u8> {
+        use crate::value::{Row, Value};
+        let status = ["NEW", "PAID", "SHIPPED"][rng.below(3) as usize];
+        Row::new(vec![
+            Value::Int(o_id),
+            Value::Int(rng.range_inclusive(1, 300_000)),
+            Value::Text(status.to_string()),
+            Value::Int(rng.range_inclusive(100, 100_000)),
+            Value::Timestamp(o_id * 1_000),
+            Value::Timestamp(o_id * 1_000),
+        ])
+        .encode()
+    }
+
+    /// The point path, pinned: 10 000 seeded lookups (hits, misses on both
+    /// sides and the `i64` extremes) on an SF 1 ORDERS tree loaded through
+    /// the sorted-ingest cursor, then the same lookups after seeded inserts
+    /// and deletes have split leaves mid-tree and left gaps. Each lookup's
+    /// page accesses and the `(leaf, slot)` it lands on feed the digest, so
+    /// a node search that answers differently anywhere fails here.
+    #[test]
+    fn point_lookups_are_pinned() {
+        const ORDERS: i64 = 300_000;
+        let mut rng = cb_sim::DetRng::seeded(2025);
+        let mut store = PageStore::new();
+        let mut tree = BTree::create(&mut store);
+        let mut cur = BatchIngest::new();
+        for o_id in 1..=ORDERS {
+            let image = orders_image(&mut rng, o_id);
+            tree.insert_sorted(&mut store, &mut cur, o_id, &image, &mut Uncharged)
+                .unwrap();
+        }
+        assert_eq!(height(&tree, &store), 3);
+        let mut keys: Vec<i64> = (0..10_000)
+            .map(|_| rng.range_inclusive(-50, ORDERS + 50))
+            .collect();
+        keys.extend([i64::MIN, i64::MIN + 1, 0, i64::MAX - 1, i64::MAX]);
+        assert_eq!(
+            (store.live_pages(), lookup_digest(&tree, &store, &keys)),
+            (4_863, (9_994, 0xb8ef_1c24_1d09_f5c8))
+        );
+        for _ in 0..40_000 {
+            let key = rng.range_inclusive(1, ORDERS + 100_000);
+            if rng.chance(0.5) {
+                tree.delete(&mut store, key, &mut Uncharged);
+            } else if !tree.contains(&store, key, &mut Uncharged) {
+                let image = orders_image(&mut rng, key);
+                tree.insert(&mut store, key, &image, &mut Uncharged)
+                    .unwrap();
+            }
+        }
+        assert_eq!(
+            (store.live_pages(), lookup_digest(&tree, &store, &keys)),
+            (4_918, (9_508, 0xfe74_eaa2_81c3_0427))
+        );
+    }
+
     #[test]
     fn model_check_against_btreemap() {
         use std::collections::BTreeMap;

@@ -701,6 +701,74 @@ mod tests {
         pool.check_integrity();
     }
 
+    /// Seeded traffic over page ids up to 60 000 — a hot set, a cold tail,
+    /// invalidations, resizes, checkpoints and a restart — pinned per policy:
+    /// `(hits, misses, dirty_evictions, resident pages)` and a FNV-1a-64
+    /// digest of every dirty page the pool hands back (evictions, shrinks
+    /// and `flush_dirty`, in order). A residency index that answers
+    /// differently, or a flush that reorders its write-backs, fails here.
+    #[test]
+    fn seeded_traffic_is_pinned() {
+        fn fnv(h: u64, w: u64) -> u64 {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        }
+        let mut got = Vec::new();
+        for kind in EvictionPolicyKind::all() {
+            let mut rng = cb_sim::DetRng::seeded(4242);
+            let mut pool = BufferPool::with_policy(2_000, kind);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for step in 0..200_000u64 {
+                let id = if rng.chance(0.7) {
+                    PageId(rng.below(1_500) * 40)
+                } else {
+                    PageId(rng.below(60_001))
+                };
+                match rng.below(10_000) {
+                    0..=399 => pool.invalidate(id),
+                    400..=499 => {
+                        for dirty in pool.resize(500 + rng.below(3_000) as usize) {
+                            h = fnv(h, dirty.0 | 1 << 62);
+                        }
+                    }
+                    500..=501 => {
+                        for dirty in pool.flush_dirty() {
+                            h = fnv(h, dirty.0 | 1 << 63);
+                        }
+                    }
+                    _ => {
+                        let a = pool.touch(id, rng.chance(0.3));
+                        if let Some(dirty) = a.evicted_dirty {
+                            h = fnv(h, dirty.0);
+                        }
+                        h = fnv(h, a.hit as u64);
+                    }
+                }
+                if step == 150_000 {
+                    pool.clear();
+                }
+            }
+            pool.check_integrity();
+            for dirty in pool.flush_dirty() {
+                h = fnv(h, dirty.0 | 1 << 63);
+            }
+            got.push((
+                pool.hits(),
+                pool.misses(),
+                pool.dirty_evictions(),
+                pool.len(),
+                h,
+            ));
+        }
+        assert_eq!(
+            got,
+            [
+                (58_327, 131_548, 38_063, 959, 0xeef8_9177_419c_6d7b),
+                (69_946, 119_929, 33_041, 923, 0xb2a8_4356_3f2f_c93b),
+                (72_531, 117_344, 31_948, 922, 0xef08_7153_5cc6_d891),
+            ]
+        );
+    }
+
     /// The intrusive list agrees with a reference stamp-based LRU (the old
     /// `BTreeMap<stamp, PageId>` index) on hits, eviction identity, and
     /// residency under mixed traffic, including slot recycling after
