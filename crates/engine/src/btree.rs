@@ -14,6 +14,7 @@
 use cb_store::{PageBuf, PageId, PageStore};
 
 use crate::inline::InlineVec;
+use crate::search::search;
 use crate::slotted::{Slotted, SlottedRef};
 
 const TYPE_LEAF: u8 = 0;
@@ -123,17 +124,10 @@ fn internal_child(page: &PageBuf, i: usize) -> PageId {
 /// `<= key`.
 fn internal_find_child(page: &PageBuf, key: i64) -> usize {
     let n = internal_nkeys(page);
-    let mut lo = 0usize;
-    let mut hi = n;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if internal_key(page, mid) <= key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+    match search(page.as_bytes(), ENTRIES_BASE, ENTRY_BYTES, n, key) {
+        Ok(i) => i + 1,
+        Err(i) => i,
     }
-    lo
 }
 
 /// Insert separator `key` (with right child `child`) at position `idx`.
@@ -884,6 +878,25 @@ mod tests {
             tree.get(&store, 500, &mut log),
             Some(payload(500).as_slice())
         );
+    }
+
+    proptest::proptest! {
+        /// The internal form of the node search, on a real separator array
+        /// up to a full node: the child index is the number of separators
+        /// at or below the key, as a binary search over them counts.
+        #[test]
+        fn internal_find_child_equals_binary_search(keys in crate::search::tests::any_key_set()) {
+            let mut page = PageBuf::zeroed();
+            init_internal(&mut page, PageId(0));
+            let keys = &keys[..keys.len().min(INTERNAL_CAPACITY)];
+            for (i, &k) in keys.iter().enumerate() {
+                internal_insert_at(&mut page, i, k, PageId(i as u64 + 1));
+            }
+            for key in crate::search::tests::probes(keys) {
+                let want = keys.partition_point(|&k| k <= key);
+                proptest::prop_assert_eq!(internal_find_child(&page, key), want, "key {}", key);
+            }
+        }
     }
 
     /// FNV-1a-64 step over one 64-bit word.

@@ -9,14 +9,16 @@
 //!
 //! Storage is a slab of intrusive-list nodes: every touch is O(1) pointer
 //! surgery instead of the O(log n) remove+insert a stamp-ordered map would
-//! pay. *Which* page gets evicted is a closed [`EvictionPolicyKind`] the
+//! pay. Residency is a dense table indexed by page id: the page store hands
+//! out ids densely from 0 and never reuses one, so a `Vec` slot per id
+//! costs 4 bytes a page and a lookup is one load, no hash. *Which* page gets evicted is a closed [`EvictionPolicyKind`] the
 //! pool matches on — LRU (the default; eviction order and all counters
 //! identical to the original stamp-based index), SIEVE and LRU-K(2) all run
 //! over the same slab + free-list + two intrusive lists, so switching the
 //! policy changes eviction decisions and nothing else. See DESIGN.md §16
 //! for the per-policy victim rules and the determinism argument.
 
-use cb_store::{IntMap, PageId};
+use cb_store::PageId;
 
 /// Result of touching one page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,7 +111,7 @@ impl ListHead {
 }
 
 /// A buffer pool over page ids with a selectable [`EvictionPolicyKind`]
-/// (default LRU): a node slab, its free-list, the residency map, and two
+/// (default LRU): a node slab, its free-list, the residency table, and two
 /// intrusive doubly-linked lists that every policy shares.
 pub struct BufferPool {
     capacity: usize,
@@ -119,7 +121,11 @@ pub struct BufferPool {
     hand: u32,
     nodes: Vec<Node>,
     free: Vec<u32>,
-    map: IntMap<PageId, u32>,
+    /// Slab slot of each resident page, indexed by `PageId.0` ([`NIL`] =
+    /// not resident); grows to the largest id touched.
+    slot_of: Vec<u32>,
+    /// Resident pages (the non-[`NIL`] entries of `slot_of`).
+    resident: usize,
     lists: [ListHead; 2],
     hits: u64,
     misses: u64,
@@ -140,7 +146,8 @@ impl BufferPool {
             hand: NIL,
             nodes: Vec::new(),
             free: Vec::new(),
-            map: IntMap::default(),
+            slot_of: Vec::new(),
+            resident: 0,
             lists: [ListHead::EMPTY; 2],
             hits: 0,
             misses: 0,
@@ -163,14 +170,7 @@ impl BufferPool {
         if kind == self.policy {
             return;
         }
-        let mut order: Vec<u32> = Vec::with_capacity(self.map.len());
-        for l in [PROTECTED, MAIN] {
-            let mut cur = self.lists[l].head;
-            while cur != NIL {
-                order.push(cur);
-                cur = self.nodes[cur as usize].next;
-            }
-        }
+        let order = self.resident_slots();
         self.lists = [ListHead::EMPTY; 2];
         for &idx in order.iter().rev() {
             self.nodes[idx as usize].visited = false;
@@ -187,17 +187,58 @@ impl BufferPool {
 
     /// Resident pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.resident
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.resident == 0
     }
 
     /// True if `id` is resident.
     pub fn contains(&self, id: PageId) -> bool {
-        self.map.contains_key(&id)
+        self.slot(id).is_some()
+    }
+
+    /// The slab slot of `id`, if resident.
+    #[inline]
+    fn slot(&self, id: PageId) -> Option<u32> {
+        match usize::try_from(id.0).ok().and_then(|i| self.slot_of.get(i)) {
+            Some(&idx) if idx != NIL => Some(idx),
+            _ => None,
+        }
+    }
+
+    /// Record `id` as resident in slab slot `idx`.
+    fn map_slot(&mut self, id: PageId, idx: u32) {
+        let i = usize::try_from(id.0).expect("page id fits the address space");
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, NIL);
+        }
+        self.slot_of[i] = idx;
+        self.resident += 1;
+    }
+
+    /// Forget `id`'s residency, returning the slab slot it held.
+    fn unmap_slot(&mut self, id: PageId) -> Option<u32> {
+        let idx = self.slot(id)?;
+        self.slot_of[id.0 as usize] = NIL;
+        self.resident -= 1;
+        Some(idx)
+    }
+
+    /// Slab slots of the resident pages: the protected list head to tail,
+    /// then the main list head to tail.
+    fn resident_slots(&self) -> Vec<u32> {
+        let mut order = Vec::with_capacity(self.resident);
+        for l in [PROTECTED, MAIN] {
+            let mut cur = self.lists[l].head;
+            while cur != NIL {
+                order.push(cur);
+                cur = self.nodes[cur as usize].next;
+            }
+        }
+        order
     }
 
     /// Detach node `idx` from its list without freeing its slot.
@@ -277,7 +318,7 @@ impl BufferPool {
         }
     }
 
-    /// A freshly-allocated page (already in the map) joins the lists: every
+    /// A freshly-allocated page (already in the table) joins the lists: every
     /// policy admits it at the head of the main list (SIEVE: unvisited, so
     /// it is among the first candidates the hand reaches).
     fn on_insert(&mut self, idx: u32) {
@@ -338,7 +379,7 @@ impl BufferPool {
         self.hand = NIL;
     }
 
-    /// Unlink slot `idx` (already out of the map) and return it to the
+    /// Unlink slot `idx` (already out of the table) and return it to the
     /// free-list.
     fn release(&mut self, idx: u32) {
         self.on_remove(idx);
@@ -351,7 +392,7 @@ impl BufferPool {
         let victim_idx = self.victim();
         debug_assert_ne!(victim_idx, NIL, "pool non-empty");
         let victim = self.nodes[victim_idx as usize];
-        self.map.remove(&victim.id);
+        self.unmap_slot(victim.id);
         self.release(victim_idx);
         if victim.dirty {
             self.dirty_evictions += 1;
@@ -365,7 +406,7 @@ impl BufferPool {
     /// modified (only meaningful on architectures where the compute tier
     /// writes pages back).
     pub fn touch(&mut self, id: PageId, mark_dirty: bool) -> Access {
-        if let Some(&idx) = self.map.get(&id) {
+        if let Some(idx) = self.slot(id) {
             self.nodes[idx as usize].dirty |= mark_dirty;
             self.on_hit(idx);
             self.hits += 1;
@@ -376,11 +417,11 @@ impl BufferPool {
         }
         self.misses += 1;
         let mut evicted_dirty = None;
-        if self.map.len() >= self.capacity {
+        if self.resident >= self.capacity {
             evicted_dirty = self.evict_one();
         }
         let idx = self.alloc(id, mark_dirty);
-        self.map.insert(id, idx);
+        self.map_slot(id, idx);
         self.on_insert(idx);
         Access {
             hit: false,
@@ -391,20 +432,21 @@ impl BufferPool {
     /// Drop `id` from the cache without write-back (cache invalidation, used
     /// by the memory-disaggregated remote pool coherency protocol).
     pub fn invalidate(&mut self, id: PageId) {
-        if let Some(idx) = self.map.remove(&id) {
+        if let Some(idx) = self.unmap_slot(id) {
             self.release(idx);
         }
     }
 
-    /// Clear dirty flags and return the pages that were dirty (a checkpoint
-    /// or clean shutdown; the caller charges the write-back I/O).
+    /// Clear dirty flags and return the pages that were dirty, in page-id
+    /// order (a checkpoint or clean shutdown; the caller charges the
+    /// write-back I/O in that order).
     pub fn flush_dirty(&mut self) -> Vec<PageId> {
         let mut flushed: Vec<PageId> = Vec::new();
-        for (&id, &idx) in &self.map {
+        for idx in self.resident_slots() {
             let node = &mut self.nodes[idx as usize];
             if node.dirty {
                 node.dirty = false;
-                flushed.push(id);
+                flushed.push(node.id);
             }
         }
         flushed.sort_unstable();
@@ -414,9 +456,9 @@ impl BufferPool {
     /// Number of dirty resident pages.
     #[cfg(test)]
     pub(crate) fn dirty_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|&&idx| self.nodes[idx as usize].dirty)
+        self.resident_slots()
+            .into_iter()
+            .filter(|&idx| self.nodes[idx as usize].dirty)
             .count()
     }
 
@@ -425,7 +467,7 @@ impl BufferPool {
     pub fn resize(&mut self, capacity: usize) -> Vec<PageId> {
         self.capacity = capacity.max(1);
         let mut dirty_out = Vec::new();
-        while self.map.len() > self.capacity {
+        while self.resident > self.capacity {
             if let Some(dirty) = self.evict_one() {
                 dirty_out.push(dirty);
             }
@@ -439,7 +481,8 @@ impl BufferPool {
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.free.clear();
-        self.map.clear();
+        self.slot_of.clear();
+        self.resident = 0;
         self.lists = [ListHead::EMPTY; 2];
         self.reset();
     }
@@ -459,8 +502,8 @@ impl BufferPool {
         self.dirty_evictions
     }
 
-    /// Walk both intrusive lists and cross-check them against the map,
-    /// slab, and free-list: every resident page on exactly one list, all
+    /// Walk both intrusive lists and cross-check them against the residency
+    /// table, slab, and free-list: every resident page on exactly one list, all
     /// pointers coherent, every non-resident slot on the free-list. Test
     /// support for the policy proptests.
     #[doc(hidden)]
@@ -473,17 +516,22 @@ impl BufferPool {
                 let n = &self.nodes[cur as usize];
                 assert_eq!(n.prev, prev, "prev pointer coherent");
                 assert_eq!(n.list as usize, l, "list tag matches");
-                assert_eq!(self.map.get(&n.id), Some(&cur), "listed node is mapped");
+                assert_eq!(self.slot(n.id), Some(cur), "listed node is mapped");
                 seen += 1;
                 prev = cur;
                 cur = n.next;
             }
             assert_eq!(self.lists[l].tail, prev, "tail pointer coherent");
         }
-        assert_eq!(seen, self.map.len(), "every resident page listed");
-        assert!(self.map.len() <= self.capacity, "capacity respected");
+        assert_eq!(seen, self.resident, "every resident page listed");
         assert_eq!(
-            self.free.len() + self.map.len(),
+            self.slot_of.iter().filter(|&&idx| idx != NIL).count(),
+            self.resident,
+            "resident count matches the table"
+        );
+        assert!(self.resident <= self.capacity, "capacity respected");
+        assert_eq!(
+            self.free.len() + self.resident,
             self.nodes.len(),
             "free-list accounts for every unmapped slot"
         );

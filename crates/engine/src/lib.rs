@@ -5,6 +5,8 @@
 //!
 //! * [`value`] — typed values, rows, schemas, row-image serialization.
 //! * [`slotted`] — slotted leaf pages.
+//! * `search` — the one node search (interpolated first probe, gallop,
+//!   binary search of the bracket) leaves and internal nodes share.
 //! * [`btree`] — a clustered B+tree over fixed-size pages.
 //! * [`bufferpool`] — per-node page-cache simulator (hits/misses/dirty)
 //!   with a selectable replacement policy (LRU / SIEVE / LRU-K).
@@ -29,6 +31,7 @@ mod inline;
 mod locks;
 mod mvcc;
 pub mod recovery;
+mod search;
 pub mod slotted;
 pub mod sql;
 pub mod value;

@@ -4,7 +4,7 @@
 //! downward from a configurable `base` offset (the B+tree keeps its node
 //! header above it) and payloads grow upward from the end of the page, the
 //! classic slotted-page arrangement. Slots stay sorted by key so lookups are
-//! a binary search; deletes leave payload garbage that is compacted away
+//! the node search of [`crate::search`]; deletes leave payload garbage that is compacted away
 //! when space is actually needed.
 //!
 //! Two views share the layout logic: `SlottedRef` is the read-only view
@@ -17,6 +17,8 @@
 use std::ops::Range;
 
 use cb_store::{PageBuf, PAGE_SIZE};
+
+use crate::search::search;
 
 /// Largest payload a record may carry. Keeps worst-case fan-out sane.
 pub(crate) const MAX_PAYLOAD: usize = 1024;
@@ -85,19 +87,15 @@ impl<'a> SlottedRef<'a> {
         self.page.slice(off, len)
     }
 
-    /// Binary search: `Ok(idx)` if `key` exists, `Err(insert_pos)` otherwise.
+    /// `Ok(idx)` if `key` exists, `Err(insert_pos)` otherwise.
     pub(crate) fn find(&self, key: i64) -> Result<usize, usize> {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.key_at(mid).cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
+        search(
+            self.page.as_bytes(),
+            self.base + HDR_BYTES,
+            SLOT_BYTES,
+            self.len(),
+            key,
+        )
     }
 
     /// Visit `(key, payload)` for records `start..len` in slot order,
@@ -227,7 +225,7 @@ impl<'a> Slotted<'a> {
         self.as_read().payload_at(idx)
     }
 
-    /// Binary search: `Ok(idx)` if `key` exists, `Err(insert_pos)` otherwise.
+    /// `Ok(idx)` if `key` exists, `Err(insert_pos)` otherwise.
     pub fn find(&self, key: i64) -> Result<usize, usize> {
         self.as_read().find(key)
     }
@@ -714,6 +712,26 @@ mod tests {
                 .chain((0..r.len()).map(|i| (r.key_at(i), r.payload_at(i).to_vec())))
                 .collect();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        /// The leaf form of the node search, on a real slot directory
+        /// filled by appends up to a full page: `find` answers what a
+        /// binary search over the same keys does.
+        #[test]
+        fn leaf_find_equals_binary_search(keys in crate::search::tests::any_key_set()) {
+            let mut page = fresh();
+            let mut s = Slotted::init(&mut page, 16);
+            let placed: Vec<i64> = keys
+                .iter()
+                .copied()
+                .take_while(|&k| s.append(k, &[]).is_ok())
+                .collect();
+            let s = SlottedRef::new(&page, 16);
+            for key in crate::search::tests::probes(&placed) {
+                prop_assert_eq!(s.find(key), placed.binary_search(&key), "key {}", key);
+            }
         }
     }
 

@@ -2,8 +2,9 @@
 //! policy against an independent reference model (SIEVE against a
 //! visited-bit queue, LRU-K against a stamp-history model), plus the
 //! cross-policy invariants every policy must share — identical hit/miss
-//! totals when nothing ever evicts, and structural integrity under
-//! interleaved touch / invalidate / resize traffic.
+//! totals when nothing ever evicts, structural integrity under interleaved
+//! touch / invalidate / resize / clear traffic, and the same decisions
+//! whether page ids are small and dense or large and sparse.
 
 use cb_store::PageId;
 use proptest::prelude::*;
@@ -18,28 +19,25 @@ enum Op {
     Invalidate(u8),
     /// Shrink or grow the capacity (clamped to >= 1 by the pool).
     Resize(u8),
+    /// Drop everything (a node restart).
+    Clear,
 }
 
 fn op_strategy(key_space: u8) -> impl Strategy<Value = Op> {
-    // The vendored prop_oneof! is uniform, so weight touches 8:1:1 by
-    // repeating the touch arm: mostly touches, occasional invalidate/resize.
-    macro_rules! touch {
-        () => {
-            (0..key_space, any::<bool>()).prop_map(|(k, d)| Op::Touch(k, d))
-        };
-    }
-    prop_oneof![
-        touch!(),
-        touch!(),
-        touch!(),
-        touch!(),
-        touch!(),
-        touch!(),
-        touch!(),
-        touch!(),
-        (0..key_space).prop_map(Op::Invalidate),
-        (1..24u8).prop_map(Op::Resize),
-    ]
+    // Mostly touches; invalidate and resize one step in ten each, clear one
+    // in a hundred so pools still fill between restarts.
+    (0..100u8, 0..key_space, any::<bool>(), 1..24u8).prop_map(|(pick, k, d, c)| match pick {
+        0..=79 => Op::Touch(k, d),
+        80..=89 => Op::Invalidate(k),
+        90..=98 => Op::Resize(c),
+        _ => Op::Clear,
+    })
+}
+
+/// Page `k` of a sparse id space: ids from 50 000 to past 190 000, 6 007
+/// apart.
+fn sparse(k: u8) -> PageId {
+    PageId(50_000 + k as u64 * 6_007)
 }
 
 /// Reference model of the SIEVE ring: a head→tail vector of
@@ -125,6 +123,11 @@ impl RingModel {
             self.evict();
         }
     }
+
+    fn clear(&mut self) {
+        self.ring.clear();
+        self.hand = None;
+    }
 }
 
 /// Reference model of LRU-K(2) as access-count + stamp history: a page
@@ -193,6 +196,10 @@ impl LrukModel {
             self.evict();
         }
     }
+
+    fn clear(&mut self) {
+        self.pages.clear();
+    }
 }
 
 /// Drive one policy and its ring model through the same op tape, checking
@@ -214,6 +221,10 @@ fn check_ring_policy(kind: EvictionPolicyKind, cap: usize, ops: &[Op]) {
             Op::Resize(c) => {
                 pool.resize(c as usize);
                 model.resize(c as usize);
+            }
+            Op::Clear => {
+                pool.clear();
+                model.clear();
             }
         }
         assert_eq!(
@@ -264,6 +275,10 @@ proptest! {
                     pool.resize(c as usize);
                     model.resize(c as usize);
                 }
+                Op::Clear => {
+                    pool.clear();
+                    model.clear();
+                }
             }
             prop_assert_eq!(pool.len(), model.pages.len(), "step {}", step);
             for &(id, _, _) in &model.pages {
@@ -302,9 +317,9 @@ proptest! {
         }
     }
 
-    /// Structural integrity (lists ↔ map ↔ free-list coherence) holds for
-    /// every policy under arbitrary interleavings of touch, invalidate and
-    /// resize, including policy switches mid-stream.
+    /// Structural integrity (lists ↔ residency table ↔ free-list coherence)
+    /// holds for every policy under arbitrary interleavings of touch,
+    /// invalidate, resize and clear, including policy switches mid-stream.
     #[test]
     fn no_free_list_corruption_under_interleaved_ops(
         start in 0..3usize,
@@ -328,8 +343,62 @@ proptest! {
                 Op::Resize(c) => {
                     pool.resize(c as usize);
                 }
+                Op::Clear => pool.clear(),
             }
             pool.check_integrity();
         }
+    }
+
+    /// Residency does not depend on how large or how far apart page ids
+    /// are: a tape over sparse ids from 50 000 up makes every decision the
+    /// same tape over ids 0..24 makes — hits, dirty evictions (by page),
+    /// resize write-backs, `flush_dirty` lists and the counters.
+    #[test]
+    fn sparse_large_ids_decide_as_dense_ones_do(
+        kind in 0..3usize,
+        cap in 1..10usize,
+        ops in prop::collection::vec(op_strategy(24), 1..250),
+        flush_every in 5..40usize,
+    ) {
+        let kind = EvictionPolicyKind::all()[kind];
+        let mut dense = BufferPool::with_policy(cap, kind);
+        let mut wide = BufferPool::with_policy(cap, kind);
+        let widen = |ids: Vec<PageId>| -> Vec<PageId> {
+            ids.into_iter().map(|id| sparse(id.0 as u8)).collect()
+        };
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Touch(k, dirty) => {
+                    let a = dense.touch(PageId(k as u64), dirty);
+                    let b = wide.touch(sparse(k), dirty);
+                    prop_assert_eq!(a.hit, b.hit, "step {}", step);
+                    prop_assert_eq!(a.evicted_dirty.map(|id| sparse(id.0 as u8)), b.evicted_dirty, "step {}", step);
+                }
+                Op::Invalidate(k) => {
+                    dense.invalidate(PageId(k as u64));
+                    wide.invalidate(sparse(k));
+                }
+                Op::Resize(c) => {
+                    let a = dense.resize(c as usize);
+                    prop_assert_eq!(widen(a), wide.resize(c as usize), "step {}", step);
+                }
+                Op::Clear => {
+                    dense.clear();
+                    wide.clear();
+                }
+            }
+            if step % flush_every == 0 {
+                prop_assert_eq!(widen(dense.flush_dirty()), wide.flush_dirty(), "step {}", step);
+            }
+            prop_assert_eq!(dense.len(), wide.len(), "step {}", step);
+            wide.check_integrity();
+        }
+        prop_assert_eq!(
+            (dense.hits(), dense.misses(), dense.dirty_evictions()),
+            (wide.hits(), wide.misses(), wide.dirty_evictions())
+        );
+        // Nothing outside the tape's ids is resident, however far the
+        // table grew.
+        prop_assert!(!wide.contains(PageId(0)) && !wide.contains(PageId(u64::MAX)));
     }
 }
