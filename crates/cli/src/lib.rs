@@ -363,6 +363,7 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
         "oltp" => {
             let sf = scale_factor(props, "scale_factor")?;
             let con = props.get_u32("concurrency", 100)?;
+            let con = nonzero("concurrency", con, "0 clients commit nothing")?;
             // A 0 s window commits nothing and prices per minute as 0 × ∞.
             let secs = props.get_u64("duration_secs", 30)?;
             let secs = nonzero("duration_secs", secs, "a 0 s run measures nothing")?;
@@ -390,7 +391,9 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             out.push_str(&t.to_string());
         }
         "elasticity" => {
+            // τ sets every slot's client count; 0 schedules none anywhere.
             let tau = props.get_u32("tau", 110)?;
+            let tau = nonzero("tau", tau, "0 clients in every slot measure nothing")?;
             // Either a named pattern or an explicit schedule from *_con keys.
             if props.get("first_con").is_some() {
                 let sched = ElasticScheduleConfig::from_props(props)?;

@@ -22,8 +22,8 @@ use cloudybench::{
 };
 
 use crate::{
-    argv_props, jobs, node_count, parse_mix, parse_sut, scale_factor, seed_list, sim_scale,
-    CliError,
+    argv_props, jobs, node_count, nonzero, parse_mix, parse_sut, scale_factor, seed_list,
+    sim_scale, CliError,
 };
 
 /// The `load` flags; each takes a value.
@@ -109,7 +109,11 @@ pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Load, CliError
         partition: KeyPartition::whole(shape.orders, shape.customers),
     };
     let first = props.get_u64("--seed", 2025)?;
-    let runs = props.get_u64("--runs", 1)?.max(1);
+    let runs = nonzero(
+        "--runs",
+        props.get_u64("--runs", 1)?,
+        "0 runs measure nothing",
+    )?;
     let last = first.checked_add(runs - 1).ok_or_else(|| {
         CliError::Arg(format!(
             "key --seed: {runs} runs from seed {first} pass the last seed {}",

@@ -72,10 +72,10 @@ fn refused_at_once(args: &[&str], code: i32, prefix: &str) {
 
 /// Counts and scales that used to run wrong are refused before anything is
 /// built, naming the key: `sim_scale = 0` billed no storage, a replica
-/// count of 10^11 built nodes until memory ran out, `replicas = 0` or
-/// `shards = 0` silently ran one, and a scale factor, duration or lag-run
-/// concurrency of 0 reported a run that measured nothing. A props file
-/// exits 1 and `load` exits 2.
+/// count of 10^11 built nodes until memory ran out, `replicas = 0`,
+/// `shards = 0` or `load --runs 0` silently ran one, and a scale factor,
+/// duration, OLTP or lag-run concurrency or elasticity τ of 0 reported a
+/// run that measured nothing. A props file exits 1 and `load` exits 2.
 #[test]
 fn counts_and_scales_that_cannot_run_are_refused_at_once() {
     let dir = std::env::temp_dir().join(format!("cb-refusals-{}", std::process::id()));
@@ -89,6 +89,8 @@ fn counts_and_scales_that_cannot_run_are_refused_at_once() {
         ("oltp", "scale_factor", "0"),
         ("oltp", "duration_secs", "0"),
         ("lagtime", "concurrency", "0"),
+        ("oltp", "concurrency", "0"),
+        ("elasticity", "tau", "0"),
     ] {
         let path = dir.join(format!("{key}-{value}.props"));
         std::fs::write(&path, format!("mode = {mode}\n{key} = {value}\n")).expect("write props");
@@ -100,6 +102,7 @@ fn counts_and_scales_that_cannot_run_are_refused_at_once() {
         "--sim-scale 0",
         "--ro-nodes 100000000000",
         "--scale-factor 0",
+        "--runs 0",
     ] {
         let args = format!("load --arrival poisson:100/s {flag}");
         let argv: Vec<&str> = args.split(' ').collect();
