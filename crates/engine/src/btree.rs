@@ -78,14 +78,21 @@ fn init_leaf(page: &mut PageBuf) {
 fn leaf_add(page: &mut PageBuf, key: i64, payload: &[u8]) -> Result<bool, DuplicateKey> {
     let mut s = Slotted::new(page, ENTRIES_BASE);
     let n = s.len();
-    let placed = if n == 0 || s.key_at(n - 1) < key {
-        s.append(key, payload)
-    } else if s.find(key).is_ok() {
-        return Err(DuplicateKey(key));
-    } else {
-        s.insert(key, payload)
-    };
-    Ok(placed.is_ok())
+    if n == 0 || s.key_at(n - 1) < key {
+        return Ok(s.append(key, payload).is_ok());
+    }
+    leaf_insert(s, key, payload)
+}
+
+/// [`leaf_add`] of a key at or below the leaf's last key. Out of line, so
+/// the append that bulk load runs once per row compiles to the same few
+/// instructions whatever the node search inlines to.
+#[inline(never)]
+fn leaf_insert(mut s: Slotted<'_>, key: i64, payload: &[u8]) -> Result<bool, DuplicateKey> {
+    match s.find(key) {
+        Ok(_) => Err(DuplicateKey(key)),
+        Err(pos) => Ok(s.insert_at(pos, key, payload).is_ok()),
+    }
 }
 
 fn leaf_next(page: &PageBuf) -> PageId {

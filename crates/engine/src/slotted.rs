@@ -262,7 +262,15 @@ impl<'a> Slotted<'a> {
         self.insert_at(n, key, payload)
     }
 
-    fn insert_at(&mut self, pos: usize, key: i64, payload: &[u8]) -> Result<(), PageFull> {
+    /// Insert a record at slot `pos`, which must be where `key` sorts (the
+    /// `Err` position a [`find`](Self::find) of it returned, or `len()`
+    /// for a key above every key present).
+    pub(crate) fn insert_at(
+        &mut self,
+        pos: usize,
+        key: i64,
+        payload: &[u8],
+    ) -> Result<(), PageFull> {
         assert!(payload.len() <= MAX_PAYLOAD, "payload too large");
         let need = SLOT_BYTES + payload.len();
         if self.total_free() < need {

@@ -36,6 +36,10 @@ impl fmt::Debug for PageId {
 }
 
 /// A fixed-size page buffer with little-endian scalar accessors.
+///
+/// The accessors are `#[inline]`: without it each one compiled to a call
+/// through the GOT from every other crate, several per row on the bulk
+/// load's append path.
 #[derive(Clone)]
 pub struct PageBuf {
     bytes: Box<[u8; PAGE_SIZE]>,
@@ -56,51 +60,61 @@ impl PageBuf {
     }
 
     /// Raw bytes.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.bytes
     }
 
     /// Mutable raw bytes.
+    #[inline]
     pub fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.bytes
     }
 
     /// Read a `u16` at byte offset `off`.
+    #[inline]
     pub fn get_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes(self.bytes[off..off + 2].try_into().unwrap())
     }
 
     /// Write a `u16` at byte offset `off`.
+    #[inline]
     pub fn put_u16(&mut self, off: usize, v: u16) {
         self.bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Read a `u64` at byte offset `off`.
+    #[inline]
     pub fn get_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 
     /// Write a `u64` at byte offset `off`.
+    #[inline]
     pub fn put_u64(&mut self, off: usize, v: u64) {
         self.bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Read an `i64` at byte offset `off`.
+    #[inline]
     pub fn get_i64(&self, off: usize) -> i64 {
         i64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
     }
 
     /// Write an `i64` at byte offset `off`.
+    #[inline]
     pub fn put_i64(&mut self, off: usize, v: i64) {
         self.bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Copy `src` into the page at `off`.
+    #[inline]
     pub fn put_slice(&mut self, off: usize, src: &[u8]) {
         self.bytes[off..off + src.len()].copy_from_slice(src);
     }
 
     /// Borrow `len` bytes at `off`.
+    #[inline]
     pub fn slice(&self, off: usize, len: usize) -> &[u8] {
         &self.bytes[off..off + len]
     }
