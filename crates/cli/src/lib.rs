@@ -391,7 +391,6 @@ pub fn run_from_props(props: &Props, obs: &ObsSink) -> Result<String, CliError> 
             out.push_str(&t.to_string());
         }
         "elasticity" => {
-            // τ sets every slot's client count; 0 schedules none anywhere.
             let tau = props.get_u32("tau", 110)?;
             let tau = nonzero("tau", tau, "0 clients in every slot measure nothing")?;
             // Either a named pattern or an explicit schedule from *_con keys.

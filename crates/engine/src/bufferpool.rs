@@ -11,11 +11,12 @@
 //! surgery instead of the O(log n) remove+insert a stamp-ordered map would
 //! pay. Residency is a dense table indexed by page id: the page store hands
 //! out ids densely from 0 and never reuses one, so a `Vec` slot per id
-//! costs 4 bytes a page and a lookup is one load, no hash. *Which* page gets evicted is a closed [`EvictionPolicyKind`] the
-//! pool matches on — LRU (the default; eviction order and all counters
-//! identical to the original stamp-based index), SIEVE and LRU-K(2) all run
-//! over the same slab + free-list + two intrusive lists, so switching the
-//! policy changes eviction decisions and nothing else. See DESIGN.md §16
+//! costs 4 bytes a page and a lookup is one load, no hash. *Which* page
+//! gets evicted is a closed [`EvictionPolicyKind`] the pool matches on —
+//! LRU (the default; eviction order and all counters identical to the
+//! original stamp-based index), SIEVE and LRU-K(2) all run over the same
+//! slab + free-list + two intrusive lists, so switching the policy changes
+//! eviction decisions and nothing else. See DESIGN.md §16
 //! for the per-policy victim rules and the determinism argument.
 
 use cb_store::PageId;

@@ -4,8 +4,8 @@
 //! downward from a configurable `base` offset (the B+tree keeps its node
 //! header above it) and payloads grow upward from the end of the page, the
 //! classic slotted-page arrangement. Slots stay sorted by key so lookups are
-//! the node search of [`crate::search`]; deletes leave payload garbage that is compacted away
-//! when space is actually needed.
+//! the node search of `crate::search`; deletes leave payload garbage that
+//! is compacted away when space is actually needed.
 //!
 //! Two views share the layout logic: `SlottedRef` is the read-only view
 //! over `&PageBuf` whose accessors return slices tied to the *page's*
