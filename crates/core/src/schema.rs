@@ -215,6 +215,30 @@ impl SalesStmts {
     }
 }
 
+/// `(live_pages, digest)` of every page image in `db`: FNV-1a-64 over each
+/// page's 1024 little-endian `u64` words, pages in id order. The loader pins
+/// of this module, TPC-C-lite and sysbench hold their bytes with it.
+#[cfg(test)]
+pub(crate) fn page_images_digest(db: &Database) -> (usize, u64) {
+    let pages = db.pages();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut seen = 0;
+    let mut id = 0u64;
+    while seen < pages.live_pages() {
+        let page = cb_store::PageId(id);
+        id += 1;
+        if !pages.contains(page) {
+            continue;
+        }
+        seen += 1;
+        for word in pages.read(page).as_bytes().chunks_exact(8) {
+            let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (seen, h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,29 +335,12 @@ mod tests {
         );
     }
 
-    /// `(live_pages, digest)` of the loaded dataset: FNV-1a-64 over every
-    /// page's 1024 little-endian `u64` words, pages in id order.
+    /// [`page_images_digest`] of the loaded dataset.
     fn page_digest(shape: DatasetShape, seed: u64) -> (usize, u64) {
         let mut db = Database::new();
         let tables = create_tables(&mut db);
         load_dataset(&mut db, tables, shape, seed);
-        let pages = db.pages();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut seen = 0;
-        let mut id = 0u64;
-        while seen < pages.live_pages() {
-            let page = cb_store::PageId(id);
-            id += 1;
-            if !pages.contains(page) {
-                continue;
-            }
-            seen += 1;
-            for word in pages.read(page).as_bytes().chunks_exact(8) {
-                let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        (seen, h)
+        page_images_digest(&db)
     }
 
     /// Every page image the loader writes — ids, fill, separators, sibling

@@ -108,6 +108,20 @@ mod tests {
         }
     }
 
+    /// Every page image the sysbench loader writes, with the `K` column
+    /// drawn from the seed, pinned at two scales (300 and 30 000 rows a
+    /// table), so a loader change that moves one byte or one draw fails here.
+    #[test]
+    fn loaded_page_images_are_pinned() {
+        let digest = |sim_scale, seed| {
+            let mut db = Database::new();
+            Sysbench::setup(&mut db, sim_scale, &mut DetRng::seeded(seed));
+            crate::schema::page_images_digest(&db)
+        };
+        assert_eq!(digest(1000, 2025), (21, 0x3566_4bbf_7508_3270));
+        assert_eq!(digest(10, 7), (1_881, 0x82ce_1b97_66c3_2e89));
+    }
+
     #[test]
     fn transaction_reads_and_writes() {
         use cb_engine::{BufferPool, CostModel};

@@ -314,6 +314,20 @@ mod tests {
         assert_eq!(db.table(w.stock).rows(), w.items as u64);
     }
 
+    /// Every page image TPC-C-lite's loader writes, pinned at two scales
+    /// (300 and 30 000 customers), so a loader change that moves one byte
+    /// fails here.
+    #[test]
+    fn loaded_page_images_are_pinned() {
+        let digest = |sim_scale| {
+            let mut db = Database::new();
+            TpccLite::setup(&mut db, sim_scale);
+            crate::schema::page_images_digest(&db)
+        };
+        assert_eq!(digest(100), (27, 0x88c6_798f_fed5_25b3));
+        assert_eq!(digest(1), (2_173, 0xa345_b407_8775_47fe));
+    }
+
     #[test]
     fn key_packing_is_injective() {
         let mut seen = std::collections::HashSet::new();
