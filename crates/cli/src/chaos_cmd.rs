@@ -17,7 +17,9 @@ use cb_chaos::{
 use cb_sut::SutProfile;
 use cloudybench::config::{ConfigError, Props};
 
-use crate::{argv_props, jobs, parse_eviction, parse_isolation, parse_sut, seed_list, CliError};
+use crate::{
+    argv_props, jobs, nonzero, parse_eviction, parse_isolation, parse_sut, seed_list, CliError,
+};
 
 /// The `chaos` flags that take a value, and its bare switches.
 const FLAGS: [&str; 10] = [
@@ -120,11 +122,12 @@ pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Chaos, CliErro
             "{flag} is not supported with --sharded"
         )));
     }
-    let seeds = props.get_u64("--seeds", 20)?;
     // An empty campaign would report "0 violations" and exit 0.
-    if seeds == 0 {
-        return Err(CliError::Arg("--seeds needs at least one seed".into()));
-    }
+    let seeds = nonzero(
+        "--seeds",
+        props.get_u64("--seeds", 20)?,
+        "0 seeds measure nothing",
+    )?;
     let txns = props.get_u64("--txns", 60)?;
     let shards = (props.get_u64("--shards", 3)? as usize).max(1);
     let campaign = if sharded {

@@ -46,7 +46,10 @@ fn an_empty_campaign_exits_2_instead_of_reporting_clean() {
         assert_eq!(out.status.code(), Some(2));
         assert!(out.stdout.is_empty(), "printed a summary anyway");
         let msg = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(msg.trim_end(), "--seeds needs at least one seed");
+        assert_eq!(
+            msg.trim_end(),
+            "key --seeds: 0 seeds measure nothing (expected at least 1)"
+        );
     }
 }
 

@@ -43,6 +43,7 @@ fn values_that_cannot_run_exit_2_naming_the_flag() {
         ),
         ("load --arrival poisson:100/s --phases 0,0,inf", "--phases"),
         ("chaos --seeds 18446744073709551615", "--seeds"),
+        ("chaos --seeds 0", "--seeds"),
         (
             "load --arrival poisson:100/s --seed 0 --runs 18446744073709551615",
             "--runs",
