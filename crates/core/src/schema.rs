@@ -9,8 +9,10 @@
 //! shrink together (see `Deployment`), preserving every cache-pressure ratio
 //! while letting the full experiment grid run in seconds.
 
+use std::fmt::Write as _;
+
 use cb_engine::sql::{StmtId, StmtRegistry};
-use cb_engine::{ColumnDef, DataType, Database, Schema, Value};
+use cb_engine::{ColumnDef, DataType, Database, Schema};
 use cb_sim::DetRng;
 use cb_store::TableId;
 
@@ -109,9 +111,10 @@ pub(crate) const STATUSES: [&str; 3] = ["NEW", "PAID", "SHIPPED"];
 
 /// Generate and bulk-load the dataset. Deterministic for a given seed.
 ///
-/// Rows stream into the loader as fixed-size arrays, so generating an
-/// orderline allocates nothing and a customer or order only its one text
-/// value.
+/// Each row is written straight into its page image
+/// ([`Database::load_rows`]): customer names are formatted into one reused
+/// `String` and statuses are static, so the load allocates its pages and a
+/// constant beside them, nothing per row.
 pub fn load_dataset(
     db: &mut Database,
     tables: SalesTables,
@@ -119,48 +122,29 @@ pub fn load_dataset(
     seed: u64,
 ) -> DatasetShape {
     let mut rng = DetRng::seeded(seed);
-    db.load_bulk(
-        tables.customer,
-        (1..=shape.customers as i64).map(|c_id| {
-            [
-                Value::Int(c_id),
-                Value::Text(format!("Customer#{c_id:09}")),
-                Value::Int(1_000 + (c_id % 9_000)), // opening credit in cents
-                Value::Timestamp(0),
-            ]
-        }),
-    );
-    // Orders and orderlines stream into the loader too: each generator
-    // borrows `rng` in turn, so every order is drawn before the first
-    // orderline.
-    db.load_bulk(
-        tables.orders,
-        (1..=shape.orders as i64).map(|o_id| {
-            let c_id = rng.range_inclusive(1, shape.customers as i64);
-            let status = STATUSES[rng.below(STATUSES.len() as u64) as usize];
-            [
-                Value::Int(o_id),
-                Value::Int(c_id),
-                Value::Text(status.to_string()),
-                Value::Int(rng.range_inclusive(100, 100_000)),
-                Value::Timestamp(o_id * 1_000),
-                Value::Timestamp(o_id * 1_000),
-            ]
-        }),
-    );
-    db.load_bulk(
-        tables.orderline,
-        (1..=shape.orderlines as i64).map(|ol_id| {
-            let o_id = rng.range_inclusive(1, shape.orders as i64);
-            [
-                Value::Int(ol_id),
-                Value::Int(o_id),
-                Value::Int(rng.range_inclusive(1, 100_000)),
-                Value::Int(rng.range_inclusive(1, 10)),
-                Value::Int(rng.range_inclusive(100, 50_000)),
-            ]
-        }),
-    );
+    let mut name = String::new();
+    db.load_rows(tables.customer, 1..=shape.customers as i64, |c_id, w| {
+        name.clear();
+        write!(name, "Customer#{c_id:09}").expect("formatting into a String cannot fail");
+        w.text(&name)
+            .int(1_000 + (c_id % 9_000)) // opening credit in cents
+            .timestamp(0);
+    });
+    // The draws of a row happen in column order, and the tables load one
+    // after another, so every order is drawn before the first orderline.
+    db.load_rows(tables.orders, 1..=shape.orders as i64, |o_id, w| {
+        w.int(rng.range_inclusive(1, shape.customers as i64))
+            .text(STATUSES[rng.below(STATUSES.len() as u64) as usize])
+            .int(rng.range_inclusive(100, 100_000))
+            .timestamp(o_id * 1_000)
+            .timestamp(o_id * 1_000);
+    });
+    db.load_rows(tables.orderline, 1..=shape.orderlines as i64, |_, w| {
+        w.int(rng.range_inclusive(1, shape.orders as i64))
+            .int(rng.range_inclusive(1, 100_000))
+            .int(rng.range_inclusive(1, 10))
+            .int(rng.range_inclusive(100, 50_000));
+    });
     shape
 }
 
@@ -242,7 +226,7 @@ pub(crate) fn page_images_digest(db: &Database) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cb_engine::Row;
+    use cb_engine::{Row, Value};
 
     #[test]
     fn shapes_scale_linearly() {

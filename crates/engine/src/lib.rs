@@ -42,4 +42,4 @@ pub use db::{Committed, Database, EngineError, TxnHandle};
 pub use exec::{CostModel, ExecCtx, ExecStats, RemoteTier};
 pub use locks::LockTable;
 pub use mvcc::{IsolationLevel, VersionStore, Visibility};
-pub use value::{ColumnDef, DataType, Row, RowRef, Schema, SchemaError, Value};
+pub use value::{ColumnDef, DataType, Row, RowRef, RowWriter, Schema, SchemaError, Value};

@@ -104,23 +104,28 @@ impl ValueRef<'_> {
     }
 
     /// Append the tagged serialization to `out` — the one encoder behind
-    /// [`Value::encode_into`] and [`Row::encode_into`].
+    /// [`Value::encode_into`], [`Row::encode_into`] and [`RowWriter`].
+    ///
+    /// Each field's head goes in as one slice, one capacity check rather
+    /// than one per byte group, and `inline(always)` lets a caller that
+    /// names the variant ([`RowWriter::int`] and its siblings) keep only
+    /// that arm: the bulk load encodes every generated value here.
+    #[inline(always)]
     pub(crate) fn encode_into(self, out: &mut Vec<u8>) {
+        let word = |tag: u8, x: i64| {
+            let mut head = [tag; 9];
+            head[1..].copy_from_slice(&x.to_le_bytes());
+            head
+        };
         match self {
-            ValueRef::Int(x) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+            ValueRef::Int(x) => out.extend_from_slice(&word(TAG_INT, x)),
             ValueRef::Text(s) => {
                 assert!(s.len() <= u16::MAX as usize, "text too long");
-                out.push(TAG_TEXT);
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+                let [lo, hi] = (s.len() as u16).to_le_bytes();
+                out.extend_from_slice(&[TAG_TEXT, lo, hi]);
                 out.extend_from_slice(s.as_bytes());
             }
-            ValueRef::Timestamp(x) => {
-                out.push(TAG_TS);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+            ValueRef::Timestamp(x) => out.extend_from_slice(&word(TAG_TS, x)),
         }
     }
 
@@ -220,27 +225,29 @@ impl Schema {
 
     /// Check that `row` conforms to this schema.
     pub(crate) fn validate(&self, row: &Row) -> Result<(), SchemaError> {
-        self.validate_values(&row.values)
-    }
-
-    /// [`Schema::validate`] for a row's values held anywhere — a bulk load
-    /// streams them as arrays, not as [`Row`]s.
-    pub(crate) fn validate_values(&self, values: &[Value]) -> Result<(), SchemaError> {
-        if values.len() != self.columns.len() {
-            return Err(SchemaError::Arity {
-                expected: self.columns.len(),
-                found: values.len(),
-            });
-        }
-        for (i, (v, c)) in values.iter().zip(&self.columns).enumerate() {
+        self.check_arity(row.values.len())?;
+        for (i, (v, c)) in row.values.iter().zip(&self.columns).enumerate() {
             c.check(i, v.data_type())?;
         }
         Ok(())
     }
 
+    /// Check that a row of `found` values has this schema's column count.
+    fn check_arity(&self, found: usize) -> Result<(), SchemaError> {
+        if found == self.columns.len() {
+            Ok(())
+        } else {
+            Err(SchemaError::Arity {
+                expected: self.columns.len(),
+                found,
+            })
+        }
+    }
+
     /// Check that a value of type `found` may be stored in column `column`
     /// — the rule [`Schema::validate`] applies to every column, for writers
     /// that encode a row column by column without building a [`Row`].
+    #[inline]
     pub(crate) fn check_column(&self, column: usize, found: DataType) -> Result<(), SchemaError> {
         self.columns[column].check(column, found)
     }
@@ -316,7 +323,10 @@ impl Row {
     /// Append the serialized image to `out`; callers reuse one scratch
     /// buffer across rows and clear it between encodes.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_values_into(&self.values, out);
+        out.push(self.values.len() as u8);
+        for v in &self.values {
+            v.encode_into(out);
+        }
     }
 
     /// Decode an image produced by [`Row::encode`] into an owned row: the
@@ -332,13 +342,89 @@ impl AsRef<[Value]> for Row {
     }
 }
 
-/// Append the image of a row with these values to `out` — the layout
-/// [`Row::encode_into`] writes, for values held anywhere.
-pub(crate) fn encode_values_into(values: &[Value], out: &mut Vec<u8>) {
-    out.push(values.len() as u8);
-    for v in values {
-        v.encode_into(out);
+/// Writes one bulk-loaded row straight into its image, column by column:
+/// the row builder of [`Database::load_rows`](crate::Database::load_rows).
+/// Each call checks its value against the column it fills, by the rule of
+/// [`Schema::check_column`], and encodes it through the encoder
+/// [`Row::encode`] uses, so the image is byte-for-byte the row's. Every
+/// loaded row goes through here, the [`Value`]s lent to
+/// [`Database::load_bulk`](crate::Database::load_bulk) included.
+///
+/// A row that does not fit its schema — a value of the wrong type, or a
+/// row with too few or too many columns at its end — is a generator bug and
+/// panics `bulk rows must fit schema`.
+pub struct RowWriter<'a> {
+    schema: &'a Schema,
+    image: &'a mut Vec<u8>,
+    column: usize,
+}
+
+impl<'a> RowWriter<'a> {
+    /// Start a row in `image`, which is cleared: the count byte, which the
+    /// schema fixes, and no column yet.
+    #[inline]
+    pub(crate) fn new(schema: &'a Schema, image: &'a mut Vec<u8>) -> Self {
+        image.clear();
+        image.push(schema.len() as u8);
+        RowWriter {
+            schema,
+            image,
+            column: 0,
+        }
     }
+
+    /// Write the next column, an `Int`.
+    #[inline]
+    pub fn int(&mut self, v: i64) -> &mut Self {
+        self.put(ValueRef::Int(v))
+    }
+
+    /// Write the next column, a `Text`; panics `text too long` past
+    /// `u16::MAX` bytes.
+    #[inline]
+    pub fn text(&mut self, v: &str) -> &mut Self {
+        self.put(ValueRef::Text(v))
+    }
+
+    /// Write the next column, a `Timestamp`.
+    #[inline]
+    pub fn timestamp(&mut self, v: i64) -> &mut Self {
+        self.put(ValueRef::Timestamp(v))
+    }
+
+    /// Write the next column. Columns past the schema's last are encoded
+    /// unchecked and counted, for [`RowWriter::finish`] to refuse.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, v: ValueRef<'_>) -> &mut Self {
+        if self.column < self.schema.len() {
+            if let Err(e) = self.schema.check_column(self.column, v.data_type()) {
+                misfit(e);
+            }
+        }
+        v.encode_into(self.image);
+        self.column += 1;
+        self
+    }
+
+    /// End the row: panics unless it holds exactly the schema's columns,
+    /// and returns its key, column 0 (an `Int` under every schema).
+    #[inline]
+    pub(crate) fn finish(self) -> i64 {
+        if let Err(e) = self.schema.check_arity(self.column) {
+            misfit(e);
+        }
+        // The count byte, column 0's tag, then its eight bytes.
+        let key = self.image[2..10].try_into().expect("column 0 is an Int");
+        i64::from_le_bytes(key)
+    }
+}
+
+/// The panic of a bulk row that does not fit its schema, kept out of the
+/// writer's inlined path.
+#[cold]
+#[inline(never)]
+fn misfit(e: SchemaError) -> ! {
+    panic!("bulk rows must fit schema: {e:?}")
 }
 
 /// A borrowed view over an encoded row image: fields are read from the
@@ -581,6 +667,7 @@ impl<'a> RowRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_row() -> Row {
         Row::new(vec![
@@ -766,6 +853,85 @@ mod tests {
         let v = Value::Text("x".into());
         let r = std::panic::catch_unwind(|| v.expect_int());
         assert!(r.is_err());
+    }
+
+    /// One value of any type: an `Int` or `Timestamp` at either extreme or
+    /// anywhere between, or a text of 0–300 bytes with multibyte chars.
+    fn any_value() -> impl Strategy<Value = Value> {
+        let word = || {
+            prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0), any::<i64>()]
+        };
+        prop_oneof![
+            word().prop_map(Value::Int),
+            word().prop_map(Value::Timestamp),
+            "[ -~é€😀]{0,300}".prop_map(|mut s: String| {
+                while s.len() > 300 {
+                    s.pop();
+                }
+                Value::Text(s)
+            }),
+        ]
+    }
+
+    /// Write `row` through a writer for a schema of its own types.
+    fn write_row(row: &Row, image: &mut Vec<u8>) -> i64 {
+        let schema = Schema::new(
+            row.values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| ColumnDef::new(&format!("C{i}"), v.data_type()))
+                .collect(),
+        );
+        let mut w = RowWriter::new(&schema, image);
+        for v in &row.values {
+            match v {
+                Value::Int(x) => w.int(*x),
+                Value::Text(s) => w.text(s),
+                Value::Timestamp(x) => w.timestamp(*x),
+            };
+        }
+        w.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+        /// The writer's image is `Row::encode`'s, byte for byte, for rows of
+        /// 1 to 255 columns, and it hands back column 0 as the key; the
+        /// stale bytes of the reused scratch image do not leak in.
+        #[test]
+        fn writer_image_equals_row_encode(
+            key in prop_oneof![Just(i64::MIN), Just(i64::MAX), any::<i64>()],
+            rest in prop::collection::vec(any_value(), 0..255),
+        ) {
+            let row = Row::new(std::iter::once(Value::Int(key)).chain(rest).collect());
+            let mut image = vec![0xAB; 700];
+            prop_assert_eq!(write_row(&row, &mut image), key);
+            prop_assert_eq!(&image, &row.encode());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "text too long")]
+    fn writer_refuses_text_past_u16_max() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("ID", DataType::Int),
+            ColumnDef::new("C", DataType::Text),
+        ]);
+        let mut image = Vec::new();
+        RowWriter::new(&schema, &mut image)
+            .int(1)
+            .text(&"x".repeat(u16::MAX as usize + 1));
+    }
+
+    #[test]
+    fn writer_takes_text_of_exactly_u16_max() {
+        let row = Row::new(vec![
+            Value::Int(1),
+            Value::Text("é".repeat(u16::MAX as usize / 2) + "x"),
+        ]);
+        let mut image = Vec::new();
+        write_row(&row, &mut image);
+        assert_eq!(image, row.encode());
     }
 
     #[test]
