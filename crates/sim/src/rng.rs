@@ -31,23 +31,27 @@ impl DetRng {
     }
 
     /// A uniform integer in `[0, n)`. Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0)");
         self.inner.gen_range(0..n)
     }
 
     /// A uniform integer in `[lo, hi]`.
+    #[inline]
     pub fn range_inclusive(&mut self, lo: i64, hi: i64) -> i64 {
         assert!(lo <= hi, "empty range");
         self.inner.gen_range(lo..=hi)
     }
 
     /// A uniform float in `[0, 1)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 
     /// Bernoulli draw with probability `p`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.inner.gen_bool(p.clamp(0.0, 1.0))
     }
