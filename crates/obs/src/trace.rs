@@ -290,36 +290,40 @@ impl ObsSink {
         self.core.is_some()
     }
 
+    // The four recorders below are inlined down to the `core` test alone,
+    // so a disabled sink costs its caller one compare; the enabled body is
+    // one out-of-line call on the tracer.
+
     /// Record a closed span `[start, end]` in one call.
+    #[inline]
     pub fn span(&self, cat: Category, name: &str, track: u64, start: SimTime, end: SimTime) {
         if let Some(core) = &self.core {
             let dur_ns = end.saturating_since(start).as_nanos();
-            core.borrow_mut()
-                .journal
-                .push(cat, name, track, start, EventKind::Span { dur_ns });
+            push(core, cat, name, track, start, EventKind::Span { dur_ns });
         }
     }
 
     /// Record an instant event at `at`.
+    #[inline]
     pub fn instant(&self, cat: Category, name: &str, track: u64, at: SimTime) {
         if let Some(core) = &self.core {
-            core.borrow_mut()
-                .journal
-                .push(cat, name, track, at, EventKind::Instant);
+            push(core, cat, name, track, at, EventKind::Instant);
         }
     }
 
     /// Record `value_ns` into the histogram called `name`.
+    #[inline]
     pub fn record(&self, name: &str, value_ns: u64) {
         if let Some(core) = &self.core {
-            core.borrow_mut().record(name, value_ns);
+            record(core, name, value_ns);
         }
     }
 
     /// Add `n` to the counter called `name`.
+    #[inline]
     pub fn add(&self, name: &str, n: u64) {
         if let Some(core) = &self.core {
-            core.borrow_mut().add(name, n);
+            add(core, name, n);
         }
     }
 
@@ -327,6 +331,31 @@ impl ObsSink {
     pub fn with<R>(&self, f: impl FnOnce(&Tracer) -> R) -> Option<R> {
         self.core.as_ref().map(|core| f(&core.borrow()))
     }
+}
+
+/// The enabled body of [`ObsSink::span`] and [`ObsSink::instant`].
+#[inline(never)]
+fn push(
+    core: &RefCell<Tracer>,
+    cat: Category,
+    name: &str,
+    track: u64,
+    at: SimTime,
+    kind: EventKind,
+) {
+    core.borrow_mut().journal.push(cat, name, track, at, kind);
+}
+
+/// The enabled body of [`ObsSink::record`].
+#[inline(never)]
+fn record(core: &RefCell<Tracer>, name: &str, value_ns: u64) {
+    core.borrow_mut().record(name, value_ns);
+}
+
+/// The enabled body of [`ObsSink::add`].
+#[inline(never)]
+fn add(core: &RefCell<Tracer>, name: &str, n: u64) {
+    core.borrow_mut().add(name, n);
 }
 
 #[cfg(test)]

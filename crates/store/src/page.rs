@@ -156,6 +156,7 @@ impl PageStore {
     }
 
     /// Borrow a page. Panics on unknown id — an engine bug, not user error.
+    #[inline]
     pub fn read(&self, id: PageId) -> &PageBuf {
         self.pages
             .get(id.0 as usize)
@@ -164,6 +165,7 @@ impl PageStore {
     }
 
     /// Mutably borrow a page.
+    #[inline]
     pub fn write(&mut self, id: PageId) -> &mut PageBuf {
         self.pages
             .get_mut(id.0 as usize)
