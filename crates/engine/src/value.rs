@@ -344,8 +344,8 @@ impl AsRef<[Value]> for Row {
 
 /// Writes one bulk-loaded row straight into its image, column by column:
 /// the row builder of [`Database::load_rows`](crate::Database::load_rows).
-/// Each call checks its value against the column it fills, by the rule of
-/// [`Schema::check_column`], and encodes it through the encoder
+/// Each call checks its value's type against the column it fills, the rule
+/// every insert is checked by, and encodes it through the encoder
 /// [`Row::encode`] uses, so the image is byte-for-byte the row's. Every
 /// loaded row goes through here, the [`Value`]s lent to
 /// [`Database::load_bulk`](crate::Database::load_bulk) included.
@@ -858,9 +858,7 @@ mod tests {
     /// One value of any type: an `Int` or `Timestamp` at either extreme or
     /// anywhere between, or a text of 0–300 bytes with multibyte chars.
     fn any_value() -> impl Strategy<Value = Value> {
-        let word = || {
-            prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0), any::<i64>()]
-        };
+        let word = || prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0), any::<i64>()];
         prop_oneof![
             word().prop_map(Value::Int),
             word().prop_map(Value::Timestamp),
@@ -910,19 +908,8 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "text too long")]
-    fn writer_refuses_text_past_u16_max() {
-        let schema = Schema::new(vec![
-            ColumnDef::new("ID", DataType::Int),
-            ColumnDef::new("C", DataType::Text),
-        ]);
-        let mut image = Vec::new();
-        RowWriter::new(&schema, &mut image)
-            .int(1)
-            .text(&"x".repeat(u16::MAX as usize + 1));
-    }
-
+    /// The longest text the image can count, `u16::MAX` bytes, is written;
+    /// one byte more is refused (`db::tests`).
     #[test]
     fn writer_takes_text_of_exactly_u16_max() {
         let row = Row::new(vec![
