@@ -26,12 +26,6 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc(layout) }
     }
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }

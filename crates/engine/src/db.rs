@@ -1017,30 +1017,6 @@ mod tests {
         assert_eq!(refusal(too_long), "text too long");
     }
 
-    /// `load_rows` and `load_bulk` of the same rows write the same pages.
-    #[test]
-    fn load_rows_writes_what_load_bulk_writes() {
-        let statuses = ["NEW", "PAID", "SHIPPED"];
-        let mut a = Database::new();
-        let ta = a.create_table("orders", orders_schema());
-        a.load_rows(ta, 1..=2_000, |k, w| {
-            w.text(statuses[k as usize % 3]).int(k * 10);
-        });
-        let mut b = Database::new();
-        let tb = b.create_table("orders", orders_schema());
-        b.load_bulk(
-            tb,
-            (1..=2_000).map(|k| order_row(k, statuses[k as usize % 3], k * 10)),
-        );
-        assert_eq!(a.pages().live_pages(), b.pages().live_pages());
-        for id in 0..a.pages().live_pages() as u64 {
-            let id = cb_store::PageId(id);
-            assert_eq!(a.pages().read(id).as_bytes(), b.pages().read(id).as_bytes());
-        }
-        assert_eq!(a.table(ta).rows(), 2_000);
-        assert_eq!(a.table(ta).next_auto_key(), 2_001);
-    }
-
     fn order_row(id: i64, status: &str, total: i64) -> Row {
         Row::new(vec![
             Value::Int(id),
