@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use cb_engine::sql::{StmtId, StmtRegistry};
 use cb_engine::{ColumnDef, DataType, Database, Schema};
 use cb_sim::DetRng;
-use cb_store::TableId;
+use cb_store::{PageStore, TableId};
 
 /// Rows per table at scale factor 1 (paper values).
 pub(crate) const SF1_CUSTOMERS: u64 = 300_000;
@@ -114,7 +114,10 @@ pub(crate) const STATUSES: [&str; 3] = ["NEW", "PAID", "SHIPPED"];
 /// Each row is written straight into its page image
 /// ([`Database::load_rows`]): customer names are formatted into one reused
 /// `String` and statuses are static, so the load allocates its pages and a
-/// constant beside them, nothing per row.
+/// constant beside them, nothing per row. The pages come from the frames of
+/// stores dropped earlier on this thread where there are any, and the
+/// frames the load did not take go back to the allocator at its end
+/// ([`PageStore::release_spare_frames`]).
 pub fn load_dataset(
     db: &mut Database,
     tables: SalesTables,
@@ -145,6 +148,7 @@ pub fn load_dataset(
             .int(rng.range_inclusive(1, 10))
             .int(rng.range_inclusive(100, 50_000));
     });
+    PageStore::release_spare_frames();
     shape
 }
 
@@ -206,21 +210,13 @@ impl SalesStmts {
 pub(crate) fn page_images_digest(db: &Database) -> (usize, u64) {
     let pages = db.pages();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut seen = 0;
-    let mut id = 0u64;
-    while seen < pages.live_pages() {
-        let page = cb_store::PageId(id);
-        id += 1;
-        if !pages.contains(page) {
-            continue;
-        }
-        seen += 1;
-        for word in pages.read(page).as_bytes().chunks_exact(8) {
+    for id in 0..pages.live_pages() as u64 {
+        for word in pages.read(cb_store::PageId(id)).as_bytes().chunks_exact(8) {
             let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
             h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    (seen, h)
+    (pages.live_pages(), h)
 }
 
 #[cfg(test)]
@@ -337,6 +333,18 @@ mod tests {
             page_digest(DatasetShape::new(1, 3000), 2025),
             (17, 0x976f_9286_c14c_6747)
         );
+    }
+
+    /// A rebuild on one thread loads into the frames the first load's
+    /// store handed back when it dropped, and writes the same bytes.
+    #[test]
+    fn second_load_on_one_thread_is_pinned() {
+        for _ in 0..2 {
+            assert_eq!(
+                page_digest(DatasetShape::new(1, 3000), 2025),
+                (17, 0x976f_9286_c14c_6747)
+            );
+        }
     }
 
     /// The 3.6 M-row shape: inner-node splits and a three-level tree.

@@ -10,7 +10,7 @@ use cb_engine::sql::StmtRegistry;
 use cb_engine::DataType::{Int, Text};
 use cb_engine::{ColumnDef, Database, ExecCtx, Schema, TxnHandle, Value};
 use cb_sim::DetRng;
-use cb_store::TableId;
+use cb_store::{PageStore, TableId};
 
 use crate::driver::Body;
 use crate::workload::TxnMix;
@@ -53,6 +53,7 @@ impl Sysbench {
                 t
             })
             .collect();
+        PageStore::release_spare_frames();
         Sysbench { tables, rows }
     }
 }

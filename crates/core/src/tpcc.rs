@@ -8,7 +8,7 @@
 use cb_engine::sql::StmtRegistry;
 use cb_engine::{ColumnDef, DataType, Database, ExecCtx, Row, Schema, TxnHandle, Value};
 use cb_sim::DetRng;
-use cb_store::TableId;
+use cb_store::{PageStore, TableId};
 
 use crate::driver::Body;
 use crate::workload::TxnMix;
@@ -144,6 +144,7 @@ impl TpccLite {
             t.stock,
             (1..=items).map(|i| [Value::Int(stock_key(W, i)), Value::Int(50)]),
         );
+        PageStore::release_spare_frames();
         t
     }
 

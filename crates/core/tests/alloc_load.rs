@@ -1,7 +1,10 @@
 //! Allocation guard for the bulk load: `load_dataset` writes each generated
 //! row straight into its page image, so it allocates the pages it fills and
 //! a constant beside them (the page table's growth, one scratch image, one
-//! name buffer, the tree's internal nodes), never one value per row. An
+//! name buffer, the tree's internal nodes), never one value per row. A
+//! second load on the thread, once the first database is dropped, takes its
+//! pages from the frames the first one handed back and allocates only the
+//! constant. An
 //! integration test is a crate of its own, which lets it install a counting
 //! allocator; the single `#[test]` keeps every other thread out of the
 //! counted window.
@@ -45,21 +48,32 @@ static GLOBAL: Counting = Counting;
 /// on the way to the 500-odd pages, and the rest is a handful of buffers.
 const CONSTANT: u64 = 64;
 
-#[test]
-fn load_dataset_allocates_its_pages_and_a_constant() {
-    let shape = DatasetShape::new(1, 100);
+/// Allocations and pages of one `create_tables` + `load_dataset`.
+fn counted_load(shape: DatasetShape) -> (u64, u64) {
     let mut db = Database::new();
     let tables = create_tables(&mut db);
     let before_pages = db.pages().live_pages() as u64;
     let before = ALLOCS.load(Relaxed);
     load_dataset(&mut db, tables, shape, 2025);
     let allocs = ALLOCS.load(Relaxed) - before;
-    let pages = db.pages().live_pages() as u64 - before_pages;
+    (allocs, db.pages().live_pages() as u64 - before_pages)
+}
+
+#[test]
+fn load_dataset_allocates_its_pages_and_a_constant() {
+    let shape = DatasetShape::new(1, 100);
+    let (allocs, pages) = counted_load(shape);
     assert!(pages > 100, "the SF 1 / 100 dataset fills {pages} pages");
     // Without the writer: one `String` per customer and one per order.
     assert!(
         allocs <= pages + CONSTANT,
         "{allocs} allocations for {pages} pages and {} rows",
         shape.total_rows()
+    );
+    // Without the spare frames: one zeroed `Box` per page again.
+    let (allocs, pages) = counted_load(shape);
+    assert!(
+        allocs <= CONSTANT,
+        "the rebuild made {allocs} allocations for {pages} pages"
     );
 }

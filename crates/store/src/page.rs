@@ -6,10 +6,15 @@
 //! never duplicate content, which keeps a multi-node cluster consistent by
 //! construction while still modelling cache behaviour faithfully.
 
+use std::cell::Cell;
 use std::fmt;
+use std::ptr;
 
 /// Size of every page in bytes (matches PostgreSQL's default).
 pub const PAGE_SIZE: usize = 8192;
+
+/// One page's bytes.
+type Frame = [u8; PAGE_SIZE];
 
 /// Identifier of a page within the page store.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -42,7 +47,7 @@ impl fmt::Debug for PageId {
 /// load's append path.
 #[derive(Clone)]
 pub struct PageBuf {
-    bytes: Box<[u8; PAGE_SIZE]>,
+    bytes: Box<Frame>,
 }
 
 impl Default for PageBuf {
@@ -120,18 +125,77 @@ impl PageBuf {
     }
 }
 
+/// The frames dropped page stores handed back on this thread, as a stack
+/// linked through each spare frame's own first 8 bytes, so holding a frame
+/// costs nothing beside it. The frames are plain heap memory: a store built
+/// on one thread and dropped on another simply feeds the other's list.
+struct SpareFrames {
+    /// The top frame, or null when the list is empty.
+    head: Cell<*mut Frame>,
+}
+
+impl SpareFrames {
+    fn push(&self, frame: Box<Frame>) {
+        let raw = Box::into_raw(frame);
+        // SAFETY: `raw` is a live 8 KB allocation that only this list owns
+        // from here on; its first 8 bytes become the link (alignment 1, so
+        // the write is unaligned).
+        unsafe { raw.cast::<*mut Frame>().write_unaligned(self.head.get()) };
+        self.head.set(raw);
+    }
+
+    fn pop(&self) -> Option<Box<Frame>> {
+        let raw = self.head.get();
+        if raw.is_null() {
+            return None;
+        }
+        // SAFETY: a non-null head came from `Box::into_raw` in `push` and is
+        // owned by the list alone; `push` wrote the next link into its first
+        // 8 bytes, and taking it off the top hands the ownership back.
+        unsafe {
+            self.head.set(raw.cast::<*mut Frame>().read_unaligned());
+            Some(Box::from_raw(raw))
+        }
+    }
+
+    fn clear(&self) {
+        while self.pop().is_some() {}
+    }
+}
+
+impl Drop for SpareFrames {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+thread_local! {
+    static SPARE: SpareFrames = const {
+        SpareFrames {
+            head: Cell::new(ptr::null_mut()),
+        }
+    };
+}
+
+/// A spare frame, if this thread has one (none while its list is torn down).
+fn spare_frame() -> Option<Box<Frame>> {
+    SPARE.try_with(SpareFrames::pop).ok().flatten()
+}
+
 /// The canonical, durable home of all pages.
 ///
-/// A dense arena: ids are handed out in order and never reused, so page `i`
-/// lives at index `i` and a lookup is a bounds check, not a hash probe. A
-/// freed page leaves a `None` hole. Each page stays its own boxed 8 KB
-/// allocation: one contiguous slab was measured slower to build, because
-/// dropping a whole dataset returns it to the kernel at once and the next
-/// load faults every page back in.
-#[derive(Clone, Default)]
+/// A dense arena: ids are handed out in order, so page `i` lives at index
+/// `i` and a lookup is a bounds check, not a hash probe. Each page is its
+/// own boxed 8 KB frame, and frames outlive their store: a dropped store
+/// pushes every frame onto a per-thread spare list, and `allocate` and
+/// `clone` on that thread take frames from it before they ask the
+/// allocator. Freeing a dataset's worth of pages to the allocator lets it
+/// hand the memory back to the kernel, and the next deployment then faults
+/// every page in again. Loaders call [`PageStore::release_spare_frames`]
+/// when they finish, so spare frames never sit beside a running workload.
+#[derive(Default)]
 pub struct PageStore {
-    pages: Vec<Option<PageBuf>>,
-    live: usize,
+    pages: Vec<PageBuf>,
 }
 
 impl PageStore {
@@ -143,16 +207,21 @@ impl PageStore {
     /// Allocate a fresh zeroed page.
     pub fn allocate(&mut self) -> PageId {
         let id = PageId(self.pages.len() as u64);
-        self.pages.push(Some(PageBuf::zeroed()));
-        self.live += 1;
+        self.pages.push(match spare_frame() {
+            Some(mut bytes) => {
+                bytes.fill(0);
+                PageBuf { bytes }
+            }
+            None => PageBuf::zeroed(),
+        });
         id
     }
 
-    /// Drop a page. Panics if the page does not exist (double free).
-    pub fn free(&mut self, id: PageId) {
-        let removed = self.pages.get_mut(id.0 as usize).and_then(Option::take);
-        assert!(removed.is_some(), "free of unknown page {id:?}");
-        self.live -= 1;
+    /// Give this thread's spare frames back to the allocator. A loader
+    /// calls it once its last table is loaded: every frame the load did not
+    /// take would otherwise stay out of reach of the run's own allocations.
+    pub fn release_spare_frames() {
+        let _ = SPARE.try_with(SpareFrames::clear);
     }
 
     /// Borrow a page. Panics on unknown id — an engine bug, not user error.
@@ -160,7 +229,6 @@ impl PageStore {
     pub fn read(&self, id: PageId) -> &PageBuf {
         self.pages
             .get(id.0 as usize)
-            .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("read of unknown page {id:?}"))
     }
 
@@ -169,7 +237,6 @@ impl PageStore {
     pub fn write(&mut self, id: PageId) -> &mut PageBuf {
         self.pages
             .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("write of unknown page {id:?}"))
     }
 
@@ -183,26 +250,58 @@ impl PageStore {
         let [pa, pb] = self
             .pages
             .get_disjoint_mut([a.0 as usize, b.0 as usize])
-            .expect("two distinct live ids");
-        (
-            pa.as_mut().expect("live page"),
-            pb.as_mut().expect("live page"),
-        )
+            .expect("two distinct known ids");
+        (pa, pb)
     }
 
-    /// True if `id` is live.
+    /// True if `id` was allocated.
     pub fn contains(&self, id: PageId) -> bool {
-        self.pages.get(id.0 as usize).is_some_and(Option::is_some)
+        (id.0 as usize) < self.pages.len()
     }
 
-    /// Number of live pages.
+    /// Number of pages.
     pub fn live_pages(&self) -> usize {
-        self.live
+        self.pages.len()
     }
 
-    /// Total bytes of live data.
+    /// Total bytes of page data.
     pub fn size_bytes(&self) -> u64 {
-        self.live as u64 * PAGE_SIZE as u64
+        self.pages.len() as u64 * PAGE_SIZE as u64
+    }
+}
+
+/// Copies every page, into a spare frame where this thread has one: each
+/// crash of a chaos run clones the base snapshot and drops the copy once it
+/// is replayed, so the next crash's copy takes the same frames.
+impl Clone for PageStore {
+    fn clone(&self) -> Self {
+        let pages = self
+            .pages
+            .iter()
+            .map(|page| match spare_frame() {
+                Some(mut bytes) => {
+                    bytes.copy_from_slice(page.as_bytes());
+                    PageBuf { bytes }
+                }
+                None => page.clone(),
+            })
+            .collect();
+        PageStore { pages }
+    }
+}
+
+impl Drop for PageStore {
+    /// Pushes the last page first, so that page `i` of the next store on
+    /// the thread gets the frame page `i` had: a rebuild of the same dataset
+    /// reads its pages at the addresses the first load laid out.
+    fn drop(&mut self) {
+        // While the thread's list is torn down, the frames go back to the
+        // allocator with `self.pages`.
+        let _ = SPARE.try_with(|spare| {
+            for page in self.pages.drain(..).rev() {
+                spare.push(page.bytes);
+            }
+        });
     }
 }
 
@@ -228,6 +327,13 @@ mod tests {
         assert_eq!(p.slice(50, 11), b"cloudybench");
     }
 
+    /// Addresses of every frame in `s`, in id order.
+    fn frames(s: &PageStore) -> Vec<*const u8> {
+        (0..s.live_pages() as u64)
+            .map(|i| s.read(PageId(i)).as_bytes().as_ptr())
+            .collect()
+    }
+
     #[test]
     fn allocate_read_write_free() {
         let mut s = PageStore::new();
@@ -238,37 +344,15 @@ mod tests {
         assert_eq!(s.read(a).get_u64(0), 42);
         assert_eq!(s.read(b).get_u64(0), 0);
         assert_eq!(s.live_pages(), 2);
-        s.free(a);
-        assert!(!s.contains(a));
-        assert_eq!(s.live_pages(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "free of unknown page")]
-    fn double_free_panics() {
-        let mut s = PageStore::new();
-        let a = s.allocate();
-        s.free(a);
-        s.free(a);
-    }
-
-    #[test]
-    #[should_panic(expected = "read of unknown page P0")]
-    fn read_of_freed_page_panics() {
-        let mut s = PageStore::new();
-        let a = s.allocate();
-        s.allocate();
-        s.free(a);
-        s.read(a);
-    }
-
-    #[test]
-    #[should_panic(expected = "write of unknown page P0")]
-    fn write_of_freed_page_panics() {
-        let mut s = PageStore::new();
-        let a = s.allocate();
-        s.free(a);
-        s.write(a);
+        // Freeing is dropping the store: its frames go to the spare list,
+        // and the next store on this thread takes them in page order.
+        let old = frames(&s);
+        drop(s);
+        let mut t = PageStore::new();
+        t.allocate();
+        t.allocate();
+        assert_eq!(frames(&t), old);
+        assert_eq!(t.read(a).get_u64(0), 0, "a's old frame is zeroed");
     }
 
     #[test]
@@ -292,7 +376,46 @@ mod tests {
                 "write {id:?}"
             );
             let mut s = one_page();
-            assert!(catch_unwind(move || s.free(id)).is_err(), "free {id:?}");
+            assert!(
+                catch_unwind(move || s.write_pair(PageId(0), id).0.get_u64(0)).is_err(),
+                "write_pair {id:?}"
+            );
+        }
+    }
+
+    /// A store with every byte of every page set, dropped: the frames come
+    /// back zeroed to the next store, and a clone copies all of each page.
+    #[test]
+    fn recycled_frames_read_zero_and_clones_copy_every_byte() {
+        const PAGES: u64 = 40;
+        let mut dirty = PageStore::new();
+        for _ in 0..PAGES {
+            let id = dirty.allocate();
+            dirty.write(id).as_bytes_mut().fill(0xFF);
+        }
+        let spare = frames(&dirty);
+        drop(dirty);
+
+        let mut fresh = PageStore::new();
+        for i in 0..PAGES {
+            fresh.allocate();
+            assert!(fresh.read(PageId(i)).as_bytes().iter().all(|&b| b == 0));
+        }
+        assert_eq!(frames(&fresh), spare, "every frame came off the spare list");
+
+        for i in 0..PAGES {
+            for (j, b) in fresh.write(PageId(i)).as_bytes_mut().iter_mut().enumerate() {
+                *b = (i as usize * 31 + j) as u8;
+            }
+        }
+        let first = fresh.clone();
+        let spare = frames(&first);
+        drop(first);
+        let copy = fresh.clone();
+        assert_eq!(frames(&copy), spare, "the clone took the spare frames");
+        for i in 0..PAGES {
+            let id = PageId(i);
+            assert_eq!(copy.read(id).as_bytes(), fresh.read(id).as_bytes());
         }
     }
 
@@ -319,16 +442,6 @@ mod tests {
         let mut s = PageStore::new();
         let a = s.allocate();
         s.write_pair(a, a);
-    }
-
-    #[test]
-    #[should_panic(expected = "write of unknown page P1")]
-    fn write_pair_of_freed_page_panics() {
-        let mut s = PageStore::new();
-        let a = s.allocate();
-        let b = s.allocate();
-        s.free(b);
-        s.write_pair(a, b);
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub struct StorageService {
     page_dev: Device,
     log_dev: Device,
     net: Option<NetworkLink>,
+    /// `net`'s time to carry one page, computed once: every pool miss pays it.
+    page_wire: SimDuration,
     replication_factor: u32,
     quorum_extra: SimDuration,
 }
@@ -77,6 +79,7 @@ impl StorageService {
             page_dev,
             log_dev,
             net,
+            page_wire: net.map_or(SimDuration::ZERO, |n| n.transfer(PAGE_SIZE as u64)),
             replication_factor,
             quorum_extra,
         }
@@ -120,10 +123,7 @@ impl StorageService {
 
     /// Cost of fetching one page the compute node does not have cached.
     pub fn page_read_cost(&mut self, now: SimTime) -> SimDuration {
-        let wire = self
-            .net
-            .map_or(SimDuration::ZERO, |n| n.transfer(PAGE_SIZE as u64));
-        wire + self.page_dev.access(now + wire)
+        self.page_wire + self.page_dev.access(now + self.page_wire)
     }
 
     /// Cost of writing one dirty page back. Panics for redo-pushdown
@@ -135,10 +135,7 @@ impl StorageService {
             "{:?} pushes redo down to storage; compute must not write pages",
             self.arch
         );
-        let wire = self
-            .net
-            .map_or(SimDuration::ZERO, |n| n.transfer(PAGE_SIZE as u64));
-        wire + self.page_dev.access(now + wire)
+        self.page_wire + self.page_dev.access(now + self.page_wire)
     }
 
     /// Page-device operations served so far.
@@ -192,6 +189,20 @@ mod tests {
         let mut s = smart();
         assert!(c.page_read_cost(SimTime::ZERO) < s.page_read_cost(SimTime::ZERO));
         assert!(c.log_append_cost(SimTime::ZERO, 100) < s.log_append_cost(SimTime::ZERO, 100));
+    }
+
+    #[test]
+    fn a_page_miss_pays_one_page_on_the_wire() {
+        let wire = NetworkLink::tcp(10.0).transfer(PAGE_SIZE as u64);
+        let mut s = smart();
+        assert_eq!(
+            s.page_read_cost(SimTime::ZERO),
+            wire + SimDuration::from_micros(450)
+        );
+        assert_eq!(
+            coupled().page_read_cost(SimTime::ZERO),
+            SimDuration::from_micros(90)
+        );
     }
 
     #[test]

@@ -121,20 +121,22 @@ proptest! {
         prop_assert_eq!(p.get_i64(off), v as i64);
     }
 
-    /// Allocate/free never hands out the same live page twice.
+    /// Allocation never hands out the same page twice, and a page is zero
+    /// when handed out, also when its frame comes from a dropped store.
     #[test]
-    fn page_store_unique_allocation(frees in prop::collection::vec(prop::bool::ANY, 1..100)) {
+    fn page_store_unique_allocation(drops in prop::collection::vec(prop::bool::ANY, 1..100)) {
         let mut store = PageStore::new();
         let mut live = Vec::new();
-        for f in frees {
-            if f && !live.is_empty() {
-                let id = live.pop().unwrap();
-                store.free(id);
-                prop_assert!(!store.contains(id));
+        for d in drops {
+            if d {
+                store = PageStore::new();
+                live.clear();
             } else {
                 let id = store.allocate();
                 prop_assert!(store.contains(id));
                 prop_assert!(!live.contains(&id));
+                prop_assert!(store.read(id).as_bytes().iter().all(|&b| b == 0));
+                store.write(id).as_bytes_mut().fill(0xA5);
                 live.push(id);
             }
         }
