@@ -353,6 +353,45 @@ mod tests {
         assert!(mild_hot < hot, "θ0.5 {mild_hot} < θ0.99 {hot}");
     }
 
+    /// FNV-1a-64 over `draws` order ids.
+    fn draw_digest(draws: impl Iterator<Item = i64>) -> u64 {
+        draws.fold(0xcbf2_9ce4_8422_2325u64, |h, k| {
+            (h ^ k as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The Zipfian sampler, pinned: 10 000 draws each at θ = 0.99 and
+    /// θ = 0.9 over SF 1's orders, then 10 000 draws at θ = 0.99 that
+    /// alternate between two tenant slices of different lengths. A sampler
+    /// that rounds one draw differently fails here.
+    #[test]
+    fn zipfian_draws_are_pinned() {
+        let mut rng = DetRng::seeded(31337);
+        let mut digests = Vec::new();
+        for pm in [990, 900] {
+            let d = AccessDistribution::Zipfian(pm);
+            digests.push(draw_digest(
+                (0..10_000).map(|_| d.pick_order(&mut rng, 1, 300_000)),
+            ));
+        }
+        let slices = [0, 6].map(|i| KeyPartition::tenant_slice(300_000, 30_000, i, 7));
+        let lens = slices.map(|s| s.orders_hi - s.orders_lo + 1);
+        assert_ne!(lens[0], lens[1], "the two slices differ in length");
+        let d = AccessDistribution::Zipfian(990);
+        digests.push(draw_digest((0..10_000).map(|i| {
+            let s = slices[i % 2];
+            d.pick_order(&mut rng, s.orders_lo, s.orders_hi)
+        })));
+        assert_eq!(
+            digests,
+            [
+                0xa802_3358_e744_723d,
+                0x9f2f_6e71_5d59_6cfa,
+                0xf13b_c01b_b442_5ac7
+            ]
+        );
+    }
+
     #[test]
     fn iud_mix_uses_t1_t2_t4() {
         let mix = TxnMix::iud(60.0, 30.0, 10.0);

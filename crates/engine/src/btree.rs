@@ -1014,6 +1014,110 @@ mod tests {
         );
     }
 
+    /// Leaves in the chain with no record left in them.
+    fn empty_leaves(tree: &BTree, store: &PageStore) -> usize {
+        let mut leaf = tree.find_leaf(store, i64::MIN, &mut Uncharged);
+        let mut empty = 0;
+        while leaf.is_valid() {
+            let page = store.read(leaf);
+            empty += usize::from(SlottedRef::new(page, ENTRIES_BASE).len() == 0);
+            leaf = leaf_next(page);
+        }
+        empty
+    }
+
+    /// `(rows, digest)` of `sweeps` run in order through `sweep`, which
+    /// returns the rows it counted: FNV-1a-64 over each sweep's access log
+    /// `(page, write)` and its row count.
+    fn sweep_digest(
+        sweeps: &[(i64, i64)],
+        mut sweep: impl FnMut(i64, i64, &mut AccessLog) -> u64,
+    ) -> (u64, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut total = 0;
+        let mut log = AccessLog::new();
+        for &(lo, hi) in sweeps {
+            log.clear();
+            let rows = sweep(lo, hi, &mut log);
+            for &(page, write) in &log {
+                h = fnv(fnv(h, page.0), write as u64);
+            }
+            h = fnv(h, rows);
+            total += rows;
+        }
+        (total, h)
+    }
+
+    /// A visitor sweep that reads nothing, as T5 runs it.
+    fn visit_all<'a>(
+        tree: &'a BTree,
+        store: &'a PageStore,
+    ) -> impl FnMut(i64, i64, &mut AccessLog) -> u64 + 'a {
+        move |lo, hi, log| {
+            let mut rows = 0;
+            tree.scan_range(store, lo, hi, log, |_, _| {
+                rows += 1;
+                true
+            });
+            rows
+        }
+    }
+
+    /// The range path, pinned: 2 000 seeded sweeps of 1–5 000 keys on an
+    /// SF 1 ORDERS tree, as loaded and again after 40 000 seeded inserts
+    /// and deletes, a quarter of them one contiguous run of deletes that
+    /// empties leaves mid-chain. Each sweep's page accesses and row count
+    /// feed the digest, so a walk that touches one page more or less, or
+    /// counts one row differently, fails here.
+    #[test]
+    fn range_sweeps_are_pinned() {
+        const ORDERS: i64 = 300_000;
+        let mut rng = cb_sim::DetRng::seeded(4711);
+        let mut store = PageStore::new();
+        let mut tree = BTree::create(&mut store);
+        let mut cur = BatchIngest::new();
+        for o_id in 1..=ORDERS {
+            let image = orders_image(&mut rng, o_id);
+            tree.insert_sorted(&mut store, &mut cur, o_id, &image, &mut Uncharged)
+                .unwrap();
+        }
+        let sweeps = |rng: &mut cb_sim::DetRng, top: i64| -> Vec<(i64, i64)> {
+            (0..2_000)
+                .map(|_| {
+                    let lo = rng.range_inclusive(-100, top + 100);
+                    (lo, lo + rng.range_inclusive(1, 5_000) - 1)
+                })
+                .collect()
+        };
+        let loaded = sweeps(&mut rng, ORDERS);
+        assert_eq!(
+            sweep_digest(&loaded, visit_all(&tree, &store)),
+            (4_954_147, 0x0dbb_9817_1ab0_6608)
+        );
+        for i in 0..40_000 {
+            if i % 4 == 0 {
+                tree.delete(&mut store, 150_000 + i / 4, &mut Uncharged);
+                continue;
+            }
+            let key = rng.range_inclusive(1, ORDERS + 100_000);
+            if rng.chance(0.5) {
+                tree.delete(&mut store, key, &mut Uncharged);
+            } else if !tree.contains(&store, key, &mut Uncharged) {
+                let image = orders_image(&mut rng, key);
+                tree.insert(&mut store, key, &image, &mut Uncharged)
+                    .unwrap();
+            }
+        }
+        let churned = sweeps(&mut rng, ORDERS + 100_000);
+        assert_eq!(
+            (
+                empty_leaves(&tree, &store),
+                sweep_digest(&churned, visit_all(&tree, &store))
+            ),
+            (61, (3_528_308, 0x2cc2_af4d_07f9_f9cf))
+        );
+    }
+
     #[test]
     fn model_check_against_btreemap() {
         use std::collections::BTreeMap;
