@@ -27,7 +27,7 @@ use cb_store::{Lsn, TableId};
 use crate::deploy::Deployment;
 use crate::openloop::ArrivalSource;
 use crate::schema::{SalesStmts, SalesTables};
-use crate::workload::{AccessDistribution, KeyPartition, TxnKind, TxnMix};
+use crate::workload::{AccessDistribution, KeyPartition, OrderPicker, TxnKind, TxnMix};
 
 /// Client-to-server round trip inside one VPC, paid once per *statement* —
 /// the paper's driver, like any JDBC client, ships each statement of a
@@ -547,7 +547,7 @@ pub(crate) trait Body {
     /// Draw the parameters once the gates have passed. A body that draws
     /// inside its statements probes no key.
     fn draw(
-        &self,
+        &mut self,
         _: &Database,
         _: Self::Kind,
         _: &AccessDistribution,
@@ -581,6 +581,8 @@ pub(crate) trait Body {
 pub(crate) struct Sales {
     tables: SalesTables,
     stmts: SalesStmts,
+    /// The order draws, with the run's last Zipfian constants.
+    orders: OrderPicker,
 }
 
 impl Sales {
@@ -588,6 +590,7 @@ impl Sales {
         Sales {
             tables: dep.tables,
             stmts: dep.stmts,
+            orders: OrderPicker::default(),
         }
     }
 }
@@ -614,7 +617,7 @@ impl Body for Sales {
     }
 
     fn draw(
-        &self,
+        &mut self,
         db: &Database,
         kind: TxnKind,
         dist: &AccessDistribution,
@@ -624,11 +627,13 @@ impl Body for Sales {
         let orderline_hwm = db.table(self.tables.orderline).next_auto_key() - 1;
         // No kind writes more than one predictable key.
         let (write_key, o_id, ol_id) = match kind {
-            TxnKind::NewOrderline | TxnKind::OrderStatus => {
-                (None, dist.pick_order(rng, p.orders_lo, p.orders_hi), 0)
-            }
+            TxnKind::NewOrderline | TxnKind::OrderStatus => (
+                None,
+                self.orders.pick(dist, rng, p.orders_lo, p.orders_hi),
+                0,
+            ),
             TxnKind::OrderPayment => {
-                let o = dist.pick_order(rng, p.orders_lo, p.orders_hi);
+                let o = self.orders.pick(dist, rng, p.orders_lo, p.orders_hi);
                 (Some((self.tables.orders, o)), o, 0)
             }
             TxnKind::OrderlineDeletion => {
@@ -705,9 +710,10 @@ impl Body for Sales {
             }
             TxnKind::OrderRangeScan => {
                 // T5 bypasses the statement registry (whose shape is pinned by
-                // the deploy tests) and drives the clustered tree directly; the
-                // same page/row cost accounting applies via ExecCtx.
-                db.scan_range(ctx, self.tables.orders, p.o_id, p.scan_hi, |_, _| true);
+                // the deploy tests) and counts the range on the clustered tree:
+                // nobody reads its rows, and the count pays the statement, the
+                // leaf touches and the rows a visiting scan would.
+                db.count_range(ctx, self.tables.orders, p.o_id, p.scan_hi);
             }
         }
     }
@@ -1079,7 +1085,7 @@ impl<'a, B: Body> RunCtx<'a, B> {
     /// while accumulating simulated cost. The caller owns latency recording,
     /// because only it knows the operation's scheduled instant.
     fn attempt_txn(&mut self, tenant: usize, rng: &mut DetRng, t: SimTime) -> StepOutcome {
-        let (dep, opts, body) = (&mut *self.dep, self.opts, &self.body);
+        let (dep, opts, body) = (&mut *self.dep, self.opts, &mut self.body);
         let spec = &self.tenants[tenant];
         let (mix, dist, _) = effective_shape(spec, &opts.shifts, tenant, t);
         // Pick the transaction and its node.

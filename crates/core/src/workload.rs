@@ -177,31 +177,92 @@ impl AccessDistribution {
                 let n = i64::from(*n).max(1).min(hi - lo + 1);
                 rng.range_inclusive(hi - n + 1, hi)
             }
-            AccessDistribution::Zipfian(pm) => {
-                assert!(*pm < 1000, "Zipfian θ must be < 1");
-                let n = (hi - lo + 1) as f64;
-                let theta = f64::from(*pm) / 1000.0;
-                // YCSB's rejection-free sampler with the harmonic sums in
-                // closed form (integral approximation of ζ(n, θ); exact for
-                // ζ(2, θ)) — O(1) per draw, no precomputed tables, and a
-                // pure function of (seed, range), so runs stay
-                // deterministic whatever order tenants sample in.
-                let zetan = 1.0 + (n.powf(1.0 - theta) - 1.0) / (1.0 - theta);
-                let zeta2 = 1.0 + 0.5f64.powf(theta);
-                let alpha = 1.0 / (1.0 - theta);
-                let eta = (1.0 - (2.0 / n).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-                let u = rng.unit();
-                let uz = u * zetan;
-                let rank = if uz < 1.0 {
-                    0
-                } else if uz < zeta2 {
-                    1
-                } else {
-                    (n * (eta * u - eta + 1.0).powf(alpha)) as i64
-                };
-                lo + rank.clamp(0, hi - lo)
-            }
+            AccessDistribution::Zipfian(pm) => lo + Zipfian::new(*pm, hi - lo + 1).rank(rng.unit()),
         }
+    }
+}
+
+/// The constants of the Zipfian sampler over `len` keys at θ = `pm`/1000.
+/// They depend on the range length and θ only, so a caller drawing many
+/// times from one range builds them once ([`OrderPicker`]).
+#[derive(Clone, Copy, Debug)]
+struct Zipfian {
+    pm: u16,
+    len: i64,
+    n: f64,
+    zetan: f64,
+    zeta2: f64,
+    alpha: f64,
+    eta: f64,
+}
+
+impl Zipfian {
+    fn new(pm: u16, len: i64) -> Self {
+        assert!(pm < 1000, "Zipfian θ must be < 1");
+        let n = len as f64;
+        let theta = f64::from(pm) / 1000.0;
+        // YCSB's rejection-free sampler with the harmonic sums in closed
+        // form (integral approximation of ζ(n, θ); exact for ζ(2, θ)) —
+        // O(1) per draw, no precomputed tables, and a pure function of
+        // (seed, range), so runs stay deterministic whatever order tenants
+        // sample in.
+        let zetan = 1.0 + (n.powf(1.0 - theta) - 1.0) / (1.0 - theta);
+        let zeta2 = 1.0 + 0.5f64.powf(theta);
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        Zipfian {
+            pm,
+            len,
+            n,
+            zetan,
+            zeta2,
+            alpha,
+            eta,
+        }
+    }
+
+    /// The rank in `0..len` (0 = the hottest key) of the unit draw `u`.
+    fn rank(&self, u: f64) -> i64 {
+        let uz = u * self.zetan;
+        let rank = if uz < 1.0 {
+            0
+        } else if uz < self.zeta2 {
+            1
+        } else {
+            (self.n * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as i64
+        };
+        rank.clamp(0, self.len - 1)
+    }
+}
+
+/// Draws order ids exactly as [`AccessDistribution::pick_order`] does,
+/// keeping the [`Zipfian`] constants of the last range and θ it drew
+/// from: a tenant draws from one range all run long, so they are built
+/// once instead of on every draw.
+#[derive(Debug, Default)]
+pub(crate) struct OrderPicker {
+    zipfian: Option<Zipfian>,
+}
+
+impl OrderPicker {
+    /// [`AccessDistribution::pick_order`] of `dist` over `[lo, hi]`.
+    pub(crate) fn pick(
+        &mut self,
+        dist: &AccessDistribution,
+        rng: &mut DetRng,
+        lo: i64,
+        hi: i64,
+    ) -> i64 {
+        let AccessDistribution::Zipfian(pm) = *dist else {
+            return dist.pick_order(rng, lo, hi);
+        };
+        debug_assert!(lo <= hi);
+        let len = hi - lo + 1;
+        let z = match self.zipfian {
+            Some(z) if (z.pm, z.len) == (pm, len) => z,
+            _ => *self.zipfian.insert(Zipfian::new(pm, len)),
+        };
+        lo + z.rank(rng.unit())
     }
 }
 
@@ -360,18 +421,18 @@ mod tests {
         })
     }
 
-    /// The Zipfian sampler, pinned: 10 000 draws each at θ = 0.99 and
-    /// θ = 0.9 over SF 1's orders, then 10 000 draws at θ = 0.99 that
-    /// alternate between two tenant slices of different lengths. A sampler
-    /// that rounds one draw differently fails here.
-    #[test]
-    fn zipfian_draws_are_pinned() {
+    /// Digests of 10 000 draws each at θ = 0.99 and θ = 0.9 over SF 1's
+    /// orders, then of 10 000 draws at θ = 0.99 that alternate between two
+    /// tenant slices of different lengths, all drawn through `pick`.
+    fn zipfian_digests(
+        mut pick: impl FnMut(&AccessDistribution, &mut DetRng, i64, i64) -> i64,
+    ) -> Vec<u64> {
         let mut rng = DetRng::seeded(31337);
         let mut digests = Vec::new();
         for pm in [990, 900] {
             let d = AccessDistribution::Zipfian(pm);
             digests.push(draw_digest(
-                (0..10_000).map(|_| d.pick_order(&mut rng, 1, 300_000)),
+                (0..10_000).map(|_| pick(&d, &mut rng, 1, 300_000)),
             ));
         }
         let slices = [0, 6].map(|i| KeyPartition::tenant_slice(300_000, 30_000, i, 7));
@@ -380,16 +441,60 @@ mod tests {
         let d = AccessDistribution::Zipfian(990);
         digests.push(draw_digest((0..10_000).map(|i| {
             let s = slices[i % 2];
-            d.pick_order(&mut rng, s.orders_lo, s.orders_hi)
+            pick(&d, &mut rng, s.orders_lo, s.orders_hi)
         })));
+        digests
+    }
+
+    /// The Zipfian sampler, pinned: [`pick_order`] and the memo of
+    /// [`OrderPicker`], which sees θ and the range change under it, give
+    /// the same digests. A sampler that rounds one draw differently fails
+    /// here.
+    ///
+    /// [`pick_order`]: AccessDistribution::pick_order
+    #[test]
+    fn zipfian_draws_are_pinned() {
+        let pinned = [
+            0xa802_3358_e744_723d,
+            0x9f2f_6e71_5d59_6cfa,
+            0xf13b_c01b_b442_5ac7,
+        ];
         assert_eq!(
-            digests,
-            [
-                0xa802_3358_e744_723d,
-                0x9f2f_6e71_5d59_6cfa,
-                0xf13b_c01b_b442_5ac7
-            ]
+            zipfian_digests(|d, rng, lo, hi| d.pick_order(rng, lo, hi)),
+            pinned
         );
+        let mut picker = OrderPicker::default();
+        assert_eq!(
+            zipfian_digests(|d, rng, lo, hi| picker.pick(d, rng, lo, hi)),
+            pinned
+        );
+    }
+
+    proptest::proptest! {
+        /// The memo draws what `pick_order` draws, one RNG step each, while
+        /// the distribution, θ and the range change between calls.
+        #[test]
+        fn order_picker_draws_what_pick_order_draws(
+            calls in proptest::collection::vec((0u16..1_000, 0u8..4, -50i64..50, 0i64..2_000, 1usize..20), 1..40),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut picker = OrderPicker::default();
+            let (mut a, mut b) = (DetRng::seeded(seed), DetRng::seeded(seed));
+            for (pm, kind, lo, span, repeat) in calls {
+                let dist = match kind {
+                    0 => AccessDistribution::Uniform,
+                    1 => AccessDistribution::Latest(u32::from(pm)),
+                    _ => AccessDistribution::Zipfian(pm),
+                };
+                for _ in 0..repeat {
+                    proptest::prop_assert_eq!(
+                        picker.pick(&dist, &mut a, lo, lo + span),
+                        dist.pick_order(&mut b, lo, lo + span)
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(a.unit(), b.unit());
+        }
     }
 
     #[test]

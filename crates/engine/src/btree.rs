@@ -11,6 +11,8 @@
 //! workloads insert and delete orderlines at similar rates, so occupancy
 //! stays healthy.
 
+use std::ops::Range;
+
 use cb_store::{PageBuf, PageId, PageStore};
 
 use crate::inline::InlineVec;
@@ -212,6 +214,52 @@ impl BatchIngest {
     fn hits(&self, key: i64) -> Option<PageId> {
         let c = self.cached?;
         (key > c.last_key && c.upper.is_none_or(|u| key < u)).then_some(c.leaf)
+    }
+}
+
+/// The walk of a range's leaf chain ([`BTree::leaf_ranges`]): each leaf's
+/// view and the slots `start..end` of its records inside `[lo, hi]`.
+/// `start` is searched in the first leaf only: every later leaf sits
+/// entirely above `lo`. `end` is searched only in the leaf whose last key
+/// exceeds `hi`, which ends the walk. A leaf is touched as the walk enters
+/// it, so a caller that stops early touches no further leaf, and a range
+/// that ends on a leaf's last key also enters the next non-empty leaf,
+/// whose first key is what proves the range over.
+struct LeafRanges<'s, 'l, L> {
+    store: &'s PageStore,
+    log: &'l mut L,
+    /// The key to search `start` for, until the first leaf is entered.
+    lo: Option<i64>,
+    hi: i64,
+    /// The leaf the walk enters next; invalid once it is over.
+    next: PageId,
+}
+
+impl<'s, L: PageSink> Iterator for LeafRanges<'s, '_, L> {
+    type Item = (SlottedRef<'s>, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if !self.next.is_valid() {
+            return None;
+        }
+        let page = self.store.read(self.next);
+        let s = SlottedRef::new(page, ENTRIES_BASE);
+        let start = match self.lo.take() {
+            // The descent touched the first leaf.
+            Some(lo) => s.find(lo).unwrap_or_else(|i| i),
+            None => {
+                self.log.touch(self.next, false);
+                0
+            }
+        };
+        let len = s.len();
+        if len > 0 && s.key_at(len - 1) > self.hi {
+            self.next = PageId::INVALID;
+            let end = s.find(self.hi).map_or_else(|i| i, |i| i + 1);
+            return Some((s, start..end));
+        }
+        self.next = leaf_next(page);
+        Some((s, start..len))
     }
 }
 
@@ -434,6 +482,30 @@ impl BTree {
         }
     }
 
+    /// The leaves that hold `[lo, hi]`, in key order, each with the slots
+    /// of its records inside the range ([`LeafRanges`]). Descends to `lo`
+    /// now, touching the path; nothing is touched when `lo > hi`.
+    fn leaf_ranges<'s, 'l, L: PageSink>(
+        &self,
+        store: &'s PageStore,
+        lo: i64,
+        hi: i64,
+        log: &'l mut L,
+    ) -> LeafRanges<'s, 'l, L> {
+        let next = if lo > hi {
+            PageId::INVALID
+        } else {
+            self.find_leaf(store, lo, log)
+        };
+        LeafRanges {
+            store,
+            log,
+            lo: Some(lo),
+            hi,
+            next,
+        }
+    }
+
     /// Visit `(key, payload)` for every record with `lo <= key <= hi`, in
     /// key order. Stops early if `f` returns `false`.
     pub fn scan_range(
@@ -444,42 +516,23 @@ impl BTree {
         log: &mut impl PageSink,
         mut f: impl FnMut(i64, &[u8]) -> bool,
     ) {
-        if lo > hi {
-            return;
-        }
-        let mut leaf_id = self.find_leaf(store, lo, log);
-        let mut first = true;
-        while leaf_id.is_valid() {
-            let page = store.read(leaf_id);
-            if !first {
-                log.touch(leaf_id, false);
-            }
-            let s = SlottedRef::new(page, ENTRIES_BASE);
-            // Only the first leaf can hold keys below `lo`; every later
-            // leaf in the chain sits entirely above it, so the binary
-            // search is skipped there.
-            let start = if first {
-                s.find(lo).unwrap_or_else(|i| i)
-            } else {
-                0
-            };
-            first = false;
-            if !s.for_each_from(start, |k, p| k <= hi && f(k, p)) {
+        // A closure, not `&mut f`: through the `&mut F` shim a large
+        // visitor (the snapshot merge, the chaos diff) was left out of
+        // line in the row loop, a call per row.
+        #[allow(clippy::redundant_closure)]
+        for (s, slots) in self.leaf_ranges(store, lo, hi, log) {
+            if !s.for_each_in(slots, |k, p| f(k, p)) {
                 return;
             }
-            leaf_id = leaf_next(page);
         }
     }
 
-    /// Total number of records (full scan; O(n)).
-    #[cfg(test)]
-    fn count(&self, store: &PageStore, log: &mut impl PageSink) -> u64 {
-        let mut n = 0u64;
-        self.scan_range(store, i64::MIN, i64::MAX, log, |_, _| {
-            n += 1;
-            true
-        });
-        n
+    /// The number of records with `lo <= key <= hi`: the pages
+    /// [`scan_range`](Self::scan_range) touches, without visiting a record.
+    pub fn count_range(&self, store: &PageStore, lo: i64, hi: i64, log: &mut impl PageSink) -> u64 {
+        self.leaf_ranges(store, lo, hi, log)
+            .map(|(_, slots)| slots.len() as u64)
+            .sum()
     }
 
     fn split_leaf(
@@ -575,6 +628,26 @@ mod tests {
         }
     }
 
+    /// Records with `lo <= key <= hi`, counted by
+    /// [`count_range`](BTree::count_range) and held to a visitor sweep:
+    /// the same number over the same page accesses.
+    fn counted(tree: &BTree, store: &PageStore, lo: i64, hi: i64) -> u64 {
+        let (mut count_log, mut visit_log) = (AccessLog::new(), AccessLog::new());
+        let n = tree.count_range(store, lo, hi, &mut count_log);
+        assert_eq!(
+            visit_all(tree, store)(lo, hi, &mut visit_log),
+            n,
+            "[{lo}, {hi}]"
+        );
+        assert_eq!(count_log, visit_log, "[{lo}, {hi}]");
+        n
+    }
+
+    /// Total number of records.
+    fn count(tree: &BTree, store: &PageStore) -> u64 {
+        counted(tree, store, i64::MIN, i64::MAX)
+    }
+
     fn payload(k: i64) -> Vec<u8> {
         format!("payload-{k}").into_bytes()
     }
@@ -594,7 +667,7 @@ mod tests {
         let (store, tree) = build([]);
         let mut log = AccessLog::new();
         assert_eq!(tree.get(&store, 1, &mut log), None);
-        assert_eq!(tree.count(&store, &mut log), 0);
+        assert_eq!(count(&tree, &store), 0);
         assert_eq!(height(&tree, &store), 1);
     }
 
@@ -608,14 +681,14 @@ mod tests {
             assert_eq!(tree.get(&store, k, &mut log), Some(payload(k).as_slice()));
         }
         assert_eq!(tree.get(&store, n, &mut log), None);
-        assert_eq!(tree.count(&store, &mut log), n as u64);
+        assert_eq!(count(&tree, &store), n as u64);
     }
 
     #[test]
     fn reverse_and_shuffled_insert_orders() {
         let mut log = AccessLog::new();
         let (store, tree) = build((0..5000).rev());
-        assert_eq!(tree.count(&store, &mut log), 5000);
+        assert_eq!(count(&tree, &store), 5000);
         for k in [0i64, 4999, 2500] {
             assert_eq!(tree.get(&store, k, &mut log), Some(payload(k).as_slice()));
         }
@@ -626,7 +699,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let uniq: Vec<i64> = keys.into_iter().filter(|k| seen.insert(*k)).collect();
         let (store2, tree2) = build(uniq.iter().copied());
-        assert_eq!(tree2.count(&store2, &mut log), uniq.len() as u64);
+        assert_eq!(count(&tree2, &store2), uniq.len() as u64);
     }
 
     #[test]
@@ -666,7 +739,7 @@ mod tests {
         let grown = vec![9u8; 900];
         assert!(tree.update(&mut store, 250, &grown, &mut log));
         assert_eq!(tree.get(&store, 250, &mut log), Some(grown.as_slice()));
-        assert_eq!(tree.count(&store, &mut log), 500);
+        assert_eq!(count(&tree, &store), 500);
     }
 
     #[test]
@@ -677,11 +750,11 @@ mod tests {
             assert_eq!(tree.delete(&mut store, k, &mut log), Some(payload(k)));
         }
         assert_eq!(tree.delete(&mut store, 0, &mut log), None);
-        assert_eq!(tree.count(&store, &mut log), 1000 - 334);
+        assert_eq!(count(&tree, &store), 1000 - 334);
         for k in (0..1000).step_by(3) {
             tree.insert(&mut store, k, &payload(k), &mut log).unwrap();
         }
-        assert_eq!(tree.count(&store, &mut log), 1000);
+        assert_eq!(count(&tree, &store), 1000);
     }
 
     #[test]
@@ -824,7 +897,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(tree.count(&store, &mut log), 4000);
+        assert_eq!(count(&tree, &store), 4000);
         // Every key remains reachable through a fresh descent.
         for k in 0..4000 {
             assert_eq!(
@@ -880,7 +953,7 @@ mod tests {
         // Out-of-order key after the run re-primes through the descent.
         tree.insert_sorted(&mut store, &mut cur, 500, &payload(500), &mut log)
             .unwrap();
-        assert_eq!(tree.count(&store, &mut log), 1100);
+        assert_eq!(count(&tree, &store), 1100);
         assert_eq!(
             tree.get(&store, 500, &mut log),
             Some(payload(500).as_slice())
@@ -902,6 +975,58 @@ mod tests {
             for key in crate::search::tests::probes(keys) {
                 let want = keys.partition_point(|&k| k <= key);
                 proptest::prop_assert_eq!(internal_find_child(&page, key), want, "key {}", key);
+            }
+        }
+    }
+
+    /// The last key of every non-empty leaf, in chain order.
+    fn leaf_last_keys(tree: &BTree, store: &PageStore) -> Vec<i64> {
+        let mut leaf = tree.find_leaf(store, i64::MIN, &mut Uncharged);
+        let mut last = Vec::new();
+        while leaf.is_valid() {
+            let s = SlottedRef::new(store.read(leaf), ENTRIES_BASE);
+            last.extend((s.len() > 0).then(|| s.key_at(s.len() - 1)));
+            leaf = leaf_next(store.read(leaf));
+        }
+        last
+    }
+
+    proptest::proptest! {
+        /// On random trees, some with leaves emptied by a deleted run of
+        /// keys, `count_range` counts what a visitor sweep visits, over the
+        /// same page accesses and as many rows as the model holds: for
+        /// inverted ranges, one-key ranges, ranges that end on each leaf's
+        /// last key, ranges past the last key, the whole key space and
+        /// random ranges.
+        #[test]
+        fn count_range_equals_the_visitor_sweep(
+            keys in proptest::collection::vec(-5_000i64..5_000, 0..3_000),
+            gap in -5_000i64..5_000,
+            span in 0i64..2_000,
+            ranges in proptest::collection::vec((-6_000i64..6_000, -10i64..3_000), 0..20),
+        ) {
+            let mut model: std::collections::BTreeSet<i64> = keys.into_iter().collect();
+            let (mut store, mut tree) = build(model.iter().copied());
+            for k in gap..gap + span {
+                tree.delete(&mut store, k, &mut Uncharged);
+                model.remove(&k);
+            }
+            let top = model.last().copied().unwrap_or(0);
+            let mut probes = vec![
+                (i64::MIN, i64::MAX),
+                (1, 0),
+                (i64::MAX, i64::MIN),
+                (top, top),
+                (top + 1, top + 100),
+                (top - 100, i64::MAX),
+            ];
+            for k in leaf_last_keys(&tree, &store) {
+                probes.extend([(k, k), (k - 50, k), (k + 1, k + 1)]);
+            }
+            probes.extend(ranges.iter().map(|&(lo, n)| (lo, lo + n)));
+            for (lo, hi) in probes {
+                let want = if lo > hi { 0 } else { model.range(lo..=hi).count() as u64 };
+                proptest::prop_assert_eq!(counted(&tree, &store, lo, hi), want, "[{}, {}]", lo, hi);
             }
         }
     }
@@ -1063,6 +1188,14 @@ mod tests {
         }
     }
 
+    /// A [`BTree::count_range`] sweep.
+    fn count_all<'a>(
+        tree: &'a BTree,
+        store: &'a PageStore,
+    ) -> impl FnMut(i64, i64, &mut AccessLog) -> u64 + 'a {
+        move |lo, hi, log| tree.count_range(store, lo, hi, log)
+    }
+
     /// The range path, pinned: 2 000 seeded sweeps of 1–5 000 keys on an
     /// SF 1 ORDERS tree, as loaded and again after 40 000 seeded inserts
     /// and deletes, a quarter of them one contiguous run of deletes that
@@ -1090,10 +1223,9 @@ mod tests {
                 .collect()
         };
         let loaded = sweeps(&mut rng, ORDERS);
-        assert_eq!(
-            sweep_digest(&loaded, visit_all(&tree, &store)),
-            (4_954_147, 0x0dbb_9817_1ab0_6608)
-        );
+        let pinned = (4_954_147, 0x0dbb_9817_1ab0_6608);
+        assert_eq!(sweep_digest(&loaded, visit_all(&tree, &store)), pinned);
+        assert_eq!(sweep_digest(&loaded, count_all(&tree, &store)), pinned);
         for i in 0..40_000 {
             if i % 4 == 0 {
                 tree.delete(&mut store, 150_000 + i / 4, &mut Uncharged);
@@ -1109,13 +1241,10 @@ mod tests {
             }
         }
         let churned = sweeps(&mut rng, ORDERS + 100_000);
-        assert_eq!(
-            (
-                empty_leaves(&tree, &store),
-                sweep_digest(&churned, visit_all(&tree, &store))
-            ),
-            (61, (3_528_308, 0x2cc2_af4d_07f9_f9cf))
-        );
+        let pinned = (3_528_308, 0x2cc2_af4d_07f9_f9cf);
+        assert_eq!(empty_leaves(&tree, &store), 61);
+        assert_eq!(sweep_digest(&churned, visit_all(&tree, &store)), pinned);
+        assert_eq!(sweep_digest(&churned, count_all(&tree, &store)), pinned);
     }
 
     #[test]

@@ -644,6 +644,24 @@ impl Database {
         ctx.charge_rows(rows);
     }
 
+    /// The number of rows [`Database::scan_range`] would visit over
+    /// `[lo, hi]`, charged exactly as that scan: one statement, the same
+    /// page touches and the rows. READ COMMITTED adds up the tree's slot
+    /// ranges without visiting a record; a versioned level runs the
+    /// snapshot merge with a counting visitor.
+    pub fn count_range(&self, ctx: &mut ExecCtx<'_>, table: TableId, lo: i64, hi: i64) -> u64 {
+        ctx.charge_stmt();
+        let rows = if ctx.isolation.is_versioned() {
+            let snapshot = ctx.now;
+            self.scan_range_versioned(table, lo, hi, snapshot, ctx, |_, _| true)
+        } else {
+            let t = &self.tables[table.0 as usize];
+            t.tree.count_range(&self.pages, lo, hi, ctx)
+        };
+        ctx.charge_rows(rows);
+        rows
+    }
+
     /// Snapshot range scan at `ts` with no cost accounting — the range
     /// analogue of [`Database::get_at`], for oracles, tests, and
     /// microbenches. Served scans go through [`Database::scan_range`].
@@ -663,7 +681,8 @@ impl Database {
     /// visibility at `ts`. A tree key the overlay does not hold is visible
     /// as it stands, with no map probe; overlay keys missing from the tree
     /// are rows deleted after `ts` whose chain still holds the visible
-    /// image. Returns the number of rows emitted.
+    /// image. Returns the number of rows emitted; an inverted range
+    /// emits none and touches nothing, as at READ COMMITTED.
     fn scan_range_versioned(
         &self,
         table: TableId,
@@ -673,6 +692,9 @@ impl Database {
         sink: &mut impl PageSink,
         mut f: impl FnMut(i64, RowRef<'_>) -> bool,
     ) -> u64 {
+        if lo > hi {
+            return 0;
+        }
         let t = &self.tables[table.0 as usize];
         let mut overlay = self.versions.overlay(table, lo, hi, ts).peekable();
         let mut rows = 0u64;
@@ -1190,6 +1212,81 @@ mod tests {
         });
         assert_eq!(seen, 10);
         assert_eq!(ctx.stats.rows, 10);
+    }
+
+    /// `count_range` charges what a visitor `scan_range` over the same
+    /// range charges (CPU, I/O, statement and row stats, pool hits and
+    /// misses on an 8-page pool) at READ COMMITTED and at snapshot
+    /// isolation, where the overlay resurrects deleted rows and hides
+    /// inserted ones.
+    #[test]
+    fn count_range_charges_what_scan_range_charges() {
+        use crate::mvcc::IsolationLevel;
+        let mut db = Database::new();
+        let orders = db.create_table("orders", orders_schema());
+        db.load_bulk(orders, (1..=2_000).map(|i| order_row(i, "NEW", i)));
+        let mut env = Env::new();
+        let mut ctx = env.ctx();
+        let mut txn = db.begin();
+        for k in (1..=2_000).step_by(7) {
+            db.delete(&mut ctx, &mut txn, orders, k);
+        }
+        for k in (2..=2_000).step_by(13) {
+            db.update(&mut ctx, &mut txn, orders, k, |r| {
+                r.values[1] = Value::Text("PAID".into());
+            })
+            .unwrap();
+        }
+        for k in 2_001..=2_100 {
+            db.insert(&mut ctx, &mut txn, orders, order_row(k, "NEW", k))
+                .unwrap();
+        }
+        let c = db.commit(&mut ctx, txn);
+        db.publish_versions(&c, SimTime::from_millis(100));
+        let charges = |isolation, lo, hi, count: bool| {
+            let mut env = Env {
+                pool: BufferPool::new(8),
+                ..Env::new()
+            };
+            let mut ctx = env.ctx();
+            ctx.isolation = isolation;
+            ctx.now = SimTime::from_millis(50);
+            let rows = if count {
+                db.count_range(&mut ctx, orders, lo, hi)
+            } else {
+                let mut rows = 0;
+                db.scan_range(&mut ctx, orders, lo, hi, |_, _| {
+                    rows += 1;
+                    true
+                });
+                rows
+            };
+            let (cpu, io, stats) = (ctx.cpu, ctx.io, ctx.stats);
+            (rows, cpu, io, stats, env.pool.hits(), env.pool.misses())
+        };
+        for isolation in [IsolationLevel::ReadCommitted, IsolationLevel::Snapshot] {
+            for (lo, hi) in [
+                (i64::MIN, i64::MAX),
+                (1, 2_100),
+                (500, 499),
+                (8, 8),
+                (1_990, 5_000),
+                (2_101, 3_000),
+            ] {
+                let counted = charges(isolation, lo, hi, true);
+                assert_eq!(
+                    counted,
+                    charges(isolation, lo, hi, false),
+                    "{isolation:?} [{lo}, {hi}]"
+                );
+                assert!(counted.3.statements == 1 && counted.3.rows == counted.0);
+            }
+        }
+        // The snapshot sees the 2 000 loaded rows; the latest images lost
+        // 286 to deletes and gained 100 inserts.
+        let rows = |isolation| charges(isolation, 1, 2_100, true).0;
+        assert_eq!(rows(IsolationLevel::Snapshot), 2_000);
+        assert_eq!(rows(IsolationLevel::ReadCommitted), 2_000 - 286 + 100);
     }
 
     #[test]

@@ -98,19 +98,20 @@ impl<'a> SlottedRef<'a> {
         )
     }
 
-    /// Visit `(key, payload)` for records `start..len` in slot order,
-    /// stopping early when `f` returns `false`; returns `false` on early
-    /// stop. Walks the slot directory as one contiguous byte slice — the
-    /// scan path's hot loop, measurably faster than indexed `key_at` /
-    /// `payload_at` calls per record.
-    pub(crate) fn for_each_from(
+    /// Visit `(key, payload)` for records `slots` in slot order, stopping
+    /// early when `f` returns `false`; returns `false` on early stop. Walks
+    /// the slot directory as one contiguous byte slice — the scan path's
+    /// hot loop, measurably faster than indexed `key_at` / `payload_at`
+    /// calls per record.
+    pub(crate) fn for_each_in(
         &self,
-        start: usize,
+        slots: Range<usize>,
         mut f: impl FnMut(i64, &'a [u8]) -> bool,
     ) -> bool {
+        debug_assert!(slots.end <= self.len());
         let bytes = self.page.as_bytes();
-        let dir_start = self.base + HDR_BYTES + start * SLOT_BYTES;
-        let dir_end = self.base + HDR_BYTES + self.len() * SLOT_BYTES;
+        let dir_start = self.slot_off(slots.start);
+        let dir_end = self.slot_off(slots.end);
         for slot in bytes[dir_start..dir_end].chunks_exact(SLOT_BYTES) {
             let key = i64::from_le_bytes(slot[..8].try_into().expect("8-byte key"));
             let off = u16::from_le_bytes(slot[8..10].try_into().expect("2-byte off")) as usize;

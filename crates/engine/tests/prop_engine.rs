@@ -123,14 +123,7 @@ impl Table {
             }
             Op::Delete(k) => u64::from(tree.delete(store, *k, sink).is_some()),
             Op::Get(k) => u64::from(tree.get(store, *k, sink).is_some()),
-            Op::Scan(lo, span) => {
-                let mut rows = 0;
-                tree.scan_range(store, *lo, lo + span, sink, |_, _| {
-                    rows += 1;
-                    true
-                });
-                rows
-            }
+            Op::Scan(lo, span) => tree.count_range(store, *lo, lo + span, sink),
         }
     }
 }
@@ -346,7 +339,11 @@ proptest! {
                     });
                     let want: Vec<(i64, Vec<u8>)> =
                         model.range(lo..=hi).map(|(k, v)| (*k, v.clone())).collect();
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(&got, &want);
+                    // Counting touches the pages the visitor walk touched.
+                    let mut clog = AccessLog::new();
+                    prop_assert_eq!(tree.count_range(&store, lo, hi, &mut clog), got.len() as u64);
+                    prop_assert_eq!(&clog, &alog);
                 }
             }
             alog.clear();
