@@ -189,7 +189,6 @@ impl AccessDistribution {
 struct Zipfian {
     pm: u16,
     len: i64,
-    n: f64,
     zetan: f64,
     zeta2: f64,
     alpha: f64,
@@ -213,7 +212,6 @@ impl Zipfian {
         Zipfian {
             pm,
             len,
-            n,
             zetan,
             zeta2,
             alpha,
@@ -229,7 +227,7 @@ impl Zipfian {
         } else if uz < self.zeta2 {
             1
         } else {
-            (self.n * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as i64
+            (self.len as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as i64
         };
         rank.clamp(0, self.len - 1)
     }
